@@ -321,7 +321,7 @@ let load_queries path =
 
 let query_cmd =
   let run doc_path dtd_path policy_path group mode use_index trace output
-      stats budget plan_cache no_plan_cache repeat jobs no_tables queries_file
+      stats budget plan_cache no_plan_cache repeat jobs queries_file
       tenants_file tenant tenant_budget shards query =
     let dtd = Option.map load_dtd dtd_path in
     (* the parse is budgeted too: a depth/node/deadline limit must bound
@@ -375,9 +375,6 @@ let query_cmd =
          --jobs > 1 (or SMOQE_JOBS > 1)";
       exit 1
     end;
-    (* --no-tables forces the generic engine; otherwise the library default
-       applies (tables on unless SMOQE_NO_TABLES is set). *)
-    let use_tables = if no_tables then Some false else None in
     (* --shards N: serve the document as a federation of N engine shards.
        The root's children are split round-robin, every policy and tenant
        is registered on every shard, and each query scatters to all
@@ -451,7 +448,7 @@ let query_cmd =
         let results, agg =
           Pool.with_pool ~domains:jobs (fun pool ->
               Federation.run_many_robust fed ~pool ?group ?tenant ~mode
-                ~use_index ?make_budget:budget ?use_tables texts)
+                ~use_index ?make_budget:budget texts)
         in
         let first_failure = ref None in
         Array.iteri
@@ -492,7 +489,7 @@ let query_cmd =
         let result =
           Pool.with_pool ~domains:jobs (fun pool ->
               Federation.query_robust fed ~pool ?group ?tenant ~mode
-                ~use_index ?make_budget:budget ?use_tables query)
+                ~use_index ?make_budget:budget query)
         in
         let outcome = or_die_robust result in
         print_fed outcome;
@@ -551,11 +548,11 @@ let query_cmd =
         if jobs <= 1 then
           Engine.run_many_robust engine ?group ?tenant ~mode ~use_index
             ?budget:(Option.map (fun mk -> mk ()) budget)
-            ?use_tables texts
+            texts
         else
           Pool.with_pool ~domains:jobs (fun pool ->
               Engine.run_many_pooled engine ~pool ?group ?tenant ~mode
-                ~use_index ?make_budget:budget ?use_tables texts)
+                ~use_index ?make_budget:budget texts)
       in
       let first_failure = ref None in
       Array.iteri
@@ -600,7 +597,7 @@ let query_cmd =
       let budget = Option.map (fun mk -> mk ()) budget in
       or_die_robust
         (Engine.query_robust engine ?group ?tenant ~mode ~use_index ?budget
-           ?trace:tracer ?use_tables query)
+           ?trace:tracer query)
     in
     let outcome, agg_stats, loads =
       if jobs <= 1 then begin
@@ -615,7 +612,7 @@ let query_cmd =
         Pool.with_pool ~domains:jobs (fun pool ->
             let results, agg =
               Engine.run_batch engine ~pool ?group ?tenant ~mode ~use_index
-                ?make_budget:budget ?use_tables
+                ?make_budget:budget
                 (List.init repeat (fun _ -> query))
             in
             let last =
@@ -692,11 +689,6 @@ let query_cmd =
                  ~doc:"Evaluate --repeat runs on a pool of N domains in \
                        parallel (default: \\$(b,SMOQE_JOBS), else 1 = \
                        sequential, no pool).")
-      $ Arg.(value & flag
-             & info [ "no-tables" ]
-                 ~doc:"Evaluate on the generic engine instead of the \
-                       tag-interned transition tables and lazy-DFA memo \
-                       (same as setting \\$(b,SMOQE_NO_TABLES)).")
       $ Arg.(value & opt (some file) None
              & info [ "queries-file" ] ~docv:"FILE"
                  ~doc:"Serve a whole batch: one Regular XPath query per line \

@@ -198,10 +198,3 @@ let intern t nm =
 
 let targets t state tag =
   if tag < 0 || tag >= t.n_tags then t.wild.(state) else t.step.(tag).(state)
-
-(* Default gate for the whole table layer: on unless SMOQE_NO_TABLES is
-   set (to anything non-empty). *)
-let enabled_default () =
-  match Sys.getenv_opt "SMOQE_NO_TABLES" with
-  | None | Some "" -> true
-  | Some _ -> false

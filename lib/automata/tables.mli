@@ -58,7 +58,3 @@ val n_tags : t -> int
 
 val spec_us : t -> int
 (** Wall-clock microseconds spent building the table (observability). *)
-
-val enabled_default : unit -> bool
-(** Default for the table layer: [true] unless the [SMOQE_NO_TABLES]
-    environment variable is set non-empty. *)

@@ -69,9 +69,10 @@ type plan = {
   plan_states : int;
   plan_empty : bool;  (* the DTD proves the query selects nothing *)
   plan_shared : Shared.t option;
-      (* present on a batch plan: the prefix-sharing merge whose combined
-         automaton [plan_mfa] is (so the frozen-table machinery below
-         applies to batches unchanged) *)
+      (* present when two or more distinct queries were merged: the
+         prefix-sharing merge whose combined automaton [plan_mfa] is (so
+         the frozen-table machinery below applies to batches unchanged);
+         absent on a single-query plan *)
   plan_compile_ms : float;
   plan_tables : (Tree.t * Tables.t) option Atomic.t;
       (* The frozen table specialization riding the plan, tagged with the
@@ -230,7 +231,7 @@ let register_policy t ~group policy =
                still holding the lock so no query can pair the new view
                with a plan minted under the old one; a compile already in
                flight against the old view is fenced separately, by the
-               generation token it captured (see [plan_for_query]). *)
+               generation token it captured (see [plan_for]). *)
             Plan_cache.invalidate_group t.plan_cache group);
         Log.info (fun m -> m "registered view for group %s" group);
         Ok ()
@@ -426,6 +427,7 @@ let compile_query t ?group ?optimize text =
   Result.map_error Error.to_string
     (compile_query_robust t ?group ?optimize text)
 
+
 (* --- the plan cache ------------------------------------------------------- *)
 
 let statically_empty t mfa =
@@ -477,17 +479,31 @@ let plan_cache_counters t =
   @ [ ("saved_compile_ms",
        int_of_float (locked t (fun () -> t.saved_compile_ms))) ]
 
-(* Serve the compiled plan for a query, consulting the cache.  Returns the
-   MFA and whether it was a hit.  The raw text probes the cache first —
-   canonical traffic (the common case for machine-issued repeats) hits
-   without even being tokenized; otherwise we parse, canonicalize and
-   probe once more before conceding the miss and compiling.  A plan is
-   inserted only after a fully successful compile: a budget trip or an
-   injected ["plan.compile"] fault leaves the cache untouched.  Explicit
-   [~optimize:false] bypasses the cache (cached plans are optimized). *)
-let plan_for_query t ?group ?policy_key ~mode ~use_index ?optimize ?budget
-    text =
+(* Plan acquisition for a request of one or more query texts.  Returns,
+   per slot, the position of the slot's member in the plan (the owner id
+   of a merge; 0 for a single-query plan) or the slot's own parse or
+   compile error, together with the plan and whether it was a cache hit.
+
+   Identical texts collapse onto one member, and so do canonically equal
+   ones ({!Canon}).  One distinct member is a single query: it is cached
+   under the single-query key and never merged, so [run_many [q]] and
+   [query q] share one plan.  When every slot carries the same text, that
+   raw text probes the cache before anything is tokenized — canonical
+   traffic (the common case for machine-issued repeats) hits without
+   being parsed.  Two or more distinct members are compiled, merged
+   prefix-sharing-style ({!Shared.merge}) and cached under the batch key:
+   the sorted unique member keys, so permutations and duplicate mixes of
+   a warm batch hit too.
+
+   A plan is inserted only after every member compiled: a budget trip, an
+   injected ["plan.compile"] fault or a member that fails to compile
+   leaves the cache untouched (the owner table of a partial merge numbers
+   the surviving subset, which a later identical request must not
+   inherit).  Explicit [~optimize:false] bypasses the cache (cached plans
+   are optimized). *)
+let plan_for t ?group ?policy_key ~mode ~use_index ?optimize ?budget texts =
   let cache = t.plan_cache in
+  let cacheable = optimize <> Some false && Plan_cache.capacity cache > 0 in
   let key query =
     (* Under a policy key the key's group component is dropped: every
        tenant sharing the key shares one entry per query, which is the
@@ -496,64 +512,125 @@ let plan_for_query t ?group ?policy_key ~mode ~use_index ?optimize ?budget
       policy_key; query; mode = mode_string mode;
       use_index = use_index = Some true }
   in
+  let probe query =
+    if cacheable then Plan_cache.find cache (key query) else None
+  in
   let hit plan =
     (* The budget still applies to a plan someone else paid to compile. *)
-    match
-      Error.guard (fun () ->
-          match budget with
-          | None -> ()
-          | Some b -> Budget.check_states b plan.plan_states)
-    with
-    | Error e -> Error e
-    | Ok () ->
-      locked t (fun () ->
-          t.saved_compile_ms <- t.saved_compile_ms +. plan.plan_compile_ms);
-      Ok (plan, true)
-  in
-  let plan_of mfa compile_ms =
-    {
-      plan_mfa = mfa;
-      plan_states = Mfa.n_states mfa;
-      plan_empty = statically_empty t mfa;
-      plan_shared = None;
-      plan_compile_ms = compile_ms;
-      plan_tables = Atomic.make None;
-    }
-  in
-  if optimize = Some false || Plan_cache.capacity cache = 0 then
     Result.map
-      (fun mfa -> (plan_of mfa 0., false))
-      (compile_query_robust t ?group ?optimize ?budget text)
-  else
-    match Plan_cache.find cache (key text) with
-    | Some plan -> hit plan
-    | None ->
-      (match Rx_parser.path_of_string text with
-      | Error msg -> Error (Error.Query_error msg)
-      | Ok path ->
-        let canonical = Canon.to_key path in
-        (match
-           if canonical = text then None
-           else Plan_cache.find cache (key canonical)
-         with
-        | Some plan -> hit plan
-        | None ->
-          Plan_cache.record_miss cache;
-          (* The compile below runs outside the engine lock, so a
-             concurrent [register_policy]/[replace_document] can
-             invalidate this key mid-flight.  Capture the generation
-             {e before} the compile reads the view: if it moves, the
-             conditional [add ~gen] refuses the insert and the plan
-             minted under the old view is served once, never cached. *)
-          let gen = Plan_cache.generation cache (key canonical) in
-          let t0 = Sys.time () in
-          (match compile_ast_robust t ?group ?optimize ?budget path with
-          | Error e -> Error e
-          | Ok mfa ->
-            let plan = plan_of mfa ((Sys.time () -. t0) *. 1000.) in
-            Plan_cache.add cache ~gen ~scope:(plan_scope [ path ])
-              (key canonical) plan;
-            Ok (plan, false))))
+      (fun () ->
+        locked t (fun () ->
+            t.saved_compile_ms <- t.saved_compile_ms +. plan.plan_compile_ms);
+        (plan, true))
+      (Error.guard (fun () ->
+           Option.iter
+             (fun b -> Budget.check_states b plan.plan_states)
+             budget))
+  in
+  let text0 = texts.(0) in
+  let one_text = Array.for_all (String.equal text0) texts in
+  match if one_text then probe text0 else None with
+  | Some plan -> (Array.map (fun _ -> Ok 0) texts, hit plan)
+  | None ->
+    let parsed =
+      Array.map
+        (fun text ->
+          match Rx_parser.path_of_string text with
+          | Error msg -> Error (Error.Query_error msg)
+          | Ok path -> Ok (Canon.to_key path, path))
+        texts
+    in
+    let by_key = Hashtbl.create 16 in
+    Array.iter
+      (function
+        | Ok (k, path) ->
+          if not (Hashtbl.mem by_key k) then Hashtbl.add by_key k path
+        | Error _ -> ())
+      parsed;
+    let keys =
+      List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) by_key [])
+    in
+    (* Canonical query text never contains NUL, so the batch key cannot
+       collide with a single-query entry. *)
+    let pkey =
+      match keys with
+      | [ k ] -> k
+      | _ -> "batch\x00" ^ String.concat "\x00" keys
+    in
+    let member = Hashtbl.create 16 in
+    let slots () =
+      Array.map
+        (function Error e -> Error e | Ok (k, _) -> Hashtbl.find member k)
+        parsed
+    in
+    if keys = [] then
+      let slots = slots () in
+      (slots, Error (Result.get_error slots.(0)))
+    else
+      match if one_text && pkey = text0 then None else probe pkey with
+      | Some plan ->
+        List.iteri (fun i k -> Hashtbl.replace member k (Ok i)) keys;
+        (slots (), hit plan)
+      | None ->
+        if cacheable then Plan_cache.record_miss cache;
+        (* The compiles below run outside the engine lock, so a concurrent
+           [register_policy]/[replace_document] can invalidate this key
+           mid-flight.  Capture the generation {e before} the compiles
+           read the view: if it moves, the conditional [add ~gen] refuses
+           the insert and the plan minted under the old view is served
+           once, never cached. *)
+        let gen = Plan_cache.generation cache (key pkey) in
+        (* Wall clock: process CPU time would sum every domain's work. *)
+        let t0 = Unix.gettimeofday () in
+        let n_ok = ref 0 in
+        let survivors =
+          List.filter_map
+            (fun k ->
+              match
+                compile_ast_robust t ?group ?optimize ?budget
+                  (Hashtbl.find by_key k)
+              with
+              | Error e ->
+                Hashtbl.replace member k (Error e);
+                None
+              | Ok mfa ->
+                Hashtbl.replace member k (Ok !n_ok);
+                incr n_ok;
+                Some mfa)
+            keys
+        in
+        let slots = slots () in
+        let plan_of shared mfa =
+          let states = Mfa.n_states mfa in
+          Option.iter (fun b -> Budget.check_states b states) budget;
+          let plan_empty = statically_empty t mfa in
+          {
+            plan_mfa = mfa;
+            plan_states = states;
+            plan_empty;
+            plan_shared = shared;
+            plan_compile_ms = (Unix.gettimeofday () -. t0) *. 1000.;
+            plan_tables = Atomic.make None;
+          }
+        in
+        let plan =
+          match survivors with
+          | [] ->
+            (* every member failed: any member's error stands in *)
+            Error (Result.get_error slots.(0))
+          | [ mfa ] -> Error.guard (fun () -> plan_of None mfa)
+          | _ ->
+            Error.guard (fun () ->
+                let sh = Shared.merge (Array.of_list survivors) in
+                plan_of (Some sh) sh.Shared.mfa)
+        in
+        (match plan with
+        | Ok plan when cacheable && List.compare_lengths survivors keys = 0 ->
+          Plan_cache.add cache ~gen
+            ~scope:(plan_scope (List.map (Hashtbl.find by_key) keys))
+            (key pkey) plan
+        | Ok _ | Error _ -> ());
+        (slots, Result.map (fun plan -> (plan, false)) plan)
 
 let rewrite_only t ~group ?optimize text =
   compile_query t ~group ?optimize text
@@ -568,131 +645,149 @@ let answer_xml_one snap n =
   end
   else Serializer.subtree_to_string ~indent:false tree n
 
-let answer_xml snap answers = List.map (answer_xml_one snap) answers
-
 (* --- evaluation ------------------------------------------------------------ *)
 
 let budget_error (what, limit) stats =
   Error.Budget_exceeded
     { what; limit; partial_stats = Stats.to_assoc stats }
 
+(* What one pass over the document produced, before demultiplexing into
+   slots: answers and serialized fragments per member position, and the
+   pass's joint counters. *)
+type pass = {
+  by_member : int list array;
+  xml_of : int -> string list;
+  pass_stats : Stats.t;
+  pass_cans : int;
+}
+
 (* DOM evaluation on a snapshot; [degraded_from_stax] marks a retry after
    a StAX driver failure.  Requesting the index without one loaded is
    served unindexed and recorded as a degradation rather than failed. *)
-let run_dom snap ~plan ?use_index ?budget ?trace ~use_tables
-    ~degraded_from_stax () =
+let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
   let mfa = plan.plan_mfa in
-  let index_requested = use_index = Some true in
   let tax =
     match use_index, snap.snap_tax with
     | Some false, _ | _, None -> None
     | (Some true | None), Some idx -> Some idx
   in
-  (* Warm queries reuse the frozen table riding the plan; a cold query (or
-     one whose snapshot tree left the cached pair's tag lineage — a
+  (* Warm queries reuse the frozen table riding the plan — for a merged
+     plan it covers the whole combined automaton, so a warm batch skips
+     both the merge and the specialization.  A cold plan (or one whose
+     snapshot tree left the cached pair's tag lineage — a
      replace_document raced the plan fetch, or an update interned new
      tags) specializes and publishes.  The publish is a plain Atomic.set:
      both sides of any race hold tables valid for their own snapshot, and
      Eval_dom re-validates with [Tables.built_for] anyway. *)
   let tables, spec_us =
-    if not use_tables then (None, 0)
-    else
-      match Atomic.get plan.plan_tables with
-      | Some (_, tb) when Tables.built_for tb snap.snap_tree -> (Some tb, 0)
-      | Some _ | None ->
-        let tb = Tables.of_tree mfa.Mfa.nfa snap.snap_tree in
-        Atomic.set plan.plan_tables (Some (snap.snap_tree, tb));
-        (Some tb, Tables.spec_us tb)
+    match Atomic.get plan.plan_tables with
+    | Some (_, tb) when Tables.built_for tb snap.snap_tree -> (tb, 0)
+    | Some _ | None ->
+      let tb = Tables.of_tree mfa.Mfa.nfa snap.snap_tree in
+      Atomic.set plan.plan_tables (Some (snap.snap_tree, tb));
+      (tb, Tables.spec_us tb)
   in
   let r =
-    Eval_dom.run ?tax ?budget ?trace ?tables ~use_tables mfa snap.snap_tree
+    Eval_dom.run_slots ?tax ?budget ?trace ~tables ?shared:plan.plan_shared mfa
+      snap.snap_tree
   in
+  let stats = r.Eval_dom.m_stats in
   (* Eval_dom charges specialization time only for tables it built itself;
      a table built here (to be published on the plan) is charged here. *)
   if spec_us > 0 then begin
-    r.Eval_dom.stats.Stats.table_spec_us <-
-      r.Eval_dom.stats.Stats.table_spec_us + spec_us;
+    stats.Stats.table_spec_us <- stats.Stats.table_spec_us + spec_us;
     let delta = Stats.zero () in
     delta.Stats.table_spec_us <- spec_us;
     Stats.note_tables delta
   end;
-  match r.Eval_dom.budget_hit with
-  | Some hit -> Error (budget_error hit r.Eval_dom.stats)
+  match r.Eval_dom.m_budget_hit with
+  | Some hit -> Error (budget_error hit stats)
   | None ->
-    let stats = r.Eval_dom.stats in
     if degraded_from_stax then begin
       stats.Stats.degraded_stax_retry <- 1;
       (* the failed StAX scan consumed a pass over the data too *)
       stats.Stats.passes_over_data <- stats.Stats.passes_over_data + 1
     end;
-    if index_requested && tax = None then begin
+    if use_index = Some true && tax = None then begin
       stats.Stats.degraded_no_index <- 1;
       Log.warn (fun m -> m "index requested but unavailable: unindexed pass")
     end;
+    (* Batch answer sets overlap heavily — shared prefixes select shared
+       nodes — so each distinct answer node is serialized once per pass,
+       where sequential serving would re-serialize per query. *)
+    let frag_memo = Hashtbl.create 64 in
+    let xml_of n =
+      match Hashtbl.find_opt frag_memo n with
+      | Some s -> s
+      | None ->
+        let s = answer_xml_one snap n in
+        Hashtbl.add frag_memo n s;
+        s
+    in
     Ok
       {
-        answers = r.Eval_dom.answers;
-        answer_xml = answer_xml snap r.Eval_dom.answers;
-        stats;
-        mfa;
-        cans_size = r.Eval_dom.cans_size;
+        by_member = r.Eval_dom.by_query;
+        xml_of = (fun p -> List.map xml_of r.Eval_dom.by_query.(p));
+        pass_stats = stats;
+        pass_cans = r.Eval_dom.m_cans_size;
       }
 
-let run_stax snap ~mfa ?budget ?trace ~use_tables () =
-  let outcome_of r =
-    match r.Eval_stax.budget_hit with
-    | Some hit -> Error (budget_error hit r.Eval_stax.stats)
+let run_stax snap plan ?budget ?trace () =
+  let run input =
+    let r =
+      Eval_stax.run_slots ~capture:true ?budget ?trace
+        ?shared:plan.plan_shared plan.plan_mfa input
+    in
+    match r.Eval_stax.m_budget_hit with
+    | Some hit -> Error (budget_error hit r.Eval_stax.m_stats)
     | None ->
       Ok
         {
-          answers = r.Eval_stax.answers;
-          answer_xml = List.map snd r.Eval_stax.captured;
-          stats = r.Eval_stax.stats;
-          mfa;
-          cans_size = r.Eval_stax.cans_size;
+          by_member = r.Eval_stax.by_query;
+          xml_of = (fun p -> List.map snd r.Eval_stax.by_query_captured.(p));
+          pass_stats = r.Eval_stax.m_stats;
+          pass_cans = r.Eval_stax.m_cans_size;
         }
   in
   match snap.snap_source with
-  | From_string s ->
-    outcome_of
-      (Eval_stax.run ~capture:true ?budget ?trace ~use_tables mfa
-         (Pull.of_string s))
+  | From_string s -> run (Eval_stax.Stream (Pull.of_string s))
   | From_file path ->
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        outcome_of
-          (Eval_stax.run ~capture:true ?budget ?trace ~use_tables mfa
-             (Pull.of_channel ic)))
-  | From_tree ->
-    outcome_of
-      (Eval_stax.run_events ~capture:true ?budget ?trace ~use_tables mfa
-         (Parser.events_of_tree snap.snap_tree))
+      (fun () -> run (Eval_stax.Stream (Pull.of_channel ic)))
+  | From_tree -> run (Eval_stax.Events (Parser.events_of_tree snap.snap_tree))
 
-let run_compiled snap ~plan ~mode ?use_index ?budget ?trace ~use_tables () =
-  let mfa = plan.plan_mfa in
+(* The one evaluation of a plan, degradation ladder included. *)
+let evaluate snap plan ~mode ?use_index ?budget ?trace () =
+  let dom ~degraded_from_stax =
+    Result.join
+      (Error.guard (fun () ->
+           run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax ()))
+  in
   if plan.plan_empty then begin
-    (* The schema proves the query selects nothing: skip the document. *)
+    (* The schema proves the plan selects nothing: skip the document. *)
     Log.info (fun m -> m "query statically empty against the schema");
-    let stats = Stats.create () in
-    stats.Stats.passes_over_data <- 0;
-    Ok { answers = []; answer_xml = []; stats; mfa; cans_size = 0 }
+    let width =
+      match plan.plan_shared with Some sh -> sh.Shared.n_queries | None -> 1
+    in
+    Ok
+      {
+        by_member = Array.make width [];
+        xml_of = (fun _ -> []);
+        pass_stats = Stats.zero ();
+        pass_cans = 0;
+      }
   end
   else
-    (match mode with
-    | Dom ->
-      Result.join
-        (Error.guard (fun () ->
-             run_dom snap ~plan ?use_index ?budget ?trace ~use_tables
-               ~degraded_from_stax:false ()))
+    match mode with
+    | Dom -> dom ~degraded_from_stax:false
     | Stax ->
       (match
          Result.join
-           (Error.guard (fun () ->
-                run_stax snap ~mfa ?budget ?trace ~use_tables ()))
+           (Error.guard (fun () -> run_stax snap plan ?budget ?trace ()))
        with
-      | Ok outcome -> Ok outcome
+      | Ok pass -> Ok pass
       | Error ((Error.Budget_exceeded _ | Error.Query_error _
                | Error.Policy_error _) as e) ->
         Error e
@@ -703,48 +798,106 @@ let run_compiled snap ~plan ~mode ?use_index ?budget ?trace ~use_tables () =
         Log.warn (fun m ->
             m "StAX evaluation failed (%s): retrying in DOM mode"
               (Error.to_string stax_failure));
-        Result.join
-          (Error.guard (fun () ->
-               run_dom snap ~plan ?use_index ?budget ?trace ~use_tables
-                 ~degraded_from_stax:true ()))))
+        dom ~degraded_from_stax:true)
 
-let query_robust t ?group ?tenant ?(mode = Dom) ?use_index ?optimize ?budget
-    ?trace ?use_tables text =
-  let use_tables =
-    match use_tables with Some b -> b | None -> Tables.enabled_default ()
+(* --- serving: one pipeline for one query and for many -------------------- *)
+
+(* Plan, evaluate once, demultiplex: every request — a single query, a
+   batch, an update's target path — takes this road.  A slot whose
+   member failed to parse or compile gets its own error without sinking
+   the rest; a failure of the plan as a whole or of the one pass fails
+   every other slot.  [snap] pins the evaluation to a caller's snapshot;
+   by default one atomic read of the serving state is taken after the
+   plan, and the evaluation never looks at the live engine again, so a
+   concurrent replace_document or index (re)build cannot tear it. *)
+let run_slots t ?group ?policy_key ?snap ~mode ?use_index ?optimize ?budget
+    ?trace texts =
+  let slots, planned =
+    plan_for t ?group ?policy_key ~mode ~use_index ?optimize ?budget texts
   in
-  match tenant_route t ?group ?tenant ~cost:1. () with
-  | Error e -> Error e
-  | Ok (group, policy_key) ->
-    (match
-       plan_for_query t ?group ?policy_key ~mode ~use_index ?optimize ?budget
-         text
-     with
-    | Error e -> Error e
-    | Ok (plan, cached) ->
-      (* One atomic read of the serving state; the evaluation below never
-         looks at the live engine again, so a concurrent replace_document
-         or index (re)build cannot tear this query. *)
-      let snap = snapshot t in
-      let outcome =
-        run_compiled snap ~plan ~mode ?use_index ?budget ?trace ~use_tables ()
+  let fail e =
+    Array.map (function Error own -> Error own | Ok _ -> Error e) slots
+  in
+  match planned with
+  | Error e -> (fail e, Stats.zero ())
+  | Ok (plan, cached) ->
+    let snap = match snap with Some s -> s | None -> snapshot t in
+    (match evaluate snap plan ~mode ?use_index ?budget ?trace () with
+    | Error e -> (fail e, Stats.zero ())
+    | Ok pass ->
+      let stats = pass.pass_stats in
+      if cached then begin
+        stats.Stats.plan_cache_hit <- 1;
+        (* A warm tenant hit is a cross-tenant artifact reuse: the plan
+           lives under the canonical policy key, so whichever tenant
+           compiled it paid for everyone sharing the key. *)
+        if policy_key <> None then stats.Stats.policy_key_hits <- 1
+      end;
+      (* A pass serving one slot hands over its own counters; several
+         slots each get an exact private copy (merge into a zero
+         accumulator is the identity) with their own answer count. *)
+      let slot_stats answers =
+        if Array.length slots = 1 then stats
+        else begin
+          let c = Stats.zero () in
+          Stats.merge_into ~into:c stats;
+          c.Stats.answers <- List.length answers;
+          c
+        end
       in
-      if cached then
-        Result.iter
-          (fun o ->
-            o.stats.Stats.plan_cache_hit <- 1;
-            (* A warm tenant hit is a cross-tenant artifact reuse: the
-               plan lives under the canonical policy key, so whichever
-               tenant compiled it paid for everyone sharing the key. *)
-            if policy_key <> None then o.stats.Stats.policy_key_hits <- 1)
-          outcome;
-      outcome)
+      ( Array.map
+          (function
+            | Error e -> Error e
+            | Ok p ->
+              let answers = pass.by_member.(p) in
+              Ok
+                {
+                  answers;
+                  answer_xml = pass.xml_of p;
+                  stats = slot_stats answers;
+                  mfa = plan.plan_mfa;
+                  cans_size = pass.pass_cans;
+                })
+          slots,
+        stats ))
 
-let query t ?group ?tenant ?mode ?use_index ?optimize ?budget ?trace
-    ?use_tables text =
+(* The admitted entry: one admission token per member query (a batch is N
+   queries' worth of work, not one), charged before any engine work. *)
+let serve t ?group ?tenant ?(mode = Dom) ?use_index ?optimize ?budget ?trace
+    texts =
+  let n = List.length texts in
+  if n = 0 then ([||], Stats.zero ())
+  else
+    match tenant_route t ?group ?tenant ~cost:(float_of_int n) () with
+    | Error e ->
+      let aggregate = Stats.zero () in
+      (match e with
+      | Error.Budget_exceeded _ -> aggregate.Stats.tenant_throttled <- n
+      | _ -> ());
+      (Array.make n (Error e), aggregate)
+    | Ok (group, policy_key) ->
+      run_slots t ?group ?policy_key ~mode ?use_index ?optimize ?budget ?trace
+        (Array.of_list texts)
+
+let query_robust t ?group ?tenant ?mode ?use_index ?optimize ?budget ?trace
+    text =
+  (fst
+     (serve t ?group ?tenant ?mode ?use_index ?optimize ?budget ?trace
+        [ text ])).(0)
+
+let query t ?group ?tenant ?mode ?use_index ?optimize ?budget ?trace text =
   Result.map_error Error.to_string
     (query_robust t ?group ?tenant ?mode ?use_index ?optimize ?budget ?trace
-       ?use_tables text)
+       text)
+
+let run_many_robust t ?group ?tenant ?mode ?use_index ?budget texts =
+  serve t ?group ?tenant ?mode ?use_index ?budget texts
+
+let run_many t ?group ?tenant ?mode ?use_index ?budget texts =
+  let results, aggregate =
+    run_many_robust t ?group ?tenant ?mode ?use_index ?budget texts
+  in
+  (Array.map (Result.map_error Error.to_string) results, aggregate)
 
 (* --- the secure update path ------------------------------------------------ *)
 
@@ -766,22 +919,15 @@ type update_report = {
 let resolve_target t ?group ?policy_key snap = function
   | Update.By_id n -> Ok n
   | Update.By_path text ->
-    (match plan_for_query t ?group ?policy_key ~mode:Dom ~use_index:None text
+    (match (fst (run_slots t ?group ?policy_key ~snap ~mode:Dom [| text |])).(0)
      with
     | Error e -> Error e
-    | Ok (plan, _) ->
-      (match
-         run_compiled snap ~plan ~mode:Dom
-           ~use_tables:(Tables.enabled_default ()) ()
-       with
-      | Error e -> Error e
-      | Ok { answers = [ n ]; _ } -> Ok n
-      | Ok { answers; _ } ->
-        Error
-          (Error.Query_error
-             (Printf.sprintf
-                "update target must select exactly one node, got %d"
-                (List.length answers)))))
+    | Ok { answers = [ n ]; _ } -> Ok n
+    | Ok { answers; _ } ->
+      Error
+        (Error.Query_error
+           (Printf.sprintf "update target must select exactly one node, got %d"
+              (List.length answers))))
 
 (* One secure update, atomically: resolve, validate, policy-precheck,
    apply functionally, DTD-validate the candidate, policy-postcheck, and
@@ -910,22 +1056,21 @@ let update t ?group ?tenant op =
    its wall-clock deadline starts when evaluation does, and so no Budget
    value is ever shared between two in-flight queries. *)
 let submit t ~pool ?group ?tenant ?mode ?use_index ?optimize ?make_budget
-    ?use_tables text =
+    text =
   (* A tenant's tasks ride its own fair-share lane: a hot tenant's
      backlog delays only itself, untenanted traffic shares the default
      lane.  Admission is charged on the worker, inside [query_robust]. *)
   Pool.submit ?lane:tenant pool (fun () ->
       let budget = Option.map (fun mk -> mk ()) make_budget in
-      query_robust t ?group ?tenant ?mode ?use_index ?optimize ?budget
-        ?use_tables text)
+      query_robust t ?group ?tenant ?mode ?use_index ?optimize ?budget text)
 
 let run_batch t ~pool ?group ?tenant ?mode ?use_index ?optimize ?make_budget
-    ?use_tables texts =
+    texts =
   let futures =
     List.map
       (fun text ->
         submit t ~pool ?group ?tenant ?mode ?use_index ?optimize ?make_budget
-          ?use_tables text)
+          text)
       texts
   in
   (* Await in submission order; queries complete on the workers in any
@@ -939,373 +1084,13 @@ let run_batch t ~pool ?group ?tenant ?mode ?use_index ?optimize ?make_budget
     results;
   (results, aggregate)
 
-(* --- shared-automaton batch serving ---------------------------------------- *)
-
-(* An exact copy of a stats record (merge into a zero accumulator is the
-   identity): batch members report the shared pass's counters without
-   aliasing one mutable record. *)
-let clone_stats s =
-  let c = Stats.zero () in
-  Stats.merge_into ~into:c s;
-  c
-
-(* What one shared pass produced, before demultiplexing into outcomes:
-   per-member answers (index = owner position in the merge), a fragment
-   resolver, and the joint counters. *)
-type batch_eval = {
-  be_by_query : int list array;
-  be_xml : int -> string list;
-  be_stats : Stats.t;
-  be_cans : int;
-}
-
-let run_many_dom snap ~plan ~sh ?use_index ?budget ~use_tables
-    ~degraded_from_stax () =
-  let mfa = plan.plan_mfa in
-  let index_requested = use_index = Some true in
-  let tax =
-    match use_index, snap.snap_tax with
-    | Some false, _ | _, None -> None
-    | (Some true | None), Some idx -> Some idx
-  in
-  (* Same frozen-table discipline as [run_dom]: the specialization riding
-     the batch plan covers the whole merged automaton, so a warm batch
-     skips both the merge (plan cache) and the specialization. *)
-  let tables, spec_us =
-    if not use_tables then (None, 0)
-    else
-      match Atomic.get plan.plan_tables with
-      | Some (_, tb) when Tables.built_for tb snap.snap_tree -> (Some tb, 0)
-      | Some _ | None ->
-        let tb = Tables.of_tree mfa.Mfa.nfa snap.snap_tree in
-        Atomic.set plan.plan_tables (Some (snap.snap_tree, tb));
-        (Some tb, Tables.spec_us tb)
-  in
-  let r = Eval_dom.run_many ?tax ?budget ?tables ~use_tables sh snap.snap_tree in
-  if spec_us > 0 then begin
-    r.Eval_dom.m_stats.Stats.table_spec_us <-
-      r.Eval_dom.m_stats.Stats.table_spec_us + spec_us;
-    let delta = Stats.zero () in
-    delta.Stats.table_spec_us <- spec_us;
-    Stats.note_tables delta
-  end;
-  match r.Eval_dom.m_budget_hit with
-  | Some hit -> Error (budget_error hit r.Eval_dom.m_stats)
-  | None ->
-    let stats = r.Eval_dom.m_stats in
-    if degraded_from_stax then begin
-      stats.Stats.degraded_stax_retry <- 1;
-      stats.Stats.passes_over_data <- stats.Stats.passes_over_data + 1
-    end;
-    if index_requested && tax = None then begin
-      stats.Stats.degraded_no_index <- 1;
-      Log.warn (fun m -> m "index requested but unavailable: unindexed pass")
-    end;
-    (* Batch answer sets overlap heavily — shared prefixes select shared
-       nodes — so fragments are serialized once per distinct node and
-       shared across the whole batch, where sequential serving would
-       re-serialize per query. *)
-    let frag_memo = Hashtbl.create 64 in
-    let xml_of n =
-      match Hashtbl.find_opt frag_memo n with
-      | Some s -> s
-      | None ->
-        let s = answer_xml_one snap n in
-        Hashtbl.add frag_memo n s;
-        s
-    in
-    Ok
-      {
-        be_by_query = r.Eval_dom.by_query;
-        be_xml = (fun p -> List.map xml_of r.Eval_dom.by_query.(p));
-        be_stats = stats;
-        be_cans = r.Eval_dom.m_cans_size;
-      }
-
-let run_many_stax snap ~sh ?budget ~use_tables () =
-  let outcome_of r =
-    match r.Eval_stax.m_budget_hit with
-    | Some hit -> Error (budget_error hit r.Eval_stax.m_stats)
-    | None ->
-      Ok
-        {
-          be_by_query = r.Eval_stax.by_query;
-          be_xml =
-            (fun p -> List.map snd r.Eval_stax.by_query_captured.(p));
-          be_stats = r.Eval_stax.m_stats;
-          be_cans = r.Eval_stax.m_cans_size;
-        }
-  in
-  match snap.snap_source with
-  | From_string s ->
-    outcome_of
-      (Eval_stax.run_many ~capture:true ?budget ~use_tables sh
-         (Pull.of_string s))
-  | From_file path ->
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        outcome_of
-          (Eval_stax.run_many ~capture:true ?budget ~use_tables sh
-             (Pull.of_channel ic)))
-  | From_tree ->
-    outcome_of
-      (Eval_stax.run_many_events ~capture:true ?budget ~use_tables sh
-         (Parser.events_of_tree snap.snap_tree))
-
-let run_many_compiled snap ~plan ~sh ~mode ?use_index ?budget ~use_tables () =
-  match mode with
-  | Dom ->
-    Result.join
-      (Error.guard (fun () ->
-           run_many_dom snap ~plan ~sh ?use_index ?budget ~use_tables
-             ~degraded_from_stax:false ()))
-  | Stax ->
-    (match
-       Result.join
-         (Error.guard (fun () -> run_many_stax snap ~sh ?budget ~use_tables ()))
-     with
-    | Ok be -> Ok be
-    | Error ((Error.Budget_exceeded _ | Error.Query_error _
-             | Error.Policy_error _) as e) ->
-      Error e
-    | Error stax_failure ->
-      (* Same degradation ladder as the single-query path: one DOM retry
-         on the already-loaded tree. *)
-      Log.warn (fun m ->
-          m "StAX batch evaluation failed (%s): retrying in DOM mode"
-            (Error.to_string stax_failure));
-      Result.join
-        (Error.guard (fun () ->
-             run_many_dom snap ~plan ~sh ?use_index ?budget ~use_tables
-               ~degraded_from_stax:true ())))
-
-(* The outcome of the batch-plan stage. *)
-type batch_plan =
-  | Bp_fail_all of Error.t  (* nothing can run (e.g. merged size budget) *)
-  | Bp_plan of plan * bool * Error.t option array
-      (* plan, served-from-cache, per-member compile failures (by slot) *)
-
-let batch_plan_for t ?group ?policy_key ~mode ~use_index ?budget uniq_keys
-    by_key =
-  let cache = t.plan_cache in
-  let cacheable = Plan_cache.capacity cache > 0 in
-  let n_uniq = Array.length uniq_keys in
-  (* Canonical batch key: the sorted unique member keys.  Canonical query
-     text never contains NUL, so the "batch" prefix cannot collide with a
-     single-query entry. *)
-  let bkey =
-    { Plan_cache.group = (if policy_key = None then group else None);
-      policy_key;
-      query = "batch\x00" ^ String.concat "\x00" (Array.to_list uniq_keys);
-      mode = mode_string mode;
-      use_index = use_index = Some true }
-  in
-  match (if cacheable then Plan_cache.find cache bkey else None) with
-  | Some ({ plan_shared = Some _; _ } as plan) ->
-    (match
-       Error.guard (fun () ->
-           match budget with
-           | None -> ()
-           | Some b -> Budget.check_states b plan.plan_states)
-     with
-    | Error e -> Bp_fail_all e
-    | Ok () ->
-      locked t (fun () ->
-          t.saved_compile_ms <- t.saved_compile_ms +. plan.plan_compile_ms);
-      Bp_plan (plan, true, Array.make n_uniq None))
-  | Some _ | None ->
-    if cacheable then Plan_cache.record_miss cache;
-    (* Generation token captured before the compiles read the views: a
-       concurrent invalidation refuses the insert (same fence as
-       [plan_for_query]). *)
-    let gen = Plan_cache.generation cache bkey in
-    let t0 = Sys.time () in
-    let comp_errs = Array.make n_uniq None in
-    let survivors = ref [] in
-    for i = n_uniq - 1 downto 0 do
-      match
-        compile_ast_robust t ?group ?budget (Hashtbl.find by_key uniq_keys.(i))
-      with
-      | Ok mfa -> survivors := mfa :: !survivors
-      | Error e -> comp_errs.(i) <- Some e
-    done;
-    let survivors = Array.of_list !survivors in
-    if Array.length survivors = 0 then
-      (* every member failed: any member error stands in for the batch *)
-      Bp_fail_all
-        (match comp_errs.(0) with Some e -> e | None -> assert false)
-    else
-      (match
-         Error.guard (fun () ->
-             let sh = Shared.merge survivors in
-             (match budget with
-             | None -> ()
-             | Some b -> Budget.check_states b (Mfa.n_states sh.Shared.mfa));
-             sh)
-       with
-      | Error e -> Bp_fail_all e
-      | Ok sh ->
-        let plan =
-          {
-            plan_mfa = sh.Shared.mfa;
-            plan_states = Mfa.n_states sh.Shared.mfa;
-            plan_empty = false;
-            plan_shared = Some sh;
-            plan_compile_ms = (Sys.time () -. t0) *. 1000.;
-            plan_tables = Atomic.make None;
-          }
-        in
-        (* Only an all-members-compiled batch is cached: the owner table
-           of a partial merge numbers the surviving subset, which a later
-           identical batch (whose members might all compile) must not
-           inherit. *)
-        if cacheable && Array.for_all (( = ) None) comp_errs then begin
-          let member_paths =
-            Array.to_list (Array.map (Hashtbl.find by_key) uniq_keys)
-          in
-          Plan_cache.add cache ~gen ~scope:(plan_scope member_paths) bkey plan
-        end;
-        Bp_plan (plan, false, comp_errs))
-
-let run_many_robust t ?group ?tenant ?(mode = Dom) ?use_index ?budget
-    ?use_tables texts =
-  let use_tables =
-    match use_tables with Some b -> b | None -> Tables.enabled_default ()
-  in
-  let n_texts = List.length texts in
-  match
-    (* One admission token per member query: a batch is N queries'
-       worth of work, not one. *)
-    if n_texts = 0 then Ok (group, None)
-    else tenant_route t ?group ?tenant ~cost:(float_of_int n_texts) ()
-  with
-  | Error e ->
-    let aggregate = Stats.zero () in
-    (match e with
-    | Error.Budget_exceeded _ ->
-      aggregate.Stats.tenant_throttled <- n_texts
-    | _ -> ());
-    (Array.make n_texts (Error e), aggregate)
-  | Ok (group, policy_key) ->
-  let texts = Array.of_list texts in
-  let fail_all parsed comp_errs slot_of e =
-    Array.map
-      (function
-        | Error pe -> Error pe
-        | Ok (key, _) ->
-          (match comp_errs with
-          | None -> Error e
-          | Some errs ->
-            (match errs.(Hashtbl.find slot_of key) with
-            | Some ce -> Error ce
-            | None -> Error e)))
-      parsed
-  in
-  if Array.length texts = 0 then ([||], Stats.zero ())
-  else begin
-    (* Parse and canonicalize; duplicates collapse onto one slot (they
-       share one accept set in the merge and fan back out below). *)
-    let parsed =
-      Array.map
-        (fun text ->
-          match Rx_parser.path_of_string text with
-          | Error msg -> Error (Error.Query_error msg)
-          | Ok path -> Ok (Canon.to_key path, path))
-        texts
-    in
-    let by_key = Hashtbl.create 16 in
-    Array.iter
-      (function
-        | Error _ -> ()
-        | Ok (key, path) ->
-          if not (Hashtbl.mem by_key key) then Hashtbl.add by_key key path)
-      parsed;
-    let uniq_keys =
-      Array.of_list
-        (List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) by_key []))
-    in
-    let n_uniq = Array.length uniq_keys in
-    let slot_of = Hashtbl.create (max 1 n_uniq) in
-    Array.iteri (fun i k -> Hashtbl.add slot_of k i) uniq_keys;
-    if n_uniq = 0 then
-      ( Array.map
-          (function Error e -> Error e | Ok _ -> assert false)
-          parsed,
-        Stats.zero () )
-    else
-      match
-        batch_plan_for t ?group ?policy_key ~mode ~use_index ?budget uniq_keys
-          by_key
-      with
-      | Bp_fail_all e -> (fail_all parsed None slot_of e, Stats.zero ())
-      | Bp_plan (plan, cached, comp_errs) ->
-        let sh =
-          match plan.plan_shared with Some sh -> sh | None -> assert false
-        in
-        (* Owner positions number the surviving slots in ascending order. *)
-        let pos_of_slot = Array.make n_uniq (-1) in
-        let next = ref 0 in
-        for i = 0 to n_uniq - 1 do
-          if comp_errs.(i) = None then begin
-            pos_of_slot.(i) <- !next;
-            incr next
-          end
-        done;
-        let snap = snapshot t in
-        (match
-           run_many_compiled snap ~plan ~sh ~mode ?use_index ?budget
-             ~use_tables ()
-         with
-        | Error e ->
-          (fail_all parsed (Some comp_errs) slot_of e, Stats.zero ())
-        | Ok be ->
-          if cached then begin
-            be.be_stats.Stats.plan_cache_hit <- 1;
-            if policy_key <> None then
-              be.be_stats.Stats.policy_key_hits <- 1
-          end;
-          let results =
-            Array.map
-              (function
-                | Error e -> Error e
-                | Ok (key, _) ->
-                  let slot = Hashtbl.find slot_of key in
-                  (match comp_errs.(slot) with
-                  | Some ce -> Error ce
-                  | None ->
-                    let p = pos_of_slot.(slot) in
-                    let answers = be.be_by_query.(p) in
-                    let stats = clone_stats be.be_stats in
-                    stats.Stats.answers <- List.length answers;
-                    Ok
-                      {
-                        answers;
-                        answer_xml = be.be_xml p;
-                        stats;
-                        mfa = plan.plan_mfa;
-                        cans_size = be.be_cans;
-                      }))
-              parsed
-          in
-          (results, be.be_stats))
-  end
-
-let run_many t ?group ?tenant ?mode ?use_index ?budget ?use_tables texts =
-  let results, aggregate =
-    run_many_robust t ?group ?tenant ?mode ?use_index ?budget ?use_tables
-      texts
-  in
-  (Array.map (Result.map_error Error.to_string) results, aggregate)
-
 (* Shard a batch across the pool: contiguous chunks, one shared pass per
    domain, results re-concatenated in order.  Each shard is its own merge
    (and its own batch-plan cache entry), so warm sharded batches still hit
    as long as the shard boundaries are stable — which they are for a fixed
    pool size. *)
 let run_many_pooled t ~pool ?group ?tenant ?mode ?use_index ?make_budget
-    ?use_tables texts =
+    texts =
   let texts = Array.of_list texts in
   let n = Array.length texts in
   if n = 0 then ([||], Stats.zero ())
@@ -1323,7 +1108,7 @@ let run_many_pooled t ~pool ?group ?tenant ?mode ?use_index ?make_budget
           Pool.submit ?lane:tenant pool (fun () ->
               let budget = Option.map (fun mk -> mk ()) make_budget in
               run_many_robust t ?group ?tenant ?mode ?use_index ?budget
-                ?use_tables (chunk k)))
+                (chunk k)))
     in
     let parts = List.map Pool.await futures in
     let aggregate = Stats.zero () in

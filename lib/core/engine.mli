@@ -195,7 +195,6 @@ val query :
   ?optimize:bool ->
   ?budget:Smoqe_robust.Budget.t ->
   ?trace:Smoqe_hype.Trace.t ->
-  ?use_tables:bool ->
   string ->
   (outcome, string) result
 (** Answer a Regular XPath query.  Without [group], the query runs
@@ -203,13 +202,11 @@ val query :
     the group's view.  [use_index] (default [true] when an index exists)
     enables TAX pruning in [Dom] mode; [optimize] (default [true]) runs
     the MFA optimizer before evaluation.  [budget] bounds compilation and
-    evaluation (see {!Smoqe_robust.Budget}).  [use_tables] (default
-    {!Smoqe_automata.Tables.enabled_default}, i.e. on unless
-    [SMOQE_NO_TABLES] is set) evaluates on the table-driven engine — in
-    [Dom] mode the frozen specialization rides the compiled plan and warm
-    repeats skip it; [false] is the generic debuggable fallback.  All
-    failures are returned as [Error] — this is {!query_robust} rendered
-    with [Smoqe_robust.Error.to_string]. *)
+    evaluation (see {!Smoqe_robust.Budget}).  Evaluation runs on the
+    table-driven engine; in [Dom] mode the frozen specialization rides
+    the compiled plan and warm repeats skip it.  A query is a batch of
+    one: this is slot 0 of the {!run_many_robust} pipeline (see
+    {!section-batch}), rendered with [Smoqe_robust.Error.to_string]. *)
 
 val query_robust :
   t ->
@@ -220,7 +217,6 @@ val query_robust :
   ?optimize:bool ->
   ?budget:Smoqe_robust.Budget.t ->
   ?trace:Smoqe_hype.Trace.t ->
-  ?use_tables:bool ->
   string ->
   (outcome, Smoqe_robust.Error.t) result
 (** The typed-error form of {!query}.  Guaranteed total: every library
@@ -294,20 +290,28 @@ val update :
   (update_report, string) result
 (** {!update_robust} with rendered errors. *)
 
-(** {1 Shared-automaton batch serving}
+(** {1:batch One pipeline for one query and for many}
 
-    A batch of queries is answered in {e one} document pass: the compiled
-    member automata are merged prefix-sharing-style into a single combined
-    NFA with per-query accept sets ({!Smoqe_automata.Shared}), the merged
-    automaton rides the same table/lazy-DFA machinery as a single query —
-    the interned state sets just get wider, with the [(set, tag)] memo
-    shared across the whole batch — and candidate answers demultiplex back
-    to their owners.  Identical queries (canonically equal, see
-    {!Smoqe_plan.Canon}) are compiled and merged once and share one accept
-    set; their answers fan back out per input position.  The merged plan
-    is cached under a canonical batch key (the sorted unique member keys),
-    so a warm batch skips parse, compile {e and} merge — permutations and
-    duplicate mixes of a warm batch still hit. *)
+    Every request — a single query, a batch, an update's target path —
+    takes one road: plan acquisition, one document pass, and a
+    demultiplexing of the pass into per-slot outcomes.  {!query_robust}
+    is slot 0 of a one-element request.
+
+    Plan acquisition collapses identical texts, and canonically equal
+    ones (see {!Smoqe_plan.Canon}), onto one member.  {b One distinct
+    member is a single query}: it is cached under the single-query key
+    and never merged, so [run_many [q]] and [query q] share one plan.
+    Two or more distinct members are compiled and merged
+    prefix-sharing-style into a single combined NFA with per-query accept
+    sets ({!Smoqe_automata.Shared}); the merged automaton rides the same
+    table/lazy-DFA machinery as a single query — the interned state sets
+    just get wider, with the [(set, tag)] memo shared across the whole
+    batch — and candidate answers demultiplex back to their owners.  The
+    merged plan is cached under a canonical batch key (the sorted unique
+    member keys), so a warm batch skips parse, compile {e and} merge —
+    permutations and duplicate mixes of a warm batch still hit.  Every
+    plan carries the schema-emptiness verdict: a plan the DTD proves
+    empty skips the document. *)
 
 val run_many_robust :
   t ->
@@ -316,16 +320,17 @@ val run_many_robust :
   ?mode:mode ->
   ?use_index:bool ->
   ?budget:Smoqe_robust.Budget.t ->
-  ?use_tables:bool ->
   string list ->
   (outcome, Smoqe_robust.Error.t) result array * Smoqe_hype.Stats.t
-(** Answer every query of the batch in one shared pass.  Results align
-    with the input list.  Each successful outcome carries the member's own
-    answers (and serialized fragments) with a private copy of the shared
-    pass's counters, [stats.answers] set per member; the second component
-    is the joint pass statistics (one [passes_over_data], the batch
+(** Answer every query of the batch in one pass.  Results align with the
+    input list.  Each successful outcome carries the member's own answers
+    (and serialized fragments); the second component is the pass
+    statistics (one [passes_over_data]; on a merged plan the batch
     counters [batch_queries]/[shared_states]/[shared_prefix_hits]/
-    [accept_width] filled in).  A member that fails to parse or compile
+    [accept_width] are filled in).  A one-slot request returns the pass
+    counters themselves as the slot's stats — exactly what {!query_robust}
+    reports; with several slots each gets a private copy with its own
+    [stats.answers].  A member that fails to parse or compile
     gets its own [Error] without poisoning the rest; [budget] bounds each
     member's compile and the {e single} traversal (a trip fails the whole
     batch — the shared pass is all-or-nothing).  Per-query [trace] is not
@@ -338,7 +343,6 @@ val run_many :
   ?mode:mode ->
   ?use_index:bool ->
   ?budget:Smoqe_robust.Budget.t ->
-  ?use_tables:bool ->
   string list ->
   (outcome, string) result array * Smoqe_hype.Stats.t
 (** {!run_many_robust} with rendered errors. *)
@@ -367,7 +371,6 @@ val submit :
   ?use_index:bool ->
   ?optimize:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  ?use_tables:bool ->
   string ->
   (outcome, Smoqe_robust.Error.t) result Smoqe_exec.Pool.future
 (** Enqueue one query; the future resolves to exactly what
@@ -384,7 +387,6 @@ val run_batch :
   ?use_index:bool ->
   ?optimize:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  ?use_tables:bool ->
   string list ->
   (outcome, Smoqe_robust.Error.t) result list * Smoqe_hype.Stats.t
 (** Submit every query, await them all; results are in submission order
@@ -401,7 +403,6 @@ val run_many_pooled :
   ?mode:mode ->
   ?use_index:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  ?use_tables:bool ->
   string list ->
   (outcome, Smoqe_robust.Error.t) result array * Smoqe_hype.Stats.t
 (** {!run_many_robust} sharded across the pool: the batch is split into

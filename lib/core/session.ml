@@ -24,87 +24,59 @@ let schema t =
   | Admin -> Engine.dtd t.engine
   | Member group -> Engine.view_dtd t.engine ~group
 
-let run_robust t ?mode ?use_index ?budget ?trace ?use_tables text =
+(* The group a session's queries run through: none for admins (the
+   document itself), the member's own for members — resolved from the
+   role, so a member can never sidestep their view, and captured before
+   any pool submission, so a worker only ever evaluates through the view
+   this session was granted. *)
+let group t = match t.role with Admin -> None | Member g -> Some g
+
+let run_robust t ?mode ?use_index ?budget ?trace text =
   (* The engine boundary is already guarded; the extra guard here keeps the
      session total even against failures in its own plumbing. *)
   Result.join
     (Error.guard (fun () ->
-         match t.role with
-         | Admin ->
-           Engine.query_robust t.engine ?mode ?use_index ?budget ?trace
-             ?use_tables text
-         | Member group ->
-           Engine.query_robust t.engine ~group ?mode ?use_index ?budget ?trace
-             ?use_tables text))
+         Engine.query_robust t.engine ?group:(group t) ?mode ?use_index
+           ?budget ?trace text))
 
-let run t ?mode ?use_index ?budget ?trace ?use_tables text =
+let run t ?mode ?use_index ?budget ?trace text =
   Result.map_error Error.to_string
-    (run_robust t ?mode ?use_index ?budget ?trace ?use_tables text)
+    (run_robust t ?mode ?use_index ?budget ?trace text)
 
 (* The write path under the session's rights: admins update the document
    directly (structural and DTD checks only), members go through their
-   group's view-legality checks — the group is resolved from the role, a
-   member can never sidestep their view. *)
+   group's view-legality checks. *)
 let update_robust t op =
   Result.join
-    (Error.guard (fun () ->
-         match t.role with
-         | Admin -> Engine.update_robust t.engine op
-         | Member group -> Engine.update_robust t.engine ~group op))
+    (Error.guard (fun () -> Engine.update_robust t.engine ?group:(group t) op))
 
 let update t op = Result.map_error Error.to_string (update_robust t op)
 
-(* The pool-dispatched forms.  Rights travel with the closure: the group
-   is resolved from the session *before* submission, so a worker can only
-   ever evaluate through the view this session was granted. *)
-let submit t ~pool ?mode ?use_index ?make_budget ?use_tables text =
-  match t.role with
-  | Admin ->
-    Engine.submit t.engine ~pool ?mode ?use_index ?make_budget ?use_tables text
-  | Member group ->
-    Engine.submit t.engine ~pool ~group ?mode ?use_index ?make_budget
-      ?use_tables text
+let submit t ~pool ?mode ?use_index ?make_budget text =
+  Engine.submit t.engine ~pool ?group:(group t) ?mode ?use_index ?make_budget
+    text
 
-let run_batch t ~pool ?mode ?use_index ?make_budget ?use_tables texts =
-  match t.role with
-  | Admin ->
-    Engine.run_batch t.engine ~pool ?mode ?use_index ?make_budget ?use_tables
-      texts
-  | Member group ->
-    Engine.run_batch t.engine ~pool ~group ?mode ?use_index ?make_budget
-      ?use_tables texts
+let run_batch t ~pool ?mode ?use_index ?make_budget texts =
+  Engine.run_batch t.engine ~pool ?group:(group t) ?mode ?use_index
+    ?make_budget texts
 
-(* Batch serving under the session's rights: one shared-automaton pass,
-   with the group resolved from the role before anything is compiled. *)
-let run_many_robust t ?mode ?use_index ?budget ?use_tables texts =
+let run_many_robust t ?mode ?use_index ?budget texts =
   match
     Error.guard (fun () ->
-        match t.role with
-        | Admin ->
-          Engine.run_many_robust t.engine ?mode ?use_index ?budget ?use_tables
-            texts
-        | Member group ->
-          Engine.run_many_robust t.engine ~group ?mode ?use_index ?budget
-            ?use_tables texts)
+        Engine.run_many_robust t.engine ?group:(group t) ?mode ?use_index
+          ?budget texts)
   with
   | Ok r -> r
   | Error e ->
     (Array.make (List.length texts) (Error e), Smoqe_hype.Stats.zero ())
 
-let run_many t ?mode ?use_index ?budget ?use_tables texts =
-  let results, aggregate =
-    run_many_robust t ?mode ?use_index ?budget ?use_tables texts
-  in
+let run_many t ?mode ?use_index ?budget texts =
+  let results, aggregate = run_many_robust t ?mode ?use_index ?budget texts in
   (Array.map (Result.map_error Error.to_string) results, aggregate)
 
-let run_many_pooled t ~pool ?mode ?use_index ?make_budget ?use_tables texts =
-  match t.role with
-  | Admin ->
-    Engine.run_many_pooled t.engine ~pool ?mode ?use_index ?make_budget
-      ?use_tables texts
-  | Member group ->
-    Engine.run_many_pooled t.engine ~pool ~group ?mode ?use_index ?make_budget
-      ?use_tables texts
+let run_many_pooled t ~pool ?mode ?use_index ?make_budget texts =
+  Engine.run_many_pooled t.engine ~pool ?group:(group t) ?mode ?use_index
+    ?make_budget texts
 
 let can_access_document t =
   match t.role with Admin -> true | Member _ -> false

@@ -28,7 +28,6 @@ val run :
   ?use_index:bool ->
   ?budget:Smoqe_robust.Budget.t ->
   ?trace:Smoqe_hype.Trace.t ->
-  ?use_tables:bool ->
   string ->
   (Engine.outcome, string) result
 (** Answer a query under the session's rights.  Total: any failure —
@@ -48,7 +47,6 @@ val run_robust :
   ?use_index:bool ->
   ?budget:Smoqe_robust.Budget.t ->
   ?trace:Smoqe_hype.Trace.t ->
-  ?use_tables:bool ->
   string ->
   (Engine.outcome, Smoqe_robust.Error.t) result
 (** The typed-error form of {!run}. *)
@@ -76,7 +74,6 @@ val submit :
   ?mode:Engine.mode ->
   ?use_index:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  ?use_tables:bool ->
   string ->
   (Engine.outcome, Smoqe_robust.Error.t) result Smoqe_exec.Pool.future
 (** {!run_robust}, dispatched onto a domain pool (see {!Engine.submit}).
@@ -92,7 +89,6 @@ val run_batch :
   ?mode:Engine.mode ->
   ?use_index:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  ?use_tables:bool ->
   string list ->
   (Engine.outcome, Smoqe_robust.Error.t) result list * Smoqe_hype.Stats.t
 (** Submit all, await all, in submission order, with the aggregated
@@ -103,7 +99,6 @@ val run_many :
   ?mode:Engine.mode ->
   ?use_index:bool ->
   ?budget:Smoqe_robust.Budget.t ->
-  ?use_tables:bool ->
   string list ->
   (Engine.outcome, string) result array * Smoqe_hype.Stats.t
 (** Answer a whole batch in one shared-automaton document pass under the
@@ -117,7 +112,6 @@ val run_many_robust :
   ?mode:Engine.mode ->
   ?use_index:bool ->
   ?budget:Smoqe_robust.Budget.t ->
-  ?use_tables:bool ->
   string list ->
   (Engine.outcome, Smoqe_robust.Error.t) result array * Smoqe_hype.Stats.t
 (** The typed-error form of {!run_many}. *)
@@ -128,7 +122,6 @@ val run_many_pooled :
   ?mode:Engine.mode ->
   ?use_index:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  ?use_tables:bool ->
   string list ->
   (Engine.outcome, Smoqe_robust.Error.t) result array * Smoqe_hype.Stats.t
 (** The batch sharded across a pool, one shared pass per worker (see

@@ -263,36 +263,12 @@ let first_error results =
       | None, Ok _ -> None)
     None results
 
-let query_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget
-    ?use_tables text =
-  match admit t ?tenant ~cost:1. () with
-  | Error e -> Error e
-  | Ok () ->
-    let futures =
-      Array.map
-        (fun e ->
-          (* shard engines keep unlimited admission: the federation
-             already charged this query once *)
-          Engine.submit e ~pool ?group ?tenant ?mode ?use_index ?make_budget
-            ?use_tables text)
-        t.shards
-    in
-    let results = Array.map Pool.await futures in
-    (match first_error results with
-    | Some e -> Error e
-    | None ->
-      Ok
-        (merge_outcomes t
-           (Array.map
-              (function Ok o -> o | Error _ -> assert false)
-              results)))
-
 (* Batch scatter-gather: each shard answers the whole batch in one
    shared-automaton pass ([run_many] batching within the shard), then
    member answers merge across shards.  A member that fails on any shard
    fails with that shard's error; the rest of the batch is unaffected. *)
 let run_many_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget
-    ?use_tables texts =
+    texts =
   let n = List.length texts in
   if n = 0 then ([||], Stats.zero ())
   else
@@ -307,10 +283,12 @@ let run_many_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget
     let futures =
       Array.map
         (fun e ->
+          (* shard engines keep unlimited admission: the federation
+             already charged every member once *)
           Pool.submit ?lane:tenant pool (fun () ->
               let budget = Option.map (fun mk -> mk ()) make_budget in
               Engine.run_many_robust e ?group ?tenant ?mode ?use_index ?budget
-                ?use_tables texts))
+                texts))
         t.shards
     in
     let parts = Array.map Pool.await futures in
@@ -334,3 +312,8 @@ let run_many_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget
                     shard_results)))
     in
     (merged, aggregate)
+
+let query_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget text =
+  (fst
+     (run_many_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget
+        [ text ])).(0)

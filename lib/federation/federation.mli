@@ -121,14 +121,14 @@ val query_robust :
   ?mode:Smoqe.Engine.mode ->
   ?use_index:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  ?use_tables:bool ->
   string ->
   (fed_outcome, Smoqe_robust.Error.t) result
-(** Scatter one query to every shard via the pool (per-tenant lanes
-    apply, see {!Smoqe_exec.Pool.submit}), gather and merge.  A tenant
-    whose bucket is dry is throttled before any shard work
-    ([Budget_exceeded] with [tenant_throttled] in the partial stats);
-    any shard failure fails the query with that shard's error. *)
+(** Slot 0 of a one-element {!run_many_robust}: scatter one query to
+    every shard via the pool (per-tenant lanes apply, see
+    {!Smoqe_exec.Pool.submit}), gather and merge.  A tenant whose bucket
+    is dry is throttled before any shard work ([Budget_exceeded] with
+    [tenant_throttled] in the partial stats); any shard failure fails the
+    query with that shard's error. *)
 
 val run_many_robust :
   t ->
@@ -138,7 +138,6 @@ val run_many_robust :
   ?mode:Smoqe.Engine.mode ->
   ?use_index:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  ?use_tables:bool ->
   string list ->
   (fed_outcome, Smoqe_robust.Error.t) result array * Smoqe_hype.Stats.t
 (** Scatter a whole batch: each shard answers the batch in one

@@ -934,7 +934,7 @@ let may_accept_value_here t =
     raise (Driver_error "may_accept_value_here without a current node");
   (t.frames.(t.depth - 1)).may_accept_value
 
-let finish_many t =
+let finish t =
   if t.depth <> 0 then raise (Driver_error "finish with open nodes");
   if t.finished then raise (Driver_error "finish called twice");
   t.finished <- true;
@@ -954,8 +954,3 @@ let finish_many t =
   | Some tr ->
     Array.iter (List.iter (fun n -> Trace.mark tr n Trace.Answer)) per);
   per
-
-let finish t =
-  let per = finish_many t in
-  if Array.length per = 1 then per.(0)
-  else List.sort_uniq compare (List.concat (Array.to_list per))

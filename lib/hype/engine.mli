@@ -95,16 +95,11 @@ val may_accept_value_here : t -> bool
 (** A value-equality accept is possible at the current node, so its
     immediate text children must be visited whatever the index says. *)
 
-val finish : t -> int list
-(** End of document: resolve Cans and return the answers (pre-order ids,
-    ascending).  The driver must have closed every node.  On a batch
-    engine this is the sorted union over all queries — batch drivers want
-    {!finish_many}. *)
-
-val finish_many : t -> int list array
-(** Like {!finish}, demultiplexed: answers per query (index = owner id),
-    each list ascending.  Length is the batch width — [[| answers |]] on a
-    single-query engine.  Like [finish], may only be called once. *)
+val finish : t -> int list array
+(** End of document: resolve Cans and return the answers per query
+    (index = owner id), each list of pre-order ids ascending.  Length is
+    the batch width — [[| answers |]] on a single-query engine.  The
+    driver must have closed every node; may only be called once. *)
 
 val stats : t -> Stats.t
 

@@ -48,13 +48,8 @@ let prune_table mfa tree =
         else Check (Array.of_list !ids, text))
     needs
 
-let run_core ?tax ?(prune_threshold = 48) ?budget ?trace ?tables ?use_tables
-    ?memo_cap ?owners ?n_queries mfa tree =
-  let use_tables =
-    match use_tables with
-    | Some b -> b
-    | None -> Smoqe_automata.Tables.enabled_default ()
-  in
+let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
+    ?(use_tables = true) ?memo_cap ?shared mfa tree =
   (* A frozen table built for exactly this tree can be reused (the plan
      cache hands one down); anything else is respecialized here so tag ids
      always align with [Tree.tag_id]. *)
@@ -67,9 +62,15 @@ let run_core ?tax ?(prune_threshold = 48) ?budget ?trace ?tables ?use_tables
         let tb = Smoqe_automata.Tables.of_tree mfa.Mfa.nfa tree in
         (Some tb, Smoqe_automata.Tables.spec_us tb)
   in
-  let engine = Engine.create ?trace ?tables ?memo_cap ?owners ?n_queries mfa in
+  let engine =
+    Engine.create ?trace ?tables ?memo_cap
+      ?owners:(Option.map (fun sh -> sh.Shared.owners) shared)
+      ?n_queries:(Option.map (fun sh -> sh.Shared.n_queries) shared)
+      mfa
+  in
   let stats = Engine.stats engine in
   stats.Stats.table_spec_us <- spec_us;
+  Option.iter (Stats.note_shared stats) shared;
   let settled = ref 0 in
   (* The budget rides the engine's own node counter (see
      {!Engine.set_checkpoint}): it settles every 32 nodes, audits the
@@ -157,46 +158,38 @@ let run_core ?tax ?(prune_threshold = 48) ?budget ?trace ?tables ?use_tables
      visit Tree.root;
      final_check ()
    with Budget.Exceeded { what; limit } -> budget_hit := Some (what, limit));
-  (engine, stats, !budget_hit)
-
-let run ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap mfa
-    tree =
-  let engine, stats, budget_hit =
-    run_core ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
-      mfa tree
-  in
   (* On a budget stop the traversal is incomplete: answers cannot be
      resolved, but the statistics accumulated so far are still reported. *)
-  let answers =
-    match budget_hit with None -> Engine.finish engine | Some _ -> []
-  in
-  Stats.note_tables stats;
-  { answers; stats; cans_size = Engine.cans_size engine; budget_hit }
-
-let run_many ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
-    (sh : Shared.t) tree =
-  let engine, stats, budget_hit =
-    run_core ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
-      ~owners:sh.Shared.owners ~n_queries:sh.Shared.n_queries sh.Shared.mfa
-      tree
-  in
-  stats.Stats.batch_queries <- sh.Shared.n_queries;
-  stats.Stats.shared_states <- sh.Shared.merged_states;
-  stats.Stats.shared_saved <- Shared.saved_states sh;
-  stats.Stats.shared_prefix_hits <- sh.Shared.prefix_hits;
-  stats.Stats.accept_width <- sh.Shared.accept_width;
   let by_query =
-    match budget_hit with
-    | None -> Engine.finish_many engine
-    | Some _ -> Array.make sh.Shared.n_queries []
+    match !budget_hit with
+    | None -> Engine.finish engine
+    | Some _ -> Array.make (Engine.n_queries engine) []
   in
   Stats.note_tables stats;
   {
     by_query;
     m_stats = stats;
     m_cans_size = Engine.cans_size engine;
-    m_budget_hit = budget_hit;
+    m_budget_hit = !budget_hit;
   }
+
+let run ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap mfa
+    tree =
+  let m =
+    run_slots ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
+      mfa tree
+  in
+  {
+    answers = m.by_query.(0);
+    stats = m.m_stats;
+    cans_size = m.m_cans_size;
+    budget_hit = m.m_budget_hit;
+  }
+
+let run_many ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
+    (sh : Shared.t) tree =
+  run_slots ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
+    ~shared:sh sh.Shared.mfa tree
 
 let eval ?tax tree path =
   let mfa = Smoqe_automata.Compile.compile path in

@@ -31,13 +31,14 @@ val run :
     one tick; a tripped budget ends the pass with [budget_hit] set rather
     than raising.  The ["hype.step"] failpoint fires here.
 
-    [use_tables] (default {!Smoqe_automata.Tables.enabled_default}, i.e.
-    on unless [SMOQE_NO_TABLES] is set) selects the table-driven engine.
-    [tables] supplies a pre-built frozen specialization; it is used only
-    when built for exactly this tree ([Tables.built_for]), otherwise the
-    driver respecializes — so callers may pass whatever the plan cache
-    holds without checking.  [memo_cap] is forwarded to {!Engine.create}
-    (tests exercise lazy-DFA flushes with tiny caps). *)
+    [use_tables] (default [true]) selects the table-driven engine;
+    [false] steps the NFA generically and is kept as the reference the
+    table path is tested against.  [tables] supplies a pre-built frozen
+    specialization; it is used only when built for exactly this tree
+    ([Tables.built_for]), otherwise the driver respecializes — so callers
+    may pass whatever the plan cache holds without checking.  [memo_cap]
+    is forwarded to {!Engine.create} (tests exercise lazy-DFA flushes
+    with tiny caps). *)
 
 type many_result = {
   by_query : int list array;  (** answers per batch query, document order *)
@@ -45,6 +46,24 @@ type many_result = {
   m_cans_size : int;
   m_budget_hit : (string * string) option;
 }
+
+val run_slots :
+  ?tax:Smoqe_tax.Tax.t ->
+  ?prune_threshold:int ->
+  ?budget:Smoqe_robust.Budget.t ->
+  ?trace:Trace.t ->
+  ?tables:Smoqe_automata.Tables.t ->
+  ?use_tables:bool ->
+  ?memo_cap:int ->
+  ?shared:Smoqe_automata.Shared.t ->
+  Smoqe_automata.Mfa.t ->
+  Smoqe_xml.Tree.t ->
+  many_result
+(** The one DOM driver; {!run} and {!run_many} are its two forms.  Without
+    [shared] the automaton is one query and [by_query] has one slot.  With
+    [shared] — whose merged automaton the [Mfa.t] argument must be —
+    candidates demultiplex through the merge's owner table and the batch
+    counters are recorded ({!Stats.note_shared}). *)
 
 val run_many :
   ?tax:Smoqe_tax.Tax.t ->

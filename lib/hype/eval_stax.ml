@@ -45,13 +45,7 @@ type capture = {
    progress) an event costs no allocation at all.  Attribute lists and
    text copies are behind thunks, forced only while a capture is actually
    recording. *)
-let run_core ~capture ?budget ?trace ?use_tables ?memo_cap ?owners ?n_queries
-    mfa drive =
-  let use_tables =
-    match use_tables with
-    | Some b -> b
-    | None -> Smoqe_automata.Tables.enabled_default ()
-  in
+let run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive =
   (* Streaming has no tag universe up front: a dynamic table pre-interns
      the automaton's element names and grows as unseen stream tags arrive.
      Dynamic tables are mutable, so each run builds its own. *)
@@ -60,12 +54,18 @@ let run_core ~capture ?budget ?trace ?use_tables ?memo_cap ?owners ?n_queries
       Some (Smoqe_automata.Tables.dynamic mfa.Smoqe_automata.Mfa.nfa)
     else None
   in
-  let engine = Engine.create ?trace ?tables ?memo_cap ?owners ?n_queries mfa in
+  let engine =
+    Engine.create ?trace ?tables ?memo_cap
+      ?owners:(Option.map (fun sh -> sh.Shared.owners) shared)
+      ?n_queries:(Option.map (fun sh -> sh.Shared.n_queries) shared)
+      mfa
+  in
   let stats = Engine.stats engine in
   (match tables with
   | Some tb ->
     stats.Stats.table_spec_us <- Smoqe_automata.Tables.spec_us tb
   | None -> ());
+  Option.iter (Stats.note_shared stats) shared;
   let ticks = ref 0 in
   let checkpoint =
     (* Same amortization as Eval_dom: one local increment per event, the
@@ -248,103 +248,69 @@ let drive_cursor pull ~on_start ~on_end ~on_text =
   in
   loop ()
 
-let drive_events next ~on_start ~on_end ~on_text =
-  let rec loop () =
-    match next () with
-    | None -> ()
-    | Some ev ->
-      (match ev with
+let drive_events events ~on_start ~on_end ~on_text =
+  List.iter
+    (function
       | Pull.Start_element (name, attrs) -> on_start name (fun () -> attrs)
       | Pull.End_element name -> on_end name
-      | Pull.Text content -> on_text (Engine.Tx content) (fun () -> content));
-      loop ()
+      | Pull.Text content -> on_text (Engine.Tx content) (fun () -> content))
+    events
+
+type input =
+  | Stream of Pull.t
+  | Events of Pull.event list
+
+let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
+    ?shared mfa input =
+  let drive =
+    match input with
+    | Stream pull -> drive_cursor pull
+    | Events events -> drive_events events
   in
-  loop ()
-
-(* Serialized fragments for one answer list, from the per-node capture
-   store (node ids are query-agnostic, so a batch shares the store). *)
-let captures_for finished_captures answers =
-  List.filter_map
-    (fun n ->
-      Option.map (fun s -> (n, s)) (Hashtbl.find_opt finished_captures n))
-    answers
-
-let run_generic ?(capture = false) ?budget ?trace ?use_tables ?memo_cap mfa
-    drive =
   let engine, stats, finished_captures, n_nodes, budget_hit =
-    run_core ~capture ?budget ?trace ?use_tables ?memo_cap mfa drive
+    run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive
   in
-  let answers =
-    match budget_hit with None -> Engine.finish engine | Some _ -> []
-  in
-  Stats.note_tables stats;
-  let captured =
-    if not capture then [] else captures_for finished_captures answers
-  in
-  {
-    answers;
-    captured;
-    stats;
-    cans_size = Engine.cans_size engine;
-    n_nodes;
-    budget_hit;
-  }
-
-let run_many_generic ?(capture = false) ?budget ?trace ?use_tables ?memo_cap
-    (sh : Shared.t) drive =
-  let engine, stats, finished_captures, n_nodes, budget_hit =
-    run_core ~capture ?budget ?trace ?use_tables ?memo_cap
-      ~owners:sh.Shared.owners ~n_queries:sh.Shared.n_queries sh.Shared.mfa
-      drive
-  in
-  stats.Stats.batch_queries <- sh.Shared.n_queries;
-  stats.Stats.shared_states <- sh.Shared.merged_states;
-  stats.Stats.shared_saved <- Shared.saved_states sh;
-  stats.Stats.shared_prefix_hits <- sh.Shared.prefix_hits;
-  stats.Stats.accept_width <- sh.Shared.accept_width;
   let by_query =
     match budget_hit with
-    | None -> Engine.finish_many engine
-    | Some _ -> Array.make sh.Shared.n_queries []
+    | None -> Engine.finish engine
+    | Some _ -> Array.make (Engine.n_queries engine) []
   in
   Stats.note_tables stats;
-  let by_query_captured =
-    if not capture then Array.make sh.Shared.n_queries []
-    else Array.map (captures_for finished_captures) by_query
+  (* Node ids are query-agnostic, so every slot reads its fragments from
+     the one per-node capture store. *)
+  let captured answers =
+    if not capture then []
+    else
+      List.filter_map
+        (fun n ->
+          Option.map (fun s -> (n, s)) (Hashtbl.find_opt finished_captures n))
+        answers
   in
   {
     by_query;
-    by_query_captured;
+    by_query_captured = Array.map captured by_query;
     m_stats = stats;
     m_cans_size = Engine.cans_size engine;
     m_n_nodes = n_nodes;
     m_budget_hit = budget_hit;
   }
 
+let run_one ?capture ?budget ?trace ?use_tables ?memo_cap mfa input =
+  let m = run_slots ?capture ?budget ?trace ?use_tables ?memo_cap mfa input in
+  {
+    answers = m.by_query.(0);
+    captured = m.by_query_captured.(0);
+    stats = m.m_stats;
+    cans_size = m.m_cans_size;
+    n_nodes = m.m_n_nodes;
+    budget_hit = m.m_budget_hit;
+  }
+
 let run ?capture ?budget ?trace ?use_tables ?memo_cap mfa pull =
-  run_generic ?capture ?budget ?trace ?use_tables ?memo_cap mfa
-    (drive_cursor pull)
-
-let run_many ?capture ?budget ?trace ?use_tables ?memo_cap sh pull =
-  run_many_generic ?capture ?budget ?trace ?use_tables ?memo_cap sh
-    (drive_cursor pull)
-
-let next_of_list events =
-  let remaining = ref events in
-  fun () ->
-    match !remaining with
-    | [] -> None
-    | ev :: rest ->
-      remaining := rest;
-      Some ev
-
-let run_many_events ?capture ?budget ?trace ?use_tables ?memo_cap sh events =
-  run_many_generic ?capture ?budget ?trace ?use_tables ?memo_cap sh
-    (drive_events (next_of_list events))
+  run_one ?capture ?budget ?trace ?use_tables ?memo_cap mfa (Stream pull)
 
 let run_events ?capture ?budget ?trace ?use_tables ?memo_cap mfa events =
-  run_generic ?capture ?budget ?trace ?use_tables ?memo_cap mfa
-    (drive_events (next_of_list events))
+  run_one ?capture ?budget ?trace ?use_tables ?memo_cap mfa (Events events)
 
 let eval_string ?capture ?trace path input =
   let mfa = Smoqe_automata.Compile.compile path in

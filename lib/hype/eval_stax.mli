@@ -35,30 +35,28 @@ type many_result = {
   m_budget_hit : (string * string) option;
 }
 
-val run_many :
-  ?capture:bool ->
-  ?budget:Smoqe_robust.Budget.t ->
-  ?trace:Trace.t ->
-  ?use_tables:bool ->
-  ?memo_cap:int ->
-  Smoqe_automata.Shared.t ->
-  Smoqe_xml.Pull.t ->
-  many_result
-(** One scan answering every query of a shared-automaton batch
-    ({!Smoqe_automata.Shared.merge}); the per-node capture store is shared
-    and fragments demultiplex with the answers.  A tripped budget empties
-    every query's answers. *)
+type input =
+  | Stream of Smoqe_xml.Pull.t  (** the zero-copy cursor over a parser *)
+  | Events of Smoqe_xml.Pull.event list
+      (** an already-materialized event list *)
 
-val run_many_events :
+val run_slots :
   ?capture:bool ->
   ?budget:Smoqe_robust.Budget.t ->
   ?trace:Trace.t ->
   ?use_tables:bool ->
   ?memo_cap:int ->
-  Smoqe_automata.Shared.t ->
-  Smoqe_xml.Pull.event list ->
+  ?shared:Smoqe_automata.Shared.t ->
+  Smoqe_automata.Mfa.t ->
+  input ->
   many_result
-(** {!run_many} over an already-materialized event list. *)
+(** The one streaming driver; {!run} and {!run_events} are its
+    single-query forms.  Without [shared] the automaton is one query and
+    every array has one slot.  With [shared] — whose merged automaton the
+    [Mfa.t] argument must be — one scan answers every query of the batch:
+    candidates demultiplex through the merge's owner table, the per-node
+    capture store is shared, and the batch counters are recorded.  A
+    tripped budget empties every slot's answers. *)
 
 val run :
   ?capture:bool ->
@@ -72,10 +70,11 @@ val run :
 (** Every event scanned is one budget tick; the ["hype.step"] failpoint
     fires per event (and ["pull.read"] inside the parser itself).
 
-    [use_tables] (default {!Smoqe_automata.Tables.enabled_default}) runs
-    the table-driven engine over a per-run {e dynamic} table: the
-    automaton's element names are pre-interned, unseen stream tags are
-    interned on the fly.  [memo_cap] is forwarded to {!Engine.create}. *)
+    [use_tables] (default [true]) runs the table-driven engine over a
+    per-run {e dynamic} table: the automaton's element names are
+    pre-interned, unseen stream tags are interned on the fly.  [false] is
+    the generic reference the table path is tested against.  [memo_cap]
+    is forwarded to {!Engine.create}. *)
 
 val run_events :
   ?capture:bool ->

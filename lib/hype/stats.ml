@@ -90,6 +90,13 @@ let merge_into ~into s =
   into.tenant_throttled <- into.tenant_throttled + s.tenant_throttled;
   into.shard_fanout <- into.shard_fanout + s.shard_fanout
 
+let note_shared s (sh : Smoqe_automata.Shared.t) =
+  s.batch_queries <- sh.n_queries;
+  s.shared_states <- sh.merged_states;
+  s.shared_saved <- Smoqe_automata.Shared.saved_states sh;
+  s.shared_prefix_hits <- sh.prefix_hits;
+  s.accept_width <- sh.accept_width
+
 (* Process-wide aggregate of the table-layer counters, independent of who
    keeps the per-query [t]: bench artifacts read it so every
    BENCH_<id>.json carries the table/memo activity of the runs it timed.

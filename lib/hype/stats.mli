@@ -84,6 +84,12 @@ val to_assoc : t -> (string * int) list
 
 val pp : Format.formatter -> t -> unit
 
+val note_shared : t -> Smoqe_automata.Shared.t -> unit
+(** Record a shared-automaton merge's batch counters ([batch_queries],
+    [shared_states], [shared_saved], [shared_prefix_hits],
+    [accept_width]).  Drivers call it for a merged pass only; a single
+    query's stats keep them at zero. *)
+
 val note_tables : t -> unit
 (** Fold this query's table-layer counters ([memo_*], [table_spec_us])
     into a process-wide aggregate.  Drivers call it once per run;

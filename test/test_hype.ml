@@ -374,7 +374,7 @@ let test_engine_manual_drive () =
   | Engine.Dead -> () (* no leave for dead enters *)
   | Engine.Alive -> Alcotest.fail "b alive");
   Engine.leave e;
-  Alcotest.(check (list int)) "answer" [ 1 ] (Engine.finish e)
+  Alcotest.(check (list int)) "answer" [ 1 ] (Engine.finish e).(0)
 
 let test_deep_document_recursion () =
   (* 2000 levels of nesting through parser, evaluator and serializer. *)

@@ -41,11 +41,50 @@ let visible_set view doc =
 
 let modes = [ (Engine.Dom, "dom"); (Engine.Stax, "stax") ]
 
+(* A query is a batch of one: slot 0 of [run_many_robust [q]] must equal
+   [query_robust q] in answer ids, serialized fragments and every counter
+   but [plan_cache_hit] ([table_spec_us], a wall-clock figure, is compared
+   as spent or not).  Callers replay one request sequence on two twin
+   engines, so cold meets cold and warm meets warm. *)
+let stats_shape (s : Stats.t) =
+  List.filter_map
+    (fun (k, v) ->
+      match k with
+      | "plan_cache_hit" -> None
+      | "table_spec_us" -> Some (k, min v 1)
+      | _ -> Some (k, v))
+    (Stats.to_assoc s)
+
+let slot0 engine ~mode text =
+  let results, _ =
+    Engine.run_many_robust engine ~group:"members" ~mode [ text ]
+  in
+  Alcotest.(check int) "a batch of one has one slot" 1 (Array.length results);
+  match results.(0) with
+  | Ok o -> o
+  | Error e -> Alcotest.failf "batch of one (%s): %s" text (Err.to_string e)
+
+let check_batch_of_one label (single : Engine.outcome) (slot : Engine.outcome) =
+  Alcotest.(check (list int)) (label "slot 0 answers") single.Engine.answers
+    slot.Engine.answers;
+  Alcotest.(check (list string)) (label "slot 0 xml") single.Engine.answer_xml
+    slot.Engine.answer_xml;
+  Alcotest.(check (list (pair string int))) (label "slot 0 stats")
+    (stats_shape single.Engine.stats) (stats_shape slot.Engine.stats)
+
+(* [query q] after [run_many [q]] is served the plan the batch compiled. *)
+let check_shared_plan label engine ~mode text =
+  Alcotest.(check int) (label "query after run_many hits") 1
+    (ok (Engine.query engine ~group:"members" ~mode text))
+      .Engine.stats.Stats.plan_cache_hit
+
 (* One workload: every query, both modes, cold then warm; the warm run
    must be a cache hit and byte-identical to the cold one. *)
 let battery ~name ~dtd ~policy ~doc queries =
   let engine = Engine.of_tree ~dtd doc in
   ok (Engine.register_policy engine ~group:"members" policy);
+  let twin = Engine.of_tree ~dtd doc in
+  ok (Engine.register_policy twin ~group:"members" policy);
   let view =
     match Engine.view engine ~group:"members" with
     | Some v -> v
@@ -83,20 +122,11 @@ let battery ~name ~dtd ~policy ~doc queries =
             warm.Engine.answers;
           Alcotest.(check (list string)) (label "warm xml") cold.Engine.answer_xml
             warm.Engine.answer_xml;
-          (* Tables off: the generic engine must be byte-identical to the
-             table-driven default, and record no memo activity. *)
-          let generic =
-            ok
-              (Engine.query engine ~group:"members" ~mode ~use_tables:false
-                 text)
-          in
-          Alcotest.(check (list int)) (label "generic answers")
-            cold.Engine.answers generic.Engine.answers;
-          Alcotest.(check (list string)) (label "generic xml")
-            cold.Engine.answer_xml generic.Engine.answer_xml;
-          Alcotest.(check int) (label "generic memo quiet") 0
-            (generic.Engine.stats.Stats.memo_hits
-            + generic.Engine.stats.Stats.memo_misses))
+          check_batch_of_one (fun w -> label ("cold " ^ w)) cold
+            (slot0 twin ~mode text);
+          check_batch_of_one (fun w -> label ("warm " ^ w)) warm
+            (slot0 twin ~mode text);
+          check_shared_plan label twin ~mode text)
         modes)
     queries
 
@@ -168,17 +198,26 @@ let property_case seed =
       Alcotest.(check (list string))
         (Printf.sprintf "seed %d: warm xml identical" seed)
         dom.Engine.answer_xml warm.Engine.answer_xml;
-      (* tables off, both modes: byte-identical to the table-driven runs *)
+      let warm_stax = run Engine.Stax in
+      (* the same request sequence on a twin engine, as batches of one *)
+      let twin = Engine.of_tree ~dtd doc in
+      ok (Engine.register_policy twin ~group:"members" policy);
       List.iter
-        (fun (mode, mname, reference) ->
-          let generic =
-            ok (Engine.query engine ~group:"members" ~mode ~use_tables:false text)
-          in
-          Alcotest.(check (list string))
-            (Printf.sprintf "seed %d: generic %s xml identical (%s)" seed mname
-               text)
-            reference.Engine.answer_xml generic.Engine.answer_xml)
-        [ (Engine.Dom, "dom", dom); (Engine.Stax, "stax", stax) ])
+        (fun (mode, what, single) ->
+          let label w = Printf.sprintf "seed %d %s: %s (%s)" seed what w text in
+          check_batch_of_one label single (slot0 twin ~mode text))
+        [
+          (Engine.Dom, "dom cold", dom);
+          (Engine.Stax, "stax cold", stax);
+          (Engine.Dom, "dom warm", warm);
+          (Engine.Stax, "stax warm", warm_stax);
+        ];
+      List.iter
+        (fun (mode, mname) ->
+          check_shared_plan
+            (fun w -> Printf.sprintf "seed %d %s: %s" seed mname w)
+            twin ~mode text)
+        modes)
 
 let test_property () =
   for seed = 1 to 40 do
@@ -291,7 +330,7 @@ let test_parallel_property () =
 
 (* --- Shared-automaton batch serving: run_many vs N sequential runs -------- *)
 
-(* The full batch matrix: Dom/Stax x tables on/off x cold/warm.  The
+(* The full batch matrix: Dom/Stax x cold/warm.  The
    sequential reference runs on its own engine (sharing nothing with the
    batch engine), and the batch carries a duplicate of its first query so
    the dedup fan-out is exercised in every cell.  Byte-identical means
@@ -302,58 +341,47 @@ let batch_battery ~name ~dtd ~policy ~doc queries =
   ok (Engine.register_policy ref_engine ~group:"members" policy);
   List.iter
     (fun (mode, mname) ->
-      List.iter
-        (fun use_tables ->
-          let reference =
-            List.map
-              (fun text ->
-                ok
-                  (Engine.query ref_engine ~group:"members" ~mode ~use_tables
-                     text))
-              texts
-          in
-          (* a fresh batch engine per cell, so cold really is cold *)
-          let engine = Engine.of_tree ~dtd doc in
-          ok (Engine.register_policy engine ~group:"members" policy);
-          let serve what ~expect_hit =
-            let label s =
-              Printf.sprintf "%s (%s, tables %b, %s): %s" name mname use_tables
-                what s
-            in
-            let results, agg =
-              Engine.run_many engine ~group:"members" ~mode ~use_tables texts
-            in
-            Alcotest.(check int)
-              (label "one slot per query")
-              (List.length texts) (Array.length results);
-            Array.iteri
-              (fun i r ->
-                match r with
-                | Error e -> Alcotest.failf "%s: %s" (label "member") e
-                | Ok o ->
-                  let re = List.nth reference i in
-                  Alcotest.(check (list int))
-                    (label (Printf.sprintf "answers %d" i))
-                    re.Engine.answers o.Engine.answers;
-                  Alcotest.(check (list string))
-                    (label (Printf.sprintf "xml %d" i))
-                    re.Engine.answer_xml o.Engine.answer_xml)
-              results;
-            (* the appended duplicate must have collapsed onto its twin's
-               accept set: fewer merged queries than batch slots *)
-            Alcotest.(check bool)
-              (label "duplicate deduped")
-              true
-              (agg.Stats.batch_queries > 0
-              && agg.Stats.batch_queries < List.length texts);
-            Alcotest.(check int)
-              (label "plan cache")
-              (if expect_hit then 1 else 0)
-              agg.Stats.plan_cache_hit
-          in
-          serve "cold" ~expect_hit:false;
-          serve "warm" ~expect_hit:true)
-        [ true; false ])
+      let reference =
+        List.map
+          (fun text -> ok (Engine.query ref_engine ~group:"members" ~mode text))
+          texts
+      in
+      (* a fresh batch engine per cell, so cold really is cold *)
+      let engine = Engine.of_tree ~dtd doc in
+      ok (Engine.register_policy engine ~group:"members" policy);
+      let serve what ~expect_hit =
+        let label s = Printf.sprintf "%s (%s, %s): %s" name mname what s in
+        let results, agg = Engine.run_many engine ~group:"members" ~mode texts in
+        Alcotest.(check int)
+          (label "one slot per query")
+          (List.length texts) (Array.length results);
+        Array.iteri
+          (fun i r ->
+            match r with
+            | Error e -> Alcotest.failf "%s: %s" (label "member") e
+            | Ok o ->
+              let re = List.nth reference i in
+              Alcotest.(check (list int))
+                (label (Printf.sprintf "answers %d" i))
+                re.Engine.answers o.Engine.answers;
+              Alcotest.(check (list string))
+                (label (Printf.sprintf "xml %d" i))
+                re.Engine.answer_xml o.Engine.answer_xml)
+          results;
+        (* the appended duplicate must have collapsed onto its twin's
+           accept set: fewer merged queries than batch slots *)
+        Alcotest.(check bool)
+          (label "duplicate deduped")
+          true
+          (agg.Stats.batch_queries > 0
+          && agg.Stats.batch_queries < List.length texts);
+        Alcotest.(check int)
+          (label "plan cache")
+          (if expect_hit then 1 else 0)
+          agg.Stats.plan_cache_hit
+      in
+      serve "cold" ~expect_hit:false;
+      serve "warm" ~expect_hit:true)
     modes
 
 let test_batch_hospital () =
@@ -435,6 +463,69 @@ let test_batch_bad_member () =
           xml o.Engine.answer_xml
       | Ok _, None -> Alcotest.failf "member %d should have failed" i
       | Error e, Some _ -> Alcotest.failf "member %d failed: %s" i e)
+    results
+
+(* Members that all dedupe to one key form a single query: no merge, the
+   single-query plan (which [query] then hits), and every slot its own
+   outcome with its own counters. *)
+let test_batch_one_key () =
+  let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
+  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  ok (Engine.register_policy engine ~group:"members" Hospital.policy);
+  let q = snd (List.hd Queries.view_suite) in
+  let reference = ok (Engine.query engine ~group:"members" q) in
+  let fresh = Engine.of_tree ~dtd:Hospital.dtd doc in
+  ok (Engine.register_policy fresh ~group:"members" Hospital.policy);
+  let texts = [ q; "  " ^ q ^ " "; "(" ^ q ^ ")"; q ] in
+  let results, agg = Engine.run_many fresh ~group:"members" texts in
+  Alcotest.(check int) "not merged" 0 agg.Stats.batch_queries;
+  let outcomes =
+    Array.mapi
+      (fun i r ->
+        match r with
+        | Error e -> Alcotest.failf "slot %d: %s" i e
+        | Ok o ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "slot %d xml" i)
+            reference.Engine.answer_xml o.Engine.answer_xml;
+          Alcotest.(check int)
+            (Printf.sprintf "slot %d answer count" i)
+            (List.length reference.Engine.answers)
+            o.Engine.stats.Stats.answers;
+          o)
+      results
+  in
+  Array.iteri
+    (fun i o ->
+      if i > 0 && o.Engine.stats == outcomes.(0).Engine.stats then
+        Alcotest.failf "slot %d shares slot 0's counters" i)
+    outcomes;
+  Alcotest.(check int) "query hits the single-query plan" 1
+    (ok (Engine.query fresh ~group:"members" q))
+      .Engine.stats.Stats.plan_cache_hit
+
+(* One good member and one that fails to parse: the bad slot gets its
+   own parse error, the good slots are served as a single query. *)
+let test_batch_one_key_bad_member () =
+  let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
+  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  ok (Engine.register_policy engine ~group:"members" Hospital.policy);
+  let q = snd (List.hd Queries.view_suite) in
+  let reference = ok (Engine.query engine ~group:"members" q) in
+  let results, _ =
+    Engine.run_many_robust engine ~group:"members"
+      [ q; "[[[ not a query"; q ]
+  in
+  Array.iteri
+    (fun i r ->
+      match (i, r) with
+      | 1, Error (Err.Query_error _) -> ()
+      | 1, _ -> Alcotest.fail "slot 1 should fail with its own parse error"
+      | _, Ok o ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "slot %d xml" i)
+          reference.Engine.answer_xml o.Engine.answer_xml
+      | _, Error e -> Alcotest.failf "slot %d failed: %s" i (Err.to_string e))
     results
 
 (* Random DTD/policy draws: batch answers equal per-query answers on the
@@ -600,36 +691,25 @@ let write_battery ~name ~dtd ~policy ~doc ~seed queries =
   List.iter
     (fun (mode, mname) ->
       List.iter
-        (fun use_tables ->
-          List.iter
-            (fun (qname, text) ->
-              let label what =
-                Printf.sprintf "%s %s (%s, tables %b, %s)" name qname mname
-                  use_tables what
-              in
-              let reference =
-                okr
-                  (Engine.query_robust fresh ~group:"members" ~mode ~use_tables
-                     text)
-              in
-              let cold =
-                okr
-                  (Engine.query_robust engine ~group:"members" ~mode
-                     ~use_tables text)
-              in
-              Alcotest.(check (list int)) (label "answers")
-                reference.Engine.answers cold.Engine.answers;
-              Alcotest.(check (list string)) (label "xml")
-                reference.Engine.answer_xml cold.Engine.answer_xml;
-              let warm =
-                okr
-                  (Engine.query_robust engine ~group:"members" ~mode
-                     ~use_tables text)
-              in
-              Alcotest.(check (list string)) (label "warm xml")
-                reference.Engine.answer_xml warm.Engine.answer_xml)
-            queries)
-        [ true; false ])
+        (fun (qname, text) ->
+          let label what =
+            Printf.sprintf "%s %s (%s, %s)" name qname mname what
+          in
+          let reference =
+            okr (Engine.query_robust fresh ~group:"members" ~mode text)
+          in
+          let serve () =
+            okr (Engine.query_robust engine ~group:"members" ~mode text)
+          in
+          let cold = serve () in
+          Alcotest.(check (list int)) (label "answers")
+            reference.Engine.answers cold.Engine.answers;
+          Alcotest.(check (list string)) (label "xml")
+            reference.Engine.answer_xml cold.Engine.answer_xml;
+          let warm = serve () in
+          Alcotest.(check (list string)) (label "warm xml")
+            reference.Engine.answer_xml warm.Engine.answer_xml)
+        queries)
     modes;
   (* wholesale replace_document remains byte-identical to both *)
   let whole = Engine.of_tree ~dtd doc in
@@ -1010,6 +1090,10 @@ let () =
             test_batch_pooled_hospital;
           Alcotest.test_case "bib sharded across pool" `Quick
             test_batch_pooled_bib;
+          Alcotest.test_case "members deduped to one key" `Quick
+            test_batch_one_key;
+          Alcotest.test_case "one key plus a malformed member" `Quick
+            test_batch_one_key_bad_member;
           Alcotest.test_case "malformed member fails alone" `Quick
             test_batch_bad_member;
           Alcotest.test_case "random draws, batch = inline" `Quick

@@ -13,6 +13,7 @@ module Serializer = Smoqe_xml.Serializer
 module Hospital = Smoqe_workload.Hospital
 module Rx_parser = Smoqe_rxpath.Parser
 module Ast = Smoqe_rxpath.Ast
+module Pool = Smoqe_exec.Pool
 
 let ok = function
   | Ok v -> v
@@ -266,6 +267,62 @@ let test_sessions_share_cache () =
   Alcotest.(check int) "second session served warm" 1
     (hit_of (ok (Session.run s2 "//medication")))
 
+(* [saved_compile_ms] is charged on the wall clock.  Process CPU time
+   would sum the work of every domain, so under a pool each hit would
+   claim to save several times the compile it skipped.  Three workers burn
+   CPU while the cold query compiles on this domain; every hit of the
+   4-domain batch that follows then saves at most that cold query's whole
+   wall time.  The document is tiny and the query a five-way union of
+   recursive view paths, so compiling dominates the cold query. *)
+let test_saved_compile_wall_clock () =
+  let doc = Hospital.generate ~seed:31 ~n_patients:1 ~recursion_depth:0 () in
+  let e = Engine.of_tree ~dtd:Hospital.dtd doc in
+  ok (Engine.register_policy e ~group:"researchers" Hospital.policy);
+  let q =
+    String.concat " | "
+      (List.init 5 (fun i ->
+           Printf.sprintf
+             "(patient/parent)*/patient[treatment/medication = 'm%d']\
+              /treatment/medication"
+             i))
+  in
+  let repeats = 16 in
+  Pool.with_pool ~domains:4 (fun pool ->
+      let started = Atomic.make 0 and stop = Atomic.make false in
+      let burners =
+        List.init 3 (fun _ ->
+            Pool.submit pool (fun () ->
+                Atomic.incr started;
+                while not (Atomic.get stop) do
+                  Domain.cpu_relax ()
+                done))
+      in
+      while Atomic.get started < 3 do
+        Domain.cpu_relax ()
+      done;
+      let t0 = Unix.gettimeofday () in
+      ignore (ok (Engine.query e ~group:"researchers" q));
+      let cold_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+      Atomic.set stop true;
+      List.iter Pool.await burners;
+      let results, _ =
+        Engine.run_batch e ~pool ~group:"researchers"
+          (List.init repeats (fun _ -> q))
+      in
+      List.iter
+        (function
+          | Ok _ -> ()
+          | Error err -> Alcotest.failf "batch: %s" (Error.to_string err))
+        results;
+      let counters = Engine.plan_cache_counters e in
+      let hits = List.assoc "hits" counters in
+      Alcotest.(check int) "every repeat a hit" repeats hits;
+      let saved = float_of_int (List.assoc "saved_compile_ms" counters) in
+      let bound = (float_of_int hits *. cold_ms) +. 1. in
+      if saved > bound then
+        Alcotest.failf "saved_compile_ms %.0f exceeds %d hits x %.2f ms cold"
+          saved hits cold_ms)
+
 let () =
   Alcotest.run "smoqe_plan"
     [
@@ -300,5 +357,7 @@ let () =
           Alcotest.test_case "budget checked on hit" `Quick
             test_budget_checked_on_hit;
           Alcotest.test_case "sessions share" `Quick test_sessions_share_cache;
+          Alcotest.test_case "saved compile time is wall clock" `Quick
+            test_saved_compile_wall_clock;
         ] );
     ]

@@ -99,7 +99,10 @@ let check_demux ~use_tables () =
     (m.Eval_dom.m_stats.Stats.accept_width >= 2);
   (* same demultiplexing over the event stream *)
   let events = Xml_parser.events_of_tree tree in
-  let ms = Eval_stax.run_many_events ~use_tables sh events in
+  let ms =
+    Eval_stax.run_slots ~use_tables ~shared:sh sh.Shared.mfa
+      (Eval_stax.Events events)
+  in
   List.iteri
     (fun i q ->
       let solo = Eval_stax.run_events ~use_tables (compile q) events in

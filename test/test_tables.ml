@@ -238,26 +238,35 @@ let test_replace_document_invalidation () =
     after.Engine.stats.Stats.plan_cache_hit;
   Alcotest.(check int) "after replace: 2 answers on B" 2
     (List.length after.Engine.answers);
-  let generic = ok (Engine.query engine ~use_tables:false q) in
-  Alcotest.(check (list string))
-    "after replace: tables = generic" generic.Engine.answer_xml
-    after.Engine.answer_xml
+  let generic =
+    Eval_dom.run ~use_tables:false (compile q) (Engine.document engine)
+  in
+  Alcotest.(check (list int))
+    "after replace: tables = generic" generic.Eval_dom.answers
+    after.Engine.answers
 
-(* use_tables:false end to end: identical output, no table counters. *)
+(* use_tables:false, both drivers: identical answers, no table counters. *)
 let test_disabled_counters_quiet () =
-  let doc = tree_of "<r><a><b>x</b></a><c><b>y</b></c></r>" in
-  let engine = Engine.of_tree doc in
-  List.iter
-    (fun mode ->
-      let on = ok (Engine.query engine ~mode "//b") in
-      let off = ok (Engine.query engine ~mode ~use_tables:false "//b") in
-      Alcotest.(check (list string)) "same xml" on.Engine.answer_xml
-        off.Engine.answer_xml;
-      Alcotest.(check int) "no memo traffic" 0
-        (off.Engine.stats.Stats.memo_hits + off.Engine.stats.Stats.memo_misses);
-      Alcotest.(check int) "no specialization" 0
-        off.Engine.stats.Stats.table_spec_us)
-    [ Engine.Dom; Engine.Stax ]
+  let xml = "<r><a><b>x</b></a><c><b>y</b></c></r>" in
+  let doc = tree_of xml in
+  let mfa = compile "//b" in
+  let quiet label (s : Stats.t) =
+    Alcotest.(check int) (label ^ ": no memo traffic") 0
+      (s.Stats.memo_hits + s.Stats.memo_misses);
+    Alcotest.(check int) (label ^ ": no specialization") 0 s.Stats.table_spec_us
+  in
+  let on = Eval_dom.run mfa doc in
+  let off = Eval_dom.run ~use_tables:false mfa doc in
+  Alcotest.(check (list int)) "dom: same answers" on.Eval_dom.answers
+    off.Eval_dom.answers;
+  quiet "dom" off.Eval_dom.stats;
+  let on = Eval_stax.run ~capture:true mfa (Pull.of_string xml) in
+  let off =
+    Eval_stax.run ~capture:true ~use_tables:false mfa (Pull.of_string xml)
+  in
+  Alcotest.(check (list (pair int string))) "stax: same fragments"
+    on.Eval_stax.captured off.Eval_stax.captured;
+  quiet "stax" off.Eval_stax.stats
 
 let () =
   Alcotest.run "smoqe_tables"
