@@ -61,6 +61,7 @@ let check_states t n =
   | Some m when n > m -> exceeded ~what:"max_states" ~limit:(string_of_int m)
   | Some _ | None -> ()
 
+let max_depth_limit t = Option.value t.max_depth ~default:max_int
 let nodes_scanned t = t.nodes
 
 let describe t =

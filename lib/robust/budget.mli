@@ -60,6 +60,10 @@ val check_depth : t -> int -> unit
 val check_cans : t -> int -> unit
 val check_states : t -> int -> unit
 
+val max_depth_limit : t -> int
+(** The [max_depth] bound, [max_int] when unlimited — for callers that
+    keep the limit in a local and call {!check_depth} only past it. *)
+
 val nodes_scanned : t -> int
 (** Work consumed so far (parser events plus evaluator node entries). *)
 

@@ -91,9 +91,21 @@ let tree_of_string ?keep_ws ?budget s =
 let tree_of_channel ?keep_ws ?budget ic =
   build_retained (Pull.of_channel ?keep_ws ?budget ~retain:true ic)
 
+(* A regular file's length sizes the retained buffer once: it fills
+   exactly, never doubles, and becomes the tree's arena without a copy.
+   A length that is unknown (a pipe) or stale (a growing file) only
+   costs the default refill growth. *)
 let tree_of_file ?keep_ws ?budget path =
   let ic = open_in_bin path in
-  match tree_of_channel ?keep_ws ?budget ic with
+  let chunk_size =
+    match in_channel_length ic with
+    | n when n > 0 -> Some n
+    | _ | (exception Sys_error _) -> None
+  in
+  match
+    build_retained
+      (Pull.of_channel ?keep_ws ?budget ?chunk_size ~retain:true ic)
+  with
   | t -> close_in ic; t
   | exception e -> close_in_noerr ic; raise e
 

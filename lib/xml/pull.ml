@@ -36,6 +36,12 @@ type reader = {
   read_more : bytes -> int -> int -> int; (* 0 = end of input *)
   retain : bool;
   mutable pin : int; (* absolute offset that must survive compaction *)
+  (* Positions are settled lazily: [line]/[col] describe the absolute
+     offset [settled], not [pos].  The scan loops only move [pos];
+     {!settle} counts the bytes in between when a position is needed —
+     an error, the [line]/[column] accessors, the BOM reset — and before
+     window mode discards bytes that have not been counted yet. *)
+  mutable settled : int;
   mutable line : int;
   mutable col : int;
 }
@@ -54,6 +60,7 @@ let reader_of_string ~retain s =
     read_more = (fun _ _ _ -> 0);
     retain;
     pin = 0;
+    settled = 0;
     line = 1;
     col = 1;
   }
@@ -68,11 +75,30 @@ let reader_of_channel ~retain ~chunk ic =
     read_more = (fun b off n -> input ic b off n);
     retain;
     pin = 0;
+    settled = 0;
     line = 1;
     col = 1;
   }
 
-let err rd msg = raise (Error (rd.line, rd.col, msg))
+(* Bring [line]/[col] up to [pos]: every byte is one column, a newline
+   starts the next line. *)
+let settle rd =
+  let b = rd.buf in
+  let line = ref rd.line and col = ref rd.col in
+  for i = rd.settled - rd.base to rd.pos - 1 do
+    if Bytes.unsafe_get b i = '\n' then begin
+      incr line;
+      col := 1
+    end
+    else incr col
+  done;
+  rd.line <- !line;
+  rd.col <- !col;
+  rd.settled <- rd.base + rd.pos
+
+let err rd msg =
+  settle rd;
+  raise (Error (rd.line, rd.col, msg))
 
 let refill rd =
   if rd.eof then false
@@ -80,18 +106,31 @@ let refill rd =
     if not rd.retain then begin
       let keep = min rd.pin (rd.base + rd.pos) - rd.base in
       if keep > 0 then begin
+        settle rd;
         Bytes.blit rd.buf keep rd.buf 0 (rd.len - keep);
         rd.len <- rd.len - keep;
         rd.pos <- rd.pos - keep;
         rd.base <- rd.base + keep
       end
     end;
-    if rd.len = Bytes.length rd.buf then begin
-      let nb = Bytes.create (max 64 (2 * Bytes.length rd.buf)) in
-      Bytes.blit rd.buf 0 nb 0 rd.len;
-      rd.buf <- nb
-    end;
-    let n = rd.read_more rd.buf rd.len (Bytes.length rd.buf - rd.len) in
+    let n =
+      if rd.len < Bytes.length rd.buf then
+        rd.read_more rd.buf rd.len (Bytes.length rd.buf - rd.len)
+      else begin
+        (* Full: grow only when the input has more.  Probing one byte
+           first means a buffer sized to the whole input ends exactly
+           full, and {!retained} shares it without a copy. *)
+        let probe = Bytes.create 1 in
+        let n = rd.read_more probe 0 1 in
+        if n > 0 then begin
+          let nb = Bytes.create (max 64 (2 * Bytes.length rd.buf)) in
+          Bytes.blit rd.buf 0 nb 0 rd.len;
+          Bytes.unsafe_set nb rd.len (Bytes.unsafe_get probe 0);
+          rd.buf <- nb
+        end;
+        n
+      end
+    in
     if n = 0 then begin
       rd.eof <- true;
       false
@@ -102,19 +141,14 @@ let refill rd =
     end
   end
 
-(* [has]/[cur]/[advance] are the non-allocating lookahead primitives (the
-   previous parser allocated a [Some c] block per peeked byte).  [cur]
-   and [advance] require a preceding successful [has]. *)
+(* [has]/[cur]/[advance] are the non-allocating lookahead primitives.
+   [cur] and [advance] require a preceding successful [has].  The hot
+   tokens (names, text, attribute values, whitespace) do not go through
+   them: they scan [buf] up to [len] in an index loop and refill only at
+   the end of the buffer. *)
 let has rd = rd.pos < rd.len || refill rd
 let cur rd = Bytes.unsafe_get rd.buf rd.pos
-
-let advance rd =
-  (if Bytes.unsafe_get rd.buf rd.pos = '\n' then begin
-     rd.line <- rd.line + 1;
-     rd.col <- 1
-   end
-   else rd.col <- rd.col + 1);
-  rd.pos <- rd.pos + 1
+let advance rd = rd.pos <- rd.pos + 1
 
 let read rd =
   if not (has rd) then err rd "unexpected end of input";
@@ -133,14 +167,27 @@ let is_ws = function ' ' | '\t' | '\n' | '\r' -> true | _ -> false
 let skip_ws rd =
   let continue = ref true in
   while !continue do
-    if has rd && is_ws (cur rd) then advance rd else continue := false
+    let b = rd.buf and len = rd.len in
+    let i = ref rd.pos in
+    while !i < len && is_ws (Bytes.unsafe_get b !i) do
+      incr i
+    done;
+    rd.pos <- !i;
+    if !i < len || not (refill rd) then continue := false
   done
 
 let is_name_start c =
   (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || c = ':'
 
-let is_name_char c =
-  is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
+(* Name bytes as a 256-entry table: one load per byte in the scan loop. *)
+let name_chars =
+  String.init 256 (fun i ->
+      let c = Char.chr i in
+      if is_name_start c || (c >= '0' && c <= '9') || c = '-' || c = '.'
+      then '\001'
+      else '\000')
+
+let is_name_char c = String.unsafe_get name_chars (Char.code c) <> '\000'
 
 (* ------------------------------------------------------------------ *)
 (* Name interning: an open-addressing table of the distinct names seen,
@@ -266,8 +313,9 @@ type t = {
   pool : Pool.t;
   scratch : Scratch.t;
   orig : string option; (* [of_string] input, for zero-copy [retained] *)
-  mutable stack : string list; (* open elements, innermost first *)
-  mutable depth : int; (* length of [stack], kept incrementally *)
+  mutable stack : string array; (* open elements, innermost last *)
+  mutable depth : int; (* open elements in [stack] *)
+  depth_limit : int; (* the budget's [max_depth], [max_int] without one *)
   mutable seen_root : bool;
   mutable seen_doctype : bool;
   mutable at_start : bool; (* before the first byte: BOM goes here *)
@@ -282,8 +330,15 @@ type t = {
   mutable text_len : int;
   mutable non_ws : bool; (* current text run has a non-whitespace char *)
   mutable pending_end : bool; (* self-closing: deliver the end next *)
-  mutable pending_ticks : int; (* events not yet settled on the budget *)
+  mutable countdown : int; (* events left before the next budget tick *)
 }
+
+(* Events are settled on a budget in batches of [tick_batch].  Without a
+   budget the countdown starts at [max_int], so it never runs out: bare
+   and budgeted parses run the same instructions per event. *)
+let tick_batch = 32
+
+let full_countdown = function Some _ -> tick_batch | None -> max_int
 
 let mk rd keep_ws budget orig =
   {
@@ -293,8 +348,12 @@ let mk rd keep_ws budget orig =
     pool = Pool.create ();
     scratch = Scratch.create 256;
     orig;
-    stack = [];
+    stack = Array.make 16 "";
     depth = 0;
+    depth_limit =
+      (match budget with
+      | Some b -> Budget.max_depth_limit b
+      | None -> max_int);
     seen_root = false;
     seen_doctype = false;
     at_start = true;
@@ -308,7 +367,7 @@ let mk rd keep_ws budget orig =
     text_len = 0;
     non_ws = false;
     pending_end = false;
-    pending_ticks = 0;
+    countdown = full_countdown budget;
   }
 
 let of_string ?(keep_ws = false) ?budget ?(retain = false) s =
@@ -322,8 +381,8 @@ let of_channel ?(keep_ws = false) ?budget ?(chunk_size = chunk_size)
 (* Lexing.  Everything below records spans; nothing copies document
    bytes except the scratch fallback on reference-bearing segments. *)
 
-let read_name t =
-  let rd = t.rd in
+(* Consume a name; returns its absolute start (it ends at [pos]). *)
+let scan_name rd =
   if not (has rd) then err rd "unexpected end of input in name";
   let c0 = cur rd in
   if not (is_name_start c0) then
@@ -332,10 +391,20 @@ let read_name t =
   advance rd;
   let continue = ref true in
   while !continue do
-    if has rd && is_name_char (cur rd) then advance rd else continue := false
+    let b = rd.buf and len = rd.len in
+    let i = ref rd.pos in
+    while !i < len && is_name_char (Bytes.unsafe_get b !i) do
+      incr i
+    done;
+    rd.pos <- !i;
+    if !i < len || not (refill rd) then continue := false
   done;
-  let len = rd.base + rd.pos - start in
-  Pool.intern t.pool rd.buf (start - rd.base) len
+  start
+
+let read_name t =
+  let rd = t.rd in
+  let start = scan_name rd in
+  Pool.intern t.pool rd.buf (start - rd.base) (rd.base + rd.pos - start)
 
 (* The XML 1.0 Char production: anything else is not expressible in a
    well-formed document, even via a character reference. *)
@@ -456,15 +525,32 @@ let read_attr_value t =
   let smark = ref (-1) in
   let continue = ref true in
   while !continue do
-    let c = read rd in
-    if c = quote then continue := false
-    else if c = '&' then begin
-      if !smark < 0 then smark := Scratch.length t.scratch;
-      flush_segment t !seg_start (rd.base + rd.pos - 1);
-      ignore (read_reference t : bool);
-      seg_start := rd.base + rd.pos
+    let b = rd.buf and len = rd.len in
+    let i = ref rd.pos in
+    while
+      !i < len
+      &&
+      let c = Bytes.unsafe_get b !i in
+      c <> quote && c <> '&' && c <> '<'
+    do
+      incr i
+    done;
+    if !i < len then begin
+      let c = Bytes.unsafe_get b !i in
+      rd.pos <- !i + 1;
+      if c = quote then continue := false
+      else if c = '&' then begin
+        if !smark < 0 then smark := Scratch.length t.scratch;
+        flush_segment t !seg_start (rd.base + !i);
+        ignore (read_reference t : bool);
+        seg_start := rd.base + rd.pos
+      end
+      else err rd "'<' in attribute value"
     end
-    else if c = '<' then err rd "'<' in attribute value"
+    else begin
+      rd.pos <- !i;
+      if not (refill rd) then err rd "unexpected end of input"
+    end
   done;
   let stop = rd.base + rd.pos - 1 in
   if !smark < 0 then (!seg_start, stop - !seg_start)
@@ -567,6 +653,7 @@ let skip_bom rd =
       let c = read rd in
       if b <> '\xBB' || c <> '\xBF' then
         err rd "malformed UTF-8 byte-order mark";
+      settle rd;
       rd.col <- 1
     | '\xFE' | '\xFF' | '\x00' ->
       err rd "unsupported encoding (UTF-16/UTF-32 byte-order mark?)"
@@ -590,30 +677,54 @@ let read_cdata t =
   t.text_off <- start;
   t.text_len <- !stop - start
 
+(* A text run: whitespace bytes are scanned by one loop until the first
+   non-whitespace byte, the rest by a loop that only looks for the
+   run's end ('<') and references ('&'). *)
 let read_text t =
   let rd = t.rd in
-  t.non_ws <- false;
+  let non_ws = ref false in
   let seg_start = ref (rd.base + rd.pos) in
   let smark = ref (-1) in
   let continue = ref true in
   while !continue do
-    if not (has rd) then continue := false
-    else begin
-      let c = cur rd in
-      if c = '<' then continue := false
-      else if c = '&' then begin
-        advance rd;
-        if !smark < 0 then smark := Scratch.length t.scratch;
-        flush_segment t !seg_start (rd.base + rd.pos - 1);
-        if read_reference t then t.non_ws <- true;
-        seg_start := rd.base + rd.pos
+    let b = rd.buf and len = rd.len in
+    let i = ref rd.pos in
+    if not !non_ws then begin
+      while !i < len && is_ws (Bytes.unsafe_get b !i) do
+        incr i
+      done;
+      if !i < len then begin
+        let c = Bytes.unsafe_get b !i in
+        if c <> '<' && c <> '&' then non_ws := true
+      end
+    end;
+    while
+      !i < len
+      &&
+      let c = Bytes.unsafe_get b !i in
+      c <> '<' && c <> '&'
+    do
+      incr i
+    done;
+    if !i < len then begin
+      if Bytes.unsafe_get b !i = '<' then begin
+        rd.pos <- !i;
+        continue := false
       end
       else begin
-        if not (is_ws c) then t.non_ws <- true;
-        advance rd
+        rd.pos <- !i + 1;
+        if !smark < 0 then smark := Scratch.length t.scratch;
+        flush_segment t !seg_start (rd.base + !i);
+        if read_reference t then non_ws := true;
+        seg_start := rd.base + rd.pos
       end
     end
+    else begin
+      rd.pos <- !i;
+      if not (refill rd) then continue := false
+    end
   done;
+  t.non_ws <- !non_ws;
   let stop = rd.base + rd.pos in
   if !smark < 0 then begin
     t.text_off <- !seg_start;
@@ -638,7 +749,7 @@ let rec scan t =
     skip_bom rd
   end;
   if not (has rd) then
-    if t.stack <> [] then err rd "unexpected end of input: unclosed elements"
+    if t.depth > 0 then err rd "unexpected end of input: unclosed elements"
     else if not t.seen_root then err rd "empty document"
     else begin
       t.finished <- true;
@@ -662,12 +773,12 @@ let rec scan t =
         scan t
       | '[' ->
         advance rd;
-        if t.stack = [] then err rd "CDATA outside the root element";
+        if t.depth = 0 then err rd "CDATA outside the root element";
         read_cdata t;
         if t.text_len = 0 then scan t else Cursor_text
       | 'D' ->
         expect_str rd "DOCTYPE";
-        if t.seen_root || t.stack <> [] then
+        if t.seen_root || t.depth > 0 then
           err rd "DOCTYPE is only allowed before the root element";
         if t.seen_doctype then err rd "multiple DOCTYPE declarations";
         t.seen_doctype <- true;
@@ -675,35 +786,45 @@ let rec scan t =
         scan t
       | c -> err rd (Printf.sprintf "unexpected <!%C" c))
     | '/' ->
+      (* The closing name is compared byte for byte with the open
+         element's, never interned: the event reports the open name. *)
       advance rd;
-      let tag = read_name t in
+      let start = scan_name rd in
+      let len = rd.base + rd.pos - start in
       skip_ws rd;
       expect rd '>';
-      (match t.stack with
-      | [] ->
-        err rd (Printf.sprintf "closing tag </%s> with no open element" tag)
-      | top :: rest ->
-        if top <> tag then
-          err rd
-            (Printf.sprintf "closing tag </%s> does not match <%s>" tag top);
-        t.stack <- rest;
-        t.depth <- t.depth - 1;
-        t.name <- tag;
-        Cursor_end)
+      let off = start - rd.base in
+      if t.depth = 0 then
+        err rd
+          (Printf.sprintf "closing tag </%s> with no open element"
+             (Bytes.sub_string rd.buf off len));
+      let top = t.stack.(t.depth - 1) in
+      if not (Pool.matches top rd.buf off len) then
+        err rd
+          (Printf.sprintf "closing tag </%s> does not match <%s>"
+             (Bytes.sub_string rd.buf off len)
+             top);
+      t.depth <- t.depth - 1;
+      t.name <- top;
+      Cursor_end
     | _ ->
       let tag = read_name t in
       read_attributes t;
-      if t.stack = [] && t.seen_root then
+      if t.depth = 0 && t.seen_root then
         err rd "document has more than one root element";
       t.seen_root <- true;
       (match read rd with
       | '>' ->
-        t.stack <- tag :: t.stack;
+        if t.depth = Array.length t.stack then begin
+          let st = Array.make (2 * t.depth) "" in
+          Array.blit t.stack 0 st 0 t.depth;
+          t.stack <- st
+        end;
+        t.stack.(t.depth) <- tag;
         t.depth <- t.depth + 1;
         Failpoint.trigger "pull.depth";
-        (match t.budget with
-        | None -> ()
-        | Some b -> Budget.check_depth b t.depth);
+        if t.depth > t.depth_limit then
+          Option.iter (fun b -> Budget.check_depth b t.depth) t.budget;
         t.name <- tag;
         Cursor_start
       | '/' ->
@@ -715,7 +836,7 @@ let rec scan t =
   end
   else begin
     read_text t;
-    if t.stack = [] then begin
+    if t.depth = 0 then begin
       if t.non_ws then err rd "text outside the root element" else scan t
     end
     else if (not t.keep_ws) && not t.non_ws then scan t
@@ -723,32 +844,29 @@ let rec scan t =
   end
 
 (* Every delivered event counts against [max_nodes], but the counting is
-   settled in batches of 32 — the same amortization the evaluators use —
-   so the per-event cost of a budget is one local increment, not a
-   cross-module call.  The remainder (plus a final deadline check)
-   settles whenever end-of-stream is delivered. *)
+   settled in batches of [tick_batch] — the same amortization the
+   evaluators use — so the per-event cost is one decrement and one
+   compare, with or without a budget.  The remainder (plus a final
+   deadline check) settles whenever end-of-stream is delivered. *)
 let settle_budget t =
   match t.budget with
   | None -> ()
   | Some b ->
-    let k = t.pending_ticks in
-    t.pending_ticks <- 0;
+    let k = tick_batch - t.countdown in
+    t.countdown <- tick_batch;
     if k > 0 then Budget.tick_nodes b k;
     Budget.check_deadline b
 
 (* The public entry: one failpoint branch (no-op unless armed) and one
-   budget tick per event delivered. *)
+   countdown step per event delivered. *)
 let cursor_next t =
   Failpoint.trigger "pull.read";
-  (match t.budget with
-  | None -> ()
-  | Some b ->
-    let k = t.pending_ticks + 1 in
-    if k < 32 then t.pending_ticks <- k
-    else begin
-      t.pending_ticks <- 0;
-      Budget.tick_nodes b 32
-    end);
+  let k = t.countdown - 1 in
+  if k > 0 then t.countdown <- k
+  else begin
+    t.countdown <- full_countdown t.budget;
+    Option.iter (fun b -> Budget.tick_nodes b tick_batch) t.budget
+  end;
   if t.pending_end then begin
     t.pending_end <- false;
     Cursor_end
@@ -821,5 +939,10 @@ let fold t ~init ~f =
   in
   loop init
 
-let line t = t.rd.line
-let column t = t.rd.col
+let line t =
+  settle t.rd;
+  t.rd.line
+
+let column t =
+  settle t.rd;
+  t.rd.col

@@ -675,15 +675,16 @@ let insert_subtree t ~parent:par ?before src =
    (its retained parse buffer) and appendix (its scratch region) at
    [finish]; spans pushed here use the same sign coding as the final
    tree, so they are stored verbatim.  Events are assumed well-formed —
-   the pull parser has already enforced that. *)
+   the pull parser has already enforced that.
+
+   Only what the events decide is recorded while they stream in: tags,
+   subtree ends, content spans and attributes.  Parent, child, sibling
+   and depth links follow from the pre-order subtree ends, so [finish]
+   derives them in one pass straight into arrays of the final size. *)
 module Builder = struct
   type b = {
     mutable v_tag : int array;
-    mutable v_parent : int array;
-    mutable v_first_child : int array;
-    mutable v_next_sibling : int array;
     mutable v_subtree_end : int array;
-    mutable v_depth : int array;
     mutable v_cont_off : int array;
     mutable v_cont_len : int array;
     mutable v_attr_start : int array;
@@ -693,19 +694,37 @@ module Builder = struct
     mutable n : int;
     mutable an : int;
     mutable stack : int array; (* open element ids *)
-    mutable last : int array; (* last child of each open element *)
     mutable sp : int;
     bit : interner;
+    tag_keys : string array; (* tag cache: names compared by identity *)
+    tag_vals : int array;
   }
+
+  (* The pull parser interns names, so one tag arrives as one physical
+     string every time.  A small direct-mapped cache keyed by that
+     identity maps it to its tag id without hashing the string; the slot
+     is picked from the length and three bytes.  A miss (a new name, a
+     collision, or a caller whose names are not shared) falls back to
+     [intern] and takes over the slot. *)
+  let cache_size = 128
+
+  (* A string no caller can hold, so an empty slot never matches. *)
+  let no_key = Bytes.to_string (Bytes.make 1 '\000')
+
+  let cache_slot s =
+    let n = String.length s in
+    if n = 0 then 0
+    else
+      (n
+      + (5 * Char.code (String.unsafe_get s 0))
+      + (3 * Char.code (String.unsafe_get s (n - 1)))
+      + (11 * Char.code (String.unsafe_get s (max 0 (n - 2)))))
+      land (cache_size - 1)
 
   let create () =
     {
       v_tag = Array.make 64 0;
-      v_parent = Array.make 64 (-1);
-      v_first_child = Array.make 64 (-1);
-      v_next_sibling = Array.make 64 (-1);
       v_subtree_end = Array.make 64 0;
-      v_depth = Array.make 64 0;
       v_cont_off = Array.make 64 0;
       v_cont_len = Array.make 64 0;
       v_attr_start = Array.make 65 0;
@@ -715,65 +734,55 @@ module Builder = struct
       n = 0;
       an = 0;
       stack = Array.make 32 0;
-      last = Array.make 32 (-1);
       sp = 0;
       bit = fresh_interner ();
+      tag_keys = Array.make cache_size no_key;
+      tag_vals = Array.make cache_size 0;
     }
 
-  let grow_int a n fill =
+  let grow a n fill =
     let b = Array.make (2 * Array.length a) fill in
     Array.blit a 0 b 0 n;
     b
 
-  let grow_str a n =
-    let b = Array.make (2 * Array.length a) "" in
-    Array.blit a 0 b 0 n;
-    b
-
-  (* Allocate the next pre-order node id, linked under the innermost
-     open element (or as the root). *)
+  (* Allocate the next pre-order node id. *)
   let alloc bb =
     let id = bb.n in
     if id = Array.length bb.v_tag then begin
-      bb.v_tag <- grow_int bb.v_tag id 0;
-      bb.v_parent <- grow_int bb.v_parent id (-1);
-      bb.v_first_child <- grow_int bb.v_first_child id (-1);
-      bb.v_next_sibling <- grow_int bb.v_next_sibling id (-1);
-      bb.v_subtree_end <- grow_int bb.v_subtree_end id 0;
-      bb.v_depth <- grow_int bb.v_depth id 0;
-      bb.v_cont_off <- grow_int bb.v_cont_off id 0;
-      bb.v_cont_len <- grow_int bb.v_cont_len id 0;
-      bb.v_attr_start <- grow_int bb.v_attr_start (id + 1) 0
+      bb.v_tag <- grow bb.v_tag id 0;
+      bb.v_subtree_end <- grow bb.v_subtree_end id 0;
+      bb.v_cont_off <- grow bb.v_cont_off id 0;
+      bb.v_cont_len <- grow bb.v_cont_len id 0;
+      bb.v_attr_start <- grow bb.v_attr_start (id + 1) 0
     end;
     bb.n <- id + 1;
     bb.v_attr_start.(id) <- bb.an;
-    bb.v_depth.(id) <- bb.sp;
-    if bb.sp > 0 then begin
-      let par = bb.stack.(bb.sp - 1) in
-      bb.v_parent.(id) <- par;
-      let prev = bb.last.(bb.sp - 1) in
-      if prev < 0 then bb.v_first_child.(par) <- id
-      else bb.v_next_sibling.(prev) <- id;
-      bb.last.(bb.sp - 1) <- id
-    end;
     id
+
+  let tag_of bb name =
+    let slot = cache_slot name in
+    if Array.unsafe_get bb.tag_keys slot == name then
+      Array.unsafe_get bb.tag_vals slot
+    else begin
+      let tg = intern bb.bit name in
+      bb.tag_keys.(slot) <- name;
+      bb.tag_vals.(slot) <- tg;
+      tg
+    end
 
   let start_element bb name =
     let id = alloc bb in
-    bb.v_tag.(id) <- intern bb.bit name;
-    if bb.sp = Array.length bb.stack then begin
-      bb.stack <- grow_int bb.stack bb.sp 0;
-      bb.last <- grow_int bb.last bb.sp (-1)
-    end;
+    bb.v_tag.(id) <- tag_of bb name;
+    if bb.sp = Array.length bb.stack then
+      bb.stack <- grow bb.stack bb.sp 0;
     bb.stack.(bb.sp) <- id;
-    bb.last.(bb.sp) <- -1;
     bb.sp <- bb.sp + 1
 
   let attr bb key off len =
     if bb.an = Array.length bb.v_attr_names then begin
-      bb.v_attr_names <- grow_str bb.v_attr_names bb.an;
-      bb.v_attr_voff <- grow_int bb.v_attr_voff bb.an 0;
-      bb.v_attr_vlen <- grow_int bb.v_attr_vlen bb.an 0
+      bb.v_attr_names <- grow bb.v_attr_names bb.an "";
+      bb.v_attr_voff <- grow bb.v_attr_voff bb.an 0;
+      bb.v_attr_vlen <- grow bb.v_attr_vlen bb.an 0
     end;
     bb.v_attr_names.(bb.an) <- key;
     bb.v_attr_voff.(bb.an) <- off;
@@ -793,16 +802,40 @@ module Builder = struct
 
   let finish bb ~arena ~appendix =
     let n = bb.n in
+    let subtree_end = Array.sub bb.v_subtree_end 0 n in
+    let parent = Array.make n (-1) in
+    let first_child = Array.make n (-1) in
+    let next_sibling = Array.make n (-1) in
+    let depth = Array.make n 0 in
+    (* Node [i]'s children are [i + 1] and then each child's subtree end,
+       up to [i]'s own; pre-order numbering settles [depth.(i)] before
+       its children are visited. *)
+    for i = 0 to n - 1 do
+      let stop = subtree_end.(i) in
+      if stop > i + 1 then begin
+        first_child.(i) <- i + 1;
+        let d = depth.(i) + 1 in
+        let c = ref (i + 1) in
+        while !c < stop do
+          let c0 = !c in
+          parent.(c0) <- i;
+          depth.(c0) <- d;
+          let next = subtree_end.(c0) in
+          if next < stop then next_sibling.(c0) <- next;
+          c := next
+        done
+      end
+    done;
     let attr_start = Array.sub bb.v_attr_start 0 (n + 1) in
     attr_start.(n) <- bb.an;
     let b =
       {
         b_tag = Array.sub bb.v_tag 0 n;
-        b_parent = Array.sub bb.v_parent 0 n;
-        b_first_child = Array.sub bb.v_first_child 0 n;
-        b_next_sibling = Array.sub bb.v_next_sibling 0 n;
-        b_subtree_end = Array.sub bb.v_subtree_end 0 n;
-        b_depth = Array.sub bb.v_depth 0 n;
+        b_parent = parent;
+        b_first_child = first_child;
+        b_next_sibling = next_sibling;
+        b_subtree_end = subtree_end;
+        b_depth = depth;
         b_cont_off = Array.sub bb.v_cont_off 0 n;
         b_cont_len = Array.sub bb.v_cont_len 0 n;
         b_attr_start = attr_start;

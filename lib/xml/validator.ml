@@ -7,9 +7,10 @@ type error = {
 let pp_error ppf e =
   Fmt.pf ppf "node %d <%s>: %s" e.node e.element e.message
 
-(* Brzozowski derivatives over content-model regexes.  Content models are
-   small, so we recompute derivatives without memoization; smart
-   constructors keep the intermediate regexes compact. *)
+(* Brzozowski derivatives over content-model regexes; smart constructors
+   keep the intermediate regexes compact.  [matches] derives directly and
+   is the reference; [validate] runs the same derivatives compiled into
+   DFAs (below). *)
 
 let seq a b =
   match a, b with
@@ -64,57 +65,139 @@ let matches r names =
   in
   go r names
 
-let child_names t n =
-  List.map
-    (fun c -> if Tree.is_text t c then "#text" else Tree.name t c)
-    (Tree.children t n)
+(* ------------------------------------------------------------------ *)
+(* Compiled validation.  Each [Children] content model is a DFA whose
+   states are its derivatives, interned by structural equality, so a
+   derivative is computed once per (state, tag) pair and not once per
+   element.  Transition rows are indexed by the tree's tag ids and
+   filled lazily.  One state table serves every content model of one
+   [validate] call: equal derivatives of different models share a
+   state. *)
 
-let check_element dtd t n errors =
-  let tag = Tree.name t n in
-  match Dtd.content dtd tag with
+let unknown = -2
+let dead = -1
+
+type state = {
+  regex : Dtd.regex; (* the derivative this state stands for *)
+  accept : bool;
+  row : int array; (* tag id -> next state, [unknown] until computed *)
+}
+
+type dfa = {
+  tree : Tree.t; (* whose tag ids index the rows *)
+  ids : (Dtd.regex, int) Hashtbl.t; (* derivative -> state *)
+  mutable states : state array;
+  mutable n : int;
+}
+
+let state d r =
+  match Hashtbl.find_opt d.ids r with
+  | Some s -> s
   | None ->
-    { node = n; element = tag; message = "undeclared element type" } :: errors
-  | Some Dtd.Any -> errors
-  | Some Dtd.Empty ->
-    if Tree.children t n = [] then errors
-    else
-      { node = n; element = tag; message = "EMPTY element has children" }
-      :: errors
-  | Some (Dtd.Mixed allowed) ->
-    Tree.fold_children t n ~init:errors ~f:(fun errors c ->
-        if Tree.is_text t c then errors
+    let s = d.n in
+    let st =
+      { regex = r; accept = nullable r;
+        row = Array.make (Tree.n_tags d.tree) unknown }
+    in
+    if s = Array.length d.states then begin
+      let grown = Array.make (2 * s + 1) st in
+      Array.blit d.states 0 grown 0 s;
+      d.states <- grown
+    end;
+    d.states.(s) <- st;
+    d.n <- s + 1;
+    Hashtbl.add d.ids r s;
+    s
+
+let step d s tag =
+  let st = d.states.(s) in
+  let next = st.row.(tag) in
+  if next <> unknown then next
+  else begin
+    let r = deriv (Tree.tag_name d.tree tag) st.regex in
+    let next = if is_void r then dead else state d r in
+    st.row.(tag) <- next;
+    next
+  end
+
+(* A content model resolved for one tag id of the tree. *)
+type model =
+  | Undeclared
+  | Any
+  | Empty
+  | Mixed of bool array (* allowed child tag ids *)
+  | Children of Dtd.regex * int (* the model and its start state *)
+
+let compile dtd t =
+  let d = { tree = t; ids = Hashtbl.create 16; states = [||]; n = 0 } in
+  let n_tags = Tree.n_tags t in
+  let models =
+    Array.init n_tags (fun id ->
+        if id = Tree.text_tag then Any
         else
-          let child_tag = Tree.name t c in
-          if List.mem child_tag allowed then errors
-          else
-            {
-              node = n;
-              element = tag;
-              message =
-                Printf.sprintf "element %s not allowed in mixed content"
-                  child_tag;
-            }
-            :: errors)
-  | Some (Dtd.Children r) ->
-    let names = child_names t n in
+          match Dtd.content dtd (Tree.tag_name t id) with
+          | None -> Undeclared
+          | Some Dtd.Any -> Any
+          | Some Dtd.Empty -> Empty
+          | Some (Dtd.Mixed allowed) ->
+            Mixed
+              (Array.init n_tags (fun j ->
+                   j <> Tree.text_tag && List.mem (Tree.tag_name t j) allowed))
+          | Some (Dtd.Children r) -> Children (r, state d r))
+  in
+  (d, models)
+
+(* Only for an error message: the element children's names. *)
+let element_names t n =
+  List.rev
+    (Tree.fold_children t n ~init:[] ~f:(fun acc c ->
+         if Tree.is_text t c then acc else Tree.name t c :: acc))
+
+let error t n message = { node = n; element = Tree.name t n; message }
+
+(* Children are walked as [n + 1] then [subtree_end] of each child, up to
+   [subtree_end n]: no list, no allocation on a valid element. *)
+let check_element d models t n errors =
+  let stop = Tree.subtree_end t n in
+  match models.(Tree.tag_id t n) with
+  | Undeclared -> error t n "undeclared element type" :: errors
+  | Any -> errors
+  | Empty ->
+    if stop = n + 1 then errors
+    else error t n "EMPTY element has children" :: errors
+  | Mixed allowed ->
+    let errors = ref errors in
+    let c = ref (n + 1) in
+    while !c < stop do
+      let tg = Tree.tag_id t !c in
+      if tg <> Tree.text_tag && not allowed.(tg) then
+        errors :=
+          error t n
+            (Printf.sprintf "element %s not allowed in mixed content"
+               (Tree.tag_name t tg))
+          :: !errors;
+      c := Tree.subtree_end t !c
+    done;
+    !errors
+  | Children (r, start) ->
+    let text = ref false and s = ref start in
+    let c = ref (n + 1) in
+    while !c < stop do
+      let tg = Tree.tag_id t !c in
+      if tg = Tree.text_tag then text := true
+      else if !s <> dead then s := step d !s tg;
+      c := Tree.subtree_end t !c
+    done;
     (* Element content: text children are invalid outright. *)
     let errors =
-      if List.mem "#text" names then
-        { node = n; element = tag; message = "text in element content" }
-        :: errors
-      else errors
+      if !text then error t n "text in element content" :: errors else errors
     in
-    let element_names = List.filter (fun s -> s <> "#text") names in
-    if matches r element_names then errors
+    if !s <> dead && d.states.(!s).accept then errors
     else
-      {
-        node = n;
-        element = tag;
-        message =
-          Fmt.str "children (%a) do not match content model %a"
-            Fmt.(list ~sep:comma string)
-            element_names Dtd.pp_regex r;
-      }
+      error t n
+        (Fmt.str "children (%a) do not match content model %a"
+           Fmt.(list ~sep:comma string)
+           (element_names t n) Dtd.pp_regex r)
       :: errors
 
 let validate dtd t =
@@ -129,9 +212,10 @@ let validate dtd t =
             Printf.sprintf "root element is not %s" (Dtd.root dtd);
         };
       ];
-  Tree.iter_preorder t (fun n ->
-      if Tree.is_element t n then
-        errors := check_element dtd t n !errors);
+  let d, models = compile dtd t in
+  for n = 0 to Tree.n_nodes t - 1 do
+    if Tree.is_element t n then errors := check_element d models t n !errors
+  done;
   match List.rev !errors with [] -> Ok () | es -> Error es
 
 let is_valid dtd t = Result.is_ok (validate dtd t)

@@ -12,9 +12,12 @@
                              comments, "]]>" in text, raw control
                              bytes).  Same DOM ≡ StAX obligation.
      corpus/not-wellformed/  must be rejected, by both modes, with a
-                             positioned error (line, col >= 1)
+                             positioned error (line, col >= 1), and the
+                             error must not depend on the chunk size
      corpus/regressions/     fuzz-found inputs, replayed against the
-                             totality contract: any verdict but Bug
+                             totality contract: any verdict but Bug;
+                             the outcome must not depend on the chunk
+                             size either
 
    Run via `dune runtest` or `dune build @conformance`. *)
 
@@ -104,13 +107,59 @@ let expect_accepted_chunked path input =
   expect_accepted path input;
   expect_chunked path input
 
+(* Chunk-boundary battery for rejections: the outcome of a streaming
+   parse — its events, or its [Pull.Error (line, col, msg)] — must be
+   the same in one piece as through [of_channel] refills of 1, 2, 7 or
+   65536 bytes.  Positions are settled lazily and window mode discards
+   consumed bytes on refill, so this pins that no byte is counted twice
+   or lost wherever a refill lands. *)
+type outcome =
+  | Parsed of Pull.event list
+  | Error_at of int * int * string
+  | Raised of string
+
+let outcome_of f =
+  match f () with
+  | evs -> Parsed evs
+  | exception Pull.Error (l, c, m) -> Error_at (l, c, m)
+  | exception e -> Raised (Printexc.to_string e)
+
+let describe_outcome = function
+  | Parsed evs -> Printf.sprintf "%d events" (List.length evs)
+  | Error_at (l, c, m) -> Printf.sprintf "error at %d:%d: %s" l c m
+  | Raised e -> "raised " ^ e
+
+let expect_chunk_independent path input =
+  List.iter
+    (fun keep_ws ->
+      let reference =
+        outcome_of (fun () -> events_of (Pull.of_string ~keep_ws input))
+      in
+      List.iter
+        (fun chunk_size ->
+          let ic = open_in_bin path in
+          let got =
+            Fun.protect
+              ~finally:(fun () -> close_in_noerr ic)
+              (fun () ->
+                outcome_of (fun () ->
+                    events_of (Pull.of_channel ~keep_ws ~chunk_size ic)))
+          in
+          if got <> reference then
+            failf path "chunk_size %d (keep_ws:%b): %s, in one piece: %s"
+              chunk_size keep_ws (describe_outcome got)
+              (describe_outcome reference))
+        [ 1; 2; 7; 65536 ])
+    [ false; true ]
+
 let expect_rejected path input =
-  match Fuzz.check input with
+  (match Fuzz.check input with
   | Fuzz.Rejected (l, c, _) ->
     if l < 1 || c < 1 then failf path "rejection lacks a position (%d:%d)" l c
   | Fuzz.Accepted _ -> failf path "accepted a not-wellformed document"
   | Fuzz.Budgeted w -> failf path "budget trip without a budget: %s" w
-  | Fuzz.Bug m -> failf path "totality violation: %s" m
+  | Fuzz.Bug m -> failf path "totality violation: %s" m);
+  expect_chunk_independent path input
 
 let expect_total path input =
   (* Fuzz-found regressions: any typed outcome is fine, a Bug is not —
@@ -125,7 +174,8 @@ let expect_total path input =
       input
   with
   | Fuzz.Bug m -> failf path "totality violation (budgeted): %s" m
-  | Fuzz.Accepted _ | Fuzz.Rejected _ | Fuzz.Budgeted _ -> ()
+  | Fuzz.Accepted _ | Fuzz.Rejected _ | Fuzz.Budgeted _ ->
+    expect_chunk_independent path input
 
 let () =
   let valid = check_class ~dir:"corpus/valid" ~expect:expect_accepted_chunked in

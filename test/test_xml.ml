@@ -507,6 +507,306 @@ let test_matches_regex () =
   Alcotest.(check bool) "plus needs one" false
     (Validator.matches (Dtd.Plus (Dtd.Name "x")) [])
 
+(* --- Validator differential ------------------------------------------- *)
+
+(* The per-element check before content models were compiled: a list of
+   child names matched by derivatives ([Validator.matches]).  Kept here
+   as the reference; [Validator.validate] must return exactly its error
+   list — nodes, elements, messages and order. *)
+let reference_validate dtd t =
+  let err n message =
+    { Validator.node = n; element = Tree.name t n; message }
+  in
+  let child_names n =
+    List.map
+      (fun c -> if Tree.is_text t c then "#text" else Tree.name t c)
+      (Tree.children t n)
+  in
+  let check n errors =
+    match Dtd.content dtd (Tree.name t n) with
+    | None -> err n "undeclared element type" :: errors
+    | Some Dtd.Any -> errors
+    | Some Dtd.Empty ->
+      if Tree.children t n = [] then errors
+      else err n "EMPTY element has children" :: errors
+    | Some (Dtd.Mixed allowed) ->
+      List.fold_left
+        (fun errors c ->
+          if Tree.is_text t c || List.mem (Tree.name t c) allowed then errors
+          else
+            err n
+              (Printf.sprintf "element %s not allowed in mixed content"
+                 (Tree.name t c))
+            :: errors)
+        errors (Tree.children t n)
+    | Some (Dtd.Children r) ->
+      let names = child_names n in
+      let errors =
+        if List.mem "#text" names then err n "text in element content" :: errors
+        else errors
+      in
+      let element_names = List.filter (fun s -> s <> "#text") names in
+      if Validator.matches r element_names then errors
+      else
+        err n
+          (Fmt.str "children (%a) do not match content model %a"
+             Fmt.(list ~sep:comma string)
+             element_names Dtd.pp_regex r)
+        :: errors
+  in
+  let errors = ref [] in
+  if Tree.name t Tree.root <> Dtd.root dtd then
+    errors :=
+      [ { Validator.node = Tree.root; element = Tree.name t Tree.root;
+          message = Printf.sprintf "root element is not %s" (Dtd.root dtd) } ];
+  Tree.iter_preorder t (fun n ->
+      if Tree.is_element t n then errors := check n !errors);
+  match List.rev !errors with [] -> Ok () | es -> Error es
+
+(* Random DTDs varied beyond what [Random_dtd] draws: leaf types become
+   EMPTY, ANY or mixed content naming other types, and some element
+   content gains an alternative. *)
+let varied_dtd rng seed =
+  let base =
+    Smoqe_workload.Random_dtd.generate ~seed ~n_types:(2 + (seed mod 7))
+      ~recursion:(seed mod 2 = 0) ()
+  in
+  let names = Dtd.element_names base in
+  let leaf = List.nth names (List.length names - 1) in
+  let vary (name, content) =
+    let pick = Random.State.int rng 4 in
+    match content with
+    | Dtd.Mixed [] when name <> Dtd.root base -> (
+      match pick with
+      | 0 -> (name, Dtd.Empty)
+      | 1 -> (name, Dtd.Any)
+      | 2 ->
+        (name, Dtd.Mixed (List.filter (fun _ -> Random.State.bool rng) names))
+      | _ -> (name, content))
+    | Dtd.Children r when pick = 0 ->
+      let alt = Dtd.Seq (Dtd.Name leaf, Dtd.Opt (Dtd.Name leaf)) in
+      (name, Dtd.Children (Dtd.Alt (r, alt)))
+    | _ -> (name, content)
+  in
+  Dtd.create ~root:(Dtd.root base) (List.map vary (Dtd.productions base))
+
+(* One seeded mutation: an edit of a random element's children or tag,
+   or (one time in eight) another declared type at the root. *)
+let mutate rng dtd src =
+  let rec count = function
+    | Tree.T _ -> 0
+    | Tree.E (_, _, kids) -> List.fold_left (fun n k -> n + count k) 1 kids
+  in
+  (* [splice i k by l] replaces the [k] items of [l] at [i] by [by]. *)
+  let splice i k by l =
+    List.filteri (fun j _ -> j < i) l
+    @ by
+    @ List.filteri (fun j _ -> j >= i + k) l
+  in
+  (* Drop, duplicate or swap children, insert text, or (also when the
+     drawn edit does not apply) rename to an undeclared tag. *)
+  let edit tag attrs kids =
+    let n = List.length kids in
+    match Random.State.int rng 5 with
+    | 0 when n > 0 ->
+      Tree.E (tag, attrs, splice (Random.State.int rng n) 1 [] kids)
+    | 1 when n > 0 ->
+      let i = Random.State.int rng n in
+      Tree.E (tag, attrs, splice i 0 [ List.nth kids i ] kids)
+    | 2 when n > 1 ->
+      let i = Random.State.int rng (n - 1) in
+      Tree.E
+        (tag, attrs, splice i 2 [ List.nth kids (i + 1); List.nth kids i ] kids)
+    | 3 ->
+      let i = Random.State.int rng (n + 1) in
+      Tree.E (tag, attrs, splice i 0 [ Tree.T "stray" ] kids)
+    | _ -> Tree.E ("undeclared", attrs, kids)
+  in
+  let target = Random.State.int rng (count src) in
+  let next = ref 0 in
+  let rec go = function
+    | Tree.T _ as t -> t
+    | Tree.E (tag, attrs, kids) ->
+      let here = !next in
+      incr next;
+      let kids = List.map go kids in
+      if here = target then edit tag attrs kids else Tree.E (tag, attrs, kids)
+  in
+  if Random.State.int rng 8 = 0 then
+    (* change the root *)
+    match src with
+    | Tree.E (_, attrs, kids) ->
+      let others =
+        List.filter (fun n -> n <> Dtd.root dtd) (Dtd.element_names dtd)
+      in
+      let tag = match others with [] -> "undeclared" | o :: _ -> o in
+      Tree.E (tag, attrs, kids)
+    | Tree.T _ -> src
+  else go src
+
+let test_validator_differential () =
+  let dtds rng seed =
+    [ varied_dtd rng seed; Smoqe_workload.Hospital.dtd; Smoqe_workload.Bib.dtd ]
+  in
+  let invalid = ref 0 and total = ref 0 in
+  let messages = Hashtbl.create 8 in
+  for seed = 1 to 300 do
+    let rng = Random.State.make [| seed |] in
+    List.iter
+      (fun dtd ->
+        let doc =
+          Smoqe_workload.Docgen.generate ~rng ~max_depth:6 ~fanout:3 dtd
+        in
+        let src = Tree.to_source doc Tree.root in
+        let src =
+          if Random.State.int rng 4 = 0 then src else mutate rng dtd src
+        in
+        let t = Tree.of_source src in
+        (* the same document through the parser: tag ids in another
+           order, adjacent text merged *)
+        let parsed =
+          Parser.tree_of_string (Serializer.to_string ~indent:false t)
+        in
+        List.iter
+          (fun t ->
+            let expected = reference_validate dtd t in
+            incr total;
+            (match expected with
+            | Ok () -> ()
+            | Error es ->
+              incr invalid;
+              List.iter
+                (fun e ->
+                  let m = e.Validator.message in
+                  let kind =
+                    try String.sub m 0 (String.index m ' ')
+                    with Not_found -> m
+                  in
+                  Hashtbl.replace messages kind ())
+                es);
+            if Validator.validate dtd t <> expected then
+              Alcotest.failf
+                "seed %d: validate differs from the reference on %s" seed
+                (Serializer.to_string ~indent:false t))
+          [ t; parsed ])
+      (dtds rng seed)
+  done;
+  (* the mutations must actually produce invalid documents, of every
+     kind the validator reports *)
+  Alcotest.(check bool) "mix of valid and invalid" true
+    (!invalid > !total / 3 && !invalid < !total);
+  List.iter
+    (fun kind ->
+      Alcotest.(check bool) ("some error starts with " ^ kind) true
+        (Hashtbl.mem messages kind))
+    [ "undeclared"; "EMPTY"; "element"; "text"; "children"; "root" ]
+
+(* --- Budget accounting ------------------------------------------------ *)
+
+module Budget = Smoqe_robust.Budget
+
+(* Every signal [cursor_next] returns, end of stream included. *)
+let drain_signals p =
+  let rec go k =
+    match Pull.cursor_next p with Pull.Cursor_eof -> k + 1 | _ -> go (k + 1)
+  in
+  go 0
+
+(* A document over several lines whose element at depth [k] is [e<k>]. *)
+let nested_doc depth =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "<?xml version=\"1.0\"?>\n";
+  for k = 1 to depth do
+    Buffer.add_string buf (String.make k ' ');
+    Printf.bprintf buf "<e%d a=\"%d\">text &amp; more\n" k k
+  done;
+  for k = depth downto 1 do
+    Printf.bprintf buf "%s<leaf/></e%d>\n" (String.make k ' ') k
+  done;
+  Buffer.contents buf
+
+let budget_docs () =
+  [ nested_doc 12;
+    Serializer.to_string ~indent:true (sample ());
+    Serializer.to_string ~indent:false
+      (Smoqe_workload.Hospital.generate ~seed:3 ~n_patients:20
+         ~recursion_depth:2 ()) ]
+
+let test_budget_counts_events () =
+  List.iter
+    (fun doc ->
+      let budget = Budget.create ~max_nodes:max_int () in
+      let signals = drain_signals (Pull.of_string ~budget doc) in
+      Alcotest.(check int) "nodes scanned = signals delivered" signals
+        (Budget.nodes_scanned budget))
+    (budget_docs ())
+
+(* Events are settled in batches of 32: the signal that trips is the
+   first multiple of 32 past the limit, or end of stream. *)
+let test_budget_max_nodes_trip () =
+  List.iter
+    (fun doc ->
+      let total = drain_signals (Pull.of_string doc) in
+      List.iter
+        (fun limit ->
+          let budget = Budget.create ~max_nodes:limit () in
+          let p = Pull.of_string ~budget doc in
+          let delivered = ref 0 in
+          let tripped =
+            match
+              while Pull.cursor_next p <> Pull.Cursor_eof do
+                incr delivered
+              done
+            with
+            | () -> false
+            | exception Budget.Exceeded { what = "max_nodes"; _ } -> true
+          in
+          let expected =
+            if total <= limit then None
+            else Some (min total (32 * ((limit / 32) + 1)) - 1)
+          in
+          Alcotest.(check (option int))
+            (Printf.sprintf "max_nodes %d of %d" limit total)
+            expected
+            (if tripped then Some !delivered else None))
+        [ 0; 1; 5; 31; 32; 33; 63; 64; 100; total - 1; total; total + 1 ])
+    (budget_docs ())
+
+(* A [max_depth] of [m] trips right after the '>' of the first start tag
+   at depth [m + 1]: the position is computed here from the text. *)
+let test_budget_max_depth_position () =
+  let depth = 12 in
+  let doc = nested_doc depth in
+  for m = 0 to depth - 1 do
+    let tag = Printf.sprintf "<e%d a=" (m + 1) in
+    let rec find i =
+      if String.sub doc i (String.length tag) = tag then i else find (i + 1)
+    in
+    let stop = String.index_from doc (find 0) '>' + 1 in
+    let line = ref 1 and col = ref 1 in
+    String.iteri
+      (fun i c ->
+        if i < stop then
+          if c = '\n' then (incr line; col := 1) else incr col)
+      doc;
+    let check label p =
+      match drain_signals p with
+      | _ -> Alcotest.failf "%s: max_depth %d did not trip" label m
+      | exception Budget.Exceeded { what = "max_depth"; _ } ->
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s: max_depth %d trips at" label m)
+          (!line, !col)
+          (Pull.line p, Pull.column p)
+    in
+    check "string" (Pull.of_string ~budget:(Budget.create ~max_depth:m ()) doc);
+    let path = Filename.temp_file "depth" ".xml" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc doc);
+    In_channel.with_open_bin path (fun ic ->
+        let budget = Budget.create ~max_depth:m () in
+        check "chunk 7" (Pull.of_channel ~chunk_size:7 ~budget ic));
+    Sys.remove path
+  done
+
 (* --- Property tests --------------------------------------------------- *)
 
 let tag_gen = QCheck2.Gen.oneofl [ "a"; "b"; "c"; "d"; "item"; "node" ]
@@ -672,6 +972,17 @@ let () =
           Alcotest.test_case "text in element content" `Quick
             test_validator_text_in_element_content;
           Alcotest.test_case "regex matching" `Quick test_matches_regex;
+          Alcotest.test_case "differential vs derivatives" `Quick
+            test_validator_differential;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "counts every event" `Quick
+            test_budget_counts_events;
+          Alcotest.test_case "max_nodes trip event" `Quick
+            test_budget_max_nodes_trip;
+          Alcotest.test_case "max_depth trip position" `Quick
+            test_budget_max_depth_position;
         ] );
       ("properties", qsuite);
     ]
