@@ -51,6 +51,10 @@ module Pool = Smoqe_exec.Pool
 module Federation = Smoqe_federation.Federation
 module J = Bench_out
 
+let okr = function
+  | Ok v -> v
+  | Error e -> failwith (Smoqe_robust.Error.to_string e)
+
 (* --- timing ------------------------------------------------------------- *)
 
 let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:Measure.[| run |]
@@ -682,7 +686,6 @@ let e11 () =
     done;
     (Unix.gettimeofday () -. t0) /. float_of_int batch
   in
-  let ok = function Ok v -> v | Error msg -> failwith msg in
   let best_ratio = ref 0. in
   let rows = ref [] in
   let bench_workload label engine ~group queries =
@@ -691,7 +694,8 @@ let e11 () =
       "speedup" "hit";
     List.iter
       (fun (name, q) ->
-        let run () = ignore (Sys.opaque_identity (ok (Engine.query engine ~group q))) in
+        let query () = okr (Engine.query_robust engine ~group q) in
+        let run () = ignore (Sys.opaque_identity (query ())) in
         (* measure the uncached arm: capacity 0 bypasses the cache *)
         Engine.set_plan_cache_capacity engine 0;
         run ();
@@ -699,9 +703,7 @@ let e11 () =
         (* warm arm: one run populates, the rest are hits *)
         Engine.set_plan_cache_capacity engine 128;
         run ();
-        let hit =
-          (ok (Engine.query engine ~group q)).Engine.stats.Stats.plan_cache_hit
-        in
+        let hit = (query ()).Engine.stats.Stats.plan_cache_hit in
         let warm = List.init 30 (fun _ -> time_batch run) in
         let cold_m = median cold and warm_m = median warm in
         let ratio = cold_m /. warm_m in
@@ -775,19 +777,19 @@ let e12 () =
   Printf.printf "machine: %d core(s) available to the runtime\n" cores;
   let repeat = 240 in
   let jobs_axis = [ 1; 2; 4; 8 ] in
-  let ok = function Ok v -> v | Error msg -> failwith msg in
   (* speedup at 4 domains on the gated workload — what the verdict reads *)
   let gated_speedup = ref nan in
   let run_workload ~gate label engine ~group queries =
     (* Warm the plan cache: scaling must measure parallel evaluation, not
        the one-off rewrite+compile (which the cache serializes anyway). *)
-    List.iter (fun (_, q) -> ignore (ok (Engine.query engine ~group q)))
+    List.iter (fun (_, q) -> ignore (okr (Engine.query_robust engine ~group q)))
       queries;
     (* Sequential reference answers: every parallel run must match these
        byte for byte, or the throughput numbers measure garbage. *)
     let reference =
       List.map
-        (fun (_, q) -> (ok (Engine.query engine ~group q)).Engine.answer_xml)
+        (fun (_, q) ->
+          (okr (Engine.query_robust engine ~group q)).Engine.answer_xml)
         queries
     in
     let tasks =
@@ -925,7 +927,7 @@ let e13 () =
     let qrows =
       List.map
         (fun (name, q) ->
-          let mfa = ok (Engine.rewrite_only engine ~group q) in
+          let mfa = okr (Engine.rewrite_only engine ~group q) in
           (* Warm plan: the frozen specialization is built once, outside
              the timed loop — exactly what riding the compiled plan buys
              a repeatedly-served query. *)
@@ -1203,17 +1205,17 @@ let e15 () =
           let seq_xml =
             List.map
               (fun q ->
-                (ok (Engine.query engine ~group:"members" ~mode q))
+                (okr (Engine.query_robust engine ~group:"members" ~mode q))
                   .Engine.answer_xml)
               texts
           in
           let results, agg =
-            Engine.run_many engine ~group:"members" ~mode texts
+            Engine.run_many_robust engine ~group:"members" ~mode texts
           in
           Array.iteri
             (fun i r ->
               match r with
-              | Error e -> failwith e
+              | Error e -> failwith (Smoqe_robust.Error.to_string e)
               | Ok o ->
                 if o.Engine.answer_xml <> List.nth seq_xml i then
                   failwith
@@ -1226,14 +1228,17 @@ let e15 () =
                   (fun q ->
                     ignore
                       (Sys.opaque_identity
-                         (ok (Engine.query engine ~group:"members" ~mode q))))
+                         (okr
+                            (Engine.query_robust engine ~group:"members" ~mode
+                               q))))
                   texts)
           in
           let batch_s =
             time_min (fun () ->
                 ignore
                   (Sys.opaque_identity
-                     (Engine.run_many engine ~group:"members" ~mode texts)))
+                     (Engine.run_many_robust engine ~group:"members" ~mode
+                        texts)))
           in
           let ratio = batch_s /. seq_s in
           if mode = Engine.Dom && n = 100 then dom_ratio_100 := ratio;
@@ -1335,8 +1340,12 @@ let e16 () =
     let d = Engine.document engine in
     let n = List.nth candidates (!next_cand mod n_cand) in
     incr next_cand;
-    let r = ok (Engine.update engine (Smoqe_update.Update.Replace
-                  (Smoqe_update.Update.By_id n, Tree.to_source d n))) in
+    let r =
+      okr
+        (Engine.update_robust engine
+           (Smoqe_update.Update.Replace
+              (Smoqe_update.Update.By_id n, Tree.to_source d n)))
+    in
     incr updates;
     plans_dropped := !plans_dropped + r.Engine.up_plans_dropped;
     if not r.Engine.up_index_maintained then
@@ -1346,7 +1355,8 @@ let e16 () =
     List.iter
       (fun q ->
         ignore
-          (Sys.opaque_identity (ok (Engine.query engine ~group:"members" q))))
+          (Sys.opaque_identity
+             (okr (Engine.query_robust engine ~group:"members" q))))
       mix
   in
   let reps = if smoke then 5 else 8 in
@@ -1359,7 +1369,8 @@ let e16 () =
   run_mix ();
   let baseline =
     List.map
-      (fun q -> (ok (Engine.query engine ~group:"members" q)).Engine.answer_xml)
+      (fun q ->
+        (okr (Engine.query_robust engine ~group:"members" q)).Engine.answer_xml)
       mix
   in
   (* One warm mixed pass too, so the first measured mixed rep is not
@@ -1391,7 +1402,9 @@ let e16 () =
      byte-identical to the warm baseline. *)
   List.iteri
     (fun i q ->
-      let got = (ok (Engine.query engine ~group:"members" q)).Engine.answer_xml in
+      let got =
+        (okr (Engine.query_robust engine ~group:"members" q)).Engine.answer_xml
+      in
       if got <> List.nth baseline i then
         failwith (Printf.sprintf "e16: answer drift for %s after updates" q))
     mix;
@@ -1625,9 +1638,9 @@ let e18 () =
   (* --- leg 1: cross-tenant artifact sharing and plan reuse --- *)
   let engine = Engine.of_tree ~dtd doc in
   for i = 0 to n_tenants - 1 do
-    match Engine.register_tenant engine ~tenant:(tenant i) (policy_of i) with
-    | Ok _ -> ()
-    | Error msg -> failwith ("e18 register_tenant: " ^ msg)
+    match Engine.register_policy engine ~group:(tenant i) (policy_of i) with
+    | Ok () -> ()
+    | Error msg -> failwith ("e18 register_policy: " ^ msg)
   done;
   let counters = Engine.tenant_counters engine in
   let derivations = List.assoc "derivations" counters in
@@ -1641,7 +1654,7 @@ let e18 () =
   List.iter
     (fun text ->
       for i = 0 to n_tenants - 1 do
-        match Engine.query_robust engine ~tenant:(tenant i) text with
+        match Engine.query_robust engine ~group:(tenant i) text with
         | Ok o ->
           incr plan_total;
           if o.Engine.stats.Stats.plan_cache_hit = 1 then incr plan_hits
@@ -1676,14 +1689,14 @@ let e18 () =
     best_of_3 (fun () ->
         let e = Engine.of_tree ~dtd doc in
         for i = 0 to n_tenants - 1 do
-          match Engine.register_tenant e ~tenant:(tenant i) (policy_of i) with
-          | Ok _ -> ()
+          match Engine.register_policy e ~group:(tenant i) (policy_of i) with
+          | Ok () -> ()
           | Error msg -> failwith msg
         done;
         for i = 0 to n_tenants - 1 do
           List.iter
             (fun text ->
-              match Engine.query_robust e ~tenant:(tenant i) text with
+              match Engine.query_robust e ~group:(tenant i) text with
               | Ok _ -> ()
               | Error e -> failwith (Smoqe_robust.Error.to_string e))
             texts
@@ -1730,11 +1743,11 @@ let e18 () =
   let adversary = "adversary" in
   List.iter
     (fun t ->
-      match Engine.register_tenant fe ~tenant:t Hospital.policy with
-      | Ok _ -> ()
+      match Engine.register_policy fe ~group:t Hospital.policy with
+      | Ok () -> ()
       | Error msg -> failwith msg)
     (adversary :: normals);
-  Engine.set_tenant_budget fe ~tenant:adversary ~capacity:n_each ();
+  Engine.set_admission fe ~group:adversary ~capacity:n_each ();
   let fair_q = List.hd texts in
   let served = Hashtbl.create 8 in
   List.iter (fun t -> Hashtbl.replace served t 0) (adversary :: normals);
@@ -1746,12 +1759,12 @@ let e18 () =
               List.iter
                 (fun t ->
                   futures :=
-                    (t, Engine.submit fe ~pool ~tenant:t fair_q) :: !futures)
+                    (t, Engine.submit fe ~pool ~group:t fair_q) :: !futures)
                 normals;
               (* the adversary fires 8 for every 1 of a steady tenant *)
               for _ = 1 to 8 do
                 futures :=
-                  (adversary, Engine.submit fe ~pool ~tenant:adversary fair_q)
+                  (adversary, Engine.submit fe ~pool ~group:adversary fair_q)
                   :: !futures
               done
             done;

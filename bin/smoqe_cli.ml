@@ -95,34 +95,27 @@ let query_arg =
     & pos 0 (some string) None
     & info [] ~docv:"QUERY" ~doc:"Regular XPath query.")
 
-(* --- multi-tenancy -------------------------------------------------------
+(* --- many groups ---------------------------------------------------------
 
-   A tenants file maps tenant names to policy files, one per line:
+   A tenants file maps group names to policy files, one per line:
 
      alice = policies/alice.pol
      bob   = policies/bob.pol
 
    Blank lines and [#]-comments are skipped.  Policy paths are resolved
-   relative to the current directory.  Tenants whose policies normalize
-   to the same canonical key share one derived view and one compiled
-   plan per query (see Engine "Multi-tenant serving"). *)
+   relative to the current directory.  Every line registers a group, so
+   [-g NAME] runs as it; groups whose policies normalize to the same
+   canonical key share one derived view and one compiled plan per query
+   (see Engine "Security views"). *)
 let tenants_arg =
   Arg.(
     value
     & opt (some file) None
     & info [ "tenants" ] ~docv:"FILE"
         ~doc:
-          "Tenant map: one NAME = POLICY-FILE line per tenant (blank lines \
-           and #-comments skipped).  Requires --dtd.")
-
-let tenant_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "tenant" ] ~docv:"NAME"
-        ~doc:
-          "Run as this tenant, through its policy's shared view (must \
-           appear in --tenants).")
+          "Group map: one NAME = POLICY-FILE line per group (blank lines \
+           and #-comments skipped); run as one of them with -g NAME.  \
+           Requires --dtd.")
 
 let load_tenants dtd path =
   read_file path
@@ -147,38 +140,38 @@ let load_tenants dtd path =
                     path t);
              Some (name, load_policy dtd pfile))
 
-(* Register the tenant map; the common guard rails for --tenant flags. *)
-let setup_tenants engine ~tenants_file ~tenant ~group ~dtd =
-  let tenant_defs =
-    match tenants_file, dtd with
-    | Some path, Some d -> load_tenants d path
-    | Some _, None ->
-      prerr_endline "smoqe: --tenants requires --dtd";
+(* The principals of a run: the -p policy (registered for -g, default
+   "user") and every line of the --tenants map.  Returns the map and the
+   group the run acts as — [None] (administrative) unless -p or -g named
+   one. *)
+let setup_groups engine ~dtd ~policy_path ~tenants_file ~group =
+  let dtd_for flag =
+    match dtd with
+    | Some d -> d
+    | None ->
+      prerr_endline ("smoqe: " ^ flag ^ " requires --dtd");
       exit 1
-    | None, _ -> []
   in
-  (match tenant with
-  | Some name ->
-    if tenant_defs = [] then begin
-      prerr_endline "smoqe: --tenant requires --tenants";
-      exit 1
-    end;
-    if group <> None then begin
-      prerr_endline "smoqe: --tenant and --group are mutually exclusive";
-      exit 1
-    end;
-    if not (List.mem_assoc name tenant_defs) then begin
-      prerr_endline ("smoqe: --tenant " ^ name ^ " not in the tenants file");
-      exit 1
-    end
-  | None -> ());
+  let group =
+    match policy_path with
+    | None -> group
+    | Some p ->
+      let g = Option.value group ~default:"user" in
+      or_die
+        (Engine.register_policy engine ~group:g
+           (load_policy (dtd_for "--policy") p));
+      Some g
+  in
+  let tenant_defs =
+    match tenants_file with
+    | None -> []
+    | Some path -> load_tenants (dtd_for "--tenants") path
+  in
   List.iter
     (fun (name, policy) ->
-      match Engine.register_tenant engine ~tenant:name policy with
-      | Ok _ -> ()
-      | Error msg -> or_die (Error msg))
+      or_die (Engine.register_policy engine ~group:name policy))
     tenant_defs;
-  tenant_defs
+  (tenant_defs, group)
 
 let print_tenant_counters counters admission =
   print_endline "-- tenants --";
@@ -322,7 +315,7 @@ let load_queries path =
 let query_cmd =
   let run doc_path dtd_path policy_path group mode use_index trace output
       stats budget plan_cache no_plan_cache repeat jobs queries_file
-      tenants_file tenant tenant_budget shards query =
+      tenants_file tenant_budget shards query =
     let dtd = Option.map load_dtd dtd_path in
     (* the parse is budgeted too: a depth/node/deadline limit must bound
        document ingest, not just evaluation (DESIGN.md §12) *)
@@ -330,31 +323,16 @@ let query_cmd =
     let engine =
       or_die_robust (Engine.of_file_robust ?budget:parse_budget ?dtd doc_path)
     in
-    (match policy_path, dtd with
-    | Some p, Some d ->
-      or_die
-        (Engine.register_policy engine ~group:(Option.value group ~default:"user")
-           (load_policy d p))
-    | Some _, None ->
-      prerr_endline "smoqe: --policy requires --dtd";
-      exit 1
-    | None, _ -> ());
-    let tenant_defs =
-      setup_tenants engine ~tenants_file ~tenant ~group ~dtd
+    let tenant_defs, group =
+      setup_groups engine ~dtd ~policy_path ~tenants_file ~group
     in
-    (match tenant_budget, tenant with
-    | Some cap, Some name ->
-      Engine.set_tenant_budget engine ~tenant:name ~capacity:cap ()
+    (match tenant_budget, group with
+    | Some cap, Some g -> Engine.set_admission engine ~group:g ~capacity:cap ()
     | Some _, None ->
-      prerr_endline "smoqe: --tenant-budget requires --tenant";
+      prerr_endline "smoqe: --tenant-budget requires a group (-g or -p)";
       exit 1
     | None, _ -> ());
     if use_index then Engine.build_index engine;
-    let group =
-      match policy_path with
-      | Some _ -> Some (Option.value group ~default:"user")
-      | None -> group
-    in
     let mode = if mode = "stax" then Engine.Stax else Engine.Dom in
     let tracer = if trace then Some (Trace.create ()) else None in
     Engine.set_plan_cache_capacity engine
@@ -376,11 +354,11 @@ let query_cmd =
       exit 1
     end;
     (* --shards N: serve the document as a federation of N engine shards.
-       The root's children are split round-robin, every policy and tenant
-       is registered on every shard, and each query scatters to all
-       shards through the pool and gathers a merged answer (shard-local
-       node ids, so --output ids prints shard:node pairs).  Admission is
-       federation-level: the tenant's bucket is charged once per query,
+       The root's children are split round-robin, every policy is
+       registered on every shard, and each query scatters to all shards
+       through the pool and gathers a merged answer (shard-local node ids,
+       so --output ids prints shard:node pairs).  Admission is
+       federation-level: the group's bucket is charged once per query,
        not once per shard. *)
     let shards = max 1 shards in
     if shards > 1 then begin
@@ -407,11 +385,11 @@ let query_cmd =
       | _ -> ());
       List.iter
         (fun (name, policy) ->
-          or_die (Federation.register_tenant fed ~tenant:name policy))
+          or_die (Federation.register_policy fed ~group:name policy))
         tenant_defs;
-      (match tenant_budget, tenant with
-      | Some cap, Some name ->
-        Federation.set_tenant_budget fed ~tenant:name ~capacity:cap ()
+      (match tenant_budget, group with
+      | Some cap, Some g ->
+        Federation.set_admission fed ~group:g ~capacity:cap ()
       | _ -> ());
       if use_index then
         for i = 0 to Federation.n_shards fed - 1 do
@@ -447,7 +425,7 @@ let query_cmd =
         end;
         let results, agg =
           Pool.with_pool ~domains:jobs (fun pool ->
-              Federation.run_many_robust fed ~pool ?group ?tenant ~mode
+              Federation.run_many_robust fed ~pool ?group ~mode
                 ~use_index ?make_budget:budget texts)
         in
         let first_failure = ref None in
@@ -488,7 +466,7 @@ let query_cmd =
         in
         let result =
           Pool.with_pool ~domains:jobs (fun pool ->
-              Federation.query_robust fed ~pool ?group ?tenant ~mode
+              Federation.query_robust fed ~pool ?group ~mode
                 ~use_index ?make_budget:budget query)
         in
         let outcome = or_die_robust result in
@@ -518,7 +496,8 @@ let query_cmd =
         (Engine.plan_cache_counters engine)
     in
     (* --queries-file: the whole batch is answered in ONE shared-automaton
-       document pass (Engine.run_many) — or one pass per pool worker with
+       document pass (Engine.run_many_robust) — or one pass per pool worker
+       with
        --jobs N.  A failed member (parse error, budget…) is reported in its
        slot without sinking the rest; the exit code is the first failure's. *)
     (match queries_file with
@@ -546,12 +525,12 @@ let query_cmd =
       end;
       let results, agg =
         if jobs <= 1 then
-          Engine.run_many_robust engine ?group ?tenant ~mode ~use_index
+          Engine.run_many_robust engine ?group ~mode ~use_index
             ?budget:(Option.map (fun mk -> mk ()) budget)
             texts
         else
           Pool.with_pool ~domains:jobs (fun pool ->
-              Engine.run_many_pooled engine ~pool ?group ?tenant ~mode
+              Engine.run_many_pooled engine ~pool ?group ~mode
                 ~use_index ?make_budget:budget texts)
       in
       let first_failure = ref None in
@@ -596,7 +575,7 @@ let query_cmd =
     let run_once () =
       let budget = Option.map (fun mk -> mk ()) budget in
       or_die_robust
-        (Engine.query_robust engine ?group ?tenant ~mode ~use_index ?budget
+        (Engine.query_robust engine ?group ~mode ~use_index ?budget
            ?trace:tracer query)
     in
     let outcome, agg_stats, loads =
@@ -611,7 +590,7 @@ let query_cmd =
       else
         Pool.with_pool ~domains:jobs (fun pool ->
             let results, agg =
-              Engine.run_batch engine ~pool ?group ?tenant ~mode ~use_index
+              Engine.run_batch engine ~pool ?group ~mode ~use_index
                 ?make_budget:budget
                 (List.init repeat (fun _ -> query))
             in
@@ -659,7 +638,9 @@ let query_cmd =
     Term.(
       const run $ doc_arg $ dtd_opt_arg $ policy_opt_arg
       $ Arg.(value & opt (some string) None
-             & info [ "g"; "group" ] ~docv:"NAME" ~doc:"User group.")
+             & info [ "g"; "group" ] ~docv:"NAME"
+                 ~doc:"Run as this user group: the -p policy's group \
+                       (default user) or a --tenants name.")
       $ Arg.(value & opt (enum [ ("dom", "dom"); ("stax", "stax") ]) "dom"
              & info [ "mode" ] ~doc:"Evaluation mode: dom or stax.")
       $ Arg.(value & flag & info [ "index" ] ~doc:"Build and use a TAX index.")
@@ -695,12 +676,13 @@ let query_cmd =
                        (blank lines and #-comments skipped), all answered in \
                        a single shared-automaton document pass — one pass \
                        per worker with --jobs.")
-      $ tenants_arg $ tenant_arg
+      $ tenants_arg
       $ Arg.(value & opt (some int) None
              & info [ "tenant-budget" ] ~docv:"N"
-                 ~doc:"Admission token budget for --tenant: after N queries \
-                       the tenant is throttled (exit 3) until tokens refill. \
-                       Each batch member costs one token.")
+                 ~doc:"Admission token budget for the group the query runs \
+                       as: after N queries the group is throttled (exit 3) \
+                       until tokens refill.  Each batch member costs one \
+                       token.")
       $ Arg.(value & opt int 1
              & info [ "shards" ] ~docv:"N"
                  ~doc:"Serve the document as a federation of N engine \
@@ -715,27 +697,12 @@ let query_cmd =
 (* --- update ------------------------------------------------------------- *)
 
 let update_cmd =
-  let run doc_path dtd_path policy_path group tenants_file tenant op_name
+  let run doc_path dtd_path policy_path group tenants_file op_name
       target_query target_id xml before out =
     let dtd = Option.map load_dtd dtd_path in
     let engine = or_die_robust (Engine.of_file_robust ?dtd doc_path) in
-    (match policy_path, dtd with
-    | Some p, Some d ->
-      or_die
-        (Engine.register_policy engine
-           ~group:(Option.value group ~default:"user")
-           (load_policy d p))
-    | Some _, None ->
-      prerr_endline "smoqe: --policy requires --dtd";
-      exit 1
-    | None, _ -> ());
-    let _tenant_defs =
-      setup_tenants engine ~tenants_file ~tenant ~group ~dtd
-    in
-    let group =
-      match policy_path with
-      | Some _ -> Some (Option.value group ~default:"user")
-      | None -> group
+    let _, group =
+      setup_groups engine ~dtd ~policy_path ~tenants_file ~group
     in
     let target =
       match target_id, target_query with
@@ -765,7 +732,7 @@ let update_cmd =
       | "replace" -> Update.Replace (target, fragment ())
       | _ -> Update.Insert { parent = target; before; source = fragment () }
     in
-    let report = or_die_robust (Engine.update_robust engine ?group ?tenant op) in
+    let report = or_die_robust (Engine.update_robust engine ?group op) in
     let doc = Serializer.to_string (Engine.document engine) in
     (match out with
     | None -> print_string doc
@@ -788,8 +755,10 @@ let update_cmd =
       $ Arg.(value & opt (some string) None
              & info [ "g"; "group" ] ~docv:"NAME"
                  ~doc:"Update as a member of this group (checked against \
-                       its view); omit for an administrative update.")
-      $ tenants_arg $ tenant_arg
+                       its view): the -p policy's group (default user) or \
+                       a --tenants name; omit for an administrative \
+                       update.")
+      $ tenants_arg
       $ Arg.(value
              & opt (enum [ ("insert", "insert"); ("delete", "delete");
                            ("replace", "replace") ]) "replace"
@@ -974,7 +943,9 @@ let store_query_cmd =
     in
     let session = or_die (Store.login store role) in
     let mode = if mode = "stax" then Engine.Stax else Engine.Dom in
-    let outcome = or_die (Smoqe.Session.run session ~mode query) in
+    let outcome =
+      or_die_robust (Smoqe.Session.run_robust session ~mode query)
+    in
     match output with
     | "ids" -> List.iter (fun n -> Printf.printf "%d
 " n) outcome.Engine.answers

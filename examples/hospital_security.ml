@@ -16,6 +16,7 @@ module Tree = Smoqe_xml.Tree
 module Derive = Smoqe_security.Derive
 module Materialize = Smoqe_security.Materialize
 module Hospital = Smoqe_workload.Hospital
+module Error = Smoqe_robust.Error
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
@@ -46,9 +47,9 @@ let () =
     | Error msg -> failwith msg
   in
   let count session query =
-    match Session.run session query with
+    match Session.run_robust session query with
     | Ok o -> List.length o.Engine.answers
-    | Error msg -> failwith (query ^ ": " ^ msg)
+    | Error e -> failwith (query ^ ": " ^ Error.to_string e)
   in
   Printf.printf "admin       //pname      -> %d patient names\n"
     (count admin "//pname");
@@ -68,8 +69,8 @@ let () =
       q
       (Smoqe_automata.Mfa.n_states mfa)
       (Smoqe_automata.Mfa.n_transitions mfa)
-  | Error msg -> failwith msg);
-  (match Session.run researcher q with
+  | Error e -> failwith (Error.to_string e));
+  (match Session.run_robust researcher q with
   | Ok o ->
     Printf.printf "answers (no view was materialized):\n";
     List.iter
@@ -77,7 +78,7 @@ let () =
         Printf.printf "  node %d: %s\n" n
           (Serializer.subtree_to_string ~indent:false doc n))
       o.Engine.answers
-  | Error msg -> failwith msg);
+  | Error e -> failwith (Error.to_string e));
 
   banner "the rewriting contract: Q'(T) = Q(V(T))";
   let parse s =
@@ -86,9 +87,9 @@ let () =
     | Error m -> failwith m
   in
   let through_engine =
-    match Session.run researcher q with
+    match Session.run_robust researcher q with
     | Ok o -> o.Engine.answers
-    | Error m -> failwith m
+    | Error e -> failwith (Error.to_string e)
   in
   let through_materialization = Materialize.doc_answers view doc (parse q) in
   Printf.printf "virtual = materialized: %b (%d answers)\n"

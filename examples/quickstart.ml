@@ -5,6 +5,7 @@
 
 module Engine = Smoqe.Engine
 module Ismoqe = Smoqe.Ismoqe
+module Error = Smoqe_robust.Error
 
 let document =
   {|<library>
@@ -20,20 +21,21 @@ let document =
     </library>|}
 
 let () =
-  (* Parse errors come back as values, with a location. *)
-  (match Engine.of_string "<library><oops></library>" with
-  | Error msg -> Printf.printf "malformed input is rejected: %s\n\n" msg
+  (* Parse errors come back as typed values, with a location. *)
+  (match Engine.of_string_robust "<library><oops></library>" with
+  | Error e ->
+    Printf.printf "malformed input is rejected: %s\n\n" (Error.to_string e)
   | Ok _ -> assert false);
 
   let engine =
-    match Engine.of_string document with
+    match Engine.of_string_robust document with
     | Ok e -> e
-    | Error msg -> failwith msg
+    | Error e -> failwith (Error.to_string e)
   in
 
   let show query =
-    match Engine.query engine query with
-    | Error msg -> Printf.printf "error for %s: %s\n" query msg
+    match Engine.query_robust engine query with
+    | Error e -> Printf.printf "error for %s: %s\n" query (Error.to_string e)
     | Ok outcome ->
       Printf.printf "Q: %s\n" query;
       List.iter (fun xml -> Printf.printf "   %s\n" xml) outcome.Engine.answer_xml;
@@ -51,8 +53,8 @@ let () =
 
   (* 4. Streaming (StAX) mode: same answers, one sequential scan. *)
   (match
-     ( Engine.query engine ~mode:Engine.Dom "//book/title",
-       Engine.query engine ~mode:Engine.Stax "//book/title" )
+     ( Engine.query_robust engine ~mode:Engine.Dom "//book/title",
+       Engine.query_robust engine ~mode:Engine.Stax "//book/title" )
    with
   | Ok dom, Ok stax ->
     Printf.printf "DOM and StAX agree: %b (%d answers; StAX made %d pass)\n"
@@ -62,8 +64,8 @@ let () =
   | _ -> assert false);
 
   (* 5. Statistics: HyPE visits each node at most once. *)
-  match Engine.query engine "//book[year = '2004']" with
+  match Engine.query_robust engine "//book[year = '2004']" with
   | Ok outcome ->
     Printf.printf "\nengine counters for the last query:\n%s\n"
       (Ismoqe.stats_table outcome.Engine.stats)
-  | Error msg -> failwith msg
+  | Error e -> failwith (Error.to_string e)

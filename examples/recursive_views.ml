@@ -17,6 +17,7 @@ module Ast = Smoqe_rxpath.Ast
 module Derive = Smoqe_security.Derive
 module Policy = Smoqe_security.Policy
 module Bib = Smoqe_workload.Bib
+module Error = Smoqe_robust.Error
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
@@ -59,7 +60,7 @@ let () =
     | Ok s -> s
     | Error msg -> failwith msg
   in
-  (match Session.run reader "book/para" with
+  (match Session.run_robust reader "book/para" with
   | Ok o ->
     Printf.printf
       "book/para on the view reaches %d paragraphs buried at any depth\n"
@@ -69,7 +70,7 @@ let () =
     in
     Printf.printf "deepest paragraph sat %d levels down in the document\n"
       deepest
-  | Error msg -> failwith msg);
+  | Error e -> failwith (Error.to_string e));
 
   banner "the embargo view (Bib.policy): conditional exposure";
   let engine2 = Engine.of_tree ~dtd:Bib.dtd doc in
@@ -82,9 +83,9 @@ let () =
     | Error msg -> failwith msg
   in
   let count s q =
-    match Session.run s q with
+    match Session.run_robust s q with
     | Ok o -> List.length o.Engine.answers
-    | Error msg -> failwith msg
+    | Error e -> failwith (Error.to_string e)
   in
   Printf.printf "public sections: %d (internal ones: %d)\n"
     (count public "//section")
@@ -109,5 +110,5 @@ let () =
       | Ok mfa ->
         Printf.printf "query size %2d -> MFA size %4d\n" (Ast.size q)
           (Smoqe_automata.Mfa.size mfa)
-      | Error msg -> failwith msg)
+      | Error e -> failwith (Error.to_string e))
     [ 1; 2; 4; 8; 16 ]

@@ -1,5 +1,6 @@
-(* A persistent multi-tenant deployment: one document on disk, a policy
-   per user group, sessions enforcing who sees what — across restarts.
+(* A persistent deployment: one document on disk, a policy per user
+   group, sessions enforcing who sees what — across restarts.  Revoking a
+   group's policy takes effect at once, even for sessions already open.
 
    Run with: dune exec examples/secure_store.exe *)
 
@@ -8,6 +9,7 @@ module Session = Smoqe.Session
 module Store = Smoqe_store.Store
 module Policy = Smoqe_security.Policy
 module Hospital = Smoqe_workload.Hospital
+module Error = Smoqe_robust.Error
 
 let banner title = Printf.printf "\n=== %s ===\n" title
 
@@ -45,9 +47,9 @@ let () =
   let researcher = ok (Store.login store (Session.Member "researchers")) in
   let billing = ok (Store.login store (Session.Member "billing")) in
   let count s q =
-    match Session.run s q with
+    match Session.run_robust s q with
     | Ok o -> string_of_int (List.length o.Engine.answers)
-    | Error msg -> "error: " ^ msg
+    | Error e -> "error: " ^ Error.to_string e
   in
   Printf.printf "%-22s %-10s %-12s %-10s\n" "query" "admin" "researcher"
     "billing";
@@ -58,20 +60,25 @@ let () =
     [ "//pname"; "//medication"; "//date"; "//patient" ];
 
   banner "static refusal: the schema knows before the data is read";
-  (match Session.run researcher "//pname" with
+  (match Session.run_robust researcher "//pname" with
   | Ok o ->
     Printf.printf
       "researcher //pname: %d answers, %d passes over the document \
        (rejected against the view schema)\n"
       (List.length o.Engine.answers)
       o.Engine.stats.Smoqe_hype.Stats.passes_over_data
-  | Error msg -> failwith msg);
+  | Error e -> failwith (Error.to_string e));
 
   banner "policy revocation";
   ok (Store.remove_policy store ~group:"billing");
   (match Store.login store (Session.Member "billing") with
   | Error msg -> Printf.printf "billing login now fails: %s\n" msg
   | Ok _ -> failwith "revoked group can still log in");
+  (match Session.run_robust billing "//date" with
+  | Error e ->
+    Printf.printf "billing's open session is refused too: %s\n"
+      (Error.to_string e)
+  | Ok _ -> failwith "revoked group's open session still answers");
 
   (* tidy up the temp store *)
   let rec rm_rf path =

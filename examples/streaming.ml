@@ -5,6 +5,7 @@
    Run with: dune exec examples/streaming.exe *)
 
 module Engine = Smoqe.Engine
+module Error = Smoqe_robust.Error
 module Stats = Smoqe_hype.Stats
 module Hospital = Smoqe_workload.Hospital
 module Serializer = Smoqe_xml.Serializer
@@ -19,12 +20,14 @@ let () =
     (Smoqe_xml.Tree.n_nodes doc);
 
   let engine =
-    match Engine.of_file path with Ok e -> e | Error msg -> failwith msg
+    match Engine.of_file_robust path with
+    | Ok e -> e
+    | Error e -> failwith (Error.to_string e)
   in
 
   let run query =
-    match Engine.query engine ~mode:Engine.Stax query with
-    | Error msg -> failwith msg
+    match Engine.query_robust engine ~mode:Engine.Stax query with
+    | Error e -> failwith (Error.to_string e)
     | Ok o ->
       Printf.printf
         "%-55s -> %5d answers | %d pass over the file, %d/%d nodes processed\n"
@@ -42,8 +45,8 @@ let () =
   (* DOM and StAX agree on everything above. *)
   let agree query =
     match
-      ( Engine.query engine ~mode:Engine.Dom query,
-        Engine.query engine ~mode:Engine.Stax query )
+      ( Engine.query_robust engine ~mode:Engine.Dom query,
+        Engine.query_robust engine ~mode:Engine.Stax query )
     with
     | Ok a, Ok b -> a.Engine.answers = b.Engine.answers
     | _ -> false

@@ -92,25 +92,24 @@ type plan = {
 
    - [dtd] is immutable; [Tree.t] and [Tax.t] values are deeply immutable
      once built — readers never lock *while evaluating* on them.
-   - Everything [mutable] below, plus the [views]/[group_order] pair, is
-     guarded by [lock].  A query takes the lock only long enough to read
-     a consistent {tree, source, tax, view} snapshot; compile and
-     evaluation run outside it, on the snapshot.
-   - [plan_cache] has its own internal mutex.  Lock order is
-     engine [lock] → cache lock (invalidation under [lock] probes the
-     cache); the cache never calls back into the engine, so the order
-     cannot invert. *)
+   - Everything [mutable] below is guarded by [lock].  A query takes the
+     lock only long enough to read a consistent {tree, source, tax}
+     snapshot; compile and evaluation run outside it, on the snapshot.
+   - [principals], [admission] and [plan_cache] each have their own
+     internal mutex.  Lock order is engine [lock] → cache lock
+     (invalidation under [lock] probes the cache); neither the cache nor
+     the registry calls back into the engine, so the order cannot
+     invert. *)
 type t = {
   lock : Mutex.t;
   mutable tree : Tree.t;
   mutable source : source;
   dtd : Dtd.t option;
-  views : (string, Derive.view) Hashtbl.t;
-  mutable group_order : string list;
   mutable tax : Tax.t option;
   plan_cache : plan Plan_cache.t;
   mutable saved_compile_ms : float;
-  tenants : Tenant_registry.t;
+  principals : Tenant_registry.t;
+      (* group -> canonical policy key -> the shared derived view *)
   admission : Admission.t;
 }
 
@@ -142,12 +141,10 @@ let make ?dtd tree source =
     tree;
     source;
     dtd;
-    views = Hashtbl.create 4;
-    group_order = [];
     tax = None;
     plan_cache = Plan_cache.create ();
     saved_compile_ms = 0.;
-    tenants = Tenant_registry.create ();
+    principals = Tenant_registry.create ();
     admission = Admission.create ();
   }
 
@@ -173,16 +170,6 @@ let with_dtd ?dtd tree source =
     (match validate_against d tree with
     | Ok () -> Ok (make ~dtd:d tree source)
     | Error msg -> Error msg)
-
-let of_string ?dtd input =
-  match Parser.tree_of_string_res input with
-  | Error msg -> Error ("parse error at " ^ msg)
-  | Ok tree -> with_dtd ?dtd tree (From_string input)
-
-let of_file ?dtd path =
-  match Parser.tree_of_file_res path with
-  | Error msg -> Error msg
-  | Ok tree -> with_dtd ?dtd tree (From_file path)
 
 (* Typed-error constructors: malformed input — a syntax error or a
    document that does not conform to the given DTD — comes back as
@@ -211,121 +198,85 @@ let of_file_robust ?budget ?dtd path =
 let document t = locked t (fun () -> t.tree)
 let dtd t = t.dtd
 
+(* --- principals ------------------------------------------------------------ *)
+
+(* A group is the one principal (paper §2): its policy is an annotated
+   DTD, and its queries are rewritten through the view derived from it.
+   The registry keys every group by its canonical policy key and derives
+   the view at most once per key — groups whose annotations agree after
+   normalization share the derivation, the rewrite and (via the plan
+   cache's policy-key dimension) every compiled plan.  Re-registering the
+   same policy is a no-op that keeps plans warm; moving a group to a new
+   policy, or removing it, retires a key whose last group left: the
+   plans cached under it are generationally invalidated. *)
+let retire t = Option.iter (Plan_cache.invalidate_policy_key t.plan_cache)
+
 let register_policy t ~group policy =
   match t.dtd with
   | None -> Error "engine has no DTD: policies need a schema"
-  | Some d ->
-    if not (Dtd.equal d (Policy.dtd policy)) then
-      Error "policy is defined over a different DTD"
-    else begin
-      (* Derivation is pure and can be slow: run it outside the lock. *)
-      match Derive.derive policy with
-      | exception Derive.Unsupported msg -> Error msg
-      | view ->
-        locked t (fun () ->
-            if not (Hashtbl.mem t.views group) then
-              t.group_order <- t.group_order @ [ group ];
-            Hashtbl.replace t.views group view;
-            (* Plans rewritten through the group's previous view are now
-               answering with the wrong sigma: age them out.  Done while
-               still holding the lock so no query can pair the new view
-               with a plan minted under the old one; a compile already in
-               flight against the old view is fenced separately, by the
-               generation token it captured (see [plan_for]). *)
-            Plan_cache.invalidate_group t.plan_cache group);
-        Log.info (fun m -> m "registered view for group %s" group);
-        Ok ()
-    end
+  | Some d when not (Dtd.equal d (Policy.dtd policy)) ->
+    Error "policy is defined over a different DTD"
+  | Some _ ->
+    (* Derivation happens inside the registry (once per distinct key),
+       outside the engine lock. *)
+    (match Tenant_registry.register t.principals ~tenant:group policy with
+    | exception Derive.Unsupported msg -> Error msg
+    | reg ->
+      retire t reg.Tenant_registry.reg_retired;
+      Log.info (fun m ->
+          m "group %s -> policy key %s%s" group reg.Tenant_registry.reg_key
+            (if reg.Tenant_registry.reg_shared then " (shared)" else ""));
+      Ok ())
 
-(* --- multi-tenant serving -------------------------------------------------- *)
+let remove_policy t ~group =
+  retire t (Tenant_registry.remove t.principals ~tenant:group)
 
-(* A tenant's shared view lives in [views] under a policy-key pseudo
-   group.  The "pk:" namespace cannot collide with user groups coming
-   through the CLI or the registries above: policy keys are hex digests,
-   and the existing group paths never synthesize the prefix. *)
-let pk_group key = "pk:" ^ key
+let view t ~group =
+  Option.map snd (Tenant_registry.lookup t.principals ~tenant:group)
 
-(* Register (or churn) a tenant.  The registry derives the view at most
-   once per canonical policy key — tenants whose annotations agree after
-   normalization share the derivation, the rewrite and (via the cache's
-   policy-key dimension) every compiled plan.  On churn, a key whose
-   last tenant moved away is retired: its shared view is dropped and the
-   plans cached under it are generationally invalidated. *)
-let register_tenant t ~tenant policy =
-  match t.dtd with
-  | None -> Error "engine has no DTD: policies need a schema"
-  | Some d ->
-    if not (Dtd.equal d (Policy.dtd policy)) then
-      Error "policy is defined over a different DTD"
-    else begin
-      (* Derivation happens inside the registry (once per distinct key),
-         outside the engine lock. *)
-      match Tenant_registry.register t.tenants ~tenant policy with
-      | exception Derive.Unsupported msg -> Error msg
-      | reg ->
-        locked t (fun () ->
-            Hashtbl.replace t.views (pk_group reg.Tenant_registry.reg_key)
-              reg.Tenant_registry.reg_view;
-            match reg.Tenant_registry.reg_retired with
-            | None -> ()
-            | Some old ->
-              Hashtbl.remove t.views (pk_group old);
-              Plan_cache.invalidate_policy_key t.plan_cache old);
-        Log.info (fun m ->
-            m "tenant %s -> policy key %s%s" tenant
-              reg.Tenant_registry.reg_key
-              (if reg.Tenant_registry.reg_shared then " (shared)" else ""));
-        Ok reg
-    end
+let view_dtd t ~group = Option.map Derive.view_dtd (view t ~group)
+let tenant_counters t = Tenant_registry.counters t.principals
 
-let remove_tenant t ~tenant =
-  match Tenant_registry.remove t.tenants ~tenant with
-  | None -> ()
-  | Some retired ->
-    locked t (fun () ->
-        Hashtbl.remove t.views (pk_group retired);
-        Plan_cache.invalidate_policy_key t.plan_cache retired)
-
-let tenant_key t ~tenant = Tenant_registry.key_of t.tenants ~tenant
-let tenant_names t = Tenant_registry.tenants t.tenants
-let tenant_counters t = Tenant_registry.counters t.tenants
-
-let set_tenant_budget t ~tenant ~capacity ?refill_per_s () =
-  Admission.set_budget t.admission ~tenant ~capacity ?refill_per_s ()
+let set_admission t ~group ~capacity ?refill_per_s () =
+  Admission.set_budget t.admission ~tenant:group ~capacity ?refill_per_s ()
 
 let admission_counters t = Admission.counters t.admission
 
 (* The throttle error: typed as a budget trip (CLI exit code 3 — the
    resource-exhaustion taxonomy the budget path already speaks), with
    [tenant_throttled] marked in the partial stats. *)
-let throttle_error t tenant =
+let throttle_error t group =
   let stats = Stats.zero () in
   stats.Stats.tenant_throttled <- 1;
   Error.Budget_exceeded
     {
-      what = Printf.sprintf "tenant %s admission tokens" tenant;
+      what = Printf.sprintf "group %s admission tokens" group;
       limit =
-        (match Admission.limit_of t.admission ~tenant with
+        (match Admission.limit_of t.admission ~tenant:group with
         | Some n -> string_of_int n
         | None -> "0");
       partial_stats = Stats.to_assoc stats;
     }
 
-(* Resolve [?tenant] into the effective (group, policy key) pair a query
-   runs under, charging admission on the way: [cost] tokens (one per
-   member query) are consumed before any engine work happens, so a
-   throttled tenant never reaches compile or evaluation. *)
-let tenant_route t ?group ?tenant ~cost () =
-  match tenant with
-  | None -> Ok (group, None)
-  | Some name ->
-    (match Tenant_registry.lookup t.tenants ~tenant:name with
-    | None ->
-      Error (Error.Policy_error (Printf.sprintf "unknown tenant %s" name))
-    | Some (key, _view) ->
-      if Admission.admit ~cost t.admission ~tenant:name then
-        Ok (Some (pk_group key), Some key)
-      else Error (throttle_error t name))
+(* The one resolver: the principal a request runs under, as the view it
+   is rewritten through together with that view's policy key — [None] for
+   an administrative request on the document itself.  Admission is
+   charged on the way: [cost] tokens (one per member query) are consumed
+   before any engine work happens, so a throttled group never reaches
+   compile or evaluation.  Compile and update use the view returned here
+   and never look the group up again, so a concurrent re-registration
+   cannot pair one policy's key with another policy's view. *)
+let unknown_group g = Error.Policy_error (Printf.sprintf "unknown group %s" g)
+
+let principal t ?group ~cost () =
+  match group with
+  | None -> Ok None
+  | Some g ->
+    (match Tenant_registry.lookup t.principals ~tenant:g with
+    | None -> Error (unknown_group g)
+    | Some route ->
+      if Admission.admit ~cost t.admission ~tenant:g then Ok (Some route)
+      else Error (throttle_error t g))
 
 (* Swap the served document under the standing DTD, views and sessions —
    the serving story: policies persist, data rolls over.  The new tree
@@ -345,10 +296,6 @@ let replace_document t tree =
         Plan_cache.invalidate_all t.plan_cache);
     Log.info (fun m -> m "document replaced (%d nodes)" (Tree.n_nodes tree));
     Ok ()
-
-let groups t = locked t (fun () -> t.group_order)
-let view t ~group = locked t (fun () -> Hashtbl.find_opt t.views group)
-let view_dtd t ~group = Option.map Derive.view_dtd (view t ~group)
 
 let build_index t =
   (* Build outside the lock (it is O(document)); publish only if the
@@ -391,41 +338,21 @@ let load_index t path =
 
 (* --- query compilation ---------------------------------------------------- *)
 
-let compile_ast_robust t ?group ?(optimize = true) ?budget path =
-  Result.join
-    (Error.guard (fun () ->
-         Failpoint.trigger "plan.compile";
-         let raw =
-           match group with
-           | None -> Ok (Compile.compile ?budget path)
-           | Some g ->
-             (match view t ~group:g with
-             | None ->
-               Error (Error.Policy_error (Printf.sprintf "unknown group %s" g))
-             | Some v -> Ok (Rewriter.rewrite v path))
-         in
-         Result.map
-           (fun mfa ->
-             let mfa =
-               if optimize then Smoqe_automata.Optimize.optimize mfa else mfa
-             in
-             (* A rewritten view query can be much larger than the text
-                the user typed: re-check the state budget on the final
-                automaton. *)
-             (match budget with
-             | None -> ()
-             | Some b -> Budget.check_states b (Mfa.n_states mfa));
-             mfa)
-           raw))
-
-let compile_query_robust t ?group ?optimize ?budget text =
-  match Rx_parser.path_of_string text with
-  | Error msg -> Error (Error.Query_error msg)
-  | Ok path -> compile_ast_robust t ?group ?optimize ?budget path
-
-let compile_query t ?group ?optimize text =
-  Result.map_error Error.to_string
-    (compile_query_robust t ?group ?optimize text)
+let compile_ast ?view ?(optimize = true) ?budget path =
+  Error.guard (fun () ->
+      Failpoint.trigger "plan.compile";
+      let mfa =
+        match view with
+        | None -> Compile.compile ?budget path
+        | Some v -> Rewriter.rewrite v path
+      in
+      let mfa =
+        if optimize then Smoqe_automata.Optimize.optimize mfa else mfa
+      in
+      (* A rewritten view query can be much larger than the text the user
+         typed: re-check the state budget on the final automaton. *)
+      Option.iter (fun b -> Budget.check_states b (Mfa.n_states mfa)) budget;
+      mfa)
 
 
 (* --- the plan cache ------------------------------------------------------- *)
@@ -501,15 +428,14 @@ let plan_cache_counters t =
    the surviving subset, which a later identical request must not
    inherit).  Explicit [~optimize:false] bypasses the cache (cached plans
    are optimized). *)
-let plan_for t ?group ?policy_key ~mode ~use_index ?optimize ?budget texts =
+let plan_for t ~route ~mode ~use_index ?optimize ?budget texts =
   let cache = t.plan_cache in
   let cacheable = optimize <> Some false && Plan_cache.capacity cache > 0 in
+  (* The policy key, not the group, is the cache dimension: every group
+     sharing the key shares one entry per query. *)
+  let policy_key = Option.map fst route and view = Option.map snd route in
   let key query =
-    (* Under a policy key the key's group component is dropped: every
-       tenant sharing the key shares one entry per query, which is the
-       point — the policy key, not the tenant, is the cache dimension. *)
-    { Plan_cache.group = (if policy_key = None then group else None);
-      policy_key; query; mode = mode_string mode;
+    { Plan_cache.group = None; policy_key; query; mode = mode_string mode;
       use_index = use_index = Some true }
   in
   let probe query =
@@ -574,7 +500,7 @@ let plan_for t ?group ?policy_key ~mode ~use_index ?optimize ?budget texts =
       | None ->
         if cacheable then Plan_cache.record_miss cache;
         (* The compiles below run outside the engine lock, so a concurrent
-           [register_policy]/[replace_document] can invalidate this key
+           policy retirement or [replace_document] can invalidate this key
            mid-flight.  Capture the generation {e before} the compiles
            read the view: if it moves, the conditional [add ~gen] refuses
            the insert and the plan minted under the old view is served
@@ -587,8 +513,7 @@ let plan_for t ?group ?policy_key ~mode ~use_index ?optimize ?budget texts =
           List.filter_map
             (fun k ->
               match
-                compile_ast_robust t ?group ?optimize ?budget
-                  (Hashtbl.find by_key k)
+                compile_ast ?view ?optimize ?budget (Hashtbl.find by_key k)
               with
               | Error e ->
                 Hashtbl.replace member k (Error e);
@@ -633,7 +558,12 @@ let plan_for t ?group ?policy_key ~mode ~use_index ?optimize ?budget texts =
         (slots, Result.map (fun plan -> (plan, false)) plan)
 
 let rewrite_only t ~group ?optimize text =
-  compile_query t ~group ?optimize text
+  match Rx_parser.path_of_string text with
+  | Error msg -> Error (Error.Query_error msg)
+  | Ok path ->
+    (match view t ~group with
+    | None -> Error (unknown_group group)
+    | Some view -> compile_ast ~view ?optimize path)
 
 let answer_xml_one snap n =
   let tree = snap.snap_tree in
@@ -810,10 +740,9 @@ let evaluate snap plan ~mode ?use_index ?budget ?trace () =
    by default one atomic read of the serving state is taken after the
    plan, and the evaluation never looks at the live engine again, so a
    concurrent replace_document or index (re)build cannot tear it. *)
-let run_slots t ?group ?policy_key ?snap ~mode ?use_index ?optimize ?budget
-    ?trace texts =
+let run_slots t ~route ?snap ~mode ?use_index ?optimize ?budget ?trace texts =
   let slots, planned =
-    plan_for t ?group ?policy_key ~mode ~use_index ?optimize ?budget texts
+    plan_for t ~route ~mode ~use_index ?optimize ?budget texts
   in
   let fail e =
     Array.map (function Error own -> Error own | Ok _ -> Error e) slots
@@ -828,10 +757,10 @@ let run_slots t ?group ?policy_key ?snap ~mode ?use_index ?optimize ?budget
       let stats = pass.pass_stats in
       if cached then begin
         stats.Stats.plan_cache_hit <- 1;
-        (* A warm tenant hit is a cross-tenant artifact reuse: the plan
-           lives under the canonical policy key, so whichever tenant
+        (* A warm member hit is a cross-group artifact reuse: the plan
+           lives under the canonical policy key, so whichever group
            compiled it paid for everyone sharing the key. *)
-        if policy_key <> None then stats.Stats.policy_key_hits <- 1
+        if route <> None then stats.Stats.policy_key_hits <- 1
       end;
       (* A pass serving one slot hands over its own counters; several
          slots each get an exact private copy (merge into a zero
@@ -863,41 +792,26 @@ let run_slots t ?group ?policy_key ?snap ~mode ?use_index ?optimize ?budget
 
 (* The admitted entry: one admission token per member query (a batch is N
    queries' worth of work, not one), charged before any engine work. *)
-let serve t ?group ?tenant ?(mode = Dom) ?use_index ?optimize ?budget ?trace
-    texts =
+let serve t ?group ?(mode = Dom) ?use_index ?optimize ?budget ?trace texts =
   let n = List.length texts in
   if n = 0 then ([||], Stats.zero ())
   else
-    match tenant_route t ?group ?tenant ~cost:(float_of_int n) () with
+    match principal t ?group ~cost:(float_of_int n) () with
     | Error e ->
       let aggregate = Stats.zero () in
       (match e with
       | Error.Budget_exceeded _ -> aggregate.Stats.tenant_throttled <- n
       | _ -> ());
       (Array.make n (Error e), aggregate)
-    | Ok (group, policy_key) ->
-      run_slots t ?group ?policy_key ~mode ?use_index ?optimize ?budget ?trace
+    | Ok route ->
+      run_slots t ~route ~mode ?use_index ?optimize ?budget ?trace
         (Array.of_list texts)
 
-let query_robust t ?group ?tenant ?mode ?use_index ?optimize ?budget ?trace
-    text =
-  (fst
-     (serve t ?group ?tenant ?mode ?use_index ?optimize ?budget ?trace
-        [ text ])).(0)
+let query_robust t ?group ?mode ?use_index ?optimize ?budget ?trace text =
+  (fst (serve t ?group ?mode ?use_index ?optimize ?budget ?trace [ text ])).(0)
 
-let query t ?group ?tenant ?mode ?use_index ?optimize ?budget ?trace text =
-  Result.map_error Error.to_string
-    (query_robust t ?group ?tenant ?mode ?use_index ?optimize ?budget ?trace
-       text)
-
-let run_many_robust t ?group ?tenant ?mode ?use_index ?budget texts =
-  serve t ?group ?tenant ?mode ?use_index ?budget texts
-
-let run_many t ?group ?tenant ?mode ?use_index ?budget texts =
-  let results, aggregate =
-    run_many_robust t ?group ?tenant ?mode ?use_index ?budget texts
-  in
-  (Array.map (Result.map_error Error.to_string) results, aggregate)
+let run_many_robust t ?group ?mode ?use_index ?budget texts =
+  serve t ?group ?mode ?use_index ?budget texts
 
 (* --- the secure update path ------------------------------------------------ *)
 
@@ -916,11 +830,10 @@ type update_report = {
    so it can only ever name nodes the view exposes.  Evaluation runs on
    the caller's snapshot: the ids it yields are coordinates of exactly
    the tree the staged pipeline edits. *)
-let resolve_target t ?group ?policy_key snap = function
+let resolve_target t ~route snap = function
   | Update.By_id n -> Ok n
   | Update.By_path text ->
-    (match (fst (run_slots t ?group ?policy_key ~snap ~mode:Dom [| text |])).(0)
-     with
+    (match (fst (run_slots t ~route ~snap ~mode:Dom [| text |])).(0) with
     | Error e -> Error e
     | Ok { answers = [ n ]; _ } -> Ok n
     | Ok { answers; _ } ->
@@ -940,34 +853,17 @@ let resolve_target t ?group ?policy_key snap = function
    If the document moved underneath (a concurrent update or
    [replace_document] won the race), the whole staged pipeline is redone
    from a fresh snapshot rather than patched up. *)
-let update_robust t ?group ?tenant op =
-  match tenant_route t ?group ?tenant ~cost:1. () with
+let update_robust t ?group op =
+  match principal t ?group ~cost:1. () with
   | Error e -> Error e
-  | Ok (group, policy_key) ->
-  let member_view =
-    match group with
-    | None -> Ok None
-    | Some g ->
-      (match view t ~group:g with
-      | None ->
-        Error
-          (Error.Policy_error
-             (match tenant with
-             | Some name -> Printf.sprintf "unknown tenant %s" name
-             | None -> Printf.sprintf "unknown group %s" g))
-      | Some v -> Ok (Some v))
-  in
-  match member_view with
-  | Error e -> Error e
-  | Ok member_view ->
+  | Ok route ->
+    let member_view = Option.map snd route in
     let ( let* ) = Result.bind in
     let rec attempt retries =
       let snap = snapshot t in
       let old_tree = snap.snap_tree in
       let staged =
-        let* target =
-          resolve_target t ?group ?policy_key snap (Update.target_of op)
-        in
+        let* target = resolve_target t ~route snap (Update.target_of op) in
         let r = Update.resolve op target in
         let* () = Update.validate old_tree r in
         let* () =
@@ -1045,9 +941,6 @@ let update_robust t ?group ?tenant op =
     in
     attempt 16
 
-let update t ?group ?tenant op =
-  Result.map_error Error.to_string (update_robust t ?group ?tenant op)
-
 (* --- the multicore serving layer ------------------------------------------- *)
 
 (* Dispatch one query onto the pool.  The task closes over nothing
@@ -1055,22 +948,19 @@ let update t ?group ?tenant op =
    snapshot/lock discipline above; the budget is *made* on the worker so
    its wall-clock deadline starts when evaluation does, and so no Budget
    value is ever shared between two in-flight queries. *)
-let submit t ~pool ?group ?tenant ?mode ?use_index ?optimize ?make_budget
-    text =
-  (* A tenant's tasks ride its own fair-share lane: a hot tenant's
-     backlog delays only itself, untenanted traffic shares the default
-     lane.  Admission is charged on the worker, inside [query_robust]. *)
-  Pool.submit ?lane:tenant pool (fun () ->
+let submit t ~pool ?group ?mode ?use_index ?optimize ?make_budget text =
+  (* A group's tasks ride its own fair-share lane: a hot group's backlog
+     delays only itself, administrative traffic shares the default lane.
+     Admission is charged on the worker, inside [query_robust]. *)
+  Pool.submit ?lane:group pool (fun () ->
       let budget = Option.map (fun mk -> mk ()) make_budget in
-      query_robust t ?group ?tenant ?mode ?use_index ?optimize ?budget text)
+      query_robust t ?group ?mode ?use_index ?optimize ?budget text)
 
-let run_batch t ~pool ?group ?tenant ?mode ?use_index ?optimize ?make_budget
-    texts =
+let run_batch t ~pool ?group ?mode ?use_index ?optimize ?make_budget texts =
   let futures =
     List.map
       (fun text ->
-        submit t ~pool ?group ?tenant ?mode ?use_index ?optimize ?make_budget
-          text)
+        submit t ~pool ?group ?mode ?use_index ?optimize ?make_budget text)
       texts
   in
   (* Await in submission order; queries complete on the workers in any
@@ -1089,8 +979,7 @@ let run_batch t ~pool ?group ?tenant ?mode ?use_index ?optimize ?make_budget
    (and its own batch-plan cache entry), so warm sharded batches still hit
    as long as the shard boundaries are stable — which they are for a fixed
    pool size. *)
-let run_many_pooled t ~pool ?group ?tenant ?mode ?use_index ?make_budget
-    texts =
+let run_many_pooled t ~pool ?group ?mode ?use_index ?make_budget texts =
   let texts = Array.of_list texts in
   let n = Array.length texts in
   if n = 0 then ([||], Stats.zero ())
@@ -1105,10 +994,9 @@ let run_many_pooled t ~pool ?group ?tenant ?mode ?use_index ?make_budget
     in
     let futures =
       List.init shards (fun k ->
-          Pool.submit ?lane:tenant pool (fun () ->
+          Pool.submit ?lane:group pool (fun () ->
               let budget = Option.map (fun mk -> mk ()) make_budget in
-              run_many_robust t ?group ?tenant ?mode ?use_index ?budget
-                (chunk k)))
+              run_many_robust t ?group ?mode ?use_index ?budget (chunk k)))
     in
     let parts = List.map Pool.await futures in
     let aggregate = Stats.zero () in

@@ -3,24 +3,25 @@
 
     A SMOQE instance holds one XML document (with its DTD if given), any
     number of per-group security views (derived automatically from access
-    control policies, paper §2), and an optional TAX index.  Queries are
-    Regular XPath, posed either directly on the document or on a group's
-    virtual view; view queries are rewritten to MFAs on the document and
-    evaluated by HyPE — the view is never materialized.
+    control policies, paper §2), and an optional TAX index.  The user
+    group is the one principal: queries are Regular XPath, posed either
+    directly on the document (no group: administrative access) or on a
+    group's virtual view; view queries are rewritten to MFAs on the
+    document and evaluated by HyPE — the view is never materialized.
 
     {b Totality.}  This façade is guarded: no input — malformed XML, a
     hostile query, an exhausted resource budget or an injected fault —
-    makes any function here raise.  Typed failures are
-    [Smoqe_robust.Error.t] (see {!query_robust}); the [string]-error
-    functions render the same taxonomy.  Two degradations are applied
-    rather than failing, and recorded in [outcome.stats]: an unavailable
-    index downgrades to an unindexed DOM pass ([degraded_no_index]), and a
-    StAX driver failure is retried once in DOM mode
-    ([degraded_stax_retry]).
+    makes any function here raise.  Queries, rewrites and updates fail
+    with the typed taxonomy [Smoqe_robust.Error.t] (see {!query_robust});
+    the administrative operations that return [string] errors render a
+    plain message.  Two degradations are applied rather than failing,
+    and recorded in [outcome.stats]: an unavailable index downgrades to
+    an unindexed DOM pass ([degraded_no_index]), and a StAX driver
+    failure is retried once in DOM mode ([degraded_stax_retry]).
 
     {b Concurrency.}  The query path is domain-safe: any number of
-    domains may call {!query}/{!query_robust} (or {!submit} queries onto
-    a {!Smoqe_exec.Pool}) against one engine concurrently, interleaved
+    domains may call {!query_robust} (or {!submit} queries onto a
+    {!Smoqe_exec.Pool}) against one engine concurrently, interleaved
     with the administrative operations ({!register_policy},
     {!replace_document}, {!build_index}, {!load_index}).  Each query
     atomically snapshots the served {tree, source, index} triple at
@@ -46,24 +47,18 @@ type outcome = {
 
 (** {1 Construction} *)
 
-val of_string : ?dtd:Smoqe_xml.Dtd.t -> string -> (t, string) result
-(** Parse a document from XML text.  With [dtd], the document is validated
-    and policies may be registered.  Errors are returned, never raised. *)
-
-val of_file : ?dtd:Smoqe_xml.Dtd.t -> string -> (t, string) result
-(** Like {!of_string}; error messages carry ["file:line:column:"]. *)
-
 val of_string_robust :
   ?budget:Smoqe_robust.Budget.t ->
   ?dtd:Smoqe_xml.Dtd.t ->
   string ->
   (t, Smoqe_robust.Error.t) result
-(** Like {!of_string}, but failures are the typed taxonomy: malformed
-    input (syntax errors and DTD-validation failures) is
-    [Error.Parse_error] — CLI front-ends exit with
-    [Error.exit_code = 2] on it — and budget/failpoint trips keep their
-    own classes.  With [budget], document *parsing* is bounded too
-    (node count, depth, deadline), returning [Budget_exceeded]. *)
+(** Parse a document from XML text.  With [dtd], the document is
+    validated and policies may be registered.  Malformed input (syntax
+    errors and DTD-validation failures) is [Error.Parse_error] — CLI
+    front-ends exit with [Error.exit_code = 2] on it — and
+    budget/failpoint trips keep their own classes.  With [budget],
+    document *parsing* is bounded too (node count, depth, deadline),
+    returning [Budget_exceeded]. *)
 
 val of_file_robust :
   ?budget:Smoqe_robust.Budget.t ->
@@ -84,65 +79,50 @@ val replace_document : t -> Smoqe_xml.Tree.t -> (unit, string) result
     the plan cache is invalidated wholesale (generation bump, see
     {!section-plan_cache}). *)
 
-(** {1 Security views} *)
+(** {1 Security views}
+
+    A group is registered with its own annotated-DTD policy.  Groups
+    whose annotations agree after normalization
+    ({!Smoqe_security.Policy_key}) share {e one} derived view, one rewrite
+    and — through the plan cache's policy-key dimension — one compiled
+    plan per query.  Per-group token-bucket budgets
+    ({!Smoqe_robust.Admission}) throttle a hot group before any engine
+    work happens ([Budget_exceeded], exit code 3, with [tenant_throttled]
+    marked in the partial stats), and pooled group traffic rides
+    per-group fair-share lanes ({!Smoqe_exec.Pool}). *)
 
 val register_policy :
   t -> group:string -> Smoqe_security.Policy.t -> (unit, string) result
-(** Derive and store the security view for a user group.  Fails if the
-    engine has no DTD, the policy is over a different DTD, or derivation is
-    unsupported. *)
+(** Register (or re-register) a group's policy.  The view is derived only
+    when the canonical policy key is new; re-registering an identical
+    policy changes nothing and keeps the group's plans warm.  A group that
+    moves to a different policy serves through the new key at once; a key
+    whose last group moved away is retired and the plans cached under it
+    are invalidated.  Fails if the engine has no DTD, the policy is over a
+    different DTD, or derivation is unsupported. *)
 
-val groups : t -> string list
+val remove_policy : t -> group:string -> unit
+(** Forget a group: its members' queries and updates fail with
+    [Policy_error] from now on, and its policy key's artifacts are
+    retired if it was the last holder. *)
+
 val view : t -> group:string -> Smoqe_security.Derive.view option
 
 val view_dtd : t -> group:string -> Smoqe_xml.Dtd.t option
 (** The schema exposed to the group's users. *)
 
-(** {1 Multi-tenant serving}
-
-    Tenants are groups at production scale: each tenant registers its
-    own annotated-DTD policy, but tenants whose annotations agree after
-    normalization ({!Smoqe_security.Policy_key}) share {e one} derived
-    view, one rewrite and — through the plan cache's policy-key
-    dimension — one compiled plan per query.  Queries and updates take
-    [?tenant] and run through the tenant's shared view exactly as
-    [?group] traffic runs through a group view; per-tenant token-bucket
-    budgets ({!Smoqe_robust.Admission}) throttle a hot tenant before any
-    engine work happens ([Budget_exceeded], exit code 3, with
-    [tenant_throttled] marked in the partial stats), and pooled tenant
-    traffic rides per-tenant fair-share lanes ({!Smoqe_exec.Pool}). *)
-
-val register_tenant :
-  t ->
-  tenant:string ->
-  Smoqe_security.Policy.t ->
-  (Smoqe_security.Tenant_registry.registration, string) result
-(** Register (or churn) a tenant under a policy.  Derives the view only
-    when the canonical policy key is new — [reg_shared] reports a
-    policy-key hit.  On churn, a key whose last tenant moved away is
-    retired: its view is dropped and plans cached under it are
-    generationally invalidated.  Same failure modes as
-    {!register_policy}. *)
-
-val remove_tenant : t -> tenant:string -> unit
-(** Forget a tenant, retiring its policy key's artifacts if it was the
-    last holder. *)
-
-val tenant_key : t -> tenant:string -> string option
-(** The tenant's canonical policy key, if registered. *)
-
-val tenant_names : t -> string list
 val tenant_counters : t -> (string * int) list
-(** Registry counters: [tenants]/[policy_keys]/[policy_key_hits]/
-    [derivations]/[generation]. *)
+(** Registry counters: [tenants] (registered groups)/[policy_keys]/
+    [policy_key_hits]/[derivations]/[generation]. *)
 
-val set_tenant_budget :
-  t -> tenant:string -> capacity:int -> ?refill_per_s:float -> unit -> unit
-(** Install the tenant's admission token bucket (see
-    {!Smoqe_robust.Admission.set_budget}). *)
+val set_admission :
+  t -> group:string -> capacity:int -> ?refill_per_s:float -> unit -> unit
+(** Install the group's admission token bucket (see
+    {!Smoqe_robust.Admission.set_budget}).  Each member query costs one
+    token. *)
 
 val admission_counters : t -> (string * (int * int)) list
-(** Per-tenant [(admitted, throttled)] admission traffic. *)
+(** Per-group [(admitted, throttled)] admission traffic. *)
 
 (** {1 Indexing} *)
 
@@ -164,15 +144,17 @@ val load_index : t -> string -> (unit, string) result
     than evaluating its linear-size MFA on a modest document — and under
     serving traffic the same queries arrive over and over, from every
     session logged into the engine.  The engine therefore keeps an LRU
-    cache of compiled plans keyed by [(group, canonical query text, mode,
-    use_index)] (see {!Smoqe_plan.Canon} and {!Smoqe_plan.Plan_cache}).  A
-    hit skips parse, rewrite and compile entirely and records
-    [plan_cache_hit = 1] in the outcome's stats; resource budgets are
-    still enforced ([max_states] is re-checked against the cached plan).
-    Re-registering a group's view invalidates that group's plans;
-    {!replace_document} invalidates everything.  A failed compile — error,
-    tripped budget or injected ["plan.compile"] fault — never populates
-    the cache. *)
+    cache of compiled plans keyed by [(policy key, canonical query text,
+    mode, use_index)] (see {!Smoqe_plan.Canon} and
+    {!Smoqe_plan.Plan_cache}); administrative queries have no policy key.
+    A hit skips parse, rewrite and compile entirely and records
+    [plan_cache_hit = 1] in the outcome's stats (and [policy_key_hits = 1]
+    for a member query); resource budgets are still enforced
+    ([max_states] is re-checked against the cached plan).  Groups with
+    equal policies share plans; retiring a policy key invalidates its
+    plans; {!replace_document} invalidates everything.  A failed compile
+    — error, tripped budget or injected ["plan.compile"] fault — never
+    populates the cache. *)
 
 val set_plan_cache_capacity : t -> int -> unit
 (** Bound the number of cached plans (default 128).  Shrinking evicts in
@@ -186,32 +168,9 @@ val plan_cache_counters : t -> (string * int) list
 
 (** {1 Querying} *)
 
-val query :
-  t ->
-  ?group:string ->
-  ?tenant:string ->
-  ?mode:mode ->
-  ?use_index:bool ->
-  ?optimize:bool ->
-  ?budget:Smoqe_robust.Budget.t ->
-  ?trace:Smoqe_hype.Trace.t ->
-  string ->
-  (outcome, string) result
-(** Answer a Regular XPath query.  Without [group], the query runs
-    directly on the document; with [group], it is first rewritten through
-    the group's view.  [use_index] (default [true] when an index exists)
-    enables TAX pruning in [Dom] mode; [optimize] (default [true]) runs
-    the MFA optimizer before evaluation.  [budget] bounds compilation and
-    evaluation (see {!Smoqe_robust.Budget}).  Evaluation runs on the
-    table-driven engine; in [Dom] mode the frozen specialization rides
-    the compiled plan and warm repeats skip it.  A query is a batch of
-    one: this is slot 0 of the {!run_many_robust} pipeline (see
-    {!section-batch}), rendered with [Smoqe_robust.Error.to_string]. *)
-
 val query_robust :
   t ->
   ?group:string ->
-  ?tenant:string ->
   ?mode:mode ->
   ?use_index:bool ->
   ?optimize:bool ->
@@ -219,16 +178,27 @@ val query_robust :
   ?trace:Smoqe_hype.Trace.t ->
   string ->
   (outcome, Smoqe_robust.Error.t) result
-(** The typed-error form of {!query}.  Guaranteed total: every library
-    exception is caught at this boundary and classified.  A tripped budget
-    returns [Budget_exceeded] carrying the partial evaluation counters. *)
+(** Answer a Regular XPath query.  Without [group], the query runs
+    directly on the document; with [group], it is first rewritten through
+    the group's view (an unregistered group is [Policy_error]) and one
+    admission token is charged.  [use_index] (default [true] when an
+    index exists) enables TAX pruning in [Dom] mode; [optimize] (default
+    [true]) runs the MFA optimizer before evaluation.  [budget] bounds
+    compilation and evaluation (see {!Smoqe_robust.Budget}); a tripped
+    budget returns [Budget_exceeded] carrying the partial evaluation
+    counters.  Evaluation runs on the table-driven engine; in [Dom] mode
+    the frozen specialization rides the compiled plan and warm repeats
+    skip it.  A query is a batch of one: this is slot 0 of the
+    {!run_many_robust} pipeline (see {!section-batch}).  Guaranteed
+    total: every library exception is caught at this boundary and
+    classified. *)
 
 val rewrite_only :
   t ->
   group:string ->
   ?optimize:bool ->
   string ->
-  (Smoqe_automata.Mfa.t, string) result
+  (Smoqe_automata.Mfa.t, Smoqe_robust.Error.t) result
 (** Just the rewriting step — what iSMOQE visualizes (paper Fig. 4). *)
 
 (** {1 Secure updates}
@@ -270,7 +240,6 @@ type update_report = {
 val update_robust :
   t ->
   ?group:string ->
-  ?tenant:string ->
   Smoqe_update.Update.op ->
   (update_report, Smoqe_robust.Error.t) result
 (** Apply one update.  Without [group] the caller is administrative and
@@ -282,14 +251,6 @@ val update_robust :
     the staged pipeline redoes itself from a fresh snapshot when it
     loses the publish race. *)
 
-val update :
-  t ->
-  ?group:string ->
-  ?tenant:string ->
-  Smoqe_update.Update.op ->
-  (update_report, string) result
-(** {!update_robust} with rendered errors. *)
-
 (** {1:batch One pipeline for one query and for many}
 
     Every request — a single query, a batch, an update's target path —
@@ -300,7 +261,8 @@ val update :
     Plan acquisition collapses identical texts, and canonically equal
     ones (see {!Smoqe_plan.Canon}), onto one member.  {b One distinct
     member is a single query}: it is cached under the single-query key
-    and never merged, so [run_many [q]] and [query q] share one plan.
+    and never merged, so [run_many_robust [q]] and [query_robust q] share
+    one plan.
     Two or more distinct members are compiled and merged
     prefix-sharing-style into a single combined NFA with per-query accept
     sets ({!Smoqe_automata.Shared}); the merged automaton rides the same
@@ -316,7 +278,6 @@ val update :
 val run_many_robust :
   t ->
   ?group:string ->
-  ?tenant:string ->
   ?mode:mode ->
   ?use_index:bool ->
   ?budget:Smoqe_robust.Budget.t ->
@@ -335,17 +296,6 @@ val run_many_robust :
     member's compile and the {e single} traversal (a trip fails the whole
     batch — the shared pass is all-or-nothing).  Per-query [trace] is not
     available on the batch path. *)
-
-val run_many :
-  t ->
-  ?group:string ->
-  ?tenant:string ->
-  ?mode:mode ->
-  ?use_index:bool ->
-  ?budget:Smoqe_robust.Budget.t ->
-  string list ->
-  (outcome, string) result array * Smoqe_hype.Stats.t
-(** {!run_many_robust} with rendered errors. *)
 
 (** {1 Multicore serving}
 
@@ -366,7 +316,6 @@ val submit :
   t ->
   pool:Smoqe_exec.Pool.t ->
   ?group:string ->
-  ?tenant:string ->
   ?mode:mode ->
   ?use_index:bool ->
   ?optimize:bool ->
@@ -374,7 +323,8 @@ val submit :
   string ->
   (outcome, Smoqe_robust.Error.t) result Smoqe_exec.Pool.future
 (** Enqueue one query; the future resolves to exactly what
-    {!query_robust} would have returned.  Tasks are total — awaiting
+    {!query_robust} would have returned.  A group's tasks ride the
+    group's own fair-share lane.  Tasks are total — awaiting
     never raises.  ([trace] is deliberately absent: a trace sink is
     single-query scratch state, meaningless to share across workers.) *)
 
@@ -382,7 +332,6 @@ val run_batch :
   t ->
   pool:Smoqe_exec.Pool.t ->
   ?group:string ->
-  ?tenant:string ->
   ?mode:mode ->
   ?use_index:bool ->
   ?optimize:bool ->
@@ -399,7 +348,6 @@ val run_many_pooled :
   t ->
   pool:Smoqe_exec.Pool.t ->
   ?group:string ->
-  ?tenant:string ->
   ?mode:mode ->
   ?use_index:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->

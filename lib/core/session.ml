@@ -26,9 +26,9 @@ let schema t =
 
 (* The group a session's queries run through: none for admins (the
    document itself), the member's own for members — resolved from the
-   role, so a member can never sidestep their view, and captured before
-   any pool submission, so a worker only ever evaluates through the view
-   this session was granted. *)
+   role, so a member can never sidestep their view.  The engine resolves
+   the group on every request: once the group's policy is removed, its
+   members' sessions fail with [Policy_error]. *)
 let group t = match t.role with Admin -> None | Member g -> Some g
 
 let run_robust t ?mode ?use_index ?budget ?trace text =
@@ -39,26 +39,12 @@ let run_robust t ?mode ?use_index ?budget ?trace text =
          Engine.query_robust t.engine ?group:(group t) ?mode ?use_index
            ?budget ?trace text))
 
-let run t ?mode ?use_index ?budget ?trace text =
-  Result.map_error Error.to_string
-    (run_robust t ?mode ?use_index ?budget ?trace text)
-
 (* The write path under the session's rights: admins update the document
    directly (structural and DTD checks only), members go through their
    group's view-legality checks. *)
 let update_robust t op =
   Result.join
     (Error.guard (fun () -> Engine.update_robust t.engine ?group:(group t) op))
-
-let update t op = Result.map_error Error.to_string (update_robust t op)
-
-let submit t ~pool ?mode ?use_index ?make_budget text =
-  Engine.submit t.engine ~pool ?group:(group t) ?mode ?use_index ?make_budget
-    text
-
-let run_batch t ~pool ?mode ?use_index ?make_budget texts =
-  Engine.run_batch t.engine ~pool ?group:(group t) ?mode ?use_index
-    ?make_budget texts
 
 let run_many_robust t ?mode ?use_index ?budget texts =
   match
@@ -69,14 +55,6 @@ let run_many_robust t ?mode ?use_index ?budget texts =
   | Ok r -> r
   | Error e ->
     (Array.make (List.length texts) (Error e), Smoqe_hype.Stats.zero ())
-
-let run_many t ?mode ?use_index ?budget texts =
-  let results, aggregate = run_many_robust t ?mode ?use_index ?budget texts in
-  (Array.map (Result.map_error Error.to_string) results, aggregate)
-
-let run_many_pooled t ~pool ?mode ?use_index ?make_budget texts =
-  Engine.run_many_pooled t.engine ~pool ?group:(group t) ?mode ?use_index
-    ?make_budget texts
 
 let can_access_document t =
   match t.role with Admin -> true | Member _ -> false

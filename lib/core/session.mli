@@ -22,25 +22,6 @@ val schema : t -> Smoqe_xml.Dtd.t option
 (** What the user is allowed to know about the data's shape: the document
     DTD for admins, the view DTD for members. *)
 
-val run :
-  t ->
-  ?mode:Engine.mode ->
-  ?use_index:bool ->
-  ?budget:Smoqe_robust.Budget.t ->
-  ?trace:Smoqe_hype.Trace.t ->
-  string ->
-  (Engine.outcome, string) result
-(** Answer a query under the session's rights.  Total: any failure —
-    malformed input, budget exhaustion, injected fault — is an [Error],
-    never an exception (see {!Engine.query}).
-
-    Sessions share their engine's compiled-plan cache: when many group
-    members pose the same (canonically equal) query, only the first pays
-    for rewriting and compilation; later runs are served the cached MFA
-    with [stats.plan_cache_hit = 1].  Rights are unaffected — the cache
-    key includes the group, so a member can only ever hit plans rewritten
-    through their own view. *)
-
 val run_robust :
   t ->
   ?mode:Engine.mode ->
@@ -49,7 +30,17 @@ val run_robust :
   ?trace:Smoqe_hype.Trace.t ->
   string ->
   (Engine.outcome, Smoqe_robust.Error.t) result
-(** The typed-error form of {!run}. *)
+(** Answer a query under the session's rights.  Total: any failure —
+    malformed input, budget exhaustion, injected fault — is an [Error],
+    never an exception (see {!Engine.query_robust}).  A member whose
+    group's policy has been removed gets [Policy_error].
+
+    Sessions share their engine's compiled-plan cache: when many group
+    members pose the same (canonically equal) query, only the first pays
+    for rewriting and compilation; later runs are served the cached MFA
+    with [stats.plan_cache_hit = 1].  Rights are unaffected — the cache
+    key is the policy key of the view, so a member can only ever hit
+    plans rewritten through a view equal to their own. *)
 
 val update_robust :
   t ->
@@ -62,51 +53,6 @@ val update_robust :
     node, or changing the visibility of an unrelated one, is
     [Error.Update_denied] and the document is untouched. *)
 
-val update :
-  t ->
-  Smoqe_update.Update.op ->
-  (Engine.update_report, string) result
-(** {!update_robust} with rendered errors. *)
-
-val submit :
-  t ->
-  pool:Smoqe_exec.Pool.t ->
-  ?mode:Engine.mode ->
-  ?use_index:bool ->
-  ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  string ->
-  (Engine.outcome, Smoqe_robust.Error.t) result Smoqe_exec.Pool.future
-(** {!run_robust}, dispatched onto a domain pool (see {!Engine.submit}).
-    Many sessions may submit onto the same pool concurrently — this is
-    the serving configuration: one engine, one pool, a session per user.
-    The session's group is captured at submission, so concurrent
-    re-registration of the view affects which {e plans} are served, never
-    {e whose} view a query runs through. *)
-
-val run_batch :
-  t ->
-  pool:Smoqe_exec.Pool.t ->
-  ?mode:Engine.mode ->
-  ?use_index:bool ->
-  ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  string list ->
-  (Engine.outcome, Smoqe_robust.Error.t) result list * Smoqe_hype.Stats.t
-(** Submit all, await all, in submission order, with the aggregated
-    statistics of the successful runs (see {!Engine.run_batch}). *)
-
-val run_many :
-  t ->
-  ?mode:Engine.mode ->
-  ?use_index:bool ->
-  ?budget:Smoqe_robust.Budget.t ->
-  string list ->
-  (Engine.outcome, string) result array * Smoqe_hype.Stats.t
-(** Answer a whole batch in one shared-automaton document pass under the
-    session's rights (see {!Engine.run_many_robust}): member automata are
-    merged prefix-sharing-style, duplicates collapse onto one accept set,
-    and the merged plan is cached per group — a member can only ever hit
-    batch plans rewritten through their own view. *)
-
 val run_many_robust :
   t ->
   ?mode:Engine.mode ->
@@ -114,17 +60,10 @@ val run_many_robust :
   ?budget:Smoqe_robust.Budget.t ->
   string list ->
   (Engine.outcome, Smoqe_robust.Error.t) result array * Smoqe_hype.Stats.t
-(** The typed-error form of {!run_many}. *)
-
-val run_many_pooled :
-  t ->
-  pool:Smoqe_exec.Pool.t ->
-  ?mode:Engine.mode ->
-  ?use_index:bool ->
-  ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  string list ->
-  (Engine.outcome, Smoqe_robust.Error.t) result array * Smoqe_hype.Stats.t
-(** The batch sharded across a pool, one shared pass per worker (see
-    {!Engine.run_many_pooled}). *)
+(** Answer a whole batch in one shared-automaton document pass under the
+    session's rights (see {!Engine.run_many_robust}): member automata are
+    merged prefix-sharing-style, duplicates collapse onto one accept set,
+    and the merged plan is cached per policy key — a member can only ever
+    hit batch plans rewritten through a view equal to their own. *)
 
 val can_access_document : t -> bool

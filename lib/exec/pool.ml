@@ -9,7 +9,7 @@
 
    Scheduling is fair-share across *lanes*: every task is submitted to a
    lane (the default lane when the caller names none; one lane per
-   tenant in the multi-tenant engine), each lane keeps its own FIFO, and
+   user group in the engine), each lane keeps its own FIFO, and
    workers pick lanes round-robin, one task per turn.  A lane that
    floods the pool therefore delays only its own queue — other lanes
    keep their one-task-per-turn service rate no matter how deep the hot

@@ -58,7 +58,7 @@ val submit : ?lane:string -> t -> (unit -> 'a) -> 'a future
     [~lane] names the fair-share lane (default: one shared lane — the
     pre-lane FIFO behavior).  Each lane is a FIFO of its own; workers
     serve non-empty lanes round-robin, one task per turn, so a lane that
-    floods the pool — a hot tenant — delays only its own backlog while
+    floods the pool — a hot group — delays only its own backlog while
     every other lane keeps its service rate.  Backpressure is global:
     a full pool blocks every submitter regardless of lane. *)
 

@@ -4,12 +4,12 @@
    The corpus generator below (graduated from lib/workload) builds the
    heterogeneous "federated corporation" documents; the serving half
    shards a corpus across engines, fans queries out through the domain
-   pool, and merges per-shard answers and statistics.  Policies and
-   tenants are registered on every shard, so each shard rewrites and
-   evaluates through the same shared policy-key artifacts; admission is
-   federation-level — one token bucket per tenant for the whole
+   pool, and merges per-shard answers and statistics.  Policies are
+   registered on every shard, so each shard rewrites and evaluates
+   through the same shared policy-key artifacts; admission is
+   federation-level — one token bucket per group for the whole
    federation, never per shard, so fanning out wider does not multiply a
-   tenant's bill. *)
+   group's bill. *)
 
 module Dtd = Smoqe_xml.Dtd
 module Tree = Smoqe_xml.Tree
@@ -194,16 +194,13 @@ let fan_admin t f =
       | Ok (), Ok _ -> Ok ())
     (Ok ()) t.shards
 
+(* Every shard holds the shared artifacts for the group's key; the
+   per-shard registries agree because the key is a content hash. *)
 let register_policy t ~group policy =
   fan_admin t (fun e -> Engine.register_policy e ~group policy)
 
-let register_tenant t ~tenant policy =
-  (* Every shard holds the shared artifacts for the tenant's key; the
-     per-shard registries agree because the key is a content hash. *)
-  fan_admin t (fun e -> Engine.register_tenant e ~tenant policy)
-
-let set_tenant_budget t ~tenant ~capacity ?refill_per_s () =
-  Admission.set_budget t.admission ~tenant ~capacity ?refill_per_s ()
+let set_admission t ~group ~capacity ?refill_per_s () =
+  Admission.set_budget t.admission ~tenant:group ~capacity ?refill_per_s ()
 
 let admission_counters t = Admission.counters t.admission
 
@@ -211,14 +208,14 @@ let tenant_counters t =
   (* The registries are replicas: shard 0 speaks for the federation. *)
   if Array.length t.shards = 0 then [] else Engine.tenant_counters t.shards.(0)
 
-let throttle_error t tenant =
+let throttle_error t group =
   let stats = Stats.zero () in
   stats.Stats.tenant_throttled <- 1;
   Error.Budget_exceeded
     {
-      what = Printf.sprintf "tenant %s admission tokens" tenant;
+      what = Printf.sprintf "group %s admission tokens" group;
       limit =
-        (match Admission.limit_of t.admission ~tenant with
+        (match Admission.limit_of t.admission ~tenant:group with
         | Some n -> string_of_int n
         | None -> "0");
       partial_stats = Stats.to_assoc stats;
@@ -226,12 +223,12 @@ let throttle_error t tenant =
 
 (* Federation-level admission: one token per member query for the whole
    scatter, charged before any shard sees work. *)
-let admit t ?tenant ~cost () =
-  match tenant with
+let admit t ?group ~cost () =
+  match group with
   | None -> Ok ()
-  | Some name ->
-    if Admission.admit ~cost t.admission ~tenant:name then Ok ()
-    else Error (throttle_error t name)
+  | Some g ->
+    if Admission.admit ~cost t.admission ~tenant:g then Ok ()
+    else Error (throttle_error t g)
 
 (* A federated answer: per-shard node ids (ids are shard-local
    coordinates) plus the concatenated serialized fragments, in shard
@@ -267,12 +264,11 @@ let first_error results =
    shared-automaton pass ([run_many] batching within the shard), then
    member answers merge across shards.  A member that fails on any shard
    fails with that shard's error; the rest of the batch is unaffected. *)
-let run_many_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget
-    texts =
+let run_many_robust t ~pool ?group ?mode ?use_index ?make_budget texts =
   let n = List.length texts in
   if n = 0 then ([||], Stats.zero ())
   else
-  match admit t ?tenant ~cost:(float_of_int n) () with
+  match admit t ?group ~cost:(float_of_int n) () with
   | Error e ->
     let aggregate = Stats.zero () in
     (match e with
@@ -285,10 +281,9 @@ let run_many_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget
         (fun e ->
           (* shard engines keep unlimited admission: the federation
              already charged every member once *)
-          Pool.submit ?lane:tenant pool (fun () ->
+          Pool.submit ?lane:group pool (fun () ->
               let budget = Option.map (fun mk -> mk ()) make_budget in
-              Engine.run_many_robust e ?group ?tenant ?mode ?use_index ?budget
-                texts))
+              Engine.run_many_robust e ?group ?mode ?use_index ?budget texts))
         t.shards
     in
     let parts = Array.map Pool.await futures in
@@ -313,7 +308,7 @@ let run_many_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget
     in
     (merged, aggregate)
 
-let query_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget text =
+let query_robust t ~pool ?group ?mode ?use_index ?make_budget text =
   (fst
-     (run_many_robust t ~pool ?group ?tenant ?mode ?use_index ?make_budget
-        [ text ])).(0)
+     (run_many_robust t ~pool ?group ?mode ?use_index ?make_budget [ text ]))
+    .(0)

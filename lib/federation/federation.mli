@@ -9,13 +9,13 @@
     one federated result with [shard_fanout] recording the scatter
     width.
 
-    Policies and tenants are registered on {e every} shard — the
-    canonical policy key ({!Smoqe_security.Policy_key}) is a content
-    hash, so the per-shard registries agree and cross-tenant artifact
-    sharing works identically on each slice.  Tenant admission is
-    {e federation-level}: one token bucket per tenant for the whole
-    federation, charged once per member query before any shard sees
-    work, so a wider fan-out never multiplies a tenant's bill.
+    Policies are registered on {e every} shard — the canonical policy
+    key ({!Smoqe_security.Policy_key}) is a content hash, so the
+    per-shard registries agree and cross-group artifact sharing works
+    identically on each slice.  Group admission is {e federation-level}:
+    one token bucket per group for the whole federation, charged once
+    per member query before any shard sees work, so a wider fan-out
+    never multiplies a group's bill.
 
     The module also carries the federated-corporation workload generator
     (graduated from [lib/workload]) used by bench [e3]/[e18] and the
@@ -85,20 +85,14 @@ val register_policy :
     even after a failure (no silently half-registered federation); the
     first error is returned. *)
 
-val register_tenant :
-  t -> tenant:string -> Smoqe_security.Policy.t -> (unit, string) result
-(** Fan the tenant registration to every shard (same first-error
-    contract as {!register_policy}).  Shards sharing a policy key share
-    artifacts independently on each slice. *)
-
-val set_tenant_budget :
-  t -> tenant:string -> capacity:int -> ?refill_per_s:float -> unit -> unit
-(** Install the tenant's {e federation-level} admission bucket.  Shard
+val set_admission :
+  t -> group:string -> capacity:int -> ?refill_per_s:float -> unit -> unit
+(** Install the group's {e federation-level} admission bucket.  Shard
     engines keep unlimited admission — the federation charges once per
     member query, before scattering. *)
 
 val admission_counters : t -> (string * (int * int)) list
-(** Per-tenant [(admitted, throttled)] at the federation gate. *)
+(** Per-group [(admitted, throttled)] at the federation gate. *)
 
 val tenant_counters : t -> (string * int) list
 (** Registry counters from shard 0 (the registries are replicas). *)
@@ -117,15 +111,14 @@ val query_robust :
   t ->
   pool:Smoqe_exec.Pool.t ->
   ?group:string ->
-  ?tenant:string ->
   ?mode:Smoqe.Engine.mode ->
   ?use_index:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
   string ->
   (fed_outcome, Smoqe_robust.Error.t) result
 (** Slot 0 of a one-element {!run_many_robust}: scatter one query to
-    every shard via the pool (per-tenant lanes apply, see
-    {!Smoqe_exec.Pool.submit}), gather and merge.  A tenant whose bucket
+    every shard via the pool (per-group lanes apply, see
+    {!Smoqe_exec.Pool.submit}), gather and merge.  A group whose bucket
     is dry is throttled before any shard work ([Budget_exceeded] with
     [tenant_throttled] in the partial stats); any shard failure fails the
     query with that shard's error. *)
@@ -134,7 +127,6 @@ val run_many_robust :
   t ->
   pool:Smoqe_exec.Pool.t ->
   ?group:string ->
-  ?tenant:string ->
   ?mode:Smoqe.Engine.mode ->
   ?use_index:bool ->
   ?make_budget:(unit -> Smoqe_robust.Budget.t) ->

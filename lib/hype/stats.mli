@@ -45,10 +45,11 @@ type t = {
   mutable accept_width : int;
       (** widest per-state owner set among the batch accept states *)
   mutable policy_key_hits : int;
-      (** tenant registrations/lookups served from shared artifacts under
-          an already-derived canonical policy key (derivation skipped) *)
+      (** member queries served a cached plan compiled under the view's
+          canonical policy key — by this group or another group with an
+          equal policy (rewrite and compile skipped) *)
   mutable tenant_throttled : int;
-      (** queries rejected by per-tenant admission control (token bucket
+      (** queries rejected by per-group admission control (token bucket
           empty); in an aggregate, the count of throttled queries *)
   mutable shard_fanout : int;
       (** engine shards this answer was scatter-gathered across (0 for a

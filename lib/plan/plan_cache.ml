@@ -19,7 +19,6 @@ type 'plan entry = {
   plan : 'plan;
   scope : scope;
   g_global : int;  (* global generation at insertion *)
-  g_group : int;  (* the group's generation at insertion; 0 for [None] *)
   g_pkey : int;  (* the policy key's generation at insertion; 0 for [None] *)
   mutable stamp : int;  (* recency; larger = more recently used *)
 }
@@ -37,7 +36,6 @@ type 'plan t = {
   table : (key, 'plan entry) Hashtbl.t;
   mutable tick : int;
   mutable gen_global : int;
-  gen_groups : (string, int) Hashtbl.t;
   gen_pkeys : (string, int) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
@@ -55,7 +53,6 @@ let create ?(capacity = 128) () =
     table = Hashtbl.create 64;
     tick = 0;
     gen_global = 0;
-    gen_groups = Hashtbl.create 4;
     gen_pkeys = Hashtbl.create 4;
     hits = 0;
     misses = 0;
@@ -66,13 +63,12 @@ let create ?(capacity = 128) () =
 
 let locked t f = Mutex.protect t.lock f
 
-(* A generation token: the (global, group) generation pair a caller
+(* A generation token: the (global, policy key) generation pair a caller
    captured before starting a compile.  [add ~gen] refuses to insert when
    either component has moved — the plan was minted against state
    (a view, a document) that is no longer the one being served. *)
 type gen = {
   snap_global : int;
-  snap_group : int;
   snap_pkey : int;
 }
 
@@ -81,17 +77,12 @@ let length t = locked t (fun () -> Hashtbl.length t.table)
 
 (* --- internals; caller holds [lock] -------------------------------------- *)
 
-let group_gen t = function
-  | None -> 0
-  | Some g -> Option.value (Hashtbl.find_opt t.gen_groups g) ~default:0
-
 let pkey_gen t = function
   | None -> 0
   | Some k -> Option.value (Hashtbl.find_opt t.gen_pkeys k) ~default:0
 
 let current t key entry =
   entry.g_global = t.gen_global
-  && entry.g_group = group_gen t key.group
   && entry.g_pkey = pkey_gen t key.policy_key
 
 let touch t entry =
@@ -142,8 +133,7 @@ let record_miss t =
 
 let generation t key =
   locked t (fun () ->
-      { snap_global = t.gen_global; snap_group = group_gen t key.group;
-        snap_pkey = pkey_gen t key.policy_key })
+      { snap_global = t.gen_global; snap_pkey = pkey_gen t key.policy_key })
 
 let add t ?gen ?(scope = All_tags) key plan =
   if Atomic.get t.enabled then
@@ -154,7 +144,6 @@ let add t ?gen ?(scope = All_tags) key plan =
             | None -> true
             | Some g ->
               g.snap_global = t.gen_global
-              && g.snap_group = group_gen t key.group
               && g.snap_pkey = pkey_gen t key.policy_key
           in
           if not fresh then
@@ -168,7 +157,6 @@ let add t ?gen ?(scope = All_tags) key plan =
               done;
             let entry =
               { plan; scope; g_global = t.gen_global;
-                g_group = group_gen t key.group;
                 g_pkey = pkey_gen t key.policy_key; stamp = 0 }
             in
             touch t entry;
@@ -186,10 +174,6 @@ let set_capacity t n =
         while Hashtbl.length t.table > n do
           evict_one t
         done)
-
-let invalidate_group t group =
-  locked t (fun () ->
-      Hashtbl.replace t.gen_groups group (1 + group_gen t (Some group)))
 
 let invalidate_policy_key t pkey =
   locked t (fun () ->

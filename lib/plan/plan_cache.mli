@@ -2,17 +2,18 @@
 
     SMOQE's rewriter emits a linear-size MFA precisely so a query can be
     compiled once and evaluated many times; this cache is where "once"
-    becomes true for a serving engine.  Plans are keyed by the user group
-    (views rewrite per group), the {e canonical} query text
-    ({!Canon.to_key}), the evaluation mode and the index flag, and evicted
-    in least-recently-used order under a capacity knob.
+    becomes true for a serving engine.  Plans are keyed by the canonical
+    policy key of the view they were rewritten through (views rewrite per
+    policy, and groups whose policies agree share one), the {e canonical}
+    query text ({!Canon.to_key}), the evaluation mode and the index flag,
+    and evicted in least-recently-used order under a capacity knob.
 
-    {b Invalidation is generational}, not eager: re-registering a group's
-    view bumps that group's generation, replacing the document bumps the
-    global one, and entries minted under an older generation are dropped
-    lazily on lookup.  Invalidation therefore costs O(1) no matter how
-    many plans a hot group has accumulated — the stale entries age out of
-    the LRU like any other cold plan.
+    {b Invalidation is generational}, not eager: retiring a policy key
+    bumps that key's generation, replacing the document bumps the global
+    one, and entries minted under an older generation are dropped lazily
+    on lookup.  Invalidation therefore costs O(1) no matter how many plans
+    a hot policy has accumulated — the stale entries age out of the LRU
+    like any other cold plan.
 
     A capacity of [0] disables the cache entirely: probes miss without
     recording traffic and insertion is a no-op.
@@ -43,12 +44,16 @@
     being bumped under the lock. *)
 
 type key = {
-  group : string option;  (** [None]: the query runs directly on the document *)
+  group : string option;
+      (** a plain partition of the key space, with no invalidation of its
+          own: the engine keys plans by policy key and always leaves this
+          [None]; kept for callers that replay the cache outside the
+          engine *)
   policy_key : string option;
-      (** canonical policy key ({!Smoqe_security.Policy_key}) for
-          multi-tenant serving: tenants whose policies normalize to the
-          same key share one cache entry per query instead of per-tenant
-          duplicates.  [None] for the classic per-group path. *)
+      (** canonical policy key ({!Smoqe_security.Policy_key}) of the view
+          the plan was rewritten through: groups whose policies normalize
+          to the same key share one cache entry per query.  [None]: the
+          query runs directly on the document. *)
   query : string;  (** canonical text, {!Canon.to_key} *)
   mode : string;  (** ["dom"] | ["stax"] *)
   use_index : bool;
@@ -91,8 +96,8 @@ val record_miss : _ t -> unit
 (** Count one compile forced by a cache miss.  No-op when disabled. *)
 
 type gen
-(** A generation token: the key's (global, group, policy-key) generation
-    triple at the moment {!generation} was called. *)
+(** A generation token: the key's (global, policy-key) generation pair at
+    the moment {!generation} was called. *)
 
 val generation : _ t -> key -> gen
 (** Capture the key's current generations.  Call {e before} reading the
@@ -108,17 +113,14 @@ val add : 'plan t -> ?gen:gen -> ?scope:scope -> key -> 'plan -> unit
     current.  [~scope] (default [All_tags]) declares the entry's tag
     scope for {!invalidate_tags}.  No-op when disabled. *)
 
-val invalidate_group : _ t -> string -> unit
-(** The group's view changed: every plan rewritten through it is stale. *)
-
 val invalidate_policy_key : _ t -> string -> unit
 (** The shared artifacts under this canonical policy key were retired
-    (its last tenant churned away): every plan cached under the key is
-    stale.  Generational, like {!invalidate_group}. *)
+    (its last group moved away or was removed): every plan cached under
+    the key is stale. *)
 
 val invalidate_all : _ t -> unit
 (** The document (or everything) changed: all plans are stale.  Direct
-    (group-less) plans are only invalidated here — they do not depend on
+    (view-less) plans are only invalidated here — they do not depend on
     any view. *)
 
 val invalidate_tags : _ t -> string list -> int

@@ -1,5 +1,5 @@
 (* Canonical policy keys: the Plan_cache.Canon trick lifted from queries
-   to whole policies.  Two tenants whose annotation structures agree
+   to whole policies.  Two groups whose annotation structures agree
    after normalization hash to the same key and can share one derived
    view spec, one rewrite and one compiled plan.
 

@@ -3,10 +3,10 @@
 
     Policies that agree after normalization (annotation order is
     irrelevant; qualifiers compare by their deterministic pretty-printed
-    form) map to the same key, so multi-tenant layers can share derived
-    views, rewrites and compiled plans across tenants whose policies
-    coincide.  Keys include the DTD root: equal annotation lists over
-    different document types never collide. *)
+    form) map to the same key, so the engine can share derived views,
+    rewrites and compiled plans across groups whose policies coincide.
+    Keys include the DTD root: equal annotation lists over different
+    document types never collide. *)
 
 val canonical_text : Policy.t -> string
 (** The normalized byte rendering that is hashed — exposed for tests and

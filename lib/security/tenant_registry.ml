@@ -15,7 +15,6 @@
    the caller with the registry unchanged. *)
 
 type shared = {
-  sh_policy : Policy.t;
   sh_view : Derive.view;
   mutable sh_refs : int;
 }
@@ -80,8 +79,7 @@ let register t ~tenant policy =
             (true, sh.sh_view)
           | None ->
             let view = Derive.derive policy in
-            Hashtbl.replace t.artifacts key
-              { sh_policy = policy; sh_view = view; sh_refs = 1 };
+            Hashtbl.replace t.artifacts key { sh_view = view; sh_refs = 1 };
             t.derivations <- t.derivations + 1;
             t.generation <- t.generation + 1;
             (false, view)
@@ -109,30 +107,6 @@ let lookup t ~tenant =
         (match Hashtbl.find_opt t.artifacts key with
         | None -> None
         | Some sh -> Some (key, sh.sh_view)))
-
-let key_of t ~tenant =
-  Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.tenants tenant)
-
-let policy_of t ~tenant =
-  Mutex.protect t.lock (fun () ->
-      match Hashtbl.find_opt t.tenants tenant with
-      | None -> None
-      | Some key ->
-        Option.map (fun sh -> sh.sh_policy) (Hashtbl.find_opt t.artifacts key))
-
-let tenants t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun name _ acc -> name :: acc) t.tenants []
-      |> List.sort compare)
-
-let shared_keys t =
-  Mutex.protect t.lock (fun () ->
-      Hashtbl.fold (fun key _ acc -> key :: acc) t.artifacts []
-      |> List.sort compare)
-
-let generation t = Mutex.protect t.lock (fun () -> t.generation)
-let key_hits t = Mutex.protect t.lock (fun () -> t.key_hits)
-let derivations t = Mutex.protect t.lock (fun () -> t.derivations)
 
 let counters t =
   Mutex.protect t.lock (fun () ->

@@ -1,5 +1,6 @@
 (** Tenant registry: tenant -> canonical policy key -> shared derivation
-    artifacts.
+    artifacts.  The engine registers every user group here: a "tenant"
+    below is a group.
 
     Tenants whose policies agree after {!Policy_key} normalization share
     one {!Derive.view} (and, downstream, one rewrite and one compiled
@@ -36,18 +37,4 @@ val remove : t -> tenant:string -> string option
 val lookup : t -> tenant:string -> (string * Derive.view) option
 (** The tenant's (policy key, shared view), if registered. *)
 
-val key_of : t -> tenant:string -> string option
-val policy_of : t -> tenant:string -> Policy.t option
-val tenants : t -> string list  (** sorted *)
-
-val shared_keys : t -> string list
-(** Distinct live policy keys, sorted. *)
-
-val generation : t -> int
-(** Bumps on any derivation or retirement — a cheap churn witness. *)
-
-val key_hits : t -> int
-(** Registrations/lookups served from an already-derived key. *)
-
-val derivations : t -> int
 val counters : t -> (string * int) list

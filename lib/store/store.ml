@@ -1,4 +1,3 @@
-module Tree = Smoqe_xml.Tree
 module Dtd = Smoqe_xml.Dtd
 module Dtd_parser = Smoqe_xml.Dtd_parser
 module Xml_parser = Smoqe_xml.Parser
@@ -11,9 +10,8 @@ module Failpoint = Smoqe_robust.Failpoint
 type t = {
   dir : string;
   dtd : Dtd.t option;
-  tree : Tree.t;
-  mutable policies : (string * Policy.t) list; (* group order preserved *)
-  mutable engine : Engine.t;
+  mutable groups : string list; (* registration order preserved *)
+  engine : Engine.t;
 }
 
 let manifest_name = "MANIFEST"
@@ -78,11 +76,11 @@ let render_manifest t =
     Buffer.add_string buf (Printf.sprintf "dtd %s\n" dtd_name);
   Buffer.add_string buf (Printf.sprintf "index %s\n" index_name);
   List.iter
-    (fun (group, _) ->
+    (fun group ->
       Buffer.add_string buf
         (Printf.sprintf "policy %s %s\n" group
            (policies_dir ^ "/" ^ group ^ ".policy")))
-    t.policies;
+    t.groups;
   Buffer.contents buf
 
 let save_manifest t = write_file (t.dir / manifest_name) (render_manifest t)
@@ -140,7 +138,7 @@ let create ~dir ?dtd tree =
   | () -> ()
   | exception Sys_error _ -> ());
   let* engine = build_engine dir dtd tree [] in
-  let t = { dir; dtd; tree; policies = []; engine } in
+  let t = { dir; dtd; groups = []; engine } in
   let* () = save_manifest t in
   Ok t
 
@@ -198,11 +196,11 @@ let open_dir dir =
   in
   let policies = List.rev policies in
   let* engine = build_engine dir dtd tree policies in
-  Ok { dir; dtd; tree; policies; engine }
+  Ok { dir; dtd; groups = List.map fst policies; engine }
 
 let dir t = t.dir
 let engine t = t.engine
-let groups t = List.map fst t.policies
+let groups t = t.groups
 
 let add_policy t ~group policy =
   if not (valid_group group) then
@@ -214,20 +212,20 @@ let add_policy t ~group policy =
         (t.dir / policies_dir / (group ^ ".policy"))
         (Policy.to_string policy)
     in
-    t.policies <- List.remove_assoc group t.policies @ [ (group, policy) ];
+    t.groups <- List.filter (( <> ) group) t.groups @ [ group ];
     save_manifest t
   end
 
 let remove_policy t ~group =
-  if not (List.mem_assoc group t.policies) then
+  if not (List.mem group t.groups) then
     Error (Printf.sprintf "no policy for group %s" group)
   else begin
-    t.policies <- List.remove_assoc group t.policies;
+    t.groups <- List.filter (( <> ) group) t.groups;
     (try Sys.remove (t.dir / policies_dir / (group ^ ".policy"))
      with Sys_error _ -> ());
-    (* The engine has no view-removal operation: rebuild it. *)
-    let* engine = build_engine t.dir t.dtd t.tree t.policies in
-    t.engine <- engine;
+    (* Revoke on the live engine: committed updates stay, and sessions of
+       the removed group fail from their next request on. *)
+    Engine.remove_policy t.engine ~group;
     save_manifest t
   end
 

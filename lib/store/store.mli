@@ -43,6 +43,10 @@ val add_policy :
     Requires the store to have a DTD. *)
 
 val remove_policy : t -> group:string -> (unit, string) result
+(** Delete a group's stored policy and revoke it on the live engine
+    ({!Smoqe.Engine.remove_policy}): the served document, updates
+    included, is untouched, and sessions of the removed group get
+    [Policy_error] from their next request on. *)
 
 val groups : t -> string list
 

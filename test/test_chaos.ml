@@ -47,7 +47,7 @@ let () =
     let doc = Hospital.generate ~seed:i ~n_patients:4 ~recursion_depth:2 () in
     let xml = Serializer.to_string doc in
     (* engine construction may hit pull.read faults: an Error is fine *)
-    (match Engine.of_string ~dtd:Hospital.dtd xml with
+    (match Engine.of_string_robust ~dtd:Hospital.dtd xml with
     | exception ex ->
       incr escaped;
       Printf.eprintf "ESCAPED of_string: %s\n%!" (Printexc.to_string ex)
@@ -61,9 +61,9 @@ let () =
         List.iter
           (fun q ->
             attempt ("dom " ^ q) (fun () ->
-                Session.run admin ~mode:Engine.Dom q);
+                Session.run_robust admin ~mode:Engine.Dom q);
             attempt ("stax " ^ q) (fun () ->
-                Session.run admin ~mode:Engine.Stax q))
+                Session.run_robust admin ~mode:Engine.Stax q))
           queries);
       (* the write path under update.apply / update.invalidate faults:
          an update either fully applies or fully rejects.  Identity
@@ -75,7 +75,7 @@ let () =
       Engine.build_index e;
       let probe = "//pname" in
       let baseline =
-        match Engine.query e probe with
+        match Engine.query_robust e probe with
         | Ok o -> Some o.Engine.answer_xml
         | Error _ -> None  (* the probe itself was faulted: skip compare *)
       in
@@ -86,7 +86,7 @@ let () =
             Engine.update_robust e
               (Update.Replace (Update.By_id n, Tree.to_source d n)))
       done;
-      (match baseline, Engine.query e probe with
+      (match baseline, Engine.query_robust e probe with
       | Some b, Ok o when o.Engine.answer_xml <> b ->
         incr torn;
         Printf.eprintf "TORN update state at iteration %d\n%!" i
@@ -109,8 +109,9 @@ let () =
             Store.add_policy store ~group:"researchers" Hospital.policy);
         attempt "store.query" (fun () ->
             match Store.login store Session.Admin with
-            | Error _ as e -> e
-            | Ok s -> Session.run s "//medication");
+            | Error _ -> Error ()
+            | Ok s ->
+              Result.map_error ignore (Session.run_robust s "//medication"));
         attempt "store.reopen" (fun () -> Store.open_dir dir));
       rm_rf dir)
   done;

@@ -18,24 +18,32 @@ let ok = function
   | Ok v -> v
   | Error msg -> Alcotest.fail msg
 
+let okr = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Smoqe_robust.Error.to_string e)
+
 let hospital_engine () =
   let doc = Hospital.generate ~seed:31 ~n_patients:10 ~recursion_depth:2 () in
-  let e = Engine.of_string ~dtd:Hospital.dtd (Serializer.to_string doc) in
-  let e = ok e in
+  let e =
+    okr (Engine.of_string_robust ~dtd:Hospital.dtd (Serializer.to_string doc))
+  in
   ok (Engine.register_policy e ~group:"researchers" Hospital.policy);
   e
 
 let test_engine_of_string_errors () =
-  (match Engine.of_string "<oops" with
-  | Error msg -> Alcotest.(check bool) "located" true (contains msg "parse error")
+  let message = Smoqe_robust.Error.to_string in
+  (match Engine.of_string_robust "<oops" with
+  | Error e ->
+    Alcotest.(check bool) "located" true (contains (message e) "parse error")
   | Ok _ -> Alcotest.fail "accepted bad xml");
-  match Engine.of_string ~dtd:Hospital.dtd "<zzz/>" with
-  | Error msg -> Alcotest.(check bool) "invalid" true (contains msg "invalid")
+  match Engine.of_string_robust ~dtd:Hospital.dtd "<zzz/>" with
+  | Error e ->
+    Alcotest.(check bool) "invalid" true (contains (message e) "invalid")
   | Ok _ -> Alcotest.fail "accepted invalid doc"
 
 let test_engine_direct_query () =
   let e = hospital_engine () in
-  let r = ok (Engine.query e "patient/pname") in
+  let r = okr (Engine.query_robust e "patient/pname") in
   Alcotest.(check bool) "answers found" true (r.Engine.answers <> []);
   Alcotest.(check int) "xml per answer"
     (List.length r.Engine.answers)
@@ -48,18 +56,24 @@ let test_engine_modes_agree () =
   let e = hospital_engine () in
   List.iter
     (fun q ->
-      let dom = ok (Engine.query e ~mode:Engine.Dom q) in
-      let stax = ok (Engine.query e ~mode:Engine.Stax q) in
+      let dom = okr (Engine.query_robust e ~mode:Engine.Dom q) in
+      let stax = okr (Engine.query_robust e ~mode:Engine.Stax q) in
       Alcotest.(check (list int)) q dom.Engine.answers stax.Engine.answers)
     [ "patient/pname"; "//medication"; Smoqe_workload.Queries.q0 ]
 
 let test_engine_view_query () =
   let e = hospital_engine () in
-  let direct = ok (Engine.query e "//pname") in
+  let direct = okr (Engine.query_robust e "//pname") in
   Alcotest.(check bool) "admin sees names" true (direct.Engine.answers <> []);
-  let through_view = ok (Engine.query e ~group:"researchers" "//pname") in
+  let through_view =
+    okr (Engine.query_robust e ~group:"researchers" "//pname")
+  in
   Alcotest.(check (list int)) "view hides names" [] through_view.Engine.answers;
-  let meds = ok (Engine.query e ~group:"researchers" "patient/treatment/medication") in
+  let meds =
+    okr
+      (Engine.query_robust e ~group:"researchers"
+         "patient/treatment/medication")
+  in
   (* Medications are exposed only for autism patients. *)
   let doc = Engine.document e in
   List.iter
@@ -69,13 +83,15 @@ let test_engine_view_query () =
 
 let test_engine_unknown_group () =
   let e = hospital_engine () in
-  match Engine.query e ~group:"nope" "patient" with
-  | Error msg -> Alcotest.(check bool) "mentions group" true (contains msg "nope")
+  match Engine.query_robust e ~group:"nope" "patient" with
+  | Error err ->
+    Alcotest.(check bool) "mentions group" true
+      (contains (Smoqe_robust.Error.to_string err) "nope")
   | Ok _ -> Alcotest.fail "unknown group accepted"
 
 let test_engine_bad_query () =
   let e = hospital_engine () in
-  match Engine.query e "patient[" with
+  match Engine.query_robust e "patient[" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad query accepted"
 
@@ -84,8 +100,8 @@ let test_engine_index_lifecycle () =
   Alcotest.(check bool) "no index yet" true (Engine.index e = None);
   Engine.build_index e;
   Alcotest.(check bool) "index built" true (Engine.index e <> None);
-  let with_index = ok (Engine.query e "//medication") in
-  let without = ok (Engine.query e ~use_index:false "//medication") in
+  let with_index = okr (Engine.query_robust e "//medication") in
+  let without = okr (Engine.query_robust e ~use_index:false "//medication") in
   Alcotest.(check (list int)) "same answers" without.Engine.answers
     with_index.Engine.answers;
   (* persistence *)
@@ -102,7 +118,9 @@ let test_engine_index_mismatch () =
   let path = Filename.temp_file "smoqe" ".tax" in
   ok (Engine.save_index e path);
   let other =
-    ok (Engine.of_string "<hospital><patient><pname>X</pname></patient></hospital>")
+    okr
+      (Engine.of_string_robust
+         "<hospital><patient><pname>X</pname></patient></hospital>")
   in
   (match Engine.load_index other path with
   | Error _ -> ()
@@ -110,7 +128,7 @@ let test_engine_index_mismatch () =
   Sys.remove path
 
 let test_engine_policy_needs_dtd () =
-  let e = ok (Engine.of_string "<hospital/>") in
+  let e = okr (Engine.of_string_robust "<hospital/>") in
   match Engine.register_policy e ~group:"g" Hospital.policy with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "policy without dtd accepted"
@@ -126,24 +144,24 @@ let test_session_roles () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "ghost group logged in");
   (* same query, different worlds *)
-  let a = ok (Session.run admin "//pname") in
-  let u = ok (Session.run user "//pname") in
+  let a = okr (Session.run_robust admin "//pname") in
+  let u = okr (Session.run_robust user "//pname") in
   Alcotest.(check bool) "admin sees" true (a.Engine.answers <> []);
   Alcotest.(check (list int)) "member blind" [] u.Engine.answers
 
 let test_static_short_circuit () =
   let e = hospital_engine () in
   (* names a tag the schema does not declare: provably empty, no pass *)
-  let r = ok (Engine.query e "//zebra") in
+  let r = okr (Engine.query_robust e "//zebra") in
   Alcotest.(check (list int)) "no answers" [] r.Engine.answers;
   Alcotest.(check int) "no pass over the data" 0
     r.Engine.stats.Smoqe_hype.Stats.passes_over_data;
   (* through the view: hidden types are statically refused too *)
-  let r = ok (Engine.query e ~group:"researchers" "//pname") in
+  let r = okr (Engine.query_robust e ~group:"researchers" "//pname") in
   Alcotest.(check int) "view query skipped" 0
     r.Engine.stats.Smoqe_hype.Stats.passes_over_data;
   (* a satisfiable query still runs *)
-  let r = ok (Engine.query e "patient/pname") in
+  let r = okr (Engine.query_robust e "patient/pname") in
   Alcotest.(check int) "real query runs" 1
     r.Engine.stats.Smoqe_hype.Stats.passes_over_data
 
@@ -172,13 +190,15 @@ let test_ismoqe_renderings () =
   let spec = Ismoqe.view_specification v in
   Alcotest.(check bool) "spec has sigma" true (contains spec "sigma(");
   Alcotest.(check bool) "spec has view dtd" true (contains spec "<!ELEMENT");
-  let mfa = ok (Engine.rewrite_only e ~group:"researchers" "patient/treatment") in
+  let mfa =
+    okr (Engine.rewrite_only e ~group:"researchers" "patient/treatment")
+  in
   Alcotest.(check bool) "ascii automaton" true
     (contains (Ismoqe.mfa_ascii mfa) "SELECT");
   Alcotest.(check bool) "dot automaton" true
     (contains (Ismoqe.mfa_dot mfa) "digraph");
   let trace = Trace.create () in
-  let r = ok (Engine.query e ~trace "patient/pname") in
+  let r = okr (Engine.query_robust e ~trace "patient/pname") in
   let rendered = Ismoqe.evaluation_trace ~color:false trace (Engine.document e) in
   Alcotest.(check bool) "trace marks answers" true (contains rendered "ANSWER");
   let colored = Ismoqe.evaluation_trace ~color:true trace (Engine.document e) in

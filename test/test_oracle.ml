@@ -24,6 +24,10 @@ let ok = function
   | Ok v -> v
   | Error msg -> Alcotest.fail msg
 
+let okr = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Err.to_string e)
+
 let parse s = ok (Rx_parser.path_of_string s)
 
 (* Naive-on-the-materialized-view oracle: answers as document node ids. *)
@@ -75,7 +79,7 @@ let check_batch_of_one label (single : Engine.outcome) (slot : Engine.outcome) =
 (* [query q] after [run_many [q]] is served the plan the batch compiled. *)
 let check_shared_plan label engine ~mode text =
   Alcotest.(check int) (label "query after run_many hits") 1
-    (ok (Engine.query engine ~group:"members" ~mode text))
+    (okr (Engine.query_robust engine ~group:"members" ~mode text))
       .Engine.stats.Stats.plan_cache_hit
 
 (* One workload: every query, both modes, cold then warm; the warm run
@@ -105,7 +109,9 @@ let battery ~name ~dtd ~policy ~doc queries =
           let label what =
             Printf.sprintf "%s %s (%s, %s)" name qname mname what
           in
-          let run () = ok (Engine.query engine ~group:"members" ~mode text) in
+          let run () =
+            okr (Engine.query_robust engine ~group:"members" ~mode text)
+          in
           let cold = run () in
           Alcotest.(check (list int)) (label "answers")
             expected
@@ -139,8 +145,8 @@ let test_bib () =
   let doc = Bib.generate ~seed:11 ~n_books:4 ~section_depth:3 () in
   battery ~name:"bib" ~dtd:Bib.dtd ~policy:Bib.policy ~doc Queries.bib_suite
 
-(* Sessions take the same road as Engine.query; spot-check the oracle holds
-   through the login path too. *)
+(* Sessions take the same road as Engine.query_robust; spot-check the
+   oracle holds through the login path too. *)
 let test_session_oracle () =
   let doc = Hospital.generate ~seed:13 ~n_patients:3 ~recursion_depth:1 () in
   let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
@@ -149,7 +155,7 @@ let test_session_oracle () =
   let session = ok (Session.login engine (Session.Member "members")) in
   List.iter
     (fun (qname, text) ->
-      let outcome = ok (Session.run session text) in
+      let outcome = okr (Session.run_robust session text) in
       Alcotest.(check (list int)) qname
         (oracle view doc (parse text))
         (List.sort_uniq compare outcome.Engine.answers))
@@ -180,7 +186,9 @@ let property_case seed =
       in
       let text = Pretty.path_to_string query in
       let expected = oracle view doc query in
-      let run mode = ok (Engine.query engine ~group:"members" ~mode text) in
+      let run mode =
+        okr (Engine.query_robust engine ~group:"members" ~mode text)
+      in
       let dom = run Engine.Dom in
       let stax = run Engine.Stax in
       Alcotest.(check (list int))
@@ -237,7 +245,8 @@ let parallel_battery ~name ~dtd ~policy ~doc queries =
   let reference =
     List.map
       (fun (_, text) ->
-        (ok (Engine.query ref_engine ~group:"members" text)).Engine.answer_xml)
+        (okr (Engine.query_robust ref_engine ~group:"members" text))
+          .Engine.answer_xml)
       queries
   in
   let engine = Engine.of_tree ~dtd doc in
@@ -310,7 +319,8 @@ let test_parallel_property () =
             let inline =
               List.map
                 (fun t ->
-                  (ok (Engine.query engine ~group:"members" t)).Engine.answer_xml)
+                  (okr (Engine.query_robust engine ~group:"members" t))
+                    .Engine.answer_xml)
                 texts
             in
             let results, _ =
@@ -343,7 +353,8 @@ let batch_battery ~name ~dtd ~policy ~doc queries =
     (fun (mode, mname) ->
       let reference =
         List.map
-          (fun text -> ok (Engine.query ref_engine ~group:"members" ~mode text))
+          (fun text ->
+            okr (Engine.query_robust ref_engine ~group:"members" ~mode text))
           texts
       in
       (* a fresh batch engine per cell, so cold really is cold *)
@@ -351,14 +362,17 @@ let batch_battery ~name ~dtd ~policy ~doc queries =
       ok (Engine.register_policy engine ~group:"members" policy);
       let serve what ~expect_hit =
         let label s = Printf.sprintf "%s (%s, %s): %s" name mname what s in
-        let results, agg = Engine.run_many engine ~group:"members" ~mode texts in
+        let results, agg =
+          Engine.run_many_robust engine ~group:"members" ~mode texts
+        in
         Alcotest.(check int)
           (label "one slot per query")
           (List.length texts) (Array.length results);
         Array.iteri
           (fun i r ->
             match r with
-            | Error e -> Alcotest.failf "%s: %s" (label "member") e
+            | Error e ->
+              Alcotest.failf "%s: %s" (label "member") (Err.to_string e)
             | Ok o ->
               let re = List.nth reference i in
               Alcotest.(check (list int))
@@ -403,7 +417,8 @@ let batch_pooled ~name ~dtd ~policy ~doc queries =
   let reference =
     List.map
       (fun text ->
-        (ok (Engine.query ref_engine ~group:"members" text)).Engine.answer_xml)
+        (okr (Engine.query_robust ref_engine ~group:"members" text))
+          .Engine.answer_xml)
       texts
   in
   let engine = Engine.of_tree ~dtd doc in
@@ -447,12 +462,12 @@ let test_batch_bad_member () =
   let reference =
     List.map
       (fun text ->
-        match Engine.query engine ~group:"members" text with
+        match Engine.query_robust engine ~group:"members" text with
         | Ok o -> Some o.Engine.answer_xml
         | Error _ -> None)
       texts
   in
-  let results, _ = Engine.run_many engine ~group:"members" texts in
+  let results, _ = Engine.run_many_robust engine ~group:"members" texts in
   Array.iteri
     (fun i r ->
       match (r, List.nth reference i) with
@@ -462,7 +477,8 @@ let test_batch_bad_member () =
           (Printf.sprintf "surviving member %d" i)
           xml o.Engine.answer_xml
       | Ok _, None -> Alcotest.failf "member %d should have failed" i
-      | Error e, Some _ -> Alcotest.failf "member %d failed: %s" i e)
+      | Error e, Some _ ->
+        Alcotest.failf "member %d failed: %s" i (Err.to_string e))
     results
 
 (* Members that all dedupe to one key form a single query: no merge, the
@@ -473,17 +489,17 @@ let test_batch_one_key () =
   let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   let q = snd (List.hd Queries.view_suite) in
-  let reference = ok (Engine.query engine ~group:"members" q) in
+  let reference = okr (Engine.query_robust engine ~group:"members" q) in
   let fresh = Engine.of_tree ~dtd:Hospital.dtd doc in
   ok (Engine.register_policy fresh ~group:"members" Hospital.policy);
   let texts = [ q; "  " ^ q ^ " "; "(" ^ q ^ ")"; q ] in
-  let results, agg = Engine.run_many fresh ~group:"members" texts in
+  let results, agg = Engine.run_many_robust fresh ~group:"members" texts in
   Alcotest.(check int) "not merged" 0 agg.Stats.batch_queries;
   let outcomes =
     Array.mapi
       (fun i r ->
         match r with
-        | Error e -> Alcotest.failf "slot %d: %s" i e
+        | Error e -> Alcotest.failf "slot %d: %s" i (Err.to_string e)
         | Ok o ->
           Alcotest.(check (list string))
             (Printf.sprintf "slot %d xml" i)
@@ -501,7 +517,7 @@ let test_batch_one_key () =
         Alcotest.failf "slot %d shares slot 0's counters" i)
     outcomes;
   Alcotest.(check int) "query hits the single-query plan" 1
-    (ok (Engine.query fresh ~group:"members" q))
+    (okr (Engine.query_robust fresh ~group:"members" q))
       .Engine.stats.Stats.plan_cache_hit
 
 (* One good member and one that fails to parse: the bad slot gets its
@@ -511,7 +527,7 @@ let test_batch_one_key_bad_member () =
   let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   let q = snd (List.hd Queries.view_suite) in
-  let reference = ok (Engine.query engine ~group:"members" q) in
+  let reference = okr (Engine.query_robust engine ~group:"members" q) in
   let results, _ =
     Engine.run_many_robust engine ~group:"members"
       [ q; "[[[ not a query"; q ]
@@ -559,18 +575,19 @@ let test_batch_property () =
             let inline =
               List.map
                 (fun t ->
-                  (ok (Engine.query engine ~group:"members" ~mode t))
+                  (okr (Engine.query_robust engine ~group:"members" ~mode t))
                     .Engine.answer_xml)
                 texts
             in
             let results, _ =
-              Engine.run_many engine ~group:"members" ~mode texts
+              Engine.run_many_robust engine ~group:"members" ~mode texts
             in
             Array.iteri
               (fun i r ->
                 match r with
                 | Error e ->
-                  Alcotest.failf "seed %d %s q%d: %s" seed mname i e
+                  Alcotest.failf "seed %d %s q%d: %s" seed mname i
+                    (Err.to_string e)
                 | Ok o ->
                   Alcotest.(check (list string))
                     (Printf.sprintf "seed %d %s q%d: batch = inline" seed
@@ -589,13 +606,15 @@ let test_batch_session () =
   let session = ok (Session.login engine (Session.Member "members")) in
   let texts = List.map snd Queries.view_suite in
   let reference =
-    List.map (fun t -> (ok (Session.run session t)).Engine.answer_xml) texts
+    List.map
+      (fun t -> (okr (Session.run_robust session t)).Engine.answer_xml)
+      texts
   in
-  let results, _ = Session.run_many session texts in
+  let results, _ = Session.run_many_robust session texts in
   Array.iteri
     (fun i r ->
       match r with
-      | Error e -> Alcotest.failf "session batch %d: %s" i e
+      | Error e -> Alcotest.failf "session batch %d: %s" i (Err.to_string e)
       | Ok o ->
         Alcotest.(check (list string))
           (Printf.sprintf "session batch %d" i)
@@ -616,10 +635,6 @@ module Update = Smoqe_update.Update
 module Tree = Smoqe_xml.Tree
 module Tax = Smoqe_tax.Tax
 module Serializer = Smoqe_xml.Serializer
-
-let okr = function
-  | Ok v -> v
-  | Error e -> Alcotest.fail (Err.to_string e)
 
 (* A random legal update sequence applied as admin: candidates are drawn
    from the live document each step (ids shift as edits land); a
@@ -822,13 +837,14 @@ let test_write_property () =
           modes)
   done
 
-(* --- multi-tenancy: shared artifacts vs per-tenant cold derivation ------
+(* --- shared policy keys: shared artifacts vs per-group cold derivation --
 
-   Tenants sharing a canonical policy key serve through ONE derived view
-   and one cached plan per query; the differential claim is that this
-   sharing is invisible — every tenant's answers are byte-identical to a
-   cold engine that derived the tenant's policy privately, and no tenant
-   ever sees a node outside its own materialized view. *)
+   Groups ("tenants" below) sharing a canonical policy key serve through
+   ONE derived view and one cached plan per query; the differential claim
+   is that this sharing is invisible — every group's answers are
+   byte-identical to a cold engine that derived the group's policy
+   privately, and no group ever sees a node outside its own materialized
+   view. *)
 
 let policy_of_text dtd text = ok (Smoqe_security.Policy.of_string dtd text)
 
@@ -848,7 +864,7 @@ let test_tenant_shared_vs_cold () =
   let tenants = [ "t0"; "t1"; "t2"; "t3" ] in
   List.iter
     (fun t ->
-      ignore (ok (Engine.register_tenant engine ~tenant:t Hospital.policy)))
+      ok (Engine.register_policy engine ~group:t Hospital.policy))
     tenants;
   let counters = Engine.tenant_counters engine in
   Alcotest.(check int) "one policy key" 1 (List.assoc "policy_keys" counters);
@@ -860,13 +876,15 @@ let test_tenant_shared_vs_cold () =
     (fun (qname, text) ->
       List.iter
         (fun (mode, mname) ->
-          let reference = ok (Engine.query cold ~group:"members" ~mode text) in
+          let reference =
+            okr (Engine.query_robust cold ~group:"members" ~mode text)
+          in
           List.iteri
             (fun i t ->
               let label what =
                 Printf.sprintf "%s (%s, tenant %s, %s)" qname mname t what
               in
-              let o = okr (Engine.query_robust engine ~tenant:t ~mode text) in
+              let o = okr (Engine.query_robust engine ~group:t ~mode text) in
               Alcotest.(check (list int)) (label "answers")
                 reference.Engine.answers o.Engine.answers;
               Alcotest.(check (list string)) (label "xml")
@@ -893,8 +911,8 @@ let test_tenant_isolation () =
   let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
   let dtd = Hospital.dtd in
   let engine = Engine.of_tree ~dtd doc in
-  ignore (ok (Engine.register_tenant engine ~tenant:"locked" Hospital.policy));
-  ignore (ok (Engine.register_tenant engine ~tenant:"open" (open_policy dtd)));
+  ok (Engine.register_policy engine ~group:"locked" Hospital.policy);
+  ok (Engine.register_policy engine ~group:"open" (open_policy dtd));
   Alcotest.(check int) "two keys" 2
     (List.assoc "policy_keys" (Engine.tenant_counters engine));
   let _, visible_locked =
@@ -908,7 +926,7 @@ let test_tenant_isolation () =
       List.iter
         (fun (mode, mname) ->
           let locked =
-            okr (Engine.query_robust engine ~tenant:"locked" ~mode text)
+            okr (Engine.query_robust engine ~group:"locked" ~mode text)
           in
           List.iter
             (fun id ->
@@ -917,10 +935,10 @@ let test_tenant_isolation () =
                   qname mname id)
             locked.Engine.answers;
           let opened =
-            okr (Engine.query_robust engine ~tenant:"open" ~mode text)
+            okr (Engine.query_robust engine ~group:"open" ~mode text)
           in
           let reference =
-            ok (Engine.query cold_open ~group:"members" ~mode text)
+            okr (Engine.query_robust cold_open ~group:"members" ~mode text)
           in
           Alcotest.(check (list int))
             (Printf.sprintf "%s (%s): open tenant = open cold" qname mname)
@@ -933,9 +951,9 @@ let test_tenant_isolation () =
         modes)
     (Queries.suite @ Queries.view_suite);
   (* S0 hides pname entirely: the locked tenant must see none, ever *)
-  let o = okr (Engine.query_robust engine ~tenant:"locked" "//pname") in
+  let o = okr (Engine.query_robust engine ~group:"locked" "//pname") in
   Alcotest.(check (list int)) "locked //pname is empty" [] o.Engine.answers;
-  let o = okr (Engine.query_robust engine ~tenant:"open" "//pname") in
+  let o = okr (Engine.query_robust engine ~group:"open" "//pname") in
   Alcotest.(check bool) "open //pname is not" true (o.Engine.answers <> [])
 
 let test_tenant_churn_and_update () =
@@ -944,15 +962,15 @@ let test_tenant_churn_and_update () =
   let engine = Engine.of_tree ~dtd doc in
   List.iter
     (fun t ->
-      ignore (ok (Engine.register_tenant engine ~tenant:t Hospital.policy)))
+      ok (Engine.register_policy engine ~group:t Hospital.policy))
     [ "t0"; "t1" ];
   let queries = Queries.suite @ Queries.view_suite in
-  (* warm the shared plans, then update through the tenant-less admin
+  (* warm the shared plans, then update through the group-less admin
      path: tenant answers must keep matching a from-scratch derivation
      over the updated document *)
   List.iter
     (fun (_, text) ->
-      ignore (okr (Engine.query_robust engine ~tenant:"t0" text)))
+      ignore (okr (Engine.query_robust engine ~group:"t0" text)))
     queries;
   let applied = random_updates ~seed:41 ~steps:8 engine in
   Alcotest.(check bool) "updates applied" true (applied > 0);
@@ -962,10 +980,10 @@ let test_tenant_churn_and_update () =
   in
   List.iter
     (fun (qname, text) ->
-      let reference = ok (Engine.query cold ~group:"members" text) in
+      let reference = okr (Engine.query_robust cold ~group:"members" text) in
       List.iter
         (fun t ->
-          let o = okr (Engine.query_robust engine ~tenant:t text) in
+          let o = okr (Engine.query_robust engine ~group:t text) in
           Alcotest.(check (list string))
             (Printf.sprintf "%s after update (tenant %s)" qname t)
             reference.Engine.answer_xml o.Engine.answer_xml;
@@ -978,16 +996,18 @@ let test_tenant_churn_and_update () =
     queries;
   (* churn t1 onto the open policy: t1 follows its new view immediately,
      t0 keeps the old artifacts *)
-  ignore (ok (Engine.register_tenant engine ~tenant:"t1" (open_policy dtd)));
+  ok (Engine.register_policy engine ~group:"t1" (open_policy dtd));
   let cold_open, _ =
     tenant_reference ~dtd ~policy:(open_policy dtd) ~doc:updated
   in
   List.iter
     (fun (qname, text) ->
-      let ref_locked = ok (Engine.query cold ~group:"members" text) in
-      let ref_open = ok (Engine.query cold_open ~group:"members" text) in
-      let o0 = okr (Engine.query_robust engine ~tenant:"t0" text) in
-      let o1 = okr (Engine.query_robust engine ~tenant:"t1" text) in
+      let ref_locked = okr (Engine.query_robust cold ~group:"members" text) in
+      let ref_open =
+        okr (Engine.query_robust cold_open ~group:"members" text)
+      in
+      let o0 = okr (Engine.query_robust engine ~group:"t0" text) in
+      let o1 = okr (Engine.query_robust engine ~group:"t1" text) in
       Alcotest.(check (list string))
         (qname ^ ": t0 unchanged by t1 churn")
         ref_locked.Engine.answer_xml o0.Engine.answer_xml;
@@ -1000,16 +1020,18 @@ let test_tenant_churn_and_update () =
   let gen_before =
     List.assoc "generation" (Engine.tenant_counters engine)
   in
-  ignore (ok (Engine.register_tenant engine ~tenant:"t0" (open_policy dtd)));
+  ok (Engine.register_policy engine ~group:"t0" (open_policy dtd));
   let gen_after = List.assoc "generation" (Engine.tenant_counters engine) in
   Alcotest.(check bool) "retirement bumps the generation" true
     (gen_after > gen_before);
   List.iter
     (fun (qname, text) ->
-      let ref_open = ok (Engine.query cold_open ~group:"members" text) in
+      let ref_open =
+        okr (Engine.query_robust cold_open ~group:"members" text)
+      in
       List.iter
         (fun t ->
-          let o = okr (Engine.query_robust engine ~tenant:t text) in
+          let o = okr (Engine.query_robust engine ~group:t text) in
           Alcotest.(check (list string))
             (Printf.sprintf "%s: %s after full churn = open cold" qname t)
             ref_open.Engine.answer_xml o.Engine.answer_xml)
@@ -1030,10 +1052,10 @@ let test_tenant_property () =
     | exception Docgen.No_finite_expansion _ -> ()
     | doc ->
       let engine = Engine.of_tree ~dtd doc in
-      (match Engine.register_tenant engine ~tenant:"a" policy with
+      (match Engine.register_policy engine ~group:"a" policy with
       | Error _ -> ()  (* derivation unsupported for this draw: skip *)
-      | Ok _ ->
-        ignore (ok (Engine.register_tenant engine ~tenant:"b" policy));
+      | Ok () ->
+        ok (Engine.register_policy engine ~group:"b" policy);
         let cold = Engine.of_tree ~dtd doc in
         ok (Engine.register_policy cold ~group:"members" policy);
         let view = Option.get (Engine.view cold ~group:"members") in
@@ -1045,10 +1067,12 @@ let test_tenant_property () =
               Pretty.path_to_string
                 (Random_dtd.random_query ~seed:s ~size:6 ~tags ())
             in
-            let reference = ok (Engine.query cold ~group:"members" text) in
+            let reference =
+              okr (Engine.query_robust cold ~group:"members" text)
+            in
             List.iter
               (fun t ->
-                let o = okr (Engine.query_robust engine ~tenant:t text) in
+                let o = okr (Engine.query_robust engine ~group:t text) in
                 Alcotest.(check (list string))
                   (Printf.sprintf "seed %d %s (tenant %s)" seed text t)
                   reference.Engine.answer_xml o.Engine.answer_xml;

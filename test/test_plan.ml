@@ -19,6 +19,10 @@ let ok = function
   | Ok v -> v
   | Error msg -> Alcotest.fail msg
 
+let okr = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Error.to_string e)
+
 let parse s = ok (Rx_parser.path_of_string s)
 
 let contains hay needle =
@@ -81,8 +85,8 @@ let test_canon_normalize_hand_built () =
 
 (* --- cache mechanics ------------------------------------------------------- *)
 
-let key ?group ?(mode = "dom") ?(use_index = false) query =
-  { Plan_cache.group; policy_key = None; query; mode; use_index }
+let key ?policy_key ?(mode = "dom") ?(use_index = false) query =
+  { Plan_cache.group = None; policy_key; query; mode; use_index }
 
 let test_lru_eviction_order () =
   let c = Plan_cache.create ~capacity:2 () in
@@ -114,22 +118,22 @@ let test_shrink_evicts () =
   Alcotest.(check (option int)) "the MRU one" (Some 0)
     (Plan_cache.find c (key "a"))
 
-let test_group_generations () =
+let test_policy_key_generations () =
   let c = Plan_cache.create () in
-  Plan_cache.add c (key ~group:"g1" "q") 1;
-  Plan_cache.add c (key ~group:"g2" "q") 2;
+  Plan_cache.add c (key ~policy_key:"k1" "q") 1;
+  Plan_cache.add c (key ~policy_key:"k2" "q") 2;
   Plan_cache.add c (key "q") 3;
-  Plan_cache.invalidate_group c "g1";
-  Alcotest.(check (option int)) "g1 stale" None
-    (Plan_cache.find c (key ~group:"g1" "q"));
-  Alcotest.(check (option int)) "g2 current" (Some 2)
-    (Plan_cache.find c (key ~group:"g2" "q"));
+  Plan_cache.invalidate_policy_key c "k1";
+  Alcotest.(check (option int)) "k1 stale" None
+    (Plan_cache.find c (key ~policy_key:"k1" "q"));
+  Alcotest.(check (option int)) "k2 current" (Some 2)
+    (Plan_cache.find c (key ~policy_key:"k2" "q"));
   Alcotest.(check (option int)) "direct current" (Some 3)
     (Plan_cache.find c (key "q"));
   Alcotest.(check int) "stale drop counted" 1 (Plan_cache.stale_drops c);
   Plan_cache.invalidate_all c;
   Alcotest.(check (option int)) "all stale" None
-    (Plan_cache.find c (key ~group:"g2" "q"));
+    (Plan_cache.find c (key ~policy_key:"k2" "q"));
   Alcotest.(check (option int)) "direct stale too" None
     (Plan_cache.find c (key "q"))
 
@@ -138,9 +142,9 @@ let test_gen_fenced_add () =
      token captured before the invalidation must be refused — otherwise a
      plan compiled through the old view would be stamped current. *)
   let c = Plan_cache.create () in
-  let k = key ~group:"g" "q" in
+  let k = key ~policy_key:"k" "q" in
   let gen = Plan_cache.generation c k in
-  Plan_cache.invalidate_group c "g";
+  Plan_cache.invalidate_policy_key c "k";
   Plan_cache.add c ~gen k 1;
   Alcotest.(check (option int)) "stale insert refused" None
     (Plan_cache.find c k);
@@ -169,49 +173,116 @@ let hit_of outcome = outcome.Engine.stats.Stats.plan_cache_hit
 
 let test_engine_warm_hit () =
   let e = hospital_engine () in
-  let first = ok (Engine.query e ~group:"researchers" "//medication") in
+  let run q = okr (Engine.query_robust e ~group:"researchers" q) in
+  let first = run "//medication" in
   Alcotest.(check int) "cold" 0 (hit_of first);
-  let second = ok (Engine.query e ~group:"researchers" "//medication") in
+  let second = run "//medication" in
   Alcotest.(check int) "warm" 1 (hit_of second);
   Alcotest.(check (list int)) "same answers" first.Engine.answers
     second.Engine.answers;
   Alcotest.(check (list string)) "byte-identical xml" first.Engine.answer_xml
     second.Engine.answer_xml;
   (* reformatted spelling of the same query also hits *)
-  let third = ok (Engine.query e ~group:"researchers" "  // ( medication ) ") in
+  let third = run "  // ( medication ) " in
   Alcotest.(check int) "canonical hit" 1 (hit_of third)
 
 let test_engine_capacity_zero () =
   let e = hospital_engine () in
   Engine.set_plan_cache_capacity e 0;
-  let q () = ok (Engine.query e "//pname") in
+  let q () = okr (Engine.query_robust e "//pname") in
   ignore (q ());
   Alcotest.(check int) "never warm" 0 (hit_of (q ()));
   Alcotest.(check int) "nothing cached" 0
     (List.assoc "entries" (Engine.plan_cache_counters e))
 
+(* A policy over the hospital DTD that differs from [Hospital.policy]:
+   every medication is exposed, only patient names are hidden. *)
+let names_hidden =
+  ok (Smoqe_security.Policy.of_string Hospital.dtd "ann(patient, pname) = N\n")
+
 let test_engine_group_isolation () =
   let e = hospital_engine () in
   ok (Engine.register_policy e ~group:"staff" Hospital.policy);
-  let warm group = ignore (ok (Engine.query e ~group "//medication")) in
-  warm "researchers";
-  warm "researchers";
-  warm "staff";
-  warm "staff";
-  (* re-registering researchers invalidates researchers' plans only *)
+  let run group = okr (Engine.query_robust e ~group "//medication") in
+  let before = run "researchers" in
+  ignore (run "staff");
+  (* researchers move to another policy: staff keeps the shared key's
+     warm plan, researchers answer through the new view *)
+  ok (Engine.register_policy e ~group:"researchers" names_hidden);
+  let after = run "researchers" in
+  Alcotest.(check int) "researchers cold under the new policy" 0
+    (hit_of after);
+  Alcotest.(check int) "staff still warm" 1 (hit_of (run "staff"));
+  let cold = hospital_engine () in
+  ok (Engine.register_policy cold ~group:"researchers" names_hidden);
+  let reference =
+    okr (Engine.query_robust cold ~group:"researchers" "//medication")
+  in
+  Alcotest.(check (list int)) "answers equal a cold reference"
+    reference.Engine.answers after.Engine.answers;
+  Alcotest.(check (list string)) "byte-identical xml"
+    reference.Engine.answer_xml after.Engine.answer_xml;
+  Alcotest.(check bool) "the view really changed" false
+    (before.Engine.answers = after.Engine.answers)
+
+let test_engine_reregister_keeps_warm () =
+  let e = hospital_engine () in
+  let run () =
+    okr (Engine.query_robust e ~group:"researchers" "//medication")
+  in
+  ignore (run ());
   ok (Engine.register_policy e ~group:"researchers" Hospital.policy);
-  Alcotest.(check int) "researchers cold again" 0
-    (hit_of (ok (Engine.query e ~group:"researchers" "//medication")));
-  Alcotest.(check int) "staff still warm" 1
-    (hit_of (ok (Engine.query e ~group:"staff" "//medication")))
+  Alcotest.(check int) "identical policy: still warm" 1 (hit_of (run ()));
+  Alcotest.(check int) "no second derivation" 1
+    (List.assoc "derivations" (Engine.tenant_counters e))
+
+let test_engine_equal_policies_share () =
+  let e = hospital_engine () in
+  ok (Engine.register_policy e ~group:"staff" Hospital.policy);
+  Alcotest.(check int) "one derivation" 1
+    (List.assoc "derivations" (Engine.tenant_counters e));
+  let first = okr (Engine.query_robust e ~group:"researchers" "//medication") in
+  let second = okr (Engine.query_robust e ~group:"staff" "//medication") in
+  Alcotest.(check int) "researchers compile" 0 (hit_of first);
+  Alcotest.(check int) "staff's first query is a hit" 1 (hit_of second);
+  Alcotest.(check int) "counted as a policy-key hit" 1
+    second.Engine.stats.Stats.policy_key_hits;
+  Alcotest.(check (list int)) "same answers" first.Engine.answers
+    second.Engine.answers
+
+let test_mapped_group_logs_in () =
+  (* Groups registered line by line from a NAME = POLICY map (the CLI's
+     --tenants file) are principals like any other: they join the
+     policy-key registry, their members log in, and they are served
+     through the shared view. *)
+  let e = hospital_engine () in
+  List.iter
+    (fun (name, policy) -> ok (Engine.register_policy e ~group:name policy))
+    [ ("alice", Hospital.policy); ("bob", Hospital.policy) ];
+  let counters = Engine.tenant_counters e in
+  Alcotest.(check int) "three registered groups" 3
+    (List.assoc "tenants" counters);
+  Alcotest.(check int) "one derivation" 1 (List.assoc "derivations" counters);
+  let reference =
+    okr (Engine.query_robust e ~group:"researchers" "//medication")
+  in
+  List.iter
+    (fun name ->
+      let s = ok (Session.login e (Session.Member name)) in
+      let o = okr (Session.run_robust s "//medication") in
+      Alcotest.(check (list int)) (name ^ " = researchers")
+        reference.Engine.answers o.Engine.answers;
+      Alcotest.(check int) (name ^ " rides the shared plan") 1 (hit_of o))
+    [ "alice"; "bob" ]
 
 let test_engine_replace_document () =
   let e = hospital_engine () in
-  ignore (ok (Engine.query e "//pname"));
-  Alcotest.(check int) "warm before swap" 1 (hit_of (ok (Engine.query e "//pname")));
+  ignore (okr (Engine.query_robust e "//pname"));
+  Alcotest.(check int) "warm before swap" 1
+    (hit_of (okr (Engine.query_robust e "//pname")));
   let bigger = Hospital.generate ~seed:32 ~n_patients:6 ~recursion_depth:2 () in
   ok (Engine.replace_document e bigger);
-  let after = ok (Engine.query e "//pname") in
+  let after = okr (Engine.query_robust e "//pname") in
   Alcotest.(check int) "cold after swap" 0 (hit_of after);
   let reference =
     (Smoqe_baseline.Naive.run bigger (parse "//pname")).Smoqe_baseline.Naive
@@ -227,7 +298,8 @@ let test_engine_replace_document () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "invalid replacement accepted");
   Alcotest.(check (list int)) "still serving" reference
-    (List.sort_uniq compare (ok (Engine.query e "//pname")).Engine.answers)
+    (List.sort_uniq compare
+       (okr (Engine.query_robust e "//pname")).Engine.answers)
 
 let test_failpoint_never_populates () =
   let e = hospital_engine () in
@@ -240,14 +312,14 @@ let test_failpoint_never_populates () =
   Alcotest.(check int) "cache unpopulated" 0
     (List.assoc "entries" (Engine.plan_cache_counters e));
   (* the failpoint is gone: the next run compiles cold, then serves warm *)
-  let again = ok (Engine.query e ~group:"researchers" "//medication") in
+  let again = okr (Engine.query_robust e ~group:"researchers" "//medication") in
   Alcotest.(check int) "recompiled, not served stale" 0 (hit_of again);
   Alcotest.(check int) "then warm" 1
-    (hit_of (ok (Engine.query e ~group:"researchers" "//medication")))
+    (hit_of (okr (Engine.query_robust e ~group:"researchers" "//medication")))
 
 let test_budget_checked_on_hit () =
   let e = hospital_engine () in
-  ignore (ok (Engine.query e "//pname"));
+  ignore (okr (Engine.query_robust e "//pname"));
   (* the cached plan is over this budget: the hit must still refuse *)
   match
     Engine.query_robust e
@@ -263,9 +335,9 @@ let test_sessions_share_cache () =
   let e = hospital_engine () in
   let s1 = ok (Session.login e (Session.Member "researchers")) in
   let s2 = ok (Session.login e (Session.Member "researchers")) in
-  ignore (ok (Session.run s1 "//medication"));
+  ignore (okr (Session.run_robust s1 "//medication"));
   Alcotest.(check int) "second session served warm" 1
-    (hit_of (ok (Session.run s2 "//medication")))
+    (hit_of (okr (Session.run_robust s2 "//medication")))
 
 (* [saved_compile_ms] is charged on the wall clock.  Process CPU time
    would sum the work of every domain, so under a pool each hit would
@@ -301,7 +373,7 @@ let test_saved_compile_wall_clock () =
         Domain.cpu_relax ()
       done;
       let t0 = Unix.gettimeofday () in
-      ignore (ok (Engine.query e ~group:"researchers" q));
+      ignore (okr (Engine.query_robust e ~group:"researchers" q));
       let cold_ms = (Unix.gettimeofday () -. t0) *. 1000. in
       Atomic.set stop true;
       List.iter Pool.await burners;
@@ -341,7 +413,8 @@ let () =
           Alcotest.test_case "capacity 0 disables" `Quick
             test_capacity_zero_disables;
           Alcotest.test_case "shrink evicts" `Quick test_shrink_evicts;
-          Alcotest.test_case "group generations" `Quick test_group_generations;
+          Alcotest.test_case "policy-key generations" `Quick
+            test_policy_key_generations;
           Alcotest.test_case "generation-fenced add" `Quick test_gen_fenced_add;
         ] );
       ( "engine",
@@ -350,6 +423,12 @@ let () =
           Alcotest.test_case "capacity 0" `Quick test_engine_capacity_zero;
           Alcotest.test_case "group isolation" `Quick
             test_engine_group_isolation;
+          Alcotest.test_case "identical re-registration keeps warm" `Quick
+            test_engine_reregister_keeps_warm;
+          Alcotest.test_case "equal policies share one plan" `Quick
+            test_engine_equal_policies_share;
+          Alcotest.test_case "mapped group logs in" `Quick
+            test_mapped_group_logs_in;
           Alcotest.test_case "document replacement" `Quick
             test_engine_replace_document;
           Alcotest.test_case "failed compile never cached" `Quick

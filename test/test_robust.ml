@@ -27,9 +27,15 @@ let ok = function
   | Ok v -> v
   | Error msg -> Alcotest.fail msg
 
+let okr = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Error.to_string e)
+
 let hospital_engine () =
   let doc = Hospital.generate ~seed:31 ~n_patients:10 ~recursion_depth:2 () in
-  let e = ok (Engine.of_string ~dtd:Hospital.dtd (Serializer.to_string doc)) in
+  let e =
+    okr (Engine.of_string_robust ~dtd:Hospital.dtd (Serializer.to_string doc))
+  in
   ok (Engine.register_policy e ~group:"researchers" Hospital.policy);
   e
 
@@ -70,7 +76,7 @@ let test_malformed_parser () =
 let test_malformed_engine () =
   List.iter
     (fun (label, doc) ->
-      match Engine.of_string doc with
+      match Engine.of_string_robust doc with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "%s: engine accepted" label)
     malformed
@@ -141,9 +147,9 @@ let test_budget_max_states () =
 
 let test_budget_generous_is_invisible () =
   let e = hospital_engine () in
-  let plain = ok (Engine.query e "//pname") in
+  let plain = okr (Engine.query_robust e "//pname") in
   let budget = Budget.create ~timeout_ms:600_000 ~max_nodes:max_int () in
-  let budgeted = ok (Engine.query e ~budget "//pname") in
+  let budgeted = okr (Engine.query_robust e ~budget "//pname") in
   Alcotest.(check (list int)) "same answers" plain.Engine.answers
     budgeted.Engine.answers
 
@@ -190,9 +196,12 @@ let test_failpoint_bad_spec () =
 
 let test_pull_read_fault_is_error () =
   Failpoint.with_failpoints "pull.read=7" (fun () ->
-      match Engine.of_string "<a><b>one</b><b>two</b><b>three</b></a>" with
-      | Error msg ->
-        Alcotest.(check bool) "names the site" true (contains msg "pull.read")
+      match
+        Engine.of_string_robust "<a><b>one</b><b>two</b><b>three</b></a>"
+      with
+      | Error err ->
+        Alcotest.(check bool) "names the site" true
+          (contains (Error.to_string err) "pull.read")
       | Ok _ -> Alcotest.fail "fault did not surface")
 
 let test_store_write_fault_is_error () =
@@ -208,7 +217,7 @@ let test_store_write_fault_is_error () =
 
 let test_stax_fault_degrades_to_dom () =
   let e = hospital_engine () in
-  let expected = ok (Engine.query e ~mode:Engine.Dom "//pname") in
+  let expected = okr (Engine.query_robust e ~mode:Engine.Dom "//pname") in
   Failpoint.with_failpoints "pull.read=once" (fun () ->
       (* the StAX re-parse hits the fault; the engine must fall back to one
          DOM pass over the already-loaded tree and answer anyway *)
@@ -234,10 +243,10 @@ let test_hype_step_fault_is_error () =
 let test_index_degradation () =
   let e = hospital_engine () in
   (* requesting the index without one loaded: served unindexed, flagged *)
-  let r = ok (Engine.query e ~use_index:true "//medication") in
+  let r = okr (Engine.query_robust e ~use_index:true "//medication") in
   Alcotest.(check int) "no-index degradation" 1
     r.Engine.stats.Stats.degraded_no_index;
-  let baseline = ok (Engine.query e "//medication") in
+  let baseline = okr (Engine.query_robust e "//medication") in
   Alcotest.(check (list int)) "answers unaffected" baseline.Engine.answers
     r.Engine.answers
 
@@ -246,8 +255,8 @@ let test_modes_agree_with_failpoints_cleared () =
   let e = hospital_engine () in
   List.iter
     (fun q ->
-      let dom = ok (Engine.query e ~mode:Engine.Dom q) in
-      let stax = ok (Engine.query e ~mode:Engine.Stax q) in
+      let dom = okr (Engine.query_robust e ~mode:Engine.Dom q) in
+      let stax = okr (Engine.query_robust e ~mode:Engine.Stax q) in
       Alcotest.(check (list int)) q dom.Engine.answers stax.Engine.answers;
       Alcotest.(check int) "no degradation" 0
         stax.Engine.stats.Stats.degraded_stax_retry)
@@ -279,7 +288,7 @@ let test_fuzz_sessions () =
       List.iter
         (fun mode ->
           (* any outcome is fine — raising is the only failure *)
-          match Session.run admin ~mode q with
+          match Session.run_robust admin ~mode q with
           | Ok _ | Error _ -> ()
           | exception ex ->
             Alcotest.failf "fuzz %d (%s): raised %s" i q
@@ -298,7 +307,7 @@ let test_fuzz_malformed_bytes () =
       String.init len (fun _ ->
           Char.chr (Random.State.int rand 128))
     in
-    match Engine.of_string doc with
+    match Engine.of_string_robust doc with
     | Ok _ | Error _ -> ()
     | exception ex ->
       Alcotest.failf "byte fuzz %d raised %s" i (Printexc.to_string ex)

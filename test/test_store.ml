@@ -11,6 +11,10 @@ let ok = function
   | Ok v -> v
   | Error msg -> Alcotest.fail msg
 
+let okr = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Smoqe_robust.Error.to_string e)
+
 let fresh_dir () =
   let path = Filename.temp_file "smoqe_store" "" in
   Sys.remove path;
@@ -61,7 +65,9 @@ let test_open_roundtrip () =
         ok (Store.login reopened (Session.Member "researchers"))
       in
       let direct = ok (Store.login reopened Session.Admin) in
-      let count s q = List.length (ok (Session.run s q)).Engine.answers in
+      let count s q =
+        List.length (okr (Session.run_robust s q)).Engine.answers
+      in
       Alcotest.(check int) "names hidden through the view" 0
         (count session "//pname");
       Alcotest.(check bool) "admin sees names" true (count direct "//pname" > 0))
@@ -74,6 +80,44 @@ let test_policy_files_persisted () =
       ok (Store.remove_policy store ~group:"researchers");
       Alcotest.(check bool) "policy file removed" false (Sys.file_exists path);
       Alcotest.(check (list string)) "no groups" [] (Store.groups store))
+
+(* Revocation acts on the live engine: a committed update survives it, an
+   open member session of the removed group is refused from its next
+   request on, and admins before and after see the same document. *)
+let test_remove_policy_revokes_in_place () =
+  with_store (fun _ _ store ->
+      ok (Store.add_policy store ~group:"researchers" Hospital.policy);
+      let member = ok (Store.login store (Session.Member "researchers")) in
+      let admin = ok (Store.login store Session.Admin) in
+      ignore (okr (Session.run_robust member "//medication"));
+      let nodes () = Tree.n_nodes (Engine.document (Store.engine store)) in
+      let patients s =
+        (okr (Session.run_robust s "//patient")).Engine.answers
+      in
+      let victim =
+        List.hd (okr (Session.run_robust admin "patient")).Engine.answers
+      in
+      let report =
+        okr
+          (Session.update_robust admin
+             (Smoqe_update.Update.Delete (Smoqe_update.Update.By_id victim)))
+      in
+      Alcotest.(check bool) "the delete shrank the document" true
+        (report.Engine.up_nodes_after < report.Engine.up_nodes_before);
+      ok (Store.remove_policy store ~group:"researchers");
+      Alcotest.(check int) "the engine keeps the updated node count"
+        report.Engine.up_nodes_after (nodes ());
+      (match Session.run_robust member "//medication" with
+      | Error (Smoqe_robust.Error.Policy_error _) -> ()
+      | Error e ->
+        Alcotest.failf "wrong error: %s" (Smoqe_robust.Error.to_string e)
+      | Ok o ->
+        Alcotest.failf "revoked session answered (%d answers)"
+          (List.length o.Engine.answers));
+      let admin_after = ok (Store.login store Session.Admin) in
+      Alcotest.(check int) "admins before and after agree"
+        (List.length (patients admin))
+        (List.length (patients admin_after)))
 
 let test_bad_group_name () =
   with_store (fun _ _ store ->
@@ -131,6 +175,8 @@ let () =
           Alcotest.test_case "open roundtrip" `Quick test_open_roundtrip;
           Alcotest.test_case "policy persistence" `Quick
             test_policy_files_persisted;
+          Alcotest.test_case "remove_policy revokes in place" `Quick
+            test_remove_policy_revokes_in_place;
         ] );
       ( "robustness",
         [

@@ -6,14 +6,14 @@
      once warm) interleaved with one-off queries that force compiles, so
      the plan cache is probed and populated concurrently;
    - administrative churn from the main domain while the batch is in
-     flight: the group's view re-registered (invalidating its plans
-     mid-query) and the document replaced with an equal tree
+     flight: the group's policy re-registered (a no-op that must keep
+     its plans) and the document replaced with an equal tree
      (invalidating everything);
-   - tenant traffic on per-tenant fair-share lanes: 8 tenants sharing
+   - group traffic on per-group fair-share lanes: 8 more groups sharing
      one canonical policy key, half the batch routed through them, with
-     tenant policy churn mid-flight — idempotent re-registration (a key
-     hit) on the served tenants and full key retirement/re-derivation on
-     a churn-only tenant;
+     policy churn mid-flight — idempotent re-registration (a key hit) on
+     the served groups and full key retirement/re-derivation (plans
+     invalidated mid-query) on a churn-only group;
    - the ["plan.compile"] failpoint firing every few compiles.
 
    The assertions are deliberately coarse — this harness exists to let
@@ -51,7 +51,7 @@ let () =
   | Ok () -> ()
   | Error msg -> die "register_policy: %s" msg);
 
-  (* 8 tenants on the same policy: one shared key, one derived view.
+  (* 8 more groups on the same policy: one shared key, one derived view.
      t0..t6 serve live traffic; t7 only churns (its policy flips between
      the hospital policy and an everything-visible one, retiring and
      re-deriving a key mid-flight) so served answers stay byte-stable. *)
@@ -62,9 +62,9 @@ let () =
     | Error msg -> die "open policy: %s" msg
   in
   for i = 0 to 7 do
-    match Engine.register_tenant engine ~tenant:(tname i) Hospital.policy with
-    | Ok _ -> ()
-    | Error msg -> die "register_tenant %s: %s" (tname i) msg
+    match Engine.register_policy engine ~group:(tname i) Hospital.policy with
+    | Ok () -> ()
+    | Error msg -> die "register_policy %s: %s" (tname i) msg
   done;
 
   (* Sequential reference for the hot suite, on an engine the pool never
@@ -79,9 +79,10 @@ let () =
   | Error msg -> die "reference register_policy: %s" msg);
   List.iter
     (fun (_, text) ->
-      match Engine.query ref_engine ~group:"members" text with
+      match Engine.query_robust ref_engine ~group:"members" text with
       | Ok o -> Hashtbl.replace reference text o.Engine.answer_xml
-      | Error msg -> die "reference %s: %s" text msg)
+      | Error e ->
+        die "reference %s: %s" text (Err.to_string e))
     hot;
 
   (* One-off spellings that always miss the cache, churning the LRU and
@@ -113,27 +114,27 @@ let () =
                   (match Engine.replace_document engine doc with
                   | Ok () -> ()
                   | Error msg -> die "replace_document: %s" msg);
-                (* tenant policy churn mid-flight: an idempotent
-                   re-registration on a served tenant (a policy-key hit,
+                (* group policy churn mid-flight: an idempotent
+                   re-registration on a served group (a policy-key hit,
                    semantics unchanged)... *)
                 if i mod 41 = 11 then
                   (match
-                     Engine.register_tenant engine ~tenant:(tname (i mod 7))
+                     Engine.register_policy engine ~group:(tname (i mod 7))
                        Hospital.policy
                    with
-                  | Ok _ -> ()
-                  | Error msg -> die "tenant re-register: %s" msg);
+                  | Ok () -> ()
+                  | Error msg -> die "group re-register: %s" msg);
                 (* ...and a full key flip on the never-queried t7 —
                    retirement, generational plan invalidation and a fresh
                    derivation racing the live queries *)
                 if i mod 53 = 23 then
                   (match
-                     Engine.register_tenant engine ~tenant:"t7"
+                     Engine.register_policy engine ~group:"t7"
                        (if i mod 106 = 23 then open_policy
                         else Hospital.policy)
                    with
-                  | Ok _ -> ()
-                  | Error msg -> die "tenant flip: %s" msg);
+                  | Ok () -> ()
+                  | Error msg -> die "group flip: %s" msg);
                 (* concurrent writes through the pool: identity replaces
                    keep every answer byte-stable (so the hot-reference
                    check below stays the truth) while the write path's
@@ -150,11 +151,11 @@ let () =
                         Engine.update_robust engine
                           (Update.Replace (Update.By_id n, Tree.to_source d n)))
                     :: !update_futures;
-                (* half the traffic rides tenant lanes through the
+                (* half the traffic rides the t-groups' lanes through the
                    shared-key view; same semantics, same reference *)
                 let fut =
                   if i mod 2 = 1 then
-                    Engine.submit engine ~pool ~tenant:(tname (i mod 7)) text
+                    Engine.submit engine ~pool ~group:(tname (i mod 7)) text
                   else Engine.submit engine ~pool ~group:"members" text
                 in
                 (text, fut))
@@ -198,6 +199,6 @@ let () =
   Printf.printf
     "stress OK: %d tasks (%d served, %d injected faults, %d concurrent \
      updates), answers stable under re-registration, document replacement, \
-     writes and 8-tenant policy churn\n"
+     writes and 8-group policy churn\n"
     rounds !served !injected
     (List.length !update_futures)

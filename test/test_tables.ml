@@ -19,6 +19,10 @@ let ok = function
   | Ok v -> v
   | Error msg -> Alcotest.fail msg
 
+let okr = function
+  | Ok v -> v
+  | Error e -> Alcotest.fail (Smoqe_robust.Error.to_string e)
+
 let parse s = ok (Rx_parser.path_of_string s)
 let compile s = Compile.compile (parse s)
 let tree_of s = Parser.tree_of_string s
@@ -216,12 +220,12 @@ let test_replace_document_invalidation () =
   let doc_a = tree_of "<r><a><b>one</b></a><a><b>two</b></a></r>" in
   let engine = Engine.of_tree doc_a in
   let q = "//a/b" in
-  let cold = ok (Engine.query engine q) in
+  let cold = okr (Engine.query_robust engine q) in
   Alcotest.(check int) "cold: 2 answers on A" 2 (List.length cold.Engine.answers);
   Alcotest.(check bool) "cold: memo active" true
     (cold.Engine.stats.Stats.memo_hits + cold.Engine.stats.Stats.memo_misses
     > 0);
-  let warm = ok (Engine.query engine q) in
+  let warm = okr (Engine.query_robust engine q) in
   Alcotest.(check int) "warm: plan hit" 1
     warm.Engine.stats.Stats.plan_cache_hit;
   Alcotest.(check int) "warm: no new specialization" 0
@@ -233,7 +237,7 @@ let test_replace_document_invalidation () =
        </z5></r>"
   in
   ok (Engine.replace_document engine doc_b);
-  let after = ok (Engine.query engine q) in
+  let after = okr (Engine.query_robust engine q) in
   Alcotest.(check int) "after replace: plans dropped" 0
     after.Engine.stats.Stats.plan_cache_hit;
   Alcotest.(check int) "after replace: 2 answers on B" 2
