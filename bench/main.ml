@@ -48,7 +48,7 @@ module Queries = Smoqe_workload.Queries
 module Random_dtd = Smoqe_workload.Random_dtd
 module Docgen = Smoqe_workload.Docgen
 module Pool = Smoqe_exec.Pool
-module Federation = Smoqe_federation.Federation
+module Corp = Smoqe_workload.Corp
 module J = Bench_out
 
 let okr = function
@@ -197,8 +197,7 @@ let e2 () =
 let e3 () =
   banner "E3" "TAX index: pruning effect, build cost, compressed size";
   let doc =
-    Smoqe_federation.Federation.generate ~seed:13 ~n_departments:60
-      ~section_size:120 ()
+    Corp.generate ~seed:13 ~n_departments:60 ~section_size:120 ()
   in
   let tax = Tax.build doc in
   let build = ns_per_run ~name:"tax-build" (fun () ->
@@ -234,7 +233,7 @@ let e3 () =
         :: !rows;
       Printf.printf "%-20s %-40s %s %s %6.1fx %9d\n%!" label q_text
         (pp_time off) (pp_time on) (off /. on) pruned)
-    Smoqe_federation.Federation.queries;
+    Corp.queries;
   J.write ~id:"e3"
     (J.Obj
        [ ("experiment", J.Str "tax index");
@@ -515,8 +514,7 @@ let e9 () =
     "TAX vs classic indexing: structural joins win their fragment, and \
      nothing else";
   let doc =
-    Smoqe_federation.Federation.generate ~seed:13 ~n_departments:60
-      ~section_size:120 ()
+    Corp.generate ~seed:13 ~n_departments:60 ~section_size:120 ()
   in
   let tax = Tax.build doc in
   let region = Smoqe_tax.Region.build doc in
@@ -669,7 +667,7 @@ let e10 () =
 let e11 () =
   banner "E11"
     "plan cache: repeated view queries served without re-rewriting \
-     (gate: warm median >= 5x faster than --no-plan-cache)";
+     (gate: warm median >= 5x faster than --plan-cache 0)";
   let median xs =
     let a = Array.of_list xs in
     Array.sort compare a;
@@ -1571,7 +1569,7 @@ let e17 () =
          ("cores", J.Int cores);
          ("pass", J.Bool pass) ])
 
-(* --- E18: multi-tenant serving and federation ----------------------------- *)
+(* --- E18: multi-tenant serving ---------------------------------------------- *)
 
 (* Jain's fairness index (sum x)^2 / (n * sum x^2): 1.0 = perfectly
    equal shares, 1/n = one tenant took everything. *)
@@ -1789,51 +1787,11 @@ let e18 () =
     adv_admitted adv_throttled fairness
     (if jain_pass then "PASS" else "FAIL");
 
-  (* --- leg 4 (informational): sharded scatter-gather federation --- *)
-  let n_shards = 4 in
-  let corpus =
-    Federation.generate_corpus ~seed:13 ~shards:n_shards
-      ~n_departments:(if smoke then 8 else 40)
-      ~section_size:3 ()
-  in
-  let fed = Federation.create ~dtd:Federation.dtd corpus in
-  let shard_engines =
-    List.init n_shards (fun i -> Federation.shard fed i)
-  in
-  let fed_queries = List.map snd Federation.queries in
-  let fed_ok = ref true in
-  let fanout = ref 0 in
-  Pool.with_pool ~domains:4 (fun pool ->
-      List.iter
-        (fun text ->
-          match Federation.query_robust fed ~pool text with
-          | Error e -> failwith (Smoqe_robust.Error.to_string e)
-          | Ok o ->
-            fanout := o.Federation.fed_stats.Stats.shard_fanout;
-            (* the scatter answers exactly what the shards answer alone *)
-            let solo =
-              List.fold_left
-                (fun acc e ->
-                  match Engine.query_robust e text with
-                  | Ok o -> acc + List.length o.Engine.answers
-                  | Error e -> failwith (Smoqe_robust.Error.to_string e))
-                0 shard_engines
-            in
-            if List.length o.Federation.fed_answers <> solo then
-              fed_ok := false)
-        fed_queries);
-  Printf.printf
-    "federation: %d shards, %d queries scattered, merged answers %s, \
-     shard_fanout = %d\n"
-    n_shards (List.length fed_queries)
-    (if !fed_ok then "agree with per-shard serving" else "DISAGREE")
-    !fanout;
-
-  let pass = share_pass && qps_pass && jain_pass && !fed_ok in
+  let pass = share_pass && qps_pass && jain_pass in
   Printf.printf "E18 verdict: %s\n" (if pass then "PASS" else "FAIL");
   J.write ~id:"e18"
     (J.Obj
-       [ ("experiment", J.Str "multi-tenant serving and federation");
+       [ ("experiment", J.Str "multi-tenant serving");
          ("smoke", J.Bool smoke);
          ("nodes", J.Int (Tree.n_nodes doc));
          ("tenants", J.Int n_tenants);
@@ -1850,9 +1808,6 @@ let e18 () =
          ("adversary_throttled", J.Int adv_throttled);
          ("jain", J.Float fairness);
          ("jain_gate", J.Str (if jain_pass then "PASS" else "FAIL"));
-         ("shards", J.Int n_shards);
-         ("shard_fanout", J.Int !fanout);
-         ("federation_agrees", J.Bool !fed_ok);
          ("pass", J.Bool pass) ])
 
 (* --- Figures ----------------------------------------------------------------- *)

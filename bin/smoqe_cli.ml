@@ -17,7 +17,6 @@ module Robust_error = Smoqe_robust.Error
 module Pool = Smoqe_exec.Pool
 module Stats = Smoqe_hype.Stats
 module Update = Smoqe_update.Update
-module Federation = Smoqe_federation.Federation
 
 let read_file path =
   let ic = open_in_bin path in
@@ -314,8 +313,8 @@ let load_queries path =
 
 let query_cmd =
   let run doc_path dtd_path policy_path group mode use_index trace output
-      stats budget plan_cache no_plan_cache repeat jobs queries_file
-      tenants_file tenant_budget shards query =
+      stats budget plan_cache repeat jobs queries_file tenants_file
+      tenant_budget query =
     let dtd = Option.map load_dtd dtd_path in
     (* the parse is budgeted too: a depth/node/deadline limit must bound
        document ingest, not just evaluation (DESIGN.md §12) *)
@@ -335,148 +334,22 @@ let query_cmd =
     if use_index then Engine.build_index engine;
     let mode = if mode = "stax" then Engine.Stax else Engine.Dom in
     let tracer = if trace then Some (Trace.create ()) else None in
-    Engine.set_plan_cache_capacity engine
-      (if no_plan_cache then 0 else plan_cache);
+    Engine.set_plan_cache_capacity engine plan_cache;
     (* [--repeat] re-runs the query in-process — the serving pattern the
        plan cache exists for; each run gets a fresh budget so the deadline
        restarts.  With [--jobs N] (N >= 2) the repeats are dispatched onto
        a pool of N domains and run in true parallel; answers are printed
        once and [--stats] shows the aggregate plus per-domain loads. *)
     let repeat = max 1 repeat in
-    let jobs = match jobs with Some n -> max 1 n | None -> Pool.default_jobs () in
+    let jobs = max 1 jobs in
     (* A trace sink is single-query scratch state with no seat in pooled
        dispatch (Engine.submit deliberately has no ?trace); refuse rather
        than silently print an empty trace. *)
     if trace && jobs > 1 then begin
       prerr_endline
         "smoqe: --trace is sequential-only and cannot be combined with \
-         --jobs > 1 (or SMOQE_JOBS > 1)";
+         --jobs > 1";
       exit 1
-    end;
-    (* --shards N: serve the document as a federation of N engine shards.
-       The root's children are split round-robin, every policy is
-       registered on every shard, and each query scatters to all shards
-       through the pool and gathers a merged answer (shard-local node ids,
-       so --output ids prints shard:node pairs).  Admission is
-       federation-level: the group's bucket is charged once per query,
-       not once per shard. *)
-    let shards = max 1 shards in
-    if shards > 1 then begin
-      if trace then begin
-        prerr_endline "smoqe: --trace cannot be combined with --shards";
-        exit 1
-      end;
-      if output = "tree" then begin
-        prerr_endline
-          "smoqe: --output tree is not available with --shards (answers \
-           carry shard-local ids)";
-        exit 1
-      end;
-      if repeat > 1 then begin
-        prerr_endline
-          "smoqe: --repeat is single-engine-only and cannot be combined \
-           with --shards";
-        exit 1
-      end;
-      let fed = Federation.of_tree ?dtd ~shards (Engine.document engine) in
-      (match policy_path, dtd, group with
-      | Some p, Some d, Some g ->
-        or_die (Federation.register_policy fed ~group:g (load_policy d p))
-      | _ -> ());
-      List.iter
-        (fun (name, policy) ->
-          or_die (Federation.register_policy fed ~group:name policy))
-        tenant_defs;
-      (match tenant_budget, group with
-      | Some cap, Some g ->
-        Federation.set_admission fed ~group:g ~capacity:cap ()
-      | _ -> ());
-      if use_index then
-        for i = 0 to Federation.n_shards fed - 1 do
-          Engine.build_index (Federation.shard fed i)
-        done;
-      let print_fed (o : Federation.fed_outcome) =
-        match output with
-        | "ids" ->
-          List.iter
-            (fun (s, n) -> Printf.printf "%d:%d\n" s n)
-            o.Federation.fed_answers
-        | _ -> List.iter print_endline o.Federation.fed_xml
-      in
-      let print_fed_counters () =
-        if tenant_defs <> [] then
-          print_tenant_counters
-            (Federation.tenant_counters fed)
-            (Federation.admission_counters fed)
-      in
-      (match queries_file with
-      | Some qpath ->
-        if query <> None then begin
-          prerr_endline
-            "smoqe: a positional QUERY and --queries-file are mutually \
-             exclusive";
-          exit 1
-        end;
-        let texts = load_queries qpath in
-        if texts = [] then begin
-          prerr_endline
-            ("smoqe: " ^ qpath ^ ": no queries (all blank/comments)");
-          exit 1
-        end;
-        let results, agg =
-          Pool.with_pool ~domains:jobs (fun pool ->
-              Federation.run_many_robust fed ~pool ?group ~mode
-                ~use_index ?make_budget:budget texts)
-        in
-        let first_failure = ref None in
-        Array.iteri
-          (fun i r ->
-            Printf.printf "== query %d: %s ==\n" (i + 1) (List.nth texts i);
-            match r with
-            | Error e ->
-              if !first_failure = None then first_failure := Some e;
-              Printf.printf "error: %s\n" (Robust_error.to_string e)
-            | Ok o ->
-              print_fed o;
-              if stats then begin
-                print_endline "-- statistics --";
-                print_endline (Ismoqe.stats_table o.Federation.fed_stats)
-              end)
-          results;
-        if stats then begin
-          Printf.printf
-            "== federation aggregate (%d queries, %d shards, %d domains) ==\n"
-            (List.length texts) (Federation.n_shards fed) jobs;
-          List.iter
-            (fun (k, v) -> Printf.printf "%s: %d\n" k v)
-            (Stats.to_assoc agg);
-          print_fed_counters ()
-        end;
-        (match !first_failure with
-        | Some e -> exit (Robust_error.exit_code e)
-        | None -> exit 0)
-      | None ->
-        let query =
-          match query with
-          | Some q -> q
-          | None ->
-            prerr_endline
-              "smoqe: a QUERY argument or --queries-file is required";
-            exit 1
-        in
-        let result =
-          Pool.with_pool ~domains:jobs (fun pool ->
-              Federation.query_robust fed ~pool ?group ~mode
-                ~use_index ?make_budget:budget query)
-        in
-        let outcome = or_die_robust result in
-        print_fed outcome;
-        if stats then begin
-          print_endline "-- statistics --";
-          print_endline (Ismoqe.stats_table outcome.Federation.fed_stats);
-          print_fed_counters ()
-        end;
-        exit 0)
     end;
     let print_answers outcome =
       match output with
@@ -656,20 +529,15 @@ let query_cmd =
       $ Arg.(value & opt int 128
              & info [ "plan-cache" ] ~docv:"N"
                  ~doc:"Compiled-plan cache capacity (0 disables).")
-      $ Arg.(value & flag
-             & info [ "no-plan-cache" ]
-                 ~doc:"Disable the compiled-plan cache (same as \
-                       --plan-cache 0).")
       $ Arg.(value & opt int 1
              & info [ "repeat" ] ~docv:"N"
                  ~doc:"Run the query N times in-process (answers printed \
                        once); repeats after the first are served from the \
                        plan cache.")
-      $ Arg.(value & opt (some int) None
+      $ Arg.(value & opt int 1
              & info [ "j"; "jobs" ] ~docv:"N"
                  ~doc:"Evaluate --repeat runs on a pool of N domains in \
-                       parallel (default: \\$(b,SMOQE_JOBS), else 1 = \
-                       sequential, no pool).")
+                       parallel (1 = sequential, no pool).")
       $ Arg.(value & opt (some file) None
              & info [ "queries-file" ] ~docv:"FILE"
                  ~doc:"Serve a whole batch: one Regular XPath query per line \
@@ -683,13 +551,6 @@ let query_cmd =
                        as: after N queries the group is throttled (exit 3) \
                        until tokens refill.  Each batch member costs one \
                        token.")
-      $ Arg.(value & opt int 1
-             & info [ "shards" ] ~docv:"N"
-                 ~doc:"Serve the document as a federation of N engine \
-                       shards: the root's children split round-robin, \
-                       queries scatter to every shard through the --jobs \
-                       pool and answers merge (per-shard statistics \
-                       aggregate under --stats).")
       $ Arg.(value & pos 0 (some string) None
              & info [] ~docv:"QUERY"
                  ~doc:"Regular XPath query (omit with --queries-file)."))

@@ -224,11 +224,3 @@ let worker_loads t = Array.map (fun w -> Atomic.get w.completed) t.workers
 let worker_failures t = Array.map (fun w -> Atomic.get w.failed) t.workers
 
 let recommended_domains () = Domain.recommended_domain_count ()
-
-let default_jobs () =
-  match Sys.getenv_opt "SMOQE_JOBS" with
-  | None | Some "" -> 1
-  | Some v ->
-    (match int_of_string_opt (String.trim v) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> 1)

@@ -102,8 +102,3 @@ val worker_failures : t -> int array
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()]: what this machine can truly run
     in parallel. *)
-
-val default_jobs : unit -> int
-(** The [SMOQE_JOBS] environment variable if set to a positive integer,
-    else [1].  Sequential by default: parallelism is opt-in, so single
-    -query callers never pay for a pool they did not ask for. *)

@@ -24,7 +24,6 @@ type t = {
   mutable accept_width : int;
   mutable policy_key_hits : int;
   mutable tenant_throttled : int;
-  mutable shard_fanout : int;
 }
 
 let create () =
@@ -54,7 +53,6 @@ let create () =
     accept_width = 0;
     policy_key_hits = 0;
     tenant_throttled = 0;
-    shard_fanout = 0;
   }
 
 let zero () =
@@ -87,8 +85,7 @@ let merge_into ~into s =
   into.shared_prefix_hits <- into.shared_prefix_hits + s.shared_prefix_hits;
   into.accept_width <- max into.accept_width s.accept_width;
   into.policy_key_hits <- into.policy_key_hits + s.policy_key_hits;
-  into.tenant_throttled <- into.tenant_throttled + s.tenant_throttled;
-  into.shard_fanout <- into.shard_fanout + s.shard_fanout
+  into.tenant_throttled <- into.tenant_throttled + s.tenant_throttled
 
 let note_shared s (sh : Smoqe_automata.Shared.t) =
   s.batch_queries <- sh.n_queries;
@@ -152,7 +149,6 @@ let to_assoc t =
     ("accept_width", t.accept_width);
     ("policy_key_hits", t.policy_key_hits);
     ("tenant_throttled", t.tenant_throttled);
-    ("shard_fanout", t.shard_fanout);
   ]
 
 let pp ppf t =
@@ -173,10 +169,9 @@ let pp ppf t =
        accept width %d"
       t.batch_queries t.shared_states t.shared_saved t.shared_prefix_hits
       t.accept_width;
-  if t.policy_key_hits + t.tenant_throttled + t.shard_fanout > 0 then
-    Fmt.pf ppf
-      "@ tenancy: %d policy-key hits, %d throttled, shard fanout %d"
-      t.policy_key_hits t.tenant_throttled t.shard_fanout;
+  if t.policy_key_hits + t.tenant_throttled > 0 then
+    Fmt.pf ppf "@ tenancy: %d policy-key hits, %d throttled" t.policy_key_hits
+      t.tenant_throttled;
   if degraded t then
     Fmt.pf ppf "@ degraded:%s%s"
       (if t.degraded_no_index > 0 then " index unavailable -> unindexed DOM"

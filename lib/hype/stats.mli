@@ -51,9 +51,6 @@ type t = {
   mutable tenant_throttled : int;
       (** queries rejected by per-group admission control (token bucket
           empty); in an aggregate, the count of throttled queries *)
-  mutable shard_fanout : int;
-      (** engine shards this answer was scatter-gathered across (0 for a
-          plain single-engine run) *)
 }
 
 val create : unit -> t

@@ -165,23 +165,20 @@ let test_stats_merge_tenancy () =
   let a = Stats.zero () and b = Stats.zero () in
   a.Stats.policy_key_hits <- 2;
   a.Stats.tenant_throttled <- 1;
-  a.Stats.shard_fanout <- 4;
   b.Stats.policy_key_hits <- 3;
   b.Stats.tenant_throttled <- 5;
-  b.Stats.shard_fanout <- 4;
   let into = Stats.zero () in
   Stats.merge_into ~into a;
   Stats.merge_into ~into b;
   Alcotest.(check int) "policy_key_hits sums" 5 into.Stats.policy_key_hits;
   Alcotest.(check int) "tenant_throttled sums" 6 into.Stats.tenant_throttled;
-  Alcotest.(check int) "shard_fanout sums" 8 into.Stats.shard_fanout;
   List.iter
     (fun key ->
       Alcotest.(check bool)
         (key ^ " exported by to_assoc")
         true
         (List.mem_assoc key (Stats.to_assoc into)))
-    [ "policy_key_hits"; "tenant_throttled"; "shard_fanout" ]
+    [ "policy_key_hits"; "tenant_throttled" ]
 
 let () =
   Alcotest.run "smoqe_shared"

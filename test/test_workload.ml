@@ -5,6 +5,7 @@ module Dtd = Smoqe_xml.Dtd
 module Validator = Smoqe_xml.Validator
 module Hospital = Smoqe_workload.Hospital
 module Bib = Smoqe_workload.Bib
+module Corp = Smoqe_workload.Corp
 module Random_dtd = Smoqe_workload.Random_dtd
 module Docgen = Smoqe_workload.Docgen
 module Queries = Smoqe_workload.Queries
@@ -35,6 +36,21 @@ let test_bib_valid () =
   | Ok () -> ()
   | Error errs ->
     Alcotest.fail (Fmt.str "%a" Fmt.(list ~sep:sp Validator.pp_error) errs)
+
+(* The E3/E9 document: bench output pins its node count. *)
+let test_corp_valid () =
+  let t = Corp.generate ~seed:13 ~n_departments:60 ~section_size:120 () in
+  Alcotest.(check int) "E3 document size" 53_753 (Tree.n_nodes t);
+  match Validator.validate Corp.dtd t with
+  | Ok () -> ()
+  | Error errs ->
+    Alcotest.fail (Fmt.str "%a" Fmt.(list ~sep:sp Validator.pp_error) errs)
+
+let test_corp_deterministic () =
+  let gen seed = Corp.generate ~seed ~n_departments:8 ~section_size:5 () in
+  Alcotest.(check bool) "same" true (Tree.equal (gen 13) (gen 13));
+  Alcotest.(check bool) "different seed differs" false
+    (Tree.equal (gen 13) (gen 14))
 
 let test_random_dtd_wellformed () =
   for seed = 0 to 20 do
@@ -115,6 +131,11 @@ let () =
           Alcotest.test_case "recursion" `Quick test_hospital_recursion_present;
         ] );
       ("bib", [ Alcotest.test_case "valid" `Quick test_bib_valid ]);
+      ( "corp",
+        [
+          Alcotest.test_case "valid" `Quick test_corp_valid;
+          Alcotest.test_case "deterministic" `Quick test_corp_deterministic;
+        ] );
       ( "random",
         [
           Alcotest.test_case "dtd wellformed" `Quick test_random_dtd_wellformed;
