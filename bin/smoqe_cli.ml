@@ -1,6 +1,6 @@
 (* The SMOQE command-line interface: the terminal stand-in for the demo's
-   iSMOQE front-end.  Subcommands: schema, view, rewrite, query, index,
-   gen. *)
+   iSMOQE front-end.  Subcommands: schema, view, rewrite, query, update,
+   index, gen and store (init, add-policy, info, query). *)
 
 open Cmdliner
 
@@ -14,7 +14,6 @@ module Derive = Smoqe_security.Derive
 module Trace = Smoqe_hype.Trace
 module Budget = Smoqe_robust.Budget
 module Robust_error = Smoqe_robust.Error
-module Pool = Smoqe_exec.Pool
 module Stats = Smoqe_hype.Stats
 module Update = Smoqe_update.Update
 
@@ -172,14 +171,9 @@ let setup_groups engine ~dtd ~policy_path ~tenants_file ~group =
     tenant_defs;
   (tenant_defs, group)
 
-let print_tenant_counters counters admission =
+let print_tenant_counters counters =
   print_endline "-- tenants --";
-  List.iter (fun (k, v) -> Printf.printf "%s: %d\n" k v) counters;
-  List.iter
-    (fun (name, (admitted, throttled)) ->
-      Printf.printf "tenant %s: admitted %d, throttled %d\n" name admitted
-        throttled)
-    admission
+  List.iter (fun (k, v) -> Printf.printf "%s: %d\n" k v) counters
 
 (* Resource budgets (wired into Smoqe_robust.Budget).  [budget_term]
    evaluates to [None] when no limit is given, or a thunk building a fresh
@@ -313,8 +307,7 @@ let load_queries path =
 
 let query_cmd =
   let run doc_path dtd_path policy_path group mode use_index trace output
-      stats budget plan_cache repeat jobs queries_file tenants_file
-      tenant_budget query =
+      stats budget plan_cache repeat queries_file tenants_file query =
     let dtd = Option.map load_dtd dtd_path in
     (* the parse is budgeted too: a depth/node/deadline limit must bound
        document ingest, not just evaluation (DESIGN.md §12) *)
@@ -325,32 +318,14 @@ let query_cmd =
     let tenant_defs, group =
       setup_groups engine ~dtd ~policy_path ~tenants_file ~group
     in
-    (match tenant_budget, group with
-    | Some cap, Some g -> Engine.set_admission engine ~group:g ~capacity:cap ()
-    | Some _, None ->
-      prerr_endline "smoqe: --tenant-budget requires a group (-g or -p)";
-      exit 1
-    | None, _ -> ());
     if use_index then Engine.build_index engine;
     let mode = if mode = "stax" then Engine.Stax else Engine.Dom in
     let tracer = if trace then Some (Trace.create ()) else None in
     Engine.set_plan_cache_capacity engine plan_cache;
     (* [--repeat] re-runs the query in-process — the serving pattern the
        plan cache exists for; each run gets a fresh budget so the deadline
-       restarts.  With [--jobs N] (N >= 2) the repeats are dispatched onto
-       a pool of N domains and run in true parallel; answers are printed
-       once and [--stats] shows the aggregate plus per-domain loads. *)
+       restarts.  Answers are printed once, from the last run. *)
     let repeat = max 1 repeat in
-    let jobs = max 1 jobs in
-    (* A trace sink is single-query scratch state with no seat in pooled
-       dispatch (Engine.submit deliberately has no ?trace); refuse rather
-       than silently print an empty trace. *)
-    if trace && jobs > 1 then begin
-      prerr_endline
-        "smoqe: --trace is sequential-only and cannot be combined with \
-         --jobs > 1";
-      exit 1
-    end;
     let print_answers outcome =
       match output with
       | "ids" ->
@@ -369,10 +344,9 @@ let query_cmd =
         (Engine.plan_cache_counters engine)
     in
     (* --queries-file: the whole batch is answered in ONE shared-automaton
-       document pass (Engine.run_many_robust) — or one pass per pool worker
-       with
-       --jobs N.  A failed member (parse error, budget…) is reported in its
-       slot without sinking the rest; the exit code is the first failure's. *)
+       document pass (Engine.run_many_robust).  A failed member (parse
+       error, budget…) is reported in its slot without sinking the rest;
+       the exit code is the first failure's. *)
     (match queries_file with
     | Some qpath ->
       if query <> None then begin
@@ -397,14 +371,9 @@ let query_cmd =
         exit 1
       end;
       let results, agg =
-        if jobs <= 1 then
-          Engine.run_many_robust engine ?group ~mode ~use_index
-            ?budget:(Option.map (fun mk -> mk ()) budget)
-            texts
-        else
-          Pool.with_pool ~domains:jobs (fun pool ->
-              Engine.run_many_pooled engine ~pool ?group ~mode
-                ~use_index ?make_budget:budget texts)
+        Engine.run_many_robust engine ?group ~mode ~use_index
+          ?budget:(Option.map (fun mk -> mk ()) budget)
+          texts
       in
       let first_failure = ref None in
       Array.iteri
@@ -422,16 +391,14 @@ let query_cmd =
             end)
         results;
       if stats then begin
-        Printf.printf "== batch aggregate (%d queries, %d domains) ==\n"
-          (List.length texts) jobs;
+        Printf.printf "== batch aggregate (%d queries) ==\n"
+          (List.length texts);
         List.iter
           (fun (k, v) -> Printf.printf "%s: %d\n" k v)
           (Stats.to_assoc agg);
         print_plan_cache ();
         if tenant_defs <> [] then
-          print_tenant_counters
-            (Engine.tenant_counters engine)
-            (Engine.admission_counters engine)
+          print_tenant_counters (Engine.tenant_counters engine)
       end;
       (match !first_failure with
       | Some e -> exit (Robust_error.exit_code e)
@@ -451,29 +418,11 @@ let query_cmd =
         (Engine.query_robust engine ?group ~mode ~use_index ?budget
            ?trace:tracer query)
     in
-    let outcome, agg_stats, loads =
-      if jobs <= 1 then begin
-        (* the sequential path: exactly the pre-pool engine, no executor *)
-        let outcome = ref (run_once ()) in
-        for _ = 2 to repeat do
-          outcome := run_once ()
-        done;
-        (!outcome, None, None)
-      end
-      else
-        Pool.with_pool ~domains:jobs (fun pool ->
-            let results, agg =
-              Engine.run_batch engine ~pool ?group ~mode ~use_index
-                ?make_budget:budget
-                (List.init repeat (fun _ -> query))
-            in
-            let last =
-              List.fold_left
-                (fun _acc r -> Some (or_die_robust r))
-                None results
-            in
-            (Option.get last, Some agg, Some (Pool.worker_loads pool)))
-    in
+    let outcome = ref (run_once ()) in
+    for _ = 2 to repeat do
+      outcome := run_once ()
+    done;
+    let outcome = !outcome in
     print_answers outcome;
     (match tracer with
     | Some tr ->
@@ -484,24 +433,9 @@ let query_cmd =
     if stats then begin
       print_endline "-- statistics --";
       print_endline (Ismoqe.stats_table outcome.Engine.stats);
-      (match agg_stats with
-      | None -> ()
-      | Some agg ->
-        Printf.printf "-- batch aggregate (%d runs, %d domains) --\n" repeat
-          jobs;
-        List.iter
-          (fun (k, v) -> Printf.printf "%s: %d\n" k v)
-          (Stats.to_assoc agg));
-      (match loads with
-      | None -> ()
-      | Some loads ->
-        Printf.printf "-- domain loads --\n";
-        Array.iteri (fun i n -> Printf.printf "domain %d: %d runs\n" i n) loads);
       print_plan_cache ();
       if tenant_defs <> [] then
-        print_tenant_counters
-          (Engine.tenant_counters engine)
-          (Engine.admission_counters engine)
+        print_tenant_counters (Engine.tenant_counters engine)
     end
   in
   Cmd.v
@@ -534,23 +468,12 @@ let query_cmd =
                  ~doc:"Run the query N times in-process (answers printed \
                        once); repeats after the first are served from the \
                        plan cache.")
-      $ Arg.(value & opt int 1
-             & info [ "j"; "jobs" ] ~docv:"N"
-                 ~doc:"Evaluate --repeat runs on a pool of N domains in \
-                       parallel (1 = sequential, no pool).")
       $ Arg.(value & opt (some file) None
              & info [ "queries-file" ] ~docv:"FILE"
                  ~doc:"Serve a whole batch: one Regular XPath query per line \
                        (blank lines and #-comments skipped), all answered in \
-                       a single shared-automaton document pass — one pass \
-                       per worker with --jobs.")
+                       a single shared-automaton document pass.")
       $ tenants_arg
-      $ Arg.(value & opt (some int) None
-             & info [ "tenant-budget" ] ~docv:"N"
-                 ~doc:"Admission token budget for the group the query runs \
-                       as: after N queries the group is throttled (exit 3) \
-                       until tokens refill.  Each batch member costs one \
-                       token.")
       $ Arg.(value & pos 0 (some string) None
              & info [] ~docv:"QUERY"
                  ~doc:"Regular XPath query (omit with --queries-file)."))

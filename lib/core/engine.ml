@@ -12,7 +12,6 @@ module Tables = Smoqe_automata.Tables
 module Policy = Smoqe_security.Policy
 module Derive = Smoqe_security.Derive
 module Tenant_registry = Smoqe_security.Tenant_registry
-module Admission = Smoqe_robust.Admission
 module Rewriter = Smoqe_rewrite.Rewriter
 module Eval_dom = Smoqe_hype.Eval_dom
 module Eval_stax = Smoqe_hype.Eval_stax
@@ -24,7 +23,6 @@ module Budget = Smoqe_robust.Budget
 module Failpoint = Smoqe_robust.Failpoint
 module Plan_cache = Smoqe_plan.Plan_cache
 module Canon = Smoqe_plan.Canon
-module Pool = Smoqe_exec.Pool
 module Shared = Smoqe_automata.Shared
 module Ast = Smoqe_rxpath.Ast
 module Update = Smoqe_update.Update
@@ -82,24 +80,23 @@ type plan = {
          and the table — pure tag-id arithmetic — stays valid; a swap to
          an unrelated tree (or a splice that grew the tag table) changes
          the token and forces respecialization.  Atomic: plans are shared
-         across pool domains; last-writer-wins is benign (both writers
+         across domains; last-writer-wins is benign (both writers
          hold tables valid for their own snapshot). *)
 }
 
 (* Concurrency model (DESIGN.md §9).  One engine serves queries from many
-   sessions, and with the pool executor those run on distinct domains in
-   true parallel.  The split:
+   sessions, and callers may run those on distinct domains in true
+   parallel.  The split:
 
    - [dtd] is immutable; [Tree.t] and [Tax.t] values are deeply immutable
      once built — readers never lock *while evaluating* on them.
    - Everything [mutable] below is guarded by [lock].  A query takes the
      lock only long enough to read a consistent {tree, source, tax}
      snapshot; compile and evaluation run outside it, on the snapshot.
-   - [principals], [admission] and [plan_cache] each have their own
-     internal mutex.  Lock order is engine [lock] → cache lock
-     (invalidation under [lock] probes the cache); neither the cache nor
-     the registry calls back into the engine, so the order cannot
-     invert. *)
+   - [principals] and [plan_cache] each have their own internal mutex.
+     Lock order is engine [lock] → cache lock (invalidation under [lock]
+     probes the cache); neither the cache nor the registry calls back
+     into the engine, so the order cannot invert. *)
 type t = {
   lock : Mutex.t;
   mutable tree : Tree.t;
@@ -110,7 +107,6 @@ type t = {
   mutable saved_compile_ms : float;
   principals : Tenant_registry.t;
       (* group -> canonical policy key -> the shared derived view *)
-  admission : Admission.t;
 }
 
 (* What one query evaluates against: an immutable view of the engine's
@@ -145,7 +141,6 @@ let make ?dtd tree source =
     plan_cache = Plan_cache.create ();
     saved_compile_ms = 0.;
     principals = Tenant_registry.create ();
-    admission = Admission.create ();
   }
 
 let locked t f = Mutex.protect t.lock f
@@ -237,46 +232,21 @@ let view t ~group =
 let view_dtd t ~group = Option.map Derive.view_dtd (view t ~group)
 let tenant_counters t = Tenant_registry.counters t.principals
 
-let set_admission t ~group ~capacity ?refill_per_s () =
-  Admission.set_budget t.admission ~tenant:group ~capacity ?refill_per_s ()
-
-let admission_counters t = Admission.counters t.admission
-
-(* The throttle error: typed as a budget trip (CLI exit code 3 — the
-   resource-exhaustion taxonomy the budget path already speaks), with
-   [tenant_throttled] marked in the partial stats. *)
-let throttle_error t group =
-  let stats = Stats.zero () in
-  stats.Stats.tenant_throttled <- 1;
-  Error.Budget_exceeded
-    {
-      what = Printf.sprintf "group %s admission tokens" group;
-      limit =
-        (match Admission.limit_of t.admission ~tenant:group with
-        | Some n -> string_of_int n
-        | None -> "0");
-      partial_stats = Stats.to_assoc stats;
-    }
-
 (* The one resolver: the principal a request runs under, as the view it
    is rewritten through together with that view's policy key — [None] for
-   an administrative request on the document itself.  Admission is
-   charged on the way: [cost] tokens (one per member query) are consumed
-   before any engine work happens, so a throttled group never reaches
-   compile or evaluation.  Compile and update use the view returned here
-   and never look the group up again, so a concurrent re-registration
-   cannot pair one policy's key with another policy's view. *)
+   an administrative request on the document itself.  Compile and update
+   use the view returned here and never look the group up again, so a
+   concurrent re-registration cannot pair one policy's key with another
+   policy's view. *)
 let unknown_group g = Error.Policy_error (Printf.sprintf "unknown group %s" g)
 
-let principal t ?group ~cost () =
+let principal t group =
   match group with
   | None -> Ok None
   | Some g ->
     (match Tenant_registry.lookup t.principals ~tenant:g with
     | None -> Error (unknown_group g)
-    | Some route ->
-      if Admission.admit ~cost t.admission ~tenant:g then Ok (Some route)
-      else Error (throttle_error t g))
+    | Some route -> Ok (Some route))
 
 (* Swap the served document under the standing DTD, views and sessions —
    the serving story: policies persist, data rolls over.  The new tree
@@ -790,19 +760,14 @@ let run_slots t ~route ?snap ~mode ?use_index ?optimize ?budget ?trace texts =
           slots,
         stats ))
 
-(* The admitted entry: one admission token per member query (a batch is N
-   queries' worth of work, not one), charged before any engine work. *)
+(* The one entry: resolve the principal, then run every text as a slot of
+   one request. *)
 let serve t ?group ?(mode = Dom) ?use_index ?optimize ?budget ?trace texts =
   let n = List.length texts in
   if n = 0 then ([||], Stats.zero ())
   else
-    match principal t ?group ~cost:(float_of_int n) () with
-    | Error e ->
-      let aggregate = Stats.zero () in
-      (match e with
-      | Error.Budget_exceeded _ -> aggregate.Stats.tenant_throttled <- n
-      | _ -> ());
-      (Array.make n (Error e), aggregate)
+    match principal t group with
+    | Error e -> (Array.make n (Error e), Stats.zero ())
     | Ok route ->
       run_slots t ~route ~mode ?use_index ?optimize ?budget ?trace
         (Array.of_list texts)
@@ -854,7 +819,7 @@ let resolve_target t ~route snap = function
    [replace_document] won the race), the whole staged pipeline is redone
    from a fresh snapshot rather than patched up. *)
 let update_robust t ?group op =
-  match principal t ?group ~cost:1. () with
+  match principal t group with
   | Error e -> Error e
   | Ok route ->
     let member_view = Option.map snd route in
@@ -940,68 +905,3 @@ let update_robust t ?group op =
             })
     in
     attempt 16
-
-(* --- the multicore serving layer ------------------------------------------- *)
-
-(* Dispatch one query onto the pool.  The task closes over nothing
-   mutable but the engine itself, whose query path is domain-safe by the
-   snapshot/lock discipline above; the budget is *made* on the worker so
-   its wall-clock deadline starts when evaluation does, and so no Budget
-   value is ever shared between two in-flight queries. *)
-let submit t ~pool ?group ?mode ?use_index ?optimize ?make_budget text =
-  (* A group's tasks ride its own fair-share lane: a hot group's backlog
-     delays only itself, administrative traffic shares the default lane.
-     Admission is charged on the worker, inside [query_robust]. *)
-  Pool.submit ?lane:group pool (fun () ->
-      let budget = Option.map (fun mk -> mk ()) make_budget in
-      query_robust t ?group ?mode ?use_index ?optimize ?budget text)
-
-let run_batch t ~pool ?group ?mode ?use_index ?optimize ?make_budget texts =
-  let futures =
-    List.map
-      (fun text ->
-        submit t ~pool ?group ?mode ?use_index ?optimize ?make_budget text)
-      texts
-  in
-  (* Await in submission order; queries complete on the workers in any
-     order, which is fine — each result lands in its own future. *)
-  let results = List.map Pool.await futures in
-  let aggregate = Stats.zero () in
-  List.iter
-    (function
-      | Ok o -> Stats.merge_into ~into:aggregate o.stats
-      | Error (Error.Budget_exceeded _) | Error _ -> ())
-    results;
-  (results, aggregate)
-
-(* Shard a batch across the pool: contiguous chunks, one shared pass per
-   domain, results re-concatenated in order.  Each shard is its own merge
-   (and its own batch-plan cache entry), so warm sharded batches still hit
-   as long as the shard boundaries are stable — which they are for a fixed
-   pool size. *)
-let run_many_pooled t ~pool ?group ?mode ?use_index ?make_budget texts =
-  let texts = Array.of_list texts in
-  let n = Array.length texts in
-  if n = 0 then ([||], Stats.zero ())
-  else begin
-    let shards = max 1 (min (Pool.size pool) n) in
-    let chunk k =
-      (* balanced split: the first (n mod shards) chunks get one extra *)
-      let base = n / shards and extra = n mod shards in
-      let start = (k * base) + min k extra in
-      let len = base + if k < extra then 1 else 0 in
-      Array.to_list (Array.sub texts start len)
-    in
-    let futures =
-      List.init shards (fun k ->
-          Pool.submit ?lane:group pool (fun () ->
-              let budget = Option.map (fun mk -> mk ()) make_budget in
-              run_many_robust t ?group ?mode ?use_index ?budget (chunk k)))
-    in
-    let parts = List.map Pool.await futures in
-    let aggregate = Stats.zero () in
-    List.iter
-      (fun (_, stats) -> Stats.merge_into ~into:aggregate stats)
-      parts;
-    (Array.concat (List.map fst parts), aggregate)
-  end

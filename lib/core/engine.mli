@@ -20,15 +20,14 @@
     failure is retried once in DOM mode ([degraded_stax_retry]).
 
     {b Concurrency.}  The query path is domain-safe: any number of
-    domains may call {!query_robust} (or {!submit} queries onto a
-    {!Smoqe_exec.Pool}) against one engine concurrently, interleaved
-    with the administrative operations ({!register_policy},
-    {!replace_document}, {!build_index}, {!load_index}).  Each query
-    atomically snapshots the served {tree, source, index} triple at
-    start and evaluates wholly against that snapshot; the plan cache is
-    internally locked; trees and indexes are deeply immutable.  See
-    DESIGN.md §9 for the full model (what is shared, what is per-domain,
-    lock order). *)
+    domains — a caller's own domain pool, say — may call {!query_robust}
+    against one engine concurrently, interleaved with the administrative
+    operations ({!register_policy}, {!replace_document}, {!build_index},
+    {!load_index}).  Each query atomically snapshots the served {tree,
+    source, index} triple at start and evaluates wholly against that
+    snapshot; the plan cache is internally locked; trees and indexes are
+    deeply immutable.  The engine owns no executor.  See DESIGN.md §9 for
+    the full model (what is shared, what is per-domain, lock order). *)
 
 type t
 
@@ -85,11 +84,7 @@ val replace_document : t -> Smoqe_xml.Tree.t -> (unit, string) result
     whose annotations agree after normalization
     ({!Smoqe_security.Policy_key}) share {e one} derived view, one rewrite
     and — through the plan cache's policy-key dimension — one compiled
-    plan per query.  Per-group token-bucket budgets
-    ({!Smoqe_robust.Admission}) throttle a hot group before any engine
-    work happens ([Budget_exceeded], exit code 3, with [tenant_throttled]
-    marked in the partial stats), and pooled group traffic rides
-    per-group fair-share lanes ({!Smoqe_exec.Pool}). *)
+    plan per query. *)
 
 val register_policy :
   t -> group:string -> Smoqe_security.Policy.t -> (unit, string) result
@@ -114,15 +109,6 @@ val view_dtd : t -> group:string -> Smoqe_xml.Dtd.t option
 val tenant_counters : t -> (string * int) list
 (** Registry counters: [tenants] (registered groups)/[policy_keys]/
     [policy_key_hits]/[derivations]/[generation]. *)
-
-val set_admission :
-  t -> group:string -> capacity:int -> ?refill_per_s:float -> unit -> unit
-(** Install the group's admission token bucket (see
-    {!Smoqe_robust.Admission.set_budget}).  Each member query costs one
-    token. *)
-
-val admission_counters : t -> (string * (int * int)) list
-(** Per-group [(admitted, throttled)] admission traffic. *)
 
 (** {1 Indexing} *)
 
@@ -180,10 +166,10 @@ val query_robust :
   (outcome, Smoqe_robust.Error.t) result
 (** Answer a Regular XPath query.  Without [group], the query runs
     directly on the document; with [group], it is first rewritten through
-    the group's view (an unregistered group is [Policy_error]) and one
-    admission token is charged.  [use_index] (default [true] when an
-    index exists) enables TAX pruning in [Dom] mode; [optimize] (default
-    [true]) runs the MFA optimizer before evaluation.  [budget] bounds
+    the group's view (an unregistered group is [Policy_error]).
+    [use_index] (default [true] when an index exists) enables TAX pruning
+    in [Dom] mode; [optimize] (default [true]) runs the MFA optimizer
+    before evaluation.  [budget] bounds
     compilation and evaluation (see {!Smoqe_robust.Budget}); a tripped
     budget returns [Budget_exceeded] carrying the partial evaluation
     counters.  Evaluation runs on the table-driven engine; in [Dom] mode
@@ -296,65 +282,3 @@ val run_many_robust :
     member's compile and the {e single} traversal (a trip fails the whole
     batch — the shared pass is all-or-nothing).  Per-query [trace] is not
     available on the batch path. *)
-
-(** {1 Multicore serving}
-
-    Dispatch queries onto a {!Smoqe_exec.Pool} of domains instead of
-    evaluating inline.  Independent queries over virtual views parallelize
-    embarrassingly well: the document tree and TAX index are immutable,
-    HyPE builds all of its evaluation state per query, and the only
-    contended structure is the plan cache — one short mutex hold per
-    query on the warm path.  A batch of the repeated rewritten workload
-    therefore scales with the worker count (bench [e12] gates this).
-
-    Budgets are passed as {e makers} ([unit -> Budget.t]) rather than
-    values: a [Budget.t] is mutable single-query state and its wall-clock
-    deadline should start when a worker picks the query up, so each task
-    builds its own. *)
-
-val submit :
-  t ->
-  pool:Smoqe_exec.Pool.t ->
-  ?group:string ->
-  ?mode:mode ->
-  ?use_index:bool ->
-  ?optimize:bool ->
-  ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  string ->
-  (outcome, Smoqe_robust.Error.t) result Smoqe_exec.Pool.future
-(** Enqueue one query; the future resolves to exactly what
-    {!query_robust} would have returned.  A group's tasks ride the
-    group's own fair-share lane.  Tasks are total — awaiting
-    never raises.  ([trace] is deliberately absent: a trace sink is
-    single-query scratch state, meaningless to share across workers.) *)
-
-val run_batch :
-  t ->
-  pool:Smoqe_exec.Pool.t ->
-  ?group:string ->
-  ?mode:mode ->
-  ?use_index:bool ->
-  ?optimize:bool ->
-  ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  string list ->
-  (outcome, Smoqe_robust.Error.t) result list * Smoqe_hype.Stats.t
-(** Submit every query, await them all; results are in submission order
-    regardless of completion order.  The second component aggregates the
-    successful outcomes' counters ({!Smoqe_hype.Stats.merge_into}): each
-    query evaluated with its own domain-local [Stats.t], merged only
-    after the futures resolved. *)
-
-val run_many_pooled :
-  t ->
-  pool:Smoqe_exec.Pool.t ->
-  ?group:string ->
-  ?mode:mode ->
-  ?use_index:bool ->
-  ?make_budget:(unit -> Smoqe_robust.Budget.t) ->
-  string list ->
-  (outcome, Smoqe_robust.Error.t) result array * Smoqe_hype.Stats.t
-(** {!run_many_robust} sharded across the pool: the batch is split into
-    one contiguous chunk per worker, each chunk evaluated as its own
-    shared pass on its own domain, and the per-chunk results concatenated
-    back into input order.  The second component merges the chunk passes'
-    statistics.  Budgets are makers, per chunk (see {!submit}). *)

@@ -1,20 +1,12 @@
 (* The domain-pool executor.  Plain mutex/condition plumbing from the
    OCaml 5 stdlib — no dependencies — with two deliberate shapes:
 
-   - the queue is bounded and submit blocks when it is full, so a fast
-     producer exerts backpressure instead of queueing unbounded closures;
+   - one FIFO queue, bounded, and submit blocks when it is full, so a
+     fast producer exerts backpressure instead of queueing unbounded
+     closures;
    - [domains <= 1] builds an *inline* executor that runs tasks on the
      caller with no locks at all, keeping the sequential path free of any
-     pool tax.
-
-   Scheduling is fair-share across *lanes*: every task is submitted to a
-   lane (the default lane when the caller names none; one lane per
-   user group in the engine), each lane keeps its own FIFO, and
-   workers pick lanes round-robin, one task per turn.  A lane that
-   floods the pool therefore delays only its own queue — other lanes
-   keep their one-task-per-turn service rate no matter how deep the hot
-   lane's backlog grows.  With a single active lane this degenerates to
-   the old global FIFO exactly. *)
+     pool tax. *)
 
 type 'a state =
   | Pending
@@ -34,27 +26,18 @@ type worker = {
   failed : int Atomic.t;
 }
 
-(* Lane invariants (all under [m]): [queued] is the total backlog over
-   every lane; a lane name sits in [rr] exactly once iff its queue is
-   non-empty; an emptied lane is removed from [lanes] so the table stays
-   bounded by the number of lanes with work in flight. *)
 type t = {
   m : Mutex.t;
   not_empty : Condition.t;
   not_full : Condition.t;
-  lanes : (string, (int -> unit) Queue.t) Hashtbl.t;
-      (* per-lane FIFO of jobs, each given its worker's index *)
-  rr : string Queue.t; (* round-robin order over non-empty lanes *)
-  mutable queued : int; (* total jobs across lanes *)
-  queue_capacity : int;
+  jobs : (int -> unit) Queue.t; (* each job is given its worker's index *)
   mutable stopping : bool;
   mutable domains : unit Domain.t array; (* [||] for the inline executor *)
   workers : worker array;
   inline : bool;
 }
 
-let size t = Array.length t.workers
-let is_inline t = t.inline
+let queue_capacity = 32
 
 let fresh_future () =
   { fm = Mutex.create (); fc = Condition.create (); state = Pending }
@@ -81,15 +64,6 @@ let await fut =
   in
   wait ()
 
-let await_result fut =
-  match await fut with v -> Ok v | exception e -> Error e
-
-let peek fut =
-  Mutex.lock fut.fm;
-  let r = match fut.state with Done v -> Some v | Pending | Raised _ -> None in
-  Mutex.unlock fut.fm;
-  r
-
 (* Run one task on worker [ix], routing the outcome into its future.  The
    catch-all is the worker's armor: a raising task is recorded and
    re-raised at [await], never on the worker's own stack.  [completed]
@@ -105,49 +79,31 @@ let run_task workers fut f ix =
     Atomic.incr workers.(ix).failed;
     fulfill fut (Raised e))
 
-(* Pop the next job fair-share: take the lane at the head of the
-   round-robin order, serve one task from it, and send the lane to the
-   back of the order if it still has work.  Caller holds [m]. *)
-let pop_fair t =
-  let lane = Queue.pop t.rr in
-  let laneq = Hashtbl.find t.lanes lane in
-  let job = Queue.pop laneq in
-  t.queued <- t.queued - 1;
-  if Queue.is_empty laneq then Hashtbl.remove t.lanes lane
-  else Queue.push lane t.rr;
-  job
-
 let rec worker_loop t ix =
   Mutex.lock t.m;
-  while t.queued = 0 && not t.stopping do
+  while Queue.is_empty t.jobs && not t.stopping do
     Condition.wait t.not_empty t.m
   done;
-  if t.queued = 0 then
+  if Queue.is_empty t.jobs then
     (* stopping, and nothing left to drain *)
     Mutex.unlock t.m
   else begin
-    let job = pop_fair t in
+    let job = Queue.pop t.jobs in
     Condition.signal t.not_full;
     Mutex.unlock t.m;
     job ix;
     worker_loop t ix
   end
 
-let create ?queue_capacity ~domains () =
+let create ~domains =
   let n = max 1 domains in
   let inline = n <= 1 in
-  let qcap =
-    max 1 (Option.value queue_capacity ~default:(max 32 (4 * n)))
-  in
   let t =
     {
       m = Mutex.create ();
       not_empty = Condition.create ();
       not_full = Condition.create ();
-      lanes = Hashtbl.create 8;
-      rr = Queue.create ();
-      queued = 0;
-      queue_capacity = qcap;
+      jobs = Queue.create ();
       stopping = false;
       domains = [||];
       workers =
@@ -160,7 +116,7 @@ let create ?queue_capacity ~domains () =
     t.domains <- Array.init n (fun ix -> Domain.spawn (fun () -> worker_loop t ix));
   t
 
-let submit ?(lane = "") t f =
+let submit t f =
   let fut = fresh_future () in
   if t.inline then begin
     (* The future is not yet visible to any other domain: resolve it
@@ -176,29 +132,21 @@ let submit ?(lane = "") t f =
   end
   else begin
     Mutex.lock t.m;
-    while t.queued >= t.queue_capacity && not t.stopping do
+    while Queue.length t.jobs >= queue_capacity && not t.stopping do
       Condition.wait t.not_full t.m
     done;
     if t.stopping then begin
       Mutex.unlock t.m;
       invalid_arg "Pool.submit: pool is shut down"
     end;
-    let laneq =
-      match Hashtbl.find_opt t.lanes lane with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.add t.lanes lane q;
-        Queue.push lane t.rr;
-        q
-    in
-    Queue.push (run_task t.workers fut f) laneq;
-    t.queued <- t.queued + 1;
+    Queue.push (run_task t.workers fut f) t.jobs;
     Condition.signal t.not_empty;
     Mutex.unlock t.m
   end;
   fut
 
+(* Drain the queue, run everything already submitted, then join the
+   workers.  Idempotent; a no-op on the inline executor. *)
 let shutdown t =
   if not t.inline then begin
     Mutex.lock t.m;
@@ -210,15 +158,9 @@ let shutdown t =
     if not was_stopping then Array.iter Domain.join t.domains
   end
 
-let with_pool ?queue_capacity ~domains f =
-  let t = create ?queue_capacity ~domains () in
-  match f t with
-  | v ->
-    shutdown t;
-    v
-  | exception e ->
-    shutdown t;
-    raise e
+let with_pool ~domains f =
+  let t = create ~domains in
+  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let worker_loads t = Array.map (fun w -> Atomic.get w.completed) t.workers
 let worker_failures t = Array.map (fun w -> Atomic.get w.failed) t.workers

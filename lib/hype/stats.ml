@@ -23,7 +23,6 @@ type t = {
   mutable shared_prefix_hits : int;
   mutable accept_width : int;
   mutable policy_key_hits : int;
-  mutable tenant_throttled : int;
 }
 
 let create () =
@@ -52,7 +51,6 @@ let create () =
     shared_prefix_hits = 0;
     accept_width = 0;
     policy_key_hits = 0;
-    tenant_throttled = 0;
   }
 
 let zero () =
@@ -84,8 +82,7 @@ let merge_into ~into s =
   into.shared_saved <- into.shared_saved + s.shared_saved;
   into.shared_prefix_hits <- into.shared_prefix_hits + s.shared_prefix_hits;
   into.accept_width <- max into.accept_width s.accept_width;
-  into.policy_key_hits <- into.policy_key_hits + s.policy_key_hits;
-  into.tenant_throttled <- into.tenant_throttled + s.tenant_throttled
+  into.policy_key_hits <- into.policy_key_hits + s.policy_key_hits
 
 let note_shared s (sh : Smoqe_automata.Shared.t) =
   s.batch_queries <- sh.n_queries;
@@ -148,7 +145,6 @@ let to_assoc t =
     ("shared_prefix_hits", t.shared_prefix_hits);
     ("accept_width", t.accept_width);
     ("policy_key_hits", t.policy_key_hits);
-    ("tenant_throttled", t.tenant_throttled);
   ]
 
 let pp ppf t =
@@ -169,9 +165,8 @@ let pp ppf t =
        accept width %d"
       t.batch_queries t.shared_states t.shared_saved t.shared_prefix_hits
       t.accept_width;
-  if t.policy_key_hits + t.tenant_throttled > 0 then
-    Fmt.pf ppf "@ tenancy: %d policy-key hits, %d throttled" t.policy_key_hits
-      t.tenant_throttled;
+  if t.policy_key_hits > 0 then
+    Fmt.pf ppf "@ tenancy: %d policy-key hits" t.policy_key_hits;
   if degraded t then
     Fmt.pf ppf "@ degraded:%s%s"
       (if t.degraded_no_index > 0 then " index unavailable -> unindexed DOM"

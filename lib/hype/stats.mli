@@ -48,9 +48,6 @@ type t = {
       (** member queries served a cached plan compiled under the view's
           canonical policy key — by this group or another group with an
           equal policy (rewrite and compile skipped) *)
-  mutable tenant_throttled : int;
-      (** queries rejected by per-group admission control (token bucket
-          empty); in an aggregate, the count of throttled queries *)
 }
 
 val create : unit -> t

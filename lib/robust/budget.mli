@@ -19,13 +19,12 @@
 
     {b Domain locality.}  A [Budget.t] is mutable per-query state (a node
     counter settled in batches) with {e no} internal synchronization.
-    The contract under the pool executor: one budget, one query, one
-    domain — create the budget inside the submitted task (or pass a
-    maker, as [Engine.submit] does) and never share one [t] between
-    concurrently running queries.  Audited call sites all comply: the
-    CLI's [--repeat] builds a fresh budget per run, and each pool task
-    creates its own at start so the wall-clock deadline also starts when
-    the query is picked up, not when it was enqueued. *)
+    The contract under a domain pool: one budget, one query, one
+    domain — create the budget inside the submitted task and never share
+    one [t] between concurrently running queries.  A budget made inside
+    the task also starts its wall-clock deadline when the query is picked
+    up, not when it was enqueued.  The CLI's [--repeat] builds a fresh
+    budget per run. *)
 
 type t
 

@@ -8,6 +8,7 @@ module Session = Smoqe.Session
 module Ismoqe = Smoqe.Ismoqe
 module Trace = Smoqe_hype.Trace
 module Hospital = Smoqe_workload.Hospital
+module Pool = Smoqe_exec.Pool
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -212,6 +213,73 @@ let test_ismoqe_renderings () =
   Alcotest.(check bool) "stats" true
     (String.length (Ismoqe.stats_table r.Engine.stats) > 0)
 
+(* --- the domain pool ------------------------------------------------------- *)
+
+let sum = Array.fold_left ( + ) 0
+
+(* A task that raises is caught on its worker, re-raised at every [await]
+   of its future, and counted both as a load and as a failure; the worker
+   survives to run the next task.  The inline executor ([~domains:1])
+   keeps the same contract. *)
+let test_pool_raising_task () =
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let bad = Pool.submit pool (fun () -> failwith "boom") in
+          let good = Pool.submit pool (fun () -> 42) in
+          for _ = 1 to 2 do
+            Alcotest.check_raises
+              (Printf.sprintf "%d domains: re-raised at await" domains)
+              (Failure "boom")
+              (fun () -> ignore (Pool.await bad))
+          done;
+          Alcotest.(check int) "next task still runs" 42 (Pool.await good);
+          Alcotest.(check int) "loads count both tasks" 2
+            (sum (Pool.worker_loads pool));
+          Alcotest.(check int) "one failure" 1
+            (sum (Pool.worker_failures pool))))
+    [ 1; 2 ]
+
+(* 200 tasks on 2 domains overrun the bounded queue many times over:
+   [submit] must block rather than let the backlog grow, every task must
+   run exactly once, and the per-worker loads must account for all of
+   them. *)
+let test_pool_bounded_queue () =
+  let n = 200 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let started = Atomic.make 0 in
+  let max_backlog = ref 0 in
+  Pool.with_pool ~domains:2 (fun pool ->
+      let futures =
+        List.init n (fun i ->
+            let fut =
+              Pool.submit pool (fun () ->
+                  Atomic.incr started;
+                  Atomic.incr runs.(i);
+                  for _ = 1 to 2_000 do
+                    Domain.cpu_relax ()
+                  done;
+                  i)
+            in
+            max_backlog := max !max_backlog (i + 1 - Atomic.get started);
+            fut)
+      in
+      List.iteri
+        (fun i fut -> Alcotest.(check int) "result in order" i (Pool.await fut))
+        futures;
+      (* at most 32 queued plus one task popped by each worker *)
+      if !max_backlog > 32 + 2 then
+        Alcotest.failf "backlog reached %d: the queue is not bounded"
+          !max_backlog;
+      Array.iteri
+        (fun i r -> Alcotest.(check int) (Printf.sprintf "task %d ran once" i) 1
+            (Atomic.get r))
+        runs;
+      let loads = Pool.worker_loads pool in
+      Alcotest.(check int) "two workers" 2 (Array.length loads);
+      Alcotest.(check int) "loads sum to the tasks" n (sum loads);
+      Alcotest.(check int) "no failures" 0 (sum (Pool.worker_failures pool)))
+
 let () =
   Alcotest.run "smoqe_core"
     [
@@ -235,4 +303,9 @@ let () =
           Alcotest.test_case "schema" `Quick test_session_schema;
         ] );
       ("ismoqe", [ Alcotest.test_case "renderings" `Quick test_ismoqe_renderings ]);
+      ( "pool",
+        [
+          Alcotest.test_case "raising task" `Quick test_pool_raising_task;
+          Alcotest.test_case "bounded queue" `Quick test_pool_bounded_queue;
+        ] );
     ]

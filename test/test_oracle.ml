@@ -234,6 +234,30 @@ let test_property () =
 
 (* --- Parallel serving: the domain pool vs the sequential engine ------------ *)
 
+(* One task per query on the pool, awaited in submission order. *)
+let pooled_queries pool engine ~group texts =
+  List.map
+    (fun t -> Pool.submit pool (fun () -> Engine.query_robust engine ~group t))
+    texts
+  |> List.map Pool.await
+
+(* A batch split into [shards] contiguous chunks, one shared pass
+   ([run_many_robust]) per task, the slots re-concatenated in input
+   order. *)
+let pooled_batch pool ~shards engine ~group texts =
+  let texts = Array.of_list texts in
+  let n = Array.length texts in
+  let shards = max 1 (min shards n) in
+  let base = n / shards and extra = n mod shards in
+  List.init shards (fun k ->
+      let start = (k * base) + min k extra in
+      let len = base + if k < extra then 1 else 0 in
+      let chunk = Array.to_list (Array.sub texts start len) in
+      Pool.submit pool (fun () ->
+          fst (Engine.run_many_robust engine ~group chunk)))
+  |> List.map Pool.await
+  |> Array.concat
+
 (* One workload through a 4-domain pool.  The sequential reference runs on
    its own engine (sharing nothing with the pool run), then the parallel
    engine serves the batch twice: cold (every plan compiled under
@@ -254,9 +278,13 @@ let parallel_battery ~name ~dtd ~policy ~doc queries =
   Pool.with_pool ~domains:4 (fun pool ->
       let texts = List.map snd queries in
       let serve label ~expect_hits =
-        let results, agg =
-          Engine.run_batch engine ~pool ~group:"members" texts
-        in
+        let results = pooled_queries pool engine ~group:"members" texts in
+        let agg = Stats.zero () in
+        List.iter
+          (function
+            | Ok o -> Stats.merge_into ~into:agg o.Engine.stats
+            | Error _ -> ())
+          results;
         List.iteri
           (fun i r ->
             let qname = fst (List.nth queries i) in
@@ -323,9 +351,7 @@ let test_parallel_property () =
                     .Engine.answer_xml)
                 texts
             in
-            let results, _ =
-              Engine.run_batch engine ~pool ~group:"members" texts
-            in
+            let results = pooled_queries pool engine ~group:"members" texts in
             List.iteri
               (fun i r ->
                 match r with
@@ -424,8 +450,8 @@ let batch_pooled ~name ~dtd ~policy ~doc queries =
   let engine = Engine.of_tree ~dtd doc in
   ok (Engine.register_policy engine ~group:"members" policy);
   Pool.with_pool ~domains:4 (fun pool ->
-      let results, _ =
-        Engine.run_many_pooled engine ~pool ~group:"members" texts
+      let results =
+        pooled_batch pool ~shards:4 engine ~group:"members" texts
       in
       Array.iteri
         (fun i r ->
@@ -750,8 +776,8 @@ let write_battery ~name ~dtd ~policy ~doc ~seed queries =
               .Engine.answer_xml)
           texts
       in
-      let results, _ =
-        Engine.run_many_pooled engine ~pool ~group:"members" texts
+      let results =
+        pooled_batch pool ~shards:4 engine ~group:"members" texts
       in
       Array.iteri
         (fun i r ->

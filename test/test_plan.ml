@@ -377,9 +377,11 @@ let test_saved_compile_wall_clock () =
       let cold_ms = (Unix.gettimeofday () -. t0) *. 1000. in
       Atomic.set stop true;
       List.iter Pool.await burners;
-      let results, _ =
-        Engine.run_batch e ~pool ~group:"researchers"
-          (List.init repeats (fun _ -> q))
+      let results =
+        List.init repeats (fun _ ->
+            Pool.submit pool (fun () ->
+                Engine.query_robust e ~group:"researchers" q))
+        |> List.map Pool.await
       in
       List.iter
         (function

@@ -9,7 +9,7 @@
      flight: the group's policy re-registered (a no-op that must keep
      its plans) and the document replaced with an equal tree
      (invalidating everything);
-   - group traffic on per-group fair-share lanes: 8 more groups sharing
+   - group traffic from many principals at once: 8 more groups sharing
      one canonical policy key, half the batch routed through them, with
      policy churn mid-flight — idempotent re-registration (a key hit) on
      the served groups and full key retirement/re-derivation (plans
@@ -151,12 +151,12 @@ let () =
                         Engine.update_robust engine
                           (Update.Replace (Update.By_id n, Tree.to_source d n)))
                     :: !update_futures;
-                (* half the traffic rides the t-groups' lanes through the
+                (* half the traffic runs as the t-groups through the
                    shared-key view; same semantics, same reference *)
+                let group = if i mod 2 = 1 then tname (i mod 7) else "members" in
                 let fut =
-                  if i mod 2 = 1 then
-                    Engine.submit engine ~pool ~group:(tname (i mod 7)) text
-                  else Engine.submit engine ~pool ~group:"members" text
+                  Pool.submit pool (fun () ->
+                      Engine.query_robust engine ~group text)
                 in
                 (text, fut))
           in
