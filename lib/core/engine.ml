@@ -308,7 +308,7 @@ let load_index t path =
 
 (* --- query compilation ---------------------------------------------------- *)
 
-let compile_ast ?view ?(optimize = true) ?budget path =
+let compile_ast ?view ?budget path =
   Error.guard (fun () ->
       Failpoint.trigger "plan.compile";
       let mfa =
@@ -316,9 +316,7 @@ let compile_ast ?view ?(optimize = true) ?budget path =
         | None -> Compile.compile ?budget path
         | Some v -> Rewriter.rewrite v path
       in
-      let mfa =
-        if optimize then Smoqe_automata.Optimize.optimize mfa else mfa
-      in
+      let mfa = Smoqe_automata.Optimize.optimize mfa in
       (* A rewritten view query can be much larger than the text the user
          typed: re-check the state budget on the final automaton. *)
       Option.iter (fun b -> Budget.check_states b (Mfa.n_states mfa)) budget;
@@ -396,11 +394,10 @@ let plan_cache_counters t =
    injected ["plan.compile"] fault or a member that fails to compile
    leaves the cache untouched (the owner table of a partial merge numbers
    the surviving subset, which a later identical request must not
-   inherit).  Explicit [~optimize:false] bypasses the cache (cached plans
-   are optimized). *)
-let plan_for t ~route ~mode ~use_index ?optimize ?budget texts =
+   inherit). *)
+let plan_for t ~route ~mode ~use_index ?budget texts =
   let cache = t.plan_cache in
-  let cacheable = optimize <> Some false && Plan_cache.capacity cache > 0 in
+  let cacheable = Plan_cache.capacity cache > 0 in
   (* The policy key, not the group, is the cache dimension: every group
      sharing the key shares one entry per query. *)
   let policy_key = Option.map fst route and view = Option.map snd route in
@@ -483,7 +480,7 @@ let plan_for t ~route ~mode ~use_index ?optimize ?budget texts =
           List.filter_map
             (fun k ->
               match
-                compile_ast ?view ?optimize ?budget (Hashtbl.find by_key k)
+                compile_ast ?view ?budget (Hashtbl.find by_key k)
               with
               | Error e ->
                 Hashtbl.replace member k (Error e);
@@ -527,13 +524,13 @@ let plan_for t ~route ~mode ~use_index ?optimize ?budget texts =
         | Ok _ | Error _ -> ());
         (slots, Result.map (fun plan -> (plan, false)) plan)
 
-let rewrite_only t ~group ?optimize text =
+let rewrite_only t ~group text =
   match Rx_parser.path_of_string text with
   | Error msg -> Error (Error.Query_error msg)
   | Ok path ->
     (match view t ~group with
     | None -> Error (unknown_group group)
-    | Some view -> compile_ast ~view ?optimize path)
+    | Some view -> compile_ast ~view path)
 
 let answer_xml_one snap n =
   let tree = snap.snap_tree in
@@ -656,7 +653,7 @@ let run_stax snap plan ?budget ?trace () =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> run (Eval_stax.Stream (Pull.of_channel ic)))
-  | From_tree -> run (Eval_stax.Events (Parser.events_of_tree snap.snap_tree))
+  | From_tree -> run (Eval_stax.Tree snap.snap_tree)
 
 (* The one evaluation of a plan, degradation ladder included. *)
 let evaluate snap plan ~mode ?use_index ?budget ?trace () =
@@ -710,10 +707,8 @@ let evaluate snap plan ~mode ?use_index ?budget ?trace () =
    by default one atomic read of the serving state is taken after the
    plan, and the evaluation never looks at the live engine again, so a
    concurrent replace_document or index (re)build cannot tear it. *)
-let run_slots t ~route ?snap ~mode ?use_index ?optimize ?budget ?trace texts =
-  let slots, planned =
-    plan_for t ~route ~mode ~use_index ?optimize ?budget texts
-  in
+let run_slots t ~route ?snap ~mode ?use_index ?budget ?trace texts =
+  let slots, planned = plan_for t ~route ~mode ~use_index ?budget texts in
   let fail e =
     Array.map (function Error own -> Error own | Ok _ -> Error e) slots
   in
@@ -762,18 +757,17 @@ let run_slots t ~route ?snap ~mode ?use_index ?optimize ?budget ?trace texts =
 
 (* The one entry: resolve the principal, then run every text as a slot of
    one request. *)
-let serve t ?group ?(mode = Dom) ?use_index ?optimize ?budget ?trace texts =
+let serve t ?group ?(mode = Dom) ?use_index ?budget ?trace texts =
   let n = List.length texts in
   if n = 0 then ([||], Stats.zero ())
   else
     match principal t group with
     | Error e -> (Array.make n (Error e), Stats.zero ())
     | Ok route ->
-      run_slots t ~route ~mode ?use_index ?optimize ?budget ?trace
-        (Array.of_list texts)
+      run_slots t ~route ~mode ?use_index ?budget ?trace (Array.of_list texts)
 
-let query_robust t ?group ?mode ?use_index ?optimize ?budget ?trace text =
-  (fst (serve t ?group ?mode ?use_index ?optimize ?budget ?trace [ text ])).(0)
+let query_robust t ?group ?mode ?use_index ?budget ?trace text =
+  (fst (serve t ?group ?mode ?use_index ?budget ?trace [ text ])).(0)
 
 let run_many_robust t ?group ?mode ?use_index ?budget texts =
   serve t ?group ?mode ?use_index ?budget texts

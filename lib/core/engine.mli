@@ -159,7 +159,6 @@ val query_robust :
   ?group:string ->
   ?mode:mode ->
   ?use_index:bool ->
-  ?optimize:bool ->
   ?budget:Smoqe_robust.Budget.t ->
   ?trace:Smoqe_hype.Trace.t ->
   string ->
@@ -168,21 +167,18 @@ val query_robust :
     directly on the document; with [group], it is first rewritten through
     the group's view (an unregistered group is [Policy_error]).
     [use_index] (default [true] when an index exists) enables TAX pruning
-    in [Dom] mode; [optimize] (default [true]) runs the MFA optimizer
-    before evaluation.  [budget] bounds
-    compilation and evaluation (see {!Smoqe_robust.Budget}); a tripped
-    budget returns [Budget_exceeded] carrying the partial evaluation
-    counters.  Evaluation runs on the table-driven engine; in [Dom] mode
-    the frozen specialization rides the compiled plan and warm repeats
-    skip it.  A query is a batch of one: this is slot 0 of the
-    {!run_many_robust} pipeline (see {!section-batch}).  Guaranteed
-    total: every library exception is caught at this boundary and
-    classified. *)
+    in [Dom] mode.  [budget] bounds compilation and evaluation (see
+    {!Smoqe_robust.Budget}); a tripped budget returns [Budget_exceeded]
+    carrying the partial evaluation counters.  Evaluation runs on the
+    table-driven engine; in [Dom] mode the frozen specialization rides
+    the compiled plan and warm repeats skip it.  A query is a batch of
+    one: this is slot 0 of the {!run_many_robust} pipeline (see
+    {!section-batch}).  Guaranteed total: every library exception is
+    caught at this boundary and classified. *)
 
 val rewrite_only :
   t ->
   group:string ->
-  ?optimize:bool ->
   string ->
   (Smoqe_automata.Mfa.t, Smoqe_robust.Error.t) result
 (** Just the rewriting step — what iSMOQE visualizes (paper Fig. 4). *)

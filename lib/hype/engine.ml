@@ -8,7 +8,6 @@ exception Driver_error of string
 
 type kind =
   | El of string
-  | Tx of string
   | Tx_sub of string * int * int
 
 type verdict =
@@ -370,7 +369,7 @@ let take_items t =
 let kind_matches test kind =
   match kind with
   | El name -> Nfa.matches_name test ~is_element:true ~name
-  | Tx _ | Tx_sub _ -> Nfa.matches_name test ~is_element:false ~name:""
+  | Tx_sub _ -> Nfa.matches_name test ~is_element:false ~name:""
 
 (* --- lazy-DFA registry and memo ------------------------------------------- *)
 
@@ -599,11 +598,9 @@ let value_buf parent =
 
 let accumulate_text parent kind =
   match kind with
-  | Tx content when parent.may_accept_value ->
-    Buffer.add_string (value_buf parent) content
   | Tx_sub (s, off, len) when parent.may_accept_value ->
     Buffer.add_substring (value_buf parent) s off len
-  | Tx _ | Tx_sub _ | El _ -> ()
+  | Tx_sub _ | El _ -> ()
 
 (* --- enter: generic path --------------------------------------------------- *)
 
@@ -771,17 +768,16 @@ let enter t ~id ~kind =
     | Some tb -> (
       match kind with
       | El name -> Tables.intern tb name
-      | Tx _ | Tx_sub _ -> Tables.text_tag)
+      | Tx_sub _ -> Tables.text_tag)
   in
   enter_core t ~id ~tag ~kind
 
 let enter_tagged t ~id ~tag ~kind =
-  let tag = match kind with Tx _ | Tx_sub _ -> Tables.text_tag | El _ -> tag in
+  let tag = match kind with Tx_sub _ -> Tables.text_tag | El _ -> tag in
   enter_core t ~id ~tag ~kind
 
 let element_value frame =
   match frame.kind with
-  | Tx content -> content
   | Tx_sub (s, off, len) -> String.sub s off len
   | El _ ->
     (match frame.text_acc with

@@ -2,8 +2,9 @@
     traversal (paper §3, Evaluator).
 
     The engine is document-representation agnostic: {!Eval_dom} drives it
-    from a tree, {!Eval_stax} from a pull-event stream.  Drivers feed it a
-    pre-order visit: [enter] at each node, [leave] when its subtree closes.
+    from a tree, {!Eval_stax} from a parser cursor or a flat tree walk.
+    Drivers feed it a pre-order visit: [enter] at each node, [leave] when
+    its subtree closes.
 
     Single-pass discipline: at [enter] the engine advances all active runs
     (selection and qualifier atoms) into the node, instantiates newly
@@ -24,13 +25,13 @@ type t
 
 type kind =
   | El of string  (** element with this tag *)
-  | Tx of string  (** text node with this content *)
   | Tx_sub of string * int * int
       (** text node whose content is the slice [(backing, off, len)] — a
-          borrowed span that zero-copy drivers pass instead of [Tx].  The
-          engine reads it during {!enter} and the node's own {!leave}
-          only, so a span valid across that enter/leave pair (a text node
-          leaves immediately — it has no children) never needs copying. *)
+          borrowed span of the driver's bytes (a tree's regions, a
+          parser's buffer), never a copy.  The engine reads it during
+          {!enter} and the node's own {!leave} only, so a span valid
+          across that enter/leave pair (a text node leaves immediately —
+          it has no children) is all a driver must guarantee. *)
 
 type verdict =
   | Alive  (** at least one run is active: descend into the children *)

@@ -1,4 +1,5 @@
 module Pull = Smoqe_xml.Pull
+module Tree = Smoqe_xml.Tree
 module Serializer = Smoqe_xml.Serializer
 module Budget = Smoqe_robust.Budget
 module Failpoint = Smoqe_robust.Failpoint
@@ -40,11 +41,11 @@ type capture = {
 }
 
 (* [run_core] is written against three per-event handlers rather than an
-   event stream: the cursor driver below feeds the engine interned names
-   and borrowed [Tx_sub] text spans, so on the fast path (no capture in
-   progress) an event costs no allocation at all.  Attribute lists and
-   text copies are behind thunks, forced only while a capture is actually
-   recording. *)
+   event stream: both drivers below (a parser cursor, a tree walk) feed
+   the engine shared names and borrowed [Tx_sub] text spans, so on the
+   fast path (no capture in progress) nothing is copied.  Attribute lists
+   and text copies are behind thunks, forced only while a capture is
+   actually recording. *)
 let run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive =
   (* Streaming has no tag universe up front: a dynamic table pre-interns
      the automaton's element names and grows as unseen stream tags arrive.
@@ -107,7 +108,22 @@ let run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive =
   (* capturing *)
   let open_captures = ref [] in
   let finished_captures : (int, string) Hashtbl.t = Hashtbl.create 16 in
+  (* A start tag stays unterminated ([<tag attrs]) until the element's
+     first child or its end, so a childless element is written
+     [<tag attrs/>] — byte for byte what the DOM serializer writes. *)
+  let tag_open = ref false in
+  let terminate_tag () =
+    if !tag_open then begin
+      List.iter (fun c -> Buffer.add_char c.buf '>') !open_captures;
+      tag_open := false
+    end
+  in
   let cap_start ~candidate id tag attrs =
+    terminate_tag ();
+    if capture && candidate then
+      open_captures :=
+        { cap_node = id; buf = Buffer.create 64; open_elements = 0 }
+        :: !open_captures;
     List.iter
       (fun c ->
         Buffer.add_char c.buf '<';
@@ -117,37 +133,25 @@ let run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive =
             Buffer.add_char c.buf ' ';
             Buffer.add_string c.buf k;
             Buffer.add_string c.buf "=\"";
-            Buffer.add_string c.buf (Serializer.escape_attr v);
+            Serializer.add_escaped_attr c.buf v 0 (String.length v);
             Buffer.add_char c.buf '"')
           attrs;
-        Buffer.add_char c.buf '>';
         c.open_elements <- c.open_elements + 1)
       !open_captures;
-    if capture && candidate then
-      open_captures :=
-        (let c = { cap_node = id; buf = Buffer.create 64; open_elements = 1 } in
-         Buffer.add_char c.buf '<';
-         Buffer.add_string c.buf tag;
-         List.iter
-           (fun (k, v) ->
-             Buffer.add_char c.buf ' ';
-             Buffer.add_string c.buf k;
-             Buffer.add_string c.buf "=\"";
-             Buffer.add_string c.buf (Serializer.escape_attr v);
-             Buffer.add_char c.buf '"')
-           attrs;
-         Buffer.add_char c.buf '>';
-         c)
-        :: !open_captures
+    tag_open := !open_captures <> []
   in
   let cap_end tag =
     List.iter
       (fun c ->
-        Buffer.add_string c.buf "</";
-        Buffer.add_string c.buf tag;
-        Buffer.add_char c.buf '>';
+        if !tag_open then Buffer.add_string c.buf "/>"
+        else begin
+          Buffer.add_string c.buf "</";
+          Buffer.add_string c.buf tag;
+          Buffer.add_char c.buf '>'
+        end;
         c.open_elements <- c.open_elements - 1)
       !open_captures;
+    tag_open := false;
     open_captures :=
       List.filter
         (fun c ->
@@ -159,6 +163,7 @@ let run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive =
         !open_captures
   in
   let cap_text id content is_candidate =
+    terminate_tag ();
     List.iter
       (fun c -> Buffer.add_string c.buf (Serializer.escape_text content))
       !open_captures;
@@ -198,7 +203,7 @@ let run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive =
       | Entered_alive -> Engine.leave engine
       | Skipped -> ());
       stack := rest);
-    cap_end name
+    if !open_captures <> [] then cap_end name
   in
   let on_text kind content_fn =
     checkpoint ();
@@ -248,24 +253,51 @@ let drive_cursor pull ~on_start ~on_end ~on_text =
   in
   loop ()
 
-let drive_events events ~on_start ~on_end ~on_text =
-  List.iter
-    (function
-      | Pull.Start_element (name, attrs) -> on_start name (fun () -> attrs)
-      | Pull.End_element name -> on_end name
-      | Pull.Text content -> on_text (Engine.Tx content) (fun () -> content))
-    events
+(* In-place driver over a tree: pre-order ids [0 .. n-1] are document
+   order, so an element closes exactly when the walk reaches its
+   [subtree_end].  Open elements sit on an explicit int stack — depth
+   costs heap, never native stack — and text arrives as a [Tx_sub] span
+   into the tree's own byte regions, so the walk copies nothing. *)
+let drive_tree tree ~on_start ~on_end ~on_text =
+  let stack = ref (Array.make 64 0) and top = ref 0 in
+  let close_before i =
+    while !top > 0 && Tree.subtree_end tree !stack.(!top - 1) <= i do
+      decr top;
+      on_end (Tree.name tree !stack.(!top))
+    done
+  in
+  let n = Tree.n_nodes tree in
+  for i = 0 to n - 1 do
+    close_before i;
+    if Tree.is_text tree i then begin
+      let backing, off, len = Tree.content_slice tree i in
+      on_text
+        (Engine.Tx_sub (backing, off, len))
+        (fun () -> Tree.text_content tree i)
+    end
+    else begin
+      on_start (Tree.name tree i) (fun () -> Tree.attributes tree i);
+      if !top = Array.length !stack then begin
+        let grown = Array.make (2 * !top) 0 in
+        Array.blit !stack 0 grown 0 !top;
+        stack := grown
+      end;
+      !stack.(!top) <- i;
+      incr top
+    end
+  done;
+  close_before n
 
 type input =
   | Stream of Pull.t
-  | Events of Pull.event list
+  | Tree of Tree.t
 
 let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
     ?shared mfa input =
   let drive =
     match input with
     | Stream pull -> drive_cursor pull
-    | Events events -> drive_events events
+    | Tree tree -> drive_tree tree
   in
   let engine, stats, finished_captures, n_nodes, budget_hit =
     run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive
@@ -295,8 +327,10 @@ let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
     m_budget_hit = budget_hit;
   }
 
-let run_one ?capture ?budget ?trace ?use_tables ?memo_cap mfa input =
-  let m = run_slots ?capture ?budget ?trace ?use_tables ?memo_cap mfa input in
+let run ?capture ?budget ?trace ?use_tables ?memo_cap mfa pull =
+  let m =
+    run_slots ?capture ?budget ?trace ?use_tables ?memo_cap mfa (Stream pull)
+  in
   {
     answers = m.by_query.(0);
     captured = m.by_query_captured.(0);
@@ -305,12 +339,6 @@ let run_one ?capture ?budget ?trace ?use_tables ?memo_cap mfa input =
     n_nodes = m.m_n_nodes;
     budget_hit = m.m_budget_hit;
   }
-
-let run ?capture ?budget ?trace ?use_tables ?memo_cap mfa pull =
-  run_one ?capture ?budget ?trace ?use_tables ?memo_cap mfa (Stream pull)
-
-let run_events ?capture ?budget ?trace ?use_tables ?memo_cap mfa events =
-  run_one ?capture ?budget ?trace ?use_tables ?memo_cap mfa (Events events)
 
 let eval_string ?capture ?trace path input =
   let mfa = Smoqe_automata.Compile.compile path in

@@ -1,11 +1,12 @@
-(** HyPE over a pull-event stream — SMOQE's StAX mode.
+(** HyPE over a start/text/end sequence — SMOQE's StAX mode.
 
-    One sequential scan of the document, never materializing a tree: the
-    driver assigns pre-order ids on the fly and fast-forwards through
-    subtrees whose root matched no run (the engine is not consulted again
-    until the corresponding end event).  Answers are reported as pre-order
-    ids — identical to the ids a DOM parse of the same document would
-    assign.
+    One sequential scan of the document, never materializing a tree or an
+    event list: the driver reads either a parser cursor or a tree already
+    held in memory, in place, assigns pre-order ids on the fly and
+    fast-forwards through subtrees whose root matched no run (the engine
+    is not consulted again until the corresponding end).  Answers are
+    reported as pre-order ids — identical to the ids a DOM parse of the
+    same document would assign.
 
     With [~capture:true] the driver additionally buffers the markup of
     every candidate subtree while scanning (still one pass) and returns the
@@ -37,8 +38,10 @@ type many_result = {
 
 type input =
   | Stream of Smoqe_xml.Pull.t  (** the zero-copy cursor over a parser *)
-  | Events of Smoqe_xml.Pull.event list
-      (** an already-materialized event list *)
+  | Tree of Smoqe_xml.Tree.t
+      (** an in-memory document, walked in pre-order with an explicit
+          stack (safe at any depth); text is read as spans of the tree's
+          own bytes, attributes only while a capture is recording *)
 
 val run_slots :
   ?capture:bool ->
@@ -50,9 +53,11 @@ val run_slots :
   Smoqe_automata.Mfa.t ->
   input ->
   many_result
-(** The one streaming driver; {!run} and {!run_events} are its
-    single-query forms.  Without [shared] the automaton is one query and
-    every array has one slot.  With [shared] — whose merged automaton the
+(** The one streaming driver; {!run} is its single-query form over a
+    parser.  Both inputs feed the engine the same start/text/end sequence
+    for the same document — same ids, budget ticks, trace marks and
+    captured bytes.  Without [shared] the automaton is one query and every
+    array has one slot.  With [shared] — whose merged automaton the
     [Mfa.t] argument must be — one scan answers every query of the batch:
     candidates demultiplex through the merge's owner table, the per-node
     capture store is shared, and the batch counters are recorded.  A
@@ -75,18 +80,6 @@ val run :
     pre-interned, unseen stream tags are interned on the fly.  [false] is
     the generic reference the table path is tested against.  [memo_cap]
     is forwarded to {!Engine.create}. *)
-
-val run_events :
-  ?capture:bool ->
-  ?budget:Smoqe_robust.Budget.t ->
-  ?trace:Trace.t ->
-  ?use_tables:bool ->
-  ?memo_cap:int ->
-  Smoqe_automata.Mfa.t ->
-  Smoqe_xml.Pull.event list ->
-  result
-(** Same, over an already-materialized event list (used by tests to compare
-    against the DOM mode). *)
 
 val eval_string :
   ?capture:bool -> ?trace:Trace.t -> Smoqe_rxpath.Ast.path -> string -> result

@@ -1,60 +1,3 @@
-(* Folding pull events into a Tree.source, then into a Tree.  The stack
-   holds, for each open element, its tag, attributes and the reversed list
-   of children built so far. *)
-
-type frame = { tag : string; attrs : (string * string) list;
-               mutable rev_kids : Tree.source list }
-
-(* Structural violations in the event stream fail with a positioned
-   {!Pull.Error}, never [Invalid_argument]: when the events come from a
-   live parse, [pos] reports the lexer's line/column; for a caller-built
-   event list ({!tree_of_events}) there is no input text and the location
-   is the conventional 0:0. *)
-let build_from ?pos next =
-  let fail msg =
-    let line, col = match pos with Some f -> f () | None -> (0, 0) in
-    raise (Pull.Error (line, col, msg))
-  in
-  let stack : frame list ref = ref [] in
-  let result = ref None in
-  let push_kid kid =
-    match !stack with
-    | [] ->
-      (match kid with
-      | Tree.E _ ->
-        if !result <> None then fail "event stream has more than one root";
-        result := Some kid
-      | Tree.T _ -> fail "text event outside the root element")
-    | frame :: _ -> frame.rev_kids <- kid :: frame.rev_kids
-  in
-  let rec loop () =
-    match next () with
-    | None -> ()
-    | Some ev ->
-      (match ev with
-      | Pull.Start_element (tag, attrs) ->
-        stack := { tag; attrs; rev_kids = [] } :: !stack
-      | Pull.End_element tag ->
-        (match !stack with
-        | [] -> fail (Printf.sprintf "end event </%s> with no open element" tag)
-        | frame :: rest ->
-          if frame.tag <> tag then
-            fail
-              (Printf.sprintf "end event </%s> does not match <%s>" tag
-                 frame.tag);
-          stack := rest;
-          push_kid (Tree.E (frame.tag, frame.attrs, List.rev frame.rev_kids)))
-      | Pull.Text s -> push_kid (Tree.T s));
-      loop ()
-  in
-  loop ();
-  (match !stack with
-  | [] -> ()
-  | frame :: _ -> fail (Printf.sprintf "unclosed element <%s>" frame.tag));
-  match !result with
-  | None -> fail "empty event stream"
-  | Some src -> Tree.of_source src
-
 (* The DOM fast path: the parser runs in retain mode, so its byte region
    is the finished tree's arena and its scratch the appendix — the
    cursor's raw spans are stored verbatim by [Tree.Builder] and not one
@@ -88,9 +31,6 @@ let build_retained p =
 let tree_of_string ?keep_ws ?budget s =
   build_retained (Pull.of_string ?keep_ws ?budget ~retain:true s)
 
-let tree_of_channel ?keep_ws ?budget ic =
-  build_retained (Pull.of_channel ?keep_ws ?budget ~retain:true ic)
-
 (* A regular file's length sizes the retained buffer once: it fills
    exactly, never doubles, and becomes the tree's arena without a copy.
    A length that is unknown (a pipe) or stale (a growing file) only
@@ -113,9 +53,10 @@ let tree_of_file ?keep_ws ?budget path =
    force every caller to re-enumerate the parser's exceptions.  The match
    is deliberately narrow — only the exceptions the parse path is
    specified to produce.  [Invalid_argument] in particular is NOT caught:
-   since build_from raises positioned Pull.Errors and Tree construction is
-   worklist-based, an [Invalid_argument] here is a bug in a deeper layer
-   that must surface, not be laundered into a parse failure. *)
+   since the pull parser raises positioned Pull.Errors and Tree
+   construction is worklist-based, an [Invalid_argument] here is a bug in
+   a deeper layer that must surface, not be laundered into a parse
+   failure. *)
 let res_of ?file f =
   match f () with
   | t -> Ok t
@@ -135,15 +76,6 @@ let tree_of_string_res ?keep_ws ?budget s =
 
 let tree_of_file_res ?keep_ws ?budget path =
   res_of ~file:path (fun () -> tree_of_file ?keep_ws ?budget path)
-
-let tree_of_events events =
-  let remaining = ref events in
-  let next () =
-    match !remaining with
-    | [] -> None
-    | ev :: rest -> remaining := rest; Some ev
-  in
-  build_from next
 
 (* Explicit worklist, not native recursion: document depth must never be
    limited by the OCaml stack (DESIGN.md §12) — the [max_depth] budget is

@@ -1,12 +1,10 @@
-(** Convenience DOM parsing: {!Pull} events folded into a {!Tree}. *)
+(** DOM parsing: the {!Pull} cursor built into a {!Tree}, and a tree's
+    event sequence back out. *)
 
 val tree_of_string :
   ?keep_ws:bool -> ?budget:Smoqe_robust.Budget.t -> string -> Tree.t
 (** Parse a complete document.  Raises {!Pull.Error} on malformed input
     and [Smoqe_robust.Budget.Exceeded] when [budget] trips. *)
-
-val tree_of_channel :
-  ?keep_ws:bool -> ?budget:Smoqe_robust.Budget.t -> in_channel -> Tree.t
 
 val tree_of_file :
   ?keep_ws:bool -> ?budget:Smoqe_robust.Budget.t -> string -> Tree.t
@@ -31,12 +29,9 @@ val tree_of_file_res :
   (Tree.t, string) result
 (** Like {!tree_of_file}; error messages are prefixed ["file:line:col:"]. *)
 
-val tree_of_events : Pull.event list -> Tree.t
-(** Build from an already-produced event list.  Raises {!Pull.Error}
-    (at the conventional location 0:0, since there is no input text) if
-    the events are not balanced around a single root. *)
-
 val events_of_tree : Tree.t -> Pull.event list
 (** The event stream a streaming parse of the serialized tree would
-    produce (text nodes emitted as-is).  Worklist-based: safe on
+    produce (text nodes emitted as-is).  A reference for tests and the
+    fuzz harness (DOM ≡ StAX); query serving never builds it — StAX walks
+    a held tree in place ([Eval_stax.Tree]).  Worklist-based: safe on
     arbitrarily deep documents. *)

@@ -46,16 +46,6 @@ let escape ~quotes s =
 let escape_text s = escape ~quotes:false s
 let escape_attr s = escape ~quotes:true s
 
-let add_attrs buf attrs =
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf k;
-      Buffer.add_string buf "=\"";
-      add_escaped_attr buf v 0 (String.length v);
-      Buffer.add_char buf '"')
-    attrs
-
 (* Tree attributes, read in place through the packed spans. *)
 let add_tree_attrs buf t n =
   Tree.iter_attrs t n (fun k backing off len ->
@@ -147,21 +137,3 @@ let to_file ?indent ?decl path t =
   match to_channel ?indent ?decl oc t with
   | () -> close_out oc
   | exception e -> close_out_noerr oc; raise e
-
-let events_to_string events =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun ev ->
-      match ev with
-      | Pull.Start_element (tag, attrs) ->
-        Buffer.add_char buf '<';
-        Buffer.add_string buf tag;
-        add_attrs buf attrs;
-        Buffer.add_char buf '>'
-      | Pull.End_element tag ->
-        Buffer.add_string buf "</";
-        Buffer.add_string buf tag;
-        Buffer.add_char buf '>'
-      | Pull.Text s -> Buffer.add_string buf (escape_text s))
-    events;
-  Buffer.contents buf

@@ -1,4 +1,4 @@
-(** XML output: trees and event streams back to markup. *)
+(** XML output: trees back to markup. *)
 
 val escape_text : string -> string
 (** Escape ampersands and angle brackets for character data. *)
@@ -26,6 +26,3 @@ val to_file : ?indent:bool -> ?decl:bool -> string -> Tree.t -> unit
 
 val subtree_to_string : ?indent:bool -> Tree.t -> Tree.node -> string
 (** Serialize a single subtree. *)
-
-val events_to_string : Pull.event list -> string
-(** Serialize a balanced event stream (compact, no indentation). *)

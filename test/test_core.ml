@@ -82,6 +82,31 @@ let test_engine_view_query () =
       Alcotest.(check string) "a medication" "medication" (Tree.name doc n))
     meds.Engine.answers
 
+(* An engine that holds only a tree serves StAX by walking it in place:
+   no per-query copy of the document, so it allocates no more than a
+   scan over the document's bytes.  Both engines answer from a warm plan,
+   so only the evaluation is measured. *)
+let test_stax_tree_walk_alloc () =
+  let doc = Hospital.generate ~seed:5 ~n_patients:200 ~recursion_depth:2 () in
+  let bytes = okr (Engine.of_string_robust (Serializer.to_string doc)) in
+  let tree = Engine.of_tree (Engine.document bytes) in
+  let measure e =
+    let run () = okr (Engine.query_robust e ~mode:Engine.Stax "//medication") in
+    ignore (run ());
+    let before = Gc.minor_words () in
+    let o = run () in
+    (o, Gc.minor_words () -. before)
+  in
+  let from_bytes, bytes_words = measure bytes in
+  let from_tree, tree_words = measure tree in
+  Alcotest.(check (list int)) "same answers" from_bytes.Engine.answers
+    from_tree.Engine.answers;
+  Alcotest.(check (list string)) "same fragments" from_bytes.Engine.answer_xml
+    from_tree.Engine.answer_xml;
+  if tree_words > 1.1 *. bytes_words then
+    Alcotest.failf "tree walk allocates %.0f words, byte scan %.0f (> 1.1x)"
+      tree_words bytes_words
+
 let test_engine_unknown_group () =
   let e = hospital_engine () in
   match Engine.query_robust e ~group:"nope" "patient" with
@@ -288,6 +313,8 @@ let () =
           Alcotest.test_case "input errors" `Quick test_engine_of_string_errors;
           Alcotest.test_case "direct query" `Quick test_engine_direct_query;
           Alcotest.test_case "modes agree" `Quick test_engine_modes_agree;
+          Alcotest.test_case "stax tree walk allocation" `Quick
+            test_stax_tree_walk_alloc;
           Alcotest.test_case "view query" `Quick test_engine_view_query;
           Alcotest.test_case "unknown group" `Quick test_engine_unknown_group;
           Alcotest.test_case "bad query" `Quick test_engine_bad_query;

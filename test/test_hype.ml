@@ -31,12 +31,11 @@ let check_against_oracle ?tax t q =
   Alcotest.(check (list int))
     (Printf.sprintf "dom vs oracle: %s" q)
     (oracle_answers t q) (dom_answers ?tax t q);
-  let events = Xml_parser.events_of_tree t in
   let mfa = Compile.compile (parse q) in
-  let stax = Eval_stax.run_events mfa events in
+  let stax = Eval_stax.run_slots mfa (Eval_stax.Tree t) in
   Alcotest.(check (list int))
     (Printf.sprintf "stax vs oracle: %s" q)
-    (oracle_answers t q) stax.Eval_stax.answers
+    (oracle_answers t q) stax.Eval_stax.by_query.(0)
 
 (* --- Conds -------------------------------------------------------------- *)
 
@@ -204,10 +203,11 @@ let test_stax_matches_dom () =
   List.iter
     (fun q ->
       let mfa = Compile.compile (parse q) in
-      let stax = Eval_stax.run_events mfa (Xml_parser.events_of_tree t) in
-      Alcotest.(check (list int)) q (dom_answers t q) stax.Eval_stax.answers;
+      let stax = Eval_stax.run_slots mfa (Eval_stax.Tree t) in
+      Alcotest.(check (list int)) q (dom_answers t q)
+        stax.Eval_stax.by_query.(0);
       Alcotest.(check int)
-        (q ^ " node count") (Tree.n_nodes t) stax.Eval_stax.n_nodes)
+        (q ^ " node count") (Tree.n_nodes t) stax.Eval_stax.m_n_nodes)
     queries
 
 let test_stax_from_string () =
@@ -223,12 +223,10 @@ let test_stax_capture () =
   List.iter
     (fun q ->
       let mfa = Compile.compile (parse q) in
-      let r =
-        Eval_stax.run_events ~capture:true mfa (Xml_parser.events_of_tree t)
-      in
+      let r = Eval_stax.run_slots ~capture:true mfa (Eval_stax.Tree t) in
       Alcotest.(check int) (q ^ " captured all answers")
-        (List.length r.Eval_stax.answers)
-        (List.length r.Eval_stax.captured);
+        (List.length r.Eval_stax.by_query.(0))
+        (List.length r.Eval_stax.by_query_captured.(0));
       List.iter
         (fun (n, fragment) ->
           let expected =
@@ -238,22 +236,23 @@ let test_stax_capture () =
           in
           Alcotest.(check string) (Printf.sprintf "%s node %d" q n) expected
             fragment)
-        r.Eval_stax.captured)
+        r.Eval_stax.by_query_captured.(0))
     [ "patient"; "patient/pname"; "//medication/text()"; q0';
       "patient[parent]" (* nested candidate inside another candidate *) ]
 
 let test_stax_capture_off_by_default () =
   let t = Lazy.force hospital in
   let mfa = Compile.compile (parse "patient") in
-  let r = Eval_stax.run_events mfa (Xml_parser.events_of_tree t) in
+  let r = Eval_stax.run_slots mfa (Eval_stax.Tree t) in
   Alcotest.(check (list (pair int string))) "no captures" []
-    r.Eval_stax.captured
+    r.Eval_stax.by_query_captured.(0)
 
 let test_stax_single_pass_stats () =
   let t = Lazy.force hospital in
   let mfa = Compile.compile (parse q0') in
-  let r = Eval_stax.run_events mfa (Xml_parser.events_of_tree t) in
-  Alcotest.(check int) "one pass" 1 r.Eval_stax.stats.Stats.passes_over_data
+  let r = Eval_stax.run_slots mfa (Eval_stax.Tree t) in
+  Alcotest.(check int) "one pass" 1
+    r.Eval_stax.m_stats.Stats.passes_over_data
 
 (* --- Skipping and TAX ----------------------------------------------------- *)
 
@@ -387,8 +386,8 @@ let test_deep_document_recursion () =
   Alcotest.(check int) "nodes" (depth + 1) (Tree.n_nodes t);
   Alcotest.(check int) "one leaf" 1 (List.length (dom_answers t "(a)*/leaf"));
   let mfa = Compile.compile (parse "//leaf") in
-  let r = Eval_stax.run_events mfa (Xml_parser.events_of_tree t) in
-  Alcotest.(check int) "stax deep" 1 (List.length r.Eval_stax.answers)
+  let r = Eval_stax.run_slots mfa (Eval_stax.Tree t) in
+  Alcotest.(check int) "stax deep" 1 (List.length r.Eval_stax.by_query.(0))
 
 (* --- Property tests: HyPE = oracle --------------------------------------- *)
 
@@ -468,7 +467,7 @@ let prop_stax_equals_oracle =
   QCheck2.Test.make ~count:1000 ~name:"HyPE StAX = oracle" ~print:print_case
     case_gen (fun (t, p) ->
       let mfa = Compile.compile p in
-      (Eval_stax.run_events mfa (Xml_parser.events_of_tree t)).Eval_stax.answers
+      (Eval_stax.run_slots mfa (Eval_stax.Tree t)).Eval_stax.by_query.(0)
       = Semantics.answer_list t p)
 
 let prop_tax_equals_oracle =

@@ -70,11 +70,10 @@ let test_preserves_answers_on_suite () =
         (name ^ " dom")
         (Eval_dom.run mfa doc).Eval_dom.answers
         (Eval_dom.run opt doc).Eval_dom.answers;
-      let events = Xml_parser.events_of_tree doc in
-      Alcotest.(check (list int))
-        (name ^ " stax")
-        (Eval_stax.run_events mfa events).Eval_stax.answers
-        (Eval_stax.run_events opt events).Eval_stax.answers)
+      let stax m =
+        (Eval_stax.run_slots m (Eval_stax.Tree doc)).Eval_stax.by_query.(0)
+      in
+      Alcotest.(check (list int)) (name ^ " stax") (stax mfa) (stax opt))
     Queries.parsed
 
 let test_shrinks_rewritten_mfa () =

@@ -15,6 +15,8 @@ module Queries = Smoqe_workload.Queries
 module Random_dtd = Smoqe_workload.Random_dtd
 module Docgen = Smoqe_workload.Docgen
 module Dtd = Smoqe_xml.Dtd
+module Tree = Smoqe_xml.Tree
+module Serializer = Smoqe_xml.Serializer
 module Rx_parser = Smoqe_rxpath.Parser
 module Pretty = Smoqe_rxpath.Pretty
 module Pool = Smoqe_exec.Pool
@@ -163,6 +165,31 @@ let test_session_oracle () =
 
 (* --- Random property: Dom = Stax = oracle, warm = cold --------------------- *)
 
+(* An answer's serialization, as the engine renders it. *)
+let xml_of_node doc n =
+  if Tree.is_text doc n then Serializer.escape_text (Tree.text_content doc n)
+  else Serializer.subtree_to_string ~indent:false doc n
+
+(* The same document served from its bytes, where StAX scans the parser
+   cursor instead of walking the held tree.  The oracle reads this
+   engine's own tree, so whitespace normalization cannot shift ids. *)
+let check_bytes_stax seed ~dtd policy doc text =
+  let engine = okr (Engine.of_string_robust ~dtd (Serializer.to_string doc)) in
+  ok (Engine.register_policy engine ~group:"members" policy);
+  let view = Option.get (Engine.view engine ~group:"members") in
+  let bdoc = Engine.document engine in
+  let expected = oracle view bdoc (parse text) in
+  let stax =
+    okr (Engine.query_robust engine ~group:"members" ~mode:Engine.Stax text)
+  in
+  let label w = Printf.sprintf "seed %d bytes stax: %s (%s)" seed w text in
+  Alcotest.(check (list int)) (label "answers = oracle") expected
+    (List.sort_uniq compare stax.Engine.answers);
+  Alcotest.(check (list (pair int string))) (label "answer_xml = oracle")
+    (List.map (fun n -> (n, xml_of_node bdoc n)) expected)
+    (List.sort_uniq compare
+       (List.combine stax.Engine.answers stax.Engine.answer_xml))
+
 let property_case seed =
   let dtd = Random_dtd.generate ~seed ~n_types:(3 + (seed mod 5))
       ~recursion:(seed mod 2 = 0) ()
@@ -225,7 +252,8 @@ let property_case seed =
           check_shared_plan
             (fun w -> Printf.sprintf "seed %d %s: %s" seed mname w)
             twin ~mode text)
-        modes)
+        modes;
+      check_bytes_stax seed ~dtd policy doc text)
 
 let test_property () =
   for seed = 1 to 40 do
@@ -658,9 +686,7 @@ let test_batch_session () =
    code, so agreement is evidence the splices are right. *)
 
 module Update = Smoqe_update.Update
-module Tree = Smoqe_xml.Tree
 module Tax = Smoqe_tax.Tax
-module Serializer = Smoqe_xml.Serializer
 
 (* A random legal update sequence applied as admin: candidates are drawn
    from the live document each step (ids shift as edits land); a

@@ -97,18 +97,19 @@ let check_demux ~use_tables () =
     m.Eval_dom.m_stats.Stats.batch_queries;
   Alcotest.(check bool) "width recorded" true
     (m.Eval_dom.m_stats.Stats.accept_width >= 2);
-  (* same demultiplexing over the event stream *)
-  let events = Xml_parser.events_of_tree tree in
+  (* same demultiplexing over the streaming walk of the tree *)
   let ms =
     Eval_stax.run_slots ~use_tables ~shared:sh sh.Shared.mfa
-      (Eval_stax.Events events)
+      (Eval_stax.Tree tree)
   in
   List.iteri
     (fun i q ->
-      let solo = Eval_stax.run_events ~use_tables (compile q) events in
+      let solo =
+        Eval_stax.run_slots ~use_tables (compile q) (Eval_stax.Tree tree)
+      in
       Alcotest.(check (list int))
         (Printf.sprintf "stax demux %d: %s" i q)
-        solo.Eval_stax.answers
+        solo.Eval_stax.by_query.(0)
         ms.Eval_stax.by_query.(i))
     batch
 

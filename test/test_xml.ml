@@ -110,8 +110,8 @@ let test_tree_invalid () =
 
 (* --- Pull ------------------------------------------------------------ *)
 
-let drain s =
-  Pull.fold (Pull.of_string s) ~init:[] ~f:(fun acc e -> e :: acc)
+let drain ?keep_ws s =
+  Pull.fold (Pull.of_string ?keep_ws s) ~init:[] ~f:(fun acc e -> e :: acc)
   |> List.rev
 
 let test_pull_basic () =
@@ -214,14 +214,15 @@ let test_serializer_escaping () =
   let t' = Parser.tree_of_string s in
   Alcotest.(check bool) "escaped roundtrip" true (Tree.equal t t')
 
+(* A tree's event sequence is the one a streaming parse of its
+   serialization yields. *)
 let test_events_of_tree () =
   let t = sample () in
   let evs = Parser.events_of_tree t in
-  let t' = Parser.tree_of_events evs in
-  Alcotest.(check bool) "events roundtrip" true (Tree.equal t t');
-  let s = Serializer.events_to_string evs in
-  let t'' = Parser.tree_of_string s in
-  Alcotest.(check bool) "events->string->tree" true (Tree.equal t t'')
+  Alcotest.(check bool) "events = parse of indented" true
+    (evs = drain (Serializer.to_string t));
+  Alcotest.(check bool) "events = parse of compact" true
+    (evs = drain (Serializer.to_string ~indent:false t))
 
 (* --- Input hardening (DESIGN.md §12) --------------------------------- *)
 
@@ -300,38 +301,26 @@ let test_deep_document () =
   Alcotest.(check int) "events" ((2 * n) + 1) (List.length evs);
   let s = Serializer.to_string ~indent:false t in
   Alcotest.(check bool) "serializes" true (String.length s > (6 * n));
-  let t' = Parser.tree_of_events evs in
-  Alcotest.(check bool) "events roundtrip" true (Tree.equal t t')
+  Alcotest.(check bool) "events = parse of serialization" true
+    (List.equal ( = ) evs (drain s))
+
+(* StAX on an engine that holds only the tree walks it with an explicit
+   stack: the 100k-deep document must not overflow the native one. *)
+let test_deep_document_stax () =
+  let n = 100_000 in
+  let engine = Smoqe.Engine.of_tree (Parser.tree_of_string (deep_doc n)) in
+  match Smoqe.Engine.query_robust engine ~mode:Smoqe.Engine.Stax "//text()" with
+  | Ok o ->
+    Alcotest.(check (list int)) "the leaf" [ n ] o.Smoqe.Engine.answers;
+    Alcotest.(check (list string)) "its text" [ "leaf" ]
+      o.Smoqe.Engine.answer_xml
+  | Error e -> Alcotest.fail (Smoqe_robust.Error.to_string e)
 
 let test_deep_budget () =
   let budget = Smoqe_robust.Budget.create ~max_depth:64 () in
   match Parser.tree_of_string ~budget (deep_doc 1000) with
   | exception Smoqe_robust.Budget.Exceeded _ -> ()
   | _ -> Alcotest.fail "depth budget did not trip"
-
-let test_tree_of_events_unbalanced () =
-  let expect_positioned evs =
-    match Parser.tree_of_events evs with
-    | exception Pull.Error _ -> ()
-    | exception Invalid_argument _ ->
-      Alcotest.fail "raised Invalid_argument, not Pull.Error"
-    | _ -> Alcotest.fail "bad event stream accepted"
-  in
-  expect_positioned [];
-  expect_positioned [ Pull.Start_element ("a", []) ];
-  expect_positioned [ Pull.End_element "a" ];
-  expect_positioned
-    [ Pull.Start_element ("a", []); Pull.End_element "b" ];
-  expect_positioned
-    [
-      Pull.Start_element ("a", []);
-      Pull.End_element "a";
-      Pull.Start_element ("b", []);
-      Pull.End_element "b";
-    ];
-  expect_positioned [ Pull.Text "outside" ]
-
-(* --- Dtd ------------------------------------------------------------- *)
 
 let hospital_dtd () =
   Dtd.create ~root:"hospital"
@@ -885,10 +874,11 @@ let prop_depth_consistent =
       !ok)
 
 let prop_events_roundtrip =
-  QCheck2.Test.make ~count:200 ~name:"events_of_tree/tree_of_events identity"
+  QCheck2.Test.make ~count:200 ~name:"events_of_tree = parse of serialization"
     root_source_gen (fun src ->
-      let t = Tree.of_source src in
-      Tree.equal t (Parser.tree_of_events (Parser.events_of_tree t)))
+      let t = Tree.of_source (canonical src) in
+      Parser.events_of_tree t
+      = drain ~keep_ws:true (Serializer.to_string ~indent:false t))
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -943,9 +933,9 @@ let () =
           Alcotest.test_case "duplicate attribute" `Quick
             test_dup_attr_position;
           Alcotest.test_case "deep document" `Quick test_deep_document;
+          Alcotest.test_case "deep document stax" `Quick
+            test_deep_document_stax;
           Alcotest.test_case "deep budget" `Quick test_deep_budget;
-          Alcotest.test_case "unbalanced events" `Quick
-            test_tree_of_events_unbalanced;
         ] );
       ( "dtd",
         [
