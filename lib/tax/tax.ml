@@ -12,6 +12,17 @@ type t = {
 
 let bits_per_word = Sys.int_size
 
+(* Fold [node]'s children into its row: each child's own row (its strict
+   descendants) and the child's tag bit.  Children must be filled first. *)
+let fill_row bits w tree node =
+  Tree.iter_children tree node (fun c ->
+      for k = 0 to w - 1 do
+        bits.((node * w) + k) <- bits.((node * w) + k) lor bits.((c * w) + k)
+      done;
+      let tag = Tree.tag_id tree c in
+      let word = tag / bits_per_word and bit = tag mod bits_per_word in
+      bits.((node * w) + word) <- bits.((node * w) + word) lor (1 lsl bit))
+
 let build tree =
   let n = Tree.n_nodes tree in
   let n_tags = Tree.n_tags tree in
@@ -21,28 +32,21 @@ let build tree =
   (* Bottom-up: process nodes in reverse pre-order, so every node is seen
      after all of its descendants. *)
   for node = n - 1 downto 0 do
-    Tree.iter_children tree node (fun c ->
-        (* fold child's row into ours *)
-        for k = 0 to w - 1 do
-          bits.((node * w) + k) <- bits.((node * w) + k) lor bits.((c * w) + k)
-        done;
-        let tag = Tree.tag_id tree c in
-        let word = tag / bits_per_word and bit = tag mod bits_per_word in
-        bits.((node * w) + word) <-
-          bits.((node * w) + word) lor (1 lsl bit))
+    fill_row bits w tree node
   done;
   { words_per_row = w; bits; n_nodes = n; n_tags }
 
 (* Incremental maintenance after a functional subtree splice
-   (Tree.delete_subtree / replace_subtree / insert_subtree): node rows
-   outside the edited range still describe exactly the same descendant
-   sets, so they are blitted; only the new middle and the ancestor chain
-   of the edit are recomputed.  [lo, old_hi) is the replaced range in
-   pre-update ids, [par] the parent of the edit (new id = old id, it is
-   below [lo]); [par < 0] means the root itself was replaced, which
-   degenerates to a full rebuild.  Tag ids are stable across splices (new
-   tags are appended), so old rows stay valid even when the row width
-   grows. *)
+   (Tree.delete_subtree / replace_subtree / insert_subtree, which shift
+   ids at or after the edited range by the size delta and keep those
+   below it): node rows outside the edited range still describe exactly
+   the same descendant sets, so they are blitted; only the new middle and
+   the ancestor chain of the edit are refilled, with [build]'s
+   [fill_row].  [lo, old_hi) is the replaced range in pre-update ids,
+   [par] the parent of the edit (new id = old id, it is below [lo]);
+   [par < 0] means the root itself was replaced, which degenerates to a
+   full rebuild.  Tag ids are stable across splices (new tags are
+   appended), so old rows stay valid even when the row width grows. *)
 let splice t new_tree ~lo ~old_hi ~par =
   if par < 0 then build new_tree
   else begin
@@ -64,20 +68,9 @@ let splice t new_tree ~lo ~old_hi ~par =
     in
     copy_rows 0 0 lo;
     copy_rows old_hi new_hi (n_old - old_hi);
-    let fill_row node =
-      Tree.iter_children new_tree node (fun c ->
-          for k = 0 to w' - 1 do
-            bits.((node * w') + k) <-
-              bits.((node * w') + k) lor bits.((c * w') + k)
-          done;
-          let tag = Tree.tag_id new_tree c in
-          let word = tag / bits_per_word and bit = tag mod bits_per_word in
-          bits.((node * w') + word) <-
-            bits.((node * w') + word) lor (1 lsl bit))
-    in
     (* The new middle, bottom-up (children of a middle node are middle). *)
     for node = new_hi - 1 downto lo do
-      fill_row node
+      fill_row bits w' new_tree node
     done;
     (* The ancestor chain of the edit, deepest first: each ancestor's
        other children kept their rows, the chain child below was just
@@ -85,7 +78,7 @@ let splice t new_tree ~lo ~old_hi ~par =
     let a = ref par in
     while !a >= 0 do
       Array.fill bits (!a * w') w' 0;
-      fill_row !a;
+      fill_row bits w' new_tree !a;
       a := (match Tree.parent new_tree !a with Some p -> p | None -> -1)
     done;
     { words_per_row = w'; bits; n_nodes = n_new; n_tags }

@@ -1,9 +1,11 @@
-(* The DOM fast path: the parser runs in retain mode, so its byte region
-   is the finished tree's arena and its scratch the appendix — the
-   cursor's raw spans are stored verbatim by [Tree.Builder] and not one
-   content string is allocated on the way.  Well-formedness (balance,
-   single root) is enforced by the pull parser itself, which raises
-   positioned [Pull.Error]s exactly as before. *)
+(* The parser's front end to the one tree constructor: it drives the
+   same [Tree.Builder] events that [Tree.of_source] and the update
+   splices push, and the builder derives every link when it freezes.
+   The parser runs in retain mode, so its byte region is the finished
+   tree's arena and its scratch the appendix — the cursor's raw spans
+   are stored verbatim and not one content string is allocated on the
+   way.  Well-formedness (balance, single root) is enforced by the pull
+   parser itself, which raises positioned [Pull.Error]s. *)
 let build_retained p =
   let b = Tree.Builder.create () in
   let rec loop () =

@@ -210,28 +210,13 @@ let fold_preorder t ~init ~f =
   done;
   !acc
 
-(* Construction: a first pass counts nodes and attributes, a second fills
-   the arrays.  Both passes drive explicit worklists, never native
-   recursion over document depth: a parsed document may nest arbitrarily
-   deep, and the only depth limit in the pipeline is the [max_depth]
-   budget — not [Stack_overflow] (DESIGN.md §12). *)
-
-let count_src src =
-  let n = ref 0 and na = ref 0 in
-  let work = ref [ src ] in
-  let continue = ref true in
-  while !continue do
-    match !work with
-    | [] -> continue := false
-    | T _ :: rest ->
-      incr n;
-      work := rest
-    | E (_, ats, kids) :: rest ->
-      incr n;
-      na := !na + List.length ats;
-      work := List.rev_append kids rest
-  done;
-  (!n, !na)
+(* Construction.  Every tree — parsed, built from a [source], or spliced
+   by an update — is made one way: a [Builder] records the pre-order
+   columns the input decides (tag, subtree end, coded content span,
+   attribute range and attributes), and [freeze] derives the rest.
+   Nothing here recurses over document depth: a parsed document may nest
+   arbitrarily deep, and the only depth limit in the pipeline is the
+   [max_depth] budget — not [Stack_overflow] (DESIGN.md §12). *)
 
 (* Tag-lineage tokens.  Every fresh interning run mints a new one; a
    splice that interned no new tag keeps its input's token.  Equal tokens
@@ -289,398 +274,97 @@ let finalize_interner it ~seed =
     Array.iteri (fun i s -> Hashtbl.add tag_ids s i) tag_names;
     (tag_names, tag_ids, fresh_token ())
 
-(* Arrays of a tree under construction, before they are frozen into a
-   [t].  Slots outside the range being filled must already hold their
-   final values (or the [Array.make] defaults).  New content bytes
-   accumulate in [b_content]; they will land in the final appendix at
-   offset [b_cbase] (the length of the appendix inherited from a splice
-   input — 0 for a fresh build), so spans into them are coded as
-   [lnot (b_cbase + pos)] up front and never re-encoded. *)
-type builder = {
-  b_tag : int array;
-  b_parent : int array;
-  b_first_child : int array;
-  b_next_sibling : int array;
-  b_subtree_end : int array;
-  b_depth : int array;
-  b_cont_off : int array;
-  b_cont_len : int array;
-  b_attr_start : int array; (* n + 1 entries *)
-  b_attr_names : string array;
-  b_attr_voff : int array;
-  b_attr_vlen : int array;
-  mutable b_attr_n : int;
-  b_content : Buffer.t;
-  b_cbase : int;
-}
 
-let make_builder n na ~cbase =
-  {
-    b_tag = Array.make n 0;
-    b_parent = Array.make n (-1);
-    b_first_child = Array.make n (-1);
-    b_next_sibling = Array.make n (-1);
-    b_subtree_end = Array.make n 0;
-    b_depth = Array.make n 0;
-    b_cont_off = Array.make n 0;
-    b_cont_len = Array.make n 0;
-    b_attr_start = Array.make (n + 1) 0;
-    b_attr_names = Array.make na "";
-    b_attr_voff = Array.make na 0;
-    b_attr_vlen = Array.make na 0;
-    b_attr_n = 0;
-    b_content = Buffer.create 256;
-    b_cbase = cbase;
-  }
-
-(* Pre-order fill of nodes [start, start + size srcs) from consecutive
-   sibling sources under parent [par] (whose own slots are not touched)
-   at depth [dep].  Drives an explicit frame stack — a frame is an open
-   element: children still to attach, and the last child attached (for
-   sibling linking); [subtree_end] of a leaf is known at allocation, an
-   element's is set when its frame pops.  Content bytes are appended to
-   [b_content] and spans recorded at allocation; attributes are packed
-   in the same pre-order, so [b_attr_start] stays cumulative.  Returns
-   the id of the last root, -1 when [srcs] is empty. *)
-let fill_range b it ~start ~par ~dep srcs =
-  let next = ref start in
-  let alloc p d s =
-    let id = !next in
-    incr next;
-    b.b_parent.(id) <- p;
-    b.b_depth.(id) <- d;
-    b.b_attr_start.(id) <- b.b_attr_n;
-    (match s with
-    | T s ->
-      b.b_tag.(id) <- text_tag;
-      b.b_cont_off.(id) <- lnot (b.b_cbase + Buffer.length b.b_content);
-      b.b_cont_len.(id) <- String.length s;
-      Buffer.add_string b.b_content s;
-      b.b_subtree_end.(id) <- id + 1
-    | E (tg, ats, _) ->
-      if tg = "" then invalid_arg "Tree.of_source: empty tag name";
-      b.b_tag.(id) <- intern it tg;
-      List.iter
-        (fun (k, v) ->
-          b.b_attr_names.(b.b_attr_n) <- k;
-          b.b_attr_voff.(b.b_attr_n) <-
-            lnot (b.b_cbase + Buffer.length b.b_content);
-          b.b_attr_vlen.(b.b_attr_n) <- String.length v;
-          Buffer.add_string b.b_content v;
-          b.b_attr_n <- b.b_attr_n + 1)
-        ats);
-    id
-  in
-  let module F = struct
-    type frame = { id : int; dp : int; mutable prev : int;
-                   mutable todo : source list }
-  end in
-  let open F in
-  let last_root = ref (-1) in
-  List.iter
-    (fun src ->
-      let rid = alloc par dep src in
-      if !last_root >= 0 then b.b_next_sibling.(!last_root) <- rid;
-      last_root := rid;
-      let stack =
-        ref
-          (match src with
-          | T _ -> []
-          | E (_, _, kids) -> [ { id = rid; dp = dep; prev = -1; todo = kids } ])
-      in
-      let continue = ref true in
-      while !continue do
-        match !stack with
-        | [] -> continue := false
-        | frame :: rest ->
-          (match frame.todo with
-          | [] ->
-            b.b_subtree_end.(frame.id) <- !next;
-            stack := rest
-          | kid :: more ->
-            frame.todo <- more;
-            let kid_id = alloc frame.id (frame.dp + 1) kid in
-            if frame.prev < 0 then b.b_first_child.(frame.id) <- kid_id
-            else b.b_next_sibling.(frame.prev) <- kid_id;
-            frame.prev <- kid_id;
-            (match kid with
-            | T _ -> ()
-            | E (_, _, kids) ->
-              stack :=
-                { id = kid_id; dp = frame.dp + 1; prev = -1; todo = kids }
-                :: !stack))
-      done)
-    srcs;
-  !last_root
-
-(* Read a coded span while the final appendix is still in pieces: the
-   inherited part [app0], then the new content [newc] (at [length app0]),
-   then the extras being built. *)
-let add_coded buf ~arena ~app0 ~newc off len =
-  if len = 0 then ()
-  else if off >= 0 then Buffer.add_substring buf arena off len
-  else begin
-    let r = lnot off in
-    let l0 = String.length app0 in
-    if r < l0 then Buffer.add_substring buf app0 r len
-    else Buffer.add_substring buf newc (r - l0) len
-  end
-
-(* Comparison value of an element from its immediate children.  A span,
-   not a copy: a single text child's value *is* that child's span, the
-   all-elements case is the empty span — only mixed-content elements
-   append concatenated bytes to [extras] (which lands in the appendix at
-   offset [ebase]). *)
-let set_value b ~arena ~app0 ~newc ~extras ~ebase i =
-  let first = ref (-1) and count = ref 0 in
-  let c = ref b.b_first_child.(i) in
-  while !c >= 0 do
-    if b.b_tag.(!c) = text_tag then begin
-      if !count = 0 then first := !c;
-      incr count
-    end;
-    c := b.b_next_sibling.(!c)
+(* Freeze pre-order columns into a [t].  Parent, first-child,
+   next-sibling and depth links follow from the subtree ends alone: node
+   [i]'s children are [i + 1] and then each child's subtree end, up to
+   [i]'s own, and pre-order numbering settles [depth.(i)] before its
+   children are visited.  Comparison values are filled (before the tree
+   is published, see the invariant on [t]) for the elements of [lo, hi)
+   and for [par] when [par >= 0]; every other span is kept as given.  A
+   value is a span, not a copy: a single text child's value is that
+   child's span, an element without text children has the empty span,
+   and only a mixed-content element appends its concatenated text after
+   [appendix]. *)
+let freeze ~tag ~ends ~off ~len ~attr_start ~attr_names ~attr_voff
+    ~attr_vlen ~arena ~appendix (tag_names, tag_ids, tags_token) ~lo ~hi
+    ~par =
+  let n = Array.length tag in
+  let parent = Array.make n (-1) in
+  let first_child = Array.make n (-1) in
+  let next_sibling = Array.make n (-1) in
+  let depth = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let stop = ends.(i) in
+    if stop > i + 1 then begin
+      first_child.(i) <- i + 1;
+      let d = depth.(i) + 1 in
+      let c = ref (i + 1) in
+      while !c < stop do
+        let c0 = !c in
+        parent.(c0) <- i;
+        depth.(c0) <- d;
+        let next = ends.(c0) in
+        if next < stop then next_sibling.(c0) <- next;
+        c := next
+      done
+    end
   done;
-  if !count = 0 then begin
-    b.b_cont_off.(i) <- 0;
-    b.b_cont_len.(i) <- 0
-  end
-  else if !count = 1 then begin
-    b.b_cont_off.(i) <- b.b_cont_off.(!first);
-    b.b_cont_len.(i) <- b.b_cont_len.(!first)
-  end
-  else begin
-    let start = ebase + Buffer.length extras in
-    let c = ref b.b_first_child.(i) in
+  let extras = Buffer.create 64 in
+  let base = String.length appendix in
+  let set_value i =
+    let first = ref (-1) and count = ref 0 in
+    let c = ref first_child.(i) in
     while !c >= 0 do
-      if b.b_tag.(!c) = text_tag then
-        add_coded extras ~arena ~app0 ~newc b.b_cont_off.(!c) b.b_cont_len.(!c);
-      c := b.b_next_sibling.(!c)
+      if tag.(!c) = text_tag then begin
+        if !count = 0 then first := !c;
+        incr count
+      end;
+      c := next_sibling.(!c)
     done;
-    b.b_cont_off.(i) <- lnot start;
-    b.b_cont_len.(i) <- ebase + Buffer.length extras - start
-  end
-
-(* Comparison values, filled before the tree is published (see the
-   invariant on [t]). *)
-let fill_values b ~arena ~app0 ~newc ~extras ~ebase ~lo ~hi =
+    if !count = 0 then begin
+      off.(i) <- 0;
+      len.(i) <- 0
+    end
+    else if !count = 1 then begin
+      off.(i) <- off.(!first);
+      len.(i) <- len.(!first)
+    end
+    else begin
+      let start = base + Buffer.length extras in
+      let c = ref first_child.(i) in
+      while !c >= 0 do
+        let o = off.(!c) in
+        if tag.(!c) <> text_tag then ()
+        else if o >= 0 then Buffer.add_substring extras arena o len.(!c)
+        else Buffer.add_substring extras appendix (lnot o) len.(!c);
+        c := next_sibling.(!c)
+      done;
+      off.(i) <- lnot start;
+      len.(i) <- base + Buffer.length extras - start
+    end
+  in
   for i = hi - 1 downto lo do
-    if b.b_tag.(i) <> text_tag then
-      set_value b ~arena ~app0 ~newc ~extras ~ebase i
-  done
-
-let freeze b ~arena ~appendix (tag_names, tag_ids, tags_token) =
-  {
-    tag = b.b_tag;
-    parent = b.b_parent;
-    first_child = b.b_first_child;
-    next_sibling = b.b_next_sibling;
-    subtree_end = b.b_subtree_end;
-    depth = b.b_depth;
-    arena;
-    appendix;
-    cont_off = b.b_cont_off;
-    cont_len = b.b_cont_len;
-    attr_start = b.b_attr_start;
-    attr_names = b.b_attr_names;
-    attr_voff = b.b_attr_voff;
-    attr_vlen = b.b_attr_vlen;
-    tag_names;
-    tag_ids;
-    tags_token;
-  }
-
-let build ?seed src =
-  let n, na = count_src src in
-  let b = make_builder n na ~cbase:0 in
-  let it =
-    match seed with
-    | Some t0 -> interner_of_seed t0
-    | None -> fresh_interner ()
-  in
-  ignore (fill_range b it ~start:0 ~par:(-1) ~dep:0 [ src ]);
-  b.b_attr_start.(n) <- b.b_attr_n;
-  let newc = Buffer.contents b.b_content in
-  let extras = Buffer.create 64 in
-  fill_values b ~arena:"" ~app0:"" ~newc ~extras ~ebase:(String.length newc)
-    ~lo:0 ~hi:n;
+    if tag.(i) <> text_tag then set_value i
+  done;
+  if par >= 0 then set_value par;
   let appendix =
-    if Buffer.length extras = 0 then newc else newc ^ Buffer.contents extras
+    if Buffer.length extras = 0 then appendix
+    else appendix ^ Buffer.contents extras
   in
-  freeze b ~arena:"" ~appendix (finalize_interner it ~seed)
+  { tag; parent; first_child; next_sibling; subtree_end = ends; depth; arena;
+    appendix; cont_off = off; cont_len = len; attr_start; attr_names;
+    attr_voff; attr_vlen; tag_names; tag_ids; tags_token }
 
-let of_source src = build src
-
-(* [splice t ~lo ~old_hi ~par ~prev ~nxt srcs] replaces the node range
-   [lo, old_hi) — zero or more whole consecutive sibling subtrees under
-   [par] — with the subtrees described by [srcs].  [prev] is the child of
-   [par] immediately preceding the range (-1 when the range starts at
-   [par]'s first child), [nxt] the sibling immediately following it (-1
-   when it ends the chain); both in old ids.  Ids below [lo] are stable,
-   ids at or above [old_hi] shift by the size delta; everything outside
-   the edited range is blitted, not re-walked, and tag ids stay aligned
-   with the input tree (new tags are appended).  The arena is shared
-   with the input and the appendix only ever appended to, so prefix and
-   suffix content spans are blitted verbatim; only the attribute index
-   arithmetic shifts. *)
-let splice t ~lo ~old_hi ~par ~prev ~nxt srcs =
-  let n_old = n_nodes t in
-  let m, ma =
-    List.fold_left
-      (fun (n, a) s ->
-        let n', a' = count_src s in
-        (n + n', a + a'))
-      (0, 0) srcs
-  in
-  let removed = old_hi - lo in
-  let shift = m - removed in
-  let n_new = n_old + shift in
-  let a_lo = t.attr_start.(lo) in
-  let a_hi = t.attr_start.(old_hi) in
-  let a_old = t.attr_start.(n_old) in
-  let a_shift = ma - (a_hi - a_lo) in
-  let app0 = t.appendix in
-  let b = make_builder n_new (a_old + a_shift) ~cbase:(String.length app0) in
-  b.b_attr_n <- a_lo;
-  (* Ancestors of [par] (inclusive), to disambiguate the subtree_end
-     boundary case below when the replaced range is empty (an insert): a
-     prefix subtree ending exactly at [lo] contains the new nodes iff it
-     is an ancestor's. *)
-  let anc = Hashtbl.create 16 in
-  let a = ref par in
-  while !a >= 0 do
-    Hashtbl.replace anc !a ();
-    a := t.parent.(!a)
-  done;
-  (* Prefix [0, lo): only pointers into the suffix shift.  [parent] slots
-     all point backwards; [first_child] is node + 1 or -1, never past
-     [lo].  Content spans are region offsets, not node ids — verbatim. *)
-  Array.blit t.tag 0 b.b_tag 0 lo;
-  Array.blit t.parent 0 b.b_parent 0 lo;
-  Array.blit t.first_child 0 b.b_first_child 0 lo;
-  Array.blit t.depth 0 b.b_depth 0 lo;
-  Array.blit t.cont_off 0 b.b_cont_off 0 lo;
-  Array.blit t.cont_len 0 b.b_cont_len 0 lo;
-  Array.blit t.attr_start 0 b.b_attr_start 0 lo;
-  Array.blit t.attr_names 0 b.b_attr_names 0 a_lo;
-  Array.blit t.attr_voff 0 b.b_attr_voff 0 a_lo;
-  Array.blit t.attr_vlen 0 b.b_attr_vlen 0 a_lo;
-  for q = 0 to lo - 1 do
-    let ns = t.next_sibling.(q) in
-    b.b_next_sibling.(q) <- (if ns >= old_hi then ns + shift else ns);
-    let se = t.subtree_end.(q) in
-    b.b_subtree_end.(q) <-
-      (if se > old_hi || (se = old_hi && (removed > 0 || Hashtbl.mem anc q))
-       then se + shift
-       else se)
-  done;
-  (* The new middle [lo, lo + m). *)
-  let it = interner_of_seed t in
-  let last_root = fill_range b it ~start:lo ~par ~dep:(t.depth.(par) + 1) srcs in
-  (* Suffix [old_hi, n_old), shifted.  A suffix node's parent is either
-     an ancestor of the range (below [lo]) or in the suffix — never
-     inside the replaced range. *)
-  let slen = n_old - old_hi in
-  Array.blit t.tag old_hi b.b_tag (old_hi + shift) slen;
-  Array.blit t.depth old_hi b.b_depth (old_hi + shift) slen;
-  Array.blit t.cont_off old_hi b.b_cont_off (old_hi + shift) slen;
-  Array.blit t.cont_len old_hi b.b_cont_len (old_hi + shift) slen;
-  Array.blit t.attr_names a_hi b.b_attr_names (a_hi + a_shift) (a_old - a_hi);
-  Array.blit t.attr_voff a_hi b.b_attr_voff (a_hi + a_shift) (a_old - a_hi);
-  Array.blit t.attr_vlen a_hi b.b_attr_vlen (a_hi + a_shift) (a_old - a_hi);
-  for s = old_hi to n_old - 1 do
-    let d = s + shift in
-    let p = t.parent.(s) in
-    b.b_parent.(d) <- (if p >= old_hi then p + shift else p);
-    let fc = t.first_child.(s) in
-    b.b_first_child.(d) <- (if fc >= 0 then fc + shift else -1);
-    let ns = t.next_sibling.(s) in
-    b.b_next_sibling.(d) <- (if ns >= 0 then ns + shift else -1);
-    b.b_subtree_end.(d) <- t.subtree_end.(s) + shift;
-    b.b_attr_start.(d) <- t.attr_start.(s) + a_shift
-  done;
-  b.b_attr_start.(n_new) <- a_old + a_shift;
-  (* Splice the sibling chain back together. *)
-  let new_next = if nxt < 0 then -1 else nxt + shift in
-  let head = if m > 0 then lo else new_next in
-  if last_root >= 0 then b.b_next_sibling.(last_root) <- new_next;
-  if prev >= 0 then b.b_next_sibling.(prev) <- head
-  else begin
-    let ofc = t.first_child.(par) in
-    if ofc = lo || ofc < 0 then b.b_first_child.(par) <- head
-  end;
-  let newc = Buffer.contents b.b_content in
-  let extras = Buffer.create 64 in
-  let ebase = String.length app0 + String.length newc in
-  fill_values b ~arena:t.arena ~app0 ~newc ~extras ~ebase ~lo ~hi:(lo + m);
-  (* [par]'s immediate text children may have changed. *)
-  set_value b ~arena:t.arena ~app0 ~newc ~extras ~ebase par;
-  let appendix =
-    if String.length newc = 0 && Buffer.length extras = 0 then app0
-    else app0 ^ newc ^ Buffer.contents extras
-  in
-  freeze b ~arena:t.arena ~appendix (finalize_interner it ~seed:(Some t))
-
-let prev_sibling_in t par n =
-  let prev = ref (-1) and c = ref t.first_child.(par) in
-  while !c >= 0 && !c <> n do
-    prev := !c;
-    c := t.next_sibling.(!c)
-  done;
-  if !c <> n then invalid_arg "Tree: node is not a child of its parent";
-  !prev
-
-let last_child_of t par =
-  let last = ref (-1) and c = ref t.first_child.(par) in
-  while !c >= 0 do
-    last := !c;
-    c := t.next_sibling.(!c)
-  done;
-  !last
-
-let delete_subtree t n =
-  check t n;
-  if n = root then invalid_arg "Tree.delete_subtree: cannot delete the root";
-  let par = t.parent.(n) in
-  splice t ~lo:n ~old_hi:t.subtree_end.(n) ~par
-    ~prev:(prev_sibling_in t par n) ~nxt:t.next_sibling.(n) []
-
-let replace_subtree t n src =
-  check t n;
-  if n = root then build ~seed:t src
-  else
-    let par = t.parent.(n) in
-    splice t ~lo:n ~old_hi:t.subtree_end.(n) ~par
-      ~prev:(prev_sibling_in t par n) ~nxt:t.next_sibling.(n) [ src ]
-
-let insert_subtree t ~parent:par ?before src =
-  check t par;
-  if is_text t par then
-    invalid_arg "Tree.insert_subtree: parent is a text node";
-  match before with
-  | Some b ->
-    check t b;
-    if b = root || t.parent.(b) <> par then
-      invalid_arg "Tree.insert_subtree: ~before is not a child of ~parent";
-    splice t ~lo:b ~old_hi:b ~par ~prev:(prev_sibling_in t par b) ~nxt:b
-      [ src ]
-  | None ->
-    let pos = t.subtree_end.(par) in
-    splice t ~lo:pos ~old_hi:pos ~par ~prev:(last_child_of t par) ~nxt:(-1)
-      [ src ]
-
-(* ------------------------------------------------------------------ *)
-(* Streaming construction: the parser pushes events and raw spans; no
-   intermediate [source] is ever built.  The caller supplies the arena
-   (its retained parse buffer) and appendix (its scratch region) at
-   [finish]; spans pushed here use the same sign coding as the final
-   tree, so they are stored verbatim.  Events are assumed well-formed —
-   the pull parser has already enforced that.
-
-   Only what the events decide is recorded while they stream in: tags,
-   subtree ends, content spans and attributes.  Parent, child, sibling
-   and depth links follow from the pre-order subtree ends, so [finish]
-   derives them in one pass straight into arrays of the final size. *)
+(* A tree under construction: growable pre-order columns, filled by
+   structure events.  The parser pushes raw spans into its own byte
+   regions, already in the final tree's coding ([off >= 0] into the
+   arena, [off < 0] at [lnot off] into the appendix), so they are stored
+   verbatim.  A [source] is pushed through the same events by
+   [add_source]; its content goes to [content], which will land in the
+   final appendix at offset [cbase], so its spans are coded up front and
+   never re-encoded.  Events are assumed well-formed — the pull parser
+   and the [source] walk both guarantee it. *)
 module Builder = struct
   type b = {
     mutable v_tag : int array;
@@ -698,6 +382,8 @@ module Builder = struct
     bit : interner;
     tag_keys : string array; (* tag cache: names compared by identity *)
     tag_vals : int array;
+    content : Buffer.t;
+    cbase : int;
   }
 
   (* The pull parser interns names, so one tag arrives as one physical
@@ -721,7 +407,7 @@ module Builder = struct
       + (11 * Char.code (String.unsafe_get s (max 0 (n - 2)))))
       land (cache_size - 1)
 
-  let create () =
+  let make bit ~cbase =
     {
       v_tag = Array.make 64 0;
       v_subtree_end = Array.make 64 0;
@@ -735,10 +421,14 @@ module Builder = struct
       an = 0;
       stack = Array.make 32 0;
       sp = 0;
-      bit = fresh_interner ();
+      bit;
       tag_keys = Array.make cache_size no_key;
       tag_vals = Array.make cache_size 0;
+      content = Buffer.create 64;
+      cbase;
     }
+
+  let create () = make (fresh_interner ()) ~cbase:0
 
   let grow a n fill =
     let b = Array.make (2 * Array.length a) fill in
@@ -800,62 +490,156 @@ module Builder = struct
     bb.sp <- bb.sp - 1;
     bb.v_subtree_end.(bb.stack.(bb.sp)) <- bb.n
 
-  let finish bb ~arena ~appendix =
-    let n = bb.n in
-    let subtree_end = Array.sub bb.v_subtree_end 0 n in
-    let parent = Array.make n (-1) in
-    let first_child = Array.make n (-1) in
-    let next_sibling = Array.make n (-1) in
-    let depth = Array.make n 0 in
-    (* Node [i]'s children are [i + 1] and then each child's subtree end,
-       up to [i]'s own; pre-order numbering settles [depth.(i)] before
-       its children are visited. *)
-    for i = 0 to n - 1 do
-      let stop = subtree_end.(i) in
-      if stop > i + 1 then begin
-        first_child.(i) <- i + 1;
-        let d = depth.(i) + 1 in
-        let c = ref (i + 1) in
-        while !c < stop do
-          let c0 = !c in
-          parent.(c0) <- i;
-          depth.(c0) <- d;
-          let next = subtree_end.(c0) in
-          if next < stop then next_sibling.(c0) <- next;
-          c := next
-        done
-      end
-    done;
+  (* Append [s] to [content]; returns its coded offset. *)
+  let add_content bb s =
+    let off = lnot (bb.cbase + Buffer.length bb.content) in
+    Buffer.add_string bb.content s;
+    off
+
+  (* Push [src] as events.  The worklist holds, for each open element,
+     its children still to visit. *)
+  let add_source bb src =
+    let open_kids = ref [] in
+    let visit = function
+      | T s -> text bb (add_content bb s) (String.length s)
+      | E (tg, ats, kids) ->
+        if tg = "" then invalid_arg "Tree.of_source: empty tag name";
+        start_element bb tg;
+        List.iter
+          (fun (k, v) -> attr bb k (add_content bb v) (String.length v))
+          ats;
+        open_kids := kids :: !open_kids
+    in
+    let rec drain () =
+      match !open_kids with
+      | [] -> ()
+      | [] :: rest ->
+        end_element bb;
+        open_kids := rest;
+        drain ()
+      | (kid :: more) :: rest ->
+        open_kids := more :: rest;
+        visit kid;
+        drain ()
+    in
+    visit src;
+    drain ()
+
+  (* Freeze every pushed node, filling all comparison values. *)
+  let freeze_all bb ~arena ~appendix ~seed =
+    let n = bb.n and an = bb.an in
     let attr_start = Array.sub bb.v_attr_start 0 (n + 1) in
-    attr_start.(n) <- bb.an;
-    let b =
-      {
-        b_tag = Array.sub bb.v_tag 0 n;
-        b_parent = parent;
-        b_first_child = first_child;
-        b_next_sibling = next_sibling;
-        b_subtree_end = subtree_end;
-        b_depth = depth;
-        b_cont_off = Array.sub bb.v_cont_off 0 n;
-        b_cont_len = Array.sub bb.v_cont_len 0 n;
-        b_attr_start = attr_start;
-        b_attr_names = Array.sub bb.v_attr_names 0 bb.an;
-        b_attr_voff = Array.sub bb.v_attr_voff 0 bb.an;
-        b_attr_vlen = Array.sub bb.v_attr_vlen 0 bb.an;
-        b_attr_n = bb.an;
-        b_content = Buffer.create 1;
-        b_cbase = 0;
-      }
-    in
-    let extras = Buffer.create 64 in
-    fill_values b ~arena ~app0:appendix ~newc:"" ~extras
-      ~ebase:(String.length appendix) ~lo:0 ~hi:n;
-    let appendix =
-      if Buffer.length extras = 0 then appendix
-      else appendix ^ Buffer.contents extras
-    in
-    freeze b ~arena ~appendix (finalize_interner bb.bit ~seed:None)
+    attr_start.(n) <- an;
+    freeze ~tag:(Array.sub bb.v_tag 0 n)
+      ~ends:(Array.sub bb.v_subtree_end 0 n)
+      ~off:(Array.sub bb.v_cont_off 0 n) ~len:(Array.sub bb.v_cont_len 0 n)
+      ~attr_start ~attr_names:(Array.sub bb.v_attr_names 0 an)
+      ~attr_voff:(Array.sub bb.v_attr_voff 0 an)
+      ~attr_vlen:(Array.sub bb.v_attr_vlen 0 an) ~arena ~appendix
+      (finalize_interner bb.bit ~seed) ~lo:0 ~hi:n ~par:(-1)
+
+  let finish bb ~arena ~appendix = freeze_all bb ~arena ~appendix ~seed:None
 end
+
+(* A fresh tree from [src]; [~seed] keeps a tree's tag ids stable (the
+   root case of [replace_subtree]). *)
+let source_tree ~seed src =
+  let it =
+    match seed with
+    | Some t0 -> interner_of_seed t0
+    | None -> fresh_interner ()
+  in
+  let b = Builder.make it ~cbase:0 in
+  Builder.add_source b src;
+  Builder.freeze_all b ~arena:"" ~appendix:(Buffer.contents b.content) ~seed
+
+let of_source src = source_tree ~seed:None src
+
+(* [old] with its slots [lo, hi) replaced by the first [m] of [mid]. *)
+let join old ~lo ~hi mid m =
+  let rest = Array.length old - hi in
+  let total = lo + m + rest in
+  if total = 0 then [||]
+  else begin
+    let r = Array.make total (if m > 0 then mid.(0) else old.(0)) in
+    Array.blit old 0 r 0 lo;
+    Array.blit mid 0 r lo m;
+    Array.blit old hi r (lo + m) rest;
+    r
+  end
+
+(* [splice t ~lo ~old_hi ~par srcs] replaces the node range [lo, old_hi)
+   — zero or more whole consecutive sibling subtrees under [par] — with
+   the subtrees described by [srcs], in three steps.  The new middle is
+   pushed through a [Builder] that interns against [t]'s tags (new tags
+   are appended) and codes its content after [t]'s appendix.  The columns
+   are joined: the prefix [0, lo) verbatim, the middle offset by [lo]
+   (and its attribute index by [a_lo]), the suffix shifted by the size
+   deltas; of the prefix, only [par] and its ancestors contain the range,
+   so only their subtree ends move.  [freeze] then derives every link and
+   refills the values of the middle and of [par], whose text children may
+   have changed.  The arena is shared with [t] and the appendix only
+   appended to, so every other content span stays valid verbatim. *)
+let splice t ~lo ~old_hi ~par srcs =
+  let b = Builder.make (interner_of_seed t) ~cbase:(String.length t.appendix) in
+  List.iter (Builder.add_source b) srcs;
+  let m = b.n and ma = b.an in
+  let shift = m - (old_hi - lo) in
+  let a_lo = t.attr_start.(lo) and a_hi = t.attr_start.(old_hi) in
+  let a_shift = ma - (a_hi - a_lo) in
+  let nodes old mid = join old ~lo ~hi:old_hi mid m in
+  let attrs old mid = join old ~lo:a_lo ~hi:a_hi mid ma in
+  let ends = nodes t.subtree_end b.v_subtree_end in
+  let attr_start = nodes t.attr_start b.v_attr_start in
+  let n = Array.length ends in
+  for i = lo to lo + m - 1 do
+    ends.(i) <- ends.(i) + lo;
+    attr_start.(i) <- attr_start.(i) + a_lo
+  done;
+  for i = lo + m to n - 1 do
+    ends.(i) <- ends.(i) + shift;
+    attr_start.(i) <- attr_start.(i) + a_shift
+  done;
+  attr_start.(n) <- attr_start.(n) + a_shift;
+  let a = ref par in
+  while !a >= 0 do
+    ends.(!a) <- ends.(!a) + shift;
+    a := t.parent.(!a)
+  done;
+  let appendix =
+    if Buffer.length b.content = 0 then t.appendix
+    else t.appendix ^ Buffer.contents b.content
+  in
+  freeze ~tag:(nodes t.tag b.v_tag) ~ends ~off:(nodes t.cont_off b.v_cont_off)
+    ~len:(nodes t.cont_len b.v_cont_len) ~attr_start
+    ~attr_names:(attrs t.attr_names b.v_attr_names)
+    ~attr_voff:(attrs t.attr_voff b.v_attr_voff)
+    ~attr_vlen:(attrs t.attr_vlen b.v_attr_vlen) ~arena:t.arena ~appendix
+    (finalize_interner b.bit ~seed:(Some t)) ~lo ~hi:(lo + m) ~par
+
+let delete_subtree t n =
+  check t n;
+  if n = root then invalid_arg "Tree.delete_subtree: cannot delete the root";
+  splice t ~lo:n ~old_hi:t.subtree_end.(n) ~par:t.parent.(n) []
+
+let replace_subtree t n src =
+  check t n;
+  if n = root then source_tree ~seed:(Some t) src
+  else splice t ~lo:n ~old_hi:t.subtree_end.(n) ~par:t.parent.(n) [ src ]
+
+let insert_subtree t ~parent:par ?before src =
+  check t par;
+  if is_text t par then
+    invalid_arg "Tree.insert_subtree: parent is a text node";
+  match before with
+  | Some b ->
+    check t b;
+    if b = root || t.parent.(b) <> par then
+      invalid_arg "Tree.insert_subtree: ~before is not a child of ~parent";
+    splice t ~lo:b ~old_hi:b ~par [ src ]
+  | None ->
+    let pos = t.subtree_end.(par) in
+    splice t ~lo:pos ~old_hi:pos ~par [ src ]
 
 let subtree_element_names t n =
   let stop = subtree_end t n in
@@ -906,13 +690,3 @@ let rec source_equal a b =
 
 let equal a b =
   n_nodes a = n_nodes b && source_equal (to_source a root) (to_source b root)
-
-let rec pp_source ppf = function
-  | T s -> Fmt.pf ppf "%S" s
-  | E (tg, _, kids) ->
-    Fmt.pf ppf "@[<hov 1><%s%a>@]" tg
-      (fun ppf kids ->
-        List.iter (fun k -> Fmt.pf ppf "@ %a" pp_source k) kids)
-      kids
-
-let pp ppf t = pp_source ppf (to_source t root)

@@ -8,7 +8,7 @@
 
 type t
 (** An immutable XML document.  Deeply immutable: nothing in a [t] is
-    written after {!of_source} returns (comparison {!value} spans are
+    written after the constructor returns (comparison {!value} spans are
     precomputed there, not memoized lazily), so a tree may be read from
     any number of domains in parallel without synchronization.
 
@@ -29,19 +29,28 @@ type source =
       (** [E (tag, attributes, children)] *)
   | T of string  (** A text node. *)
 
-(** {1 Construction} *)
+(** {1 Construction}
+
+    Every tree — parsed, built from a {!source}, or spliced by a
+    functional update — is built one way: its pre-order columns (tag,
+    subtree end, content span, attributes) are recorded as
+    {!Builder} events, and parent, child, sibling and depth links are
+    derived from the subtree ends when the tree is frozen. *)
 
 val of_source : source -> t
-(** Build a document from a nested description.  Raises [Invalid_argument]
-    on an empty tag name. *)
+(** Build a document from a nested description, by pushing it through
+    the {!Builder} events (a worklist walk: any depth).  Its content
+    becomes the tree's appendix.  Raises [Invalid_argument] on an empty
+    tag name. *)
 
-(** Streaming construction, for builders that already hold the document
-    bytes: the parser pushes structure events and [(offset, length)]
-    spans ([off >= 0] into [~arena], [off < 0] at [lnot off] into
-    [~appendix] — {!Pull}'s raw-span coding), and no intermediate
-    {!source} or per-node string is ever allocated.  Events must be
-    well-formed (balanced, single root, attributes directly after their
-    [start_element]) — {!Pull} guarantees that. *)
+(** The events every tree is built from.  The parser drives them
+    directly, for builders that already hold the document bytes: it
+    pushes structure and [(offset, length)] spans ([off >= 0] into
+    [~arena], [off < 0] at [lnot off] into [~appendix] — {!Pull}'s
+    raw-span coding), and no intermediate {!source} or per-node string
+    is ever allocated.  Events must be well-formed (balanced, single
+    root, attributes directly after their [start_element]) — {!Pull}
+    guarantees that. *)
 module Builder : sig
   type b
 
@@ -190,6 +199,3 @@ val fold_preorder : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 val equal : t -> t -> bool
 (** Structural equality of documents (tags, texts and attributes; interned
     ids may differ). *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line rendering for debugging; use {!Serializer} for real output. *)

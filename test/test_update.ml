@@ -29,36 +29,8 @@ let okr = function
 
 (* --- Tree splice = rebuild, array by array --------------------------------- *)
 
-(* The rebuilt tree re-derives every pointer array from the nested
-   description; the spliced tree patched them in place.  Comparing all
-   observable structure per node (not just the serialization) is what
-   catches a wrong subtree_end or sibling fixup. *)
-let check_physical label spliced =
-  let rebuilt = Tree.of_source (Tree.to_source spliced Tree.root) in
-  Alcotest.(check int) (label ^ ": n_nodes") (Tree.n_nodes rebuilt)
-    (Tree.n_nodes spliced);
-  for n = 0 to Tree.n_nodes spliced - 1 do
-    let lbl what = Printf.sprintf "%s: node %d %s" label n what in
-    Alcotest.(check (option int)) (lbl "parent") (Tree.parent rebuilt n)
-      (Tree.parent spliced n);
-    Alcotest.(check (option int)) (lbl "first_child")
-      (Tree.first_child rebuilt n) (Tree.first_child spliced n);
-    Alcotest.(check (option int)) (lbl "next_sibling")
-      (Tree.next_sibling rebuilt n) (Tree.next_sibling spliced n);
-    Alcotest.(check int) (lbl "subtree_end") (Tree.subtree_end rebuilt n)
-      (Tree.subtree_end spliced n);
-    Alcotest.(check int) (lbl "depth") (Tree.depth rebuilt n)
-      (Tree.depth spliced n);
-    Alcotest.(check bool) (lbl "is_text") (Tree.is_text rebuilt n)
-      (Tree.is_text spliced n);
-    Alcotest.(check string) (lbl "name") (Tree.name rebuilt n)
-      (Tree.name spliced n);
-    Alcotest.(check string) (lbl "value") (Tree.value rebuilt n)
-      (Tree.value spliced n);
-    Alcotest.(check (list (pair string string)))
-      (lbl "attributes")
-      (Tree.attributes rebuilt n) (Tree.attributes spliced n)
-  done
+(* [Tree_check.check_physical] compares each spliced tree, node by node,
+   with a from-scratch build of its own content. *)
 
 (* One random edit on [doc], drawn from the document's own material (so
    no new tags are interned and the token must be preserved).  Returns
@@ -114,7 +86,7 @@ let test_splice_physical () =
         | Ok () ->
           let label = Printf.sprintf "seed %d step %d" seed step in
           let nt, fp = okr (Update.apply !tree r) in
-          check_physical label nt;
+          Tree_check.check_physical label nt;
           (* edits drawn from the document's own material intern no new
              tag: the interning lineage token must survive, and with it
              tag-id stability *)

@@ -316,6 +316,28 @@ let test_deep_document_stax () =
       o.Smoqe.Engine.answer_xml
   | Error e -> Alcotest.fail (Smoqe_robust.Error.to_string e)
 
+(* Splices on the 100k-deep document: each result must equal a
+   from-scratch build of its content, node by node, with no recursion
+   over the depth anywhere on the way. *)
+let test_deep_splices () =
+  let n = 100_000 in
+  let t = Parser.tree_of_string (deep_doc n) in
+  let deepest = n - 1 in
+  let deleted = Tree.delete_subtree t deepest in
+  Alcotest.(check int) "delete: nodes" (n - 1) (Tree.n_nodes deleted);
+  Tree_check.check_physical "delete deepest" deleted;
+  let inserted =
+    Tree.insert_subtree t ~parent:deepest
+      (Tree.E ("e", [ ("k", "v") ], [ Tree.T "x"; Tree.E ("f", [], []) ]))
+  in
+  Alcotest.(check int) "insert: depth" n (Tree.depth inserted (n + 1));
+  Tree_check.check_physical "insert under deepest" inserted;
+  let replaced =
+    Tree.replace_subtree t (n / 2) (Tree.E ("m", [], [ Tree.T "mid" ]))
+  in
+  Alcotest.(check int) "replace: nodes" ((n / 2) + 2) (Tree.n_nodes replaced);
+  Tree_check.check_physical "replace at mid depth" replaced
+
 let test_deep_budget () =
   let budget = Smoqe_robust.Budget.create ~max_depth:64 () in
   match Parser.tree_of_string ~budget (deep_doc 1000) with
@@ -848,7 +870,10 @@ let prop_serialize_parse_roundtrip =
     root_source_gen (fun src ->
       let t = Tree.of_source (canonical src) in
       let s = Serializer.to_string ~indent:false t in
-      Tree.equal t (Parser.tree_of_string ~keep_ws:true s))
+      let t' = Parser.tree_of_string ~keep_ws:true s in
+      (* both front ends derive the same links, node by node *)
+      Tree_check.same_nodes "roundtrip" t t';
+      Tree.equal t t')
 
 let prop_subtree_ranges_nested =
   QCheck2.Test.make ~count:200 ~name:"subtree ranges are nested intervals"
@@ -935,6 +960,8 @@ let () =
           Alcotest.test_case "deep document" `Quick test_deep_document;
           Alcotest.test_case "deep document stax" `Quick
             test_deep_document_stax;
+          Alcotest.test_case "deep document splices" `Quick
+            test_deep_splices;
           Alcotest.test_case "deep budget" `Quick test_deep_budget;
         ] );
       ( "dtd",
