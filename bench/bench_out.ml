@@ -67,23 +67,14 @@ let rec emit buf = function
 let write ~id v =
   let dir = Option.value (Sys.getenv_opt "SMOQE_BENCH_DIR") ~default:"." in
   let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" id) in
-  (* Every artifact carries the process-wide table-layer counters
-     (specialization time, memo hits/misses/evictions) accumulated by the
-     runs it timed — the cheapest way to see whether an experiment
-     actually exercised the table path. *)
   let v =
     match v with
     | Obj fields ->
-      let tables =
-        Obj
-          (List.map
-             (fun (k, n) -> (k, Int n))
-             (Smoqe_hype.Stats.tables_counters ()))
-      in
-      (* Likewise the process-wide GC counters at write time: cumulative
-         bytes allocated (minor + major - promoted) and the live/peak
-         words of the major heap — the allocation trajectory of the run,
-         for diffing across PRs alongside the latencies. *)
+      (* Every artifact carries the process-wide GC counters at write
+         time: cumulative bytes allocated (minor + major - promoted) and
+         the live/peak words of the major heap — the allocation
+         trajectory of the run, for diffing across PRs alongside the
+         latencies. *)
       let gc =
         let s = Gc.quick_stat () in
         Obj
@@ -95,7 +86,7 @@ let write ~id v =
             ("top_heap_words", Int s.Gc.top_heap_words);
           ]
       in
-      Obj (fields @ [ ("tables", tables); ("gc", gc) ])
+      Obj (fields @ [ ("gc", gc) ])
     | other -> other
   in
   let buf = Buffer.create 1024 in

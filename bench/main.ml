@@ -77,6 +77,25 @@ let pp_time ns =
   else if ns >= 1e3 then Printf.sprintf "%7.2f us" (ns /. 1e3)
   else Printf.sprintf "%7.0f ns" ns
 
+(* [Pool.run] timed from the first task's start to the last task's end, so
+   spawning the domains stays outside the window.  Returns the outcomes,
+   that wall time and each task's own duration, all in seconds. *)
+let timed_run ~domains tasks =
+  let n = List.length tasks in
+  let starts = Array.make n infinity and ends = Array.make n neg_infinity in
+  let outcomes =
+    Pool.run ~domains
+      (List.mapi
+         (fun i f () ->
+           starts.(i) <- Unix.gettimeofday ();
+           Fun.protect ~finally:(fun () -> ends.(i) <- Unix.gettimeofday ()) f)
+         tasks)
+  in
+  let wall =
+    Array.fold_left max neg_infinity ends -. Array.fold_left min infinity starts
+  in
+  (outcomes, wall, Array.init n (fun i -> ends.(i) -. starts.(i)))
+
 let parse s =
   match Rx_parser.path_of_string s with
   | Ok p -> p
@@ -771,7 +790,7 @@ let e12 () =
   banner "E12"
     "multicore serving: queries/sec vs domain count \
      (gate: >= 2.5x at 4 domains, plan cache warm)";
-  let cores = Pool.recommended_domains () in
+  let cores = Domain.recommended_domain_count () in
   Printf.printf "machine: %d core(s) available to the runtime\n" cores;
   let repeat = 240 in
   let jobs_axis = [ 1; 2; 4; 8 ] in
@@ -805,43 +824,34 @@ let e12 () =
     let rows =
       List.map
         (fun jobs ->
-          Pool.with_pool ~domains:jobs (fun pool ->
-              let lat = Array.make repeat nan in
-              let t0 = Unix.gettimeofday () in
-              let futures =
-                List.mapi
-                  (fun i (_, q) ->
-                    Pool.submit pool (fun () ->
-                        let s = Unix.gettimeofday () in
-                        let r = Engine.query_robust engine ~group q in
-                        lat.(i) <- (Unix.gettimeofday () -. s) *. 1e6;
-                        r))
-                  tasks
-              in
-              let outcomes = List.map Pool.await futures in
-              let wall = Unix.gettimeofday () -. t0 in
-              let identical =
-                List.for_all2
-                  (fun r expected ->
-                    match r with
-                    | Ok o -> o.Engine.answer_xml = expected
-                    | Error _ -> false)
-                  outcomes task_refs
-              in
-              let qps = float_of_int repeat /. wall in
-              if jobs = 1 then base_qps := qps;
-              let speedup = qps /. !base_qps in
-              if gate && jobs = 4 then gated_speedup := speedup;
-              let lats = Array.to_list lat in
-              let med = J.median lats and p95 = J.p95 lats in
-              Printf.printf "%-6d %9.0f %s %s %7.2fx %9s\n%!" jobs qps
-                (pp_time (med *. 1e3)) (pp_time (p95 *. 1e3)) speedup
-                (if identical then "identical" else "MISMATCH");
-              J.Obj
-                [ ("jobs", J.Int jobs); ("qps", J.Float qps);
-                  ("median_us", J.Float med); ("p95_us", J.Float p95);
-                  ("speedup", J.Float speedup);
-                  ("answers_identical", J.Bool identical) ]))
+          let outcomes, wall, durations =
+            timed_run ~domains:jobs
+              (List.map
+                 (fun (_, q) () -> Engine.query_robust engine ~group q)
+                 tasks)
+          in
+          let identical =
+            List.for_all2
+              (fun r expected ->
+                match r with
+                | Ok (Ok o) -> o.Engine.answer_xml = expected
+                | Ok (Error _) | Error _ -> false)
+              outcomes task_refs
+          in
+          let qps = float_of_int repeat /. wall in
+          if jobs = 1 then base_qps := qps;
+          let speedup = qps /. !base_qps in
+          if gate && jobs = 4 then gated_speedup := speedup;
+          let lats = Array.to_list (Array.map (fun d -> d *. 1e6) durations) in
+          let med = J.median lats and p95 = J.p95 lats in
+          Printf.printf "%-6d %9.0f %s %s %7.2fx %9s\n%!" jobs qps
+            (pp_time (med *. 1e3)) (pp_time (p95 *. 1e3)) speedup
+            (if identical then "identical" else "MISMATCH");
+          J.Obj
+            [ ("jobs", J.Int jobs); ("qps", J.Float qps);
+              ("median_us", J.Float med); ("p95_us", J.Float p95);
+              ("speedup", J.Float speedup);
+              ("answers_identical", J.Bool identical) ])
         jobs_axis
     in
     J.Obj
@@ -926,13 +936,10 @@ let e13 () =
       List.map
         (fun (name, q) ->
           let mfa = okr (Engine.rewrite_only engine ~group q) in
-          (* Warm plan: the frozen specialization is built once, outside
+          (* Warm plan: the specialization is built once, outside
              the timed loop — exactly what riding the compiled plan buys
              a repeatedly-served query. *)
           let tables = Tables.of_tree mfa.Mfa.nfa doc in
-          (let d = Stats.zero () in
-           d.Stats.table_spec_us <- Tables.spec_us tables;
-           Stats.note_tables d);
           let rt = Eval_dom.run ~tables mfa doc in
           let rg = Eval_dom.run ~use_tables:false mfa doc in
           (* In-bench oracle: a speedup over different answers measures
@@ -953,10 +960,15 @@ let e13 () =
           if gate then gated_speedups := speedup :: !gated_speedups;
           Printf.printf "%-4s %s %s %7.2fx %9s\n%!" name (pp_time t_ns)
             (pp_time g_ns) speedup "identical";
+          (* the memo activity of one table run, from its own stats *)
+          let st = rt.Eval_dom.stats in
           J.Obj
             [ ("query", J.Str name); ("tables_ns", J.Float t_ns);
               ("generic_ns", J.Float g_ns); ("speedup", J.Float speedup);
               ("answers", J.Int (List.length rt.Eval_dom.answers));
+              ("memo_hits", J.Int st.Stats.memo_hits);
+              ("memo_misses", J.Int st.Stats.memo_misses);
+              ("memo_evictions", J.Int st.Stats.memo_evictions);
               ("gated", J.Bool gate) ])
         queries
     in
@@ -1516,19 +1528,16 @@ let e17 () =
      throughput at 8 domains may not fall below 4-domain throughput.
      Asserted only on machines that have the cores; elsewhere recorded
      informationally (oversubscription noise is not a parse regression). *)
-  let cores = Pool.recommended_domains () in
+  let cores = Domain.recommended_domain_count () in
   let repeat = if smoke then 8 else 24 in
   let qps_at jobs =
-    Pool.with_pool ~domains:jobs (fun pool ->
-        let t0 = Unix.gettimeofday () in
-        let futures =
-          List.init repeat (fun _ ->
-              Pool.submit pool (fun () ->
-                  Sys.opaque_identity
-                    (Eval_stax.run mfa (Smoqe_xml.Pull.of_string xml))))
-        in
-        List.iter (fun f -> ignore (Pool.await f)) futures;
-        float_of_int repeat /. (Unix.gettimeofday () -. t0))
+    let _, wall, _ =
+      timed_run ~domains:jobs
+        (List.init repeat (fun _ () ->
+             Sys.opaque_identity
+               (Eval_stax.run mfa (Smoqe_xml.Pull.of_string xml))))
+    in
+    float_of_int repeat /. wall
   in
   let qps4 = qps_at 4 in
   let qps8 = qps_at 8 in

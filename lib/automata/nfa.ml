@@ -33,11 +33,6 @@ let test_matches test tree node =
   matches_name test ~is_element:(Tree.is_element tree node)
     ~name:(Tree.name tree node)
 
-let pp_test ppf = function
-  | Any_element -> Fmt.string ppf "*"
-  | Element s -> Fmt.string ppf s
-  | Text_node -> Fmt.string ppf "text()"
-
 type builder = {
   mutable next : int;
   mutable b_delta : (state * test * state) list;

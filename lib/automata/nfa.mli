@@ -43,8 +43,6 @@ val matches_name : test -> is_element:bool -> name:string -> bool
 val test_matches : test -> Smoqe_xml.Tree.t -> Smoqe_xml.Tree.node -> bool
 (** [matches_name] applied to a tree node. *)
 
-val pp_test : Format.formatter -> test -> unit
-
 (** {1 Building} *)
 
 type builder

@@ -8,10 +8,8 @@
     semantics.  Matching delegates to {!Nfa.matches_name}, so the table
     layer and the generic scan share one semantics.
 
-    Frozen tables ({!of_tree}) are immutable after construction and safe
-    to share across domains (they ride the plan cache).  Dynamic tables
-    ({!dynamic}) grow as stream tags are {!intern}ed and must stay private
-    to a single run. *)
+    Tables are immutable after construction and safe to share across
+    domains ({!of_tree} tables ride the plan cache). *)
 
 type t
 
@@ -19,22 +17,21 @@ val text_tag : int
 (** Tag id of text nodes — equals {!Smoqe_xml.Tree.text_tag}. *)
 
 val unknown_tag : int
-(** Negative sentinel: an element tag a frozen table has never seen.
+(** Negative sentinel: an element name outside the table's tag space.
     {!targets} maps it (and any out-of-range id) to the wildcard column. *)
 
 val of_tree : Nfa.t -> Smoqe_xml.Tree.t -> t
-(** Frozen specialization against the document's interned tag table.  Tag
-    ids align with [Tree.tag_id] on that tree, so DOM drivers can pass
-    tree tag ids straight through. *)
+(** Specialization against the document's interned tag table.  Tag ids
+    align with [Tree.tag_id] on that tree, so DOM drivers can pass tree
+    tag ids straight through. *)
 
-val dynamic : Nfa.t -> t
-(** Growable specialization for streaming.  Element names mentioned by
-    the automaton are pre-interned; unseen stream tags are added by
-    {!intern} and alias the wildcard column. *)
+val of_nfa : Nfa.t -> t
+(** Specialization for streaming, over the element names the automaton
+    mentions; any other stream tag {!intern}s to {!unknown_tag}. *)
 
 val intern : t -> string -> int
-(** Tag id for an element name.  Grows dynamic tables; on a frozen table
-    an unseen name is {!unknown_tag}. *)
+(** Tag id for an element name; a name outside the table's tag space is
+    {!unknown_tag}. *)
 
 val targets : t -> Nfa.state -> int -> int array
 (** [targets t s tag] — raw transition targets of state [s] on a child
@@ -47,14 +44,11 @@ val nfa : t -> Nfa.t
     evaluators refuse tables built for a different NFA). *)
 
 val built_for : t -> Smoqe_xml.Tree.t -> bool
-(** Whether this frozen table's columns are valid for this tree's tag
+(** Whether this table's columns are valid for this tree's tag
     ids: the tree it was built for, or any tree of the same tag-interning
     lineage ({!Smoqe_xml.Tree.tags_token} equality) — functional subtree
     updates preserve the lineage when they intern no new tag, so warm
     tables survive them. *)
-
-val is_frozen : t -> bool
-val n_tags : t -> int
 
 val spec_us : t -> int
 (** Wall-clock microseconds spent building the table (observability). *)

@@ -69,11 +69,11 @@ type plan = {
   plan_shared : Shared.t option;
       (* present when two or more distinct queries were merged: the
          prefix-sharing merge whose combined automaton [plan_mfa] is (so
-         the frozen-table machinery below applies to batches unchanged);
+         the table machinery below applies to batches unchanged);
          absent on a single-query plan *)
   plan_compile_ms : float;
   plan_tables : (Tree.t * Tables.t) option Atomic.t;
-      (* The frozen table specialization riding the plan, tagged with the
+      (* The table specialization riding the plan, tagged with the
          tree it was built for.  Tag lineage is the validity key
          ([Tables.built_for]): an incremental update that splices the
          tree without interning any new tag preserves the interning token,
@@ -367,7 +367,6 @@ let plan_scope paths =
   | names -> Plan_cache.Tags names
 
 let set_plan_cache_capacity t n = Plan_cache.set_capacity t.plan_cache n
-let plan_cache_capacity t = Plan_cache.capacity t.plan_cache
 
 let plan_cache_counters t =
   Plan_cache.to_assoc t.plan_cache
@@ -568,7 +567,7 @@ let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
     | Some false, _ | _, None -> None
     | (Some true | None), Some idx -> Some idx
   in
-  (* Warm queries reuse the frozen table riding the plan — for a merged
+  (* Warm queries reuse the table riding the plan — for a merged
      plan it covers the whole combined automaton, so a warm batch skips
      both the merge and the specialization.  A cold plan (or one whose
      snapshot tree left the cached pair's tag lineage — a
@@ -591,12 +590,7 @@ let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
   let stats = r.Eval_dom.m_stats in
   (* Eval_dom charges specialization time only for tables it built itself;
      a table built here (to be published on the plan) is charged here. *)
-  if spec_us > 0 then begin
-    stats.Stats.table_spec_us <- stats.Stats.table_spec_us + spec_us;
-    let delta = Stats.zero () in
-    delta.Stats.table_spec_us <- spec_us;
-    Stats.note_tables delta
-  end;
+  stats.Stats.table_spec_us <- stats.Stats.table_spec_us + spec_us;
   match r.Eval_dom.m_budget_hit with
   | Some hit -> Error (budget_error hit stats)
   | None ->

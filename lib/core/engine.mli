@@ -146,8 +146,6 @@ val set_plan_cache_capacity : t -> int -> unit
 (** Bound the number of cached plans (default 128).  Shrinking evicts in
     LRU order; [0] disables caching entirely. *)
 
-val plan_cache_capacity : t -> int
-
 val plan_cache_counters : t -> (string * int) list
 (** [hits], [misses], [evictions], [stale_drops], [entries], [capacity]
     and [saved_compile_ms] (total compile time hits avoided). *)

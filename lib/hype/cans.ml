@@ -1,5 +1,5 @@
 (* Append-only during the pass (the hot path: one cons per candidate);
-   grouping and condition evaluation happen in the final resolution pass. *)
+   condition evaluation happens in the final resolution pass. *)
 type t = {
   mutable entries : (int * Conds.set) list;
   mutable n_entries : int;
@@ -12,17 +12,6 @@ let add t ~node set =
   t.n_entries <- t.n_entries + 1
 
 let size t = t.n_entries
-
-let entries t =
-  let table : (int, Conds.dnf ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (node, set) ->
-      match Hashtbl.find_opt table node with
-      | Some cell -> cell := Conds.dnf_add !cell set
-      | None -> Hashtbl.add table node (ref (Conds.dnf_add Conds.dnf_false set)))
-    t.entries;
-  Hashtbl.fold (fun node cell acc -> (node, !cell) :: acc) table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let resolve t ~lookup =
   let rec keep acc = function

@@ -1,9 +1,10 @@
 (** Cans — the candidate-answer store (paper §3, Evaluator).
 
     During its single document pass HyPE appends every potential answer
-    node here together with the disjunction of condition sets under which
-    it was selected.  After the pass, {!resolve} settles the candidates in
-    one sweep using the by-then-complete qualifier valuation.  Cans is
+    node here, once per run that selected it, together with the condition
+    set that run assumed.  After the pass, {!resolve} settles the
+    candidates in one sweep using the by-then-complete qualifier
+    valuation.  Cans is
     "often much smaller than the XML document tree" — experiment E6
     measures exactly {!size} against document size. *)
 
@@ -18,10 +19,7 @@ val size : t -> int
 (** Number of candidate entries stored (a node selected by several runs
     counts once per run). *)
 
-val entries : t -> (int * Conds.dnf) list
-(** Candidates grouped per node in document order, with their pending
-    conditions as a disjunction. *)
-
 val resolve : t -> lookup:(Conds.cond -> bool) -> int list
-(** The final answer: candidates whose disjunction is true under the
-    valuation, in document order. *)
+(** The final answer, in document order: the nodes for which the
+    conjunction of at least one of their entries holds under the
+    valuation. *)

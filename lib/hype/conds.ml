@@ -16,67 +16,6 @@ let rec add c s =
     else if cmp < 0 then c :: s
     else head :: add c tail
 
-let rec union a b =
-  match a, b with
-  | [], s | s, [] -> s
-  | x :: xs, y :: ys ->
-    let cmp = compare x y in
-    if cmp = 0 then x :: union xs ys
-    else if cmp < 0 then x :: union xs b
-    else y :: union a ys
-
 let to_list s = s
-let cardinal = List.length
-
-let rec subset a b =
-  match a, b with
-  | [], _ -> true
-  | _, [] -> false
-  | x :: xs, y :: ys ->
-    let cmp = compare x y in
-    if cmp = 0 then subset xs ys
-    else if cmp < 0 then false
-    else subset a ys
 
 let compare_set (a : set) (b : set) = compare a b
-
-type dnf =
-  | False
-  | Unconditional
-  | Sets of set list (* none empty, pairwise non-subsuming *)
-
-let dnf_false = False
-let dnf_is_false = function False -> true | Unconditional | Sets _ -> false
-
-let dnf_is_unconditional = function
-  | Unconditional -> true
-  | False | Sets _ -> false
-
-let dnf_add dnf s =
-  match dnf with
-  | Unconditional -> Unconditional
-  | False -> if is_empty s then Unconditional else Sets [ s ]
-  | Sets sets ->
-    if is_empty s then Unconditional
-    else if List.exists (fun existing -> subset existing s) sets then dnf
-    else Sets (s :: List.filter (fun existing -> not (subset s existing)) sets)
-
-let dnf_sets = function False | Unconditional -> [] | Sets sets -> sets
-
-let dnf_eval dnf valuation =
-  match dnf with
-  | False -> false
-  | Unconditional -> true
-  | Sets sets -> List.exists (fun s -> List.for_all valuation s) sets
-
-let dnf_size = function False | Unconditional -> 0 | Sets sets -> List.length sets
-
-let pp_cond ppf (q, n) = Fmt.pf ppf "q%d@%d" q n
-
-let pp_set ppf s =
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma pp_cond) s
-
-let pp_dnf ppf = function
-  | False -> Fmt.string ppf "false"
-  | Unconditional -> Fmt.string ppf "true"
-  | Sets sets -> Fmt.pf ppf "%a" Fmt.(list ~sep:(any " or ") pp_set) sets

@@ -3,10 +3,10 @@
     HyPE discovers candidate answers top-down, before the qualifiers
     guarding them have been evaluated (their truth depends on subtrees not
     yet traversed).  A run therefore carries the set of conditions it has
-    assumed — pairs of (qualifier id, node id) — and a candidate records a
-    disjunction of such sets, one per run that selected it.  Conditions are
-    resolved when the traversal leaves the node (post-visit), and
-    candidates are settled in a final pass over Cans. *)
+    assumed — pairs of (qualifier id, node id) — and a candidate records
+    one such set per run that selected it.  Conditions are resolved when
+    the traversal leaves the node (post-visit), and candidates are settled
+    in a final pass over Cans. *)
 
 type cond = int * int
 (** (qualifier id, node id) — "qualifier q holds at node n". *)
@@ -17,32 +17,5 @@ type set
 val empty : set
 val is_empty : set -> bool
 val add : cond -> set -> set
-val union : set -> set -> set
 val to_list : set -> cond list
-val cardinal : set -> int
-val subset : set -> set -> bool
 val compare_set : set -> set -> int
-
-type dnf
-(** A disjunction of condition sets, with subsumption: a set that is a
-    superset of an existing one is never kept.  The empty set makes the
-    whole disjunction unconditionally true. *)
-
-val dnf_false : dnf
-val dnf_is_false : dnf -> bool
-val dnf_is_unconditional : dnf -> bool
-
-val dnf_add : dnf -> set -> dnf
-
-val dnf_sets : dnf -> set list
-(** The kept sets ([[]] when unconditional or false — distinguish with the
-    predicates above). *)
-
-val dnf_eval : dnf -> (cond -> bool) -> bool
-(** Truth under a complete valuation of the conditions. *)
-
-val dnf_size : dnf -> int
-(** Number of kept sets (0 for false, 0 for unconditional). *)
-
-val pp_set : Format.formatter -> set -> unit
-val pp_dnf : Format.formatter -> dnf -> unit

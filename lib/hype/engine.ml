@@ -475,7 +475,7 @@ let memo_store t tag1 sid tr =
   row.(sid) <- tr
 
 (* One lazy-DFA step: [(parent's check-free set, tag) -> trans], memoized.
-   [tag + 1] keeps the frozen-table [unknown_tag] sentinel non-negative.
+   [tag + 1] keeps the [unknown_tag] sentinel non-negative.
    The hit path is two array loads and an int compare — no hashing, no
    allocation. *)
 let table_step t tb parent tag =

@@ -74,7 +74,7 @@ val enter : t -> id:int -> kind:kind -> verdict
 
 val enter_tagged : t -> id:int -> tag:int -> kind:kind -> verdict
 (** [enter] with the element tag already interned in the engine's table's
-    id space (for frozen tables built by [Tables.of_tree], the tree's own
+    id space (for tables built by [Tables.of_tree], the tree's own
     [Tree.tag_id]).  [tag] is ignored for text nodes and on the generic
     path. *)
 

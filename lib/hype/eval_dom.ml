@@ -50,7 +50,7 @@ let prune_table mfa tree =
 
 let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
     ?(use_tables = true) ?memo_cap ?shared mfa tree =
-  (* A frozen table built for exactly this tree can be reused (the plan
+  (* A table built for exactly this tree can be reused (the plan
      cache hands one down); anything else is respecialized here so tag ids
      always align with [Tree.tag_id]. *)
   let tables, spec_us =
@@ -165,7 +165,6 @@ let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
     | None -> Engine.finish engine
     | Some _ -> Array.make (Engine.n_queries engine) []
   in
-  Stats.note_tables stats;
   {
     by_query;
     m_stats = stats;

@@ -33,7 +33,7 @@ val run :
 
     [use_tables] (default [true]) selects the table-driven engine;
     [false] steps the NFA generically and is kept as the reference the
-    table path is tested against.  [tables] supplies a pre-built frozen
+    table path is tested against.  [tables] supplies a pre-built
     specialization; it is used only when built for exactly this tree
     ([Tables.built_for]), otherwise the driver respecializes — so callers
     may pass whatever the plan cache holds without checking.  [memo_cap]

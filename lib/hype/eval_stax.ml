@@ -47,12 +47,12 @@ type capture = {
    and text copies are behind thunks, forced only while a capture is
    actually recording. *)
 let run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive =
-  (* Streaming has no tag universe up front: a dynamic table pre-interns
-     the automaton's element names and grows as unseen stream tags arrive.
-     Dynamic tables are mutable, so each run builds its own. *)
+  (* Streaming has no tag universe up front: the table covers the
+     automaton's element names, and any other stream tag takes the
+     wildcard column. *)
   let tables =
     if use_tables then
-      Some (Smoqe_automata.Tables.dynamic mfa.Smoqe_automata.Mfa.nfa)
+      Some (Smoqe_automata.Tables.of_nfa mfa.Smoqe_automata.Mfa.nfa)
     else None
   in
   let engine =
@@ -307,7 +307,6 @@ let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
     | None -> Engine.finish engine
     | Some _ -> Array.make (Engine.n_queries engine) []
   in
-  Stats.note_tables stats;
   (* Node ids are query-agnostic, so every slot reads its fragments from
      the one per-node capture store. *)
   let captured answers =

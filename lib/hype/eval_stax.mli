@@ -76,10 +76,10 @@ val run :
     fires per event (and ["pull.read"] inside the parser itself).
 
     [use_tables] (default [true]) runs the table-driven engine over a
-    per-run {e dynamic} table: the automaton's element names are
-    pre-interned, unseen stream tags are interned on the fly.  [false] is
-    the generic reference the table path is tested against.  [memo_cap]
-    is forwarded to {!Engine.create}. *)
+    {!Smoqe_automata.Tables.of_nfa} table: the automaton's element names
+    have their own columns, every other stream tag takes the wildcard
+    column.  [false] is the generic reference the table path is tested
+    against.  [memo_cap] is forwarded to {!Engine.create}. *)
 
 val eval_string :
   ?capture:bool -> ?trace:Trace.t -> Smoqe_rxpath.Ast.path -> string -> result

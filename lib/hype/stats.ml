@@ -91,30 +91,6 @@ let note_shared s (sh : Smoqe_automata.Shared.t) =
   s.shared_prefix_hits <- sh.prefix_hits;
   s.accept_width <- sh.accept_width
 
-(* Process-wide aggregate of the table-layer counters, independent of who
-   keeps the per-query [t]: bench artifacts read it so every
-   BENCH_<id>.json carries the table/memo activity of the runs it timed.
-   Mutex-guarded — drivers note from pool domains. *)
-let tables_lock = Mutex.create ()
-let g_tables = { (create ()) with passes_over_data = 0 }
-
-let note_tables s =
-  if s.memo_hits + s.memo_misses + s.memo_evictions + s.table_spec_us > 0 then
-    Mutex.protect tables_lock (fun () ->
-        g_tables.memo_hits <- g_tables.memo_hits + s.memo_hits;
-        g_tables.memo_misses <- g_tables.memo_misses + s.memo_misses;
-        g_tables.memo_evictions <- g_tables.memo_evictions + s.memo_evictions;
-        g_tables.table_spec_us <- g_tables.table_spec_us + s.table_spec_us)
-
-let tables_counters () =
-  Mutex.protect tables_lock (fun () ->
-      [
-        ("memo_hits", g_tables.memo_hits);
-        ("memo_misses", g_tables.memo_misses);
-        ("memo_evictions", g_tables.memo_evictions);
-        ("table_spec_us", g_tables.table_spec_us);
-      ])
-
 let total_skipped t = t.nodes_skipped_dead + t.nodes_pruned_tax
 
 let degraded t = t.degraded_no_index > 0 || t.degraded_stax_retry > 0

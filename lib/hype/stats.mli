@@ -32,7 +32,7 @@ type t = {
       (** lazy-DFA registry flushes (set diversity exceeded the cap) *)
   mutable table_spec_us : int;
       (** microseconds spent specializing transition tables for this query
-          (0 when a frozen table was reused from the plan) *)
+          (0 when a table was reused from the plan) *)
   mutable batch_queries : int;
       (** queries served by this shared-automaton batch pass (0 for a
           plain single-query run) *)
@@ -84,12 +84,3 @@ val note_shared : t -> Smoqe_automata.Shared.t -> unit
     [shared_states], [shared_saved], [shared_prefix_hits],
     [accept_width]).  Drivers call it for a merged pass only; a single
     query's stats keep them at zero. *)
-
-val note_tables : t -> unit
-(** Fold this query's table-layer counters ([memo_*], [table_spec_us])
-    into a process-wide aggregate.  Drivers call it once per run;
-    thread-safe. *)
-
-val tables_counters : unit -> (string * int) list
-(** The process-wide table-layer aggregate — bench artifacts embed it in
-    every [BENCH_<id>.json]. *)

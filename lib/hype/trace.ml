@@ -47,16 +47,3 @@ let render t tree =
       Buffer.add_string buf
         (Printf.sprintf "%4d %s%-30s %s\n" n pad label status));
   Buffer.contents buf
-
-let summary t =
-  let counts = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun _ ms ->
-      List.iter
-        (fun m ->
-          let c = Option.value ~default:0 (Hashtbl.find_opt counts m) in
-          Hashtbl.replace counts m (c + 1))
-        ms)
-    t.table;
-  Hashtbl.fold (fun m c acc -> (m, c) :: acc) counts []
-  |> List.sort compare

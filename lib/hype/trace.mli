@@ -22,7 +22,4 @@ val render : t -> Smoqe_xml.Tree.t -> string
 (** Indented tree listing with one status column per node, e.g.
     [visited,cans,answer] — the terminal stand-in for the GUI's colors. *)
 
-val summary : t -> (mark * int) list
-(** Count of nodes per mark. *)
-
 val mark_to_string : mark -> string

@@ -42,4 +42,3 @@ and pp_qual_prec prec ppf q =
 
 let pp_path ppf p = pp_prec 0 ppf p
 let path_to_string p = Fmt.str "%a" pp_path p
-let qual_to_string q = Fmt.str "%a" pp_qual q

@@ -8,4 +8,3 @@ val pp_path : Format.formatter -> Ast.path -> unit
 val pp_qual : Format.formatter -> Ast.qual -> unit
 
 val path_to_string : Ast.path -> string
-val qual_to_string : Ast.qual -> string

@@ -228,10 +228,3 @@ let of_string ?root input =
     | (first, _) :: _, None -> Dtd.create ~root:first prods
     | _, Some root -> Dtd.create ~root prods
   end
-
-let of_file ?root path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  of_string ?root s

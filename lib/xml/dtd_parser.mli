@@ -12,5 +12,3 @@ exception Error of int * string
 val of_string : ?root:string -> string -> Dtd.t
 (** May raise {!Error}, or [Invalid_argument] for inconsistent
     declarations (see {!Dtd.create}). *)
-
-val of_file : ?root:string -> string -> Dtd.t

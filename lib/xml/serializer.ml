@@ -30,21 +30,18 @@ let add_escaped ~quotes buf s off len =
 let add_escaped_text buf s off len = add_escaped ~quotes:false buf s off len
 let add_escaped_attr buf s off len = add_escaped ~quotes:true buf s off len
 
-let escape ~quotes s =
+let escape_text s =
   let n = String.length s in
   let i = ref 0 in
-  while !i < n && not (needs_entity ~quotes (String.unsafe_get s !i)) do
+  while !i < n && not (needs_entity ~quotes:false (String.unsafe_get s !i)) do
     incr i
   done;
   if !i = n then s
   else begin
     let buf = Buffer.create (n + 8) in
-    add_escaped ~quotes buf s 0 n;
+    add_escaped ~quotes:false buf s 0 n;
     Buffer.contents buf
   end
-
-let escape_text s = escape ~quotes:false s
-let escape_attr s = escape ~quotes:true s
 
 (* Tree attributes, read in place through the packed spans. *)
 let add_tree_attrs buf t n =

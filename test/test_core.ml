@@ -238,72 +238,84 @@ let test_ismoqe_renderings () =
   Alcotest.(check bool) "stats" true
     (String.length (Ismoqe.stats_table r.Engine.stats) > 0)
 
-(* --- the domain pool ------------------------------------------------------- *)
+(* --- the fork-join helper -------------------------------------------------- *)
 
-let sum = Array.fold_left ( + ) 0
+(* 200 tasks on 4 domains: outcomes come back in input order and every
+   task runs exactly once, whichever domain claimed it. *)
+let test_pool_order_once () =
+  let n = 200 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let results =
+    Pool.run ~domains:4
+      (List.init n (fun i () ->
+           Atomic.incr runs.(i);
+           for _ = 1 to 2_000 do
+             Domain.cpu_relax ()
+           done;
+           i))
+  in
+  List.iteri
+    (fun i r ->
+      match r with
+      | Ok v -> Alcotest.(check int) "result in order" i v
+      | Error e -> Alcotest.failf "task %d raised %s" i (Printexc.to_string e))
+    results;
+  Array.iteri
+    (fun i r ->
+      Alcotest.(check int)
+        (Printf.sprintf "task %d ran once" i)
+        1 (Atomic.get r))
+    runs
 
-(* A task that raises is caught on its worker, re-raised at every [await]
-   of its future, and counted both as a load and as a failure; the worker
-   survives to run the next task.  The inline executor ([~domains:1])
-   keeps the same contract. *)
+(* Two tasks that each wait for the other to start can only both see the
+   other if two domains run them at once.  The wait gives up after 10 s,
+   so a sequential run fails instead of hanging. *)
+let test_pool_concurrent () =
+  let started = Atomic.make 0 in
+  let rendezvous () =
+    Atomic.incr started;
+    let deadline = Unix.gettimeofday () +. 10. in
+    while Atomic.get started < 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Atomic.get started = 2
+  in
+  match Pool.run ~domains:2 [ rendezvous; rendezvous ] with
+  | [ Ok true; Ok true ] -> ()
+  | _ -> Alcotest.fail "the two tasks did not run at once"
+
+(* A raising task yields [Error] in its own slot; the tasks after it still
+   run, on the sequential path and on helpers alike. *)
 let test_pool_raising_task () =
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let bad = Pool.submit pool (fun () -> failwith "boom") in
-          let good = Pool.submit pool (fun () -> 42) in
-          for _ = 1 to 2 do
-            Alcotest.check_raises
-              (Printf.sprintf "%d domains: re-raised at await" domains)
-              (Failure "boom")
-              (fun () -> ignore (Pool.await bad))
-          done;
-          Alcotest.(check int) "next task still runs" 42 (Pool.await good);
-          Alcotest.(check int) "loads count both tasks" 2
-            (sum (Pool.worker_loads pool));
-          Alcotest.(check int) "one failure" 1
-            (sum (Pool.worker_failures pool))))
-    [ 1; 2 ]
-
-(* 200 tasks on 2 domains overrun the bounded queue many times over:
-   [submit] must block rather than let the backlog grow, every task must
-   run exactly once, and the per-worker loads must account for all of
-   them. *)
-let test_pool_bounded_queue () =
-  let n = 200 in
-  let runs = Array.init n (fun _ -> Atomic.make 0) in
-  let started = Atomic.make 0 in
-  let max_backlog = ref 0 in
-  Pool.with_pool ~domains:2 (fun pool ->
-      let futures =
-        List.init n (fun i ->
-            let fut =
-              Pool.submit pool (fun () ->
-                  Atomic.incr started;
-                  Atomic.incr runs.(i);
-                  for _ = 1 to 2_000 do
-                    Domain.cpu_relax ()
-                  done;
-                  i)
-            in
-            max_backlog := max !max_backlog (i + 1 - Atomic.get started);
-            fut)
+      let results =
+        Pool.run ~domains
+          [ (fun () -> 1); (fun () -> failwith "boom"); (fun () -> 3) ]
       in
-      List.iteri
-        (fun i fut -> Alcotest.(check int) "result in order" i (Pool.await fut))
-        futures;
-      (* at most 32 queued plus one task popped by each worker *)
-      if !max_backlog > 32 + 2 then
-        Alcotest.failf "backlog reached %d: the queue is not bounded"
-          !max_backlog;
-      Array.iteri
-        (fun i r -> Alcotest.(check int) (Printf.sprintf "task %d ran once" i) 1
-            (Atomic.get r))
-        runs;
-      let loads = Pool.worker_loads pool in
-      Alcotest.(check int) "two workers" 2 (Array.length loads);
-      Alcotest.(check int) "loads sum to the tasks" n (sum loads);
-      Alcotest.(check int) "no failures" 0 (sum (Pool.worker_failures pool)))
+      match results with
+      | [ Ok 1; Error (Failure msg); Ok 3 ] ->
+        Alcotest.(check string)
+          (Printf.sprintf "%d domains: error in its slot" domains)
+          "boom" msg
+      | _ -> Alcotest.failf "%d domains: wrong outcomes" domains)
+    [ 1; 2; 4 ]
+
+(* [~domains:1] spawns nothing: every task runs on the caller.  Each task
+   sleeps, so a helper spawned by mistake would get to claim one. *)
+let test_pool_sequential () =
+  let caller = Domain.self () in
+  let results =
+    Pool.run ~domains:1
+      (List.init 8 (fun _ () ->
+           Unix.sleepf 0.002;
+           Domain.self ()))
+  in
+  List.iter
+    (function
+      | Ok d -> Alcotest.(check bool) "on the caller" true (d = caller)
+      | Error e -> Alcotest.failf "raised %s" (Printexc.to_string e))
+    results
 
 let () =
   Alcotest.run "smoqe_core"
@@ -332,7 +344,11 @@ let () =
       ("ismoqe", [ Alcotest.test_case "renderings" `Quick test_ismoqe_renderings ]);
       ( "pool",
         [
+          Alcotest.test_case "input order, each task once" `Quick
+            test_pool_order_once;
+          Alcotest.test_case "two tasks at once" `Quick test_pool_concurrent;
           Alcotest.test_case "raising task" `Quick test_pool_raising_task;
-          Alcotest.test_case "bounded queue" `Quick test_pool_bounded_queue;
+          Alcotest.test_case "one domain runs on the caller" `Quick
+            test_pool_sequential;
         ] );
     ]

@@ -260,33 +260,34 @@ let test_property () =
     property_case seed
   done
 
-(* --- Parallel serving: the domain pool vs the sequential engine ------------ *)
+(* --- Parallel serving: Pool.run vs the sequential engine ------------------ *)
 
-(* One task per query on the pool, awaited in submission order. *)
-let pooled_queries pool engine ~group texts =
-  List.map
-    (fun t -> Pool.submit pool (fun () -> Engine.query_robust engine ~group t))
-    texts
-  |> List.map Pool.await
+(* Tasks on 4 domains, outcomes in input order; a task that raised
+   re-raises here and fails the test. *)
+let pooled tasks =
+  List.map (function Ok v -> v | Error e -> raise e) (Pool.run ~domains:4 tasks)
+
+(* One task per query. *)
+let pooled_queries engine ~group texts =
+  pooled (List.map (fun t () -> Engine.query_robust engine ~group t) texts)
 
 (* A batch split into [shards] contiguous chunks, one shared pass
    ([run_many_robust]) per task, the slots re-concatenated in input
    order. *)
-let pooled_batch pool ~shards engine ~group texts =
+let pooled_batch ~shards engine ~group texts =
   let texts = Array.of_list texts in
   let n = Array.length texts in
   let shards = max 1 (min shards n) in
   let base = n / shards and extra = n mod shards in
-  List.init shards (fun k ->
+  List.init shards (fun k () ->
       let start = (k * base) + min k extra in
       let len = base + if k < extra then 1 else 0 in
       let chunk = Array.to_list (Array.sub texts start len) in
-      Pool.submit pool (fun () ->
-          fst (Engine.run_many_robust engine ~group chunk)))
-  |> List.map Pool.await
+      fst (Engine.run_many_robust engine ~group chunk))
+  |> pooled
   |> Array.concat
 
-(* One workload through a 4-domain pool.  The sequential reference runs on
+(* One workload on 4 domains.  The sequential reference runs on
    its own engine (sharing nothing with the pool run), then the parallel
    engine serves the batch twice: cold (every plan compiled under
    contention) and warm (every run a cache hit).  Both must be
@@ -303,37 +304,36 @@ let parallel_battery ~name ~dtd ~policy ~doc queries =
   in
   let engine = Engine.of_tree ~dtd doc in
   ok (Engine.register_policy engine ~group:"members" policy);
-  Pool.with_pool ~domains:4 (fun pool ->
-      let texts = List.map snd queries in
-      let serve label ~expect_hits =
-        let results = pooled_queries pool engine ~group:"members" texts in
-        let agg = Stats.zero () in
-        List.iter
-          (function
-            | Ok o -> Stats.merge_into ~into:agg o.Engine.stats
-            | Error _ -> ())
-          results;
-        List.iteri
-          (fun i r ->
-            let qname = fst (List.nth queries i) in
-            match r with
-            | Error e ->
-              Alcotest.failf "%s %s (%s): %s" name qname label (Err.to_string e)
-            | Ok o ->
-              Alcotest.(check (list string))
-                (Printf.sprintf "%s %s (%s): pool = sequential" name qname label)
-                (List.nth reference i)
-                o.Engine.answer_xml)
-          results;
-        if expect_hits then
-          (* flags aggregate to counts: a fully warm batch hits every time *)
-          Alcotest.(check int)
-            (Printf.sprintf "%s (%s): every run a cache hit" name label)
-            (List.length queries)
-            agg.Stats.plan_cache_hit
-      in
-      serve "pool cold" ~expect_hits:false;
-      serve "pool warm" ~expect_hits:true)
+  let texts = List.map snd queries in
+  let serve label ~expect_hits =
+    let results = pooled_queries engine ~group:"members" texts in
+    let agg = Stats.zero () in
+    List.iter
+      (function
+        | Ok o -> Stats.merge_into ~into:agg o.Engine.stats
+        | Error _ -> ())
+      results;
+    List.iteri
+      (fun i r ->
+        let qname = fst (List.nth queries i) in
+        match r with
+        | Error e ->
+          Alcotest.failf "%s %s (%s): %s" name qname label (Err.to_string e)
+        | Ok o ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s %s (%s): pool = sequential" name qname label)
+            (List.nth reference i)
+            o.Engine.answer_xml)
+      results;
+    if expect_hits then
+      (* flags aggregate to counts: a fully warm batch hits every time *)
+      Alcotest.(check int)
+        (Printf.sprintf "%s (%s): every run a cache hit" name label)
+        (List.length queries)
+        agg.Stats.plan_cache_hit
+  in
+  serve "pool cold" ~expect_hits:false;
+  serve "pool warm" ~expect_hits:true
 
 let test_parallel_hospital () =
   let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
@@ -346,51 +346,50 @@ let test_parallel_bib () =
   parallel_battery ~name:"bib" ~dtd:Bib.dtd ~policy:Bib.policy ~doc
     Queries.bib_suite
 
-(* Random DTD/policy draws through one long-lived pool: whatever the draw,
+(* Random DTD/policy draws, each served on 4 domains: whatever the draw,
    pooled answers must match inline answers on the same engine. *)
 let test_parallel_property () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      for seed = 1 to 20 do
-        let dtd =
-          Random_dtd.generate ~seed ~n_types:(3 + (seed mod 5))
-            ~recursion:(seed mod 2 = 0) ()
+  for seed = 1 to 20 do
+    let dtd =
+      Random_dtd.generate ~seed ~n_types:(3 + (seed mod 5))
+        ~recursion:(seed mod 2 = 0) ()
+    in
+    let policy = Random_dtd.random_policy ~seed:(seed * 3 + 1) dtd in
+    match Docgen.generate ~seed:(seed * 5 + 2) ~max_depth:8 ~fanout:2 dtd with
+    | exception Docgen.No_finite_expansion _ -> ()
+    | doc ->
+      let engine = Engine.of_tree ~dtd doc in
+      (match Engine.register_policy engine ~group:"members" policy with
+      | Error _ -> () (* derivation unsupported for this draw: skip *)
+      | Ok () ->
+        let view = Option.get (Engine.view engine ~group:"members") in
+        let tags = Dtd.element_names (Derive.view_dtd view) in
+        let texts =
+          List.map
+            (fun s ->
+              Pretty.path_to_string
+                (Random_dtd.random_query ~seed:s ~size:6 ~tags ()))
+            [ (seed * 7) + 3; (seed * 11) + 5; (seed * 13) + 9 ]
         in
-        let policy = Random_dtd.random_policy ~seed:(seed * 3 + 1) dtd in
-        match Docgen.generate ~seed:(seed * 5 + 2) ~max_depth:8 ~fanout:2 dtd with
-        | exception Docgen.No_finite_expansion _ -> ()
-        | doc ->
-          let engine = Engine.of_tree ~dtd doc in
-          (match Engine.register_policy engine ~group:"members" policy with
-          | Error _ -> () (* derivation unsupported for this draw: skip *)
-          | Ok () ->
-            let view = Option.get (Engine.view engine ~group:"members") in
-            let tags = Dtd.element_names (Derive.view_dtd view) in
-            let texts =
-              List.map
-                (fun s ->
-                  Pretty.path_to_string
-                    (Random_dtd.random_query ~seed:s ~size:6 ~tags ()))
-                [ (seed * 7) + 3; (seed * 11) + 5; (seed * 13) + 9 ]
-            in
-            let inline =
-              List.map
-                (fun t ->
-                  (okr (Engine.query_robust engine ~group:"members" t))
-                    .Engine.answer_xml)
-                texts
-            in
-            let results = pooled_queries pool engine ~group:"members" texts in
-            List.iteri
-              (fun i r ->
-                match r with
-                | Error e ->
-                  Alcotest.failf "seed %d q%d: %s" seed i (Err.to_string e)
-                | Ok o ->
-                  Alcotest.(check (list string))
-                    (Printf.sprintf "seed %d q%d: pool = inline" seed i)
-                    (List.nth inline i) o.Engine.answer_xml)
-              results)
-      done)
+        let inline =
+          List.map
+            (fun t ->
+              (okr (Engine.query_robust engine ~group:"members" t))
+                .Engine.answer_xml)
+            texts
+        in
+        let results = pooled_queries engine ~group:"members" texts in
+        List.iteri
+          (fun i r ->
+            match r with
+            | Error e ->
+              Alcotest.failf "seed %d q%d: %s" seed i (Err.to_string e)
+            | Ok o ->
+              Alcotest.(check (list string))
+                (Printf.sprintf "seed %d q%d: pool = inline" seed i)
+                (List.nth inline i) o.Engine.answer_xml)
+          results)
+  done
 
 (* --- Shared-automaton batch serving: run_many vs N sequential runs -------- *)
 
@@ -462,8 +461,8 @@ let test_batch_bib () =
   batch_battery ~name:"bib" ~dtd:Bib.dtd ~policy:Bib.policy ~doc
     Queries.bib_suite
 
-(* The sharded form: one shared pass per pool worker, results re-concatenated
-   in submission order. *)
+(* The sharded form: one shared pass per task on 4 domains, results
+   re-concatenated in input order. *)
 let batch_pooled ~name ~dtd ~policy ~doc queries =
   let texts = List.map snd queries @ [ snd (List.hd queries) ] in
   let ref_engine = Engine.of_tree ~dtd doc in
@@ -477,20 +476,19 @@ let batch_pooled ~name ~dtd ~policy ~doc queries =
   in
   let engine = Engine.of_tree ~dtd doc in
   ok (Engine.register_policy engine ~group:"members" policy);
-  Pool.with_pool ~domains:4 (fun pool ->
-      let results =
-        pooled_batch pool ~shards:4 engine ~group:"members" texts
-      in
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Error e ->
-            Alcotest.failf "%s pooled batch %d: %s" name i (Err.to_string e)
-          | Ok o ->
-            Alcotest.(check (list string))
-              (Printf.sprintf "%s pooled batch %d: sharded = sequential" name i)
-              (List.nth reference i) o.Engine.answer_xml)
-        results)
+  let results =
+    pooled_batch ~shards:4 engine ~group:"members" texts
+  in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Error e ->
+        Alcotest.failf "%s pooled batch %d: %s" name i (Err.to_string e)
+      | Ok o ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s pooled batch %d: sharded = sequential" name i)
+          (List.nth reference i) o.Engine.answer_xml)
+    results
 
 let test_batch_pooled_hospital () =
   let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
@@ -793,28 +791,27 @@ let write_battery ~name ~dtd ~policy ~doc ~seed queries =
     queries;
   (* pooled at 4 domains: the updated engine serves the whole suite
      sharded, byte-identical to the fresh reference *)
-  Pool.with_pool ~domains:4 (fun pool ->
-      let texts = List.map snd queries in
-      let reference =
-        List.map
-          (fun t ->
-            (okr (Engine.query_robust fresh ~group:"members" t))
-              .Engine.answer_xml)
-          texts
-      in
-      let results =
-        pooled_batch pool ~shards:4 engine ~group:"members" texts
-      in
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Error e ->
-            Alcotest.failf "%s pooled %d: %s" name i (Err.to_string e)
-          | Ok o ->
-            Alcotest.(check (list string))
-              (Printf.sprintf "%s pooled %d: updated engine = fresh" name i)
-              (List.nth reference i) o.Engine.answer_xml)
-        results)
+  let texts = List.map snd queries in
+  let reference =
+    List.map
+      (fun t ->
+        (okr (Engine.query_robust fresh ~group:"members" t))
+          .Engine.answer_xml)
+      texts
+  in
+  let results =
+    pooled_batch ~shards:4 engine ~group:"members" texts
+  in
+  Array.iteri
+    (fun i r ->
+      match r with
+      | Error e ->
+        Alcotest.failf "%s pooled %d: %s" name i (Err.to_string e)
+      | Ok o ->
+        Alcotest.(check (list string))
+          (Printf.sprintf "%s pooled %d: updated engine = fresh" name i)
+          (List.nth reference i) o.Engine.answer_xml)
+    results
 
 let test_write_hospital () =
   let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in

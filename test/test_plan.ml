@@ -340,8 +340,8 @@ let test_sessions_share_cache () =
     (hit_of (okr (Session.run_robust s2 "//medication")))
 
 (* [saved_compile_ms] is charged on the wall clock.  Process CPU time
-   would sum the work of every domain, so under a pool each hit would
-   claim to save several times the compile it skipped.  Three workers burn
+   would sum the work of every domain, so on many domains each hit would
+   claim to save several times the compile it skipped.  Three domains burn
    CPU while the cold query compiles on this domain; every hit of the
    4-domain batch that follows then saves at most that cold query's whole
    wall time.  The document is tiny and the query a five-way union of
@@ -359,43 +359,42 @@ let test_saved_compile_wall_clock () =
              i))
   in
   let repeats = 16 in
-  Pool.with_pool ~domains:4 (fun pool ->
-      let started = Atomic.make 0 and stop = Atomic.make false in
-      let burners =
-        List.init 3 (fun _ ->
-            Pool.submit pool (fun () ->
-                Atomic.incr started;
-                while not (Atomic.get stop) do
-                  Domain.cpu_relax ()
-                done))
-      in
-      while Atomic.get started < 3 do
-        Domain.cpu_relax ()
-      done;
-      let t0 = Unix.gettimeofday () in
-      ignore (okr (Engine.query_robust e ~group:"researchers" q));
-      let cold_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-      Atomic.set stop true;
-      List.iter Pool.await burners;
-      let results =
-        List.init repeats (fun _ ->
-            Pool.submit pool (fun () ->
-                Engine.query_robust e ~group:"researchers" q))
-        |> List.map Pool.await
-      in
-      List.iter
-        (function
-          | Ok _ -> ()
-          | Error err -> Alcotest.failf "batch: %s" (Error.to_string err))
-        results;
-      let counters = Engine.plan_cache_counters e in
-      let hits = List.assoc "hits" counters in
-      Alcotest.(check int) "every repeat a hit" repeats hits;
-      let saved = float_of_int (List.assoc "saved_compile_ms" counters) in
-      let bound = (float_of_int hits *. cold_ms) +. 1. in
-      if saved > bound then
-        Alcotest.failf "saved_compile_ms %.0f exceeds %d hits x %.2f ms cold"
-          saved hits cold_ms)
+  let started = Atomic.make 0 and stop = Atomic.make false in
+  let burners =
+    List.init 3 (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr started;
+            while not (Atomic.get stop) do
+              Domain.cpu_relax ()
+            done))
+  in
+  while Atomic.get started < 3 do
+    Domain.cpu_relax ()
+  done;
+  let t0 = Unix.gettimeofday () in
+  ignore (okr (Engine.query_robust e ~group:"researchers" q));
+  let cold_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  Atomic.set stop true;
+  List.iter Domain.join burners;
+  let results =
+    Pool.run ~domains:4
+      (List.init repeats (fun _ () ->
+           Engine.query_robust e ~group:"researchers" q))
+  in
+  List.iter
+    (function
+      | Ok (Ok _) -> ()
+      | Ok (Error err) -> Alcotest.failf "batch: %s" (Error.to_string err)
+      | Error exn -> Alcotest.failf "batch raised %s" (Printexc.to_string exn))
+    results;
+  let counters = Engine.plan_cache_counters e in
+  let hits = List.assoc "hits" counters in
+  Alcotest.(check int) "every repeat a hit" repeats hits;
+  let saved = float_of_int (List.assoc "saved_compile_ms" counters) in
+  let bound = (float_of_int hits *. cold_ms) +. 1. in
+  if saved > bound then
+    Alcotest.failf "saved_compile_ms %.0f exceeds %d hits x %.2f ms cold"
+      saved hits cold_ms
 
 let () =
   Alcotest.run "smoqe_plan"

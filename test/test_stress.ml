@@ -1,14 +1,14 @@
 (* The multicore stress harness (dune build @stress).
 
-   One engine, one 8-domain pool, and every kind of trouble at once:
+   One engine, one 8-domain [Pool.run], and every kind of trouble at once:
 
    - a batch of mixed queries — the hot serving suite (all cache hits
      once warm) interleaved with one-off queries that force compiles, so
      the plan cache is probed and populated concurrently;
-   - administrative churn from the main domain while the batch is in
-     flight: the group's policy re-registered (a no-op that must keep
-     its plans) and the document replaced with an equal tree
-     (invalidating everything);
+   - administrative churn as tasks of the same run, racing the queries:
+     the group's policy re-registered (a no-op that must keep its plans)
+     and the document replaced with an equal tree (invalidating
+     everything);
    - group traffic from many principals at once: 8 more groups sharing
      one canonical policy key, half the batch routed through them, with
      policy churn mid-flight — idempotent re-registration (a key hit) on
@@ -20,13 +20,12 @@
    "many domains on one engine" shake out torn reads and lock-order
    bugs, not to re-prove semantics (test_oracle does that):
 
-   1. totality: every future resolves to [Ok] or a typed [Error]; no
-      task dies with an exception, no worker wedges;
+   1. totality: every task returns [Ok] or a typed [Error]; no task
+      dies with an exception (its [Pool.run] slot would be [Error]);
    2. consistency: every successful answer to a hot query is
       byte-identical to the sequential reference — admin churn may fail
       a query (injected fault) but never corrupt one;
-   3. the only errors seen are the ones we injected;
-   4. per-worker accounting adds up to the submitted batch. *)
+   3. the only errors seen are the ones we injected. *)
 
 module Engine = Smoqe.Engine
 module Pool = Smoqe_exec.Pool
@@ -36,6 +35,12 @@ module Tree = Smoqe_xml.Tree
 module Update = Smoqe_update.Update
 module Hospital = Smoqe_workload.Hospital
 module Queries = Smoqe_workload.Queries
+
+(* What one task of the run did. *)
+type outcome =
+  | Served of string * (Engine.outcome, Err.t) result  (* query text *)
+  | Wrote of (Engine.update_report, Err.t) result
+  | Churned of string * (unit, string) result  (* admin action *)
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 1) fmt
 
@@ -92,113 +97,83 @@ let () =
   in
 
   let rounds = 400 in
-  let injected = ref 0 and served = ref 0 in
-  let update_futures = ref [] in
-  Failpoint.with_failpoints "plan.compile=7" (fun () ->
-      Pool.with_pool ~domains:8 (fun pool ->
-          let futures =
-            List.init rounds (fun i ->
-                let text =
-                  if i mod 3 = 2 then miss i
-                  else snd (List.nth hot (i mod List.length hot))
-                in
-                (* admin churn from the producing domain, mid-batch *)
-                if i mod 37 = 17 then
-                  (match
-                     Engine.register_policy engine ~group:"members"
-                       Hospital.policy
-                   with
-                  | Ok () -> ()
-                  | Error msg -> die "re-register: %s" msg);
-                if i mod 97 = 53 then
-                  (match Engine.replace_document engine doc with
-                  | Ok () -> ()
-                  | Error msg -> die "replace_document: %s" msg);
-                (* group policy churn mid-flight: an idempotent
-                   re-registration on a served group (a policy-key hit,
-                   semantics unchanged)... *)
-                if i mod 41 = 11 then
-                  (match
-                     Engine.register_policy engine ~group:(tname (i mod 7))
-                       Hospital.policy
-                   with
-                  | Ok () -> ()
-                  | Error msg -> die "group re-register: %s" msg);
-                (* ...and a full key flip on the never-queried t7 —
-                   retirement, generational plan invalidation and a fresh
-                   derivation racing the live queries *)
-                if i mod 53 = 23 then
-                  (match
-                     Engine.register_policy engine ~group:"t7"
-                       (if i mod 106 = 23 then open_policy
-                        else Hospital.policy)
-                   with
-                  | Ok () -> ()
-                  | Error msg -> die "group flip: %s" msg);
-                (* concurrent writes through the pool: identity replaces
-                   keep every answer byte-stable (so the hot-reference
-                   check below stays the truth) while the write path's
-                   snapshot/retry publish races the queries and the
-                   admin churn.  Identity edits and the equal-tree
-                   replace_document keep the node count constant, so a
-                   By_id picked from the live document stays in range
-                   whatever interleaving wins. *)
-                if i mod 29 = 13 then
-                  update_futures :=
-                    Pool.submit pool (fun () ->
-                        let d = Engine.document engine in
-                        let n = 1 + (i * 31 mod (Tree.n_nodes d - 1)) in
-                        Engine.update_robust engine
-                          (Update.Replace (Update.By_id n, Tree.to_source d n)))
-                    :: !update_futures;
-                (* half the traffic runs as the t-groups through the
-                   shared-key view; same semantics, same reference *)
-                let group = if i mod 2 = 1 then tname (i mod 7) else "members" in
-                let fut =
-                  Pool.submit pool (fun () ->
-                      Engine.query_robust engine ~group text)
-                in
-                (text, fut))
-          in
-          List.iter
-            (fun (text, fut) ->
-              match Pool.await fut with
-              | Ok o -> (
-                incr served;
-                match Hashtbl.find_opt reference text with
-                | Some expected when o.Engine.answer_xml <> expected ->
-                  die "CORRUPT answer for %s under churn" text
-                | _ -> ())
-              | Error e ->
-                let s = Err.to_string e in
-                if contains s "plan.compile" then incr injected
-                else die "unexpected error for %s: %s" text s
-              | exception exn ->
-                die "future raised (totality broken): %s"
-                  (Printexc.to_string exn))
-            futures;
-          List.iter
-            (fun fut ->
-              match Pool.await fut with
-              | Ok (_ : Engine.update_report) -> ()
-              | Error e -> die "concurrent update failed: %s" (Err.to_string e)
-              | exception exn ->
-                die "update future raised (totality broken): %s"
-                  (Printexc.to_string exn))
-            !update_futures;
-          let loads = Pool.worker_loads pool in
-          let total = Array.fold_left ( + ) 0 loads in
-          let submitted = rounds + List.length !update_futures in
-          if total <> submitted then
-            die "worker accounting: %d tasks counted, %d submitted" total
-              submitted;
-          if Array.exists (fun f -> f <> 0) (Pool.worker_failures pool) then
-            die "a worker recorded an uncaught task exception"));
+  let injected = ref 0 and served = ref 0 and updates = ref 0 in
+  let churn what f () = Churned (what, f ()) in
+  let on cond task = if cond then [ task ] else [] in
+  let round i =
+    let text =
+      if i mod 3 = 2 then miss i
+      else snd (List.nth hot (i mod List.length hot))
+    in
+    (* half the traffic runs as the t-groups through the shared-key view;
+       same semantics, same reference *)
+    let group = if i mod 2 = 1 then tname (i mod 7) else "members" in
+    List.concat
+      [
+        (* admin churn, queued among the queries *)
+        on (i mod 37 = 17)
+          (churn "re-register" (fun () ->
+               Engine.register_policy engine ~group:"members" Hospital.policy));
+        on (i mod 97 = 53)
+          (churn "replace_document" (fun () ->
+               Engine.replace_document engine doc));
+        (* group policy churn mid-flight: an idempotent re-registration on
+           a served group (a policy-key hit, semantics unchanged)... *)
+        on (i mod 41 = 11)
+          (churn "group re-register" (fun () ->
+               Engine.register_policy engine ~group:(tname (i mod 7))
+                 Hospital.policy));
+        (* ...and a full key flip on the never-queried t7 — retirement,
+           generational plan invalidation and a fresh derivation racing
+           the live queries *)
+        on (i mod 53 = 23)
+          (churn "group flip" (fun () ->
+               Engine.register_policy engine ~group:"t7"
+                 (if i mod 106 = 23 then open_policy else Hospital.policy)));
+        (* concurrent writes: identity replaces keep every answer
+           byte-stable (so the hot-reference check below stays the truth)
+           while the write path's snapshot/retry publish races the queries
+           and the admin churn.  Identity edits and the equal-tree
+           replace_document keep the node count constant, so a By_id
+           picked from the live document stays in range whatever
+           interleaving wins. *)
+        on (i mod 29 = 13) (fun () ->
+            let d = Engine.document engine in
+            let n = 1 + (i * 31 mod (Tree.n_nodes d - 1)) in
+            Wrote
+              (Engine.update_robust engine
+                 (Update.Replace (Update.By_id n, Tree.to_source d n))));
+        [ (fun () -> Served (text, Engine.query_robust engine ~group text)) ];
+      ]
+  in
+  let outcomes =
+    Failpoint.with_failpoints "plan.compile=7" (fun () ->
+        Pool.run ~domains:8 (List.concat (List.init rounds round)))
+  in
+  List.iter
+    (function
+      | Ok (Served (text, Ok o)) -> (
+        incr served;
+        match Hashtbl.find_opt reference text with
+        | Some expected when o.Engine.answer_xml <> expected ->
+          die "CORRUPT answer for %s under churn" text
+        | _ -> ())
+      | Ok (Served (text, Error e)) ->
+        let s = Err.to_string e in
+        if contains s "plan.compile" then incr injected
+        else die "unexpected error for %s: %s" text s
+      | Ok (Wrote (Ok (_ : Engine.update_report))) -> incr updates
+      | Ok (Wrote (Error e)) ->
+        die "concurrent update failed: %s" (Err.to_string e)
+      | Ok (Churned (_, Ok ())) -> ()
+      | Ok (Churned (what, Error msg)) -> die "%s: %s" what msg
+      | Error exn ->
+        die "task raised (totality broken): %s" (Printexc.to_string exn))
+    outcomes;
   if !served = 0 then die "no query ever succeeded";
   if !injected = 0 then die "the armed failpoint never fired";
   Printf.printf
-    "stress OK: %d tasks (%d served, %d injected faults, %d concurrent \
+    "stress OK: %d queries (%d served, %d injected faults, %d concurrent \
      updates), answers stable under re-registration, document replacement, \
      writes and 8-group policy churn\n"
-    rounds !served !injected
-    (List.length !update_futures)
+    rounds !served !injected !updates

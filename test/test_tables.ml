@@ -1,4 +1,4 @@
-(* The table layer in isolation: frozen and dynamic specialization,
+(* The table layer in isolation: tree and stream specialization,
    wildcard/text columns, unseen-tag behavior, memo eviction under a tiny
    cap, and plan-riding invalidation through replace_document. *)
 
@@ -61,7 +61,6 @@ let test_frozen_faithful () =
     (fun q ->
       let mfa = compile q in
       let tb = Tables.of_tree mfa.Mfa.nfa doc in
-      Alcotest.(check bool) (q ^ ": frozen") true (Tables.is_frozen tb);
       Alcotest.(check bool) (q ^ ": built for doc") true
         (Tables.built_for tb doc);
       check_against_nfa ~msg:q tb doc)
@@ -126,25 +125,22 @@ let test_frozen_unknown_tag () =
       |> List.sort_uniq compare)
   done
 
-(* Dynamic tables: automaton names are pre-interned, stream tags grow the
-   table, and a grown tag's column still answers correctly. *)
-let test_dynamic_growth () =
+(* Streaming tables: the automaton's names keep their own columns, and
+   every other name interns to [unknown_tag], whose column still answers
+   as [Nfa.matches_name] does. *)
+let test_stream_names () =
   let mfa = compile "//a/b" in
-  let tb = Tables.dynamic mfa.Mfa.nfa in
-  Alcotest.(check bool) "not frozen" false (Tables.is_frozen tb);
-  let n0 = Tables.n_tags tb in
+  let tb = Tables.of_nfa mfa.Mfa.nfa in
   let a = Tables.intern tb "a" in
   let b = Tables.intern tb "b" in
   Alcotest.(check bool) "automaton names pre-interned" true
-    (a < n0 && b < n0 && a >= 0 && b >= 0);
-  (* interning many unseen tags grows the table without disturbing the
-     pre-interned columns *)
-  let fresh =
-    List.init 100 (fun i -> Tables.intern tb (Printf.sprintf "street%d" i))
-  in
-  Alcotest.(check int) "grown by 100" (n0 + 100) (Tables.n_tags tb);
-  Alcotest.(check int) "interning is idempotent" (List.hd fresh)
-    (Tables.intern tb "street0");
+    (a >= 0 && b >= 0 && a <> b && a <> Tables.text_tag
+   && b <> Tables.text_tag);
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " is unknown_tag") Tables.unknown_tag
+        (Tables.intern tb name))
+    [ "street0"; "street1"; "c" ];
   let nfa = Tables.nfa tb in
   for s = 0 to nfa.Nfa.n_states - 1 do
     List.iter
@@ -158,7 +154,7 @@ let test_dynamic_growth () =
              nfa.Nfa.delta.(s)
           |> List.sort_uniq compare)
           (Array.to_list (Tables.targets tb s tag) |> List.sort_uniq compare))
-      [ (a, "a"); (b, "b"); (List.hd fresh, "street0") ]
+      [ (a, "a"); (b, "b"); (Tables.intern tb "street0", "street0") ]
   done
 
 (* A stream whose tags the automaton never mentions must not disturb the
@@ -283,8 +279,8 @@ let () =
             test_wildcard_and_text_rows;
           Alcotest.test_case "frozen: unseen name is unknown_tag" `Quick
             test_frozen_unknown_tag;
-          Alcotest.test_case "dynamic: growth and pre-interning" `Quick
-            test_dynamic_growth;
+          Alcotest.test_case "stream: unseen is unknown_tag" `Quick
+            test_stream_names;
         ] );
       ( "evaluation",
         [
