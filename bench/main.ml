@@ -930,8 +930,8 @@ let e13 () =
   let ok = function Ok v -> v | Error msg -> failwith msg in
   let bench_suite ~gate label engine ~group doc queries =
     Printf.printf "%s\n" label;
-    Printf.printf "%-4s %-10s %-10s %8s %9s\n" "Q" "tables" "generic"
-      "speedup" "answers";
+    Printf.printf "%-4s %-10s %-10s %8s %9s %14s\n" "Q" "tables" "generic"
+      "speedup" "answers" "B/node t / g";
     let qrows =
       List.map
         (fun (name, q) ->
@@ -958,13 +958,27 @@ let e13 () =
           in
           let speedup = g_ns /. t_ns in
           if gate then gated_speedups := speedup :: !gated_speedups;
-          Printf.printf "%-4s %s %s %7.2fx %9s\n%!" name (pp_time t_ns)
-            (pp_time g_ns) speedup "identical";
+          (* bytes allocated per entered node by one warm run *)
+          let bytes_per_node run =
+            let before = Gc.minor_words () in
+            let r : Eval_dom.result = run () in
+            (Gc.minor_words () -. before)
+            *. float (Sys.word_size / 8)
+            /. float (max 1 r.Eval_dom.stats.Stats.nodes_entered)
+          in
+          let t_b = bytes_per_node (fun () -> Eval_dom.run ~tables mfa doc) in
+          let g_b =
+            bytes_per_node (fun () -> Eval_dom.run ~use_tables:false mfa doc)
+          in
+          Printf.printf "%-4s %s %s %7.2fx %9s %6.0f / %5.0f\n%!" name
+            (pp_time t_ns) (pp_time g_ns) speedup "identical" t_b g_b;
           (* the memo activity of one table run, from its own stats *)
           let st = rt.Eval_dom.stats in
           J.Obj
             [ ("query", J.Str name); ("tables_ns", J.Float t_ns);
               ("generic_ns", J.Float g_ns); ("speedup", J.Float speedup);
+              ("tables_bytes_per_node", J.Float t_b);
+              ("generic_bytes_per_node", J.Float g_b);
               ("answers", J.Int (List.length rt.Eval_dom.answers));
               ("memo_hits", J.Int st.Stats.memo_hits);
               ("memo_misses", J.Int st.Stats.memo_misses);

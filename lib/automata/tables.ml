@@ -133,7 +133,9 @@ let of_nfa (nfa : Nfa.t) =
 (* Tag id for [nm]: a name outside the table's space is [unknown_tag],
    which [targets] routes to the wildcard column. *)
 let intern t nm =
-  Option.value (Hashtbl.find_opt t.tag_ids nm) ~default:unknown_tag
+  match Hashtbl.find t.tag_ids nm with
+  | id -> id
+  | exception Not_found -> unknown_tag
 
 let targets t state tag =
   if tag < 0 || tag >= Array.length t.step then t.wild.(state)

@@ -20,4 +20,4 @@ let resolve t ~lookup =
       if List.for_all lookup (Conds.to_list set) then keep (node :: acc) rest
       else keep acc rest
   in
-  List.sort_uniq compare (keep [] t.entries)
+  List.sort_uniq Int.compare (keep [] t.entries)

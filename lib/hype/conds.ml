@@ -5,17 +5,21 @@ type cond = int * int
 type set = cond list
 
 let empty = []
-let is_empty s = s = []
+let is_empty = function [] -> true | _ :: _ -> false
+
+let compare_cond ((q, n) : cond) ((q', n') : cond) =
+  let c = Int.compare q q' in
+  if c <> 0 then c else Int.compare n n'
 
 let rec add c s =
   match s with
   | [] -> [ c ]
   | head :: tail ->
-    let cmp = compare c head in
+    let cmp = compare_cond c head in
     if cmp = 0 then s
     else if cmp < 0 then c :: s
     else head :: add c tail
 
 let to_list s = s
 
-let compare_set (a : set) (b : set) = compare a b
+let compare_set (a : set) (b : set) = List.compare compare_cond a b

@@ -3,6 +3,7 @@ module Afa = Smoqe_automata.Afa
 module Mfa = Smoqe_automata.Mfa
 module Tables = Smoqe_automata.Tables
 module Reachability = Smoqe_automata.Reachability
+module Int_tbl = Hashtbl.Make (Int)
 
 exception Driver_error of string
 
@@ -32,18 +33,18 @@ type item = {
    With tables, the selection items are split: the condition-free portion
    is a canonical sorted state array ([set_states], interned into the
    lazy-DFA registry as [set_id]), and only items carrying conds stay as a
-   list ([cond_items]).  [set_states] is the source of truth — [set_id] is
+   list ([items]).  [set_states] is the source of truth — [set_id] is
    a cache valid only while [set_epoch] matches the engine's registry
-   epoch, and is re-interned lazily after a registry flush. *)
+   epoch, and is re-interned lazily after a registry flush.  The generic
+   path keeps [set_states] empty and every item in [items]. *)
 type frame = {
   mutable node : int;
   mutable kind : kind;
   mutable tag : int; (* interned tag (table path); Tables.text_tag for text *)
-  mutable items : item list; (* post-closure selection items (generic path) *)
   mutable set_states : int array; (* check-free item states (table path) *)
   mutable set_id : int;
   mutable set_epoch : int;
-  mutable cond_items : item list; (* items carrying conds (table path) *)
+  mutable items : item list; (* post-closure items outside [set_states] *)
   mutable active : int list; (* active AFA states at this node *)
   mutable quals_here : int list; (* qualifiers to settle at this node *)
   mutable requested : int list; (* subset assumed by selection runs *)
@@ -90,7 +91,7 @@ type t = {
   owners : int array array;
   n_queries : int;
   (* dynamics *)
-  cond_val : (Conds.cond, bool) Hashtbl.t;
+  cond_val : bool Int_tbl.t; (* qualifier q at node n, keyed n * n_quals + q *)
   cans : Cans.t array; (* one per query *)
   stats : Stats.t;
   trace : Trace.t option;
@@ -126,11 +127,10 @@ let fresh_frame n_states n_quals () =
     node = -1;
     kind = El "";
     tag = Tables.unknown_tag;
-    items = [];
     set_states = [||];
     set_id = -1;
     set_epoch = -1;
-    cond_items = [];
+    items = [];
     active = [];
     quals_here = [];
     requested = [];
@@ -242,7 +242,7 @@ let create ?trace ?tables ?(memo_cap = 4096) ?owners ?n_queries mfa =
     n_quals;
     owners;
     n_queries;
-    cond_val = Hashtbl.create 256;
+    cond_val = Int_tbl.create 256;
     cans = Array.init n_queries (fun _ -> Cans.create ());
     stats = Stats.create ();
     trace;
@@ -289,9 +289,26 @@ let rec activate t frame s =
     if Array.length t.value_accepts.(s) > 0 then
       frame.may_accept_value <- true;
     let nfa = t.mfa.Mfa.nfa in
-    List.iter (fun q -> note_qual t frame q) nfa.Nfa.checks.(s);
-    List.iter (fun s' -> activate t frame s') nfa.Nfa.eps.(s)
+    note_quals t frame nfa.Nfa.checks.(s);
+    activate_list t frame nfa.Nfa.eps.(s)
   end
+
+and activate_list t frame = function
+  | [] -> ()
+  | s :: rest ->
+    activate t frame s;
+    activate_list t frame rest
+
+and activate_array t frame states =
+  for i = 0 to Array.length states - 1 do
+    activate t frame states.(i)
+  done
+
+and note_quals t frame = function
+  | [] -> ()
+  | q :: rest ->
+    note_qual t frame q;
+    note_quals t frame rest
 
 and note_qual t frame q =
   if Bytes.get frame.here_mark q = '\000' then begin
@@ -299,7 +316,7 @@ and note_qual t frame q =
     frame.quals_here <- q :: frame.quals_here;
     t.stats.Stats.atom_instances <-
       t.stats.Stats.atom_instances + Array.length t.atom_starts.(q);
-    Array.iter (fun s -> activate t frame s) t.atom_starts.(q)
+    activate_array t frame t.atom_starts.(q)
   end
 
 (* --- selection-run closure ------------------------------------------------ *)
@@ -308,6 +325,22 @@ and note_qual t frame q =
    uniquely keyed by state (bit 0); items carrying conds set bit 1 and
    fall back to scanning only the (typically short) workspace list for a
    same-state-same-conds twin.  Marks are cleared by [take_items]. *)
+let rec has_twin s conds = function
+  | [] -> false
+  | (it : item) :: rest ->
+    (it.state = s && Conds.compare_set it.conds conds = 0)
+    || has_twin s conds rest
+
+(* Fan one candidate entry out to the Cans of each query owning state [s]. *)
+let record_candidate t node s conds =
+  let ow = t.owners.(s) in
+  t.stats.Stats.candidates <- t.stats.Stats.candidates + Array.length ow;
+  t.entered_candidate <- true;
+  trace_mark t node Trace.In_cans;
+  for i = 0 to Array.length ow - 1 do
+    Cans.add t.cans.(ow.(i)) ~node conds
+  done
+
 let rec push_item t frame item =
   let nfa = t.mfa.Mfa.nfa in
   let item =
@@ -320,26 +353,14 @@ let rec push_item t frame item =
   let empty = Conds.is_empty item.conds in
   let dup =
     if empty then m land 1 <> 0
-    else
-      m land 2 <> 0
-      && List.exists
-           (fun it -> it.state = s && Conds.compare_set it.conds item.conds = 0)
-           t.out_items
+    else m land 2 <> 0 && has_twin s item.conds t.out_items
   in
   if not dup then begin
     Bytes.set t.item_mark s (Char.chr (m lor if empty then 1 else 2));
     t.out_items <- item :: t.out_items;
     t.n_out <- t.n_out + 1;
-    if t.select_accept.(item.state) then begin
-      let ow = t.owners.(item.state) in
-      t.stats.Stats.candidates <- t.stats.Stats.candidates + Array.length ow;
-      t.entered_candidate <- true;
-      trace_mark t frame.node Trace.In_cans;
-      Array.iter
-        (fun q -> Cans.add t.cans.(q) ~node:frame.node item.conds)
-        ow
-    end;
-    push_eps t frame item nfa.Nfa.eps.(item.state)
+    if t.select_accept.(s) then record_candidate t frame.node s item.conds;
+    push_eps t frame item nfa.Nfa.eps.(s)
   end
 
 and add_checks t frame conds = function
@@ -359,10 +380,21 @@ and push_eps t frame item = function
     push_item t frame { item with state = s' };
     push_eps t frame item rest
 
+let push_seeds t frame seeds =
+  for i = 0 to Array.length seeds - 1 do
+    push_item t frame { state = seeds.(i); conds = Conds.empty }
+  done
+
+let rec clear_item_marks mark = function
+  | [] -> ()
+  | (it : item) :: rest ->
+    Bytes.set mark it.state '\000';
+    clear_item_marks mark rest
+
 (* Drain the closure workspace and clear its dedup marks. *)
 let take_items t =
   let items = t.out_items in
-  List.iter (fun (it : item) -> Bytes.set t.item_mark it.state '\000') items;
+  clear_item_marks t.item_mark items;
   t.out_items <- [];
   items
 
@@ -515,32 +547,30 @@ let table_step t tb parent tag =
 (* Candidates selected by the check-free set: unconditional Cans entries,
    one per accepting state (mirrors the generic per-item recording). *)
 let record_set_candidates t node accepts =
-  Array.iter
-    (fun s ->
-      let ow = t.owners.(s) in
-      t.stats.Stats.candidates <- t.stats.Stats.candidates + Array.length ow;
-      t.entered_candidate <- true;
-      trace_mark t node Trace.In_cans;
-      Array.iter (fun q -> Cans.add t.cans.(q) ~node Conds.empty) ow)
-    accepts
+  for i = 0 to Array.length accepts - 1 do
+    record_candidate t node accepts.(i) Conds.empty
+  done
 
 (* --- frames ---------------------------------------------------------------- *)
 
+let rec clear_marks bits = function
+  | [] -> ()
+  | i :: rest ->
+    Bytes.set bits i '\000';
+    clear_marks bits rest
+
 let clear_frame frame =
   (* Reset the bitsets touched by the previous tenant of this depth. *)
-  List.iter
-    (fun s ->
-      Bytes.set frame.sat s '\000';
-      Bytes.set frame.contrib s '\000';
-      Bytes.set frame.mark s '\000')
-    frame.active;
+  clear_marks frame.sat frame.active;
+  clear_marks frame.contrib frame.active;
+  clear_marks frame.mark frame.active;
   frame.active <- [];
-  List.iter (fun q -> Bytes.set frame.here_mark q '\000') frame.quals_here;
-  List.iter (fun q -> Bytes.set frame.req_mark q '\000') frame.requested;
+  clear_marks frame.here_mark frame.quals_here;
+  clear_marks frame.req_mark frame.requested;
   frame.quals_here <- [];
   frame.requested <- []
 
-let push_frame t id kind =
+let push_frame t id tag kind =
   if t.depth >= Array.length t.frames then begin
     let n_states = t.mfa.Mfa.nfa.Nfa.n_states in
     let bigger =
@@ -555,36 +585,16 @@ let push_frame t id kind =
   clear_frame frame;
   frame.node <- id;
   frame.kind <- kind;
-  frame.tag <- Tables.unknown_tag;
-  frame.items <- [];
+  frame.tag <- tag;
   frame.set_states <- [||];
   frame.set_id <- -1;
   frame.set_epoch <- -1;
-  frame.cond_items <- [];
+  frame.items <- [];
   frame.may_accept_value <- false;
   frame.text_acc <- None;
+  t.out_items <- [];
+  t.n_out <- 0;
   frame
-
-(* Does any transition of any parent item match this node? *)
-let rec any_item_matches kind items delta =
-  match items with
-  | [] -> false
-  | item :: rest ->
-    let rec scan = function
-      | [] -> any_item_matches kind rest delta
-      | (test, _) :: more -> kind_matches test kind || scan more
-    in
-    scan delta.(item.state)
-
-let rec any_active_matches kind active delta =
-  match active with
-  | [] -> false
-  | s :: rest ->
-    let rec scan = function
-      | [] -> any_active_matches kind rest delta
-      | (test, _) :: more -> kind_matches test kind || scan more
-    in
-    scan delta.(s)
 
 (* Text accumulation: element values are needed when a value-equality atom
    can accept at the parent, so immediate text is collected only then. *)
@@ -602,151 +612,117 @@ let accumulate_text parent kind =
     Buffer.add_substring (value_buf parent) s off len
   | Tx_sub _ | El _ -> ()
 
-(* --- enter: generic path --------------------------------------------------- *)
+(* --- enter ----------------------------------------------------------------- *)
 
-let enter_generic t ~id ~kind =
-  let nfa = t.mfa.Mfa.nfa in
+(* One step of a state into the entered node: the state's table column for
+   [tag], or on the generic path the targets of its NFA edges whose test
+   matches [kind]. *)
+let rec any_edge kind = function
+  | [] -> false
+  | (test, _) :: more -> kind_matches test kind || any_edge kind more
+
+let has_step t tag kind s =
+  match t.tables with
+  | Some tb -> Array.length (Tables.targets tb s tag) > 0
+  | None -> any_edge kind t.mfa.Mfa.nfa.Nfa.delta.(s)
+
+let rec any_step t tag kind = function
+  | [] -> false
+  | s :: rest -> has_step t tag kind s || any_step t tag kind rest
+
+let rec any_item_step t tag kind = function
+  | [] -> false
+  | (it : item) :: rest ->
+    has_step t tag kind it.state || any_item_step t tag kind rest
+
+(* Active AFA states: consumable continuations of the parent's. *)
+let rec activate_edges t frame kind = function
+  | [] -> ()
+  | (test, s') :: more ->
+    if kind_matches test kind then activate t frame s';
+    activate_edges t frame kind more
+
+let rec activate_steps t frame tag kind = function
+  | [] -> ()
+  | s :: rest ->
+    (match t.tables with
+    | Some tb -> activate_array t frame (Tables.targets tb s tag)
+    | None -> activate_edges t frame kind t.mfa.Mfa.nfa.Nfa.delta.(s));
+    activate_steps t frame tag kind rest
+
+let rec push_edges t frame kind (it : item) = function
+  | [] -> ()
+  | (test, s') :: more ->
+    if kind_matches test kind then push_item t frame { it with state = s' };
+    push_edges t frame kind it more
+
+let rec push_steps t frame tag kind = function
+  | [] -> ()
+  | (it : item) :: rest ->
+    (match t.tables with
+    | Some tb ->
+      let tg = Tables.targets tb it.state tag in
+      for i = 0 to Array.length tg - 1 do
+        push_item t frame { it with state = tg.(i) }
+      done
+    | None -> push_edges t frame kind it t.mfa.Mfa.nfa.Nfa.delta.(it.state));
+    push_steps t frame tag kind rest
+
+(* Close the entered node's item workspace and count it alive. *)
+let alive t frame =
+  frame.items <- take_items t;
+  let n_items = Array.length frame.set_states + t.n_out in
+  if n_items > t.stats.Stats.max_items then
+    t.stats.Stats.max_items <- n_items;
+  t.stats.Stats.nodes_alive <- t.stats.Stats.nodes_alive + 1;
+  trace_mark t frame.node Trace.Visited;
+  Alive
+
+let enter_node t ~id ~tag ~kind =
   if t.depth = 0 then begin
-    let frame = push_frame t id kind in
-    t.out_items <- [];
-    t.n_out <- 0;
-    push_item t frame { state = t.mfa.Mfa.start; conds = Conds.empty };
-    frame.items <- take_items t;
-    t.stats.Stats.nodes_alive <- t.stats.Stats.nodes_alive + 1;
-    trace_mark t id Trace.Visited;
-    Alive
+    let frame = push_frame t id tag kind in
+    (match t.tables with
+    | None -> push_item t frame { state = t.mfa.Mfa.start; conds = Conds.empty }
+    | Some _ ->
+      let next, seeds = close_collect t (fun close -> close t.mfa.Mfa.start) in
+      let nid = intern_set t next in
+      frame.set_states <- t.dfa_sets.(nid);
+      frame.set_id <- nid;
+      frame.set_epoch <- t.dfa_epoch;
+      record_set_candidates t id t.dfa_accepts.(nid);
+      push_seeds t frame seeds);
+    alive t frame
   end
   else begin
     let parent = t.frames.(t.depth - 1) in
     accumulate_text parent kind;
+    (* with tables, the check-free set takes one memoized step *)
+    let tr =
+      match t.tables with
+      | Some tb -> table_step t tb parent tag
+      | None -> no_trans
+    in
     if
-      (not (any_item_matches kind parent.items nfa.Nfa.delta))
-      && not (any_active_matches kind parent.active nfa.Nfa.delta)
-    then begin
-      trace_mark t id Trace.Dead;
-      Dead
-    end
-    else begin
-      let parent_items = parent.items in
-      let parent_active = parent.active in
-      let frame = push_frame t id kind in
-      (* active AFA states: consumable continuations of the parent's *)
-      let rec feed_active = function
-        | [] -> ()
-        | s :: rest ->
-          let rec trans = function
-            | [] -> ()
-            | (test, s') :: more ->
-              if kind_matches test kind then activate t frame s';
-              trans more
-          in
-          trans nfa.Nfa.delta.(s);
-          feed_active rest
-      in
-      feed_active parent_active;
-      (* selection items *)
-      t.out_items <- [];
-      t.n_out <- 0;
-      let rec feed_items = function
-        | [] -> ()
-        | item :: rest ->
-          let rec trans = function
-            | [] -> ()
-            | (test, s') :: more ->
-              if kind_matches test kind then
-                push_item t frame { item with state = s' };
-              trans more
-          in
-          trans nfa.Nfa.delta.(item.state);
-          feed_items rest
-      in
-      feed_items parent_items;
-      frame.items <- take_items t;
-      if t.n_out > t.stats.Stats.max_items then
-        t.stats.Stats.max_items <- t.n_out;
-      t.stats.Stats.nodes_alive <- t.stats.Stats.nodes_alive + 1;
-      trace_mark t id Trace.Visited;
-      Alive
-    end
-  end
-
-(* --- enter: table path ----------------------------------------------------- *)
-
-let enter_tables t tb ~id ~tag ~kind =
-  if t.depth = 0 then begin
-    let frame = push_frame t id kind in
-    frame.tag <- tag;
-    t.out_items <- [];
-    t.n_out <- 0;
-    let next, seeds = close_collect t (fun close -> close t.mfa.Mfa.start) in
-    let nid = intern_set t next in
-    frame.set_states <- t.dfa_sets.(nid);
-    frame.set_id <- nid;
-    frame.set_epoch <- t.dfa_epoch;
-    record_set_candidates t id t.dfa_accepts.(nid);
-    Array.iter
-      (fun s -> push_item t frame { state = s; conds = Conds.empty })
-      seeds;
-    frame.cond_items <- take_items t;
-    let n_items = Array.length frame.set_states + t.n_out in
-    if n_items > t.stats.Stats.max_items then
-      t.stats.Stats.max_items <- n_items;
-    t.stats.Stats.nodes_alive <- t.stats.Stats.nodes_alive + 1;
-    trace_mark t id Trace.Visited;
-    Alive
-  end
-  else begin
-    let parent = t.frames.(t.depth - 1) in
-    accumulate_text parent kind;
-    let tr = table_step t tb parent tag in
-    let next_states = tr.next_states in
-    let next_accepts = tr.next_accepts in
-    let row_matches s = Array.length (Tables.targets tb s tag) > 0 in
-    if
-      Array.length next_states = 0
+      Array.length tr.next_states = 0
       && Array.length tr.seeds = 0
-      && (not (List.exists (fun (it : item) -> row_matches it.state)
-                 parent.cond_items))
-      && not (List.exists row_matches parent.active)
+      && (not (any_item_step t tag kind parent.items))
+      && not (any_step t tag kind parent.active)
     then begin
       trace_mark t id Trace.Dead;
       Dead
     end
     else begin
-      let parent_cond = parent.cond_items in
-      let parent_active = parent.active in
-      let frame = push_frame t id kind in
-      frame.tag <- tag;
-      (* active AFA states: consumable continuations of the parent's *)
-      List.iter
-        (fun s ->
-          Array.iter (fun s' -> activate t frame s') (Tables.targets tb s tag))
-        parent_active;
-      (* check-free selection set: one memoized step *)
-      frame.set_states <- next_states;
+      let frame = push_frame t id tag kind in
+      activate_steps t frame tag kind parent.active;
+      frame.set_states <- tr.next_states;
       frame.set_id <- tr.next_id;
       frame.set_epoch <- t.dfa_epoch;
-      record_set_candidates t id next_accepts;
-      (* seeds and conditional items go through the generic closure
-         machinery so node-local Conds are attached *)
-      t.out_items <- [];
-      t.n_out <- 0;
-      Array.iter
-        (fun s -> push_item t frame { state = s; conds = Conds.empty })
-        tr.seeds;
-      List.iter
-        (fun (it : item) ->
-          Array.iter
-            (fun s' -> push_item t frame { it with state = s' })
-            (Tables.targets tb it.state tag))
-        parent_cond;
-      frame.cond_items <- take_items t;
-      let n_items = Array.length next_states + t.n_out in
-      if n_items > t.stats.Stats.max_items then
-        t.stats.Stats.max_items <- n_items;
-      t.stats.Stats.nodes_alive <- t.stats.Stats.nodes_alive + 1;
-      trace_mark t id Trace.Visited;
-      Alive
+      record_set_candidates t id tr.next_accepts;
+      (* seeds and conditional items go through the item closure so
+         node-local Conds are attached *)
+      push_seeds t frame tr.seeds;
+      push_steps t frame tag kind parent.items;
+      alive t frame
     end
   end
 
@@ -757,9 +733,7 @@ let enter_core t ~id ~tag ~kind =
   t.stats.Stats.nodes_entered <- n_entered;
   if n_entered land 31 = 0 then (
     match t.on_checkpoint with None -> () | Some f -> f n_entered);
-  match t.tables with
-  | Some tb -> enter_tables t tb ~id ~tag ~kind
-  | None -> enter_generic t ~id ~kind
+  enter_node t ~id ~tag ~kind
 
 let enter t ~id ~kind =
   let tag =
@@ -786,128 +760,117 @@ let element_value frame =
 
 (* --- bottom-up AFA settlement ---------------------------------------------- *)
 
+let rec value_in values value i =
+  i < Array.length values
+  && (String.equal values.(i) value || value_in values value (i + 1))
+
+(* A qualifier not yet settled at this node reads as false: sound (sat
+   never set prematurely), and the passes after its settlement catch any
+   state that was waiting on it. *)
+let rec checks_hold t = function
+  | [] -> true
+  | q :: rest -> t.qval_epoch.(q) = t.epoch && t.qvals.(q) && checks_hold t rest
+
+let rec any_set bits = function
+  | [] -> false
+  | s :: rest -> Bytes.get bits s <> '\000' || any_set bits rest
+
 (* sat(s) at a closing node: a run in state [s] here accepts within the
    (now complete) subtree — by accepting at this node, by an epsilon move
    whose checks hold here, or through a child (contributions pushed at the
    children's leaves).  Only active states matter: epsilon targets and
    check-spawned entry states of active states are active by closure. *)
-let resolve_afa t frame =
+let try_state t frame value s =
   let nfa = t.mfa.Mfa.nfa in
-  let sat = frame.sat in
-  let mark = frame.mark in
+  Bytes.get frame.mark s <> '\000'
+  && Bytes.get frame.sat s = '\000'
+  && checks_hold t nfa.Nfa.checks.(s)
+  && (Bytes.get frame.contrib s <> '\000'
+     || t.plain_accept.(s)
+     || value_in t.value_accepts.(s) value 0
+     || any_set frame.sat nfa.Nfa.eps.(s))
+
+(* One pass over [states]; true if some state became satisfied. *)
+let rec settle_pass t frame value changed = function
+  | [] -> changed
+  | s :: rest ->
+    let now = try_state t frame value s in
+    if now then Bytes.set frame.sat s '\001';
+    settle_pass t frame value (changed || now) rest
+
+let rec fixpoint t frame value =
+  if settle_pass t frame value false frame.active then fixpoint t frame value
+
+let rec qual_holds t sat = function
+  | Afa.F_true -> true
+  | Afa.F_atom aid -> Bytes.get sat (t.mfa.Mfa.atoms.(aid)).Afa.start <> '\000'
+  | Afa.F_not f -> not (qual_holds t sat f)
+  | Afa.F_and (a, b) -> qual_holds t sat a && qual_holds t sat b
+  | Afa.F_or (a, b) -> qual_holds t sat a || qual_holds t sat b
+
+(* Publish the values selection runs assumed at this node. *)
+let rec publish t node = function
+  | [] -> ()
+  | q :: rest ->
+    Int_tbl.replace t.cond_val ((node * t.n_quals) + q) t.qvals.(q);
+    t.stats.Stats.quals_resolved <- t.stats.Stats.quals_resolved + 1;
+    publish t node rest
+
+let rec sat_edge kind sat = function
+  | [] -> false
+  | (test, s') :: more ->
+    (kind_matches test kind && Bytes.get sat s' <> '\000')
+    || sat_edge kind sat more
+
+let rec sat_target sat tg i =
+  i < Array.length tg
+  && (Bytes.get sat tg.(i) <> '\000' || sat_target sat tg (i + 1))
+
+(* Can state [s] step into the closing node and accept inside it? *)
+let steps_into_sat t frame s =
+  match t.tables with
+  | Some tb -> sat_target frame.sat (Tables.targets tb s frame.tag) 0
+  | None -> sat_edge frame.kind frame.sat t.mfa.Mfa.nfa.Nfa.delta.(s)
+
+let rec contribute t frame parent = function
+  | [] -> ()
+  | s :: rest ->
+    if Bytes.get parent.contrib s = '\000' && steps_into_sat t frame s then
+      Bytes.set parent.contrib s '\001';
+    contribute t frame parent rest
+
+let resolve_afa t frame =
   t.epoch <- t.epoch + 1;
   let value = if frame.may_accept_value then element_value frame else "" in
-  let accept_ok s =
-    t.plain_accept.(s)
-    ||
-    let values = t.value_accepts.(s) in
-    let n = Array.length values in
-    let rec scan i = i < n && (String.equal values.(i) value || scan (i + 1)) in
-    n > 0 && scan 0
-  in
-  (* A qualifier not yet settled at this node reads as false: sound (sat
-     never set prematurely), and the passes after its settlement catch any
-     state that was waiting on it. *)
-  let checks_hold s =
-    let rec go = function
-      | [] -> true
-      | q :: rest ->
-        t.qval_epoch.(q) = t.epoch && t.qvals.(q) && go rest
-    in
-    go nfa.Nfa.checks.(s)
-  in
-  let try_state s =
-    Bytes.get mark s <> '\000'
-    && Bytes.get sat s = '\000'
-    && checks_hold s
-    && (Bytes.get frame.contrib s <> '\000'
-       || accept_ok s
-       ||
-       let rec eps_sat = function
-         | [] -> false
-         | s' :: rest -> Bytes.get sat s' <> '\000' || eps_sat rest
-       in
-       eps_sat nfa.Nfa.eps.(s))
-  in
-  let fixpoint states =
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun s ->
-          if try_state s then begin
-            Bytes.set sat s '\001';
-            changed := true
-          end)
-        states
-    done
-  in
   (* Settle in dependency order; each pass runs over all active states —
      strata are eps-closed inside the active set, and reruns are monotone
      no-ops. *)
   (match frame.quals_here with
   | [] -> ()
   | _ :: _ ->
-    Array.iter
-      (fun q ->
-        if Bytes.get frame.here_mark q <> '\000' then begin
-          fixpoint frame.active;
-          t.qvals.(q) <-
-            Afa.eval t.mfa.Mfa.quals.(q) (fun aid ->
-                Bytes.get sat (t.mfa.Mfa.atoms.(aid)).Afa.start <> '\000');
-          t.qval_epoch.(q) <- t.epoch
-        end)
-      t.qual_order);
-  fixpoint frame.active;
-  (* Publish the values selection runs assumed at this node. *)
-  List.iter
-    (fun q ->
-      Hashtbl.replace t.cond_val (q, frame.node) t.qvals.(q);
-      t.stats.Stats.quals_resolved <- t.stats.Stats.quals_resolved + 1)
-    frame.requested;
+    for i = 0 to Array.length t.qual_order - 1 do
+      let q = t.qual_order.(i) in
+      if Bytes.get frame.here_mark q <> '\000' then begin
+        fixpoint t frame value;
+        t.qvals.(q) <- qual_holds t frame.sat t.mfa.Mfa.quals.(q);
+        t.qval_epoch.(q) <- t.epoch
+      end
+    done);
+  fixpoint t frame value;
+  publish t frame.node frame.requested;
   (* Contribute upward: parent-active states that can step into this node
      and accept inside it. *)
   if t.depth >= 2 then begin
     let parent = t.frames.(t.depth - 2) in
-    match t.tables with
-    | Some tb ->
-      List.iter
-        (fun s ->
-          if Bytes.get parent.contrib s = '\000' then begin
-            let tg = Tables.targets tb s frame.tag in
-            let n = Array.length tg in
-            let rec scan i =
-              if i < n then
-                if Bytes.get sat tg.(i) <> '\000' then
-                  Bytes.set parent.contrib s '\001'
-                else scan (i + 1)
-            in
-            scan 0
-          end)
-        parent.active
-    | None ->
-      let rec feed = function
-        | [] -> ()
-        | s :: rest ->
-          if Bytes.get parent.contrib s = '\000' then begin
-            let rec scan = function
-              | [] -> ()
-              | (test, s') :: more ->
-                if kind_matches test frame.kind && Bytes.get sat s' <> '\000'
-                then Bytes.set parent.contrib s '\001'
-                else scan more
-            in
-            scan nfa.Nfa.delta.(s)
-          end;
-          feed rest
-      in
-      feed parent.active
+    contribute t frame parent parent.active
   end
 
 let leave t =
   if t.depth = 0 then raise (Driver_error "leave without enter");
   let frame = t.frames.(t.depth - 1) in
-  if frame.active <> [] || frame.quals_here <> [] then resolve_afa t frame;
+  (match (frame.active, frame.quals_here) with
+  | [], [] -> ()
+  | _ -> resolve_afa t frame);
   t.depth <- t.depth - 1
 
 let entered_candidate t = t.entered_candidate
@@ -916,14 +879,9 @@ let exists_live_state t p =
   if t.depth = 0 then
     raise (Driver_error "exists_live_state without a current node");
   let frame = t.frames.(t.depth - 1) in
-  match t.tables with
-  | Some _ ->
-    Array.exists p frame.set_states
-    || List.exists (fun (it : item) -> p it.state) frame.cond_items
-    || List.exists p frame.active
-  | None ->
-    List.exists (fun item -> p item.state) frame.items
-    || List.exists p frame.active
+  Array.exists p frame.set_states
+  || List.exists (fun (it : item) -> p it.state) frame.items
+  || List.exists p frame.active
 
 let may_accept_value_here t =
   if t.depth = 0 then
@@ -934,13 +892,11 @@ let finish t =
   if t.depth <> 0 then raise (Driver_error "finish with open nodes");
   if t.finished then raise (Driver_error "finish called twice");
   t.finished <- true;
-  let lookup cond =
-    match Hashtbl.find_opt t.cond_val cond with
+  let lookup (q, node) =
+    match Int_tbl.find_opt t.cond_val ((node * t.n_quals) + q) with
     | Some v -> v
     | None ->
-      raise
-        (Driver_error
-           (Printf.sprintf "unresolved condition q%d@%d" (fst cond) (snd cond)))
+      raise (Driver_error (Printf.sprintf "unresolved condition q%d@%d" q node))
   in
   let per = Array.map (fun c -> Cans.resolve c ~lookup) t.cans in
   t.stats.Stats.answers <-

@@ -48,6 +48,16 @@ let prune_table mfa tree =
         else Check (Array.of_list !ids, text))
     needs
 
+let rec tags_present idx n ids i =
+  i >= Array.length ids
+  || (Tax.mem idx n ids.(i) && tags_present idx n ids (i + 1))
+
+(* Can a run in state [s] at node [n] still accept below it? *)
+let state_useful info idx n has_text s =
+  match info.(s) with
+  | Prune_always -> false
+  | Check (ids, text) -> ((not text) || has_text) && tags_present idx n ids 0
+
 let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
     ?(use_tables = true) ?memo_cap ?shared mfa tree =
   (* A table built for exactly this tree can be reused (the plan
@@ -111,11 +121,15 @@ let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
         Trace.mark tr d m
       done
   in
-  let kind_of n =
-    if Tree.is_text tree n then
+  (* one element kind per tag id, shared by every node of that tag *)
+  let elements =
+    Array.init (Tree.n_tags tree) (fun tag -> Engine.El (Tree.tag_name tree tag))
+  in
+  let kind_of n tag =
+    if tag = Tree.text_tag then
       let backing, off, len = Tree.content_slice tree n in
       Engine.Tx_sub (backing, off, len)
-    else Engine.El (Tree.name tree n)
+    else elements.(tag)
   in
   let descend_check =
     match tax with
@@ -123,35 +137,32 @@ let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
     | Some idx ->
       let info = prune_table mfa tree in
       fun n ->
-        if Tree.is_text tree n then false (* no children anyway *)
-        else if Tree.subtree_size tree n < prune_threshold then true
+        if Tree.subtree_size tree n < prune_threshold then true
           (* a small subtree costs less to scan than to test for pruning *)
         else begin
           let has_text = Tax.has_text idx n in
           (Engine.may_accept_value_here engine && has_text)
-          ||
-          let state_useful s =
-            match info.(s) with
-            | Prune_always -> false
-            | Check (ids, text) ->
-              ((not text) || has_text)
-              && Array.for_all (fun id -> Tax.mem idx n id) ids
-          in
-          Engine.exists_live_state engine state_useful
+          || Engine.exists_live_state engine (state_useful info idx n has_text)
         end
   in
+  (* Children by pre-order links: the first child is [n + 1], the next
+     sibling of [c] is [subtree_end c]; a childless node ends at [n + 1]. *)
   let rec visit n =
     checkpoint ();
-    match
-      Engine.enter_tagged engine ~id:n ~tag:(Tree.tag_id tree n)
-        ~kind:(kind_of n)
-    with
+    let tag = Tree.tag_id tree n in
+    match Engine.enter_tagged engine ~id:n ~tag ~kind:(kind_of n tag) with
     | Engine.Dead -> skip_subtree n Trace.Skipped_dead `Dead
     | Engine.Alive ->
-      (if tax = None || Tree.first_child tree n = None || descend_check n then
-         Tree.iter_children tree n visit
+      let stop = Tree.subtree_end tree n in
+      (if stop = n + 1 then ()
+       else if descend_check n then visit_children (n + 1) stop
        else skip_subtree n Trace.Pruned_tax `Tax);
       Engine.leave engine
+  and visit_children c stop =
+    if c < stop then begin
+      visit c;
+      visit_children (Tree.subtree_end tree c) stop
+    end
   in
   let budget_hit = ref None in
   (try

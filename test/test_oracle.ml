@@ -6,6 +6,7 @@
 module Engine = Smoqe.Engine
 module Session = Smoqe.Session
 module Stats = Smoqe_hype.Stats
+module Eval_dom = Smoqe_hype.Eval_dom
 module Derive = Smoqe_security.Derive
 module Materialize = Smoqe_security.Materialize
 module Naive = Smoqe_baseline.Naive
@@ -84,6 +85,30 @@ let check_shared_plan label engine ~mode text =
     (okr (Engine.query_robust engine ~group:"members" ~mode text))
       .Engine.stats.Stats.plan_cache_hit
 
+(* The generic path ([~use_tables:false]) is the reference for the table
+   path: on the served automaton both give the same answers and do the
+   same work — the same nodes visited and skipped, the same Cans entries,
+   conditions and qualifier instances, the same peak item count. *)
+let work_counters (r : Eval_dom.result) =
+  let s = r.Eval_dom.stats in
+  [ ("nodes_entered", s.Stats.nodes_entered);
+    ("nodes_alive", s.Stats.nodes_alive);
+    ("nodes_skipped_dead", s.Stats.nodes_skipped_dead);
+    ("candidates", s.Stats.candidates);
+    ("conds_created", s.Stats.conds_created);
+    ("quals_resolved", s.Stats.quals_resolved);
+    ("atom_instances", s.Stats.atom_instances);
+    ("cans_size", r.Eval_dom.cans_size);
+    ("max_items", s.Stats.max_items) ]
+
+let check_paths_agree label mfa doc =
+  let tables = Eval_dom.run mfa doc in
+  let generic = Eval_dom.run ~use_tables:false mfa doc in
+  Alcotest.(check (list int)) (label "tables = generic answers")
+    generic.Eval_dom.answers tables.Eval_dom.answers;
+  Alcotest.(check (list (pair string int))) (label "tables = generic work")
+    (work_counters generic) (work_counters tables)
+
 (* One workload: every query, both modes, cold then warm; the warm run
    must be a cache hit and byte-identical to the cold one. *)
 let battery ~name ~dtd ~policy ~doc queries =
@@ -146,6 +171,20 @@ let test_hospital () =
 let test_bib () =
   let doc = Bib.generate ~seed:11 ~n_books:4 ~section_depth:3 () in
   battery ~name:"bib" ~dtd:Bib.dtd ~policy:Bib.policy ~doc Queries.bib_suite
+
+(* Table path against the generic reference on the serving workload:
+   V1–V5 rewritten for a member group, Q1–Q8 as the administrator. *)
+let test_paths_agree_hospital () =
+  let doc = Hospital.generate ~seed:5 ~n_patients:200 ~recursion_depth:3 () in
+  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  ok (Engine.register_policy engine ~group:"members" Hospital.policy);
+  let agree ?group (qname, text) =
+    let served = okr (Engine.query_robust engine ?group text) in
+    check_paths_agree (Printf.sprintf "hospital %s: %s" qname)
+      served.Engine.mfa doc
+  in
+  List.iter (agree ~group:"members") Queries.view_suite;
+  List.iter agree Queries.suite
 
 (* Sessions take the same road as Engine.query_robust; spot-check the
    oracle holds through the login path too. *)
@@ -217,6 +256,9 @@ let property_case seed =
         okr (Engine.query_robust engine ~group:"members" ~mode text)
       in
       let dom = run Engine.Dom in
+      check_paths_agree
+        (fun w -> Printf.sprintf "seed %d: %s (%s)" seed w text)
+        dom.Engine.mfa doc;
       let stax = run Engine.Stax in
       Alcotest.(check (list int))
         (Printf.sprintf "seed %d: dom = oracle (%s)" seed text)
@@ -1143,6 +1185,8 @@ let () =
           Alcotest.test_case "hospital battery" `Quick test_hospital;
           Alcotest.test_case "bib battery" `Quick test_bib;
           Alcotest.test_case "session path" `Quick test_session_oracle;
+          Alcotest.test_case "hospital: tables = generic work" `Quick
+            test_paths_agree_hospital;
         ] );
       ( "property",
         [ Alcotest.test_case "random views, dom=stax=oracle" `Quick

@@ -1,6 +1,7 @@
 (* The table layer in isolation: tree and stream specialization,
    wildcard/text columns, unseen-tag behavior, memo eviction under a tiny
-   cap, and plan-riding invalidation through replace_document. *)
+   cap, plan-riding invalidation through replace_document, and the
+   allocation bound of a warm table-path run. *)
 
 module Tree = Smoqe_xml.Tree
 module Parser = Smoqe_xml.Parser
@@ -14,6 +15,8 @@ module Eval_stax = Smoqe_hype.Eval_stax
 module Stats = Smoqe_hype.Stats
 module Engine = Smoqe.Engine
 module Rx_parser = Smoqe_rxpath.Parser
+module Hospital = Smoqe_workload.Hospital
+module Queries = Smoqe_workload.Queries
 
 let ok = function
   | Ok v -> v
@@ -268,6 +271,36 @@ let test_disabled_counters_quiet () =
     on.Eval_stax.captured off.Eval_stax.captured;
   quiet "stax" off.Eval_stax.stats
 
+(* A warm table-path run allocates little per entered node: no closure,
+   option or tuple is built per node, so what remains is the per-node
+   item and Cans bookkeeping.  Tables are built outside the measured run,
+   as a served plan carries them, and one warm-up run precedes it. *)
+let test_warm_run_alloc () =
+  let doc = Hospital.generate ~seed:1 ~n_patients:200 ~recursion_depth:3 () in
+  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  ok (Engine.register_policy engine ~group:"staff" Hospital.policy);
+  let bytes_per_node ?group text =
+    let mfa = (okr (Engine.query_robust engine ?group text)).Engine.mfa in
+    let tables = Tables.of_tree mfa.Mfa.nfa doc in
+    ignore (Eval_dom.run ~tables mfa doc);
+    let before = Gc.minor_words () in
+    let r = Eval_dom.run ~tables mfa doc in
+    let words = Gc.minor_words () -. before in
+    words *. float (Sys.word_size / 8)
+    /. float (max 1 r.Eval_dom.stats.Stats.nodes_entered)
+  in
+  let over ?group bound (name, text) =
+    let b = bytes_per_node ?group text in
+    Printf.printf "%s: %.0f B per entered node (bound %.0f)\n" name b bound;
+    if b > bound then Some name else None
+  in
+  let failed =
+    List.filter_map (over ~group:"staff" 300.) Queries.view_suite
+    @ List.filter_map (over 160.) Queries.suite
+  in
+  if failed <> [] then
+    Alcotest.failf "over the allocation bound: %s" (String.concat ", " failed)
+
 let () =
   Alcotest.run "smoqe_tables"
     [
@@ -292,5 +325,7 @@ let () =
             test_replace_document_invalidation;
           Alcotest.test_case "disabled: quiet counters" `Quick
             test_disabled_counters_quiet;
+          Alcotest.test_case "warm run allocation per node" `Quick
+            test_warm_run_alloc;
         ] );
     ]
