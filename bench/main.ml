@@ -1186,11 +1186,23 @@ let e15 () =
     if smoke then Docgen.generate ~seed:5 ~max_depth:10 ~fanout:4 dtd
     else Docgen.generate ~seed:5 ~max_depth:12 ~fanout:5 dtd
   in
-  let engine = Engine.of_tree ~dtd doc in
-  ok (Engine.register_policy engine ~group:"members" policy);
-  (* every member plan plus the batch plan must stay resident, or the
-     sequential arm re-compiles inside the timed loop *)
-  Engine.set_plan_cache_capacity engine 256;
+  let engine_for mode =
+    let engine =
+      match mode with
+      | Engine.Dom -> Engine.of_tree ~dtd doc
+      | Engine.Stax ->
+        (* StAX scans bytes: an engine holding only the tree would answer
+           this leg with the DOM driver *)
+        okr
+          (Engine.of_string_robust ~dtd
+             (Serializer.to_string ~indent:false doc))
+    in
+    ok (Engine.register_policy engine ~group:"members" policy);
+    (* every member plan plus the batch plan must stay resident, or the
+       sequential arm re-compiles inside the timed loop *)
+    Engine.set_plan_cache_capacity engine 256;
+    engine
+  in
   Printf.printf "document: %d nodes (random recursive DTD, 12 types)\n"
     (Tree.n_nodes doc);
   (* Every spine is a descendant chain ending at t9 — a live type on the
@@ -1221,6 +1233,7 @@ let e15 () =
     "batch" "amort/q" "ratio" "merge";
   List.iter
     (fun (mode, mname) ->
+      let engine = engine_for mode in
       List.iter
         (fun n ->
           let texts = List.filteri (fun i _ -> i < n) mix in

@@ -1,6 +1,6 @@
-(* StAX mode on a document larger than you would want to hold as a DOM:
-   the file is written to disk, then queried in a single sequential scan
-   through the pull parser — the engine never builds the tree.
+(* StAX mode over a file: the document is written to disk, loaded once,
+   then every query is answered by a single sequential scan of the file
+   through the pull parser — the scan builds no tree and no event list.
 
    Run with: dune exec examples/streaming.exe *)
 

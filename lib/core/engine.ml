@@ -52,10 +52,13 @@ type mode =
   | Dom
   | Stax
 
+(* The document's bytes, which StAX scans.  An engine built from a tree,
+   or whose document has changed since load, has none ([source = None]).
+   A file carries its size and mtime at load: a file that no longer
+   matches them is not the document the engine holds. *)
 type source =
   | From_string of string
-  | From_file of string
-  | From_tree
+  | From_file of string * (int * float)
 
 (* A cached plan: the compiled (possibly rewritten) automaton plus the
    compile-time facts a later hit needs — the state count for budget
@@ -72,9 +75,9 @@ type plan = {
          the table machinery below applies to batches unchanged);
          absent on a single-query plan *)
   plan_compile_ms : float;
-  plan_tables : (Tree.t * Tables.t) option Atomic.t;
-      (* The table specialization riding the plan, tagged with the
-         tree it was built for.  Tag lineage is the validity key
+  plan_tables : Tables.t option Atomic.t;
+      (* The table specialization riding the plan.  The tag lineage of
+         the tree it was built for is the validity key
          ([Tables.built_for]): an incremental update that splices the
          tree without interning any new tag preserves the interning token,
          and the table — pure tag-id arithmetic — stays valid; a swap to
@@ -100,7 +103,7 @@ type plan = {
 type t = {
   lock : Mutex.t;
   mutable tree : Tree.t;
-  mutable source : source;
+  mutable source : source option;
   dtd : Dtd.t option;
   mutable tax : Tax.t option;
   plan_cache : plan Plan_cache.t;
@@ -115,7 +118,7 @@ type t = {
    entirely against the tree/index pair it started with. *)
 type snapshot = {
   snap_tree : Tree.t;
-  snap_source : source;
+  snap_source : source option;
   snap_tax : Tax.t option;
 }
 
@@ -156,7 +159,17 @@ let validate_against dtd tree =
     Error (Fmt.str "document invalid: %a" Validator.pp_error err)
   | Error [] -> Ok ()
 
-let of_tree ?dtd tree = make ?dtd tree From_tree
+let of_tree ?dtd tree = make ?dtd tree None
+
+let with_file path f =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
+
+(* Size and mtime of the file open on [ic], so the stamp and the bytes
+   read through [ic] are of one file. *)
+let stamp_of ic =
+  let st = Unix.fstat (Unix.descr_of_in_channel ic) in
+  (st.Unix.st_size, st.Unix.st_mtime)
 
 let with_dtd ?dtd tree source =
   match dtd with
@@ -175,18 +188,24 @@ let of_string_robust ?budget ?dtd input =
   match Error.guard (fun () -> Parser.tree_of_string ?budget input) with
   | Error e -> Error e
   | Ok tree ->
-    (match with_dtd ?dtd tree (From_string input) with
+    (match with_dtd ?dtd tree (Some (From_string input)) with
     | Ok t -> Ok t
     | Error msg -> Error (Error.Parse_error { loc = None; msg }))
 
 let of_file_robust ?budget ?dtd path =
-  match Error.guard (fun () -> Parser.tree_of_file ?budget path) with
+  match
+    Error.guard (fun () ->
+        (* stamped before the parse, so a write that lands during it
+           changes the stamp too *)
+        let stamp = with_file path stamp_of in
+        (stamp, Parser.tree_of_file ?budget path))
+  with
   | Error (Error.Parse_error { loc = Some l; msg }) when l.Error.file = None ->
     Error
       (Error.Parse_error { loc = Some { l with Error.file = Some path }; msg })
   | Error e -> Error e
-  | Ok tree ->
-    (match with_dtd ?dtd tree (From_file path) with
+  | Ok (stamp, tree) ->
+    (match with_dtd ?dtd tree (Some (From_file (path, stamp))) with
     | Ok t -> Ok t
     | Error msg -> Error (Error.Parse_error { loc = None; msg }))
 
@@ -260,7 +279,7 @@ let replace_document t tree =
   | Ok () ->
     locked t (fun () ->
         t.tree <- tree;
-        t.source <- From_tree;
+        t.source <- None;
         (* the index describes the old tree *)
         t.tax <- None;
         Plan_cache.invalidate_all t.plan_cache);
@@ -570,17 +589,17 @@ let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
   (* Warm queries reuse the table riding the plan — for a merged
      plan it covers the whole combined automaton, so a warm batch skips
      both the merge and the specialization.  A cold plan (or one whose
-     snapshot tree left the cached pair's tag lineage — a
+     snapshot tree left the cached table's tag lineage — a
      replace_document raced the plan fetch, or an update interned new
      tags) specializes and publishes.  The publish is a plain Atomic.set:
      both sides of any race hold tables valid for their own snapshot, and
      Eval_dom re-validates with [Tables.built_for] anyway. *)
   let tables, spec_us =
     match Atomic.get plan.plan_tables with
-    | Some (_, tb) when Tables.built_for tb snap.snap_tree -> (tb, 0)
+    | Some tb when Tables.built_for tb snap.snap_tree -> (tb, 0)
     | Some _ | None ->
       let tb = Tables.of_tree mfa.Mfa.nfa snap.snap_tree in
-      Atomic.set plan.plan_tables (Some (snap.snap_tree, tb));
+      Atomic.set plan.plan_tables (Some tb);
       (tb, Tables.spec_us tb)
   in
   let r =
@@ -623,11 +642,11 @@ let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
         pass_cans = r.Eval_dom.m_cans_size;
       }
 
-let run_stax snap plan ?budget ?trace () =
-  let run input =
+let run_stax source plan ?budget ?trace () =
+  let run pull =
     let r =
       Eval_stax.run_slots ~capture:true ?budget ?trace
-        ?shared:plan.plan_shared plan.plan_mfa input
+        ?shared:plan.plan_shared plan.plan_mfa pull
     in
     match r.Eval_stax.m_budget_hit with
     | Some hit -> Error (budget_error hit r.Eval_stax.m_stats)
@@ -640,14 +659,13 @@ let run_stax snap plan ?budget ?trace () =
           pass_cans = r.Eval_stax.m_cans_size;
         }
   in
-  match snap.snap_source with
-  | From_string s -> run (Eval_stax.Stream (Pull.of_string s))
-  | From_file path ->
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> run (Eval_stax.Stream (Pull.of_channel ic)))
-  | From_tree -> run (Eval_stax.Tree snap.snap_tree)
+  match source with
+  | From_string s -> run (Pull.of_string s)
+  | From_file (path, stamp) ->
+    with_file path (fun ic ->
+        if stamp_of ic <> stamp then
+          raise (Sys_error (path ^ ": changed since the document was loaded"));
+        run (Pull.of_channel ic))
 
 (* The one evaluation of a plan, degradation ladder included. *)
 let evaluate snap plan ~mode ?use_index ?budget ?trace () =
@@ -671,12 +689,14 @@ let evaluate snap plan ~mode ?use_index ?budget ?trace () =
       }
   end
   else
-    match mode with
-    | Dom -> dom ~degraded_from_stax:false
-    | Stax ->
+    match (mode, snap.snap_source) with
+    | Dom, _ | Stax, None ->
+      (* no bytes to scan: DOM yields the same answers and fragments *)
+      dom ~degraded_from_stax:false
+    | Stax, Some source ->
       (match
          Result.join
-           (Error.guard (fun () -> run_stax snap plan ?budget ?trace ()))
+           (Error.guard (fun () -> run_stax source plan ?budget ?trace ()))
        with
       | Ok pass -> Ok pass
       | Error ((Error.Budget_exceeded _ | Error.Query_error _
@@ -684,8 +704,9 @@ let evaluate snap plan ~mode ?use_index ?budget ?trace () =
         Error e
       | Error stax_failure ->
         (* Degradation ladder: a StAX driver failure (I/O fault, parse
-           error on the stored source, contract violation) is retried once
-           in DOM mode on the already-loaded tree. *)
+           error on the stored source, a file changed since load, contract
+           violation) is retried once in DOM mode on the already-loaded
+           tree. *)
         Log.warn (fun m ->
             m "StAX evaluation failed (%s): retrying in DOM mode"
               (Error.to_string stax_failure));
@@ -863,7 +884,7 @@ let update_robust t ?group op =
                   if t.tree != old_tree then None
                   else begin
                     t.tree <- new_tree;
-                    t.source <- From_tree;
+                    t.source <- None;
                     t.tax <- new_tax;
                     Some
                       (Plan_cache.invalidate_tags t.plan_cache

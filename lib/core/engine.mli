@@ -17,7 +17,8 @@
     plain message.  Two degradations are applied rather than failing,
     and recorded in [outcome.stats]: an unavailable index downgrades to
     an unindexed DOM pass ([degraded_no_index]), and a StAX driver
-    failure is retried once in DOM mode ([degraded_stax_retry]).
+    failure — an I/O fault, a parse error, a file changed since load —
+    is retried once in DOM mode on the held tree ([degraded_stax_retry]).
 
     {b Concurrency.}  The query path is domain-safe: any number of
     domains — a caller's own domain pool, say — may call {!query_robust}
@@ -33,7 +34,12 @@ type t
 
 type mode =
   | Dom  (** in-memory evaluation, TAX-prunable *)
-  | Stax  (** single sequential scan of the stored source *)
+  | Stax
+      (** single sequential scan of the document's bytes — the string or
+          file the engine was loaded from.  An engine built by {!of_tree},
+          or whose document changed through {!replace_document} or an
+          update, holds no bytes: it answers with the DOM driver, whose
+          answers and [answer_xml] are the same. *)
 
 type outcome = {
   answers : int list;  (** answer node ids (document pre-order) *)

@@ -2,7 +2,7 @@
     traversal (paper §3, Evaluator).
 
     The engine is document-representation agnostic: {!Eval_dom} drives it
-    from a tree, {!Eval_stax} from a parser cursor or a flat tree walk.
+    from a tree, {!Eval_stax} from a parser cursor.
     Drivers feed it a pre-order visit: [enter] at each node, [leave] when
     its subtree closes.
 

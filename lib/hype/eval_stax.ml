@@ -1,5 +1,4 @@
 module Pull = Smoqe_xml.Pull
-module Tree = Smoqe_xml.Tree
 module Serializer = Smoqe_xml.Serializer
 module Budget = Smoqe_robust.Budget
 module Failpoint = Smoqe_robust.Failpoint
@@ -24,13 +23,6 @@ type many_result = {
   m_budget_hit : (string * string) option;
 }
 
-(* Per open element: was the engine entered for it, and are its children
-   processed?  Children of a Dead node are skipped without engine calls,
-   but still consume pre-order ids so that answers align with DOM ids. *)
-type level =
-  | Entered_alive
-  | Skipped
-
 (* An in-flight capture of a candidate subtree: everything scanned while
    it is open is appended (including regions the engine skipped — they
    are part of the fragment even if no run is alive there). *)
@@ -40,13 +32,14 @@ type capture = {
   mutable open_elements : int;
 }
 
-(* [run_core] is written against three per-event handlers rather than an
-   event stream: both drivers below (a parser cursor, a tree walk) feed
-   the engine shared names and borrowed [Tx_sub] text spans, so on the
-   fast path (no capture in progress) nothing is copied.  Attribute lists
-   and text copies are behind thunks, forced only while a capture is
+(* The one driver: a single loop over the parser cursor.  Names arrive
+   interned, text as a borrowed [Tx_sub] span consumed inside the event
+   (enter -> capture -> leave) before the next [cursor_next] invalidates
+   it, so on the fast path (no capture in progress) nothing is copied.
+   Attributes and text are materialized only while a capture is
    actually recording. *)
-let run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive =
+let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
+    ?shared mfa pull =
   (* Streaming has no tag universe up front: the table covers the
      automaton's element names, and any other stream tag takes the
      wildcard column. *)
@@ -95,15 +88,15 @@ let run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive =
       Budget.check_deadline b
   in
   let next_id = ref 0 in
-  let fresh_id () =
-    let id = !next_id in
-    incr next_id;
-    id
-  in
+  (* Per open element: was the engine entered for it, and did it stay
+     alive?  Children of any other are skipped without engine calls, but
+     still take pre-order ids so that answers align with DOM ids. *)
   let stack = ref [] in
   let mark id m = match trace with None -> () | Some tr -> Trace.mark tr id m in
-  let parent_alive () =
-    match !stack with [] -> true | level :: _ -> level = Entered_alive
+  let parent_alive () = match !stack with [] -> true | alive :: _ -> alive in
+  let skip_dead id =
+    stats.Stats.nodes_skipped_dead <- stats.Stats.nodes_skipped_dead + 1;
+    mark id Trace.Skipped_dead
   in
   (* capturing *)
   let open_captures = ref [] in
@@ -170,137 +163,74 @@ let run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive =
     if capture && is_candidate then
       Hashtbl.replace finished_captures id (Serializer.escape_text content)
   in
-  (* Attribute/text thunks are forced only when some capture buffer will
-     consume the result — the guards mirror the no-op conditions of
-     [cap_start]/[cap_text], so behaviour is unchanged. *)
-  let on_start name attrs_fn =
-    checkpoint ();
-    let id = fresh_id () in
-    if parent_alive () then begin
-      (match Engine.enter engine ~id ~kind:(Engine.El name) with
-      | Engine.Alive -> stack := Entered_alive :: !stack
-      | Engine.Dead ->
-        mark id Trace.Skipped_dead;
-        stack := Skipped :: !stack);
-      let candidate = Engine.entered_candidate engine in
-      if !open_captures <> [] || (capture && candidate) then
-        cap_start ~candidate id name (attrs_fn ())
-    end
-    else begin
-      stats.Stats.nodes_skipped_dead <- stats.Stats.nodes_skipped_dead + 1;
-      mark id Trace.Skipped_dead;
-      stack := Skipped :: !stack;
-      if !open_captures <> [] then
-        cap_start ~candidate:false (-1) name (attrs_fn ())
-    end
-  in
-  let on_end name =
-    checkpoint ();
-    (match !stack with
-    | [] -> raise (Engine.Driver_error "unbalanced end event")
-    | level :: rest ->
-      (match level with
-      | Entered_alive -> Engine.leave engine
-      | Skipped -> ());
-      stack := rest);
-    if !open_captures <> [] then cap_end name
-  in
-  let on_text kind content_fn =
-    checkpoint ();
-    let id = fresh_id () in
-    if parent_alive () then begin
-      match Engine.enter engine ~id ~kind with
-      | Engine.Alive ->
-        let candidate = Engine.entered_candidate engine in
-        if !open_captures <> [] || (capture && candidate) then
-          cap_text id (content_fn ()) candidate;
-        Engine.leave engine
-      | Engine.Dead ->
-        if !open_captures <> [] then cap_text id (content_fn ()) false
-    end
-    else begin
-      stats.Stats.nodes_skipped_dead <- stats.Stats.nodes_skipped_dead + 1;
-      mark id Trace.Skipped_dead;
-      if !open_captures <> [] then cap_text id (content_fn ()) false
-    end
-  in
-  let budget_hit = ref None in
-  (try
-     drive ~on_start ~on_end ~on_text;
-     final_check ()
-   with Budget.Exceeded { what; limit } -> budget_hit := Some (what, limit));
-  (engine, stats, finished_captures, !next_id, !budget_hit)
-
-(* Zero-copy driver: names arrive interned from the cursor, text as a
-   borrowed span consumed inside [on_text] (enter → capture → leave)
-   before the next [cursor_next] invalidates it. *)
-let drive_cursor pull ~on_start ~on_end ~on_text =
+  (* Every event is one checkpoint; start and text events take the next
+     pre-order id.  The guards on [cap_start]/[cap_text] are exactly the
+     conditions under which some capture buffer consumes the event. *)
   let rec loop () =
     match Pull.cursor_next pull with
     | Pull.Cursor_eof -> ()
     | Pull.Cursor_start ->
-      on_start (Pull.cur_name pull) (fun () -> Pull.cur_attrs pull);
+      checkpoint ();
+      let id = !next_id in
+      next_id := id + 1;
+      let name = Pull.cur_name pull in
+      let candidate =
+        if parent_alive () then begin
+          (match Engine.enter engine ~id ~kind:(Engine.El name) with
+          | Engine.Alive -> stack := true :: !stack
+          | Engine.Dead ->
+            mark id Trace.Skipped_dead;
+            stack := false :: !stack);
+          Engine.entered_candidate engine
+        end
+        else begin
+          skip_dead id;
+          stack := false :: !stack;
+          false
+        end
+      in
+      if !open_captures <> [] || (capture && candidate) then
+        cap_start ~candidate id name (Pull.cur_attrs pull);
       loop ()
     | Pull.Cursor_end ->
-      on_end (Pull.cur_name pull);
+      checkpoint ();
+      (match !stack with
+      | [] -> raise (Engine.Driver_error "unbalanced end event")
+      | alive :: rest ->
+        if alive then Engine.leave engine;
+        stack := rest);
+      if !open_captures <> [] then cap_end (Pull.cur_name pull);
       loop ()
     | Pull.Cursor_text ->
-      let backing, off, len = Pull.cur_text_span pull in
-      on_text
-        (Engine.Tx_sub (backing, off, len))
-        (fun () -> Pull.cur_text pull);
+      checkpoint ();
+      let id = !next_id in
+      next_id := id + 1;
+      if parent_alive () then begin
+        let backing, off, len = Pull.cur_text_span pull in
+        match
+          Engine.enter engine ~id ~kind:(Engine.Tx_sub (backing, off, len))
+        with
+        | Engine.Alive ->
+          let candidate = Engine.entered_candidate engine in
+          if !open_captures <> [] || (capture && candidate) then
+            cap_text id (Pull.cur_text pull) candidate;
+          Engine.leave engine
+        | Engine.Dead ->
+          if !open_captures <> [] then cap_text id (Pull.cur_text pull) false
+      end
+      else begin
+        skip_dead id;
+        if !open_captures <> [] then cap_text id (Pull.cur_text pull) false
+      end;
       loop ()
   in
-  loop ()
-
-(* In-place driver over a tree: pre-order ids [0 .. n-1] are document
-   order, so an element closes exactly when the walk reaches its
-   [subtree_end].  Open elements sit on an explicit int stack — depth
-   costs heap, never native stack — and text arrives as a [Tx_sub] span
-   into the tree's own byte regions, so the walk copies nothing. *)
-let drive_tree tree ~on_start ~on_end ~on_text =
-  let stack = ref (Array.make 64 0) and top = ref 0 in
-  let close_before i =
-    while !top > 0 && Tree.subtree_end tree !stack.(!top - 1) <= i do
-      decr top;
-      on_end (Tree.name tree !stack.(!top))
-    done
-  in
-  let n = Tree.n_nodes tree in
-  for i = 0 to n - 1 do
-    close_before i;
-    if Tree.is_text tree i then begin
-      let backing, off, len = Tree.content_slice tree i in
-      on_text
-        (Engine.Tx_sub (backing, off, len))
-        (fun () -> Tree.text_content tree i)
-    end
-    else begin
-      on_start (Tree.name tree i) (fun () -> Tree.attributes tree i);
-      if !top = Array.length !stack then begin
-        let grown = Array.make (2 * !top) 0 in
-        Array.blit !stack 0 grown 0 !top;
-        stack := grown
-      end;
-      !stack.(!top) <- i;
-      incr top
-    end
-  done;
-  close_before n
-
-type input =
-  | Stream of Pull.t
-  | Tree of Tree.t
-
-let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
-    ?shared mfa input =
-  let drive =
-    match input with
-    | Stream pull -> drive_cursor pull
-    | Tree tree -> drive_tree tree
-  in
-  let engine, stats, finished_captures, n_nodes, budget_hit =
-    run_core ~capture ?budget ?trace ~use_tables ?memo_cap ?shared mfa drive
+  let budget_hit =
+    match
+      loop ();
+      final_check ()
+    with
+    | () -> None
+    | exception Budget.Exceeded { what; limit } -> Some (what, limit)
   in
   let by_query =
     match budget_hit with
@@ -322,13 +252,13 @@ let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
     by_query_captured = Array.map captured by_query;
     m_stats = stats;
     m_cans_size = Engine.cans_size engine;
-    m_n_nodes = n_nodes;
+    m_n_nodes = !next_id;
     m_budget_hit = budget_hit;
   }
 
 let run ?capture ?budget ?trace ?use_tables ?memo_cap mfa pull =
   let m =
-    run_slots ?capture ?budget ?trace ?use_tables ?memo_cap mfa (Stream pull)
+    run_slots ?capture ?budget ?trace ?use_tables ?memo_cap mfa pull
   in
   {
     answers = m.by_query.(0);

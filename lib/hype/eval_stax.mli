@@ -1,10 +1,10 @@
 (** HyPE over a start/text/end sequence — SMOQE's StAX mode.
 
-    One sequential scan of the document, never materializing a tree or an
-    event list: the driver reads either a parser cursor or a tree already
-    held in memory, in place, assigns pre-order ids on the fly and
-    fast-forwards through subtrees whose root matched no run (the engine
-    is not consulted again until the corresponding end).  Answers are
+    One sequential scan of the document's bytes, never materializing a
+    tree or an event list: the driver reads a parser cursor in place,
+    assigns pre-order ids on the fly and fast-forwards through subtrees
+    whose root matched no run (the engine is not consulted again until
+    the corresponding end).  Answers are
     reported as pre-order ids — identical to the ids a DOM parse of the
     same document would assign.
 
@@ -36,13 +36,6 @@ type many_result = {
   m_budget_hit : (string * string) option;
 }
 
-type input =
-  | Stream of Smoqe_xml.Pull.t  (** the zero-copy cursor over a parser *)
-  | Tree of Smoqe_xml.Tree.t
-      (** an in-memory document, walked in pre-order with an explicit
-          stack (safe at any depth); text is read as spans of the tree's
-          own bytes, attributes only while a capture is recording *)
-
 val run_slots :
   ?capture:bool ->
   ?budget:Smoqe_robust.Budget.t ->
@@ -51,17 +44,15 @@ val run_slots :
   ?memo_cap:int ->
   ?shared:Smoqe_automata.Shared.t ->
   Smoqe_automata.Mfa.t ->
-  input ->
+  Smoqe_xml.Pull.t ->
   many_result
-(** The one streaming driver; {!run} is its single-query form over a
-    parser.  Both inputs feed the engine the same start/text/end sequence
-    for the same document — same ids, budget ticks, trace marks and
-    captured bytes.  Without [shared] the automaton is one query and every
-    array has one slot.  With [shared] — whose merged automaton the
-    [Mfa.t] argument must be — one scan answers every query of the batch:
-    candidates demultiplex through the merge's owner table, the per-node
-    capture store is shared, and the batch counters are recorded.  A
-    tripped budget empties every slot's answers. *)
+(** The one streaming driver; {!run} is its single-query form.  Without
+    [shared] the automaton is one query and every array has one slot.
+    With [shared] — whose merged automaton the [Mfa.t] argument must be —
+    one scan answers every query of the batch: candidates demultiplex
+    through the merge's owner table, the per-node capture store is
+    shared, and the batch counters are recorded.  A tripped budget
+    empties every slot's answers. *)
 
 val run :
   ?capture:bool ->

@@ -32,6 +32,6 @@ val tree_of_file_res :
 val events_of_tree : Tree.t -> Pull.event list
 (** The event stream a streaming parse of the serialized tree would
     produce (text nodes emitted as-is).  A reference for tests and the
-    fuzz harness (DOM ≡ StAX); query serving never builds it — StAX walks
-    a held tree in place ([Eval_stax.Tree]).  Worklist-based: safe on
-    arbitrarily deep documents. *)
+    fuzz harness (DOM ≡ StAX); query serving never builds it — StAX scans
+    a parser cursor, and a held tree is evaluated by the DOM driver.
+    Worklist-based: safe on arbitrarily deep documents. *)

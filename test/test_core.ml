@@ -82,30 +82,42 @@ let test_engine_view_query () =
       Alcotest.(check string) "a medication" "medication" (Tree.name doc n))
     meds.Engine.answers
 
-(* An engine that holds only a tree serves StAX by walking it in place:
-   no per-query copy of the document, so it allocates no more than a
-   scan over the document's bytes.  Both engines answer from a warm plan,
-   so only the evaluation is measured. *)
-let test_stax_tree_walk_alloc () =
-  let doc = Hospital.generate ~seed:5 ~n_patients:200 ~recursion_depth:2 () in
-  let bytes = okr (Engine.of_string_robust (Serializer.to_string doc)) in
-  let tree = Engine.of_tree (Engine.document bytes) in
-  let measure e =
-    let run () = okr (Engine.query_robust e ~mode:Engine.Stax "//medication") in
+(* An engine that holds only a tree has no bytes to scan: its StAX
+   requests are answered by the DOM driver, with the DOM outcome — the
+   same answers, fragments and traversal.  Both modes answer from a warm
+   plan. *)
+let test_stax_on_tree_is_dom () =
+  let doc = Hospital.generate ~seed:5 ~n_patients:40 ~recursion_depth:2 () in
+  let e = Engine.of_tree doc in
+  let warm mode =
+    let run () = okr (Engine.query_robust e ~mode "//medication") in
     ignore (run ());
-    let before = Gc.minor_words () in
-    let o = run () in
-    (o, Gc.minor_words () -. before)
+    run ()
   in
-  let from_bytes, bytes_words = measure bytes in
-  let from_tree, tree_words = measure tree in
-  Alcotest.(check (list int)) "same answers" from_bytes.Engine.answers
-    from_tree.Engine.answers;
-  Alcotest.(check (list string)) "same fragments" from_bytes.Engine.answer_xml
-    from_tree.Engine.answer_xml;
-  if tree_words > 1.1 *. bytes_words then
-    Alcotest.failf "tree walk allocates %.0f words, byte scan %.0f (> 1.1x)"
-      tree_words bytes_words
+  let dom = warm Engine.Dom and stax = warm Engine.Stax in
+  Alcotest.(check (list int)) "same answers" dom.Engine.answers
+    stax.Engine.answers;
+  Alcotest.(check (list string)) "same fragments" dom.Engine.answer_xml
+    stax.Engine.answer_xml;
+  let traversal (s : Smoqe_hype.Stats.t) =
+    [ s.passes_over_data; s.nodes_entered; s.nodes_alive; s.candidates ]
+  in
+  Alcotest.(check (list int)) "same traversal"
+    (traversal dom.Engine.stats) (traversal stax.Engine.stats)
+
+(* StAX reads bytes: an armed ["pull.read"] fires on a byte-backed
+   engine's StAX request and never on a tree-only one. *)
+let test_stax_reads_bytes_only () =
+  let doc = Hospital.generate ~seed:5 ~n_patients:4 ~recursion_depth:1 () in
+  let bytes = okr (Engine.of_string_robust (Serializer.to_string doc)) in
+  let tree = Engine.of_tree doc in
+  let hits e =
+    Smoqe_robust.Failpoint.with_failpoints "pull.read=always" (fun () ->
+        ignore (okr (Engine.query_robust e ~mode:Engine.Stax "//pname"));
+        Smoqe_robust.Failpoint.hits "pull.read")
+  in
+  Alcotest.(check bool) "fires on the byte scan" true (hits bytes > 0);
+  Alcotest.(check int) "never on the held tree" 0 (hits tree)
 
 let test_engine_unknown_group () =
   let e = hospital_engine () in
@@ -325,8 +337,10 @@ let () =
           Alcotest.test_case "input errors" `Quick test_engine_of_string_errors;
           Alcotest.test_case "direct query" `Quick test_engine_direct_query;
           Alcotest.test_case "modes agree" `Quick test_engine_modes_agree;
-          Alcotest.test_case "stax tree walk allocation" `Quick
-            test_stax_tree_walk_alloc;
+          Alcotest.test_case "stax on a tree-only engine is dom" `Quick
+            test_stax_on_tree_is_dom;
+          Alcotest.test_case "stax reads bytes only" `Quick
+            test_stax_reads_bytes_only;
           Alcotest.test_case "view query" `Quick test_engine_view_query;
           Alcotest.test_case "unknown group" `Quick test_engine_unknown_group;
           Alcotest.test_case "bad query" `Quick test_engine_bad_query;

@@ -4,6 +4,7 @@
 module Tree = Smoqe_xml.Tree
 module Xml_parser = Smoqe_xml.Parser
 module Serializer = Smoqe_xml.Serializer
+module Pull = Smoqe_xml.Pull
 module Ast = Smoqe_rxpath.Ast
 module Rx_parser = Smoqe_rxpath.Parser
 module Pretty = Smoqe_rxpath.Pretty
@@ -24,6 +25,9 @@ let parse s =
 
 let doc s = Xml_parser.tree_of_string s
 
+(* StAX reads bytes: a held tree is streamed from its serialization. *)
+let stream t = Pull.of_string (Serializer.to_string ~indent:false t)
+
 let dom_answers ?tax t q = Eval_dom.eval ?tax t (parse q)
 let oracle_answers t q = Semantics.answer_list t (parse q)
 
@@ -32,7 +36,7 @@ let check_against_oracle ?tax t q =
     (Printf.sprintf "dom vs oracle: %s" q)
     (oracle_answers t q) (dom_answers ?tax t q);
   let mfa = Compile.compile (parse q) in
-  let stax = Eval_stax.run_slots mfa (Eval_stax.Tree t) in
+  let stax = Eval_stax.run_slots mfa (stream t) in
   Alcotest.(check (list int))
     (Printf.sprintf "stax vs oracle: %s" q)
     (oracle_answers t q) stax.Eval_stax.by_query.(0)
@@ -176,7 +180,7 @@ let test_stax_matches_dom () =
   List.iter
     (fun q ->
       let mfa = Compile.compile (parse q) in
-      let stax = Eval_stax.run_slots mfa (Eval_stax.Tree t) in
+      let stax = Eval_stax.run_slots mfa (stream t) in
       Alcotest.(check (list int)) q (dom_answers t q)
         stax.Eval_stax.by_query.(0);
       Alcotest.(check int)
@@ -196,7 +200,7 @@ let test_stax_capture () =
   List.iter
     (fun q ->
       let mfa = Compile.compile (parse q) in
-      let r = Eval_stax.run_slots ~capture:true mfa (Eval_stax.Tree t) in
+      let r = Eval_stax.run_slots ~capture:true mfa (stream t) in
       Alcotest.(check int) (q ^ " captured all answers")
         (List.length r.Eval_stax.by_query.(0))
         (List.length r.Eval_stax.by_query_captured.(0));
@@ -216,14 +220,14 @@ let test_stax_capture () =
 let test_stax_capture_off_by_default () =
   let t = Lazy.force hospital in
   let mfa = Compile.compile (parse "patient") in
-  let r = Eval_stax.run_slots mfa (Eval_stax.Tree t) in
+  let r = Eval_stax.run_slots mfa (stream t) in
   Alcotest.(check (list (pair int string))) "no captures" []
     r.Eval_stax.by_query_captured.(0)
 
 let test_stax_single_pass_stats () =
   let t = Lazy.force hospital in
   let mfa = Compile.compile (parse q0') in
-  let r = Eval_stax.run_slots mfa (Eval_stax.Tree t) in
+  let r = Eval_stax.run_slots mfa (stream t) in
   Alcotest.(check int) "one pass" 1
     r.Eval_stax.m_stats.Stats.passes_over_data
 
@@ -359,7 +363,7 @@ let test_deep_document_recursion () =
   Alcotest.(check int) "nodes" (depth + 1) (Tree.n_nodes t);
   Alcotest.(check int) "one leaf" 1 (List.length (dom_answers t "(a)*/leaf"));
   let mfa = Compile.compile (parse "//leaf") in
-  let r = Eval_stax.run_slots mfa (Eval_stax.Tree t) in
+  let r = Eval_stax.run_slots mfa (stream t) in
   Alcotest.(check int) "stax deep" 1 (List.length r.Eval_stax.by_query.(0))
 
 (* --- Property tests: HyPE = oracle --------------------------------------- *)
@@ -439,9 +443,12 @@ let prop_dom_equals_oracle =
 let prop_stax_equals_oracle =
   QCheck2.Test.make ~count:1000 ~name:"HyPE StAX = oracle" ~print:print_case
     case_gen (fun (t, p) ->
+      (* [doc_gen] makes adjacent text siblings, which a parse merges: the
+         oracle reads the tree of the very bytes StAX scans *)
+      let bytes = Serializer.to_string ~indent:false t in
       let mfa = Compile.compile p in
-      (Eval_stax.run_slots mfa (Eval_stax.Tree t)).Eval_stax.by_query.(0)
-      = Semantics.answer_list t p)
+      (Eval_stax.run_slots mfa (Pull.of_string bytes)).Eval_stax.by_query.(0)
+      = Semantics.answer_list (Xml_parser.tree_of_string bytes) p)
 
 let prop_tax_equals_oracle =
   QCheck2.Test.make ~count:1000 ~name:"HyPE DOM with TAX = oracle"

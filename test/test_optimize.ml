@@ -3,6 +3,7 @@
 module Tree = Smoqe_xml.Tree
 module Xml_parser = Smoqe_xml.Parser
 module Serializer = Smoqe_xml.Serializer
+module Pull = Smoqe_xml.Pull
 module Ast = Smoqe_rxpath.Ast
 module Rx_parser = Smoqe_rxpath.Parser
 module Pretty = Smoqe_rxpath.Pretty
@@ -62,6 +63,7 @@ let test_drops_unreachable_branch () =
 
 let test_preserves_answers_on_suite () =
   let doc = Hospital.generate ~seed:77 ~n_patients:12 ~recursion_depth:3 () in
+  let bytes = Serializer.to_string ~indent:false doc in
   List.iter
     (fun (name, q) ->
       let mfa = Compile.compile q in
@@ -71,7 +73,7 @@ let test_preserves_answers_on_suite () =
         (Eval_dom.run mfa doc).Eval_dom.answers
         (Eval_dom.run opt doc).Eval_dom.answers;
       let stax m =
-        (Eval_stax.run_slots m (Eval_stax.Tree doc)).Eval_stax.by_query.(0)
+        (Eval_stax.run_slots m (Pull.of_string bytes)).Eval_stax.by_query.(0)
       in
       Alcotest.(check (list int)) (name ^ " stax") (stax mfa) (stax opt))
     Queries.parsed

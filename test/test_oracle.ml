@@ -48,6 +48,32 @@ let visible_set view doc =
 
 let modes = [ (Engine.Dom, "dom"); (Engine.Stax, "stax") ]
 
+(* The engine a mode's leg is served by.  A Stax request on an engine
+   without document bytes is answered by the DOM driver, so the Stax leg
+   gets an engine loaded from the document's serialization, and StAX
+   scans those bytes.  Their tree must be the document itself, or the ids
+   of the two legs would name different nodes. *)
+let engine_for ~dtd mode doc =
+  match mode with
+  | Engine.Dom -> Engine.of_tree ~dtd doc
+  | Engine.Stax ->
+    let bytes = Serializer.to_string ~indent:false doc in
+    let e = okr (Engine.of_string_robust ~dtd bytes) in
+    if not (Tree.equal (Engine.document e) doc) then
+      Alcotest.failf "bytes re-parse to another tree: %s" bytes;
+    e
+
+let member_engine ~dtd ~policy mode doc =
+  let e = engine_for ~dtd mode doc in
+  ok (Engine.register_policy e ~group:"members" policy);
+  e
+
+(* The tree a document's bytes parse to.  A random draw can put text
+   siblings side by side, which no bytes express (a parse merges them), so
+   a Stax leg over a draw is served this tree. *)
+let as_parsed doc =
+  Smoqe_xml.Parser.tree_of_string (Serializer.to_string ~indent:false doc)
+
 (* A query is a batch of one: slot 0 of [run_many_robust [q]] must equal
    [query_robust q] in answer ids, serialized fragments and every counter
    but [plan_cache_hit] ([table_spec_us], a wall-clock figure, is compared
@@ -112,11 +138,17 @@ let check_paths_agree label mfa doc =
 (* One workload: every query, both modes, cold then warm; the warm run
    must be a cache hit and byte-identical to the cold one. *)
 let battery ~name ~dtd ~policy ~doc queries =
-  let engine = Engine.of_tree ~dtd doc in
-  ok (Engine.register_policy engine ~group:"members" policy);
-  let twin = Engine.of_tree ~dtd doc in
-  ok (Engine.register_policy twin ~group:"members" policy);
+  (* per mode: the engine under test and its batch-of-one twin *)
+  let served =
+    List.map
+      (fun (mode, mname) ->
+        ( mode, mname,
+          member_engine ~dtd ~policy mode doc,
+          member_engine ~dtd ~policy mode doc ))
+      modes
+  in
   let view =
+    let _, _, engine, _ = List.hd served in
     match Engine.view engine ~group:"members" with
     | Some v -> v
     | None -> Alcotest.fail "view not registered"
@@ -132,7 +164,7 @@ let battery ~name ~dtd ~policy ~doc queries =
         (Materialize.doc_answers view doc path)
         expected;
       List.iter
-        (fun (mode, mname) ->
+        (fun (mode, mname, engine, twin) ->
           let label what =
             Printf.sprintf "%s %s (%s, %s)" name qname mname what
           in
@@ -160,7 +192,7 @@ let battery ~name ~dtd ~policy ~doc queries =
           check_batch_of_one (fun w -> label ("warm " ^ w)) warm
             (slot0 twin ~mode text);
           check_shared_plan label twin ~mode text)
-        modes)
+        served)
     queries
 
 let test_hospital () =
@@ -209,10 +241,10 @@ let xml_of_node doc n =
   if Tree.is_text doc n then Serializer.escape_text (Tree.text_content doc n)
   else Serializer.subtree_to_string ~indent:false doc n
 
-(* The same document served from its bytes, where StAX scans the parser
-   cursor instead of walking the held tree.  The oracle reads this
-   engine's own tree, so whitespace normalization cannot shift ids. *)
-let check_bytes_stax seed ~dtd policy doc text =
+(* The document served from its indented serialization: StAX scans bytes
+   with whitespace text between elements.  The oracle reads this engine's
+   own tree, so whitespace normalization cannot shift ids. *)
+let check_indented_stax seed ~dtd policy doc text =
   let engine = okr (Engine.of_string_robust ~dtd (Serializer.to_string doc)) in
   ok (Engine.register_policy engine ~group:"members" policy);
   let view = Option.get (Engine.view engine ~group:"members") in
@@ -221,7 +253,7 @@ let check_bytes_stax seed ~dtd policy doc text =
   let stax =
     okr (Engine.query_robust engine ~group:"members" ~mode:Engine.Stax text)
   in
-  let label w = Printf.sprintf "seed %d bytes stax: %s (%s)" seed w text in
+  let label w = Printf.sprintf "seed %d indented stax: %s (%s)" seed w text in
   Alcotest.(check (list int)) (label "answers = oracle") expected
     (List.sort_uniq compare stax.Engine.answers);
   Alcotest.(check (list (pair int string))) (label "answer_xml = oracle")
@@ -229,6 +261,9 @@ let check_bytes_stax seed ~dtd policy doc text =
     (List.sort_uniq compare
        (List.combine stax.Engine.answers stax.Engine.answer_xml))
 
+(* The DOM leg serves the draw itself.  The Stax leg scans the draw's
+   bytes, whose tree merges the adjacent text siblings a draw can hold,
+   so it is checked against DOM and the oracle on that parsed tree. *)
 let property_case seed =
   let dtd = Random_dtd.generate ~seed ~n_types:(3 + (seed mod 5))
       ~recursion:(seed mod 2 = 0) ()
@@ -251,51 +286,52 @@ let property_case seed =
         Random_dtd.random_query ~seed:(seed * 7 + 3) ~size:6 ~tags ()
       in
       let text = Pretty.path_to_string query in
-      let expected = oracle view doc query in
-      let run mode =
-        okr (Engine.query_robust engine ~group:"members" ~mode text)
+      let label w = Printf.sprintf "seed %d: %s (%s)" seed w text in
+      let parsed = as_parsed doc in
+      let scanned = member_engine ~dtd ~policy Engine.Stax parsed in
+      let run ?(on = engine) mode =
+        okr (Engine.query_robust on ~group:"members" ~mode text)
       in
       let dom = run Engine.Dom in
-      check_paths_agree
-        (fun w -> Printf.sprintf "seed %d: %s (%s)" seed w text)
-        dom.Engine.mfa doc;
-      let stax = run Engine.Stax in
-      Alcotest.(check (list int))
-        (Printf.sprintf "seed %d: dom = oracle (%s)" seed text)
-        expected
+      check_paths_agree label dom.Engine.mfa doc;
+      Alcotest.(check (list int)) (label "dom = oracle") (oracle view doc query)
         (List.sort_uniq compare dom.Engine.answers);
-      Alcotest.(check (list int))
-        (Printf.sprintf "seed %d: stax = dom (%s)" seed text)
-        (List.sort_uniq compare dom.Engine.answers)
+      let stax = run ~on:scanned Engine.Stax in
+      let parsed_dom = run ~on:scanned Engine.Dom in
+      Alcotest.(check (list int)) (label "stax = oracle on the parsed tree")
+        (oracle view parsed query)
         (List.sort_uniq compare stax.Engine.answers);
+      Alcotest.(check (list int)) (label "stax = dom on the parsed tree")
+        parsed_dom.Engine.answers stax.Engine.answers;
+      Alcotest.(check (list string)) (label "stax xml = dom xml")
+        parsed_dom.Engine.answer_xml stax.Engine.answer_xml;
       let warm = run Engine.Dom in
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d: warm is a hit" seed)
-        1 warm.Engine.stats.Stats.plan_cache_hit;
-      Alcotest.(check (list string))
-        (Printf.sprintf "seed %d: warm xml identical" seed)
+      Alcotest.(check int) (label "warm is a hit") 1
+        warm.Engine.stats.Stats.plan_cache_hit;
+      Alcotest.(check (list string)) (label "warm xml identical")
         dom.Engine.answer_xml warm.Engine.answer_xml;
-      let warm_stax = run Engine.Stax in
-      (* the same request sequence on a twin engine, as batches of one *)
-      let twin = Engine.of_tree ~dtd doc in
-      ok (Engine.register_policy twin ~group:"members" policy);
+      let warm_stax = run ~on:scanned Engine.Stax in
+      (* the same request sequence on twin engines, as batches of one *)
       List.iter
-        (fun (mode, what, single) ->
-          let label w = Printf.sprintf "seed %d %s: %s (%s)" seed what w text in
-          check_batch_of_one label single (slot0 twin ~mode text))
-        [
-          (Engine.Dom, "dom cold", dom);
-          (Engine.Stax, "stax cold", stax);
-          (Engine.Dom, "dom warm", warm);
-          (Engine.Stax, "stax warm", warm_stax);
-        ];
-      List.iter
-        (fun (mode, mname) ->
+        (fun (mode, mname, twin, singles) ->
+          ok (Engine.register_policy twin ~group:"members" policy);
+          List.iter
+            (fun (what, single) ->
+              let label w =
+                Printf.sprintf "seed %d %s %s: %s (%s)" seed mname what w text
+              in
+              check_batch_of_one label single (slot0 twin ~mode text))
+            singles;
           check_shared_plan
             (fun w -> Printf.sprintf "seed %d %s: %s" seed mname w)
             twin ~mode text)
-        modes;
-      check_bytes_stax seed ~dtd policy doc text)
+        [
+          ( Engine.Dom, "dom", Engine.of_tree ~dtd doc,
+            [ ("cold", dom); ("warm", warm) ] );
+          ( Engine.Stax, "stax", engine_for ~dtd Engine.Stax parsed,
+            [ ("cold", stax); ("warm", warm_stax) ] );
+        ];
+      check_indented_stax seed ~dtd policy doc text)
 
 let test_property () =
   for seed = 1 to 40 do
@@ -442,10 +478,9 @@ let test_parallel_property () =
    answer ids AND serialized XML. *)
 let batch_battery ~name ~dtd ~policy ~doc queries =
   let texts = List.map snd queries @ [ snd (List.hd queries) ] in
-  let ref_engine = Engine.of_tree ~dtd doc in
-  ok (Engine.register_policy ref_engine ~group:"members" policy);
   List.iter
     (fun (mode, mname) ->
+      let ref_engine = member_engine ~dtd ~policy mode doc in
       let reference =
         List.map
           (fun text ->
@@ -453,8 +488,7 @@ let batch_battery ~name ~dtd ~policy ~doc queries =
           texts
       in
       (* a fresh batch engine per cell, so cold really is cold *)
-      let engine = Engine.of_tree ~dtd doc in
-      ok (Engine.register_policy engine ~group:"members" policy);
+      let engine = member_engine ~dtd ~policy mode doc in
       let serve what ~expect_hit =
         let label s = Printf.sprintf "%s (%s, %s): %s" name mname what s in
         let results, agg =
@@ -664,8 +698,14 @@ let test_batch_property () =
             [ (seed * 7) + 3; (seed * 11) + 5; (seed * 13) + 9 ]
         in
         let texts = base @ [ List.hd base ] in
+        (* the Stax leg scans the draw's bytes (see [property_case]) *)
         List.iter
           (fun (mode, mname) ->
+            let engine =
+              match mode with
+              | Engine.Dom -> engine
+              | Engine.Stax -> member_engine ~dtd ~policy mode (as_parsed doc)
+            in
             let inline =
               List.map
                 (fun t ->
@@ -774,6 +814,24 @@ let random_updates ~seed ~steps engine =
   end;
   !applied
 
+(* The updated engine holds no bytes, so its Stax requests take the DOM
+   driver.  StAX itself is checked on the updated document's bytes: its
+   scan answers as a DOM pass over the tree those bytes parse to (text
+   siblings an update put side by side merge there). *)
+let check_scan_of_updated label ~dtd ~policy updated texts =
+  let scanned = member_engine ~dtd ~policy Engine.Stax (as_parsed updated) in
+  List.iter
+    (fun text ->
+      let run mode =
+        okr (Engine.query_robust scanned ~group:"members" ~mode text)
+      in
+      let dom = run Engine.Dom and stax = run Engine.Stax in
+      Alcotest.(check (list int)) (label text ^ " stax answers = dom")
+        dom.Engine.answers stax.Engine.answers;
+      Alcotest.(check (list string)) (label text ^ " stax xml = dom")
+        dom.Engine.answer_xml stax.Engine.answer_xml)
+    texts
+
 let write_battery ~name ~dtd ~policy ~doc ~seed queries =
   let engine = Engine.of_tree ~dtd doc in
   ok (Engine.register_policy engine ~group:"members" policy);
@@ -818,6 +876,9 @@ let write_battery ~name ~dtd ~policy ~doc ~seed queries =
             reference.Engine.answer_xml warm.Engine.answer_xml)
         queries)
     modes;
+  check_scan_of_updated
+    (Printf.sprintf "%s scan of the updated bytes: %s" name)
+    ~dtd ~policy updated (List.map snd queries);
   (* wholesale replace_document remains byte-identical to both *)
   let whole = Engine.of_tree ~dtd doc in
   ok (Engine.register_policy whole ~group:"members" policy);
@@ -925,7 +986,10 @@ let test_write_property () =
                      t)
                   reference.Engine.answer_xml o.Engine.answer_xml)
               texts)
-          modes)
+          modes;
+        check_scan_of_updated
+          (Printf.sprintf "seed %d scan of the updated bytes: %s" seed)
+          ~dtd ~policy (Engine.document engine) texts)
   done
 
 (* --- shared policy keys: shared artifacts vs per-group cold derivation --
@@ -951,17 +1015,23 @@ let tenant_reference ~dtd ~policy ~doc =
 let test_tenant_shared_vs_cold () =
   let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
   let dtd = Hospital.dtd in
-  let engine = Engine.of_tree ~dtd doc in
   let tenants = [ "t0"; "t1"; "t2"; "t3" ] in
-  List.iter
-    (fun t ->
-      ok (Engine.register_policy engine ~group:t Hospital.policy))
-    tenants;
-  let counters = Engine.tenant_counters engine in
-  Alcotest.(check int) "one policy key" 1 (List.assoc "policy_keys" counters);
-  Alcotest.(check int) "one derivation" 1 (List.assoc "derivations" counters);
-  Alcotest.(check int) "three key hits" 3
-    (List.assoc "policy_key_hits" counters);
+  let engine_of mode =
+    let engine = engine_for ~dtd mode doc in
+    List.iter
+      (fun t ->
+        ok (Engine.register_policy engine ~group:t Hospital.policy))
+      tenants;
+    let counters = Engine.tenant_counters engine in
+    Alcotest.(check int) "one policy key" 1
+      (List.assoc "policy_keys" counters);
+    Alcotest.(check int) "one derivation" 1
+      (List.assoc "derivations" counters);
+    Alcotest.(check int) "three key hits" 3
+      (List.assoc "policy_key_hits" counters);
+    (mode, engine)
+  in
+  let engines = List.map (fun (mode, _) -> engine_of mode) modes in
   let cold, visible = tenant_reference ~dtd ~policy:Hospital.policy ~doc in
   List.iter
     (fun (qname, text) ->
@@ -975,6 +1045,7 @@ let test_tenant_shared_vs_cold () =
               let label what =
                 Printf.sprintf "%s (%s, tenant %s, %s)" qname mname t what
               in
+              let engine = List.assoc mode engines in
               let o = okr (Engine.query_robust engine ~group:t ~mode text) in
               Alcotest.(check (list int)) (label "answers")
                 reference.Engine.answers o.Engine.answers;
@@ -1001,11 +1072,16 @@ let test_tenant_shared_vs_cold () =
 let test_tenant_isolation () =
   let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
   let dtd = Hospital.dtd in
-  let engine = Engine.of_tree ~dtd doc in
-  ok (Engine.register_policy engine ~group:"locked" Hospital.policy);
-  ok (Engine.register_policy engine ~group:"open" (open_policy dtd));
-  Alcotest.(check int) "two keys" 2
-    (List.assoc "policy_keys" (Engine.tenant_counters engine));
+  let engine_of mode =
+    let engine = engine_for ~dtd mode doc in
+    ok (Engine.register_policy engine ~group:"locked" Hospital.policy);
+    ok (Engine.register_policy engine ~group:"open" (open_policy dtd));
+    Alcotest.(check int) "two keys" 2
+      (List.assoc "policy_keys" (Engine.tenant_counters engine));
+    (mode, engine)
+  in
+  let engines = List.map (fun (mode, _) -> engine_of mode) modes in
+  let engine = List.assoc Engine.Dom engines in
   let _, visible_locked =
     tenant_reference ~dtd ~policy:Hospital.policy ~doc
   in
@@ -1016,6 +1092,7 @@ let test_tenant_isolation () =
     (fun (qname, text) ->
       List.iter
         (fun (mode, mname) ->
+          let engine = List.assoc mode engines in
           let locked =
             okr (Engine.query_robust engine ~group:"locked" ~mode text)
           in

@@ -231,6 +231,28 @@ let test_stax_fault_degrades_to_dom () =
           (Stats.degraded r.Engine.stats)
       | Error err -> Alcotest.failf "no degradation: %s" (Error.to_string err))
 
+(* A file rewritten after load is not the document the engine holds: a
+   scan of it would answer with ids that name other nodes of the held
+   tree.  StAX notices and degrades to the held tree, answering as DOM. *)
+let test_stax_file_changed_after_load () =
+  let path = Filename.temp_file "smoqe" ".xml" in
+  let write s = Out_channel.with_open_bin path (fun oc -> output_string oc s) in
+  write "<r><a>x</a><b>y</b></r>";
+  let e = okr (Engine.of_file_robust path) in
+  write "<r><b>z</b><a>w</a><a>v</a></r>";
+  let dom = Engine.query_robust e ~mode:Engine.Dom "a" in
+  let stax = Engine.query_robust e ~mode:Engine.Stax "a" in
+  Sys.remove path;
+  let dom = okr dom and stax = okr stax in
+  Alcotest.(check (list int)) "dom answers the loaded document" [ 1 ]
+    dom.Engine.answers;
+  Alcotest.(check (list int)) "stax answers = dom" dom.Engine.answers
+    stax.Engine.answers;
+  Alcotest.(check (list string)) "stax fragments = dom" dom.Engine.answer_xml
+    stax.Engine.answer_xml;
+  Alcotest.(check int) "retry recorded" 1
+    stax.Engine.stats.Stats.degraded_stax_retry
+
 let test_hype_step_fault_is_error () =
   let e = hospital_engine () in
   Failpoint.with_failpoints "hype.step=5" (fun () ->
@@ -278,24 +300,31 @@ let test_fuzz_sessions () =
     let q =
       Pretty.path_to_string (Random_dtd.random_query ~seed ~size:5 ~tags ())
     in
-    match Engine.of_tree doc with
-    | e ->
-      let admin =
-        match Session.login e Session.Admin with
-        | Ok s -> s
-        | Error msg -> Alcotest.failf "fuzz %d: login: %s" i msg
-      in
-      List.iter
-        (fun mode ->
+    (* StAX scans bytes: its leg is served from the serialization *)
+    let engine_for = function
+      | Engine.Dom -> Ok (Engine.of_tree doc)
+      | Engine.Stax ->
+        Engine.of_string_robust (Serializer.to_string ~indent:false doc)
+    in
+    List.iter
+      (fun mode ->
+        match engine_for mode with
+        | Error e -> Alcotest.failf "fuzz %d: load: %s" i (Error.to_string e)
+        | Ok e ->
+          let admin =
+            match Session.login e Session.Admin with
+            | Ok s -> s
+            | Error msg -> Alcotest.failf "fuzz %d: login: %s" i msg
+          in
           (* any outcome is fine — raising is the only failure *)
-          match Session.run_robust admin ~mode q with
+          (match Session.run_robust admin ~mode q with
           | Ok _ | Error _ -> ()
           | exception ex ->
             Alcotest.failf "fuzz %d (%s): raised %s" i q
               (Printexc.to_string ex))
-        [ Engine.Dom; Engine.Stax ]
-    | exception ex ->
-      Alcotest.failf "fuzz %d: engine raised %s" i (Printexc.to_string ex)
+        | exception ex ->
+          Alcotest.failf "fuzz %d: engine raised %s" i (Printexc.to_string ex))
+      [ Engine.Dom; Engine.Stax ]
   done
 
 let test_fuzz_malformed_bytes () =
@@ -345,6 +374,8 @@ let () =
             test_store_write_fault_is_error;
           Alcotest.test_case "stax degrades to dom" `Quick
             test_stax_fault_degrades_to_dom;
+          Alcotest.test_case "stax file changed after load" `Quick
+            test_stax_file_changed_after_load;
           Alcotest.test_case "hype step fault" `Quick
             test_hype_step_fault_is_error;
           Alcotest.test_case "index degradation" `Quick test_index_degradation;

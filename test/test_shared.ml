@@ -3,6 +3,7 @@
    mid-batch, and totality of Stats.merge_into over the record. *)
 
 module Xml_parser = Smoqe_xml.Parser
+module Pull = Smoqe_xml.Pull
 module Rx_parser = Smoqe_rxpath.Parser
 module Compile = Smoqe_automata.Compile
 module Mfa = Smoqe_automata.Mfa
@@ -97,15 +98,15 @@ let check_demux ~use_tables () =
     m.Eval_dom.m_stats.Stats.batch_queries;
   Alcotest.(check bool) "width recorded" true
     (m.Eval_dom.m_stats.Stats.accept_width >= 2);
-  (* same demultiplexing over the streaming walk of the tree *)
+  (* same demultiplexing over a scan of the document's bytes *)
   let ms =
     Eval_stax.run_slots ~use_tables ~shared:sh sh.Shared.mfa
-      (Eval_stax.Tree tree)
+      (Pull.of_string doc_text)
   in
   List.iteri
     (fun i q ->
       let solo =
-        Eval_stax.run_slots ~use_tables (compile q) (Eval_stax.Tree tree)
+        Eval_stax.run_slots ~use_tables (compile q) (Pull.of_string doc_text)
       in
       Alcotest.(check (list int))
         (Printf.sprintf "stax demux %d: %s" i q)

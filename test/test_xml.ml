@@ -304,11 +304,16 @@ let test_deep_document () =
   Alcotest.(check bool) "events = parse of serialization" true
     (List.equal ( = ) evs (drain s))
 
-(* StAX on an engine that holds only the tree walks it with an explicit
-   stack: the 100k-deep document must not overflow the native one. *)
+(* StAX streams the 100k-deep document's bytes with its open elements on
+   the heap: the native stack must not overflow. *)
 let test_deep_document_stax () =
   let n = 100_000 in
-  let engine = Smoqe.Engine.of_tree (Parser.tree_of_string (deep_doc n)) in
+  (* served from its bytes, so StAX streams them *)
+  let engine =
+    match Smoqe.Engine.of_string_robust (deep_doc n) with
+    | Ok e -> e
+    | Error e -> Alcotest.fail (Smoqe_robust.Error.to_string e)
+  in
   match Smoqe.Engine.query_robust engine ~mode:Smoqe.Engine.Stax "//text()" with
   | Ok o ->
     Alcotest.(check (list int)) "the leaf" [ n ] o.Smoqe.Engine.answers;
