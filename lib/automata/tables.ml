@@ -99,7 +99,7 @@ let element_column (nfa : Nfa.t) wild nm =
   done;
   if !any_specific then col else wild
 
-let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
+let now_us () = Smoqe_robust.Budget.now_ns () / 1000
 
 (* Columns for the tag-id space [names] ([names.(a)] is the name of tag
    [a]; slot [text_tag] holds the text column). *)

@@ -491,8 +491,9 @@ let plan_for t ~route ~mode ~use_index ?budget texts =
            the insert and the plan minted under the old view is served
            once, never cached. *)
         let gen = Plan_cache.generation cache (key pkey) in
-        (* Wall clock: process CPU time would sum every domain's work. *)
-        let t0 = Unix.gettimeofday () in
+        (* Elapsed time, not process CPU time, which would sum every
+           domain's work. *)
+        let t0 = Budget.now_ns () in
         let n_ok = ref 0 in
         let survivors =
           List.filter_map
@@ -519,7 +520,7 @@ let plan_for t ~route ~mode ~use_index ?budget texts =
             plan_states = states;
             plan_empty;
             plan_shared = shared;
-            plan_compile_ms = (Unix.gettimeofday () -. t0) *. 1000.;
+            plan_compile_ms = float_of_int (Budget.now_ns () - t0) /. 1e6;
             plan_tables = Atomic.make None;
           }
         in
@@ -840,10 +841,15 @@ let update_robust t ?group op =
         let* target = resolve_target t ~route snap (Update.target_of op) in
         let r = Update.resolve op target in
         let* () = Update.validate old_tree r in
-        let* () =
+        (* A member write walks the view twice: the old tree's exposure
+           here, shared by both checks, and the candidate's in postcheck. *)
+        let* member =
           match member_view with
-          | None -> Ok ()
-          | Some v -> Update.precheck ~view:v old_tree r
+          | None -> Ok None
+          | Some view ->
+            let* exposure = Update.exposure ~view old_tree in
+            let* () = Update.precheck ~exposure ~view old_tree r in
+            Ok (Some (view, exposure))
         in
         let* new_tree, fp = Update.apply old_tree r in
         let* () =
@@ -855,9 +861,10 @@ let update_robust t ?group op =
             | Error msg -> Error (Error.Parse_error { loc = None; msg }))
         in
         let* () =
-          match member_view with
+          match member with
           | None -> Ok ()
-          | Some v -> Update.postcheck ~view:v ~old_tree ~new_tree fp
+          | Some (view, old_exposure) ->
+            Update.postcheck ~old_exposure ~view ~old_tree ~new_tree fp
         in
         (* Incremental index maintenance: splice the served TAX around
            the edited range instead of rebuilding O(document).  Computed

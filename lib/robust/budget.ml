@@ -1,5 +1,5 @@
 type t = {
-  deadline : float; (* absolute, seconds since the epoch; infinity = none *)
+  deadline : int; (* absolute, monotonic-clock ns; max_int = none *)
   timeout_ms : int option;
   nodes_limit : int; (* max_int = unlimited: the hot compare never fires *)
   max_nodes : int option;
@@ -13,18 +13,25 @@ exception Exceeded of { what : string; limit : string }
 
 let exceeded ~what ~limit = raise (Exceeded { what; limit })
 
+(* Deadlines run on the monotonic clock: a wall-clock step can neither
+   trip a timeout early nor extend it. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
 let create ?timeout_ms ?max_nodes ?max_cans ?max_states ?max_depth () =
   let deadline =
     match timeout_ms with
-    | None -> infinity
-    | Some ms -> Unix.gettimeofday () +. (float_of_int ms /. 1000.)
+    | None -> max_int
+    | Some ms ->
+      let now = now_ns () in
+      if ms >= (max_int - now) / 1_000_000 then max_int
+      else now + (ms * 1_000_000)
   in
   { deadline; timeout_ms;
     nodes_limit = Option.value max_nodes ~default:max_int;
     max_nodes; max_cans; max_states; max_depth; nodes = 0 }
 
 let check_deadline t =
-  if Unix.gettimeofday () > t.deadline then
+  if now_ns () > t.deadline then
     exceeded ~what:"timeout_ms"
       ~limit:(string_of_int (Option.value t.timeout_ms ~default:0) ^ "ms")
 

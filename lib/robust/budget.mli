@@ -6,8 +6,9 @@
     pull parser, the MFA compiler and both HyPE drivers, which check it at
     their unit of work:
 
-    - {b wall clock} ([timeout_ms]) — checked every 256 work units, so an
-      overrunning query stops within a small multiple of the deadline;
+    - {b elapsed time} ([timeout_ms]) — on the monotonic clock, checked
+      every 256 work units, so an overrunning query stops within a small
+      multiple of the deadline;
     - {b nodes scanned} ([max_nodes]) — every node/event entering the
       pipeline, parser and evaluator alike;
     - {b Cans entries} ([max_cans]) — candidate answers held by HyPE;
@@ -22,11 +23,16 @@
     The contract under a domain pool: one budget, one query, one
     domain — create the budget inside the submitted task and never share
     one [t] between concurrently running queries.  A budget made inside
-    the task also starts its wall-clock deadline when the query is picked
+    the task also starts its deadline when the query is picked
     up, not when it was enqueued.  The CLI's [--repeat] builds a fresh
     budget per run. *)
 
 type t
+
+val now_ns : unit -> int
+(** The monotonic clock (CLOCK_MONOTONIC, nanoseconds) that every SMOQE
+    timer reads: budget deadlines, table specialization and plan compile
+    times.  A wall-clock step moves none of them. *)
 
 exception Exceeded of { what : string; limit : string }
 (** [what] names the exhausted budget (["timeout_ms"], ["max_nodes"],

@@ -62,7 +62,9 @@ and holds_qual env q n =
 
 let make_env tree = { tree; memo = Hashtbl.create 256 }
 
-let eval tree p ~from = eval_path (make_env tree) p from
+let eval tree =
+  let env = make_env tree in
+  fun p ~from -> eval_path env p from
 let holds tree q n = holds_qual (make_env tree) q n
 
 let answers tree p =

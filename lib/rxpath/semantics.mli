@@ -10,7 +10,8 @@ module Node_set : Set.S with type elt = int
 
 val eval :
   Smoqe_xml.Tree.t -> Ast.path -> from:Node_set.t -> Node_set.t
-(** Image of [from] under the path relation. *)
+(** Image of [from] under the path relation.  Applied to a tree alone,
+    it returns an evaluator whose calls share one qualifier memo. *)
 
 val holds : Smoqe_xml.Tree.t -> Ast.qual -> Smoqe_xml.Tree.node -> bool
 

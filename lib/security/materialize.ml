@@ -1,5 +1,4 @@
 module Tree = Smoqe_xml.Tree
-module Dtd = Smoqe_xml.Dtd
 module Semantics = Smoqe_rxpath.Semantics
 
 type materialized = {
@@ -8,53 +7,22 @@ type materialized = {
 }
 
 let materialize view doc =
-  let view_dtd = Derive.view_dtd view in
-  if Tree.name doc Tree.root <> Dtd.root view_dtd then
-    invalid_arg "Materialize: document root does not match the DTD root";
-  (* Provenance is appended in construction order, which is pre-order. *)
+  (* Provenance is appended in visit order, which is view pre-order. *)
   let rev_prov = ref [] in
   let n_prov = ref 0 in
   let push doc_node =
     rev_prov := doc_node :: !rev_prov;
     incr n_prov
   in
-  let rec build doc_node type_name =
-    push doc_node;
-    let keep_text = Dtd.allows_text view_dtd type_name in
-    let text_kids =
-      if keep_text then
-        Tree.fold_children doc doc_node ~init:[] ~f:(fun acc c ->
-            if Tree.is_text doc c then (c, `Text) :: acc else acc)
-      else []
-    in
-    let elem_kids =
-      List.concat_map
-        (fun child_type ->
-          match Derive.sigma view ~parent:type_name ~child:child_type with
-          | None -> []
-          | Some path ->
-            Semantics.eval doc path
-              ~from:(Semantics.Node_set.singleton doc_node)
-            |> Semantics.Node_set.elements
-            |> List.map (fun m -> (m, `Elem child_type)))
-        (Derive.exposed_children view type_name)
-    in
-    let kids =
-      List.sort (fun (a, _) (b, _) -> compare a b) (text_kids @ elem_kids)
-    in
-    let sources =
-      List.map
-        (fun (m, what) ->
-          match what with
-          | `Text ->
-            push m;
-            Tree.T (Tree.text_content doc m)
-          | `Elem child_type -> build m child_type)
-        kids
-    in
-    Tree.E (type_name, [], sources)
+  let source =
+    Exposure.walk view doc
+      ~text:(fun m ->
+        push m;
+        Tree.T (Tree.text_content doc m))
+      ~elem:(fun n type_name kids ->
+        push n;
+        Tree.E (type_name, [], kids ()))
   in
-  let source = build Tree.root (Dtd.root view_dtd) in
   let provenance = Array.make !n_prov 0 in
   List.iteri
     (fun i doc_node -> provenance.(!n_prov - 1 - i) <- doc_node)

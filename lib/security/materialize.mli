@@ -1,10 +1,12 @@
 (** View materialization — the testing oracle for virtual views.
 
     SMOQE never materializes views in production (that is the system's
-    point); this module exists so that tests and demonstrations can check
-    the rewriting contract [Q'(T) = Q(V(T))] and inspect what a view
-    exposes.  Each view node carries provenance back to the document node
-    it copies.
+    point): queries are rewritten, and update legality reads the
+    {!Exposure} bitmap.  This module exists so that tests and
+    demonstrations can check the rewriting contract [Q'(T) = Q(V(T))] and
+    inspect what a view exposes.  It builds the view from the same σ-walk
+    as {!Exposure} ({!Exposure.walk}); each view node carries provenance
+    back to the document node it copies.
 
     Children of a view node are emitted in document order of their source
     nodes (text children included when the view DTD allows text), which

@@ -1,7 +1,7 @@
 module Tree = Smoqe_xml.Tree
 module Error = Smoqe_robust.Error
 module Derive = Smoqe_security.Derive
-module Materialize = Smoqe_security.Materialize
+module Exposure = Smoqe_security.Exposure
 
 type target =
   | By_id of Tree.node
@@ -70,15 +70,17 @@ let validate tree = function
           err "update: ~before node %d is not a child of parent %d" b parent
         else Ok ())
 
-(* The set of document nodes the view exposes, by materialization
-   provenance — the same oracle the rewriting conformance suite trusts. *)
-let exposed_set view tree =
-  match Error.guard (fun () -> Materialize.materialize view tree) with
-  | Error _ as e -> e
-  | Ok { Materialize.provenance; _ } ->
-    let set = Hashtbl.create (Array.length provenance * 2) in
-    Array.iter (fun doc_node -> Hashtbl.replace set doc_node ()) provenance;
-    Ok set
+let exposure ~view tree = Error.guard (fun () -> Exposure.compute view tree)
+
+(* A caller-supplied exposure is used only for the view and the tree it
+   was computed for: its ids mean nothing anywhere else. *)
+let exposure_of ?exposure:given ~view tree =
+  match given with
+  | None -> exposure ~view tree
+  | Some e when Exposure.is_for e ~view tree -> Ok e
+  | Some _ ->
+    Error
+      (Error.Internal "update: exposure computed for another view or tree")
 
 (* Member legality, part one (against the pre-update document): the
    update may only touch nodes the view exposes.  For a delete or
@@ -86,9 +88,9 @@ let exposed_set view tree =
    member cannot see is exactly what the security view forbids; for an
    insert, the parent receiving the new child.  The offending node
    reported is the first hidden one in document order. *)
-let precheck ~view tree r =
-  let* exposed = exposed_set view tree in
-  let is_exposed n = Hashtbl.mem exposed n in
+let precheck ?exposure ~view tree r =
+  let* exposed = exposure_of ?exposure ~view tree in
+  let is_exposed = Exposure.mem exposed in
   match r with
   | R_delete n | R_replace (n, _) ->
     let stop = Tree.subtree_end tree n in
@@ -156,12 +158,12 @@ let apply tree r =
    an edit inside an exposed region can still flip a [q]-qualifier
    elsewhere and reveal or hide unrelated data, which the view update
    discipline forbids. *)
-let postcheck ~view ~old_tree ~new_tree fp =
-  let* exposed_old = exposed_set view old_tree in
-  let* exposed_new = exposed_set view new_tree in
+let postcheck ?old_exposure ~view ~old_tree ~new_tree fp =
+  let* exposed_old = exposure_of ?exposure:old_exposure ~view old_tree in
+  let* exposed_new = exposure ~view new_tree in
   let shift = fp.fp_new_hi - fp.fp_old_hi in
-  let vis_old n = Hashtbl.mem exposed_old n in
-  let vis_new n = Hashtbl.mem exposed_new n in
+  let vis_old = Exposure.mem exposed_old in
+  let vis_new = Exposure.mem exposed_new in
   let rec inserted i =
     if i >= fp.fp_new_hi then Ok ()
     else if not (vis_new i) then

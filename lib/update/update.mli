@@ -63,19 +63,33 @@ val validate : Tree.t -> resolved -> (unit, Error.t) result
     under elements only, [before] a child of [parent].  Failures are
     [Query_error] — the request is malformed regardless of policy. *)
 
+val exposure :
+  view:Derive.view ->
+  Tree.t ->
+  (Smoqe_security.Exposure.t, Error.t) result
+(** What [view] exposes of the document: one σ-walk
+    ({!Smoqe_security.Exposure.compute}), no view tree.  The engine
+    computes it once per member write and hands it to both checks. *)
+
 val precheck :
-  view:Derive.view -> Tree.t -> resolved -> (unit, Error.t) result
+  ?exposure:Smoqe_security.Exposure.t ->
+  view:Derive.view ->
+  Tree.t ->
+  resolved ->
+  (unit, Error.t) result
 (** Member legality against the pre-update document: the entire removed
     subtree (delete/replace) or the receiving parent (insert) must be
-    exposed by the view.  Exposure is materialization provenance — the
-    same oracle the rewriting conformance suite trusts.  Failures are
-    [Update_denied] carrying the first hidden node in document order. *)
+    exposed by the view.  Exposure is read from [exposure], or computed
+    when it is absent; an [exposure] of another view or tree is
+    [Internal], never consulted.  Failures are [Update_denied] carrying
+    the first hidden node in document order. *)
 
 val apply : Tree.t -> resolved -> (Tree.t * footprint, Error.t) result
 (** Apply a validated edit functionally (the input tree is untouched)
     and report its footprint. *)
 
 val postcheck :
+  ?old_exposure:Smoqe_security.Exposure.t ->
   view:Derive.view ->
   old_tree:Tree.t ->
   new_tree:Tree.t ->
@@ -84,5 +98,8 @@ val postcheck :
 (** Member legality against the candidate document: every inserted node
     must be exposed (no writing into regions the member cannot read
     back), and no node outside the edited range may change visibility —
-    the side-effect guard for conditional ([q]) annotations.  Failures
-    are [Update_denied]; the engine then discards the candidate. *)
+    the side-effect guard for conditional ([q]) annotations.  It compares
+    the old tree's exposure ([old_exposure], or computed when absent; one
+    of another view or tree is [Internal]) with one σ-walk of the new
+    tree, id by id.  Failures are [Update_denied]; the engine then
+    discards the candidate. *)

@@ -12,6 +12,9 @@ module Semantics = Smoqe_rxpath.Semantics
 module Policy = Smoqe_security.Policy
 module Derive = Smoqe_security.Derive
 module Materialize = Smoqe_security.Materialize
+module Exposure = Smoqe_security.Exposure
+module Random_dtd = Smoqe_workload.Random_dtd
+module Docgen = Smoqe_workload.Docgen
 module Hospital = Smoqe_workload.Hospital
 module Bib = Smoqe_workload.Bib
 
@@ -371,6 +374,43 @@ let test_materialize_provenance () =
         Alcotest.(check string) "tag preserved" (Tree.name doc d)
           (Tree.name vt n))
 
+(* The exposure bitmap and materialization share one σ-walk; this pins
+   that the bitmap marks exactly the provenance ids, on random draws
+   built the way the oracle's property cases build them (random DTD,
+   conditional policy, generated document).  A draw whose DTD has no
+   finite document or whose policy derivation is unsupported is skipped;
+   2,000 draws are compared. *)
+let exposure_matches_provenance seed =
+  let dtd =
+    Random_dtd.generate ~seed ~n_types:(3 + (seed mod 5))
+      ~recursion:(seed mod 2 = 0) ()
+  in
+  match
+    ( Derive.derive (Random_dtd.random_policy ~seed:((seed * 3) + 1) dtd),
+      Docgen.generate ~seed:((seed * 5) + 2) ~max_depth:8 ~fanout:2 dtd )
+  with
+  | exception (Derive.Unsupported _ | Docgen.No_finite_expansion _) -> false
+  | view, doc ->
+    let e = Exposure.compute view doc in
+    let prov = Hashtbl.create 64 in
+    Array.iter
+      (fun n -> Hashtbl.replace prov n ())
+      (Materialize.materialize view doc).Materialize.provenance;
+    for n = 0 to Tree.n_nodes doc - 1 do
+      if Exposure.mem e n <> Hashtbl.mem prov n then
+        Alcotest.failf "seed %d: node %d exposed=%b, in provenance=%b" seed n
+          (Exposure.mem e n) (Hashtbl.mem prov n)
+    done;
+    true
+
+let test_exposure_is_provenance () =
+  let rec go seed compared =
+    if compared < 2000 then
+      go (seed + 1)
+        (if exposure_matches_provenance seed then compared + 1 else compared)
+  in
+  go 1 0
+
 let test_materialize_bib () =
   let v = Derive.derive Bib.policy in
   let doc = Bib.generate ~seed:3 ~n_books:4 ~section_depth:3 () in
@@ -448,6 +488,8 @@ let () =
           Alcotest.test_case "no disclosure" `Quick test_materialize_no_disclosure;
           Alcotest.test_case "provenance" `Quick test_materialize_provenance;
           Alcotest.test_case "bib domain" `Quick test_materialize_bib;
+          Alcotest.test_case "exposure = provenance (random draws)" `Quick
+            test_exposure_is_provenance;
         ] );
       ( "end-to-end",
         [

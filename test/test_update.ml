@@ -15,6 +15,9 @@ module Session = Smoqe.Session
 module Update = Smoqe_update.Update
 module Err = Smoqe_robust.Error
 module Materialize = Smoqe_security.Materialize
+module Exposure = Smoqe_security.Exposure
+module Derive = Smoqe_security.Derive
+module Validator = Smoqe_xml.Validator
 module Hospital = Smoqe_workload.Hospital
 module Random_dtd = Smoqe_workload.Random_dtd
 module Docgen = Smoqe_workload.Docgen
@@ -202,6 +205,230 @@ let test_denied_is_noop () =
   Alcotest.(check (list string)) "probe xml unchanged" before.Engine.answer_xml
     after.Engine.answer_xml
 
+(* --- member legality: the exposure bitmap against materialization ----------- *)
+
+(* The reference is member legality as it was decided before the
+   exposure bitmap: hash sets of [Materialize] provenance, materialized
+   afresh for each check (once in precheck, twice in postcheck), and the
+   same scans.  The engine's verdict must match it on allow/deny, on the
+   error class and on the reported node. *)
+
+let ( let* ) = Result.bind
+
+let provenance_set view doc =
+  Err.guard (fun () ->
+      let set = Hashtbl.create 64 in
+      Array.iter
+        (fun n -> Hashtbl.replace set n ())
+        (Materialize.materialize view doc).Materialize.provenance;
+      set)
+
+let ref_denied node = Error (Err.Update_denied { node; msg = "" })
+
+let rec first_hidden vis i stop =
+  if i >= stop then Ok ()
+  else if not (vis i) then ref_denied i
+  else first_hidden vis (i + 1) stop
+
+let reference_precheck view tree r =
+  let* exposed = provenance_set view tree in
+  match r with
+  | Update.R_delete n | Update.R_replace (n, _) ->
+    first_hidden (Hashtbl.mem exposed) n (Tree.subtree_end tree n)
+  | Update.R_insert { parent; _ } ->
+    if Hashtbl.mem exposed parent then Ok () else ref_denied parent
+
+let reference_postcheck view ~old_tree ~new_tree fp =
+  let* exposed_old = provenance_set view old_tree in
+  let* exposed_new = provenance_set view new_tree in
+  let vis_old = Hashtbl.mem exposed_old and vis_new = Hashtbl.mem exposed_new in
+  let shift = fp.Update.fp_new_hi - fp.Update.fp_old_hi in
+  let rec stable i stop shift =
+    if i >= stop then Ok ()
+    else if vis_old i <> vis_new (i + shift) then ref_denied i
+    else stable (i + 1) stop shift
+  in
+  let* () = first_hidden vis_new fp.Update.fp_lo fp.Update.fp_new_hi in
+  let* () = stable 0 fp.Update.fp_lo 0 in
+  stable fp.Update.fp_old_hi (Tree.n_nodes old_tree) shift
+
+(* The engine's staged pipeline with the reference checks in place of
+   [Update]'s: the new tree, or the error the engine must report. *)
+let reference_update ~dtd view tree r =
+  let* () = Update.validate tree r in
+  let* () = reference_precheck view tree r in
+  let* new_tree, fp = Update.apply tree r in
+  let* () =
+    match Validator.validate dtd new_tree with
+    | Ok () -> Ok ()
+    | Error _ -> Error (Err.Parse_error { loc = None; msg = "" })
+  in
+  let* () = reference_postcheck view ~old_tree:tree ~new_tree fp in
+  Ok new_tree
+
+let verdict = function
+  | Ok () -> "allowed"
+  | Error (Err.Update_denied { node; _ }) -> Printf.sprintf "denied at %d" node
+  | Error (Err.Parse_error _) -> "parse error"
+  | Error (Err.Query_error _) -> "query error"
+  | Error (Err.Policy_error _) -> "policy error"
+  | Error (Err.Budget_exceeded _) -> "budget exceeded"
+  | Error (Err.Io_error _) -> "io error"
+  | Error (Err.Internal _) -> "internal"
+
+let op_of = function
+  | Update.R_delete n -> Update.Delete (Update.By_id n)
+  | Update.R_replace (n, src) -> Update.Replace (Update.By_id n, src)
+  | Update.R_insert { parent; before; source } ->
+    Update.Insert { parent = Update.By_id parent; before; source }
+
+(* A random member edit.  Half the targets are exposed nodes and half the
+   replacements reuse material of the same kind (another node of the
+   same tag, or another text), so the draws mix legal writes with
+   precheck denials, postcheck denials (a replaced text that flips a
+   [q]) and DTD rejections. *)
+let member_edit rng view doc =
+  let n_nodes = Tree.n_nodes doc in
+  let exposed = (Materialize.materialize view doc).Materialize.provenance in
+  let target () =
+    if Random.State.bool rng then
+      exposed.(Random.State.int rng (Array.length exposed))
+    else Random.State.int rng n_nodes
+  in
+  let same_kind n =
+    let rec find tries =
+      let m = Random.State.int rng n_nodes in
+      if tries = 0 then n
+      else if Tree.is_text doc n && Tree.is_text doc m then m
+      else if
+        Tree.is_element doc n && Tree.is_element doc m
+        && Tree.name doc n = Tree.name doc m
+      then m
+      else find (tries - 1)
+    in
+    find 30
+  in
+  match Random.State.int rng 5 with
+  | 0 -> random_edit rng doc
+  | 1 ->
+    let n = target () in
+    Update.R_replace (n, Tree.to_source doc n)
+  | 2 ->
+    let n = target () in
+    Update.R_replace (n, Tree.to_source doc (same_kind n))
+  | 3 ->
+    let n = target () in
+    if n = Tree.root then Update.R_replace (n, Tree.to_source doc n)
+    else Update.R_delete n
+  | _ ->
+    let n = target () in
+    (match Tree.parent doc n with
+    | None -> Update.R_replace (n, Tree.to_source doc n)
+    | Some p ->
+      Update.R_insert
+        { parent = p; before = Some n;
+          source = Tree.to_source doc (same_kind n) })
+
+(* [steps] member edits on one engine; each verdict is checked against
+   the reference on the engine's current document, and an allowed edit
+   must leave the reference's new tree.  Returns (allowed, denied). *)
+let differential_legality label ~dtd ~policy ~seed ~steps doc =
+  let engine = Engine.of_tree ~dtd doc in
+  match Engine.register_policy engine ~group:"members" policy with
+  | Error _ -> (0, 0) (* derivation unsupported for this draw *)
+  | Ok () ->
+    let view = Option.get (Engine.view engine ~group:"members") in
+    let rng = Random.State.make [| seed |] in
+    let allowed = ref 0 and denied = ref 0 in
+    for step = 1 to steps do
+      let tree = Engine.document engine in
+      let r = member_edit rng view tree in
+      let expected = reference_update ~dtd view tree r in
+      let got = Engine.update_robust engine ~group:"members" (op_of r) in
+      let label = Printf.sprintf "%s step %d" label step in
+      Alcotest.(check string) (label ^ ": verdict")
+        (verdict (Result.map ignore expected))
+        (verdict (Result.map ignore got));
+      match expected with
+      | Ok new_tree ->
+        incr allowed;
+        Alcotest.(check bool) (label ^ ": same new document") true
+          (Tree.equal new_tree (Engine.document engine))
+      | Error (Err.Update_denied _) -> incr denied
+      | Error _ -> ()
+    done;
+    (!allowed, !denied)
+
+let test_member_legality_differential () =
+  let allowed = ref 0 and denied = ref 0 in
+  let tally (a, d) =
+    allowed := !allowed + a;
+    denied := !denied + d
+  in
+  for seed = 1 to 4 do
+    let doc =
+      Hospital.generate ~seed:(seed + 40) ~n_patients:6 ~recursion_depth:2 ()
+    in
+    tally
+      (differential_legality
+         (Printf.sprintf "hospital seed %d" seed)
+         ~dtd:Hospital.dtd ~policy:Hospital.policy ~seed ~steps:40 doc)
+  done;
+  for seed = 1 to 60 do
+    let dtd =
+      Random_dtd.generate ~seed ~n_types:(3 + (seed mod 5))
+        ~recursion:(seed mod 2 = 0) ()
+    in
+    let policy = Random_dtd.random_policy ~seed:((seed * 3) + 1) dtd in
+    match Docgen.generate ~seed:((seed * 5) + 2) ~max_depth:8 ~fanout:2 dtd with
+    | exception Docgen.No_finite_expansion _ -> ()
+    | doc ->
+      tally
+        (differential_legality
+           (Printf.sprintf "random seed %d" seed)
+           ~dtd ~policy ~seed ~steps:10 doc)
+  done;
+  (* the draws must exercise both outcomes *)
+  Alcotest.(check bool) "some member writes allowed" true (!allowed > 50);
+  Alcotest.(check bool) "some member writes denied" true (!denied > 50)
+
+(* An exposure is tied to the view and the tree it was computed for: any
+   other pairing is refused as [Internal], never indexed. *)
+let test_exposure_misuse () =
+  let doc = Hospital.generate ~seed:5 ~n_patients:3 ~recursion_depth:1 () in
+  let bigger = Hospital.generate ~seed:5 ~n_patients:9 ~recursion_depth:1 () in
+  let copy = Tree.of_source (Tree.to_source doc Tree.root) in
+  let view = Derive.derive Hospital.policy in
+  let exposure = okr (Update.exposure ~view doc) in
+  let internal label = function
+    | Error (Err.Internal _) -> ()
+    | r -> Alcotest.failf "%s: got %s, want internal" label (verdict r)
+  in
+  let last = Tree.n_nodes bigger - 1 in
+  internal "precheck on a bigger tree"
+    (Update.precheck ~exposure ~view bigger (Update.R_delete last));
+  internal "precheck on an equal copy"
+    (Update.precheck ~exposure ~view copy (Update.R_delete 1));
+  internal "precheck under another view"
+    (Update.precheck ~exposure ~view:(Derive.derive Hospital.policy) doc
+       (Update.R_delete 1));
+  let r = Update.R_replace (last, Tree.to_source bigger last) in
+  let new_tree, fp = okr (Update.apply bigger r) in
+  internal "postcheck on a bigger tree"
+    (Update.postcheck ~old_exposure:exposure ~view ~old_tree:bigger ~new_tree
+       fp);
+  (* the matching exposure decides exactly as a fresh computation *)
+  let r = Update.R_replace (1, Tree.to_source doc 1) in
+  let new_tree, fp = okr (Update.apply doc r) in
+  Alcotest.(check string) "precheck with its own exposure"
+    (verdict (Update.precheck ~view doc r))
+    (verdict (Update.precheck ~exposure ~view doc r));
+  Alcotest.(check string) "postcheck with its own exposure"
+    (verdict (Update.postcheck ~view ~old_tree:doc ~new_tree fp))
+    (verdict
+       (Update.postcheck ~old_exposure:exposure ~view ~old_tree:doc ~new_tree
+          fp))
+
 (* --- legal delete-then-reinsert round-trips -------------------------------- *)
 
 let test_delete_reinsert_roundtrip () =
@@ -332,6 +559,10 @@ let () =
           Alcotest.test_case "delete-then-reinsert round-trip" `Quick
             test_delete_reinsert_roundtrip;
           Alcotest.test_case "by-path targets" `Quick test_by_path_target;
+          Alcotest.test_case "member verdicts = materialization reference"
+            `Quick test_member_legality_differential;
+          Alcotest.test_case "exposure tied to its view and tree" `Quick
+            test_exposure_misuse;
         ] );
       ( "invalidation",
         [
