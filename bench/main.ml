@@ -1320,8 +1320,10 @@ let e15 () =
    non-autism medication on a hospital document under S0, against the
    same replace made as admin, interleaved and compared at the p50.  The
    admin write skips the legality checks, so the ratio is what legality
-   costs a member write in the same run. *)
-let member_write_gate = 4.5
+   costs a member write in the same run.  Both checks walk the view only
+   along the edit's ancestors and inside its range, so the member write
+   costs about what the admin one does (1.1-1.2x at 1,600 patients). *)
+let member_write_gate = 1.5
 
 let member_write_leg ~smoke =
   let n_patients = if smoke then 400 else 1600 in
@@ -1394,7 +1396,7 @@ let e16 () =
   banner "E16"
     "mixed read/update serving: incremental maintenance under writes \
      (gates: warm mixed throughput >= 0.8x read-only; plan-cache hit rate \
-     >= 0.9 in the mixed phase; member write p50 <= 4.5x admin)";
+     >= 0.9 in the mixed phase; member write p50 <= 1.5x admin)";
   let smoke = Sys.getenv_opt "SMOQE_BENCH_SMOKE" <> None in
   if smoke then Printf.printf "smoke mode: reduced document and repetitions\n";
   let ok = function Ok v -> v | Error msg -> failwith msg in

@@ -520,10 +520,7 @@ let update_cmd =
     let doc = Serializer.to_string (Engine.document engine) in
     (match out with
     | None -> print_string doc
-    | Some path ->
-      let oc = open_out_bin path in
-      output_string oc doc;
-      close_out oc);
+    | Some path -> Smoqe_robust.Atomic_file.write path doc);
     Printf.eprintf "smoqe: update applied at node %d (%d -> %d nodes)\n"
       report.Engine.up_target report.Engine.up_nodes_before
       report.Engine.up_nodes_after
@@ -565,7 +562,8 @@ let update_cmd =
                        append as last child).")
       $ Arg.(value & opt (some string) None
              & info [ "out" ] ~docv:"FILE"
-                 ~doc:"Write the updated document here instead of stdout."))
+                 ~doc:"Write the updated document here instead of stdout \
+                       (atomically: a failed write leaves the old file)."))
 
 (* --- index -------------------------------------------------------------- *)
 

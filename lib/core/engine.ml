@@ -105,6 +105,11 @@ type t = {
   mutable tree : Tree.t;
   mutable source : source option;
   dtd : Dtd.t option;
+  mutable valid : bool;
+      (* [tree] is known to satisfy [dtd]: set by the validating loaders,
+         [replace_document] and every published write, and unset only by
+         [of_tree], which trusts its tree.  A write on a known-valid
+         tree validates its candidate locally, at the edit. *)
   mutable tax : Tax.t option;
   plan_cache : plan Plan_cache.t;
   mutable saved_compile_ms : float;
@@ -120,6 +125,7 @@ type snapshot = {
   snap_tree : Tree.t;
   snap_source : source option;
   snap_tax : Tax.t option;
+  snap_valid : bool;
 }
 
 type outcome = {
@@ -134,12 +140,13 @@ let log_src = Logs.Src.create "smoqe.engine" ~doc:"SMOQE engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let make ?dtd tree source =
+let make ?dtd ~valid tree source =
   {
     lock = Mutex.create ();
     tree;
     source;
     dtd;
+    valid;
     tax = None;
     plan_cache = Plan_cache.create ();
     saved_compile_ms = 0.;
@@ -150,16 +157,17 @@ let locked t f = Mutex.protect t.lock f
 
 let snapshot t =
   locked t (fun () ->
-      { snap_tree = t.tree; snap_source = t.source; snap_tax = t.tax })
+      { snap_tree = t.tree; snap_source = t.source; snap_tax = t.tax;
+        snap_valid = t.valid })
 
-let validate_against dtd tree =
-  match Validator.validate dtd tree with
-  | Ok () -> Ok ()
+let first_error = function
+  | Ok () | Error [] -> Ok ()
   | Error (err :: _) ->
     Error (Fmt.str "document invalid: %a" Validator.pp_error err)
-  | Error [] -> Ok ()
 
-let of_tree ?dtd tree = make ?dtd tree None
+let validate_against dtd tree = first_error (Validator.validate dtd tree)
+
+let of_tree ?dtd tree = make ?dtd ~valid:false tree None
 
 let with_file path f =
   let ic = open_in_bin path in
@@ -173,10 +181,10 @@ let stamp_of ic =
 
 let with_dtd ?dtd tree source =
   match dtd with
-  | None -> Ok (make tree source)
+  | None -> Ok (make ~valid:true tree source)
   | Some d ->
     (match validate_against d tree with
-    | Ok () -> Ok (make ~dtd:d tree source)
+    | Ok () -> Ok (make ~dtd:d ~valid:true tree source)
     | Error msg -> Error msg)
 
 (* Typed-error constructors: malformed input — a syntax error or a
@@ -280,6 +288,7 @@ let replace_document t tree =
     locked t (fun () ->
         t.tree <- tree;
         t.source <- None;
+        t.valid <- true;
         (* the index describes the old tree *)
         t.tax <- None;
         Plan_cache.invalidate_all t.plan_cache);
@@ -841,30 +850,34 @@ let update_robust t ?group op =
         let* target = resolve_target t ~route snap (Update.target_of op) in
         let r = Update.resolve op target in
         let* () = Update.validate old_tree r in
-        (* A member write walks the view twice: the old tree's exposure
-           here, shared by both checks, and the candidate's in postcheck. *)
-        let* member =
+        (* Every check below is local to the edit: the legality checks
+           walk the view only along the edit's ancestors and inside its
+           range, and a known-valid base needs the DTD checked only where
+           the edit changed some element's children. *)
+        let* () =
           match member_view with
-          | None -> Ok None
-          | Some view ->
-            let* exposure = Update.exposure ~view old_tree in
-            let* () = Update.precheck ~exposure ~view old_tree r in
-            Ok (Some (view, exposure))
+          | None -> Ok ()
+          | Some view -> Update.precheck ~view old_tree r
         in
         let* new_tree, fp = Update.apply old_tree r in
         let* () =
           match t.dtd with
           | None -> Ok ()
           | Some d ->
-            (match validate_against d new_tree with
+            let errors =
+              if snap.snap_valid then
+                Validator.validate_edit d new_tree ~parent:fp.Update.fp_parent
+                  ~lo:fp.Update.fp_lo ~hi:fp.Update.fp_new_hi
+              else Validator.validate d new_tree
+            in
+            (match first_error errors with
             | Ok () -> Ok ()
             | Error msg -> Error (Error.Parse_error { loc = None; msg }))
         in
         let* () =
-          match member with
+          match member_view with
           | None -> Ok ()
-          | Some (view, old_exposure) ->
-            Update.postcheck ~old_exposure ~view ~old_tree ~new_tree fp
+          | Some view -> Update.postcheck ~view ~old_tree ~new_tree fp
         in
         (* Incremental index maintenance: splice the served TAX around
            the edited range instead of rebuilding O(document).  Computed
@@ -892,6 +905,7 @@ let update_robust t ?group op =
                   else begin
                     t.tree <- new_tree;
                     t.source <- None;
+                    t.valid <- true;
                     t.tax <- new_tax;
                     Some
                       (Plan_cache.invalidate_tags t.plan_cache

@@ -73,6 +73,10 @@ val of_file_robust :
 (** Like {!of_string_robust}; parse-error locations carry the file name. *)
 
 val of_tree : ?dtd:Smoqe_xml.Dtd.t -> Smoqe_xml.Tree.t -> t
+(** Serve a tree as given.  The tree is trusted: with [dtd] it is {e not}
+    validated, so the engine does not know it to be valid, and its first
+    update validates the whole candidate document (see
+    {!update_robust}). *)
 
 val document : t -> Smoqe_xml.Tree.t
 val dtd : t -> Smoqe_xml.Dtd.t option
@@ -233,7 +237,14 @@ val update_robust :
     against that group's view.  A [By_path] target is evaluated through
     the view and must select exactly one node ([Query_error] otherwise).
     A candidate that violates the engine's DTD is [Parse_error] (the
-    input, not the system, is at fault).  Concurrent updates are safe:
+    input, not the system, is at fault), reporting the first violation in
+    document order.  Every check is local to the edit when the served
+    document is known valid — loaded with a DTD, swapped in by
+    {!replace_document} or published by an update: the legality checks
+    walk the view only along the edit's ancestors and inside its range,
+    and the DTD check reads only the edit parent and the new subtree.
+    On an {!of_tree} document no update has yet replaced, the candidate
+    is validated in full.  Concurrent updates are safe:
     the staged pipeline redoes itself from a fresh snapshot when it
     loses the publish race. *)
 

@@ -9,9 +9,13 @@
 module Node_set : Set.S with type elt = int
 
 val eval :
+  ?admit:(Smoqe_xml.Tree.node -> bool) ->
   Smoqe_xml.Tree.t -> Ast.path -> from:Node_set.t -> Node_set.t
 (** Image of [from] under the path relation.  Applied to a tree alone,
-    it returns an evaluator whose calls share one qualifier memo. *)
+    it returns an evaluator whose calls share one qualifier memo.  With
+    [admit], the path's own steps move only to children [admit] accepts
+    (the image restricted to paths through admitted nodes); the paths
+    inside its qualifiers still range over the whole tree. *)
 
 val holds : Smoqe_xml.Tree.t -> Ast.qual -> Smoqe_xml.Tree.node -> bool
 

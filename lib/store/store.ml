@@ -6,6 +6,7 @@ module Policy = Smoqe_security.Policy
 module Engine = Smoqe.Engine
 module Session = Smoqe.Session
 module Failpoint = Smoqe_robust.Failpoint
+module Atomic_file = Smoqe_robust.Atomic_file
 
 type t = {
   dir : string;
@@ -39,21 +40,11 @@ let read_file path =
     result
 
 let write_file path contents =
-  match
-    Failpoint.trigger "store.write";
-    open_out_bin path
-  with
+  match Atomic_file.write ~failpoint:"store.write" path contents with
+  | () -> Ok ()
   | exception Sys_error msg -> Error msg
   | exception Failpoint.Injected site ->
     Error (path ^ ": injected fault at " ^ site)
-  | oc ->
-    (match output_string oc contents with
-    | () ->
-      close_out oc;
-      Ok ()
-    | exception Sys_error msg ->
-      close_out_noerr oc;
-      Error msg)
 
 let ( let* ) = Result.bind
 

@@ -117,12 +117,7 @@ let of_bytes data =
   | Invalid_argument msg -> Error msg
 
 let save path idx =
-  let oc = open_out_bin path in
-  match output_bytes oc (to_bytes idx) with
-  | () -> close_out oc
-  | exception e ->
-    close_out_noerr oc;
-    raise e
+  Smoqe_robust.Atomic_file.write path (Bytes.unsafe_to_string (to_bytes idx))
 
 let load path =
   match open_in_bin path with

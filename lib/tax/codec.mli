@@ -14,6 +14,8 @@ val of_bytes : bytes -> (Tax.t, string) result
 (** Fails with a message on a corrupt or truncated buffer. *)
 
 val save : string -> Tax.t -> unit
-(** Write to a file.  Raises [Sys_error] on IO failure. *)
+(** Write to a file, atomically: a temporary file renamed into place
+    ({!Smoqe_robust.Atomic_file}), so a failed save leaves the old file.
+    Raises [Sys_error] on IO failure. *)
 
 val load : string -> (Tax.t, string) result

@@ -2,6 +2,8 @@ module Tree = Smoqe_xml.Tree
 module Error = Smoqe_robust.Error
 module Derive = Smoqe_security.Derive
 module Exposure = Smoqe_security.Exposure
+module Ast = Smoqe_rxpath.Ast
+module Semantics = Smoqe_rxpath.Semantics
 
 type target =
   | By_id of Tree.node
@@ -70,17 +72,11 @@ let validate tree = function
           err "update: ~before node %d is not a child of parent %d" b parent
         else Ok ())
 
-let exposure ~view tree = Error.guard (fun () -> Exposure.compute view tree)
-
-(* A caller-supplied exposure is used only for the view and the tree it
-   was computed for: its ids mean nothing anywhere else. *)
-let exposure_of ?exposure:given ~view tree =
-  match given with
-  | None -> exposure ~view tree
-  | Some e when Exposure.is_for e ~view tree -> Ok e
-  | Some _ ->
-    Error
-      (Error.Internal "update: exposure computed for another view or tree")
+(* The exposure of [lo, hi) alone ({!Exposure.region}): the σ-walk
+   along the ancestors of [lo] and inside the range, never the rest of
+   the document. *)
+let region ~view tree ~lo ~hi =
+  Error.guard (fun () -> Exposure.region view tree ~lo ~hi)
 
 (* Member legality, part one (against the pre-update document): the
    update may only touch nodes the view exposes.  For a delete or
@@ -88,22 +84,22 @@ let exposure_of ?exposure:given ~view tree =
    member cannot see is exactly what the security view forbids; for an
    insert, the parent receiving the new child.  The offending node
    reported is the first hidden one in document order. *)
-let precheck ?exposure ~view tree r =
-  let* exposed = exposure_of ?exposure ~view tree in
-  let is_exposed = Exposure.mem exposed in
+let precheck ~view tree r =
   match r with
   | R_delete n | R_replace (n, _) ->
     let stop = Tree.subtree_end tree n in
+    let* exposed = region ~view tree ~lo:n ~hi:stop in
     let rec scan i =
       if i >= stop then Ok ()
-      else if not (is_exposed i) then
+      else if not (Exposure.mem exposed i) then
         if i = n then denied i "the update target is hidden by the view"
         else denied i "the target subtree contains a node hidden by the view"
       else scan (i + 1)
     in
     scan n
   | R_insert { parent; _ } ->
-    if is_exposed parent then Ok ()
+    let* exposed = region ~view tree ~lo:parent ~hi:(parent + 1) in
+    if Exposure.mem exposed parent then Ok ()
     else denied parent "the insert parent is hidden by the view"
 
 (* Apply the (validated) edit functionally and report its footprint:
@@ -157,31 +153,89 @@ let apply tree r =
    id shift).  (b) is the side-effect guard for conditional annotations:
    an edit inside an exposed region can still flip a [q]-qualifier
    elsewhere and reveal or hide unrelated data, which the view update
-   discipline forbids. *)
-let postcheck ?old_exposure ~view ~old_tree ~new_tree fp =
-  let* exposed_old = exposure_of ?exposure:old_exposure ~view old_tree in
-  let* exposed_new = exposure ~view new_tree in
-  let shift = fp.fp_new_hi - fp.fp_old_hi in
-  let vis_old = Exposure.mem exposed_old in
-  let vis_new = Exposure.mem exposed_new in
-  let rec inserted i =
+   discipline forbids.
+
+   (b) is decided locally.  σ paths and qualifiers only look down, and
+   outside the edit only the ancestors-or-self [y] of the edit parent
+   see a changed subtree, so the σ-walk on the two documents can part
+   only where an anchored qualifier ({!Exposure.anchored}) changes value
+   on such a [y], and only below it.  When none does, nothing outside
+   the edit moved; otherwise the highest such [y]'s subtree is compared,
+   old region against new. *)
+
+(* Whether a qualifier can see an edit of element names [tags]: a path
+   made of named steps that all miss [tags] never reaches an edited node
+   (text needs a [text()] or wildcard step), and the nodes it does reach
+   keep their values — unless the edit put or took text directly under
+   the parent, which the caller checks. *)
+let sees_edit ~tags q =
+  let rec path = function
+    | Ast.Self -> false
+    | Ast.Tag s -> List.mem s tags
+    | Ast.Wildcard | Ast.Text -> true
+    | Ast.Seq (a, b) | Ast.Union (a, b) -> path a || path b
+    | Ast.Star p -> path p
+    | Ast.Filter (p, q) -> path p || qual q
+  and qual = function
+    | Ast.True -> false
+    | Ast.Exists p | Ast.Value_eq (p, _) -> path p
+    | Ast.Not q -> qual q
+    | Ast.And (a, b) | Ast.Or (a, b) -> qual a || qual b
+  in
+  qual q
+
+(* The ancestors-or-self of [n], root first. *)
+let chain tree n =
+  let rec up n acc =
+    match Tree.parent tree n with None -> n :: acc | Some p -> up p (n :: acc)
+  in
+  up n []
+
+let postcheck ~view ~old_tree ~new_tree fp =
+  let* inserted = region ~view new_tree ~lo:fp.fp_lo ~hi:fp.fp_new_hi in
+  let rec check_inserted i =
     if i >= fp.fp_new_hi then Ok ()
-    else if not (vis_new i) then
+    else if not (Exposure.mem inserted i) then
       denied i "the inserted subtree is not fully visible in the view"
-    else inserted (i + 1)
+    else check_inserted (i + 1)
   in
-  let rec stable_prefix i =
-    if i >= fp.fp_lo then Ok ()
-    else if vis_old i <> vis_new i then
-      denied i "the update would change the visibility of an unrelated node"
-    else stable_prefix (i + 1)
-  in
-  let rec stable_suffix i =
-    if i >= Tree.n_nodes old_tree then Ok ()
-    else if vis_old i <> vis_new (i + shift) then
-      denied i "the update would change the visibility of an unrelated node"
-    else stable_suffix (i + 1)
-  in
-  let* () = inserted fp.fp_lo in
-  let* () = stable_prefix 0 in
-  stable_suffix fp.fp_old_hi
+  let* () = check_inserted fp.fp_lo in
+  if fp.fp_parent < 0 then Ok () (* the root was replaced: nothing outside *)
+  else
+    let* moved =
+      Error.guard (fun () ->
+          (* the edited range is one subtree, rooted at [fp_lo] *)
+          let text_moved =
+            (fp.fp_lo < fp.fp_old_hi && Tree.is_text old_tree fp.fp_lo)
+            || (fp.fp_lo < fp.fp_new_hi && Tree.is_text new_tree fp.fp_lo)
+          in
+          let quals =
+            List.filter
+              (fun (q, _) -> text_moved || sees_edit ~tags:fp.fp_tags q)
+              (Exposure.anchored view)
+          in
+          let changed y =
+            let tag = Tree.name old_tree y in
+            List.exists
+              (fun (q, on) ->
+                (match on with None -> true | Some l -> List.mem tag l)
+                && Semantics.holds old_tree q y <> Semantics.holds new_tree q y)
+              quals
+          in
+          List.find_opt changed (chain old_tree fp.fp_parent))
+    in
+    match moved with
+    | None -> Ok ()
+    | Some y ->
+      let old_end = Tree.subtree_end old_tree y in
+      let shift = fp.fp_new_hi - fp.fp_old_hi in
+      let* before = region ~view old_tree ~lo:y ~hi:old_end in
+      let* after = region ~view new_tree ~lo:y ~hi:(old_end + shift) in
+      let rec stable i stop shift =
+        if i >= stop then Ok ()
+        else if Exposure.mem before i <> Exposure.mem after (i + shift) then
+          denied i "the update would change the visibility of an unrelated node"
+        else stable (i + 1) stop shift
+      in
+      let* () = stable y fp.fp_lo 0 in
+      stable fp.fp_old_hi old_end shift

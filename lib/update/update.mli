@@ -8,7 +8,8 @@
     resolves [By_path] targets (a Regular XPath that must select exactly
     one node, evaluated through the member's view), drives
     [validate] → [precheck] → [apply] → [postcheck], DTD-validates the
-    candidate and atomically publishes it together with the
+    candidate (locally, at the edit, when the base document is known
+    valid) and atomically publishes it together with the
     incrementally maintained TAX index and the subtree-scoped plan-cache
     invalidation ({!Smoqe_plan.Plan_cache.invalidate_tags}).  A rejected
     update returns [Error.Update_denied] with the offending node and
@@ -63,33 +64,21 @@ val validate : Tree.t -> resolved -> (unit, Error.t) result
     under elements only, [before] a child of [parent].  Failures are
     [Query_error] — the request is malformed regardless of policy. *)
 
-val exposure :
-  view:Derive.view ->
-  Tree.t ->
-  (Smoqe_security.Exposure.t, Error.t) result
-(** What [view] exposes of the document: one σ-walk
-    ({!Smoqe_security.Exposure.compute}), no view tree.  The engine
-    computes it once per member write and hands it to both checks. *)
-
 val precheck :
-  ?exposure:Smoqe_security.Exposure.t ->
-  view:Derive.view ->
-  Tree.t ->
-  resolved ->
-  (unit, Error.t) result
+  view:Derive.view -> Tree.t -> resolved -> (unit, Error.t) result
 (** Member legality against the pre-update document: the entire removed
     subtree (delete/replace) or the receiving parent (insert) must be
-    exposed by the view.  Exposure is read from [exposure], or computed
-    when it is absent; an [exposure] of another view or tree is
-    [Internal], never consulted.  Failures are [Update_denied] carrying
-    the first hidden node in document order. *)
+    exposed by the view.  Exposure is read from one σ-walk restricted to
+    that subtree or parent and its ancestors
+    ({!Smoqe_security.Exposure.region}), so the cost is local to the
+    edit.  Failures are [Update_denied] carrying the first hidden node in
+    document order. *)
 
 val apply : Tree.t -> resolved -> (Tree.t * footprint, Error.t) result
 (** Apply a validated edit functionally (the input tree is untouched)
     and report its footprint. *)
 
 val postcheck :
-  ?old_exposure:Smoqe_security.Exposure.t ->
   view:Derive.view ->
   old_tree:Tree.t ->
   new_tree:Tree.t ->
@@ -98,8 +87,13 @@ val postcheck :
 (** Member legality against the candidate document: every inserted node
     must be exposed (no writing into regions the member cannot read
     back), and no node outside the edited range may change visibility —
-    the side-effect guard for conditional ([q]) annotations.  It compares
-    the old tree's exposure ([old_exposure], or computed when absent; one
-    of another view or tree is [Internal]) with one σ-walk of the new
-    tree, id by id.  Failures are [Update_denied]; the engine then
-    discards the candidate. *)
+    the side-effect guard for conditional ([q]) annotations.  Decided
+    locally and exactly: the inserted range by a restricted σ-walk of
+    the new tree; the rest by re-evaluating, on the ancestors-or-self of
+    the edit parent, the view's anchored qualifiers
+    ({!Smoqe_security.Exposure.anchored}) that can see the edit, and,
+    when one changed value, by comparing the highest such ancestor's
+    subtree, old against new.  Qualifiers only look downward, so nothing
+    else can move.  Failures are [Update_denied] carrying the first
+    offending node in document order (old ids outside the new range);
+    the engine then discards the candidate. *)

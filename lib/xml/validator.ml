@@ -200,7 +200,9 @@ let check_element d models t n errors =
            (element_names t n) Dtd.pp_regex r)
       :: errors
 
-let validate dtd t =
+(* The root check, then the elements of [ranges] (pre-order id ranges,
+   in document order). *)
+let check_nodes dtd t ranges =
   let errors = ref [] in
   if Tree.name t Tree.root <> Dtd.root dtd then
     errors :=
@@ -213,9 +215,22 @@ let validate dtd t =
         };
       ];
   let d, models = compile dtd t in
-  for n = 0 to Tree.n_nodes t - 1 do
-    if Tree.is_element t n then errors := check_element d models t n !errors
-  done;
+  List.iter
+    (fun (lo, hi) ->
+      for n = lo to hi - 1 do
+        if Tree.is_element t n then
+          errors := check_element d models t n !errors
+      done)
+    ranges;
   match List.rev !errors with [] -> Ok () | es -> Error es
+
+let validate dtd t = check_nodes dtd t [ (0, Tree.n_nodes t) ]
+
+(* An element's check reads only its own tag and its children's, so an
+   edit can break only the parent whose children changed and the new
+   material. *)
+let validate_edit dtd t ~parent ~lo ~hi =
+  check_nodes dtd t
+    (if parent < 0 then [ (lo, hi) ] else [ (parent, parent + 1); (lo, hi) ])
 
 let is_valid dtd t = Result.is_ok (validate dtd t)

@@ -4,7 +4,9 @@
    fail with a positioned/typed error.  Any [Bug] verdict fails the run
    and prints the offending input for triage — commit it under
    test/corpus/regressions/ once fixed.  It then checks the exposure
-   bitmap against materialization provenance on 10,000 random draws. *)
+   bitmap against materialization provenance, and the restricted
+   exposure of id ranges ([Exposure.region]) against it, on 10,000
+   random draws. *)
 
 module Fuzz = Smoqe_workload.Fuzz
 module Tree = Smoqe_xml.Tree
@@ -15,8 +17,9 @@ module Random_dtd = Smoqe_workload.Random_dtd
 module Docgen = Smoqe_workload.Docgen
 
 (* The exposure bitmap must mark exactly the materialization provenance
-   ids: the soak version of test_security's 2,000-draw check, on 10,000
-   further draws built the same way. *)
+   ids, and a region exactly those of its range: the soak version of
+   test_security's 2,000-draw checks, on 10,000 further draws built the
+   same way. *)
 let exposure_check seed =
   let dtd =
     Random_dtd.generate ~seed ~n_types:(3 + (seed mod 5))
@@ -39,7 +42,29 @@ let exposure_check seed =
       else if Exposure.mem e n <> prov.(n) then `Differs n
       else first (n + 1)
     in
-    first 0
+    (* and the restricted σ-walk of a subtree and of an arbitrary id
+       range must be the whole-document one cut to that range *)
+    let n_nodes = Tree.n_nodes doc in
+    let rng = Random.State.make [| seed; 0x7e9 |] in
+    let a = Random.State.int rng n_nodes
+    and b = Random.State.int rng n_nodes
+    and c = Random.State.int rng n_nodes in
+    let region_differs (lo, hi) =
+      let r = Exposure.region view doc ~lo ~hi in
+      let rec go n =
+        if n >= n_nodes then None
+        else if Exposure.mem r n <> (n >= lo && n < hi && prov.(n)) then
+          Some (`Region_differs (lo, hi, n))
+        else go (n + 1)
+      in
+      go 0
+    in
+    (match first 0 with
+    | `Same ->
+      Option.value ~default:`Same
+        (List.find_map region_differs
+           [ (a, Tree.subtree_end doc a); (min b c, max b c + 1) ])
+    | d -> d)
 
 let getenv_int name default =
   match Sys.getenv_opt name with
@@ -82,5 +107,11 @@ let () =
       Printf.eprintf
         "BUG: exposure differs from provenance at node %d (draw %d)\n" n seed;
       exit 1
+    | `Region_differs (lo, hi, n) ->
+      Printf.eprintf
+        "BUG: region [%d, %d) differs from provenance at node %d (draw %d)\n"
+        lo hi n seed;
+      exit 1
   done;
-  Printf.printf "exposure = provenance on %d draws\n" !compared
+  Printf.printf "exposure = provenance and region = its cut, on %d draws\n"
+    !compared

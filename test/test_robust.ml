@@ -215,6 +215,42 @@ let test_store_write_fault_is_error () =
           (contains msg "store.write")
       | Ok _ -> Alcotest.fail "store created through a failing disk")
 
+(* A write that faults part-way through leaves the file it was
+   replacing byte-identical, and no temporary file behind. *)
+let test_store_write_fault_is_not_torn () =
+  let dir = Filename.temp_file "smoqe_robust" "" in
+  Sys.remove dir;
+  let doc = Hospital.generate ~seed:3 ~n_patients:2 ~recursion_depth:1 () in
+  let store = ok (Smoqe_store.Store.create ~dir ~dtd:Hospital.dtd doc) in
+  ok (Smoqe_store.Store.add_policy store ~group:"staff" Hospital.policy);
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let policy_file = Filename.concat (Filename.concat dir "policies") "staff.policy"
+  and manifest = Filename.concat dir "MANIFEST" in
+  let listing () =
+    List.sort compare
+      (Array.to_list (Sys.readdir dir)
+      @ Array.to_list (Sys.readdir (Filename.concat dir "policies")))
+  in
+  let before = (read policy_file, read manifest, listing ()) in
+  let stricter =
+    ok (Smoqe_security.Policy.of_string Hospital.dtd "ann(hospital, patient) = N\n")
+  in
+  Failpoint.with_failpoints "store.write=once" (fun () ->
+      match Smoqe_store.Store.add_policy store ~group:"staff" stricter with
+      | Error msg ->
+        Alcotest.(check bool) "names the site" true (contains msg "store.write");
+        Alcotest.(check int) "the fault fired mid-write" 1
+          (Failpoint.hits "store.write")
+      | Ok () -> Alcotest.fail "policy rewritten through a failing disk");
+  let p, m, l = before in
+  Alcotest.(check string) "old policy file byte-identical" p (read policy_file);
+  Alcotest.(check string) "manifest byte-identical" m (read manifest);
+  Alcotest.(check (list string)) "no temporary file left" l (listing ());
+  (* the same write, unfaulted, replaces the file *)
+  ok (Smoqe_store.Store.add_policy store ~group:"staff" stricter);
+  Alcotest.(check bool) "policy file replaced" true (read policy_file <> p);
+  Alcotest.(check (list string)) "still no temporary file" l (listing ())
+
 let test_stax_fault_degrades_to_dom () =
   let e = hospital_engine () in
   let expected = okr (Engine.query_robust e ~mode:Engine.Dom "//pname") in
@@ -372,6 +408,8 @@ let () =
             test_pull_read_fault_is_error;
           Alcotest.test_case "store write fault" `Quick
             test_store_write_fault_is_error;
+          Alcotest.test_case "store write fault leaves the old file" `Quick
+            test_store_write_fault_is_not_torn;
           Alcotest.test_case "stax degrades to dom" `Quick
             test_stax_fault_degrades_to_dom;
           Alcotest.test_case "stax file changed after load" `Quick

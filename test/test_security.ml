@@ -374,13 +374,11 @@ let test_materialize_provenance () =
         Alcotest.(check string) "tag preserved" (Tree.name doc d)
           (Tree.name vt n))
 
-(* The exposure bitmap and materialization share one σ-walk; this pins
-   that the bitmap marks exactly the provenance ids, on random draws
-   built the way the oracle's property cases build them (random DTD,
-   conditional policy, generated document).  A draw whose DTD has no
-   finite document or whose policy derivation is unsupported is skipped;
-   2,000 draws are compared. *)
-let exposure_matches_provenance seed =
+(* The random draws of the exposure checks, built the way the oracle's
+   property cases build them (random DTD, conditional policy, generated
+   document); [None] when the DTD has no finite document or the policy
+   derivation is unsupported. *)
+let exposure_draw seed =
   let dtd =
     Random_dtd.generate ~seed ~n_types:(3 + (seed mod 5))
       ~recursion:(seed mod 2 = 0) ()
@@ -389,27 +387,57 @@ let exposure_matches_provenance seed =
     ( Derive.derive (Random_dtd.random_policy ~seed:((seed * 3) + 1) dtd),
       Docgen.generate ~seed:((seed * 5) + 2) ~max_depth:8 ~fanout:2 dtd )
   with
-  | exception (Derive.Unsupported _ | Docgen.No_finite_expansion _) -> false
-  | view, doc ->
-    let e = Exposure.compute view doc in
-    let prov = Hashtbl.create 64 in
-    Array.iter
-      (fun n -> Hashtbl.replace prov n ())
-      (Materialize.materialize view doc).Materialize.provenance;
-    for n = 0 to Tree.n_nodes doc - 1 do
-      if Exposure.mem e n <> Hashtbl.mem prov n then
-        Alcotest.failf "seed %d: node %d exposed=%b, in provenance=%b" seed n
-          (Exposure.mem e n) (Hashtbl.mem prov n)
-    done;
-    true
+  | exception (Derive.Unsupported _ | Docgen.No_finite_expansion _) -> None
+  | view, doc -> Some (view, doc)
 
-let test_exposure_is_provenance () =
+(* Run [check] on the first 2,000 draws that exist. *)
+let on_draws check =
   let rec go seed compared =
     if compared < 2000 then
-      go (seed + 1)
-        (if exposure_matches_provenance seed then compared + 1 else compared)
+      match exposure_draw seed with
+      | None -> go (seed + 1) compared
+      | Some (view, doc) ->
+        check seed view doc;
+        go (seed + 1) (compared + 1)
   in
   go 1 0
+
+(* The exposure bitmap and materialization share one σ-walk; this pins
+   that the bitmap marks exactly the provenance ids. *)
+let test_exposure_is_provenance () =
+  on_draws (fun seed view doc ->
+      let e = Exposure.compute view doc in
+      let prov = Hashtbl.create 64 in
+      Array.iter
+        (fun n -> Hashtbl.replace prov n ())
+        (Materialize.materialize view doc).Materialize.provenance;
+      for n = 0 to Tree.n_nodes doc - 1 do
+        if Exposure.mem e n <> Hashtbl.mem prov n then
+          Alcotest.failf "seed %d: node %d exposed=%b, in provenance=%b" seed
+            n (Exposure.mem e n) (Hashtbl.mem prov n)
+      done)
+
+(* The restricted σ-walk is the whole-document one cut to its range: on
+   a subtree, a single node, an arbitrary id range and an empty one. *)
+let test_region_is_compute () =
+  on_draws (fun seed view doc ->
+      let full = Exposure.compute view doc in
+      let n = Tree.n_nodes doc in
+      let rng = Random.State.make [| seed; 0x7e9 |] in
+      let a = Random.State.int rng n
+      and b = Random.State.int rng n
+      and c = Random.State.int rng n in
+      List.iter
+        (fun (lo, hi) ->
+          let r = Exposure.region view doc ~lo ~hi in
+          for i = 0 to n - 1 do
+            let want = i >= lo && i < hi && Exposure.mem full i in
+            if Exposure.mem r i <> want then
+              Alcotest.failf "seed %d: region [%d, %d) says node %d exposed=%b"
+                seed lo hi i (not want)
+          done)
+        [ (a, Tree.subtree_end doc a); (b, b + 1);
+          (min b c, max b c + 1); (c, c) ])
 
 let test_materialize_bib () =
   let v = Derive.derive Bib.policy in
@@ -490,6 +518,8 @@ let () =
           Alcotest.test_case "bib domain" `Quick test_materialize_bib;
           Alcotest.test_case "exposure = provenance (random draws)" `Quick
             test_exposure_is_provenance;
+          Alcotest.test_case "region = compute on its range (random draws)"
+            `Quick test_region_is_compute;
         ] );
       ( "end-to-end",
         [

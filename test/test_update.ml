@@ -392,42 +392,236 @@ let test_member_legality_differential () =
   Alcotest.(check bool) "some member writes allowed" true (!allowed > 50);
   Alcotest.(check bool) "some member writes denied" true (!denied > 50)
 
-(* An exposure is tied to the view and the tree it was computed for: any
-   other pairing is refused as [Internal], never indexed. *)
-let test_exposure_misuse () =
-  let doc = Hospital.generate ~seed:5 ~n_patients:3 ~recursion_depth:1 () in
-  let bigger = Hospital.generate ~seed:5 ~n_patients:9 ~recursion_depth:1 () in
-  let copy = Tree.of_source (Tree.to_source doc Tree.root) in
+(* Writes that flip a qualifier of an exposed top-level patient: the
+   patient's only autism medication replaced by another medication, or
+   deleted.  The medication itself is exposed, so the precheck passes;
+   the patient's [visit/treatment/medication = 'autism'] qualifier flips
+   and hides the patient with all it holds.  The replace is denied at
+   the new medication (it cannot be read back); the delete leaves
+   nothing new to read back, so the side-effect guard must deny it, at
+   the patient — the first node whose visibility changes. *)
+let test_qualifier_flip_denied () =
+  let doc = Hospital.generate ~seed:21 ~n_patients:12 ~recursion_depth:2 () in
   let view = Derive.derive Hospital.policy in
-  let exposure = okr (Update.exposure ~view doc) in
-  let internal label = function
-    | Error (Err.Internal _) -> ()
-    | r -> Alcotest.failf "%s: got %s, want internal" label (verdict r)
+  let elems n tag =
+    List.filter
+      (fun c -> Tree.is_element doc c && Tree.name doc c = tag)
+      (Tree.children doc n)
   in
-  let last = Tree.n_nodes bigger - 1 in
-  internal "precheck on a bigger tree"
-    (Update.precheck ~exposure ~view bigger (Update.R_delete last));
-  internal "precheck on an equal copy"
-    (Update.precheck ~exposure ~view copy (Update.R_delete 1));
-  internal "precheck under another view"
-    (Update.precheck ~exposure ~view:(Derive.derive Hospital.policy) doc
-       (Update.R_delete 1));
-  let r = Update.R_replace (last, Tree.to_source bigger last) in
-  let new_tree, fp = okr (Update.apply bigger r) in
-  internal "postcheck on a bigger tree"
-    (Update.postcheck ~old_exposure:exposure ~view ~old_tree:bigger ~new_tree
-       fp);
-  (* the matching exposure decides exactly as a fresh computation *)
-  let r = Update.R_replace (1, Tree.to_source doc 1) in
-  let new_tree, fp = okr (Update.apply doc r) in
-  Alcotest.(check string) "precheck with its own exposure"
-    (verdict (Update.precheck ~view doc r))
-    (verdict (Update.precheck ~exposure ~view doc r));
-  Alcotest.(check string) "postcheck with its own exposure"
-    (verdict (Update.postcheck ~view ~old_tree:doc ~new_tree fp))
+  let autism_meds p =
+    List.concat_map
+      (fun v ->
+        List.concat_map (fun tr -> elems tr "medication") (elems v "treatment"))
+      (elems p "visit")
+    |> List.filter (fun m -> Tree.value doc m = "autism")
+  in
+  let patient, med =
+    match
+      List.find_map
+        (fun p -> match autism_meds p with [ m ] -> Some (p, m) | _ -> None)
+        (elems Tree.root "patient")
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "no patient with exactly one autism medication"
+  in
+  let postcheck label r ~want =
+    Alcotest.(check string) (label ^ ": the precheck passes") "allowed"
+      (verdict (Update.precheck ~view doc r));
+    let new_tree, fp = okr (Update.apply doc r) in
+    Alcotest.(check string) (label ^ ": postcheck") want
+      (verdict (Update.postcheck ~view ~old_tree:doc ~new_tree fp));
+    Alcotest.(check string) (label ^ ": the reference agrees") want
+      (verdict (reference_postcheck view ~old_tree:doc ~new_tree fp))
+  in
+  let replace =
+    Update.R_replace (med, Tree.E ("medication", [], [ Tree.T "headache" ]))
+  in
+  postcheck "replace" replace ~want:(Printf.sprintf "denied at %d" med);
+  postcheck "delete" (Update.R_delete med)
+    ~want:(Printf.sprintf "denied at %d" patient);
+  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  ok (Engine.register_policy engine ~group:"members" Hospital.policy);
+  Alcotest.(check string) "the engine denies the replace"
+    (Printf.sprintf "denied at %d" med)
     (verdict
-       (Update.postcheck ~old_exposure:exposure ~view ~old_tree:doc ~new_tree
-          fp))
+       (Result.map ignore
+          (Engine.update_robust engine ~group:"members" (op_of replace))));
+  Alcotest.(check bool) "document untouched" true
+    (Engine.document engine == doc)
+
+(* The postcheck alone against the reference, on random member edits of
+   random schemas with conditional policies and no DTD gate in front, so
+   that edits breaking the schema still reach the side-effect guard.
+   Denials at a node outside the new range come from that guard; the
+   draws must produce some. *)
+let test_postcheck_differential () =
+  let side_effects = ref 0 in
+  for seed = 1 to 200 do
+    let dtd =
+      Random_dtd.generate ~seed ~n_types:(3 + (seed mod 5))
+        ~recursion:(seed mod 2 = 0) ()
+    in
+    match
+      ( Derive.derive
+          (Random_dtd.random_policy ~seed:((seed * 7) + 3) ~cond_ratio:0.6 dtd),
+        Docgen.generate ~seed:((seed * 5) + 2) ~max_depth:8 ~fanout:2 dtd )
+    with
+    | exception (Derive.Unsupported _ | Docgen.No_finite_expansion _) -> ()
+    | view, doc ->
+      let rng = Random.State.make [| seed; 0x5eed |] in
+      for step = 1 to 10 do
+        let r = member_edit rng view doc in
+        if Update.validate doc r = Ok () && reference_precheck view doc r = Ok ()
+        then begin
+          let new_tree, fp = okr (Update.apply doc r) in
+          let want = reference_postcheck view ~old_tree:doc ~new_tree fp in
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d step %d" seed step)
+            (verdict want)
+            (verdict (Update.postcheck ~view ~old_tree:doc ~new_tree fp));
+          match want with
+          | Error (Err.Update_denied { node; _ })
+            when node < fp.Update.fp_lo || node >= fp.Update.fp_new_hi ->
+            incr side_effects
+          | _ -> ()
+        end
+      done
+  done;
+  Alcotest.(check bool) "side-effect denials seen" true (!side_effects > 20)
+
+(* --- local DTD validation = full validation -------------------------------- *)
+
+(* Material that breaks the schema in each way the validator reports: an
+   undeclared tag, stray text, a declared tag over the wrong children, a
+   declared tag with no children. *)
+let off_schema rng doc =
+  let rec element tries =
+    let n = Random.State.int rng (Tree.n_nodes doc) in
+    if Tree.is_element doc n || tries = 0 then n else element (tries - 1)
+  in
+  match Random.State.int rng 4 with
+  | 0 -> Tree.E ("undeclared", [], [ Tree.T "x" ])
+  | 1 -> Tree.T "stray"
+  | 2 ->
+    (match Tree.to_source doc (element 20) with
+    | Tree.E (tag, attrs, kids) -> Tree.E (tag, attrs, List.rev kids @ kids)
+    | text -> text)
+  | _ -> Tree.E (Tree.name doc (element 20), [], [])
+
+(* A random edit of [doc], with off-schema material half the time. *)
+let schema_edit rng doc =
+  match random_edit rng doc with
+  | r when Random.State.bool rng -> r
+  | Update.R_replace (n, _) -> Update.R_replace (n, off_schema rng doc)
+  | Update.R_insert i -> Update.R_insert { i with source = off_schema rng doc }
+  | Update.R_delete _ as r -> r
+
+let show_errors = function
+  | Ok () -> "valid"
+  | Error es -> Fmt.str "%a" Fmt.(list ~sep:semi Validator.pp_error) es
+
+(* On a valid base, checking the edit parent and the new range reports
+   exactly what validating the whole candidate does; valid candidates
+   become the next base.  Returns (valid, invalid) candidates seen. *)
+let local_validation label dtd ~seed ~steps doc =
+  let rng = Random.State.make [| seed; 0xd7d |] in
+  let valid = ref 0 and invalid = ref 0 in
+  let base = ref doc in
+  for step = 1 to steps do
+    let r = schema_edit rng !base in
+    match Update.validate !base r with
+    | Error _ -> ()
+    | Ok () ->
+      let nt, fp = okr (Update.apply !base r) in
+      let full = Validator.validate dtd nt in
+      Alcotest.(check string)
+        (Printf.sprintf "%s step %d: local = full" label step)
+        (show_errors full)
+        (show_errors
+           (Validator.validate_edit dtd nt ~parent:fp.Update.fp_parent
+              ~lo:fp.Update.fp_lo ~hi:fp.Update.fp_new_hi));
+      if Result.is_ok full then (incr valid; base := nt) else incr invalid
+  done;
+  (!valid, !invalid)
+
+let test_local_validation () =
+  let valid = ref 0 and invalid = ref 0 in
+  let tally (v, i) =
+    valid := !valid + v;
+    invalid := !invalid + i
+  in
+  for seed = 1 to 10 do
+    let doc = Hospital.generate ~seed ~n_patients:5 ~recursion_depth:2 () in
+    tally
+      (local_validation (Printf.sprintf "hospital seed %d" seed) Hospital.dtd
+         ~seed ~steps:40 doc)
+  done;
+  for seed = 1 to 80 do
+    let dtd =
+      Random_dtd.generate ~seed ~n_types:(3 + (seed mod 5))
+        ~recursion:(seed mod 2 = 0) ()
+    in
+    match Docgen.generate ~seed:((seed * 5) + 2) ~max_depth:8 ~fanout:2 dtd with
+    | exception Docgen.No_finite_expansion _ -> ()
+    | doc when Validator.is_valid dtd doc ->
+      tally
+        (local_validation (Printf.sprintf "random seed %d" seed) dtd ~seed
+           ~steps:15 doc)
+    | _ -> Alcotest.failf "random seed %d: generated document invalid" seed
+  done;
+  Alcotest.(check bool) "valid candidates seen" true (!valid > 200);
+  Alcotest.(check bool) "invalid candidates seen" true (!invalid > 200)
+
+(* [of_tree] trusts its tree, so the engine's first write on it
+   validates the whole candidate: an error far from the edit is still
+   the one reported.  Once a write is published, the tree is known valid
+   and later writes are checked at the edit — with the same verdicts. *)
+let test_unvalidated_base () =
+  let rng = Random.State.make [| 0xba5e |] in
+  let checked = ref 0 and far = ref 0 in
+  for seed = 1 to 40 do
+    let doc = Hospital.generate ~seed ~n_patients:4 ~recursion_depth:1 () in
+    (* break the base with off-schema material about half the time *)
+    let base =
+      if seed mod 2 = 0 then doc
+      else
+        let r = schema_edit rng doc in
+        match Update.validate doc r with
+        | Error _ -> doc
+        | Ok () -> fst (okr (Update.apply doc r))
+    in
+    let engine = Engine.of_tree ~dtd:Hospital.dtd base in
+    let tree = ref base in
+    for step = 1 to 4 do
+      let r = schema_edit rng !tree in
+      match Update.validate !tree r with
+      | Error _ -> ()
+      | Ok () ->
+        let nt, fp = okr (Update.apply !tree r) in
+        let want =
+          match Validator.validate Hospital.dtd nt with
+          | Ok () | Error [] -> "valid"
+          | Error (e :: _) -> Fmt.str "document invalid: %a" Validator.pp_error e
+        in
+        if want <> "valid"
+           && Validator.validate_edit Hospital.dtd nt ~parent:fp.Update.fp_parent
+                ~lo:fp.Update.fp_lo ~hi:fp.Update.fp_new_hi = Ok ()
+        then incr far;
+        let got =
+          match Engine.update_robust engine (op_of r) with
+          | Ok _ -> "valid"
+          | Error (Err.Parse_error { msg; _ }) -> msg
+          | Error e -> Err.to_string e
+        in
+        incr checked;
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d step %d: first error" seed step)
+          want got;
+        tree := Engine.document engine
+    done
+  done;
+  Alcotest.(check bool) "writes checked" true (!checked > 60);
+  Alcotest.(check bool) "errors only a full check finds" true (!far > 5)
 
 (* --- legal delete-then-reinsert round-trips -------------------------------- *)
 
@@ -561,8 +755,17 @@ let () =
           Alcotest.test_case "by-path targets" `Quick test_by_path_target;
           Alcotest.test_case "member verdicts = materialization reference"
             `Quick test_member_legality_differential;
-          Alcotest.test_case "exposure tied to its view and tree" `Quick
-            test_exposure_misuse;
+          Alcotest.test_case "a flipped qualifier is denied" `Quick
+            test_qualifier_flip_denied;
+          Alcotest.test_case "postcheck = reference, no DTD gate" `Quick
+            test_postcheck_differential;
+        ] );
+      ( "validation",
+        [
+          Alcotest.test_case "local DTD check = full validation" `Quick
+            test_local_validation;
+          Alcotest.test_case "unvalidated base validates in full" `Quick
+            test_unvalidated_base;
         ] );
       ( "invalidation",
         [
