@@ -3,7 +3,6 @@ module Afa = Smoqe_automata.Afa
 module Mfa = Smoqe_automata.Mfa
 module Tables = Smoqe_automata.Tables
 module Reachability = Smoqe_automata.Reachability
-module Int_tbl = Hashtbl.Make (Int)
 
 exception Driver_error of string
 
@@ -53,7 +52,7 @@ type frame = {
   mutable contrib : Bytes.t; (* facts pushed up by the children *)
   mutable mark : Bytes.t; (* membership in [active] *)
   here_mark : Bytes.t; (* membership in [quals_here], per qualifier *)
-  req_mark : Bytes.t; (* membership in [requested], per qualifier *)
+  req_slot : int array; (* per qualifier: its slot here, -1 if not requested *)
   mutable text_acc : Buffer.t option; (* immediate text (element value) *)
 }
 
@@ -91,7 +90,14 @@ type t = {
   owners : int array array;
   n_queries : int;
   (* dynamics *)
-  cond_val : bool Int_tbl.t; (* qualifier q at node n, keyed n * n_quals + q *)
+  (* The slot table: one slot per (qualifier, node) a selection run
+     assumed, numbered in request order.  Three columns indexed by slot,
+     each grown by doubling: the published value, and the qualifier and
+     node that took the slot (for the unresolved-condition diagnostic). *)
+  mutable slot_val : Bytes.t; (* slot_unset, slot_false or slot_true *)
+  mutable slot_qual : int array;
+  mutable slot_node : int array;
+  mutable n_slots : int;
   cans : Cans.t array; (* one per query *)
   stats : Stats.t;
   trace : Trace.t option;
@@ -139,9 +145,14 @@ let fresh_frame n_states n_quals () =
     contrib = Bytes.make n_states '\000';
     mark = Bytes.make n_states '\000';
     here_mark = Bytes.make (max 1 n_quals) '\000';
-    req_mark = Bytes.make (max 1 n_quals) '\000';
+    req_slot = Array.make (max 1 n_quals) (-1);
     text_acc = None;
   }
+
+let slot_unset = '\000'
+let slot_false = '\001'
+let slot_true = '\002'
+let slot_cap0 = 256
 
 let create ?trace ?tables ?(memo_cap = 4096) ?owners ?n_queries mfa =
   (match tables with
@@ -242,7 +253,10 @@ let create ?trace ?tables ?(memo_cap = 4096) ?owners ?n_queries mfa =
     n_quals;
     owners;
     n_queries;
-    cond_val = Int_tbl.create 256;
+    slot_val = Bytes.make slot_cap0 slot_unset;
+    slot_qual = Array.make slot_cap0 0;
+    slot_node = Array.make slot_cap0 0;
+    n_slots = 0;
     cans = Array.init n_queries (fun _ -> Cans.create ());
     stats = Stats.create ();
     trace;
@@ -341,6 +355,25 @@ let record_candidate t node s conds =
     Cans.add t.cans.(ow.(i)) ~node conds
   done
 
+(* Double every column of a full slot table. *)
+let grow_slots t =
+  let used = t.n_slots in
+  t.slot_val <- Bytes.cat t.slot_val (Bytes.make used slot_unset);
+  t.slot_qual <- Array.append t.slot_qual (Array.make used 0);
+  t.slot_node <- Array.append t.slot_node (Array.make used 0)
+
+(* The first request of qualifier [q] at the frame's node takes the next
+   slot; the frame remembers it for every later request of [q] here. *)
+let take_slot t frame q =
+  let slot = t.n_slots in
+  if slot >= Bytes.length t.slot_val then grow_slots t;
+  t.slot_qual.(slot) <- q;
+  t.slot_node.(slot) <- frame.node;
+  t.n_slots <- slot + 1;
+  frame.req_slot.(q) <- slot;
+  frame.requested <- q :: frame.requested;
+  slot
+
 let rec push_item t frame item =
   let nfa = t.mfa.Mfa.nfa in
   let item =
@@ -367,12 +400,10 @@ and add_checks t frame conds = function
   | [] -> conds
   | q :: rest ->
     note_qual t frame q;
-    if Bytes.get frame.req_mark q = '\000' then begin
-      Bytes.set frame.req_mark q '\001';
-      frame.requested <- q :: frame.requested
-    end;
+    let slot = frame.req_slot.(q) in
+    let slot = if slot >= 0 then slot else take_slot t frame q in
     t.stats.Stats.conds_created <- t.stats.Stats.conds_created + 1;
-    add_checks t frame (Conds.add (q, frame.node) conds) rest
+    add_checks t frame (Conds.add slot conds) rest
 
 and push_eps t frame item = function
   | [] -> ()
@@ -559,6 +590,12 @@ let rec clear_marks bits = function
     Bytes.set bits i '\000';
     clear_marks bits rest
 
+let rec clear_slots slots = function
+  | [] -> ()
+  | q :: rest ->
+    slots.(q) <- -1;
+    clear_slots slots rest
+
 let clear_frame frame =
   (* Reset the bitsets touched by the previous tenant of this depth. *)
   clear_marks frame.sat frame.active;
@@ -566,7 +603,7 @@ let clear_frame frame =
   clear_marks frame.mark frame.active;
   frame.active <- [];
   clear_marks frame.here_mark frame.quals_here;
-  clear_marks frame.req_mark frame.requested;
+  clear_slots frame.req_slot frame.requested;
   frame.quals_here <- [];
   frame.requested <- []
 
@@ -808,13 +845,15 @@ let rec qual_holds t sat = function
   | Afa.F_and (a, b) -> qual_holds t sat a && qual_holds t sat b
   | Afa.F_or (a, b) -> qual_holds t sat a || qual_holds t sat b
 
-(* Publish the values selection runs assumed at this node. *)
-let rec publish t node = function
+(* Publish the values selection runs assumed at this node into their
+   slots. *)
+let rec publish t frame = function
   | [] -> ()
   | q :: rest ->
-    Int_tbl.replace t.cond_val ((node * t.n_quals) + q) t.qvals.(q);
+    Bytes.set t.slot_val frame.req_slot.(q)
+      (if t.qvals.(q) then slot_true else slot_false);
     t.stats.Stats.quals_resolved <- t.stats.Stats.quals_resolved + 1;
-    publish t node rest
+    publish t frame rest
 
 let rec sat_edge kind sat = function
   | [] -> false
@@ -857,7 +896,7 @@ let resolve_afa t frame =
       end
     done);
   fixpoint t frame value;
-  publish t frame.node frame.requested;
+  publish t frame frame.requested;
   (* Contribute upward: parent-active states that can step into this node
      and accept inside it. *)
   if t.depth >= 2 then begin
@@ -892,11 +931,14 @@ let finish t =
   if t.depth <> 0 then raise (Driver_error "finish with open nodes");
   if t.finished then raise (Driver_error "finish called twice");
   t.finished <- true;
-  let lookup (q, node) =
-    match Int_tbl.find_opt t.cond_val ((node * t.n_quals) + q) with
-    | Some v -> v
-    | None ->
-      raise (Driver_error (Printf.sprintf "unresolved condition q%d@%d" q node))
+  let lookup slot =
+    let v = Bytes.get t.slot_val slot in
+    if v = slot_unset then
+      raise
+        (Driver_error
+           (Printf.sprintf "unresolved condition q%d@%d" t.slot_qual.(slot)
+              t.slot_node.(slot)))
+    else v = slot_true
   in
   let per = Array.map (fun c -> Cans.resolve c ~lookup) t.cans in
   t.stats.Stats.answers <-

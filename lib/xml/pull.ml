@@ -603,19 +603,25 @@ let read_attributes t =
     end
   done
 
-(* Skip until the given terminator string has been consumed. *)
-let skip_until rd terminator =
-  let k = String.length terminator in
-  let matched = ref 0 in
-  while !matched < k do
-    let c = read rd in
-    if c = terminator.[!matched] then incr matched
-    else if c = terminator.[0] then matched := 1
-    else matched := 0
-  done
+(* Skip past the "-->" that ends a comment: the first '>' after two or
+   more hyphens, so "--->" closes too ("--" inside is tolerated). *)
+let skip_comment rd =
+  let rec loop dashes =
+    match read rd with
+    | '-' -> loop (dashes + 1)
+    | '>' when dashes >= 2 -> ()
+    | _ -> loop 0
+  in
+  loop 0
 
-let skip_comment rd = skip_until rd "-->"
-let skip_pi rd = skip_until rd "?>"
+(* Skip past the "?>" that ends a processing instruction. *)
+let skip_pi rd =
+  let rec loop after_q =
+    match read rd with
+    | '>' when after_q -> ()
+    | c -> loop (c = '?')
+  in
+  loop false
 
 (* Skip a DOCTYPE declaration, including a bracketed internal subset.
    Quoted literals are opaque — a '>' inside a SYSTEM id must not close

@@ -41,28 +41,6 @@ let check_against_oracle ?tax t q =
     (Printf.sprintf "stax vs oracle: %s" q)
     (oracle_answers t q) stax.Eval_stax.by_query.(0)
 
-(* --- Conds -------------------------------------------------------------- *)
-
-let test_conds_set_ops () =
-  let s = Conds.add (1, 5) (Conds.add (0, 3) (Conds.add (1, 5) Conds.empty)) in
-  Alcotest.(check int) "dedup" 2 (List.length (Conds.to_list s));
-  Alcotest.(check (list (pair int int))) "sorted" [ (0, 3); (1, 5) ]
-    (Conds.to_list s)
-
-let test_cans () =
-  let c = Cans.create () in
-  Cans.add c ~node:4 (Conds.add (0, 2) Conds.empty);
-  Cans.add c ~node:2 Conds.empty;
-  Cans.add c ~node:4 (Conds.add (1, 3) Conds.empty);
-  Alcotest.(check int) "three entries" 3 (Cans.size c);
-  let answers = Cans.resolve c ~lookup:(fun (q, _) -> q = 1) in
-  Alcotest.(check (list int)) "resolved in doc order" [ 2; 4 ] answers;
-  (* an unconditional entry plus a failing conditional one: still answers *)
-  let answers = Cans.resolve c ~lookup:(fun _ -> false) in
-  Alcotest.(check (list int)) "unconditional survives" [ 2 ] answers
-
-(* --- DOM evaluation ------------------------------------------------------ *)
-
 let hospital =
   lazy
     (doc
@@ -81,6 +59,159 @@ let hospital =
         <visit><treatment><medication>headache</medication></treatment><date>5</date></visit>\
         </patient>\
         </hospital>")
+
+(* --- Conds ------------------------------------------------------------ *)
+
+(* A condition is a slot of the engine's condition table: a plain int. *)
+let test_conds_set_ops () =
+  let s = Conds.add 5 (Conds.add 3 (Conds.add 5 Conds.empty)) in
+  Alcotest.(check int) "dedup" 2 (List.length (Conds.to_list s));
+  Alcotest.(check (list int)) "sorted" [ 3; 5 ] (Conds.to_list s);
+  Alcotest.(check int) "equal sets" 0
+    (Conds.compare_set s (Conds.add 3 (Conds.add 5 Conds.empty)))
+
+let test_cans () =
+  let c = Cans.create () in
+  Cans.add c ~node:4 (Conds.add 0 Conds.empty);
+  Cans.add c ~node:2 Conds.empty;
+  Cans.add c ~node:4 (Conds.add 1 Conds.empty);
+  Alcotest.(check int) "three entries" 3 (Cans.size c);
+  let answers = Cans.resolve c ~lookup:(fun slot -> slot = 1) in
+  Alcotest.(check (list int)) "resolved in doc order" [ 2; 4 ] answers;
+  (* an unconditional entry plus a failing conditional one: still answers *)
+  let answers = Cans.resolve c ~lookup:(fun _ -> false) in
+  Alcotest.(check (list int)) "unconditional survives" [ 2 ] answers
+
+module Nfa = Smoqe_automata.Nfa
+module Afa = Smoqe_automata.Afa
+module Mfa = Smoqe_automata.Mfa
+module Engine = Smoqe_hype.Engine
+
+(* From the root, step to an [a] child, then fork into two runs that both
+   check the one qualifier [b] at that [a].  Without [fork] both go on to
+   one selecting state (query [a[b]] twice over); with [fork] the second
+   steps to a [c] child and selects there instead ([a[b]/c]).  Returns
+   the two selecting states. *)
+let same_qual_mfa ~fork =
+  let b = Mfa.create_builder () in
+  let start = Mfa.fresh_state b in
+  let at_a = Mfa.fresh_state b in
+  let r1 = Mfa.fresh_state b in
+  let r2 = Mfa.fresh_state b in
+  let sel1 = Mfa.fresh_state b in
+  let sel2 = if fork then Mfa.fresh_state b else sel1 in
+  let a0 = Mfa.fresh_state b in
+  let a1 = Mfa.fresh_state b in
+  Mfa.add_edge b a0 (Nfa.Element "b") a1;
+  let atom = Mfa.add_atom b ~start:a0 ~value:None in
+  Mfa.add_accept_atom b a1 atom;
+  let q = Mfa.add_qual b (Afa.F_atom atom) in
+  Mfa.add_edge b start (Nfa.Element "a") at_a;
+  List.iter
+    (fun r ->
+      Mfa.add_eps b at_a r;
+      Mfa.add_check b r q)
+    [ r1; r2 ];
+  Mfa.add_eps b r1 sel1;
+  if fork then Mfa.add_edge b r2 (Nfa.Element "c") sel2
+  else Mfa.add_eps b r2 sel1;
+  Mfa.add_select b sel1;
+  Mfa.add_select b sel2;
+  (Mfa.freeze b ~start, [| sel1; sel2 |])
+
+(* r0 a1 b2 c3 a4 c5 a6 b7 *)
+let same_qual_doc = lazy (doc "<r><a><b/><c/></a><a><c/></a><a><b/></a></r>")
+
+(* Two runs requesting the same qualifier at one node share its slot, so
+   their condition sets compare equal and the closure keeps one item per
+   [a]: three candidates, not six, on both engine paths. *)
+let test_shared_slot () =
+  let mfa, _ = same_qual_mfa ~fork:false in
+  let t = Lazy.force same_qual_doc in
+  List.iter
+    (fun use_tables ->
+      let r = Eval_dom.run ~use_tables mfa t in
+      let what = if use_tables then "tables" else "generic" in
+      Alcotest.(check (list int)) (what ^ ": answers") [ 1; 6 ] r.answers;
+      Alcotest.(check int) (what ^ ": conditions") 6
+        r.stats.Stats.conds_created;
+      Alcotest.(check int) (what ^ ": slots") 3 r.stats.Stats.quals_resolved;
+      Alcotest.(check int) (what ^ ": candidates") 3 r.stats.Stats.candidates)
+    [ true; false ]
+
+(* Drive an engine over a whole tree by hand, pruning [Dead] subtrees. *)
+let drive e t =
+  let rec go n =
+    let kind =
+      if Tree.is_text t n then
+        let s, off, len = Tree.content_slice t n in
+        Engine.Tx_sub (s, off, len)
+      else Engine.El (Tree.name t n)
+    in
+    match Engine.enter e ~id:n ~kind with
+    | Engine.Dead -> ()
+    | Engine.Alive ->
+      Tree.iter_children t n go;
+      Engine.leave e
+  in
+  go Tree.root;
+  Engine.finish e
+
+(* A batch whose two owners assume the same qualifier at the same node:
+   one slot, read back for each owner's Cans. *)
+let test_batch_shared_qualifier () =
+  let mfa, sel = same_qual_mfa ~fork:true in
+  let owners = Array.make mfa.Mfa.nfa.Nfa.n_states [||] in
+  owners.(sel.(0)) <- [| 0 |];
+  owners.(sel.(1)) <- [| 1 |];
+  let t = Lazy.force same_qual_doc in
+  let tables = Smoqe_automata.Tables.of_tree mfa.Mfa.nfa t in
+  List.iter
+    (fun tables ->
+      let e = Engine.create ?tables ~owners mfa in
+      let per = drive e t in
+      Alcotest.(check (array (list int))) "per owner" [| [ 1; 6 ]; [ 3 ] |] per;
+      Alcotest.(check int) "one slot per a" 3
+        (Engine.stats e).Stats.quals_resolved)
+    [ Some tables; None ];
+  (* the shared-automaton merge offsets qualifier ids per query, so owners
+     asking the same question still settle it in slots of their own *)
+  let t = Lazy.force hospital in
+  let queries =
+    [ "patient[visit]/pname"; "patient[visit]"; "patient[not(visit)]/pname" ]
+  in
+  let sh = Smoqe_automata.Shared.merge
+      (Array.of_list (List.map (fun q -> Compile.compile (parse q)) queries))
+  in
+  List.iter
+    (fun use_tables ->
+      let m = Eval_dom.run_many ~use_tables sh t in
+      List.iteri
+        (fun i q ->
+          Alcotest.(check (list int)) ("batch: " ^ q) (oracle_answers t q)
+            m.Eval_dom.by_query.(i))
+        queries)
+    [ true; false ]
+
+(* More than 256 slots: every column of the condition table grows, and a
+   value published past the first capacity still reads back. *)
+let test_slot_table_grows () =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b "<r>";
+  for i = 0 to 599 do
+    Buffer.add_string b (if i mod 3 = 0 then "<a><b/></a>" else "<a><c/></a>")
+  done;
+  Buffer.add_string b "</r>";
+  let t = doc (Buffer.contents b) in
+  let q = "a[b]" in
+  check_against_oracle t q;
+  let r = Eval_dom.run ~use_tables:false (Compile.compile (parse q)) t in
+  Alcotest.(check (list int)) "generic" (oracle_answers t q) r.answers;
+  Alcotest.(check bool) "more than 256 slots" true
+    (r.stats.Stats.quals_resolved > 256)
+
+(* --- DOM evaluation ------------------------------------------------------ *)
+
 
 let q0' =
   "patient[(parent/patient)*/visit/treatment/test and \
@@ -298,8 +429,6 @@ let test_trace_marks () =
 
 (* --- Engine driver contract ------------------------------------------------ *)
 
-module Engine = Smoqe_hype.Engine
-
 let test_engine_contract_errors () =
   let mfa = Compile.compile (parse "a") in
   (* leave without enter *)
@@ -468,6 +597,11 @@ let () =
         [
           Alcotest.test_case "set operations" `Quick test_conds_set_ops;
           Alcotest.test_case "cans" `Quick test_cans;
+          Alcotest.test_case "same qualifier shares a slot" `Quick
+            test_shared_slot;
+          Alcotest.test_case "batch owners share a slot" `Quick
+            test_batch_shared_qualifier;
+          Alcotest.test_case "slot table grows" `Quick test_slot_table_grows;
         ] );
       ( "dom",
         [

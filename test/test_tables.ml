@@ -274,29 +274,37 @@ let test_disabled_counters_quiet () =
 (* A warm table-path run allocates little per entered node: no closure,
    option or tuple is built per node, so what remains is the per-node
    item and Cans bookkeeping.  Tables are built outside the measured run,
-   as a served plan carries them, and one warm-up run precedes it. *)
+   as a served plan carries them, and one warm-up run precedes it.  The
+   gate reads minor-heap bytes; promoted bytes per entered node are
+   printed beside them as a report only (what survives a minor
+   collection depends on where the collections fall). *)
 let test_warm_run_alloc () =
   let doc = Hospital.generate ~seed:1 ~n_patients:200 ~recursion_depth:3 () in
   let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
   ok (Engine.register_policy engine ~group:"staff" Hospital.policy);
-  let bytes_per_node ?group text =
+  let per_node ?group text =
     let mfa = (okr (Engine.query_robust engine ?group text)).Engine.mfa in
     let tables = Tables.of_tree mfa.Mfa.nfa doc in
     ignore (Eval_dom.run ~tables mfa doc);
-    let before = Gc.minor_words () in
+    let promoted () = (Gc.quick_stat ()).Gc.promoted_words in
+    let minor0 = Gc.minor_words () and promoted0 = promoted () in
     let r = Eval_dom.run ~tables mfa doc in
-    let words = Gc.minor_words () -. before in
-    words *. float (Sys.word_size / 8)
-    /. float (max 1 r.Eval_dom.stats.Stats.nodes_entered)
+    let minor1 = Gc.minor_words () and promoted1 = promoted () in
+    let per words =
+      words *. float (Sys.word_size / 8)
+      /. float (max 1 r.Eval_dom.stats.Stats.nodes_entered)
+    in
+    (per (minor1 -. minor0), per (promoted1 -. promoted0))
   in
   let over ?group bound (name, text) =
-    let b = bytes_per_node ?group text in
-    Printf.printf "%s: %.0f B per entered node (bound %.0f)\n" name b bound;
+    let b, promoted = per_node ?group text in
+    Printf.printf "%s: %.0f B per entered node (bound %.0f), %.1f B promoted\n"
+      name b bound promoted;
     if b > bound then Some name else None
   in
   let failed =
-    List.filter_map (over ~group:"staff" 300.) Queries.view_suite
-    @ List.filter_map (over 160.) Queries.suite
+    List.filter_map (over ~group:"staff" 147.) Queries.view_suite
+    @ List.filter_map (over 104.) Queries.suite
   in
   if failed <> [] then
     Alcotest.failf "over the allocation bound: %s" (String.concat ", " failed)

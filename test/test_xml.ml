@@ -149,6 +149,29 @@ let test_pull_comments_and_pi () =
   | [ Pull.Start_element ("a", []); Pull.Text "t"; Pull.End_element "a" ] -> ()
   | _ -> Alcotest.fail "comments/PIs should be invisible"
 
+(* A comment ends at the first "-->", however many hyphens lead into it:
+   [b] after "--->" must survive in the events of both modes. *)
+let test_comment_three_hyphens () =
+  let text = "<a><!-- x ---><b/><!-- y --><c/><!-----><d/></a>" in
+  let expected =
+    Pull.
+      [ Start_element ("a", []); Start_element ("b", []); End_element "b";
+        Start_element ("c", []); End_element "c"; Start_element ("d", []);
+        End_element "d"; End_element "a" ]
+  in
+  let show evs =
+    String.concat " "
+      (List.map
+         (function
+           | Pull.Start_element (n, _) -> "<" ^ n
+           | Pull.End_element n -> n ^ ">"
+           | Pull.Text s -> Printf.sprintf "%S" s)
+         evs)
+  in
+  Alcotest.(check string) "stax" (show expected) (show (drain text));
+  Alcotest.(check string) "dom" (show expected)
+    (show (Parser.events_of_tree (Parser.tree_of_string text)))
+
 let test_pull_doctype_skipped () =
   let evs = drain "<!DOCTYPE a [ <!ELEMENT a (#PCDATA)> ]><a>t</a>" in
   Alcotest.(check int) "events" 3 (List.length evs)
@@ -939,6 +962,8 @@ let () =
           Alcotest.test_case "entities" `Quick test_pull_entities;
           Alcotest.test_case "cdata" `Quick test_pull_cdata;
           Alcotest.test_case "comments and PIs" `Quick test_pull_comments_and_pi;
+          Alcotest.test_case "comment closed by three hyphens" `Quick
+            test_comment_three_hyphens;
           Alcotest.test_case "doctype skipped" `Quick test_pull_doctype_skipped;
           Alcotest.test_case "whitespace modes" `Quick
             test_pull_ws_dropped_and_kept;
