@@ -12,9 +12,10 @@
    fixpoint), so fusing them is sound.  Signatures are computed before the
    state is allocated, so a signature can never mention its own state — a
    lookup hit is always a genuine structural coincidence.  States that are
-   ineligible (checks, atom accepts, atom-reachable), unreachable (empty
-   incoming), or part of a non-self cycle (broken conservatively) map to
-   fresh states and register no signature. *)
+   ineligible (checks, atom accepts), unreachable (empty incoming), or part
+   of a non-self cycle (broken conservatively) map to fresh states and
+   register no signature.  The fused automaton is then quotiented
+   ({!Optimize.minimize}) with the owner sets in the Select label. *)
 
 type t = {
   mfa : Mfa.t;
@@ -54,23 +55,15 @@ let merge (mfas : Mfa.t array) : t =
       let nfa = mfa.Mfa.nfa in
       let n = nfa.Nfa.n_states in
       member_states := !member_states + n;
-      (* Ineligible for unification: guarded states, atom accepts, and
-         anything inside a qualifier-atom subgraph. *)
-      let fresh_req = Array.make n false in
-      for s = 0 to n - 1 do
-        if nfa.Nfa.checks.(s) <> [] then fresh_req.(s) <- true;
-        if
-          List.exists
-            (function Nfa.Atom_accept _ -> true | Nfa.Select -> false)
-            nfa.Nfa.accepts.(s)
-        then fresh_req.(s) <- true
-      done;
-      Array.iter
-        (fun (a : Afa.atom) ->
-          List.iter
-            (fun s -> fresh_req.(s) <- true)
-            (Nfa.reachable_states nfa a.Afa.start))
-        mfa.Mfa.atoms;
+      (* Ineligible for unification: fusion unions outgoing behavior, not
+         labels, so guarded states and atom accepts stay fresh. *)
+      let fresh_req =
+        Array.init n (fun s ->
+            nfa.Nfa.checks.(s) <> []
+            || List.exists
+                 (function Nfa.Atom_accept _ -> true | Nfa.Select -> false)
+                 nfa.Nfa.accepts.(s))
+      in
       (* Incoming adjacency; the query start gets a virtual epsilon from
          the merged root (src = -1), matching the edge added below. *)
       let incoming = Array.make n [] in
@@ -166,17 +159,24 @@ let merge (mfas : Mfa.t array) : t =
       atom_off := !atom_off + Array.length mfa.Mfa.atoms;
       qual_off := !qual_off + Array.length mfa.Mfa.quals)
     mfas;
-  let mfa = Mfa.freeze b ~start:root in
+  let fused = Mfa.freeze b ~start:root in
+  let fused_owners = Array.make (Mfa.n_states fused) [||] in
+  Hashtbl.iter
+    (fun s qs -> fused_owners.(s) <- Array.of_list (List.sort_uniq compare qs))
+    owners_tbl;
+  (* Owner sets are part of the Select label, so every state of a class
+     has the class's owners. *)
+  let mfa, map = Optimize.minimize ~owners:fused_owners fused in
   let merged_states = Mfa.n_states mfa in
   let owners = Array.make merged_states [||] in
   let accept_width = ref 0 in
-  Hashtbl.iter
-    (fun s qs ->
-      let qs = List.sort_uniq compare qs in
-      owners.(s) <- Array.of_list qs;
-      if Array.length owners.(s) > !accept_width then
-        accept_width := Array.length owners.(s))
-    owners_tbl;
+  Array.iteri
+    (fun s m ->
+      if m >= 0 && fused_owners.(s) <> [||] then begin
+        owners.(m) <- fused_owners.(s);
+        accept_width := max !accept_width (Array.length fused_owners.(s))
+      end)
+    map;
   {
     mfa;
     n_queries;

@@ -11,15 +11,20 @@
     their queries.
 
     Soundness of the fusion: a member state is eligible for unification
-    only if it is check-free, carries no atom accept, and is not reachable
-    from any qualifier-atom entry (atom subgraphs keep per-query identity
-    because their accepts and value constraints are query-specific).  Two
-    eligible states are fused only when their {e full} incoming-edge sets
-    — external sources already mapped into the merged graph, plus
-    self-loop labels — are identical, which makes their incoming languages
-    identical; fusing then merely unions outgoing behavior the combined
-    NFA would explore nondeterministically anyway.  Qualifier and atom ids
-    are offset per query, so settlement never crosses query boundaries. *)
+    only if it is check-free and carries no atom accept, because fusion
+    unions outgoing behavior, not labels.  Two eligible states are fused
+    only when their {e full} incoming-edge sets — external sources already
+    mapped into the merged graph, plus self-loop labels — are identical,
+    which makes their incoming languages identical (from the root and from
+    every atom entry alike); fusing then merely unions outgoing behavior
+    the combined NFA would explore nondeterministically anyway.
+
+    The fused automaton is then quotiented up to bisimulation
+    ({!Optimize.minimize}), with each state's owner set as part of its
+    [Select] label.  Equivalent atoms and qualifiers of different members
+    become one id: a qualifier's truth value at a node depends only on
+    its formula over equivalent atoms, never on the query that checks it,
+    so one settlement per node serves every member. *)
 
 type t = private {
   mfa : Mfa.t;
@@ -29,7 +34,7 @@ type t = private {
   owners : int array array;
       (** merged state -> sorted owner query indices; non-empty exactly at
           the states carrying a [Select] accept *)
-  merged_states : int;  (** states in the combined automaton *)
+  merged_states : int;  (** states in the combined, quotiented automaton *)
   member_states : int;  (** total states across the input automata *)
   prefix_hits : int;  (** member states fused into an existing state *)
   accept_width : int;  (** widest owner set over all accept states *)
@@ -41,5 +46,6 @@ val merge : Mfa.t array -> t
     @raise Invalid_argument on an empty batch. *)
 
 val saved_states : t -> int
-(** [member_states - merged_states]: the collapse the merge achieved
-    (the root state makes this [-1] for a batch of one trivial query). *)
+(** [member_states - merged_states]: the collapse the prefix fusion and
+    the quotient achieved together (the root state makes this [-1] for a
+    batch of one minimal query). *)

@@ -376,10 +376,11 @@ let take_slot t frame q =
 
 let rec push_item t frame item =
   let nfa = t.mfa.Mfa.nfa in
+  let checks = nfa.Nfa.checks.(item.state) in
   let item =
-    match nfa.Nfa.checks.(item.state) with
+    match checks with
     | [] -> item
-    | checks -> { item with conds = add_checks t frame item.conds checks }
+    | _ :: _ -> { item with conds = add_checks t frame item.conds checks }
   in
   let s = item.state in
   let m = Char.code (Bytes.get t.item_mark s) in
@@ -389,6 +390,10 @@ let rec push_item t frame item =
     else m land 2 <> 0 && has_twin s item.conds t.out_items
   in
   if not dup then begin
+    (* a state's conditions count once per surviving item, so two runs
+       converging on one guarded state count as one *)
+    t.stats.Stats.conds_created <-
+      t.stats.Stats.conds_created + List.length checks;
     Bytes.set t.item_mark s (Char.chr (m lor if empty then 1 else 2));
     t.out_items <- item :: t.out_items;
     t.n_out <- t.n_out + 1;
@@ -402,7 +407,6 @@ and add_checks t frame conds = function
     note_qual t frame q;
     let slot = frame.req_slot.(q) in
     let slot = if slot >= 0 then slot else take_slot t frame q in
-    t.stats.Stats.conds_created <- t.stats.Stats.conds_created + 1;
     add_checks t frame (Conds.add slot conds) rest
 
 and push_eps t frame item = function

@@ -11,6 +11,7 @@ module Semantics = Smoqe_rxpath.Semantics
 module Compile = Smoqe_automata.Compile
 module Mfa = Smoqe_automata.Mfa
 module Optimize = Smoqe_automata.Optimize
+module Nfa = Smoqe_automata.Nfa
 module Eval_dom = Smoqe_hype.Eval_dom
 module Eval_stax = Smoqe_hype.Eval_stax
 module Rewriter = Smoqe_rewrite.Rewriter
@@ -178,7 +179,41 @@ let prop_optimized_equals_oracle =
       let opt = Optimize.optimize (Compile.compile p) in
       (Eval_dom.run opt t).Eval_dom.answers = Semantics.answer_list t p)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_optimized_equals_oracle ]
+(* Property: the quotient is a fixed point and leaves no duplicate.  A
+   second [optimize] keeps every count; no two atoms share a (start,
+   value); no two qualifiers share a formula; every qualifier is checked
+   by some state. *)
+let canonical (mfa : Mfa.t) =
+  let nfa = mfa.Mfa.nfa in
+  let again = Optimize.optimize mfa in
+  let distinct a = List.length (List.sort_uniq compare (Array.to_list a)) in
+  let checked = Array.make (Mfa.n_quals mfa) false in
+  Array.iter (List.iter (fun q -> checked.(q) <- true)) nfa.Nfa.checks;
+  Mfa.n_states again = Mfa.n_states mfa
+  && Mfa.n_transitions again = Mfa.n_transitions mfa
+  && Mfa.n_quals again = Mfa.n_quals mfa
+  && Mfa.n_atoms again = Mfa.n_atoms mfa
+  && distinct mfa.Mfa.atoms = Mfa.n_atoms mfa
+  && distinct mfa.Mfa.quals = Mfa.n_quals mfa
+  && Array.for_all Fun.id checked
+
+let prop_quotient_canonical =
+  QCheck2.Test.make ~count:1000 ~name:"quotient is canonical"
+    ~print:print_case
+    QCheck2.Gen.(pair doc_gen (sized_size (int_bound 8) path_gen))
+    (fun (_, p) -> canonical (Optimize.optimize (Compile.compile p)))
+
+let test_rewritten_canonical () =
+  let view = Derive.derive Hospital.policy in
+  List.iter
+    (fun (name, q) ->
+      Alcotest.(check bool) name true
+        (canonical (Optimize.optimize (Rewriter.rewrite view (parse q)))))
+    Queries.view_suite
+
+let qsuite =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_optimized_equals_oracle; prop_quotient_canonical ]
 
 let () =
   Alcotest.run "smoqe_optimize"
@@ -190,6 +225,8 @@ let () =
           Alcotest.test_case "drops dead branches" `Quick
             test_drops_unreachable_branch;
           Alcotest.test_case "idempotent" `Quick test_idempotent;
+          Alcotest.test_case "rewritten views are canonical" `Quick
+            test_rewritten_canonical;
         ] );
       ( "equivalence",
         [

@@ -319,11 +319,12 @@ let test_failpoint_never_populates () =
 
 let test_budget_checked_on_hit () =
   let e = hospital_engine () in
-  ignore (okr (Engine.query_robust e "//pname"));
-  (* the cached plan is over this budget: the hit must still refuse *)
+  let cold = okr (Engine.query_robust e "//pname") in
+  (* one state under the cached plan's size: the hit must still refuse *)
+  let max_states = Smoqe_automata.Mfa.n_states cold.Engine.mfa - 1 in
   match
     Engine.query_robust e
-      ~budget:(Smoqe_robust.Budget.create ~max_states:2 ())
+      ~budget:(Smoqe_robust.Budget.create ~max_states ())
       "//pname"
   with
   | Error (Error.Budget_exceeded { what; _ }) ->

@@ -1,6 +1,7 @@
 (* Tests for the shared-automaton batch layer: prefix-sharing merge
-   counts, per-query accept demultiplexing, lazy-DFA epoch flushes
-   mid-batch, and totality of Stats.merge_into over the record. *)
+   counts, qualifier sharing after the quotient, per-query accept
+   demultiplexing, lazy-DFA epoch flushes mid-batch, and totality of
+   Stats.merge_into over the record. *)
 
 module Xml_parser = Smoqe_xml.Parser
 module Pull = Smoqe_xml.Pull
@@ -11,6 +12,11 @@ module Shared = Smoqe_automata.Shared
 module Stats = Smoqe_hype.Stats
 module Eval_dom = Smoqe_hype.Eval_dom
 module Eval_stax = Smoqe_hype.Eval_stax
+module Optimize = Smoqe_automata.Optimize
+module Rewriter = Smoqe_rewrite.Rewriter
+module Derive = Smoqe_security.Derive
+module Hospital = Smoqe_workload.Hospital
+module Queries = Smoqe_workload.Queries
 
 let parse s =
   match Rx_parser.path_of_string s with
@@ -65,13 +71,49 @@ let test_identical_collapse () =
   Alcotest.(check (list int)) "owner order" [ 0; 1 ] (Array.to_list widest)
 
 let test_qualifier_states_not_fused () =
-  (* checked states and atom subgraphs keep per-query identity: merging a
-     qualifier query with itself may still share the check-free prefix but
-     must not collapse fully *)
+  (* the checked states select for different owners, so merging a
+     qualifier query with itself may share the check-free prefix and the
+     qualifier's atom subgraph but must not collapse fully *)
   let single = compile "//a[b]/c" in
   let sh = merge [ "//a[b]/c"; "//a[b]/c" ] in
   Alcotest.(check bool) "not a full collapse" true
     (sh.Shared.merged_states > Mfa.n_states single + 1)
+
+(* The member views V1-V5, rewritten under S0 and optimized as the
+   engine compiles them, merge into one qualifier per distinct formula,
+   and one shared pass settles at most half the qualifier instances the
+   five single passes do. *)
+let test_view_batch_settles_once () =
+  let view = Derive.derive Hospital.policy in
+  let members =
+    List.map
+      (fun (_, q) -> Optimize.optimize (Rewriter.rewrite view (parse q)))
+      Queries.view_suite
+  in
+  let sh = Shared.merge (Array.of_list members) in
+  let quals = sh.Shared.mfa.Mfa.quals in
+  Alcotest.(check int) "one qualifier per formula"
+    (List.length (List.sort_uniq compare (Array.to_list quals)))
+    (Array.length quals);
+  let tree = Hospital.generate ~seed:11 ~n_patients:40 ~recursion_depth:2 () in
+  let batch = Eval_dom.run_many ~use_tables:true sh tree in
+  let singles =
+    List.mapi
+      (fun i m ->
+        let r = Eval_dom.run ~use_tables:true m tree in
+        Alcotest.(check (list int))
+          (Printf.sprintf "V%d answers" (i + 1))
+          r.Eval_dom.answers batch.Eval_dom.by_query.(i);
+        r.Eval_dom.stats.Stats.quals_resolved)
+      members
+  in
+  let members_sum = List.fold_left ( + ) 0 singles in
+  let shared = batch.Eval_dom.m_stats.Stats.quals_resolved in
+  Alcotest.(check bool)
+    (Printf.sprintf "batch quals_resolved %d <= half of members' %d" shared
+       members_sum)
+    true
+    (2 * shared <= members_sum)
 
 (* --- engine demultiplexing ---------------------------------------------- *)
 
@@ -186,6 +228,8 @@ let () =
             test_identical_collapse;
           Alcotest.test_case "qualifier states stay private" `Quick
             test_qualifier_states_not_fused;
+          Alcotest.test_case "view batch settles each qualifier once" `Quick
+            test_view_batch_settles_once;
         ] );
       ( "demux",
         [
