@@ -1636,7 +1636,8 @@ let e17 () =
   banner "E17"
     "zero-copy ingest + packed arena: allocation per scan \
      (gates: StAX query alloc <= 1/3 of the copying-parser baseline, DOM \
-      parse alloc <= 1/2; jobs-8 throughput >= 0.9x jobs-4 when the \
+      parse alloc <= 1/2; DOM parse alloc <= 11.3 and retained tree <= \
+      4.99 bytes per input byte; jobs-8 throughput >= 0.9x jobs-4 when the \
       machine has >= 8 cores)";
   let smoke = Sys.getenv_opt "SMOQE_BENCH_SMOKE" <> None in
   if smoke then Printf.printf "smoke mode: reduced document and repetitions\n";
@@ -1710,6 +1711,21 @@ let e17 () =
   Printf.printf "DOM parse alloc %.1f b/b vs gate %.1f: %s\n"
     (per_byte dom_alloc) (base_dom /. 2.)
     (if dom_pass then "PASS" else "FAIL");
+  (* Regression gates at the tree builder that still copied and re-walked
+     its columns after the parse (one freeze pass): DOM parse allocation
+     and retained tree, per input byte, as measured then on this
+     workload.  The smaller smoke document has its own constants. *)
+  let freeze_dom, freeze_live =
+    if smoke then (11.6, 5.03) else (11.3, 4.99)
+  in
+  let dom_reg_pass = per_byte dom_alloc <= freeze_dom in
+  let live_reg_pass = per_byte live_bytes <= freeze_live in
+  Printf.printf "DOM parse alloc %.2f b/b vs regression gate %.2f: %s\n"
+    (per_byte dom_alloc) freeze_dom
+    (if dom_reg_pass then "PASS" else "FAIL");
+  Printf.printf "DOM tree retained %.2f b/b vs regression gate %.2f: %s\n"
+    (per_byte live_bytes) freeze_live
+    (if live_reg_pass then "PASS" else "FAIL");
   (* Scaling leg: the retained arena must not serialize parallel scans —
      throughput at 8 domains may not fall below 4-domain throughput.
      Asserted only on machines that have the cores; elsewhere recorded
@@ -1737,7 +1753,9 @@ let e17 () =
     (if jobs_gated then if jobs_pass then "PASS" else "FAIL"
      else "informational")
     cores;
-  let pass = stax_pass && dom_pass && jobs_pass in
+  let pass =
+    stax_pass && dom_pass && dom_reg_pass && live_reg_pass && jobs_pass
+  in
   Printf.printf "E17 verdict: %s\n" (if pass then "PASS" else "FAIL");
   J.write ~id:"e17"
     (J.Obj
@@ -1757,6 +1775,11 @@ let e17 () =
          ("baseline_dom_bytes_per_input_byte", J.Float base_dom);
          ("stax_gate_ratio", J.Float (base_stax /. per_byte stax_alloc));
          ("dom_gate_ratio", J.Float (base_dom /. per_byte dom_alloc));
+         ("live_bytes_per_input_byte", J.Float (per_byte live_bytes));
+         ("dom_regression_gate", J.Float freeze_dom);
+         ("live_regression_gate", J.Float freeze_live);
+         ("dom_regression_pass", J.Bool dom_reg_pass);
+         ("live_regression_pass", J.Bool live_reg_pass);
          ("qps_jobs4", J.Float qps4);
          ("qps_jobs8", J.Float qps8);
          ("jobs8_over_jobs4", J.Float jobs_ratio);

@@ -268,9 +268,16 @@ let rewrite_cmd =
     let path =
       or_die (Smoqe_rxpath.Parser.path_of_string query)
     in
-    let mfa = Smoqe_rewrite.Rewriter.rewrite view path in
+    (* The plan the engine runs: the rewritten MFA, optimized. *)
+    let rewritten = Smoqe_rewrite.Rewriter.rewrite view path in
+    let mfa = Smoqe_automata.Optimize.optimize rewritten in
     if dot then print_string (Ismoqe.mfa_dot mfa)
-    else print_string (Ismoqe.mfa_ascii mfa);
+    else begin
+      Printf.printf "plan: %d states rewritten, %d optimized\n"
+        (Smoqe_automata.Mfa.n_states rewritten)
+        (Smoqe_automata.Mfa.n_states mfa);
+      print_string (Ismoqe.mfa_ascii mfa)
+    end;
     if expr then begin
       match Smoqe_rewrite.Expr_rewriter.rewrite_sized view path with
       | e, size ->
@@ -286,7 +293,9 @@ let rewrite_cmd =
   in
   Cmd.v
     (Cmd.info "rewrite"
-       ~doc:"Rewrite a view query to a document-level MFA (paper Fig. 4)")
+       ~doc:
+         "Rewrite a view query to a document-level MFA (paper Fig. 4) and \
+          print the optimized plan the engine runs")
     Term.(
       const run $ dtd_arg $ policy_arg $ query_arg
       $ Arg.(value & flag & info [ "dot" ] ~doc:"Emit Graphviz DOT.")

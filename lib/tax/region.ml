@@ -9,14 +9,13 @@ type t = {
 
 let build tree =
   let n = Tree.n_nodes tree in
-  let post = Array.make n 0 in
-  let counter = ref 0 in
-  let rec walk node =
-    Tree.iter_children tree node walk;
-    post.(node) <- !counter;
-    incr counter
+  (* A node's post-order rank counts the nodes that close before it:
+     those before it in pre-order but its [depth] ancestors, and its own
+     descendants — [subtree_end - 1 - depth], with no walk. *)
+  let post =
+    Array.init n (fun node ->
+        Tree.subtree_end tree node - 1 - Tree.depth tree node)
   in
-  walk Tree.root;
   let counts = Array.make (Tree.n_tags tree) 0 in
   for node = 0 to n - 1 do
     counts.(Tree.tag_id tree node) <- counts.(Tree.tag_id tree node) + 1

@@ -13,15 +13,21 @@ type t = {
 let bits_per_word = Sys.int_size
 
 (* Fold [node]'s children into its row: each child's own row (its strict
-   descendants) and the child's tag bit.  Children must be filled first. *)
+   descendants) and the child's tag bit.  Children must be filled first.
+   The children are walked over subtree ends, with no closure per node. *)
 let fill_row bits w tree node =
-  Tree.iter_children tree node (fun c ->
-      for k = 0 to w - 1 do
-        bits.((node * w) + k) <- bits.((node * w) + k) lor bits.((c * w) + k)
-      done;
-      let tag = Tree.tag_id tree c in
-      let word = tag / bits_per_word and bit = tag mod bits_per_word in
-      bits.((node * w) + word) <- bits.((node * w) + word) lor (1 lsl bit))
+  let stop = Tree.subtree_end tree node in
+  let c = ref (node + 1) in
+  while !c < stop do
+    let c0 = !c in
+    for k = 0 to w - 1 do
+      bits.((node * w) + k) <- bits.((node * w) + k) lor bits.((c0 * w) + k)
+    done;
+    let tag = Tree.tag_id tree c0 in
+    let word = tag / bits_per_word and bit = tag mod bits_per_word in
+    bits.((node * w) + word) <- bits.((node * w) + word) lor (1 lsl bit);
+    c := Tree.subtree_end tree c0
+  done
 
 let build tree =
   let n = Tree.n_nodes tree in

@@ -1,13 +1,24 @@
 (* The parser's front end to the one tree constructor: it drives the
    same [Tree.Builder] events that [Tree.of_source] and the update
-   splices push, and the builder derives every link when it freezes.
-   The parser runs in retain mode, so its byte region is the finished
+   splices push, and the builder writes each column as the events decide
+   it.  The parser runs in retain mode, so its byte region is the finished
    tree's arena and its scratch the appendix — the cursor's raw spans
    are stored verbatim and not one content string is allocated on the
    way.  Well-formedness (balance, single root) is enforced by the pull
    parser itself, which raises positioned [Pull.Error]s. *)
-let build_retained p =
-  let b = Tree.Builder.create () in
+(* When the input's length is known, the node columns grow to the node
+   count the bytes parsed so far predict for the whole input, plus a
+   sixteenth: a document of uniform density fills them with one large
+   copy and little slack. *)
+let build_retained ?length p =
+  let predict =
+    Option.map
+      (fun length n ->
+        let expect = n * length / max 1 (Pull.offset p) in
+        expect + (expect / 16))
+      length
+  in
+  let b = Tree.Builder.create ?predict () in
   let rec loop () =
     match Pull.cursor_next p with
     | Pull.Cursor_eof -> ()
@@ -31,12 +42,14 @@ let build_retained p =
     ~appendix:(Pull.scratch_contents p)
 
 let tree_of_string ?keep_ws ?budget s =
-  build_retained (Pull.of_string ?keep_ws ?budget ~retain:true s)
+  build_retained ~length:(String.length s)
+    (Pull.of_string ?keep_ws ?budget ~retain:true s)
 
-(* A regular file's length sizes the retained buffer once: it fills
-   exactly, never doubles, and becomes the tree's arena without a copy.
-   A length that is unknown (a pipe) or stale (a growing file) only
-   costs the default refill growth. *)
+(* A regular file's length sizes the retained buffer once — it fills
+   exactly, never doubles, and becomes the tree's arena without a copy —
+   and lets the builder predict the node count.  A length that is
+   unknown (a pipe) or stale (a growing file) only costs the default
+   growth. *)
 let tree_of_file ?keep_ws ?budget path =
   let ic = open_in_bin path in
   let chunk_size =
@@ -45,7 +58,7 @@ let tree_of_file ?keep_ws ?budget path =
     | _ | (exception Sys_error _) -> None
   in
   match
-    build_retained
+    build_retained ?length:chunk_size
       (Pull.of_channel ?keep_ws ?budget ?chunk_size ~retain:true ic)
   with
   | t -> close_in ic; t

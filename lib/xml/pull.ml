@@ -918,6 +918,7 @@ let cur_attrs t =
   go (t.a_cnt - 1) []
 
 let cur_text_raw t = (t.text_off, t.text_len)
+let offset t = t.rd.base + t.rd.pos
 let cur_attr_raw t i = (t.a_off.(i), t.a_len.(i))
 let scratch_contents t = Scratch.contents t.scratch
 

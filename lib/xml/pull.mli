@@ -127,6 +127,10 @@ val cur_text_span : t -> string * int * int
 val cur_text_raw : t -> int * int
 val cur_attr_raw : t -> int -> int * int
 
+val offset : t -> int
+(** Absolute offset of the next unread input byte: how far the parse
+    has got. *)
+
 val retained : t -> string
 (** The document bytes seen so far (the whole document, once the parse
     ends).  Zero-copy for [of_string] parsers.  Meaningful only in

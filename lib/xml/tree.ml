@@ -20,9 +20,15 @@ let text_tag_name = "#text"
    Any future per-node cache must either be filled here, before the tree
    is published, or be published through [Atomic].
 
-   REPRESENTATION (DESIGN.md §15): the tree is packed.  Structure is six
-   flat pre-order int arrays; content is never stored as per-node
-   strings.  All text bytes live in two shared immutable regions:
+   REPRESENTATION (DESIGN.md §15): the tree is packed.  Structure is four
+   flat pre-order int arrays — tag, parent, subtree end and depth — and
+   [n] nodes: a column may be longer than the tree (a parsed tree keeps
+   its builder's columns as they grew), and only its first [n] slots are
+   nodes.  There are no child or sibling links: node [n]'s first child is
+   [n + 1] when [subtree_end n > n + 1], and the next sibling of a child
+   [c] is [subtree_end c] while that is below its parent's end.  Content
+   is never stored as per-node strings.  All text bytes live in two
+   shared immutable regions:
 
    - [arena]: the raw document bytes when the tree was built by the
      streaming parser (zero-copy — the parse buffer itself), or [""] for
@@ -48,10 +54,9 @@ let text_tag_name = "#text"
    tree when the edit interned no new tag — sharing is safe because of
    the same immutability invariant. *)
 type t = {
+  n : int; (* node count; node columns may be longer *)
   tag : int array;
-  parent : int array;
-  first_child : int array;
-  next_sibling : int array;
+  parent : int array; (* -1 at the root *)
   subtree_end : int array;
   depth : int array;
   arena : string;
@@ -67,7 +72,7 @@ type t = {
   tags_token : int; (* identity of the tag-interning lineage *)
 }
 
-let n_nodes t = Array.length t.tag
+let n_nodes t = t.n
 let n_tags t = Array.length t.tag_names
 let tags_token t = t.tags_token
 
@@ -93,25 +98,34 @@ let parent t n =
 
 let first_child t n =
   check t n;
-  let c = t.first_child.(n) in
-  if c < 0 then None else Some c
+  if t.subtree_end.(n) > n + 1 then Some (n + 1) else None
 
 let next_sibling t n =
   check t n;
-  let s = t.next_sibling.(n) in
-  if s < 0 then None else Some s
+  if n = root then None
+  else
+    let s = t.subtree_end.(n) in
+    if s < t.subtree_end.(t.parent.(n)) then Some s else None
 
+(* A node's children are [n + 1] and then each child's subtree end, up
+   to [n]'s own. *)
 let iter_children t n f =
-  let rec loop c = if c >= 0 then (f c; loop t.next_sibling.(c)) in
   check t n;
-  loop t.first_child.(n)
+  let stop = t.subtree_end.(n) in
+  let c = ref (n + 1) in
+  while !c < stop do
+    let c0 = !c in
+    c := t.subtree_end.(c0);
+    f c0
+  done
 
 let fold_children t n ~init ~f =
-  let rec loop acc c =
-    if c < 0 then acc else loop (f acc c) t.next_sibling.(c)
-  in
   check t n;
-  loop init t.first_child.(n)
+  let stop = t.subtree_end.(n) in
+  let rec loop acc c =
+    if c >= stop then acc else loop (f acc c) t.subtree_end.(c)
+  in
+  loop init (n + 1)
 
 let children t n =
   List.rev (fold_children t n ~init:[] ~f:(fun acc c -> c :: acc))
@@ -211,12 +225,14 @@ let fold_preorder t ~init ~f =
   !acc
 
 (* Construction.  Every tree — parsed, built from a [source], or spliced
-   by an update — is made one way: a [Builder] records the pre-order
-   columns the input decides (tag, subtree end, coded content span,
-   attribute range and attributes), and [freeze] derives the rest.
-   Nothing here recurses over document depth: a parsed document may nest
-   arbitrarily deep, and the only depth limit in the pipeline is the
-   [max_depth] budget — not [Stack_overflow] (DESIGN.md §12). *)
+   by an update — is made one way: a [Builder] writes each pre-order
+   column once, at the event that decides it.  Opening a node writes its
+   tag, parent and depth; closing an element writes its subtree end and,
+   unless it has two or more text children, its comparison value.  Only
+   mixed-content values are settled after the last event.  Nothing here
+   recurses over document depth: a parsed document may nest arbitrarily
+   deep, and the only depth limit in the pipeline is the [max_depth]
+   budget — not [Stack_overflow] (DESIGN.md §12). *)
 
 (* Tag-lineage tokens.  Every fresh interning run mints a new one; a
    splice that interned no new tag keeps its input's token.  Equal tokens
@@ -275,100 +291,66 @@ let finalize_interner it ~seed =
     (tag_names, tag_ids, fresh_token ())
 
 
-(* Freeze pre-order columns into a [t].  Parent, first-child,
-   next-sibling and depth links follow from the subtree ends alone: node
-   [i]'s children are [i + 1] and then each child's subtree end, up to
-   [i]'s own, and pre-order numbering settles [depth.(i)] before its
-   children are visited.  Comparison values are filled (before the tree
-   is published, see the invariant on [t]) for the elements of [lo, hi)
-   and for [par] when [par >= 0]; every other span is kept as given.  A
-   value is a span, not a copy: a single text child's value is that
-   child's span, an element without text children has the empty span,
-   and only a mixed-content element appends its concatenated text after
+(* Settle element [i]'s comparison value from its text children, read
+   through the subtree ends.  A value is a span, not a copy: a single
+   text child's value is that child's span, an element without text
+   children has the empty span, and only a mixed-content element appends
+   its concatenated text to [extras], whose bytes will follow
    [appendix]. *)
-let freeze ~tag ~ends ~off ~len ~attr_start ~attr_names ~attr_voff
-    ~attr_vlen ~arena ~appendix (tag_names, tag_ids, tags_token) ~lo ~hi
-    ~par =
-  let n = Array.length tag in
-  let parent = Array.make n (-1) in
-  let first_child = Array.make n (-1) in
-  let next_sibling = Array.make n (-1) in
-  let depth = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let stop = ends.(i) in
-    if stop > i + 1 then begin
-      first_child.(i) <- i + 1;
-      let d = depth.(i) + 1 in
-      let c = ref (i + 1) in
-      while !c < stop do
-        let c0 = !c in
-        parent.(c0) <- i;
-        depth.(c0) <- d;
-        let next = ends.(c0) in
-        if next < stop then next_sibling.(c0) <- next;
-        c := next
-      done
-    end
+let set_value ~tag ~ends ~off ~len ~arena ~appendix extras i =
+  let stop = ends.(i) in
+  let first = ref (-1) and count = ref 0 in
+  let c = ref (i + 1) in
+  while !c < stop do
+    if tag.(!c) = text_tag then begin
+      if !count = 0 then first := !c;
+      incr count
+    end;
+    c := ends.(!c)
   done;
-  let extras = Buffer.create 64 in
-  let base = String.length appendix in
-  let set_value i =
-    let first = ref (-1) and count = ref 0 in
-    let c = ref first_child.(i) in
-    while !c >= 0 do
-      if tag.(!c) = text_tag then begin
-        if !count = 0 then first := !c;
-        incr count
-      end;
-      c := next_sibling.(!c)
+  if !count = 0 then begin
+    off.(i) <- 0;
+    len.(i) <- 0
+  end
+  else if !count = 1 then begin
+    off.(i) <- off.(!first);
+    len.(i) <- len.(!first)
+  end
+  else begin
+    let base = String.length appendix in
+    let start = base + Buffer.length extras in
+    let c = ref (i + 1) in
+    while !c < stop do
+      let o = off.(!c) in
+      if tag.(!c) <> text_tag then ()
+      else if o >= 0 then Buffer.add_substring extras arena o len.(!c)
+      else Buffer.add_substring extras appendix (lnot o) len.(!c);
+      c := ends.(!c)
     done;
-    if !count = 0 then begin
-      off.(i) <- 0;
-      len.(i) <- 0
-    end
-    else if !count = 1 then begin
-      off.(i) <- off.(!first);
-      len.(i) <- len.(!first)
-    end
-    else begin
-      let start = base + Buffer.length extras in
-      let c = ref first_child.(i) in
-      while !c >= 0 do
-        let o = off.(!c) in
-        if tag.(!c) <> text_tag then ()
-        else if o >= 0 then Buffer.add_substring extras arena o len.(!c)
-        else Buffer.add_substring extras appendix (lnot o) len.(!c);
-        c := next_sibling.(!c)
-      done;
-      off.(i) <- lnot start;
-      len.(i) <- base + Buffer.length extras - start
-    end
-  in
-  for i = hi - 1 downto lo do
-    if tag.(i) <> text_tag then set_value i
-  done;
-  if par >= 0 then set_value par;
-  let appendix =
-    if Buffer.length extras = 0 then appendix
-    else appendix ^ Buffer.contents extras
-  in
-  { tag; parent; first_child; next_sibling; subtree_end = ends; depth; arena;
-    appendix; cont_off = off; cont_len = len; attr_start; attr_names;
-    attr_voff; attr_vlen; tag_names; tag_ids; tags_token }
+    off.(i) <- lnot start;
+    len.(i) <- base + Buffer.length extras - start
+  end
 
-(* A tree under construction: growable pre-order columns, filled by
-   structure events.  The parser pushes raw spans into its own byte
-   regions, already in the final tree's coding ([off >= 0] into the
-   arena, [off < 0] at [lnot off] into the appendix), so they are stored
-   verbatim.  A [source] is pushed through the same events by
-   [add_source]; its content goes to [content], which will land in the
-   final appendix at offset [cbase], so its spans are coded up front and
-   never re-encoded.  Events are assumed well-formed — the pull parser
-   and the [source] walk both guarantee it. *)
+let with_extras appendix extras =
+  if Buffer.length extras = 0 then appendix
+  else appendix ^ Buffer.contents extras
+
+(* A tree under construction: growable pre-order columns, each slot
+   written once by the structure event that decides it.  The parser
+   pushes raw spans into its own byte regions, already in the final
+   tree's coding ([off >= 0] into the arena, [off < 0] at [lnot off] into
+   the appendix), so they are stored verbatim.  A [source] is pushed
+   through the same events by [add_source]; its content goes to
+   [content], which will land in the final appendix at offset [cbase], so
+   its spans are coded up front and never re-encoded.  Events are assumed
+   well-formed — the pull parser and the [source] walk both guarantee
+   it. *)
 module Builder = struct
   type b = {
     mutable v_tag : int array;
+    mutable v_parent : int array;
     mutable v_subtree_end : int array;
+    mutable v_depth : int array;
     mutable v_cont_off : int array;
     mutable v_cont_len : int array;
     mutable v_attr_start : int array;
@@ -378,13 +360,22 @@ module Builder = struct
     mutable n : int;
     mutable an : int;
     mutable stack : int array; (* open element ids *)
+    mutable texts : int array; (* per open element: see [no_text] *)
     mutable sp : int;
+    mutable mixed : int array; (* closed elements with 2+ text children *)
+    mutable n_mixed : int;
     bit : interner;
     tag_keys : string array; (* tag cache: names compared by identity *)
     tag_vals : int array;
     content : Buffer.t;
     cbase : int;
+    predict : int -> int; (* see [alloc] *)
   }
+
+  (* [texts.(k)] of the open element [stack.(k)]: its one text child so
+     far, [no_text] before the first, [mixed] after the second. *)
+  let no_text = -1
+  let mixed = -2
 
   (* The pull parser interns names, so one tag arrives as one physical
      string every time.  A small direct-mapped cache keyed by that
@@ -407,10 +398,12 @@ module Builder = struct
       + (11 * Char.code (String.unsafe_get s (max 0 (n - 2)))))
       land (cache_size - 1)
 
-  let make bit ~cbase =
+  let make ?(predict = fun n -> 2 * n) bit ~cbase =
     {
       v_tag = Array.make 64 0;
+      v_parent = Array.make 64 0;
       v_subtree_end = Array.make 64 0;
+      v_depth = Array.make 64 0;
       v_cont_off = Array.make 64 0;
       v_cont_len = Array.make 64 0;
       v_attr_start = Array.make 65 0;
@@ -420,33 +413,56 @@ module Builder = struct
       n = 0;
       an = 0;
       stack = Array.make 32 0;
+      texts = Array.make 32 0;
       sp = 0;
+      mixed = Array.make 8 0;
+      n_mixed = 0;
       bit;
       tag_keys = Array.make cache_size no_key;
       tag_vals = Array.make cache_size 0;
       content = Buffer.create 64;
       cbase;
+      predict;
     }
 
-  let create () = make (fresh_interner ()) ~cbase:0
+  let create ?predict () = make ?predict (fresh_interner ()) ~cbase:0
 
-  let grow a n fill =
-    let b = Array.make (2 * Array.length a) fill in
+  let grow_to cap a n fill =
+    let b = Array.make cap fill in
     Array.blit a 0 b 0 n;
     b
 
-  (* Allocate the next pre-order node id. *)
+  let grow a n fill = grow_to (2 * Array.length a) a n fill
+
+  (* Allocate the next pre-order node id under the innermost open
+     element, writing its parent and depth.  Full node columns double
+     while they are small; from [predict_from] nodes on they grow to
+     [predict]'s estimate of the final count, kept between 5/4 and 4
+     times the current one.  A parse whose input length is known thus
+     copies its large columns fewer times than doubling would, and
+     slack stays under 4x whatever the input claims. *)
+  let predict_from = 4096
+
   let alloc bb =
     let id = bb.n in
     if id = Array.length bb.v_tag then begin
-      bb.v_tag <- grow bb.v_tag id 0;
-      bb.v_subtree_end <- grow bb.v_subtree_end id 0;
-      bb.v_cont_off <- grow bb.v_cont_off id 0;
-      bb.v_cont_len <- grow bb.v_cont_len id 0;
-      bb.v_attr_start <- grow bb.v_attr_start (id + 1) 0
+      let cap =
+        if id < predict_from then 2 * id
+        else min (4 * id) (max (id + (id / 4)) (bb.predict id))
+      in
+      bb.v_tag <- grow_to cap bb.v_tag id 0;
+      bb.v_parent <- grow_to cap bb.v_parent id 0;
+      bb.v_subtree_end <- grow_to cap bb.v_subtree_end id 0;
+      bb.v_depth <- grow_to cap bb.v_depth id 0;
+      bb.v_cont_off <- grow_to cap bb.v_cont_off id 0;
+      bb.v_cont_len <- grow_to cap bb.v_cont_len id 0;
+      bb.v_attr_start <- grow_to (cap + 1) bb.v_attr_start (id + 1) 0
     end;
     bb.n <- id + 1;
     bb.v_attr_start.(id) <- bb.an;
+    let sp = bb.sp in
+    bb.v_parent.(id) <- (if sp = 0 then -1 else bb.stack.(sp - 1));
+    bb.v_depth.(id) <- sp;
     id
 
   let tag_of bb name =
@@ -463,9 +479,12 @@ module Builder = struct
   let start_element bb name =
     let id = alloc bb in
     bb.v_tag.(id) <- tag_of bb name;
-    if bb.sp = Array.length bb.stack then
+    if bb.sp = Array.length bb.stack then begin
       bb.stack <- grow bb.stack bb.sp 0;
+      bb.texts <- grow bb.texts bb.sp 0
+    end;
     bb.stack.(bb.sp) <- id;
+    bb.texts.(bb.sp) <- no_text;
     bb.sp <- bb.sp + 1
 
   let attr bb key off len =
@@ -484,11 +503,35 @@ module Builder = struct
     bb.v_tag.(id) <- text_tag;
     bb.v_cont_off.(id) <- off;
     bb.v_cont_len.(id) <- len;
-    bb.v_subtree_end.(id) <- id + 1
+    bb.v_subtree_end.(id) <- id + 1;
+    let k = bb.sp - 1 in
+    if k >= 0 then begin
+      let seen = bb.texts.(k) in
+      if seen = no_text then bb.texts.(k) <- id
+      else if seen >= 0 then bb.texts.(k) <- mixed
+    end
 
+  (* Close the innermost element: its subtree end, and its value when it
+     has at most one text child; a mixed one is settled by [finish]. *)
   let end_element bb =
-    bb.sp <- bb.sp - 1;
-    bb.v_subtree_end.(bb.stack.(bb.sp)) <- bb.n
+    let k = bb.sp - 1 in
+    bb.sp <- k;
+    let id = bb.stack.(k) and only = bb.texts.(k) in
+    bb.v_subtree_end.(id) <- bb.n;
+    if only >= 0 then begin
+      bb.v_cont_off.(id) <- bb.v_cont_off.(only);
+      bb.v_cont_len.(id) <- bb.v_cont_len.(only)
+    end
+    else if only = no_text then begin
+      bb.v_cont_off.(id) <- 0;
+      bb.v_cont_len.(id) <- 0
+    end
+    else begin
+      if bb.n_mixed = Array.length bb.mixed then
+        bb.mixed <- grow bb.mixed bb.n_mixed 0;
+      bb.mixed.(bb.n_mixed) <- id;
+      bb.n_mixed <- bb.n_mixed + 1
+    end
 
   (* Append [s] to [content]; returns its coded offset. *)
   let add_content bb s =
@@ -525,20 +568,26 @@ module Builder = struct
     visit src;
     drain ()
 
-  (* Freeze every pushed node, filling all comparison values. *)
-  let freeze_all bb ~arena ~appendix ~seed =
-    let n = bb.n and an = bb.an in
-    let attr_start = Array.sub bb.v_attr_start 0 (n + 1) in
-    attr_start.(n) <- an;
-    freeze ~tag:(Array.sub bb.v_tag 0 n)
-      ~ends:(Array.sub bb.v_subtree_end 0 n)
-      ~off:(Array.sub bb.v_cont_off 0 n) ~len:(Array.sub bb.v_cont_len 0 n)
-      ~attr_start ~attr_names:(Array.sub bb.v_attr_names 0 an)
-      ~attr_voff:(Array.sub bb.v_attr_voff 0 an)
-      ~attr_vlen:(Array.sub bb.v_attr_vlen 0 an) ~arena ~appendix
-      (finalize_interner bb.bit ~seed) ~lo:0 ~hi:n ~par:(-1)
+  (* The pushed nodes as a tree: the columns are kept as they grew, not
+     copied, and only the mixed-content values are settled here.  The
+     builder is spent — its columns now belong to an immutable tree. *)
+  let finish_with bb ~arena ~appendix ~seed =
+    let n = bb.n in
+    bb.v_attr_start.(n) <- bb.an;
+    let extras = Buffer.create 16 in
+    for k = 0 to bb.n_mixed - 1 do
+      set_value ~tag:bb.v_tag ~ends:bb.v_subtree_end ~off:bb.v_cont_off
+        ~len:bb.v_cont_len ~arena ~appendix extras bb.mixed.(k)
+    done;
+    let tag_names, tag_ids, tags_token = finalize_interner bb.bit ~seed in
+    { n; tag = bb.v_tag; parent = bb.v_parent; subtree_end = bb.v_subtree_end;
+      depth = bb.v_depth; arena; appendix = with_extras appendix extras;
+      cont_off = bb.v_cont_off; cont_len = bb.v_cont_len;
+      attr_start = bb.v_attr_start; attr_names = bb.v_attr_names;
+      attr_voff = bb.v_attr_voff; attr_vlen = bb.v_attr_vlen; tag_names;
+      tag_ids; tags_token }
 
-  let finish bb ~arena ~appendix = freeze_all bb ~arena ~appendix ~seed:None
+  let finish bb ~arena ~appendix = finish_with bb ~arena ~appendix ~seed:None
 end
 
 (* A fresh tree from [src]; [~seed] keeps a tree's tag ids stable (the
@@ -551,13 +600,14 @@ let source_tree ~seed src =
   in
   let b = Builder.make it ~cbase:0 in
   Builder.add_source b src;
-  Builder.freeze_all b ~arena:"" ~appendix:(Buffer.contents b.content) ~seed
+  Builder.finish_with b ~arena:"" ~appendix:(Buffer.contents b.content) ~seed
 
 let of_source src = source_tree ~seed:None src
 
-(* [old] with its slots [lo, hi) replaced by the first [m] of [mid]. *)
-let join old ~lo ~hi mid m =
-  let rest = Array.length old - hi in
+(* The first [len] slots of [old] with [lo, hi) replaced by the first [m]
+   of [mid]. *)
+let join old ~len ~lo ~hi mid m =
+  let rest = len - hi in
   let total = lo + m + rest in
   if total = 0 then [||]
   else begin
@@ -570,34 +620,54 @@ let join old ~lo ~hi mid m =
 
 (* [splice t ~lo ~old_hi ~par srcs] replaces the node range [lo, old_hi)
    — zero or more whole consecutive sibling subtrees under [par] — with
-   the subtrees described by [srcs], in three steps.  The new middle is
-   pushed through a [Builder] that interns against [t]'s tags (new tags
-   are appended) and codes its content after [t]'s appendix.  The columns
-   are joined: the prefix [0, lo) verbatim, the middle offset by [lo]
-   (and its attribute index by [a_lo]), the suffix shifted by the size
-   deltas; of the prefix, only [par] and its ancestors contain the range,
-   so only their subtree ends move.  [freeze] then derives every link and
-   refills the values of the middle and of [par], whose text children may
-   have changed.  The arena is shared with [t] and the appendix only
-   appended to, so every other content span stays valid verbatim. *)
+   the subtrees described by [srcs].  The new middle is pushed through a
+   [Builder] that interns against [t]'s tags (new tags are appended) and
+   codes its content after [t]'s appendix.  The columns are joined — the
+   prefix [0, lo) verbatim, the middle and the suffix after it — and only
+   what moved is derived:
+   - a middle node's end and parent are offset by [lo] (a top-level one's
+     parent is [par]), its depth by [par]'s depth + 1, its attribute
+     index by [a_lo], and its value came from the builder's close event;
+   - a suffix node's end and attribute index shift by the size deltas,
+     its parent only when that parent is itself in the suffix, and its
+     depth not at all;
+   - of the prefix, only [par] and its ancestors contain the range, so
+     only their subtree ends move, and only [par]'s value, whose text
+     children may have changed, is recomputed.
+   The arena is shared with [t] and the appendix only appended to, so
+   every other content span stays valid verbatim. *)
 let splice t ~lo ~old_hi ~par srcs =
   let b = Builder.make (interner_of_seed t) ~cbase:(String.length t.appendix) in
   List.iter (Builder.add_source b) srcs;
   let m = b.n and ma = b.an in
-  let shift = m - (old_hi - lo) in
+  let shift = m - (old_hi - lo) and n = t.n + m - (old_hi - lo) in
   let a_lo = t.attr_start.(lo) and a_hi = t.attr_start.(old_hi) in
   let a_shift = ma - (a_hi - a_lo) in
-  let nodes old mid = join old ~lo ~hi:old_hi mid m in
-  let attrs old mid = join old ~lo:a_lo ~hi:a_hi mid ma in
+  let nodes old mid = join old ~len:t.n ~lo ~hi:old_hi mid m in
+  let attrs old mid =
+    join old ~len:t.attr_start.(t.n) ~lo:a_lo ~hi:a_hi mid ma
+  in
+  let tag = nodes t.tag b.v_tag in
   let ends = nodes t.subtree_end b.v_subtree_end in
-  let attr_start = nodes t.attr_start b.v_attr_start in
-  let n = Array.length ends in
+  let parent = nodes t.parent b.v_parent in
+  let depth = nodes t.depth b.v_depth in
+  let off = nodes t.cont_off b.v_cont_off in
+  let len = nodes t.cont_len b.v_cont_len in
+  let attr_start =
+    join t.attr_start ~len:(t.n + 1) ~lo ~hi:old_hi b.v_attr_start m
+  in
+  let d0 = t.depth.(par) + 1 in
   for i = lo to lo + m - 1 do
     ends.(i) <- ends.(i) + lo;
+    let p = parent.(i) in
+    parent.(i) <- (if p < 0 then par else p + lo);
+    depth.(i) <- depth.(i) + d0;
     attr_start.(i) <- attr_start.(i) + a_lo
   done;
   for i = lo + m to n - 1 do
     ends.(i) <- ends.(i) + shift;
+    let p = parent.(i) in
+    if p >= old_hi then parent.(i) <- p + shift;
     attr_start.(i) <- attr_start.(i) + a_shift
   done;
   attr_start.(n) <- attr_start.(n) + a_shift;
@@ -610,12 +680,23 @@ let splice t ~lo ~old_hi ~par srcs =
     if Buffer.length b.content = 0 then t.appendix
     else t.appendix ^ Buffer.contents b.content
   in
-  freeze ~tag:(nodes t.tag b.v_tag) ~ends ~off:(nodes t.cont_off b.v_cont_off)
-    ~len:(nodes t.cont_len b.v_cont_len) ~attr_start
-    ~attr_names:(attrs t.attr_names b.v_attr_names)
-    ~attr_voff:(attrs t.attr_voff b.v_attr_voff)
-    ~attr_vlen:(attrs t.attr_vlen b.v_attr_vlen) ~arena:t.arena ~appendix
-    (finalize_interner b.bit ~seed:(Some t)) ~lo ~hi:(lo + m) ~par
+  let extras = Buffer.create 16 in
+  let settle i =
+    set_value ~tag ~ends ~off ~len ~arena:t.arena ~appendix extras i
+  in
+  for k = 0 to b.n_mixed - 1 do
+    settle (lo + b.mixed.(k))
+  done;
+  settle par;
+  let tag_names, tag_ids, tags_token =
+    finalize_interner b.bit ~seed:(Some t)
+  in
+  { n; tag; parent; subtree_end = ends; depth; arena = t.arena;
+    appendix = with_extras appendix extras; cont_off = off; cont_len = len;
+    attr_start; attr_names = attrs t.attr_names b.v_attr_names;
+    attr_voff = attrs t.attr_voff b.v_attr_voff;
+    attr_vlen = attrs t.attr_vlen b.v_attr_vlen; tag_names; tag_ids;
+    tags_token }
 
 let delete_subtree t n =
   check t n;

@@ -32,10 +32,12 @@ type source =
 (** {1 Construction}
 
     Every tree — parsed, built from a {!source}, or spliced by a
-    functional update — is built one way: its pre-order columns (tag,
-    subtree end, content span, attributes) are recorded as
-    {!Builder} events, and parent, child, sibling and depth links are
-    derived from the subtree ends when the tree is frozen. *)
+    functional update — is built one way: {!Builder} events write its
+    pre-order columns (tag, parent, depth, subtree end, content span,
+    attributes), each once, when the event that decides it arrives.
+    There are no child or sibling links to build: {!first_child},
+    {!next_sibling} and the child iterators read them off the subtree
+    ends. *)
 
 val of_source : source -> t
 (** Build a document from a nested description, by pushing it through
@@ -54,15 +56,23 @@ val of_source : source -> t
 module Builder : sig
   type b
 
-  val create : unit -> b
+  val create : ?predict:(int -> int) -> unit -> b
+  (** [predict n], called when the node columns fill at [n] nodes (from
+      a few thousand on), estimates how many nodes the tree will have;
+      the columns grow to that, kept between [5n/4] and [4n].  Without
+      it they double. *)
+
   val start_element : b -> string -> unit
   val attr : b -> string -> int -> int -> unit
   val text : b -> int -> int -> unit
   val end_element : b -> unit
 
   val finish : b -> arena:string -> appendix:string -> t
-  (** Freeze into a tree whose content spans index [arena]/[appendix]
-      directly — the caller's byte regions become the tree's, no copy. *)
+  (** The tree of the pushed events, whose content spans index
+      [arena]/[appendix] directly — the caller's byte regions become the
+      tree's, and so do the builder's columns: neither is copied.  Only
+      the values of mixed-content elements are computed here.  The
+      builder is spent: push no further events to it. *)
 end
 
 val to_source : t -> node -> source
@@ -137,12 +147,17 @@ val parent : t -> node -> node option
 (** [None] exactly for the root. *)
 
 val first_child : t -> node -> node option
+(** [Some (n + 1)] when [subtree_end t n > n + 1]. *)
+
 val next_sibling : t -> node -> node option
+(** The subtree end of [n], when that is below its parent's end. *)
 
 val children : t -> node -> node list
 
 val iter_children : t -> node -> (node -> unit) -> unit
 val fold_children : t -> node -> init:'a -> f:('a -> node -> 'a) -> 'a
+(** Loops over subtree ends: no links are stored.  A hot loop can walk
+    the same way with no closure, as [c := subtree_end t c]. *)
 
 val subtree_end : t -> node -> node
 (** [subtree_end t n] is the first id after the subtree of [n]; the subtree

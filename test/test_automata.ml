@@ -309,7 +309,7 @@ let prop_mfa_linear =
       let mfa = Compile.compile p in
       Mfa.size mfa <= 8 * Ast.size p + 8)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_mfa_linear ]
+let qsuite = Qcheck_seed.to_alcotest [ prop_mfa_linear ]
 
 let () =
   Alcotest.run "smoqe_automata"

@@ -157,7 +157,7 @@ let prop_two_pass_equals_oracle =
       (Two_pass.eval t p).Two_pass.answers = Semantics.answer_list t p)
 
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest
+  Qcheck_seed.to_alcotest
     [ prop_xalan_equals_oracle; prop_two_pass_equals_oracle ]
 
 let () =

@@ -587,7 +587,7 @@ let prop_tax_equals_oracle =
       (Eval_dom.run ~tax mfa t).Eval_dom.answers = Semantics.answer_list t p)
 
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest
+  Qcheck_seed.to_alcotest
     [ prop_dom_equals_oracle; prop_stax_equals_oracle; prop_tax_equals_oracle ]
 
 let () =

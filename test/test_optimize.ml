@@ -212,7 +212,7 @@ let test_rewritten_canonical () =
     Queries.view_suite
 
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest
+  Qcheck_seed.to_alcotest
     [ prop_optimized_equals_oracle; prop_quotient_canonical ]
 
 let () =

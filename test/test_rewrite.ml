@@ -256,7 +256,7 @@ let prop_rewrite_equals_materialize =
     QCheck2.Gen.(int_bound 100_000)
     rewrite_case_ok
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_rewrite_equals_materialize ]
+let qsuite = Qcheck_seed.to_alcotest [ prop_rewrite_equals_materialize ]
 
 let () =
   Alcotest.run "smoqe_rewrite"

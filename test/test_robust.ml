@@ -217,6 +217,33 @@ let test_store_write_fault_is_error () =
 
 (* A write that faults part-way through leaves the file it was
    replacing byte-identical, and no temporary file behind. *)
+(* The atomic write itself: a round trip through the temporary file,
+   fsyncs and rename, then a fault mid-write that leaves the old bytes
+   and no temporary file behind. *)
+let test_atomic_write () =
+  let dir = Filename.temp_file "smoqe_atomic" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "data" in
+  let read () = In_channel.with_open_bin path In_channel.input_all in
+  Smoqe_robust.Atomic_file.write path "first";
+  Alcotest.(check string) "round trip" "first" (read ());
+  Smoqe_robust.Atomic_file.write ~failpoint:"store.write" path "second";
+  Alcotest.(check string) "replaced" "second" (read ());
+  Failpoint.with_failpoints "store.write=once" (fun () ->
+      match
+        Smoqe_robust.Atomic_file.write ~failpoint:"store.write" path
+          "a torn third version"
+      with
+      | () -> Alcotest.fail "written through a failing disk"
+      | exception Failpoint.Injected site ->
+        Alcotest.(check string) "site" "store.write" site);
+  Alcotest.(check string) "old file intact" "second" (read ());
+  Alcotest.(check (array string)) "no temporary file left" [| "data" |]
+    (Sys.readdir dir);
+  Sys.remove path;
+  Sys.rmdir dir
+
 let test_store_write_fault_is_not_torn () =
   let dir = Filename.temp_file "smoqe_robust" "" in
   Sys.remove dir;
@@ -410,6 +437,8 @@ let () =
             test_store_write_fault_is_error;
           Alcotest.test_case "store write fault leaves the old file" `Quick
             test_store_write_fault_is_not_torn;
+          Alcotest.test_case "atomic write: durable round trip, no tear"
+            `Quick test_atomic_write;
           Alcotest.test_case "stax degrades to dom" `Quick
             test_stax_fault_degrades_to_dom;
           Alcotest.test_case "stax file changed after load" `Quick

@@ -401,7 +401,7 @@ let prop_double_negation =
       = Semantics.answer_list t (Ast.Filter (p, q)))
 
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest
+  Qcheck_seed.to_alcotest
     [
       prop_print_parse_roundtrip;
       prop_union_commutes;

@@ -170,7 +170,7 @@ let prop_fragment_equals_oracle =
       | Error _ -> false
       | Ok r -> r.Sj.answers = Semantics.answer_list t q)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_fragment_equals_oracle ]
+let qsuite = Qcheck_seed.to_alcotest [ prop_fragment_equals_oracle ]
 
 let () =
   Alcotest.run "smoqe_structural_join"

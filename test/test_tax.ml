@@ -134,6 +134,23 @@ let prop_membership_correct =
           done);
       !ok)
 
+(* The rows by another road: every node adds its tag to each ancestor's
+   set, found through parent links rather than subtree ends. *)
+let prop_build_equals_naive_rows =
+  QCheck2.Test.make ~count:300 ~name:"build = of_rows of naive tag sets"
+    doc_gen (fun t ->
+      let rows = Array.make (Tree.n_nodes t) [] in
+      Tree.iter_preorder t (fun d ->
+          let tag = Tree.tag_id t d in
+          let rec up = function
+            | None -> ()
+            | Some a ->
+              if not (List.mem tag rows.(a)) then rows.(a) <- tag :: rows.(a);
+              up (Tree.parent t a)
+          in
+          up (Tree.parent t d));
+      Tax.equal (Tax.build t) (Tax.of_rows ~n_tags:(Tree.n_tags t) rows))
+
 let prop_codec_roundtrip =
   QCheck2.Test.make ~count:300 ~name:"codec roundtrip" doc_gen (fun t ->
       let idx = Tax.build t in
@@ -142,8 +159,9 @@ let prop_codec_roundtrip =
       | Error _ -> false)
 
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_membership_correct; prop_codec_roundtrip ]
+  Qcheck_seed.to_alcotest
+    [ prop_membership_correct; prop_build_equals_naive_rows;
+      prop_codec_roundtrip ]
 
 let () =
   Alcotest.run "smoqe_tax"

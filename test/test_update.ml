@@ -134,6 +134,40 @@ let test_token_changes_on_new_tag () =
       (Tree.tag_name doc tag) (Tree.tag_name grown tag)
   done
 
+(* A splice under a parent with text children recomputes that parent's
+   value, whichever way the edit moves it between no text, one text
+   child (an alias of its span) and mixed content (an appended
+   concatenation); an inserted mixed element gets its own value. *)
+let test_splice_mixed_parent_value () =
+  let doc =
+    Smoqe_xml.Parser.tree_of_string
+      "<r><p>one<b>in</b>two</p><q>solo</q></r>"
+  in
+  let p = 1 and b = 3 and two = 5 and q = 6 in
+  Alcotest.(check string) "parsed mixed value" "onetwo" (Tree.value doc p);
+  let check label expect node t =
+    Tree_check.check_physical label t;
+    Alcotest.(check string) label expect (Tree.value t node)
+  in
+  check "delete a text child: one left" "one" p (Tree.delete_subtree doc two);
+  check "delete an element child: still mixed" "onetwo" p
+    (Tree.delete_subtree doc b);
+  check "replace an element by text" "oneMIDtwo" p
+    (Tree.replace_subtree doc b (Tree.T "MID"));
+  check "append text to mixed" "onetwothree" p
+    (Tree.insert_subtree doc ~parent:p (Tree.T "three"));
+  check "insert an element: value kept" "onetwo" p
+    (Tree.insert_subtree doc ~parent:p ~before:two (Tree.E ("e", [], [])));
+  check "single text becomes mixed" "X-solo" q
+    (Tree.insert_subtree doc ~parent:q ~before:(q + 1) (Tree.T "X-"));
+  check "only text deleted" "" q (Tree.delete_subtree doc (q + 1));
+  let t =
+    Tree.insert_subtree doc ~parent:q
+      (Tree.E ("m", [], [ Tree.T "a"; Tree.E ("z", [], []); Tree.T "b" ]))
+  in
+  check "inserted mixed element" "ab" (q + 2) t;
+  check "its parent keeps one text" "solo" q t
+
 (* --- illegal updates: denied, and observably a no-op ----------------------- *)
 
 let hidden_node view doc =
@@ -743,6 +777,8 @@ let () =
         [
           Alcotest.test_case "random edits: spliced = rebuilt, tax = built"
             `Quick test_splice_physical;
+          Alcotest.test_case "mixed-content parent value recomputed" `Quick
+            test_splice_mixed_parent_value;
           Alcotest.test_case "tag-lineage token" `Quick
             test_token_changes_on_new_tag;
         ] );

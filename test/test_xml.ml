@@ -314,11 +314,23 @@ let deep_doc n =
   done;
   Buffer.contents buf
 
+(* Run [f] with the OCaml stack capped at 64k words (512 KiB on 64-bit):
+   enough for any loop, far too little for a recursion 100k deep. *)
+let with_small_stack f =
+  let old = Gc.get () in
+  Gc.set { old with Gc.stack_limit = 65_536 };
+  Fun.protect ~finally:(fun () -> Gc.set old) f
+
 let test_deep_document () =
   (* 100k nesting: recursion anywhere on the tree path would overflow the
-     stack — parse, re-emit events and serialize all have to survive *)
+     stack — parse, re-emit events and serialize all have to survive.
+     The parse runs on a capped stack, so it may not grow the stack with
+     the depth at all. *)
   let n = 100_000 in
-  let t = Parser.tree_of_string (deep_doc n) in
+  let t = with_small_stack (fun () -> Parser.tree_of_string (deep_doc n)) in
+  Alcotest.(check int) "leaf depth" n (Tree.depth t n);
+  Alcotest.(check (option int)) "leaf parent" (Some (n - 1)) (Tree.parent t n);
+  Alcotest.(check string) "innermost value" "leaf" (Tree.value t (n - 1));
   Alcotest.(check int) "nodes" (n + 1) (Tree.n_nodes t);
   let evs = Parser.events_of_tree t in
   Alcotest.(check int) "events" ((2 * n) + 1) (List.length evs);
@@ -345,24 +357,25 @@ let test_deep_document_stax () =
   | Error e -> Alcotest.fail (Smoqe_robust.Error.to_string e)
 
 (* Splices on the 100k-deep document: each result must equal a
-   from-scratch build of its content, node by node, with no recursion
-   over the depth anywhere on the way. *)
+   from-scratch build of its content, node by node.  The splices run on a
+   capped stack: no recursion over the depth anywhere on the way. *)
 let test_deep_splices () =
   let n = 100_000 in
   let t = Parser.tree_of_string (deep_doc n) in
   let deepest = n - 1 in
-  let deleted = Tree.delete_subtree t deepest in
+  let deleted, inserted, replaced =
+    with_small_stack (fun () ->
+        ( Tree.delete_subtree t deepest,
+          Tree.insert_subtree t ~parent:deepest
+            (Tree.E
+               ("e", [ ("k", "v") ], [ Tree.T "x"; Tree.E ("f", [], []) ])),
+          Tree.replace_subtree t (n / 2) (Tree.E ("m", [], [ Tree.T "mid" ]))
+        ))
+  in
   Alcotest.(check int) "delete: nodes" (n - 1) (Tree.n_nodes deleted);
   Tree_check.check_physical "delete deepest" deleted;
-  let inserted =
-    Tree.insert_subtree t ~parent:deepest
-      (Tree.E ("e", [ ("k", "v") ], [ Tree.T "x"; Tree.E ("f", [], []) ]))
-  in
   Alcotest.(check int) "insert: depth" n (Tree.depth inserted (n + 1));
   Tree_check.check_physical "insert under deepest" inserted;
-  let replaced =
-    Tree.replace_subtree t (n / 2) (Tree.E ("m", [], [ Tree.T "mid" ]))
-  in
   Alcotest.(check int) "replace: nodes" ((n / 2) + 2) (Tree.n_nodes replaced);
   Tree_check.check_physical "replace at mid depth" replaced
 
@@ -933,13 +946,173 @@ let prop_events_roundtrip =
       Parser.events_of_tree t
       = drain ~keep_ws:true (Serializer.to_string ~indent:false t))
 
+(* Documents whose bytes exercise every way the parser codes content:
+   literal text, entity and character references (decoded into the
+   appendix), CDATA sections, attributes and mixed content.  Text is a
+   [run]: characters, each with its code point and how it is written. *)
+type run = ((string * int) * int) list
+
+type piece =
+  | Plain of run
+  | Cdata of run
+  | Elem of string * (string * run) list * piece list
+
+let unit_gen =
+  QCheck2.Gen.oneofl
+    [ ("a", 97); ("Z", 90); (" ", 32); ("\n", 10); ("<", 60); (">", 62);
+      ("&", 38); ("'", 39); ("\"", 34); ("\xc3\xa9", 233);
+      ("\xe2\x82\xac", 8364) ]
+
+let units_gen =
+  QCheck2.Gen.(list_size (int_range 1 5) (pair unit_gen (int_bound 3)))
+
+let units_value us = String.concat "" (List.map (fun ((s, _), _) -> s) us)
+
+(* One unit as markup: literal (escaped where it must be), decimal or
+   hexadecimal character reference, or a named entity where one exists.
+   In an attribute value a literal newline would be normalized to a
+   space, and the quote delimits, so both are escaped there. *)
+let render_unit ~in_attr ((s, cp), how) =
+  let named =
+    match cp with
+    | 60 -> Some "&lt;"
+    | 62 -> Some "&gt;"
+    | 38 -> Some "&amp;"
+    | 39 -> Some "&apos;"
+    | 34 -> Some "&quot;"
+    | _ -> None
+  in
+  match how with
+  | 1 -> Printf.sprintf "&#%d;" cp
+  | 2 -> Printf.sprintf "&#x%X;" cp
+  | 3 when named <> None -> Option.get named
+  | _ -> (
+    match cp with
+    | 60 -> "&lt;"
+    | 38 -> "&amp;"
+    | 34 when in_attr -> "&quot;"
+    | 10 when in_attr -> "&#10;"
+    | _ -> s)
+
+let rec render buf = function
+  | Plain us ->
+    List.iter (fun u -> Buffer.add_string buf (render_unit ~in_attr:false u)) us
+  | Cdata us ->
+    Buffer.add_string buf "<![CDATA[";
+    Buffer.add_string buf (units_value us);
+    Buffer.add_string buf "]]>"
+  | Elem (tag, attrs, kids) ->
+    Printf.bprintf buf "<%s" tag;
+    List.iter
+      (fun (k, us) ->
+        Printf.bprintf buf " %s=\"%s\"" k
+          (String.concat "" (List.map (render_unit ~in_attr:true) us)))
+      attrs;
+    Buffer.add_char buf '>';
+    List.iter (render buf) kids;
+    Printf.bprintf buf "</%s>" tag
+
+let render_doc p =
+  let buf = Buffer.create 256 in
+  render buf p;
+  Buffer.contents buf
+
+(* The tree the bytes describe: adjacent literal runs are one text node,
+   and each CDATA section is a text node of its own. *)
+let rec piece_source = function
+  | Plain us | Cdata us -> Tree.T (units_value us)
+  | Elem (tag, attrs, kids) ->
+    let rec merge = function
+      | Plain a :: Plain b :: rest -> merge (Plain (a @ b) :: rest)
+      | k :: rest -> piece_source k :: merge rest
+      | [] -> []
+    in
+    Tree.E
+      (tag, List.map (fun (k, us) -> (k, units_value us)) attrs, merge kids)
+
+let attrs_gen =
+  QCheck2.Gen.(
+    map
+      (List.sort_uniq (fun (a, _) (b, _) -> String.compare a b))
+      (list_size (int_bound 3)
+         (pair (oneofl [ "id"; "k"; "x-y"; "n.s" ]) units_gen)))
+
+let piece_gen =
+  QCheck2.Gen.(
+    sized_size (int_bound 5)
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 map (fun us -> Plain us) units_gen;
+                 map (fun us -> Cdata us) units_gen;
+                 map2 (fun tag a -> Elem (tag, a, [])) tag_gen attrs_gen;
+               ]
+           in
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 ( 2,
+                   map3
+                     (fun tag a kids -> Elem (tag, a, kids))
+                     tag_gen attrs_gen
+                     (list_size (int_bound 4) (self (n / 2))) );
+               ]))
+
+let doc_piece_gen =
+  QCheck2.Gen.(
+    map3
+      (fun tag a kids -> Elem (tag, a, kids))
+      tag_gen attrs_gen
+      (list_size (int_bound 5) piece_gen))
+
+(* Each node of a source in pre-order, worked out by recursion over the
+   source rather than by the builder both trees share: (parent, depth,
+   subtree size, value). *)
+let naive_nodes src =
+  let rec size = function
+    | Tree.T _ -> 1
+    | Tree.E (_, _, kids) -> List.fold_left (fun a k -> a + size k) 1 kids
+  in
+  let acc = ref [] and next = ref 0 in
+  let rec go parent depth node =
+    let id = !next in
+    incr next;
+    match node with
+    | Tree.T s -> acc := (parent, depth, 1, s) :: !acc
+    | Tree.E (_, _, kids) ->
+      let texts =
+        List.filter_map (function Tree.T s -> Some s | Tree.E _ -> None) kids
+      in
+      acc := (parent, depth, size node, String.concat "" texts) :: !acc;
+      List.iter (go (Some id) (depth + 1)) kids
+  in
+  go None 0 src;
+  List.rev !acc
+
+let prop_parse_equals_of_source =
+  QCheck2.Test.make ~count:300 ~print:render_doc
+    ~name:"parsed = of_source, column by column" doc_piece_gen (fun p ->
+      let src = piece_source p in
+      let parsed = Parser.tree_of_string ~keep_ws:true (render_doc p) in
+      Tree_check.same_nodes "parsed" (Tree.of_source src) parsed;
+      naive_nodes src
+      = List.init (Tree.n_nodes parsed) (fun n ->
+            ( Tree.parent parsed n,
+              Tree.depth parsed n,
+              Tree.subtree_size parsed n,
+              Tree.value parsed n )))
+
 let qsuite =
-  List.map QCheck_alcotest.to_alcotest
+  Qcheck_seed.to_alcotest
     [
       prop_serialize_parse_roundtrip;
       prop_subtree_ranges_nested;
       prop_depth_consistent;
       prop_events_roundtrip;
+      prop_parse_equals_of_source;
     ]
 
 let () =
