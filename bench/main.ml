@@ -1190,8 +1190,9 @@ let e15 () =
      recursive random DTD, so the rewritten automata are check-free and the
      whole mix rides the lazy DFA.  The batch is a pub/sub subscriber mix:
      20 descendant spines x 5 leaf finishers = 100 distinct view queries
-     sharing long path prefixes by construction — exactly the shape the
-     prefix-sharing merge collapses. *)
+     sharing long path prefixes by construction.  The merge keeps each
+     member's prefix apart (only equal futures fold); the lazy DFA steps
+     the co-active prefix copies as one memo row per node. *)
   let dtd = Random_dtd.generate ~seed:29 ~n_types:12 ~recursion:true () in
   let policy = Random_dtd.random_policy ~seed:17 ~cond_ratio:0.0 dtd in
   let doc =
@@ -1291,13 +1292,12 @@ let e15 () =
           in
           let ratio = batch_s /. seq_s in
           if mode = Engine.Dom && n = 100 then dom_ratio_100 := ratio;
-          Printf.printf "%-5s %-5d %s %s %s %6.3fx %d states (%d saved, %d hits)\n%!"
+          Printf.printf "%-5s %-5d %s %s %s %6.3fx %d states (%d saved)\n%!"
             mname n
             (pp_time (seq_s *. 1e9))
             (pp_time (batch_s *. 1e9))
             (pp_time (batch_s *. 1e9 /. float_of_int n))
-            ratio agg.Stats.shared_states agg.Stats.shared_saved
-            agg.Stats.shared_prefix_hits;
+            ratio agg.Stats.shared_states agg.Stats.shared_saved;
           rows :=
             J.Obj
               [ ("mode", J.Str mname); ("batch_size", J.Int n);
@@ -1307,9 +1307,7 @@ let e15 () =
                  J.Float (batch_s *. 1e9 /. float_of_int n));
                 ("ratio", J.Float ratio);
                 ("merged_states", J.Int agg.Stats.shared_states);
-                ("saved_states", J.Int agg.Stats.shared_saved);
-                ("prefix_hits", J.Int agg.Stats.shared_prefix_hits);
-                ("accept_width", J.Int agg.Stats.accept_width) ]
+                ("saved_states", J.Int agg.Stats.shared_saved) ]
             :: !rows)
         [ 10; 50; 100 ])
     [ (Engine.Dom, "dom"); (Engine.Stax, "stax") ];

@@ -148,18 +148,14 @@ let quotient ?owners g =
         match a.Afa.value with None -> 0 | Some c -> 1 + name_code values c)
       atoms
   in
-  (* The initial partition is the accept label: the Select mark (its owner
-     set, on a merged plan) and the atom-accept value constraints. *)
-  let owner_sets = Sig_tbl.create 8 in
+  (* The initial partition is the accept label: the Select mark (its owner,
+     on a merged plan) and the atom-accept value constraints. *)
   let label s =
     let select = ref 0 and vals = ref [] in
     List.iter
       (function
         | Nfa.Select ->
-          select :=
-            (match owners with
-            | None -> 1
-            | Some ow -> intern owner_sets ow.(s) ~first:1)
+          select := (match owners with None -> 1 | Some ow -> 1 + ow.(s))
         | Nfa.Atom_accept a -> vals := atom_value.(a) :: !vals)
       g.accepts.(s);
     Array.of_list (!select :: sorted_uniq !vals)

@@ -26,11 +26,11 @@
 
 val optimize : Mfa.t -> Mfa.t
 
-val minimize : ?owners:int array array -> Mfa.t -> Mfa.t * int array
+val minimize : ?owners:int array -> Mfa.t -> Mfa.t * int array
 (** A bisimulation quotient, by partition refinement from the accept
     labels until the partition is stable.  Two states are equivalent when
-    they carry the same [Select] mark (with the same [owners] set, when
-    given: the owner table of a merged batch), the same atom-accept value
+    they carry the same [Select] mark (with the same owner, when [owners]
+    is given: the owner table of a merged batch), the same atom-accept value
     constraints and the same checks up to equivalent qualifiers, and
     reach the same classes by each node test and by epsilon (an epsilon
     edge into the state's own class is ignored).  An atom is identified by the class of its start state

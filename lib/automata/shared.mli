@@ -1,43 +1,36 @@
-(** Prefix-sharing merge of many compiled MFAs into one batch automaton.
+(** Merge of many compiled MFAs into one batch automaton.
 
     SMOQE's serving story is one MFA pass per query; a pub/sub deployment
-    with N subscribers would pay N document traversals.  [merge] collapses
-    a batch of compiled queries YFilter-style into a {e single} MFA whose
-    runs carry all N queries at once: states whose incoming languages are
-    provably identical are fused (policy-rewritten view queries share long
-    path prefixes by construction, so the collapse is substantial), and a
-    per-state {e owner set} records which queries select at each fused
-    accept state so the engine can demultiplex candidate answers back to
-    their queries.
+    with N subscribers would pay N document traversals.  [merge] builds a
+    {e single} MFA whose runs carry all N queries at once: the disjoint
+    union of the members under one fresh root, quotiented up to
+    bisimulation ({!Optimize.minimize}).  A per-state {e owner} records
+    which query selects at each accept state, so the engine can
+    demultiplex candidate answers back to their queries.
 
-    Soundness of the fusion: a member state is eligible for unification
-    only if it is check-free and carries no atom accept, because fusion
-    unions outgoing behavior, not labels.  Two eligible states are fused
-    only when their {e full} incoming-edge sets — external sources already
-    mapped into the merged graph, plus self-loop labels — are identical,
-    which makes their incoming languages identical (from the root and from
-    every atom entry alike); fusing then merely unions outgoing behavior
-    the combined NFA would explore nondeterministically anyway.
-
-    The fused automaton is then quotiented up to bisimulation
-    ({!Optimize.minimize}), with each state's owner set as part of its
-    [Select] label.  Equivalent atoms and qualifiers of different members
-    become one id: a qualifier's truth value at a node depends only on
-    its formula over equivalent atoms, never on the query that checks it,
-    so one settlement per node serves every member. *)
+    Soundness: the union runs every member's automaton side by side, so
+    each member accepts exactly where it did alone.  The owner is part of
+    the [Select] label of the quotient, so a class never mixes the accept
+    states of two queries and every state keeps at most one owner.
+    Equivalent atoms and qualifiers of different members become one id: a
+    qualifier's truth value at a node depends only on its formula over
+    equivalent atoms, never on the query that checks it, so one settlement
+    per node serves every member.  States of different members with the
+    same future become one class too.  Shared path {e prefixes} do not
+    (their futures differ), and need not: the lazy DFA interns each set of
+    co-active states as one memo row, so the prefix copies of N members
+    cost one table lookup per node, as one fused prefix would. *)
 
 type t = private {
   mfa : Mfa.t;
       (** the combined automaton; [start] is a fresh root with an epsilon
           edge to every member query's start state *)
   n_queries : int;
-  owners : int array array;
-      (** merged state -> sorted owner query indices; non-empty exactly at
-          the states carrying a [Select] accept *)
+  owners : int array;
+      (** merged state -> the query that selects there, or [-1] at the
+          states carrying no [Select] accept *)
   merged_states : int;  (** states in the combined, quotiented automaton *)
   member_states : int;  (** total states across the input automata *)
-  prefix_hits : int;  (** member states fused into an existing state *)
-  accept_width : int;  (** widest owner set over all accept states *)
 }
 
 val merge : Mfa.t array -> t
@@ -46,6 +39,5 @@ val merge : Mfa.t array -> t
     @raise Invalid_argument on an empty batch. *)
 
 val saved_states : t -> int
-(** [member_states - merged_states]: the collapse the prefix fusion and
-    the quotient achieved together (the root state makes this [-1] for a
-    batch of one minimal query). *)
+(** [member_states - merged_states]: the collapse the quotient achieved
+    (the root state makes this [-1] for a batch of one minimal query). *)

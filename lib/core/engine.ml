@@ -71,7 +71,7 @@ type plan = {
   plan_empty : bool;  (* the DTD proves the query selects nothing *)
   plan_shared : Shared.t option;
       (* present when two or more distinct queries were merged: the
-         prefix-sharing merge whose combined automaton [plan_mfa] is (so
+         batch merge whose combined automaton [plan_mfa] is (so
          the table machinery below applies to batches unchanged);
          absent on a single-query plan *)
   plan_compile_ms : float;
@@ -413,7 +413,7 @@ let plan_cache_counters t =
    raw text probes the cache before anything is tokenized — canonical
    traffic (the common case for machine-issued repeats) hits without
    being parsed.  Two or more distinct members are compiled, merged
-   prefix-sharing-style ({!Shared.merge}) and cached under the batch key:
+   ({!Shared.merge}: a union, minimized) and cached under the batch key:
    the sorted unique member keys, so permutations and duplicate mixes of
    a warm batch hit too.
 

@@ -260,9 +260,10 @@ val update_robust :
     member is a single query}: it is cached under the single-query key
     and never merged, so [run_many_robust [q]] and [query_robust q] share
     one plan.
-    Two or more distinct members are compiled and merged
-    prefix-sharing-style into a single combined NFA with per-query accept
-    sets ({!Smoqe_automata.Shared}); the merged automaton rides the same
+    Two or more distinct members are compiled and merged into a single
+    combined NFA — their disjoint union under one root, minimized, each
+    accept state owned by one member ({!Smoqe_automata.Shared}); the
+    merged automaton rides the same
     table/lazy-DFA machinery as a single query — the interned state sets
     just get wider, with the [(set, tag)] memo shared across the whole
     batch — and candidate answers demultiplex back to their owners.  The
@@ -284,8 +285,8 @@ val run_many_robust :
     input list.  Each successful outcome carries the member's own answers
     (and serialized fragments); the second component is the pass
     statistics (one [passes_over_data]; on a merged plan the batch
-    counters [batch_queries]/[shared_states]/[shared_prefix_hits]/
-    [accept_width] are filled in).  A one-slot request returns the pass
+    counters [batch_queries]/[shared_states]/[shared_saved] are filled
+    in).  A one-slot request returns the pass
     counters themselves as the slot's stats — exactly what {!query_robust}
     reports; with several slots each gets a private copy with its own
     [stats.answers].  A member that fails to parse or compile

@@ -62,7 +62,7 @@ val run_many_robust :
   (Engine.outcome, Smoqe_robust.Error.t) result array * Smoqe_hype.Stats.t
 (** Answer a whole batch in one shared-automaton document pass under the
     session's rights (see {!Engine.run_many_robust}): member automata are
-    merged prefix-sharing-style, duplicates collapse onto one accept set,
+    merged into one minimized union, duplicates collapse onto one member,
     and the merged plan is cached per policy key — a member can only ever
     hit batch plans rewritten through a view equal to their own. *)
 

@@ -83,11 +83,11 @@ type t = {
   qual_order : int array; (* dependency-topological same-node order *)
   has_value_atoms : bool;
   n_quals : int;
-  (* batch demultiplexing: which queries select at each accept state.  A
+  (* batch demultiplexing: which query selects at each accept state.  A
      single-query engine has every select state owned by query 0; a batch
-     engine gets the owner table of the shared-automaton merge.  Candidate
-     recording fans one (node, conds) entry out to each owner's Cans. *)
-  owners : int array array;
+     engine gets the owner table of the batch merge.  Candidate recording
+     adds the (node, conds) entry to that owner's Cans. *)
+  owners : int array;
   n_queries : int;
   (* dynamics *)
   (* The slot table: one slot per (qualifier, node) a selection run
@@ -228,10 +228,7 @@ let create ?trace ?tables ?(memo_cap = 4096) ?owners ?n_queries mfa =
     match (n_queries, owners) with
     | Some n, _ -> max 1 n
     | None, None -> 1
-    | None, Some ow ->
-      let m = ref 0 in
-      Array.iter (Array.iter (fun q -> if q >= !m then m := q + 1)) ow;
-      max 1 !m
+    | None, Some ow -> 1 + Array.fold_left max 0 ow
   in
   let owners =
     match owners with
@@ -239,7 +236,7 @@ let create ?trace ?tables ?(memo_cap = 4096) ?owners ?n_queries mfa =
       if Array.length ow <> n_states then
         raise (Driver_error "owners table sized for a different automaton");
       ow
-    | None -> Array.make n_states [| 0 |]
+    | None -> Array.make n_states 0
   in
   {
     mfa;
@@ -345,15 +342,12 @@ let rec has_twin s conds = function
     (it.state = s && Conds.compare_set it.conds conds = 0)
     || has_twin s conds rest
 
-(* Fan one candidate entry out to the Cans of each query owning state [s]. *)
+(* Add one candidate entry to the Cans of the query owning state [s]. *)
 let record_candidate t node s conds =
-  let ow = t.owners.(s) in
-  t.stats.Stats.candidates <- t.stats.Stats.candidates + Array.length ow;
+  t.stats.Stats.candidates <- t.stats.Stats.candidates + 1;
   t.entered_candidate <- true;
   trace_mark t node Trace.In_cans;
-  for i = 0 to Array.length ow - 1 do
-    Cans.add t.cans.(ow.(i)) ~node conds
-  done
+  Cans.add t.cans.(t.owners.(s)) ~node conds
 
 (* Double every column of a full slot table. *)
 let grow_slots t =

@@ -43,7 +43,7 @@ val create :
   ?trace:Trace.t ->
   ?tables:Smoqe_automata.Tables.t ->
   ?memo_cap:int ->
-  ?owners:int array array ->
+  ?owners:int array ->
   ?n_queries:int ->
   Smoqe_automata.Mfa.t ->
   t
@@ -58,10 +58,10 @@ val create :
     flushed and rebuilt.
 
     [owners] turns the engine into a {e batch} evaluator for a
-    shared-automaton merge ({!Smoqe_automata.Shared}): it maps each accept
-    state to the queries that select there (the merge's [owners] table,
-    sized exactly to the automaton; [Driver_error] otherwise), and every
-    candidate recorded at that state is fanned out to each owner's private
+    batch merge ({!Smoqe_automata.Shared}): it maps each accept state to
+    the one query that selects there, [-1] elsewhere (the merge's [owners]
+    table, sized exactly to the automaton; [Driver_error] otherwise), and
+    every candidate recorded at that state goes to that owner's private
     Cans.  [n_queries] fixes the batch width (deduced from [owners] when
     omitted).  Without [owners] the engine is the plain single-query
     evaluator: one implicit owner, query 0. *)

@@ -20,8 +20,6 @@ type t = {
   mutable batch_queries : int;
   mutable shared_states : int;
   mutable shared_saved : int;
-  mutable shared_prefix_hits : int;
-  mutable accept_width : int;
   mutable policy_key_hits : int;
 }
 
@@ -48,8 +46,6 @@ let create () =
     batch_queries = 0;
     shared_states = 0;
     shared_saved = 0;
-    shared_prefix_hits = 0;
-    accept_width = 0;
     policy_key_hits = 0;
   }
 
@@ -80,16 +76,12 @@ let merge_into ~into s =
   into.batch_queries <- into.batch_queries + s.batch_queries;
   into.shared_states <- into.shared_states + s.shared_states;
   into.shared_saved <- into.shared_saved + s.shared_saved;
-  into.shared_prefix_hits <- into.shared_prefix_hits + s.shared_prefix_hits;
-  into.accept_width <- max into.accept_width s.accept_width;
   into.policy_key_hits <- into.policy_key_hits + s.policy_key_hits
 
 let note_shared s (sh : Smoqe_automata.Shared.t) =
   s.batch_queries <- sh.n_queries;
   s.shared_states <- sh.merged_states;
-  s.shared_saved <- Smoqe_automata.Shared.saved_states sh;
-  s.shared_prefix_hits <- sh.prefix_hits;
-  s.accept_width <- sh.accept_width
+  s.shared_saved <- Smoqe_automata.Shared.saved_states sh
 
 let total_skipped t = t.nodes_skipped_dead + t.nodes_pruned_tax
 
@@ -118,8 +110,6 @@ let to_assoc t =
     ("batch_queries", t.batch_queries);
     ("shared_states", t.shared_states);
     ("shared_saved", t.shared_saved);
-    ("shared_prefix_hits", t.shared_prefix_hits);
-    ("accept_width", t.accept_width);
     ("policy_key_hits", t.policy_key_hits);
   ]
 
@@ -136,11 +126,8 @@ let pp ppf t =
     Fmt.pf ppf "@ tables: %d memo hits, %d misses, %d evictions, specialize %dus"
       t.memo_hits t.memo_misses t.memo_evictions t.table_spec_us;
   if t.batch_queries > 0 then
-    Fmt.pf ppf
-      "@ batch: %d queries, %d merged states (%d saved), %d prefix hits, \
-       accept width %d"
-      t.batch_queries t.shared_states t.shared_saved t.shared_prefix_hits
-      t.accept_width;
+    Fmt.pf ppf "@ batch: %d queries, %d merged states (%d saved)"
+      t.batch_queries t.shared_states t.shared_saved;
   if t.policy_key_hits > 0 then
     Fmt.pf ppf "@ tenancy: %d policy-key hits" t.policy_key_hits;
   if degraded t then

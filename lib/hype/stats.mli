@@ -34,16 +34,13 @@ type t = {
       (** microseconds spent specializing transition tables for this query
           (0 when a table was reused from the plan) *)
   mutable batch_queries : int;
-      (** queries served by this shared-automaton batch pass (0 for a
-          plain single-query run) *)
+      (** queries served by this batch pass (0 for a plain single-query
+          run) *)
   mutable shared_states : int;
       (** states in the merged batch automaton *)
   mutable shared_saved : int;
-      (** member states the prefix-sharing merge collapsed away *)
-  mutable shared_prefix_hits : int;
-      (** member states fused into an already-merged state *)
-  mutable accept_width : int;
-      (** widest per-state owner set among the batch accept states *)
+      (** member states the batch merge's quotient collapsed away, less
+          its one root state ({!Smoqe_automata.Shared.saved_states}) *)
   mutable policy_key_hits : int;
       (** member queries served a cached plan compiled under the view's
           canonical policy key — by this group or another group with an
@@ -61,7 +58,7 @@ val merge_into : into:t -> t -> unit
     reports a batch: each parallel query evaluates with its own
     domain-local [t], and the per-domain results are merged after the
     futures resolve (no counter is ever shared while hot).  Sums every
-    counter except [max_items] and [accept_width], which take the max; the
+    counter except [max_items], which takes the max; the
     one-valued flags ([degraded_*], [plan_cache_hit]) therefore become
     {e counts} of affected queries in the aggregate.  Totality over the
     record is enforced by a unit test — add new fields here, to
@@ -80,7 +77,6 @@ val to_assoc : t -> (string * int) list
 val pp : Format.formatter -> t -> unit
 
 val note_shared : t -> Smoqe_automata.Shared.t -> unit
-(** Record a shared-automaton merge's batch counters ([batch_queries],
-    [shared_states], [shared_saved], [shared_prefix_hits],
-    [accept_width]).  Drivers call it for a merged pass only; a single
+(** Record a batch merge's counters ([batch_queries], [shared_states],
+    [shared_saved]).  Drivers call it for a merged pass only; a single
     query's stats keep them at zero. *)

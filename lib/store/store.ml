@@ -1,6 +1,5 @@
 module Dtd = Smoqe_xml.Dtd
 module Dtd_parser = Smoqe_xml.Dtd_parser
-module Xml_parser = Smoqe_xml.Parser
 module Serializer = Smoqe_xml.Serializer
 module Policy = Smoqe_security.Policy
 module Engine = Smoqe.Engine
@@ -76,8 +75,7 @@ let render_manifest t =
 
 let save_manifest t = write_file (t.dir / manifest_name) (render_manifest t)
 
-let build_engine dir dtd tree policies =
-  let engine = Engine.of_tree ?dtd tree in
+let prepare_engine dir engine policies =
   let* () =
     List.fold_left
       (fun acc (group, policy) ->
@@ -128,7 +126,7 @@ let create ~dir ?dtd tree =
   (match Sys.mkdir (dir / policies_dir) 0o755 with
   | () -> ()
   | exception Sys_error _ -> ());
-  let* engine = build_engine dir dtd tree [] in
+  let* engine = prepare_engine dir (Engine.of_tree ?dtd tree) [] in
   let t = { dir; dtd; groups = []; engine } in
   let* () = save_manifest t in
   Ok t
@@ -156,12 +154,6 @@ let parse_manifest contents =
 let open_dir dir =
   let* manifest = read_file (dir / manifest_name) in
   let* policy_entries = parse_manifest manifest in
-  let* doc_text = read_file (dir / document_name) in
-  let* tree =
-    match Xml_parser.tree_of_string_res doc_text with
-    | Ok tree -> Ok tree
-    | Error msg -> Error (Printf.sprintf "%s: %s" document_name msg)
-  in
   let* dtd =
     if Sys.file_exists (dir / dtd_name) then begin
       let* dtd_text = read_file (dir / dtd_name) in
@@ -172,6 +164,13 @@ let open_dir dir =
       | exception Invalid_argument msg -> Error (dtd_name ^ ": " ^ msg)
     end
     else Ok None
+  in
+  (* The engine's own loader: the document is validated against the DTD,
+     and StAX requests scan the file. *)
+  let* engine =
+    Engine.of_file_robust ?dtd (dir / document_name)
+    |> Result.map_error (fun e ->
+           document_name ^ ": " ^ Smoqe_robust.Error.to_string e)
   in
   let* policies =
     List.fold_left
@@ -186,7 +185,7 @@ let open_dir dir =
       (Ok []) policy_entries
   in
   let policies = List.rev policies in
-  let* engine = build_engine dir dtd tree policies in
+  let* engine = prepare_engine dir engine policies in
   Ok { dir; dtd; groups = List.map fst policies; engine }
 
 let dir t = t.dir

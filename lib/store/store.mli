@@ -29,7 +29,10 @@ val create :
 
 val open_dir : string -> (t, string) result
 (** Open an existing store: parses the manifest, loads document, DTD,
-    index and all policies, and prepares an engine. *)
+    index and all policies, and prepares an engine.  The document is
+    loaded as {!Smoqe.Engine.of_file_robust} loads a file: a document
+    that does not conform to the stored DTD is refused, and StAX requests
+    scan [document.xml]. *)
 
 val dir : t -> string
 

@@ -43,24 +43,23 @@ let escape_text s =
     Buffer.contents buf
   end
 
-(* Tree attributes, read in place through the packed spans. *)
-let add_tree_attrs buf t n =
-  Tree.iter_attrs t n (fun k backing off len ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf k;
-      Buffer.add_string buf "=\"";
-      add_escaped_attr buf backing off len;
-      Buffer.add_char buf '"')
+(* One tree attribute, read in place through its packed span. *)
+let add_attr buf k backing off len =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf k;
+  Buffer.add_string buf "=\"";
+  add_escaped_attr buf backing off len;
+  Buffer.add_char buf '"'
 
 let add_text_content buf t n =
   let backing, off, len = Tree.content_slice t n in
   add_escaped_text buf backing off len
 
-(* Worklist, not native recursion: serialization must follow the parser
-   in treating document depth as data, never as OCaml stack (DESIGN.md
-   §12). *)
-type ser_item = Node of int * Tree.node | Close of int * string
-
+(* A loop over pre-order ids, not native recursion: serialization must
+   follow the parser in treating document depth as data, never as OCaml
+   stack (DESIGN.md §12).  The open elements are an int stack; an element
+   closes when the walk reaches its subtree end.  Leaves and elements
+   whose only child is a text node are written whole. *)
 let subtree_to_buf ~indent buf t start =
   let pad level =
     if indent then
@@ -68,52 +67,62 @@ let subtree_to_buf ~indent buf t start =
         Buffer.add_char buf ' '
       done
   in
-  let work = ref [ Node (0, start) ] in
-  let continue = ref true in
-  while !continue do
-    match !work with
-    | [] -> continue := false
-    | Close (level, tag) :: rest ->
-      work := rest;
-      pad level;
-      Buffer.add_string buf "</";
+  let newline () = if indent then Buffer.add_char buf '\n' in
+  let close_tag tag =
+    Buffer.add_string buf "</";
+    Buffer.add_string buf tag;
+    Buffer.add_char buf '>';
+    newline ()
+  in
+  let attr = add_attr buf in
+  let opened = ref (Array.make 16 0) and sp = ref 0 in
+  (* close the open elements whose subtrees end at or before [i] *)
+  let close_to i =
+    while !sp > 0 && Tree.subtree_end t !opened.(!sp - 1) <= i do
+      decr sp;
+      pad !sp;
+      close_tag (Tree.name t !opened.(!sp))
+    done
+  in
+  let stop = Tree.subtree_end t start in
+  let n = ref start in
+  while !n < stop do
+    let i = !n in
+    close_to i;
+    pad !sp;
+    if Tree.is_text t i then begin
+      add_text_content buf t i;
+      newline ();
+      n := i + 1
+    end
+    else begin
+      let tag = Tree.name t i and e = Tree.subtree_end t i in
+      Buffer.add_char buf '<';
       Buffer.add_string buf tag;
-      Buffer.add_char buf '>';
-      if indent then Buffer.add_char buf '\n'
-    | Node (level, n) :: rest ->
-      work := rest;
-      if Tree.is_text t n then begin
-        pad level;
-        add_text_content buf t n;
-        if indent then Buffer.add_char buf '\n'
+      Tree.iter_attrs t i attr;
+      if e = i + 1 then begin
+        Buffer.add_string buf "/>";
+        newline ();
+        n := e
+      end
+      else if e = i + 2 && Tree.is_text t (i + 1) then begin
+        Buffer.add_char buf '>';
+        add_text_content buf t (i + 1);
+        close_tag tag;
+        n := e
       end
       else begin
-        let tag = Tree.name t n in
-        pad level;
-        Buffer.add_char buf '<';
-        Buffer.add_string buf tag;
-        add_tree_attrs buf t n;
-        match Tree.children t n with
-        | [] ->
-          Buffer.add_string buf "/>";
-          if indent then Buffer.add_char buf '\n'
-        | [ only ] when Tree.is_text t only ->
-          Buffer.add_char buf '>';
-          add_text_content buf t only;
-          Buffer.add_string buf "</";
-          Buffer.add_string buf tag;
-          Buffer.add_char buf '>';
-          if indent then Buffer.add_char buf '\n'
-        | kids ->
-          Buffer.add_char buf '>';
-          if indent then Buffer.add_char buf '\n';
-          work :=
-            List.fold_left
-              (fun tail k -> Node (level + 1, k) :: tail)
-              (Close (level, tag) :: !work)
-              (List.rev kids)
+        Buffer.add_char buf '>';
+        newline ();
+        if !sp = Array.length !opened then
+          opened := Array.append !opened (Array.make !sp 0);
+        !opened.(!sp) <- i;
+        incr sp;
+        n := i + 1
       end
-  done
+    end
+  done;
+  close_to stop
 
 let to_string ?(indent = true) ?(decl = false) t =
   let buf = Buffer.create 1024 in

@@ -183,22 +183,24 @@ let content_slice t n =
   let off = t.cont_off.(n) and len = t.cont_len.(n) in
   if off >= 0 then (t.arena, off, len) else (t.appendix, lnot off, len)
 
+(* [len] bytes of [a] from [i] equal those of [b] from [j]. *)
+let sub_equal a i b j len =
+  let k = ref 0 in
+  while
+    !k < len && String.unsafe_get a (i + !k) = String.unsafe_get b (j + !k)
+  do
+    incr k
+  done;
+  !k = len
+
 let value_equal t n s =
   check t n;
   let len = t.cont_len.(n) in
   String.length s = len
   &&
   let off = t.cont_off.(n) in
-  let backing, off =
-    if off >= 0 then (t.arena, off) else (t.appendix, lnot off)
-  in
-  let i = ref 0 in
-  while
-    !i < len && String.unsafe_get backing (off + !i) = String.unsafe_get s !i
-  do
-    incr i
-  done;
-  !i = len
+  if off >= 0 then sub_equal t.arena off s 0 len
+  else sub_equal t.appendix (lnot off) s 0 len
 
 let descendant_or_self_texts t n =
   let stop = subtree_end t n in
@@ -750,24 +752,62 @@ let source_element_names src =
   done;
   List.rev !acc
 
-let rec to_source t n =
-  if is_text t n then T (text_content t n)
-  else
-    let kids = List.map (to_source t) (children t n) in
-    E (name t n, attributes t n, kids)
+(* Reverse pre-order with a stack of finished subtrees, lowest id on
+   top: when node [i] is reached, its children are exactly the entries
+   on top below its subtree end (each child has consumed its own). *)
+let to_source t n =
+  let stop = subtree_end t n in
+  let built = ref [] in
+  for i = stop - 1 downto n do
+    let src =
+      if t.tag.(i) = text_tag then T (slice t t.cont_off.(i) t.cont_len.(i))
+      else begin
+        let e = t.subtree_end.(i) in
+        let rec take kids = function
+          | (c, kid) :: rest when c < e -> take (kid :: kids) rest
+          | rest ->
+            built := rest;
+            List.rev kids
+        in
+        let kids = take [] !built in
+        E (t.tag_names.(t.tag.(i)), attributes t i, kids)
+      end
+    in
+    built := (i, src) :: !built
+  done;
+  snd (List.hd !built)
 
-let rec source_equal a b =
-  match a, b with
-  | T x, T y -> String.equal x y
-  | E (ta, aa, ka), E (tb, ab, kb) ->
-    String.equal ta tb
-    && List.length aa = List.length ab
-    && List.for_all2
-         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2)
-         aa ab
-    && List.length ka = List.length kb
-    && List.for_all2 source_equal ka kb
-  | T _, E _ | E _, T _ -> false
+(* A coded span of [a] holds the same bytes as one of [b]. *)
+let span_equal a oa la b ob lb =
+  la = lb
+  &&
+  let ba, oa = if oa >= 0 then (a.arena, oa) else (a.appendix, lnot oa) in
+  let bb, ob = if ob >= 0 then (b.arena, ob) else (b.appendix, lnot ob) in
+  sub_equal ba oa bb ob la
 
+(* Column by column: the tag names and subtree ends fix the structure;
+   attributes compare in order, and text nodes by content (an element's
+   value follows from its text children). *)
 let equal a b =
-  n_nodes a = n_nodes b && source_equal (to_source a root) (to_source b root)
+  let node i =
+    String.equal a.tag_names.(a.tag.(i)) b.tag_names.(b.tag.(i))
+    && a.subtree_end.(i) = b.subtree_end.(i)
+    && (a.tag.(i) <> text_tag
+       || span_equal a a.cont_off.(i) a.cont_len.(i) b b.cont_off.(i)
+            b.cont_len.(i))
+    &&
+    let lo = a.attr_start.(i) and hi = a.attr_start.(i + 1) in
+    let d = b.attr_start.(i) - lo in
+    b.attr_start.(i + 1) - d = hi
+    &&
+    let rec attrs k =
+      k >= hi
+      || String.equal a.attr_names.(k) b.attr_names.(k + d)
+         && span_equal a a.attr_voff.(k) a.attr_vlen.(k) b b.attr_voff.(k + d)
+              b.attr_vlen.(k + d)
+         && attrs (k + 1)
+    in
+    attrs lo
+  in
+  let rec from i = i >= a.n || (node i && from (i + 1)) in
+  a.n = b.n && from 0

@@ -76,7 +76,8 @@ module Builder : sig
 end
 
 val to_source : t -> node -> source
-(** Re-export the subtree rooted at a node as a nested description. *)
+(** Re-export the subtree rooted at a node as a nested description (a
+    worklist walk: any depth). *)
 
 val text_tag : int
 (** The reserved tag id of text nodes (its name is ["#text"]). *)
@@ -213,4 +214,4 @@ val fold_preorder : t -> init:'a -> f:('a -> node -> 'a) -> 'a
 
 val equal : t -> t -> bool
 (** Structural equality of documents (tags, texts and attributes; interned
-    ids may differ). *)
+    ids may differ), read off the columns: any depth. *)

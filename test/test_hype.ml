@@ -161,9 +161,9 @@ let drive e t =
    one slot, read back for each owner's Cans. *)
 let test_batch_shared_qualifier () =
   let mfa, sel = same_qual_mfa ~fork:true in
-  let owners = Array.make mfa.Mfa.nfa.Nfa.n_states [||] in
-  owners.(sel.(0)) <- [| 0 |];
-  owners.(sel.(1)) <- [| 1 |];
+  let owners = Array.make mfa.Mfa.nfa.Nfa.n_states (-1) in
+  owners.(sel.(0)) <- 0;
+  owners.(sel.(1)) <- 1;
   let t = Lazy.force same_qual_doc in
   let tables = Smoqe_automata.Tables.of_tree mfa.Mfa.nfa t in
   List.iter

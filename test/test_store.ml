@@ -165,6 +165,52 @@ let test_manifest_corruption () =
           (String.length msg > 0)
       | Ok _ -> Alcotest.fail "opened a corrupt store")
 
+(* A store serves only what its DTD admits: an element the DTD does not
+   declare, slipped into document.xml, fails the open.  Served as given,
+   it would be invisible to an admin's [//secret] (statically empty
+   against the DTD) yet copied into a member's [patient] fragments. *)
+let test_invalid_document_refused () =
+  let dir = fresh_dir () in
+  let doc = Hospital.generate ~seed:3 ~n_patients:4 ~recursion_depth:2 () in
+  let store = ok (Store.create ~dir ~dtd:Hospital.dtd doc) in
+  let finally () = if Sys.file_exists dir then rm_rf dir in
+  Fun.protect ~finally (fun () ->
+      ok (Store.add_policy store ~group:"staff" Hospital.policy);
+      let path = Filename.concat dir "document.xml" in
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let corrupt =
+        Str_replace.replace text "<pname>" "<secret>boom</secret><pname>"
+      in
+      Alcotest.(check bool) "secret inserted" false (corrupt = text);
+      Out_channel.with_open_bin path (fun oc -> output_string oc corrupt);
+      match Store.open_dir dir with
+      | Error msg ->
+        Alcotest.(check bool) ("names the document: " ^ msg) true
+          (String.starts_with ~prefix:"document.xml: " msg)
+      | Ok _ -> Alcotest.fail "opened a store whose document is invalid")
+
+(* A reopened store's engine holds the document file, so a StAX request
+   scans its bytes rather than falling back to the DOM driver. *)
+let test_stax_reads_file () =
+  with_store (fun dir _ _ ->
+      let reopened = ok (Store.open_dir dir) in
+      let admin = ok (Store.login reopened Session.Admin) in
+      let dom = okr (Session.run_robust admin "//pname") in
+      let stax =
+        Smoqe_robust.Failpoint.with_failpoints "pull.read=1000000000"
+          (fun () ->
+            let o =
+              okr (Session.run_robust admin ~mode:Engine.Stax "//pname")
+            in
+            Alcotest.(check bool) "pull.read reached" true
+              (Smoqe_robust.Failpoint.triggers "pull.read" > 0);
+            o)
+      in
+      Alcotest.(check int) "no DOM retry" 0
+        stax.Engine.stats.Smoqe_hype.Stats.degraded_stax_retry;
+      Alcotest.(check (list string)) "same fragments as DOM"
+        dom.Engine.answer_xml stax.Engine.answer_xml)
+
 let () =
   Alcotest.run "smoqe_store"
     [
@@ -186,5 +232,8 @@ let () =
             test_index_rebuilt_when_corrupt;
           Alcotest.test_case "not a store" `Quick test_open_not_a_store;
           Alcotest.test_case "corrupt manifest" `Quick test_manifest_corruption;
+          Alcotest.test_case "invalid document refused" `Quick
+            test_invalid_document_refused;
+          Alcotest.test_case "stax reads the file" `Quick test_stax_reads_file;
         ] );
     ]

@@ -237,6 +237,22 @@ let test_serializer_escaping () =
   let t' = Parser.tree_of_string s in
   Alcotest.(check bool) "escaped roundtrip" true (Tree.equal t t')
 
+(* Serialization allocates little beyond its output: the buffer's
+   doublings and the final copy, not a cell per node. *)
+let test_serializer_allocation () =
+  let t =
+    Smoqe_workload.Hospital.generate ~seed:1 ~n_patients:200
+      ~recursion_depth:2 ()
+  in
+  let before = Gc.allocated_bytes () in
+  let s = Serializer.to_string ~indent:false t in
+  let per_byte =
+    (Gc.allocated_bytes () -. before) /. float_of_int (String.length s)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f bytes allocated per output byte <= 8" per_byte)
+    true (per_byte <= 8.)
+
 (* A tree's event sequence is the one a streaming parse of its
    serialization yields. *)
 let test_events_of_tree () =
@@ -315,11 +331,15 @@ let deep_doc n =
   Buffer.contents buf
 
 (* Run [f] with the OCaml stack capped at 64k words (512 KiB on 64-bit):
-   enough for any loop, far too little for a recursion 100k deep. *)
+   enough for any loop, far too little for a recursion 100k deep.  [f]
+   runs in a fresh domain, whose stack starts small: the cap bounds only
+   growth, and this domain's stack may have grown in an earlier test. *)
 let with_small_stack f =
   let old = Gc.get () in
   Gc.set { old with Gc.stack_limit = 65_536 };
-  Fun.protect ~finally:(fun () -> Gc.set old) f
+  Fun.protect
+    ~finally:(fun () -> Gc.set old)
+    (fun () -> Domain.join (Domain.spawn f))
 
 let test_deep_document () =
   (* 100k nesting: recursion anywhere on the tree path would overflow the
@@ -378,6 +398,19 @@ let test_deep_splices () =
   Tree_check.check_physical "insert under deepest" inserted;
   Alcotest.(check int) "replace: nodes" ((n / 2) + 2) (Tree.n_nodes replaced);
   Tree_check.check_physical "replace at mid depth" replaced
+
+(* Comparing and re-exporting the 100k-deep document on a capped stack:
+   [Tree.equal] reads columns and [to_source] keeps its open elements on
+   the heap. *)
+let test_deep_equal_source () =
+  let n = 100_000 in
+  let t = Parser.tree_of_string (deep_doc n) in
+  with_small_stack (fun () ->
+      let compact = Serializer.to_string ~indent:false t in
+      Alcotest.(check bool) "equal to its compact re-parse" true
+        (Tree.equal t (Parser.tree_of_string compact));
+      Alcotest.(check bool) "of_source (to_source t) = t" true
+        (Tree.equal (Tree.of_source (Tree.to_source t Tree.root)) t))
 
 let test_deep_budget () =
   let budget = Smoqe_robust.Budget.create ~max_depth:64 () in
@@ -1151,6 +1184,8 @@ let () =
             test_parser_roundtrip_indented;
           Alcotest.test_case "escaping" `Quick test_serializer_escaping;
           Alcotest.test_case "event stream" `Quick test_events_of_tree;
+          Alcotest.test_case "serializer allocation" `Quick
+            test_serializer_allocation;
         ] );
       ( "hardening",
         [
@@ -1165,6 +1200,8 @@ let () =
             test_deep_document_stax;
           Alcotest.test_case "deep document splices" `Quick
             test_deep_splices;
+          Alcotest.test_case "deep equal and to_source" `Quick
+            test_deep_equal_source;
           Alcotest.test_case "deep budget" `Quick test_deep_budget;
         ] );
       ( "dtd",

@@ -1,8 +1,8 @@
 (* Node-by-node comparison of two trees, shared by the suites.
 
-   [Tree.equal] compares nested sources, so a wrong parent, subtree end,
-   depth or value from one way of building a tree (the parser,
-   [of_source], an update's splice) would still pass it.  This compares
+   [Tree.equal] compares tags, subtree ends, attributes and texts, so a
+   wrong parent, depth or value from one way of building a tree (the
+   parser, [of_source], an update's splice) would still pass it.  This compares
    every observable field of every node — the child and sibling links
    read off the subtree ends included — and fails on the first mismatch
    with the node and the field. *)
