@@ -1845,7 +1845,7 @@ let e18 () =
     | Ok () -> ()
     | Error msg -> failwith ("e18 register_policy: " ^ msg)
   done;
-  let counters = Engine.tenant_counters engine in
+  let counters = Engine.group_counters engine in
   let derivations = List.assoc "derivations" counters in
   let key_hits = List.assoc "policy_key_hits" counters in
   Printf.printf

@@ -95,7 +95,7 @@ let query_arg =
 
 (* --- many groups ---------------------------------------------------------
 
-   A tenants file maps group names to policy files, one per line:
+   A groups file maps group names to policy files, one per line:
 
      alice = policies/alice.pol
      bob   = policies/bob.pol
@@ -105,17 +105,17 @@ let query_arg =
    [-g NAME] runs as it; groups whose policies normalize to the same
    canonical key share one derived view and one compiled plan per query
    (see Engine "Security views"). *)
-let tenants_arg =
+let groups_arg =
   Arg.(
     value
     & opt (some file) None
-    & info [ "tenants" ] ~docv:"FILE"
+    & info [ "groups" ] ~docv:"FILE"
         ~doc:
           "Group map: one NAME = POLICY-FILE line per group (blank lines \
            and #-comments skipped); run as one of them with -g NAME.  \
            Requires --dtd.")
 
-let load_tenants dtd path =
+let load_groups dtd path =
   read_file path
   |> String.split_on_char '\n'
   |> List.filter_map (fun line ->
@@ -139,10 +139,10 @@ let load_tenants dtd path =
              Some (name, load_policy dtd pfile))
 
 (* The principals of a run: the -p policy (registered for -g, default
-   "user") and every line of the --tenants map.  Returns the map and the
+   "user") and every line of the --groups map.  Returns the map and the
    group the run acts as — [None] (administrative) unless -p or -g named
    one. *)
-let setup_groups engine ~dtd ~policy_path ~tenants_file ~group =
+let setup_groups engine ~dtd ~policy_path ~groups_file ~group =
   let dtd_for flag =
     match dtd with
     | Some d -> d
@@ -160,19 +160,19 @@ let setup_groups engine ~dtd ~policy_path ~tenants_file ~group =
            (load_policy (dtd_for "--policy") p));
       Some g
   in
-  let tenant_defs =
-    match tenants_file with
+  let group_defs =
+    match groups_file with
     | None -> []
-    | Some path -> load_tenants (dtd_for "--tenants") path
+    | Some path -> load_groups (dtd_for "--groups") path
   in
   List.iter
     (fun (name, policy) ->
       or_die (Engine.register_policy engine ~group:name policy))
-    tenant_defs;
-  (tenant_defs, group)
+    group_defs;
+  (group_defs, group)
 
-let print_tenant_counters counters =
-  print_endline "-- tenants --";
+let print_group_counters counters =
+  print_endline "-- groups --";
   List.iter (fun (k, v) -> Printf.printf "%s: %d\n" k v) counters
 
 (* Resource budgets (wired into Smoqe_robust.Budget).  [budget_term]
@@ -316,7 +316,7 @@ let load_queries path =
 
 let query_cmd =
   let run doc_path dtd_path policy_path group mode use_index trace output
-      stats budget plan_cache repeat queries_file tenants_file query =
+      stats budget plan_cache repeat queries_file groups_file query =
     let dtd = Option.map load_dtd dtd_path in
     (* the parse is budgeted too: a depth/node/deadline limit must bound
        document ingest, not just evaluation (DESIGN.md §12) *)
@@ -324,8 +324,8 @@ let query_cmd =
     let engine =
       or_die_robust (Engine.of_file_robust ?budget:parse_budget ?dtd doc_path)
     in
-    let tenant_defs, group =
-      setup_groups engine ~dtd ~policy_path ~tenants_file ~group
+    let group_defs, group =
+      setup_groups engine ~dtd ~policy_path ~groups_file ~group
     in
     if use_index then Engine.build_index engine;
     let mode = if mode = "stax" then Engine.Stax else Engine.Dom in
@@ -342,9 +342,7 @@ let query_cmd =
       | "tree" ->
         print_string
           (Ismoqe.answers_tree (Engine.document engine) outcome.Engine.answers)
-      | _ ->
-        print_string
-          (Ismoqe.answers_text (Engine.document engine) outcome.Engine.answers)
+      | _ -> List.iter print_endline outcome.Engine.answer_xml
     in
     let print_plan_cache () =
       print_endline "-- plan cache --";
@@ -406,8 +404,8 @@ let query_cmd =
           (fun (k, v) -> Printf.printf "%s: %d\n" k v)
           (Stats.to_assoc agg);
         print_plan_cache ();
-        if tenant_defs <> [] then
-          print_tenant_counters (Engine.tenant_counters engine)
+        if group_defs <> [] then
+          print_group_counters (Engine.group_counters engine)
       end;
       (match !first_failure with
       | Some e -> exit (Robust_error.exit_code e)
@@ -443,8 +441,8 @@ let query_cmd =
       print_endline "-- statistics --";
       print_endline (Ismoqe.stats_table outcome.Engine.stats);
       print_plan_cache ();
-      if tenant_defs <> [] then
-        print_tenant_counters (Engine.tenant_counters engine)
+      if group_defs <> [] then
+        print_group_counters (Engine.group_counters engine)
     end
   in
   Cmd.v
@@ -456,7 +454,7 @@ let query_cmd =
       $ Arg.(value & opt (some string) None
              & info [ "g"; "group" ] ~docv:"NAME"
                  ~doc:"Run as this user group: the -p policy's group \
-                       (default user) or a --tenants name.")
+                       (default user) or a --groups name.")
       $ Arg.(value & opt (enum [ ("dom", "dom"); ("stax", "stax") ]) "dom"
              & info [ "mode" ] ~doc:"Evaluation mode: dom or stax.")
       $ Arg.(value & flag & info [ "index" ] ~doc:"Build and use a TAX index.")
@@ -482,7 +480,7 @@ let query_cmd =
                  ~doc:"Serve a whole batch: one Regular XPath query per line \
                        (blank lines and #-comments skipped), all answered in \
                        a single shared-automaton document pass.")
-      $ tenants_arg
+      $ groups_arg
       $ Arg.(value & pos 0 (some string) None
              & info [] ~docv:"QUERY"
                  ~doc:"Regular XPath query (omit with --queries-file)."))
@@ -490,12 +488,12 @@ let query_cmd =
 (* --- update ------------------------------------------------------------- *)
 
 let update_cmd =
-  let run doc_path dtd_path policy_path group tenants_file op_name
+  let run doc_path dtd_path policy_path group groups_file op_name
       target_query target_id xml before out =
     let dtd = Option.map load_dtd dtd_path in
     let engine = or_die_robust (Engine.of_file_robust ?dtd doc_path) in
     let _, group =
-      setup_groups engine ~dtd ~policy_path ~tenants_file ~group
+      setup_groups engine ~dtd ~policy_path ~groups_file ~group
     in
     let target =
       match target_id, target_query with
@@ -546,9 +544,9 @@ let update_cmd =
              & info [ "g"; "group" ] ~docv:"NAME"
                  ~doc:"Update as a member of this group (checked against \
                        its view): the -p policy's group (default user) or \
-                       a --tenants name; omit for an administrative \
+                       a --groups name; omit for an administrative \
                        update.")
-      $ tenants_arg
+      $ groups_arg
       $ Arg.(value
              & opt (enum [ ("insert", "insert"); ("delete", "delete");
                            ("replace", "replace") ]) "replace"

@@ -17,12 +17,9 @@ let rec remap_formula off = function
   | Afa.F_and (f, g) -> Afa.F_and (remap_formula off f, remap_formula off g)
   | Afa.F_or (f, g) -> Afa.F_or (remap_formula off f, remap_formula off g)
 
-let merge (mfas : Mfa.t array) : t =
-  let n_queries = Array.length mfas in
-  if n_queries = 0 then invalid_arg "Shared.merge: empty batch";
-  let member_states =
-    Array.fold_left (fun n m -> n + Mfa.n_states m) 0 mfas
-  in
+(* The members' disjoint union under one fresh root with an epsilon edge
+   to every member's start, and the union's owner table. *)
+let union_of (mfas : Mfa.t array) member_states =
   let b = Mfa.create_builder () in
   let root = Mfa.fresh_state b in
   (* union state -> the member selecting there, or -1 *)
@@ -65,16 +62,38 @@ let merge (mfas : Mfa.t array) : t =
       atom_off := !atom_off + Array.length mfa.Mfa.atoms;
       qual_off := !qual_off + Array.length mfa.Mfa.quals)
     mfas;
-  let union = Mfa.freeze b ~start:root in
-  (* The owner is part of the Select label, so every state of a class has
-     the class's owner. *)
-  let mfa, map = Optimize.minimize ~owners:union_owners union in
-  let merged_states = Mfa.n_states mfa in
-  let owners = Array.make merged_states (-1) in
-  Array.iteri
-    (fun s m ->
-      if m >= 0 && union_owners.(s) >= 0 then owners.(m) <- union_owners.(s))
-    map;
-  { mfa; n_queries; owners; merged_states; member_states }
+  (Mfa.freeze b ~start:root, union_owners)
+
+let merge (mfas : Mfa.t array) : t =
+  let n_queries = Array.length mfas in
+  if n_queries = 0 then invalid_arg "Shared.merge: empty batch";
+  let member_states =
+    Array.fold_left (fun n m -> n + Mfa.n_states m) 0 mfas
+  in
+  if n_queries = 1 then begin
+    (* A batch of one is its member as given, with no root: there is no
+       other member to share with, and a compiled plan is already
+       quotiented ({!Optimize.optimize}). *)
+    let mfa = mfas.(0) in
+    let owners =
+      Array.map
+        (fun accepts -> if List.mem Nfa.Select accepts then 0 else -1)
+        mfa.Mfa.nfa.Nfa.accepts
+    in
+    { mfa; n_queries; owners; merged_states = member_states; member_states }
+  end
+  else begin
+    let union, union_owners = union_of mfas member_states in
+    (* The owner is part of the Select label, so every state of a class
+       has the class's owner. *)
+    let mfa, map = Optimize.minimize ~owners:union_owners union in
+    let merged_states = Mfa.n_states mfa in
+    let owners = Array.make merged_states (-1) in
+    Array.iteri
+      (fun s m ->
+        if m >= 0 && union_owners.(s) >= 0 then owners.(m) <- union_owners.(s))
+      map;
+    { mfa; n_queries; owners; merged_states; member_states }
+  end
 
 let saved_states t = t.member_states - t.merged_states

@@ -8,6 +8,12 @@
     which query selects at each accept state, so the engine can
     demultiplex candidate answers back to their queries.
 
+    A batch of one is the plan shape of a single query: its member as
+    given, with no root and every [Select] state owned by query 0.  There
+    is no other member to share with, and a compiled plan is already
+    quotiented ({!Optimize.optimize}), so a single query runs exactly the
+    automaton it compiled to.
+
     Soundness: the union runs every member's automaton side by side, so
     each member accepts exactly where it did alone.  The owner is part of
     the [Select] label of the quotient, so a class never mixes the accept
@@ -23,13 +29,14 @@
 
 type t = private {
   mfa : Mfa.t;
-      (** the combined automaton; [start] is a fresh root with an epsilon
-          edge to every member query's start state *)
+      (** the combined automaton: for two or more members [start] is a
+          fresh root with an epsilon edge to every member's start state;
+          for one member it is that member, physically *)
   n_queries : int;
   owners : int array;
       (** merged state -> the query that selects there, or [-1] at the
           states carrying no [Select] accept *)
-  merged_states : int;  (** states in the combined, quotiented automaton *)
+  merged_states : int;  (** states in [mfa] *)
   member_states : int;  (** total states across the input automata *)
 }
 
@@ -39,5 +46,5 @@ val merge : Mfa.t array -> t
     @raise Invalid_argument on an empty batch. *)
 
 val saved_states : t -> int
-(** [member_states - merged_states]: the collapse the quotient achieved
-    (the root state makes this [-1] for a batch of one minimal query). *)
+(** [member_states - merged_states]: the collapse the quotient achieved,
+    less the root of a batch of two or more ([0] for a batch of one). *)

@@ -11,7 +11,7 @@ module Mfa = Smoqe_automata.Mfa
 module Tables = Smoqe_automata.Tables
 module Policy = Smoqe_security.Policy
 module Derive = Smoqe_security.Derive
-module Tenant_registry = Smoqe_security.Tenant_registry
+module Group_registry = Smoqe_security.Group_registry
 module Rewriter = Smoqe_rewrite.Rewriter
 module Eval_dom = Smoqe_hype.Eval_dom
 module Eval_stax = Smoqe_hype.Eval_stax
@@ -39,11 +39,6 @@ let () =
         (Error.Parse_error
            { loc = None; msg = Printf.sprintf "DTD offset %d: %s" off msg })
     | Derive.Unsupported msg -> Some (Error.Policy_error msg)
-    | Smoqe_rewrite.Expr_rewriter.Too_large n ->
-      Some
-        (Error.Query_error
-           (Printf.sprintf "expression rewriting exceeded the size budget \
-                            (reached %.2g)" n))
     | Smoqe_hype.Engine.Driver_error msg ->
       Some (Error.Internal ("evaluation driver: " ^ msg))
     | _ -> None)
@@ -60,20 +55,14 @@ type source =
   | From_string of string
   | From_file of string * (int * float)
 
-(* A cached plan: the compiled (possibly rewritten) automaton plus the
-   compile-time facts a later hit needs — the state count for budget
-   re-checks without an Mfa traversal, the schema-emptiness verdict so
-   hits skip the satisfiability analysis, and the compile cost the hit
-   avoided paying again. *)
+(* A cached plan: the batch merge of the compiled (possibly rewritten)
+   members — a single query is a batch of one — plus the compile-time
+   facts a later hit needs: the schema-emptiness verdict so hits skip the
+   satisfiability analysis, and the compile cost the hit avoided paying
+   again. *)
 type plan = {
-  plan_mfa : Mfa.t;
-  plan_states : int;
+  plan_batch : Shared.t;
   plan_empty : bool;  (* the DTD proves the query selects nothing *)
-  plan_shared : Shared.t option;
-      (* present when two or more distinct queries were merged: the
-         batch merge whose combined automaton [plan_mfa] is (so
-         the table machinery below applies to batches unchanged);
-         absent on a single-query plan *)
   plan_compile_ms : float;
   plan_tables : Tables.t option Atomic.t;
       (* The table specialization riding the plan.  The tag lineage of
@@ -113,7 +102,7 @@ type t = {
   mutable tax : Tax.t option;
   plan_cache : plan Plan_cache.t;
   mutable saved_compile_ms : float;
-  principals : Tenant_registry.t;
+  principals : Group_registry.t;
       (* group -> canonical policy key -> the shared derived view *)
 }
 
@@ -150,7 +139,7 @@ let make ?dtd ~valid tree source =
     tax = None;
     plan_cache = Plan_cache.create ();
     saved_compile_ms = 0.;
-    principals = Tenant_registry.create ();
+    principals = Group_registry.create ();
   }
 
 let locked t f = Mutex.protect t.lock f
@@ -241,23 +230,23 @@ let register_policy t ~group policy =
   | Some _ ->
     (* Derivation happens inside the registry (once per distinct key),
        outside the engine lock. *)
-    (match Tenant_registry.register t.principals ~tenant:group policy with
+    (match Group_registry.register t.principals ~group policy with
     | exception Derive.Unsupported msg -> Error msg
     | reg ->
-      retire t reg.Tenant_registry.reg_retired;
+      retire t reg.Group_registry.reg_retired;
       Log.info (fun m ->
-          m "group %s -> policy key %s%s" group reg.Tenant_registry.reg_key
-            (if reg.Tenant_registry.reg_shared then " (shared)" else ""));
+          m "group %s -> policy key %s%s" group reg.Group_registry.reg_key
+            (if reg.Group_registry.reg_shared then " (shared)" else ""));
       Ok ())
 
 let remove_policy t ~group =
-  retire t (Tenant_registry.remove t.principals ~tenant:group)
+  retire t (Group_registry.remove t.principals ~group)
 
 let view t ~group =
-  Option.map snd (Tenant_registry.lookup t.principals ~tenant:group)
+  Option.map snd (Group_registry.lookup t.principals ~group)
 
 let view_dtd t ~group = Option.map Derive.view_dtd (view t ~group)
-let tenant_counters t = Tenant_registry.counters t.principals
+let group_counters t = Group_registry.counters t.principals
 
 (* The one resolver: the principal a request runs under, as the view it
    is rewritten through together with that view's policy key — [None] for
@@ -271,7 +260,7 @@ let principal t group =
   match group with
   | None -> Ok None
   | Some g ->
-    (match Tenant_registry.lookup t.principals ~tenant:g with
+    (match Group_registry.lookup t.principals ~group:g with
     | None -> Error (unknown_group g)
     | Some route -> Ok (Some route))
 
@@ -402,20 +391,20 @@ let plan_cache_counters t =
        int_of_float (locked t (fun () -> t.saved_compile_ms))) ]
 
 (* Plan acquisition for a request of one or more query texts.  Returns,
-   per slot, the position of the slot's member in the plan (the owner id
-   of a merge; 0 for a single-query plan) or the slot's own parse or
-   compile error, together with the plan and whether it was a cache hit.
+   per slot, the position of the slot's member in the plan (its owner id
+   in the merge) or the slot's own parse or compile error, together with
+   the plan and whether it was a cache hit.
 
    Identical texts collapse onto one member, and so do canonically equal
-   ones ({!Canon}).  One distinct member is a single query: it is cached
-   under the single-query key and never merged, so [run_many [q]] and
-   [query q] share one plan.  When every slot carries the same text, that
-   raw text probes the cache before anything is tokenized — canonical
-   traffic (the common case for machine-issued repeats) hits without
-   being parsed.  Two or more distinct members are compiled, merged
-   ({!Shared.merge}: a union, minimized) and cached under the batch key:
-   the sorted unique member keys, so permutations and duplicate mixes of
-   a warm batch hit too.
+   ones ({!Canon}).  The distinct members are compiled and merged
+   ({!Shared.merge}: a union, minimized; one member is a batch of one,
+   its own automaton).  One distinct member is a single query: it is
+   cached under the single-query key, so [run_many [q]] and [query q]
+   share one plan.  When every slot carries the same text, that raw text
+   probes the cache before anything is tokenized — canonical traffic (the
+   common case for machine-issued repeats) hits without being parsed.
+   Two or more are cached under the batch key: the sorted unique member
+   keys, so permutations and duplicate mixes of a warm batch hit too.
 
    A plan is inserted only after every member compiled: a budget trip, an
    injected ["plan.compile"] fault or a member that fails to compile
@@ -444,7 +433,8 @@ let plan_for t ~route ~mode ~use_index ?budget texts =
         (plan, true))
       (Error.guard (fun () ->
            Option.iter
-             (fun b -> Budget.check_states b plan.plan_states)
+             (fun b ->
+               Budget.check_states b plan.plan_batch.Shared.merged_states)
              budget))
   in
   let text0 = texts.(0) in
@@ -520,29 +510,24 @@ let plan_for t ~route ~mode ~use_index ?budget texts =
             keys
         in
         let slots = slots () in
-        let plan_of shared mfa =
-          let states = Mfa.n_states mfa in
-          Option.iter (fun b -> Budget.check_states b states) budget;
-          let plan_empty = statically_empty t mfa in
-          {
-            plan_mfa = mfa;
-            plan_states = states;
-            plan_empty;
-            plan_shared = shared;
-            plan_compile_ms = float_of_int (Budget.now_ns () - t0) /. 1e6;
-            plan_tables = Atomic.make None;
-          }
-        in
         let plan =
           match survivors with
           | [] ->
             (* every member failed: any member's error stands in *)
             Error (Result.get_error slots.(0))
-          | [ mfa ] -> Error.guard (fun () -> plan_of None mfa)
           | _ ->
             Error.guard (fun () ->
                 let sh = Shared.merge (Array.of_list survivors) in
-                plan_of (Some sh) sh.Shared.mfa)
+                Option.iter
+                  (fun b -> Budget.check_states b sh.Shared.merged_states)
+                  budget;
+                {
+                  plan_batch = sh;
+                  plan_empty = statically_empty t sh.Shared.mfa;
+                  plan_compile_ms =
+                    float_of_int (Budget.now_ns () - t0) /. 1e6;
+                  plan_tables = Atomic.make None;
+                })
         in
         (match plan with
         | Ok plan when cacheable && List.compare_lengths survivors keys = 0 ->
@@ -590,7 +575,7 @@ type pass = {
    a StAX driver failure.  Requesting the index without one loaded is
    served unindexed and recorded as a degradation rather than failed. *)
 let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
-  let mfa = plan.plan_mfa in
+  let mfa = plan.plan_batch.Shared.mfa in
   let tax =
     match use_index, snap.snap_tax with
     | Some false, _ | _, None -> None
@@ -613,7 +598,7 @@ let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
       (tb, Tables.spec_us tb)
   in
   let r =
-    Eval_dom.run_slots ?tax ?budget ?trace ~tables ?shared:plan.plan_shared mfa
+    Eval_dom.run_slots ?tax ?budget ?trace ~tables plan.plan_batch
       snap.snap_tree
   in
   let stats = r.Eval_dom.m_stats in
@@ -655,8 +640,7 @@ let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
 let run_stax source plan ?budget ?trace () =
   let run pull =
     let r =
-      Eval_stax.run_slots ~capture:true ?budget ?trace
-        ?shared:plan.plan_shared plan.plan_mfa pull
+      Eval_stax.run_slots ~capture:true ?budget ?trace plan.plan_batch pull
     in
     match r.Eval_stax.m_budget_hit with
     | Some hit -> Error (budget_error hit r.Eval_stax.m_stats)
@@ -687,12 +671,9 @@ let evaluate snap plan ~mode ?use_index ?budget ?trace () =
   if plan.plan_empty then begin
     (* The schema proves the plan selects nothing: skip the document. *)
     Log.info (fun m -> m "query statically empty against the schema");
-    let width =
-      match plan.plan_shared with Some sh -> sh.Shared.n_queries | None -> 1
-    in
     Ok
       {
-        by_member = Array.make width [];
+        by_member = Array.make plan.plan_batch.Shared.n_queries [];
         xml_of = (fun _ -> []);
         pass_stats = Stats.zero ();
         pass_cans = 0;
@@ -752,17 +733,14 @@ let run_slots t ~route ?snap ~mode ?use_index ?budget ?trace texts =
            compiled it paid for everyone sharing the key. *)
         if route <> None then stats.Stats.policy_key_hits <- 1
       end;
-      (* A pass serving one slot hands over its own counters; several
-         slots each get an exact private copy (merge into a zero
-         accumulator is the identity) with their own answer count. *)
+      (* Every slot gets an exact private copy of the pass's counters
+         (merge into a zero accumulator is the identity) with its own
+         answer count. *)
       let slot_stats answers =
-        if Array.length slots = 1 then stats
-        else begin
-          let c = Stats.zero () in
-          Stats.merge_into ~into:c stats;
-          c.Stats.answers <- List.length answers;
-          c
-        end
+        let c = Stats.zero () in
+        Stats.merge_into ~into:c stats;
+        c.Stats.answers <- List.length answers;
+        c
       in
       ( Array.map
           (function
@@ -774,7 +752,7 @@ let run_slots t ~route ?snap ~mode ?use_index ?budget ?trace texts =
                   answers;
                   answer_xml = pass.xml_of p;
                   stats = slot_stats answers;
-                  mfa = plan.plan_mfa;
+                  mfa = plan.plan_batch.Shared.mfa;
                   cans_size = pass.pass_cans;
                 })
           slots,

@@ -116,8 +116,8 @@ val view : t -> group:string -> Smoqe_security.Derive.view option
 val view_dtd : t -> group:string -> Smoqe_xml.Dtd.t option
 (** The schema exposed to the group's users. *)
 
-val tenant_counters : t -> (string * int) list
-(** Registry counters: [tenants] (registered groups)/[policy_keys]/
+val group_counters : t -> (string * int) list
+(** Registry counters: [groups] (registered groups)/[policy_keys]/
     [policy_key_hits]/[derivations]/[generation]. *)
 
 (** {1 Indexing} *)
@@ -255,15 +255,15 @@ val update_robust :
     demultiplexing of the pass into per-slot outcomes.  {!query_robust}
     is slot 0 of a one-element request.
 
+    Every plan is one shape, a batch merge ({!Smoqe_automata.Shared}).
     Plan acquisition collapses identical texts, and canonically equal
     ones (see {!Smoqe_plan.Canon}), onto one member.  {b One distinct
-    member is a single query}: it is cached under the single-query key
-    and never merged, so [run_many_robust [q]] and [query_robust q] share
-    one plan.
+    member is a single query}: a batch of one, whose automaton is the
+    member's own, cached under the single-query key, so
+    [run_many_robust [q]] and [query_robust q] share one plan.
     Two or more distinct members are compiled and merged into a single
     combined NFA — their disjoint union under one root, minimized, each
-    accept state owned by one member ({!Smoqe_automata.Shared}); the
-    merged automaton rides the same
+    accept state owned by one member; the merged automaton rides the same
     table/lazy-DFA machinery as a single query — the interned state sets
     just get wider, with the [(set, tag)] memo shared across the whole
     batch — and candidate answers demultiplex back to their owners.  The
@@ -284,12 +284,11 @@ val run_many_robust :
 (** Answer every query of the batch in one pass.  Results align with the
     input list.  Each successful outcome carries the member's own answers
     (and serialized fragments); the second component is the pass
-    statistics (one [passes_over_data]; on a merged plan the batch
-    counters [batch_queries]/[shared_states]/[shared_saved] are filled
-    in).  A one-slot request returns the pass
-    counters themselves as the slot's stats — exactly what {!query_robust}
-    reports; with several slots each gets a private copy with its own
-    [stats.answers].  A member that fails to parse or compile
+    statistics (one [passes_over_data]; on a merge of two or more
+    members the batch counters [batch_queries]/[shared_states]/
+    [shared_saved] are filled in).  Every slot's stats are a private copy
+    of the pass counters with its own [stats.answers]; a one-slot request
+    reports exactly what {!query_robust} does.  A member that fails to parse or compile
     gets its own [Error] without poisoning the rest; [budget] bounds each
     member's compile and the {e single} traversal (a trip fails the whole
     batch — the shared pass is all-or-nothing).  Per-query [trace] is not

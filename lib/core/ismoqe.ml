@@ -1,6 +1,5 @@
 module Tree = Smoqe_xml.Tree
 module Dtd = Smoqe_xml.Dtd
-module Serializer = Smoqe_xml.Serializer
 module Mfa = Smoqe_automata.Mfa
 module Dot = Smoqe_automata.Dot
 module Derive = Smoqe_security.Derive
@@ -112,18 +111,6 @@ let tax_view idx tree =
           (Printf.sprintf "%4d %s<%s> {%s}\n" n pad (Tree.name tree n)
              (String.concat ", " tags))
       end);
-  Buffer.contents buf
-
-let answers_text tree answers =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun n ->
-      if Tree.is_text tree n then begin
-        Buffer.add_string buf (Serializer.escape_text (Tree.text_content tree n));
-        Buffer.add_char buf '\n'
-      end
-      else Buffer.add_string buf (Serializer.subtree_to_string ~indent:true tree n))
-    answers;
   Buffer.contents buf
 
 let answers_tree tree answers =

@@ -4,7 +4,8 @@
     automata, evaluation traces with per-node colors, the TAX index and
     query results as text or trees.  This module renders the same
     information for terminals: ASCII art and ANSI colors, plus Graphviz
-    DOT output for the automata. *)
+    DOT output for the automata.  Results as text are the engine's own
+    answer fragments ({!Engine.outcome}'s [answer_xml]), one per line. *)
 
 val schema_graph : Smoqe_xml.Dtd.t -> string
 (** Indented schema graph with content models — the view-specification
@@ -28,9 +29,6 @@ val evaluation_trace :
 
 val tax_view : Smoqe_tax.Tax.t -> Smoqe_xml.Tree.t -> string
 (** Per-node descendant-type sets (Fig. 6). *)
-
-val answers_text : Smoqe_xml.Tree.t -> int list -> string
-(** The output visualizer's text mode: answers as XML fragments. *)
 
 val answers_tree : Smoqe_xml.Tree.t -> int list -> string
 (** The tree mode: the document skeleton with answer nodes marked. *)

@@ -3,6 +3,8 @@ module Afa = Smoqe_automata.Afa
 module Mfa = Smoqe_automata.Mfa
 module Tables = Smoqe_automata.Tables
 module Reachability = Smoqe_automata.Reachability
+module Shared = Smoqe_automata.Shared
+module Budget = Smoqe_robust.Budget
 
 exception Driver_error of string
 
@@ -83,10 +85,9 @@ type t = {
   qual_order : int array; (* dependency-topological same-node order *)
   has_value_atoms : bool;
   n_quals : int;
-  (* batch demultiplexing: which query selects at each accept state.  A
-     single-query engine has every select state owned by query 0; a batch
-     engine gets the owner table of the batch merge.  Candidate recording
-     adds the (node, conds) entry to that owner's Cans. *)
+  (* batch demultiplexing: the merge's owner table, the query that selects
+     at each accept state.  Candidate recording adds the (node, conds)
+     entry to that owner's Cans. *)
   owners : int array;
   n_queries : int;
   (* dynamics *)
@@ -154,7 +155,8 @@ let slot_false = '\001'
 let slot_true = '\002'
 let slot_cap0 = 256
 
-let create ?trace ?tables ?(memo_cap = 4096) ?owners ?n_queries mfa =
+let create ?trace ?tables ?(memo_cap = 4096) (sh : Shared.t) =
+  let mfa = sh.Shared.mfa and n_queries = sh.Shared.n_queries in
   (match tables with
   | Some tb when Tables.nfa tb != mfa.Mfa.nfa ->
     raise (Driver_error "tables built for a different automaton")
@@ -224,20 +226,6 @@ let create ?trace ?tables ?(memo_cap = 4096) ?owners ?n_queries mfa =
   let has_value_atoms =
     Array.exists (fun (a : Afa.atom) -> a.Afa.value <> None) mfa.Mfa.atoms
   in
-  let n_queries =
-    match (n_queries, owners) with
-    | Some n, _ -> max 1 n
-    | None, None -> 1
-    | None, Some ow -> 1 + Array.fold_left max 0 ow
-  in
-  let owners =
-    match owners with
-    | Some ow ->
-      if Array.length ow <> n_states then
-        raise (Driver_error "owners table sized for a different automaton");
-      ow
-    | None -> Array.make n_states 0
-  in
   {
     mfa;
     tables;
@@ -248,7 +236,7 @@ let create ?trace ?tables ?(memo_cap = 4096) ?owners ?n_queries mfa =
     qual_order;
     has_value_atoms;
     n_quals;
-    owners;
+    owners = sh.Shared.owners;
     n_queries;
     slot_val = Bytes.make slot_cap0 slot_unset;
     slot_qual = Array.make slot_cap0 0;
@@ -279,7 +267,6 @@ let create ?trace ?tables ?(memo_cap = 4096) ?owners ?n_queries mfa =
   }
 
 let stats t = t.stats
-let n_queries t = t.n_queries
 let cans_size t = Array.fold_left (fun acc c -> acc + Cans.size c) 0 t.cans
 let set_checkpoint t f = t.on_checkpoint <- Some f
 
@@ -946,3 +933,54 @@ let finish t =
   | Some tr ->
     Array.iter (List.iter (fun n -> Trace.mark tr n Trace.Answer)) per);
   per
+
+type pass = {
+  by_query : int list array;
+  m_stats : Stats.t;
+  m_cans_size : int;
+  m_budget_hit : (string * string) option;
+}
+
+let run_pass ?trace ?tables ?memo_cap ?budget ~spec_us sh traverse =
+  let t = create ?trace ?tables ?memo_cap sh in
+  t.stats.Stats.table_spec_us <- spec_us;
+  Stats.note_shared t.stats sh;
+  (* The budget settles on the driver's tick count every 32 ticks, audits
+     the Cans size every 256, and settles the rest after the traversal,
+     so a budgeted pass adds no per-node work (the overhead guard of
+     bench E10). *)
+  let settled = ref 0 in
+  let settle n =
+    match budget with
+    | None -> ()
+    | Some b ->
+      Budget.tick_nodes b (n - !settled);
+      settled := n;
+      if n land 255 = 0 then Budget.check_cans b (cans_size t)
+  in
+  let budget_hit =
+    match
+      let ticks = traverse t ~settle in
+      Option.iter
+        (fun b ->
+          settle ticks;
+          Budget.check_cans b (cans_size t);
+          Budget.check_deadline b)
+        budget
+    with
+    | () -> None
+    | exception Budget.Exceeded { what; limit } -> Some (what, limit)
+  in
+  (* A budget stop leaves the traversal incomplete: answers cannot be
+     resolved, but the counters so far are still reported. *)
+  let by_query =
+    match budget_hit with
+    | None -> finish t
+    | Some _ -> Array.make t.n_queries []
+  in
+  {
+    by_query;
+    m_stats = t.stats;
+    m_cans_size = cans_size t;
+    m_budget_hit = budget_hit;
+  }

@@ -43,28 +43,22 @@ val create :
   ?trace:Trace.t ->
   ?tables:Smoqe_automata.Tables.t ->
   ?memo_cap:int ->
-  ?owners:int array ->
-  ?n_queries:int ->
-  Smoqe_automata.Mfa.t ->
+  Smoqe_automata.Shared.t ->
   t
-(** Without [tables] the engine steps the NFA generically (string tests,
+(** An engine for one pass of a batch ({!Smoqe_automata.Shared.merge};
+    a single query is a batch of one).  Its width is the batch's
+    [n_queries], and every candidate recorded at an accept state goes to
+    the private Cans of the query the merge's [owners] table names there.
+
+    Without [tables] the engine steps the NFA generically (string tests,
     per-item list scans).  With [tables] — which must specialize exactly
-    this MFA's automaton (physical equality; [Driver_error] otherwise) —
+    the merged automaton (physical equality; [Driver_error] otherwise) —
     the check-free portion of each node's item set is stepped as one
     interned state set through a lazy-DFA memo, and check-guarded states
     re-attach their node-local Conds per node, so qualifier semantics are
     identical on both paths.  [memo_cap] (default 4096, mainly for tests)
     bounds the distinct state sets interned before the lazy DFA is
-    flushed and rebuilt.
-
-    [owners] turns the engine into a {e batch} evaluator for a
-    batch merge ({!Smoqe_automata.Shared}): it maps each accept state to
-    the one query that selects there, [-1] elsewhere (the merge's [owners]
-    table, sized exactly to the automaton; [Driver_error] otherwise), and
-    every candidate recorded at that state goes to that owner's private
-    Cans.  [n_queries] fixes the batch width (deduced from [owners] when
-    omitted).  Without [owners] the engine is the plain single-query
-    evaluator: one implicit owner, query 0. *)
+    flushed and rebuilt. *)
 
 val enter : t -> id:int -> kind:kind -> verdict
 (** Pre-visit a node.  [id] must be the node's pre-order rank (ids are only
@@ -99,13 +93,10 @@ val may_accept_value_here : t -> bool
 val finish : t -> int list array
 (** End of document: resolve Cans and return the answers per query
     (index = owner id), each list of pre-order ids ascending.  Length is
-    the batch width — [[| answers |]] on a single-query engine.  The
-    driver must have closed every node; may only be called once. *)
+    the batch width — [[| answers |]] for a batch of one.  The driver
+    must have closed every node; may only be called once. *)
 
 val stats : t -> Stats.t
-
-val n_queries : t -> int
-(** Batch width (1 for a plain engine). *)
 
 val cans_size : t -> int
 (** Total candidate entries currently held across all queries' Cans —
@@ -113,11 +104,41 @@ val cans_size : t -> int
 
 val set_checkpoint : t -> (int -> unit) -> unit
 (** Install a callback fired from {!enter} every 32nd node with the
-    running node count.  Drivers use it to settle resource budgets
-    without adding per-node work of their own: the engine is counting
-    nodes anyway, so the unbudgeted path pays only a mask-and-branch.
-    The callback may raise (e.g. {!Smoqe_robust.Budget.Exceeded}); the
-    driver is expected to catch it. *)
+    running node count.  The DOM driver installs {!run_pass}'s [settle]
+    here, so budgets tick per node entered without per-node work of the
+    driver's own: the engine is counting nodes anyway.  The callback may
+    raise (e.g. {!Smoqe_robust.Budget.Exceeded}); {!run_pass} catches
+    it. *)
+
+type pass = {
+  by_query : int list array;  (** answers per batch query, document order *)
+  m_stats : Stats.t;  (** the one pass's counters, joint over the batch *)
+  m_cans_size : int;  (** candidates held in Cans at the end of the pass *)
+  m_budget_hit : (string * string) option;
+      (** [Some (what, limit)] when the pass stopped on a budget: every
+          query's answers are empty, [m_stats] holds the partial
+          counters *)
+}
+
+val run_pass :
+  ?trace:Trace.t ->
+  ?tables:Smoqe_automata.Tables.t ->
+  ?memo_cap:int ->
+  ?budget:Smoqe_robust.Budget.t ->
+  spec_us:int ->
+  Smoqe_automata.Shared.t ->
+  (t -> settle:(int -> unit) -> int) ->
+  pass
+(** One pass of a batch, everything but the traversal: {!create} the
+    engine, charge [spec_us] (table specialization) and the batch
+    counters ({!Stats.note_shared}) to its stats, run the driver's
+    traversal, settle the budget and {!finish}.  The traversal drives the
+    engine over the document and returns its tick count (the DOM driver
+    ticks per node entered, the StAX driver per event); it passes
+    [settle] the running count every 32 ticks, so the budget is charged
+    without per-node work.  A {!Smoqe_robust.Budget.Exceeded} from the
+    traversal or the final settlement ends the pass with [m_budget_hit]
+    set and every query empty (the pass is all-or-nothing). *)
 
 exception Driver_error of string
 (** Raised on contract violations ([leave] without [enter], [finish] with

@@ -2,9 +2,7 @@ module Tree = Smoqe_xml.Tree
 module Tax = Smoqe_tax.Tax
 module Reachability = Smoqe_automata.Reachability
 module Mfa = Smoqe_automata.Mfa
-module Budget = Smoqe_robust.Budget
 module Failpoint = Smoqe_robust.Failpoint
-
 module Shared = Smoqe_automata.Shared
 
 type result = {
@@ -14,7 +12,7 @@ type result = {
   budget_hit : (string * string) option;
 }
 
-type many_result = {
+type many_result = Engine.pass = {
   by_query : int list array;
   m_stats : Stats.t;
   m_cans_size : int;
@@ -59,7 +57,8 @@ let state_useful info idx n has_text s =
   | Check (ids, text) -> ((not text) || has_text) && tags_present idx n ids 0
 
 let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
-    ?(use_tables = true) ?memo_cap ?shared mfa tree =
+    ?(use_tables = true) ?memo_cap (sh : Shared.t) tree =
+  let mfa = sh.Shared.mfa in
   (* A table built for exactly this tree can be reused (the plan
      cache hands one down); anything else is respecialized here so tag ids
      always align with [Tree.tag_id]. *)
@@ -72,39 +71,11 @@ let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
         let tb = Smoqe_automata.Tables.of_tree mfa.Mfa.nfa tree in
         (Some tb, Smoqe_automata.Tables.spec_us tb)
   in
-  let engine =
-    Engine.create ?trace ?tables ?memo_cap
-      ?owners:(Option.map (fun sh -> sh.Shared.owners) shared)
-      ?n_queries:(Option.map (fun sh -> sh.Shared.n_queries) shared)
-      mfa
-  in
+  Engine.run_pass ?trace ?tables ?memo_cap ?budget ~spec_us sh
+  @@ fun engine ~settle ->
+  (* Budgets tick per node entered, on the engine's own node counter. *)
+  if budget <> None then Engine.set_checkpoint engine settle;
   let stats = Engine.stats engine in
-  stats.Stats.table_spec_us <- spec_us;
-  Option.iter (Stats.note_shared stats) shared;
-  let settled = ref 0 in
-  (* The budget rides the engine's own node counter (see
-     {!Engine.set_checkpoint}): it settles every 32 nodes, audits the
-     Cans size every 256, and a final settlement after the traversal
-     covers small documents.  The budgeted hot path therefore adds no
-     per-node work at all, which is what holds the overhead guard
-     (bench E10). *)
-  (match budget with
-  | None -> ()
-  | Some b ->
-    Engine.set_checkpoint engine (fun n ->
-        Budget.tick_nodes b (n - !settled);
-        settled := n;
-        if n land 255 = 0 then Budget.check_cans b (Engine.cans_size engine)));
-  let checkpoint () = Failpoint.trigger "hype.step" in
-  let final_check () =
-    match budget with
-    | None -> ()
-    | Some b ->
-      Budget.tick_nodes b (stats.Stats.nodes_entered - !settled);
-      settled := stats.Stats.nodes_entered;
-      Budget.check_cans b (Engine.cans_size engine);
-      Budget.check_deadline b
-  in
   let skip_subtree n m count_field =
     (* n itself was entered; only its proper descendants are skipped *)
     let skipped = Tree.subtree_size tree n - 1 in
@@ -148,7 +119,7 @@ let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
   (* Children by pre-order links: the first child is [n + 1], the next
      sibling of [c] is [subtree_end c]; a childless node ends at [n + 1]. *)
   let rec visit n =
-    checkpoint ();
+    Failpoint.trigger "hype.step";
     let tag = Tree.tag_id tree n in
     match Engine.enter_tagged engine ~id:n ~tag ~kind:(kind_of n tag) with
     | Engine.Dead -> skip_subtree n Trace.Skipped_dead `Dead
@@ -164,30 +135,14 @@ let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
       visit_children (Tree.subtree_end tree c) stop
     end
   in
-  let budget_hit = ref None in
-  (try
-     visit Tree.root;
-     final_check ()
-   with Budget.Exceeded { what; limit } -> budget_hit := Some (what, limit));
-  (* On a budget stop the traversal is incomplete: answers cannot be
-     resolved, but the statistics accumulated so far are still reported. *)
-  let by_query =
-    match !budget_hit with
-    | None -> Engine.finish engine
-    | Some _ -> Array.make (Engine.n_queries engine) []
-  in
-  {
-    by_query;
-    m_stats = stats;
-    m_cans_size = Engine.cans_size engine;
-    m_budget_hit = !budget_hit;
-  }
+  visit Tree.root;
+  stats.Stats.nodes_entered
 
 let run ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap mfa
     tree =
   let m =
     run_slots ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
-      mfa tree
+      (Shared.merge [| mfa |]) tree
   in
   {
     answers = m.by_query.(0);
@@ -196,10 +151,7 @@ let run ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap mfa
     budget_hit = m.m_budget_hit;
   }
 
-let run_many ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
-    (sh : Shared.t) tree =
-  run_slots ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
-    ~shared:sh sh.Shared.mfa tree
+let run_many = run_slots
 
 let eval ?tax tree path =
   let mfa = Smoqe_automata.Compile.compile path in

@@ -25,7 +25,10 @@ val run :
   Smoqe_automata.Mfa.t ->
   Smoqe_xml.Tree.t ->
   result
-(** [prune_threshold] (default 48): subtrees smaller than this many nodes
+(** [run_slots] on the batch of one [Shared.merge [| mfa |]], whose
+    automaton is [mfa] itself.
+
+    [prune_threshold] (default 48): subtrees smaller than this many nodes
     are scanned rather than tested against the index — the test costs more
     than the scan below that size.  With [budget], every node entered is
     one tick; a tripped budget ends the pass with [budget_hit] set rather
@@ -40,7 +43,7 @@ val run :
     is forwarded to {!Engine.create} (tests exercise lazy-DFA flushes
     with tiny caps). *)
 
-type many_result = {
+type many_result = Engine.pass = {
   by_query : int list array;  (** answers per batch query, document order *)
   m_stats : Stats.t;  (** one shared pass: traversal counters are joint *)
   m_cans_size : int;
@@ -55,15 +58,17 @@ val run_slots :
   ?tables:Smoqe_automata.Tables.t ->
   ?use_tables:bool ->
   ?memo_cap:int ->
-  ?shared:Smoqe_automata.Shared.t ->
-  Smoqe_automata.Mfa.t ->
+  Smoqe_automata.Shared.t ->
   Smoqe_xml.Tree.t ->
   many_result
-(** The one DOM driver; {!run} and {!run_many} are its two forms.  Without
-    [shared] the automaton is one query and [by_query] has one slot.  With
-    [shared] — whose merged automaton the [Mfa.t] argument must be —
-    candidates demultiplex through the merge's owner table and the batch
-    counters are recorded ({!Stats.note_shared}). *)
+(** The one DOM driver: one traversal answering every query of a batch
+    ({!Smoqe_automata.Shared.merge}; a single query is a batch of one).
+    The merged automaton rides the table/lazy-DFA machinery, and
+    candidates demultiplex to per-query answer lists through the merge's
+    owner table ({!Engine.run_pass}).  [tables], if supplied, must
+    specialize the {e merged} automaton.  A
+    tripped budget empties every query's answers (the pass is
+    all-or-nothing).  {!run} is its single-query form. *)
 
 val run_many :
   ?tax:Smoqe_tax.Tax.t ->
@@ -76,13 +81,7 @@ val run_many :
   Smoqe_automata.Shared.t ->
   Smoqe_xml.Tree.t ->
   many_result
-(** One traversal answering every query of a shared-automaton batch
-    ({!Smoqe_automata.Shared.merge}): the combined NFA rides the same
-    table/lazy-DFA machinery as {!run} — the interned state sets just get
-    wider — and candidates demultiplex to per-query answer lists through
-    the merge's owner table.  [tables], if supplied, must specialize the
-    {e merged} automaton.  A tripped budget empties every query's answers
-    (the shared pass is all-or-nothing). *)
+(** {!run_slots} under its batch name. *)
 
 val eval :
   ?tax:Smoqe_tax.Tax.t ->

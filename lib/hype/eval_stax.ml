@@ -1,8 +1,6 @@
 module Pull = Smoqe_xml.Pull
 module Serializer = Smoqe_xml.Serializer
-module Budget = Smoqe_robust.Budget
 module Failpoint = Smoqe_robust.Failpoint
-
 module Shared = Smoqe_automata.Shared
 
 type result = {
@@ -39,206 +37,174 @@ type capture = {
    Attributes and text are materialized only while a capture is
    actually recording. *)
 let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
-    ?shared mfa pull =
+    (sh : Shared.t) pull =
   (* Streaming has no tag universe up front: the table covers the
      automaton's element names, and any other stream tag takes the
      wildcard column. *)
   let tables =
     if use_tables then
-      Some (Smoqe_automata.Tables.of_nfa mfa.Smoqe_automata.Mfa.nfa)
+      Some (Smoqe_automata.Tables.of_nfa sh.Shared.mfa.Smoqe_automata.Mfa.nfa)
     else None
   in
-  let engine =
-    Engine.create ?trace ?tables ?memo_cap
-      ?owners:(Option.map (fun sh -> sh.Shared.owners) shared)
-      ?n_queries:(Option.map (fun sh -> sh.Shared.n_queries) shared)
-      mfa
-  in
-  let stats = Engine.stats engine in
-  (match tables with
-  | Some tb ->
-    stats.Stats.table_spec_us <- Smoqe_automata.Tables.spec_us tb
-  | None -> ());
-  Option.iter (Stats.note_shared stats) shared;
-  let ticks = ref 0 in
-  let checkpoint =
-    (* Same amortization as Eval_dom: one local increment per event, the
-       budget settles every 32 events, the Cans size is audited every 256,
-       and a final settlement covers short streams. *)
-    match budget with
-    | None -> fun () -> Failpoint.trigger "hype.step"
-    | Some b ->
-      fun () ->
-        Failpoint.trigger "hype.step";
-        let k = !ticks + 1 in
-        ticks := k;
-        if k land 31 = 0 then begin
-          Budget.tick_nodes b 32;
-          if k land 255 = 0 then Budget.check_cans b (Engine.cans_size engine)
-        end
-  in
-  let final_check () =
-    match budget with
-    | None -> ()
-    | Some b ->
-      (match !ticks land 31 with
-      | 0 -> ()
-      | rest -> Budget.tick_nodes b rest);
-      Budget.check_cans b (Engine.cans_size engine);
-      Budget.check_deadline b
+  let spec_us =
+    match tables with Some tb -> Smoqe_automata.Tables.spec_us tb | None -> 0
   in
   let next_id = ref 0 in
-  (* Per open element: was the engine entered for it, and did it stay
-     alive?  Children of any other are skipped without engine calls, but
-     still take pre-order ids so that answers align with DOM ids. *)
-  let stack = ref [] in
-  let mark id m = match trace with None -> () | Some tr -> Trace.mark tr id m in
-  let parent_alive () = match !stack with [] -> true | alive :: _ -> alive in
-  let skip_dead id =
-    stats.Stats.nodes_skipped_dead <- stats.Stats.nodes_skipped_dead + 1;
-    mark id Trace.Skipped_dead
-  in
-  (* capturing *)
-  let open_captures = ref [] in
+  (* Node ids are query-agnostic, so every slot reads its fragments from
+     one per-node capture store. *)
   let finished_captures : (int, string) Hashtbl.t = Hashtbl.create 16 in
-  (* A start tag stays unterminated ([<tag attrs]) until the element's
-     first child or its end, so a childless element is written
-     [<tag attrs/>] — byte for byte what the DOM serializer writes. *)
-  let tag_open = ref false in
-  let terminate_tag () =
-    if !tag_open then begin
-      List.iter (fun c -> Buffer.add_char c.buf '>') !open_captures;
-      tag_open := false
-    end
-  in
-  let cap_start ~candidate id tag attrs =
-    terminate_tag ();
-    if capture && candidate then
-      open_captures :=
-        { cap_node = id; buf = Buffer.create 64; open_elements = 0 }
-        :: !open_captures;
-    List.iter
-      (fun c ->
-        Buffer.add_char c.buf '<';
-        Buffer.add_string c.buf tag;
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_char c.buf ' ';
-            Buffer.add_string c.buf k;
-            Buffer.add_string c.buf "=\"";
-            Serializer.add_escaped_attr c.buf v 0 (String.length v);
-            Buffer.add_char c.buf '"')
-          attrs;
-        c.open_elements <- c.open_elements + 1)
-      !open_captures;
-    tag_open := !open_captures <> []
-  in
-  let cap_end tag =
-    List.iter
-      (fun c ->
-        if !tag_open then Buffer.add_string c.buf "/>"
-        else begin
-          Buffer.add_string c.buf "</";
-          Buffer.add_string c.buf tag;
-          Buffer.add_char c.buf '>'
-        end;
-        c.open_elements <- c.open_elements - 1)
-      !open_captures;
-    tag_open := false;
-    open_captures :=
-      List.filter
+  let scan engine ~settle =
+    let stats = Engine.stats engine in
+    (* Budgets tick per event: the pass settles every 32. *)
+    let ticks = ref 0 in
+    let checkpoint () =
+      Failpoint.trigger "hype.step";
+      let k = !ticks + 1 in
+      ticks := k;
+      if k land 31 = 0 then settle k
+    in
+    (* Per open element: was the engine entered for it, and did it stay
+       alive?  Children of any other are skipped without engine calls, but
+       still take pre-order ids so that answers align with DOM ids. *)
+    let stack = ref [] in
+    let mark id m =
+      match trace with None -> () | Some tr -> Trace.mark tr id m
+    in
+    let parent_alive () = match !stack with [] -> true | alive :: _ -> alive in
+    let skip_dead id =
+      stats.Stats.nodes_skipped_dead <- stats.Stats.nodes_skipped_dead + 1;
+      mark id Trace.Skipped_dead
+    in
+    (* capturing *)
+    let open_captures = ref [] in
+    (* A start tag stays unterminated ([<tag attrs]) until the element's
+       first child or its end, so a childless element is written
+       [<tag attrs/>] — byte for byte what the DOM serializer writes. *)
+    let tag_open = ref false in
+    let terminate_tag () =
+      if !tag_open then begin
+        List.iter (fun c -> Buffer.add_char c.buf '>') !open_captures;
+        tag_open := false
+      end
+    in
+    let cap_start ~candidate id tag attrs =
+      terminate_tag ();
+      if capture && candidate then
+        open_captures :=
+          { cap_node = id; buf = Buffer.create 64; open_elements = 0 }
+          :: !open_captures;
+      List.iter
         (fun c ->
-          if c.open_elements = 0 then begin
-            Hashtbl.replace finished_captures c.cap_node (Buffer.contents c.buf);
+          Buffer.add_char c.buf '<';
+          Buffer.add_string c.buf tag;
+          List.iter
+            (fun (k, v) ->
+              Buffer.add_char c.buf ' ';
+              Buffer.add_string c.buf k;
+              Buffer.add_string c.buf "=\"";
+              Serializer.add_escaped_attr c.buf v 0 (String.length v);
+              Buffer.add_char c.buf '"')
+            attrs;
+          c.open_elements <- c.open_elements + 1)
+        !open_captures;
+      tag_open := !open_captures <> []
+    in
+    let cap_end tag =
+      List.iter
+        (fun c ->
+          if !tag_open then Buffer.add_string c.buf "/>"
+          else begin
+            Buffer.add_string c.buf "</";
+            Buffer.add_string c.buf tag;
+            Buffer.add_char c.buf '>'
+          end;
+          c.open_elements <- c.open_elements - 1)
+        !open_captures;
+      tag_open := false;
+      open_captures :=
+        List.filter
+          (fun c ->
+            if c.open_elements = 0 then begin
+              Hashtbl.replace finished_captures c.cap_node
+                (Buffer.contents c.buf);
+              false
+            end
+            else true)
+          !open_captures
+    in
+    let cap_text id content is_candidate =
+      terminate_tag ();
+      List.iter
+        (fun c -> Buffer.add_string c.buf (Serializer.escape_text content))
+        !open_captures;
+      if capture && is_candidate then
+        Hashtbl.replace finished_captures id (Serializer.escape_text content)
+    in
+    (* Every event is one checkpoint; start and text events take the next
+       pre-order id.  The guards on [cap_start]/[cap_text] are exactly the
+       conditions under which some capture buffer consumes the event. *)
+    let rec loop () =
+      match Pull.cursor_next pull with
+      | Pull.Cursor_eof -> ()
+      | Pull.Cursor_start ->
+        checkpoint ();
+        let id = !next_id in
+        next_id := id + 1;
+        let name = Pull.cur_name pull in
+        let candidate =
+          if parent_alive () then begin
+            (match Engine.enter engine ~id ~kind:(Engine.El name) with
+            | Engine.Alive -> stack := true :: !stack
+            | Engine.Dead ->
+              mark id Trace.Skipped_dead;
+              stack := false :: !stack);
+            Engine.entered_candidate engine
+          end
+          else begin
+            skip_dead id;
+            stack := false :: !stack;
             false
           end
-          else true)
-        !open_captures
-  in
-  let cap_text id content is_candidate =
-    terminate_tag ();
-    List.iter
-      (fun c -> Buffer.add_string c.buf (Serializer.escape_text content))
-      !open_captures;
-    if capture && is_candidate then
-      Hashtbl.replace finished_captures id (Serializer.escape_text content)
-  in
-  (* Every event is one checkpoint; start and text events take the next
-     pre-order id.  The guards on [cap_start]/[cap_text] are exactly the
-     conditions under which some capture buffer consumes the event. *)
-  let rec loop () =
-    match Pull.cursor_next pull with
-    | Pull.Cursor_eof -> ()
-    | Pull.Cursor_start ->
-      checkpoint ();
-      let id = !next_id in
-      next_id := id + 1;
-      let name = Pull.cur_name pull in
-      let candidate =
+        in
+        if !open_captures <> [] || (capture && candidate) then
+          cap_start ~candidate id name (Pull.cur_attrs pull);
+        loop ()
+      | Pull.Cursor_end ->
+        checkpoint ();
+        (match !stack with
+        | [] -> raise (Engine.Driver_error "unbalanced end event")
+        | alive :: rest ->
+          if alive then Engine.leave engine;
+          stack := rest);
+        if !open_captures <> [] then cap_end (Pull.cur_name pull);
+        loop ()
+      | Pull.Cursor_text ->
+        checkpoint ();
+        let id = !next_id in
+        next_id := id + 1;
         if parent_alive () then begin
-          (match Engine.enter engine ~id ~kind:(Engine.El name) with
-          | Engine.Alive -> stack := true :: !stack
+          let backing, off, len = Pull.cur_text_span pull in
+          match
+            Engine.enter engine ~id ~kind:(Engine.Tx_sub (backing, off, len))
+          with
+          | Engine.Alive ->
+            let candidate = Engine.entered_candidate engine in
+            if !open_captures <> [] || (capture && candidate) then
+              cap_text id (Pull.cur_text pull) candidate;
+            Engine.leave engine
           | Engine.Dead ->
-            mark id Trace.Skipped_dead;
-            stack := false :: !stack);
-          Engine.entered_candidate engine
+            if !open_captures <> [] then cap_text id (Pull.cur_text pull) false
         end
         else begin
           skip_dead id;
-          stack := false :: !stack;
-          false
-        end
-      in
-      if !open_captures <> [] || (capture && candidate) then
-        cap_start ~candidate id name (Pull.cur_attrs pull);
-      loop ()
-    | Pull.Cursor_end ->
-      checkpoint ();
-      (match !stack with
-      | [] -> raise (Engine.Driver_error "unbalanced end event")
-      | alive :: rest ->
-        if alive then Engine.leave engine;
-        stack := rest);
-      if !open_captures <> [] then cap_end (Pull.cur_name pull);
-      loop ()
-    | Pull.Cursor_text ->
-      checkpoint ();
-      let id = !next_id in
-      next_id := id + 1;
-      if parent_alive () then begin
-        let backing, off, len = Pull.cur_text_span pull in
-        match
-          Engine.enter engine ~id ~kind:(Engine.Tx_sub (backing, off, len))
-        with
-        | Engine.Alive ->
-          let candidate = Engine.entered_candidate engine in
-          if !open_captures <> [] || (capture && candidate) then
-            cap_text id (Pull.cur_text pull) candidate;
-          Engine.leave engine
-        | Engine.Dead ->
           if !open_captures <> [] then cap_text id (Pull.cur_text pull) false
-      end
-      else begin
-        skip_dead id;
-        if !open_captures <> [] then cap_text id (Pull.cur_text pull) false
-      end;
-      loop ()
+        end;
+        loop ()
+    in
+    loop ();
+    !ticks
   in
-  let budget_hit =
-    match
-      loop ();
-      final_check ()
-    with
-    | () -> None
-    | exception Budget.Exceeded { what; limit } -> Some (what, limit)
-  in
-  let by_query =
-    match budget_hit with
-    | None -> Engine.finish engine
-    | Some _ -> Array.make (Engine.n_queries engine) []
-  in
-  (* Node ids are query-agnostic, so every slot reads its fragments from
-     the one per-node capture store. *)
+  let p = Engine.run_pass ?trace ?tables ?memo_cap ?budget ~spec_us sh scan in
   let captured answers =
     if not capture then []
     else
@@ -248,17 +214,18 @@ let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
         answers
   in
   {
-    by_query;
-    by_query_captured = Array.map captured by_query;
-    m_stats = stats;
-    m_cans_size = Engine.cans_size engine;
+    by_query = p.Engine.by_query;
+    by_query_captured = Array.map captured p.Engine.by_query;
+    m_stats = p.Engine.m_stats;
+    m_cans_size = p.Engine.m_cans_size;
     m_n_nodes = !next_id;
-    m_budget_hit = budget_hit;
+    m_budget_hit = p.Engine.m_budget_hit;
   }
 
 let run ?capture ?budget ?trace ?use_tables ?memo_cap mfa pull =
   let m =
-    run_slots ?capture ?budget ?trace ?use_tables ?memo_cap mfa pull
+    run_slots ?capture ?budget ?trace ?use_tables ?memo_cap
+      (Shared.merge [| mfa |]) pull
   in
   {
     answers = m.by_query.(0);

@@ -42,17 +42,15 @@ val run_slots :
   ?trace:Trace.t ->
   ?use_tables:bool ->
   ?memo_cap:int ->
-  ?shared:Smoqe_automata.Shared.t ->
-  Smoqe_automata.Mfa.t ->
+  Smoqe_automata.Shared.t ->
   Smoqe_xml.Pull.t ->
   many_result
-(** The one streaming driver; {!run} is its single-query form.  Without
-    [shared] the automaton is one query and every array has one slot.
-    With [shared] — whose merged automaton the [Mfa.t] argument must be —
-    one scan answers every query of the batch: candidates demultiplex
-    through the merge's owner table, the per-node capture store is
-    shared, and the batch counters are recorded.  A tripped budget
-    empties every slot's answers. *)
+(** The one streaming driver: one scan answering every query of a batch
+    ({!Smoqe_automata.Shared.merge}; a single query is a batch of one).
+    Candidates demultiplex through the merge's owner table
+    ({!Engine.run_pass}), and every query reads its fragments from one
+    per-node capture store.  A tripped budget empties every slot's
+    answers.  {!run} is its single-query form. *)
 
 val run :
   ?capture:bool ->
@@ -63,7 +61,10 @@ val run :
   Smoqe_automata.Mfa.t ->
   Smoqe_xml.Pull.t ->
   result
-(** Every event scanned is one budget tick; the ["hype.step"] failpoint
+(** [run_slots] on the batch of one [Shared.merge [| mfa |]], whose
+    automaton is [mfa] itself.
+
+    Every event scanned is one budget tick; the ["hype.step"] failpoint
     fires per event (and ["pull.read"] inside the parser itself).
 
     [use_tables] (default [true]) runs the table-driven engine over a

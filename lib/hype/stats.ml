@@ -79,9 +79,11 @@ let merge_into ~into s =
   into.policy_key_hits <- into.policy_key_hits + s.policy_key_hits
 
 let note_shared s (sh : Smoqe_automata.Shared.t) =
-  s.batch_queries <- sh.n_queries;
-  s.shared_states <- sh.merged_states;
-  s.shared_saved <- Smoqe_automata.Shared.saved_states sh
+  if sh.n_queries > 1 then begin
+    s.batch_queries <- sh.n_queries;
+    s.shared_states <- sh.merged_states;
+    s.shared_saved <- Smoqe_automata.Shared.saved_states sh
+  end
 
 let total_skipped t = t.nodes_skipped_dead + t.nodes_pruned_tax
 

@@ -34,8 +34,7 @@ type t = {
       (** microseconds spent specializing transition tables for this query
           (0 when a table was reused from the plan) *)
   mutable batch_queries : int;
-      (** queries served by this batch pass (0 for a plain single-query
-          run) *)
+      (** queries served by this batch pass (0 for a batch of one) *)
   mutable shared_states : int;
       (** states in the merged batch automaton *)
   mutable shared_saved : int;
@@ -78,5 +77,5 @@ val pp : Format.formatter -> t -> unit
 
 val note_shared : t -> Smoqe_automata.Shared.t -> unit
 (** Record a batch merge's counters ([batch_queries], [shared_states],
-    [shared_saved]).  Drivers call it for a merged pass only; a single
-    query's stats keep them at zero. *)
+    [shared_saved]).  Every pass calls it once; a batch of one records
+    nothing, so a single query's stats keep them at zero. *)

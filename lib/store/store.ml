@@ -58,11 +58,11 @@ let valid_group g =
        g
 
 (* The manifest is the inventory: one "key value..." line per entry. *)
-let render_manifest t =
+let render_manifest ~has_dtd groups =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "smoqe-store 1\n";
   Buffer.add_string buf (Printf.sprintf "document %s\n" document_name);
-  if t.dtd <> None then
+  if has_dtd then
     Buffer.add_string buf (Printf.sprintf "dtd %s\n" dtd_name);
   Buffer.add_string buf (Printf.sprintf "index %s\n" index_name);
   List.iter
@@ -70,10 +70,12 @@ let render_manifest t =
       Buffer.add_string buf
         (Printf.sprintf "policy %s %s\n" group
            (policies_dir ^ "/" ^ group ^ ".policy")))
-    t.groups;
+    groups;
   Buffer.contents buf
 
-let save_manifest t = write_file (t.dir / manifest_name) (render_manifest t)
+let save_manifest t =
+  write_file (t.dir / manifest_name)
+    (render_manifest ~has_dtd:(t.dtd <> None) t.groups)
 
 let prepare_engine dir engine policies =
   let* () =
@@ -94,42 +96,6 @@ let prepare_engine dir engine policies =
     | Ok () -> ()
     | Error _ -> ()));
   Ok engine
-
-let create ~dir ?dtd tree =
-  let* () =
-    if Sys.file_exists dir then
-      if Sys.is_directory dir then
-        if Sys.file_exists (dir / manifest_name) then
-          Error (dir ^ ": already a SMOQE store")
-        else Ok ()
-      else Error (dir ^ ": not a directory")
-    else begin
-      match Sys.mkdir dir 0o755 with
-      | () -> Ok ()
-      | exception Sys_error msg -> Error msg
-    end
-  in
-  let* () =
-    match dtd with
-    | None -> Ok ()
-    | Some d ->
-      (match Smoqe_xml.Validator.validate d tree with
-      | Ok () -> write_file (dir / dtd_name) (Dtd.to_string d)
-      | Error (e :: _) ->
-        Error (Fmt.str "document invalid: %a" Smoqe_xml.Validator.pp_error e)
-      | Error [] -> Ok ())
-  in
-  let* () =
-    write_file (dir / document_name)
-      (Serializer.to_string ~indent:false ~decl:true tree)
-  in
-  (match Sys.mkdir (dir / policies_dir) 0o755 with
-  | () -> ()
-  | exception Sys_error _ -> ());
-  let* engine = prepare_engine dir (Engine.of_tree ?dtd tree) [] in
-  let t = { dir; dtd; groups = []; engine } in
-  let* () = save_manifest t in
-  Ok t
 
 let parse_manifest contents =
   let lines =
@@ -187,6 +153,45 @@ let open_dir dir =
   let policies = List.rev policies in
   let* engine = prepare_engine dir engine policies in
   Ok { dir; dtd; groups = List.map fst policies; engine }
+
+let create ~dir ?dtd tree =
+  let* () =
+    if Sys.file_exists dir then
+      if Sys.is_directory dir then
+        if Sys.file_exists (dir / manifest_name) then
+          Error (dir ^ ": already a SMOQE store")
+        else Ok ()
+      else Error (dir ^ ": not a directory")
+    else begin
+      match Sys.mkdir dir 0o755 with
+      | () -> Ok ()
+      | exception Sys_error msg -> Error msg
+    end
+  in
+  let* () =
+    match dtd with
+    | None -> Ok ()
+    | Some d ->
+      (match Smoqe_xml.Validator.validate d tree with
+      | Ok () -> write_file (dir / dtd_name) (Dtd.to_string d)
+      | Error (e :: _) ->
+        Error (Fmt.str "document invalid: %a" Smoqe_xml.Validator.pp_error e)
+      | Error [] -> Ok ())
+  in
+  let* () =
+    write_file (dir / document_name)
+      (Serializer.to_string ~indent:false ~decl:true tree)
+  in
+  (match Sys.mkdir (dir / policies_dir) 0o755 with
+  | () -> ()
+  | exception Sys_error _ -> ());
+  let* () =
+    write_file (dir / manifest_name)
+      (render_manifest ~has_dtd:(dtd <> None) [])
+  in
+  (* Served as any store is: the loader reads the file back, and builds
+     and saves the index. *)
+  open_dir dir
 
 let dir t = t.dir
 let engine t = t.engine

@@ -25,7 +25,11 @@ val create :
   Smoqe_xml.Tree.t ->
   (t, string) result
 (** Initialize a store in [dir] (created if missing, must be empty of
-    SMOQE files), serialize the document, build and persist the index. *)
+    SMOQE files): validate the document against [dtd] before writing
+    anything, write the document, DTD and manifest, and return
+    {!open_dir}[ dir] — so a new store is served exactly as a reopened
+    one (StAX requests scan [document.xml]; the index is built and
+    saved by the open). *)
 
 val open_dir : string -> (t, string) result
 (** Open an existing store: parses the manifest, loads document, DTD,

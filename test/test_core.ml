@@ -243,7 +243,7 @@ let test_ismoqe_renderings () =
   Alcotest.(check bool) "ansi colors" true (contains colored "\027[");
   let tax = Ismoqe.tax_view (Option.get (Engine.index e)) (Engine.document e) in
   Alcotest.(check bool) "tax view" true (contains tax "{");
-  let text = Ismoqe.answers_text (Engine.document e) r.Engine.answers in
+  let text = String.concat "\n" r.Engine.answer_xml in
   Alcotest.(check bool) "answers text" true (contains text "pname");
   let tree_view = Ismoqe.answers_tree (Engine.document e) r.Engine.answers in
   Alcotest.(check bool) "answers tree" true (contains tree_view "<== answer");

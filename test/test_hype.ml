@@ -16,6 +16,7 @@ module Trace = Smoqe_hype.Trace
 module Stats = Smoqe_hype.Stats
 module Eval_dom = Smoqe_hype.Eval_dom
 module Eval_stax = Smoqe_hype.Eval_stax
+module Shared = Smoqe_automata.Shared
 module Tax = Smoqe_tax.Tax
 
 let parse s =
@@ -36,7 +37,7 @@ let check_against_oracle ?tax t q =
     (Printf.sprintf "dom vs oracle: %s" q)
     (oracle_answers t q) (dom_answers ?tax t q);
   let mfa = Compile.compile (parse q) in
-  let stax = Eval_stax.run_slots mfa (stream t) in
+  let stax = Eval_stax.run_slots (Shared.merge [| mfa |]) (stream t) in
   Alcotest.(check (list int))
     (Printf.sprintf "stax vs oracle: %s" q)
     (oracle_answers t q) stax.Eval_stax.by_query.(0)
@@ -88,18 +89,15 @@ module Mfa = Smoqe_automata.Mfa
 module Engine = Smoqe_hype.Engine
 
 (* From the root, step to an [a] child, then fork into two runs that both
-   check the one qualifier [b] at that [a].  Without [fork] both go on to
-   one selecting state (query [a[b]] twice over); with [fork] the second
-   steps to a [c] child and selects there instead ([a[b]/c]).  Returns
-   the two selecting states. *)
-let same_qual_mfa ~fork =
+   check the one qualifier [b] at that [a] and go on to one selecting
+   state: query [a[b]] twice over. *)
+let same_qual_mfa () =
   let b = Mfa.create_builder () in
   let start = Mfa.fresh_state b in
   let at_a = Mfa.fresh_state b in
   let r1 = Mfa.fresh_state b in
   let r2 = Mfa.fresh_state b in
-  let sel1 = Mfa.fresh_state b in
-  let sel2 = if fork then Mfa.fresh_state b else sel1 in
+  let sel = Mfa.fresh_state b in
   let a0 = Mfa.fresh_state b in
   let a1 = Mfa.fresh_state b in
   Mfa.add_edge b a0 (Nfa.Element "b") a1;
@@ -110,14 +108,11 @@ let same_qual_mfa ~fork =
   List.iter
     (fun r ->
       Mfa.add_eps b at_a r;
-      Mfa.add_check b r q)
+      Mfa.add_check b r q;
+      Mfa.add_eps b r sel)
     [ r1; r2 ];
-  Mfa.add_eps b r1 sel1;
-  if fork then Mfa.add_edge b r2 (Nfa.Element "c") sel2
-  else Mfa.add_eps b r2 sel1;
-  Mfa.add_select b sel1;
-  Mfa.add_select b sel2;
-  (Mfa.freeze b ~start, [| sel1; sel2 |])
+  Mfa.add_select b sel;
+  Mfa.freeze b ~start
 
 (* r0 a1 b2 c3 a4 c5 a6 b7 *)
 let same_qual_doc = lazy (doc "<r><a><b/><c/></a><a><c/></a><a><b/></a></r>")
@@ -126,7 +121,7 @@ let same_qual_doc = lazy (doc "<r><a><b/><c/></a><a><c/></a><a><b/></a></r>")
    their condition sets compare equal and the closure keeps one item per
    [a]: three candidates, not six, on both engine paths. *)
 let test_shared_slot () =
-  let mfa, _ = same_qual_mfa ~fork:false in
+  let mfa = same_qual_mfa () in
   let t = Lazy.force same_qual_doc in
   List.iter
     (fun use_tables ->
@@ -158,29 +153,29 @@ let drive e t =
   Engine.finish e
 
 (* A batch whose two owners assume the same qualifier at the same node:
-   one slot, read back for each owner's Cans. *)
+   the merge makes it one qualifier, settled in one slot and read back for
+   each owner's Cans. *)
 let test_batch_shared_qualifier () =
-  let mfa, sel = same_qual_mfa ~fork:true in
-  let owners = Array.make mfa.Mfa.nfa.Nfa.n_states (-1) in
-  owners.(sel.(0)) <- 0;
-  owners.(sel.(1)) <- 1;
+  let sh =
+    Shared.merge [| Compile.compile (parse "a[b]");
+                    Compile.compile (parse "a[b]/c") |]
+  in
   let t = Lazy.force same_qual_doc in
-  let tables = Smoqe_automata.Tables.of_tree mfa.Mfa.nfa t in
+  let tables = Smoqe_automata.Tables.of_tree sh.Shared.mfa.Mfa.nfa t in
   List.iter
     (fun tables ->
-      let e = Engine.create ?tables ~owners mfa in
+      let e = Engine.create ?tables sh in
       let per = drive e t in
       Alcotest.(check (array (list int))) "per owner" [| [ 1; 6 ]; [ 3 ] |] per;
       Alcotest.(check int) "one slot per a" 3
         (Engine.stats e).Stats.quals_resolved)
     [ Some tables; None ];
-  (* the shared-automaton merge offsets qualifier ids per query, so owners
-     asking the same question still settle it in slots of their own *)
+  (* owners asking related questions each get their own answers *)
   let t = Lazy.force hospital in
   let queries =
     [ "patient[visit]/pname"; "patient[visit]"; "patient[not(visit)]/pname" ]
   in
-  let sh = Smoqe_automata.Shared.merge
+  let sh = Shared.merge
       (Array.of_list (List.map (fun q -> Compile.compile (parse q)) queries))
   in
   List.iter
@@ -311,7 +306,7 @@ let test_stax_matches_dom () =
   List.iter
     (fun q ->
       let mfa = Compile.compile (parse q) in
-      let stax = Eval_stax.run_slots mfa (stream t) in
+      let stax = Eval_stax.run_slots (Shared.merge [| mfa |]) (stream t) in
       Alcotest.(check (list int)) q (dom_answers t q)
         stax.Eval_stax.by_query.(0);
       Alcotest.(check int)
@@ -331,7 +326,9 @@ let test_stax_capture () =
   List.iter
     (fun q ->
       let mfa = Compile.compile (parse q) in
-      let r = Eval_stax.run_slots ~capture:true mfa (stream t) in
+      let r =
+        Eval_stax.run_slots ~capture:true (Shared.merge [| mfa |]) (stream t)
+      in
       Alcotest.(check int) (q ^ " captured all answers")
         (List.length r.Eval_stax.by_query.(0))
         (List.length r.Eval_stax.by_query_captured.(0));
@@ -351,14 +348,14 @@ let test_stax_capture () =
 let test_stax_capture_off_by_default () =
   let t = Lazy.force hospital in
   let mfa = Compile.compile (parse "patient") in
-  let r = Eval_stax.run_slots mfa (stream t) in
+  let r = Eval_stax.run_slots (Shared.merge [| mfa |]) (stream t) in
   Alcotest.(check (list (pair int string))) "no captures" []
     r.Eval_stax.by_query_captured.(0)
 
 let test_stax_single_pass_stats () =
   let t = Lazy.force hospital in
   let mfa = Compile.compile (parse q0') in
-  let r = Eval_stax.run_slots mfa (stream t) in
+  let r = Eval_stax.run_slots (Shared.merge [| mfa |]) (stream t) in
   Alcotest.(check int) "one pass" 1
     r.Eval_stax.m_stats.Stats.passes_over_data
 
@@ -432,20 +429,20 @@ let test_trace_marks () =
 let test_engine_contract_errors () =
   let mfa = Compile.compile (parse "a") in
   (* leave without enter *)
-  let e = Engine.create mfa in
+  let e = Engine.create (Shared.merge [| mfa |]) in
   (try
      Engine.leave e;
      Alcotest.fail "leave without enter accepted"
    with Engine.Driver_error _ -> ());
   (* finish with open nodes *)
-  let e = Engine.create mfa in
+  let e = Engine.create (Shared.merge [| mfa |]) in
   ignore (Engine.enter e ~id:0 ~kind:(Engine.El "r"));
   (try
      ignore (Engine.finish e);
      Alcotest.fail "finish with open nodes accepted"
    with Engine.Driver_error _ -> ());
   (* enter after finish *)
-  let e = Engine.create mfa in
+  let e = Engine.create (Shared.merge [| mfa |]) in
   ignore (Engine.enter e ~id:0 ~kind:(Engine.El "r"));
   Engine.leave e;
   ignore (Engine.finish e);
@@ -454,7 +451,7 @@ let test_engine_contract_errors () =
      Alcotest.fail "enter after finish accepted"
    with Engine.Driver_error _ -> ());
   (* finish twice *)
-  let e = Engine.create mfa in
+  let e = Engine.create (Shared.merge [| mfa |]) in
   ignore (Engine.enter e ~id:0 ~kind:(Engine.El "r"));
   Engine.leave e;
   ignore (Engine.finish e);
@@ -466,7 +463,7 @@ let test_engine_contract_errors () =
 let test_engine_manual_drive () =
   (* Drive the engine by hand: <r><a/></r> with query "a". *)
   let mfa = Compile.compile (parse "a") in
-  let e = Engine.create mfa in
+  let e = Engine.create (Shared.merge [| mfa |]) in
   (match Engine.enter e ~id:0 ~kind:(Engine.El "r") with
   | Engine.Alive -> ()
   | Engine.Dead -> Alcotest.fail "root dead");
@@ -492,7 +489,7 @@ let test_deep_document_recursion () =
   Alcotest.(check int) "nodes" (depth + 1) (Tree.n_nodes t);
   Alcotest.(check int) "one leaf" 1 (List.length (dom_answers t "(a)*/leaf"));
   let mfa = Compile.compile (parse "//leaf") in
-  let r = Eval_stax.run_slots mfa (stream t) in
+  let r = Eval_stax.run_slots (Shared.merge [| mfa |]) (stream t) in
   Alcotest.(check int) "stax deep" 1 (List.length r.Eval_stax.by_query.(0))
 
 (* --- Property tests: HyPE = oracle --------------------------------------- *)
@@ -576,7 +573,8 @@ let prop_stax_equals_oracle =
          oracle reads the tree of the very bytes StAX scans *)
       let bytes = Serializer.to_string ~indent:false t in
       let mfa = Compile.compile p in
-      (Eval_stax.run_slots mfa (Pull.of_string bytes)).Eval_stax.by_query.(0)
+      (Eval_stax.run_slots (Shared.merge [| mfa |]) (Pull.of_string bytes))
+        .Eval_stax.by_query.(0)
       = Semantics.answer_list (Xml_parser.tree_of_string bytes) p)
 
 let prop_tax_equals_oracle =

@@ -10,6 +10,7 @@ module Pretty = Smoqe_rxpath.Pretty
 module Semantics = Smoqe_rxpath.Semantics
 module Compile = Smoqe_automata.Compile
 module Mfa = Smoqe_automata.Mfa
+module Shared = Smoqe_automata.Shared
 module Optimize = Smoqe_automata.Optimize
 module Nfa = Smoqe_automata.Nfa
 module Eval_dom = Smoqe_hype.Eval_dom
@@ -74,7 +75,8 @@ let test_preserves_answers_on_suite () =
         (Eval_dom.run mfa doc).Eval_dom.answers
         (Eval_dom.run opt doc).Eval_dom.answers;
       let stax m =
-        (Eval_stax.run_slots m (Pull.of_string bytes)).Eval_stax.by_query.(0)
+        (Eval_stax.run_slots (Shared.merge [| m |]) (Pull.of_string bytes))
+          .Eval_stax.by_query.(0)
       in
       Alcotest.(check (list int)) (name ^ " stax") (stax mfa) (stax opt))
     Queries.parsed

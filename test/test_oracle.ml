@@ -1022,7 +1022,7 @@ let test_tenant_shared_vs_cold () =
       (fun t ->
         ok (Engine.register_policy engine ~group:t Hospital.policy))
       tenants;
-    let counters = Engine.tenant_counters engine in
+    let counters = Engine.group_counters engine in
     Alcotest.(check int) "one policy key" 1
       (List.assoc "policy_keys" counters);
     Alcotest.(check int) "one derivation" 1
@@ -1077,7 +1077,7 @@ let test_tenant_isolation () =
     ok (Engine.register_policy engine ~group:"locked" Hospital.policy);
     ok (Engine.register_policy engine ~group:"open" (open_policy dtd));
     Alcotest.(check int) "two keys" 2
-      (List.assoc "policy_keys" (Engine.tenant_counters engine));
+      (List.assoc "policy_keys" (Engine.group_counters engine));
     (mode, engine)
   in
   let engines = List.map (fun (mode, _) -> engine_of mode) modes in
@@ -1186,10 +1186,10 @@ let test_tenant_churn_and_update () =
   (* churn t0 away too: the old key's last holder leaves, its artifacts
      retire (generation bump) and no stale plan may serve either tenant *)
   let gen_before =
-    List.assoc "generation" (Engine.tenant_counters engine)
+    List.assoc "generation" (Engine.group_counters engine)
   in
   ok (Engine.register_policy engine ~group:"t0" (open_policy dtd));
-  let gen_after = List.assoc "generation" (Engine.tenant_counters engine) in
+  let gen_after = List.assoc "generation" (Engine.group_counters engine) in
   Alcotest.(check bool) "retirement bumps the generation" true
     (gen_after > gen_before);
   List.iter

@@ -234,13 +234,13 @@ let test_engine_reregister_keeps_warm () =
   ok (Engine.register_policy e ~group:"researchers" Hospital.policy);
   Alcotest.(check int) "identical policy: still warm" 1 (hit_of (run ()));
   Alcotest.(check int) "no second derivation" 1
-    (List.assoc "derivations" (Engine.tenant_counters e))
+    (List.assoc "derivations" (Engine.group_counters e))
 
 let test_engine_equal_policies_share () =
   let e = hospital_engine () in
   ok (Engine.register_policy e ~group:"staff" Hospital.policy);
   Alcotest.(check int) "one derivation" 1
-    (List.assoc "derivations" (Engine.tenant_counters e));
+    (List.assoc "derivations" (Engine.group_counters e));
   let first = okr (Engine.query_robust e ~group:"researchers" "//medication") in
   let second = okr (Engine.query_robust e ~group:"staff" "//medication") in
   Alcotest.(check int) "researchers compile" 0 (hit_of first);
@@ -259,9 +259,9 @@ let test_mapped_group_logs_in () =
   List.iter
     (fun (name, policy) -> ok (Engine.register_policy e ~group:name policy))
     [ ("alice", Hospital.policy); ("bob", Hospital.policy) ];
-  let counters = Engine.tenant_counters e in
+  let counters = Engine.group_counters e in
   Alcotest.(check int) "three registered groups" 3
-    (List.assoc "tenants" counters);
+    (List.assoc "groups" counters);
   Alcotest.(check int) "one derivation" 1 (List.assoc "derivations" counters);
   let reference =
     okr (Engine.query_robust e ~group:"researchers" "//medication")

@@ -37,10 +37,9 @@ let test_merge_single () =
   let single = compile "//a/b" in
   let sh = Shared.merge [| single |] in
   Alcotest.(check int) "one query" 1 sh.Shared.n_queries;
-  (* only the fresh root is added on top of the member *)
-  Alcotest.(check int) "merged = member + root"
-    (Mfa.n_states single + 1)
-    sh.Shared.merged_states
+  (* a batch of one is its member: no root, nothing saved *)
+  Alcotest.(check bool) "the member itself" true (sh.Shared.mfa == single);
+  Alcotest.(check int) "no root state" 0 (Shared.saved_states sh)
 
 let doc_text =
   "<r><a><b>1</b><c>2</c><a><b>3</b></a></a><d><a><c>4</c></a></d></r>"
@@ -173,13 +172,14 @@ let check_demux ~use_tables () =
     m.Eval_dom.m_stats.Stats.batch_queries;
   (* same demultiplexing over a scan of the document's bytes *)
   let ms =
-    Eval_stax.run_slots ~use_tables ~shared:sh sh.Shared.mfa
-      (Pull.of_string doc_text)
+    Eval_stax.run_slots ~use_tables sh (Pull.of_string doc_text)
   in
   List.iteri
     (fun i q ->
       let solo =
-        Eval_stax.run_slots ~use_tables (compile q) (Pull.of_string doc_text)
+        Eval_stax.run_slots ~use_tables
+          (Shared.merge [| compile q |])
+          (Pull.of_string doc_text)
       in
       Alcotest.(check (list int))
         (Printf.sprintf "stax demux %d: %s" i q)

@@ -192,24 +192,27 @@ let test_invalid_document_refused () =
 (* A reopened store's engine holds the document file, so a StAX request
    scans its bytes rather than falling back to the DOM driver. *)
 let test_stax_reads_file () =
-  with_store (fun dir _ _ ->
-      let reopened = ok (Store.open_dir dir) in
-      let admin = ok (Store.login reopened Session.Admin) in
-      let dom = okr (Session.run_robust admin "//pname") in
-      let stax =
-        Smoqe_robust.Failpoint.with_failpoints "pull.read=1000000000"
-          (fun () ->
-            let o =
-              okr (Session.run_robust admin ~mode:Engine.Stax "//pname")
-            in
-            Alcotest.(check bool) "pull.read reached" true
-              (Smoqe_robust.Failpoint.triggers "pull.read" > 0);
-            o)
+  with_store (fun dir _ created ->
+      let check label store =
+        let admin = ok (Store.login store Session.Admin) in
+        let dom = okr (Session.run_robust admin "//pname") in
+        let stax =
+          Smoqe_robust.Failpoint.with_failpoints "pull.read=1000000000"
+            (fun () ->
+              let o =
+                okr (Session.run_robust admin ~mode:Engine.Stax "//pname")
+              in
+              Alcotest.(check bool) (label ^ ": pull.read reached") true
+                (Smoqe_robust.Failpoint.triggers "pull.read" > 0);
+              o)
+        in
+        Alcotest.(check int) (label ^ ": no DOM retry") 0
+          stax.Engine.stats.Smoqe_hype.Stats.degraded_stax_retry;
+        Alcotest.(check (list string)) (label ^ ": same fragments as DOM")
+          dom.Engine.answer_xml stax.Engine.answer_xml
       in
-      Alcotest.(check int) "no DOM retry" 0
-        stax.Engine.stats.Smoqe_hype.Stats.degraded_stax_retry;
-      Alcotest.(check (list string)) "same fragments as DOM"
-        dom.Engine.answer_xml stax.Engine.answer_xml)
+      check "created" created;
+      check "reopened" (ok (Store.open_dir dir)))
 
 let () =
   Alcotest.run "smoqe_store"
