@@ -751,7 +751,7 @@ let e11 () =
      view over a document small enough that rewriting dominates — the
      many-members/hot-query serving shape. *)
   let hdoc = hospital_sized 2 in
-  let hengine = Engine.of_tree ~dtd:Hospital.dtd hdoc in
+  let hengine = okr (Engine.of_tree ~dtd:Hospital.dtd hdoc) in
   (match Engine.register_policy hengine ~group:"researchers" Hospital.policy with
   | Ok () -> ()
   | Error msg -> failwith msg);
@@ -769,7 +769,7 @@ let e11 () =
    with
   | exception _ -> Printf.printf "recursive-view workload unavailable\n"
   | dtd, policy, view, doc ->
-    let engine = Engine.of_tree ~dtd doc in
+    let engine = okr (Engine.of_tree ~dtd doc) in
     (match Engine.register_policy engine ~group:"members" policy with
     | Ok () -> ()
     | Error msg -> failwith msg);
@@ -872,7 +872,7 @@ let e12 () =
   (* Hospital: the paper's workload through the researchers view.  At 200
      patients a warm query costs ~1-2ms of pure evaluation. *)
   let hdoc = hospital_sized 200 in
-  let hengine = Engine.of_tree ~dtd:Hospital.dtd hdoc in
+  let hengine = okr (Engine.of_tree ~dtd:Hospital.dtd hdoc) in
   (match Engine.register_policy hengine ~group:"researchers" Hospital.policy with
   | Ok () -> ()
   | Error msg -> failwith msg);
@@ -892,7 +892,7 @@ let e12 () =
   let policy = Random_dtd.random_policy ~seed:17 dtd in
   let view = Derive.derive policy in
   let doc = Docgen.generate ~seed:5 ~max_depth:10 ~fanout:4 dtd in
-  let rengine = Engine.of_tree ~dtd doc in
+  let rengine = okr (Engine.of_tree ~dtd doc) in
   (match Engine.register_policy rengine ~group:"members" policy with
   | Ok () -> ()
   | Error msg -> failwith msg);
@@ -1005,7 +1005,7 @@ let e13 () =
      the rewritten automata are qualifier-guarded nearly everywhere and
      qualifiers are memo-exempt by design (DESIGN.md §11). *)
   let hdoc = hospital_sized 200 in
-  let hengine = Engine.of_tree ~dtd:Hospital.dtd hdoc in
+  let hengine = okr (Engine.of_tree ~dtd:Hospital.dtd hdoc) in
   ok (Engine.register_policy hengine ~group:"researchers" Hospital.policy);
   Printf.printf "document: %d nodes (hospital, 200 patients)\n"
     (Tree.n_nodes hdoc);
@@ -1027,7 +1027,7 @@ let e13 () =
   let policy = Random_dtd.random_policy ~seed:17 ~cond_ratio:0.0 dtd in
   let view = Derive.derive policy in
   let doc = Docgen.generate ~seed:5 ~max_depth:12 ~fanout:5 dtd in
-  let rengine = Engine.of_tree ~dtd doc in
+  let rengine = okr (Engine.of_tree ~dtd doc) in
   ok (Engine.register_policy rengine ~group:"members" policy);
   ignore (Dtd.element_names (Derive.view_dtd view));
   Printf.printf "document: %d nodes (random recursive DTD, 12 types)\n"
@@ -1069,7 +1069,7 @@ let e14 () =
   (* The hardened lexer (BOM handling, DOCTYPE discipline, char-ref
      validation, duplicate-attribute checks) runs unconditionally, so the
      differential knob we can still toggle is the per-event budget
-     accounting — tick_node and check_depth on every Pull.next, plus the
+     accounting — batched tick_nodes and check_depth per event, plus the
      failpoint probes at pull.read / pull.depth / pull.ref.  Same
      interleaved-pair methodology as E10: percent-level effects need
      paired medians, not OLS cells. *)
@@ -1202,7 +1202,7 @@ let e15 () =
   let engine_for mode =
     let engine =
       match mode with
-      | Engine.Dom -> Engine.of_tree ~dtd doc
+      | Engine.Dom -> okr (Engine.of_tree ~dtd doc)
       | Engine.Stax ->
         (* StAX scans bytes: an engine holding only the tree would answer
            this leg with the DOM driver *)
@@ -1321,8 +1321,8 @@ let e15 () =
      the shared pass settles each once per node.  Gate: the batch's
      quals_resolved is at most half the members' single-query sum. *)
   let engine =
-    Engine.of_tree ~dtd:Hospital.dtd
-      (hospital_sized (if smoke then 400 else 1600))
+    okr (Engine.of_tree ~dtd:Hospital.dtd
+      (hospital_sized (if smoke then 400 else 1600)))
   in
   ok (Engine.register_policy engine ~group:"staff" Hospital.policy);
   let texts = List.map snd Queries.view_suite in
@@ -1407,7 +1407,7 @@ let member_write_gate = 1.5
 let member_write_leg ~smoke =
   let n_patients = if smoke then 400 else 1600 in
   let doc = hospital_sized n_patients in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   (match Engine.register_policy engine ~group:"staff" Hospital.policy with
   | Ok () -> ()
   | Error msg -> failwith msg);
@@ -1487,7 +1487,7 @@ let e16 () =
     if smoke then Docgen.generate ~seed:5 ~max_depth:10 ~fanout:4 dtd
     else Docgen.generate ~seed:5 ~max_depth:12 ~fanout:5 dtd
   in
-  let engine = Engine.of_tree ~dtd doc in
+  let engine = okr (Engine.of_tree ~dtd doc) in
   ok (Engine.register_policy engine ~group:"members" policy);
   Engine.set_plan_cache_capacity engine 256;
   Engine.build_index engine;
@@ -1839,7 +1839,7 @@ let e18 () =
   let now = Unix.gettimeofday in
 
   (* --- leg 1: cross-tenant artifact sharing and plan reuse --- *)
-  let engine = Engine.of_tree ~dtd doc in
+  let engine = okr (Engine.of_tree ~dtd doc) in
   for i = 0 to n_tenants - 1 do
     match Engine.register_policy engine ~group:(tenant i) (policy_of i) with
     | Ok () -> ()
@@ -1873,24 +1873,29 @@ let e18 () =
     (if share_pass then "PASS" else "FAIL");
 
   (* --- leg 2: aggregate qps, shared artifacts vs per-tenant rederivation --- *)
-  let time f =
+  (* [setup] builds the arm's fresh engines before the clock starts:
+     loading validates the document, which is the same work whether the
+     tenants share an engine or not, so only registration and serving
+     are timed *)
+  let time setup f =
+    let x = setup () in
     let t0 = now () in
-    f ();
+    f x;
     now () -. t0
   in
   (* every trial is fully cold (the arm builds its own engines), so the
      min over trials is still a cold-serving number — it just sheds
      scheduler noise on a measurement of a few tens of milliseconds *)
-  let best_of_3 f =
-    let t = ref (time f) in
+  let best_of_3 setup f =
+    let t = ref (time setup f) in
     for _ = 1 to 2 do
-      t := min !t (time f)
+      t := min !t (time setup f)
     done;
     !t
   in
+  let fresh () = okr (Engine.of_tree ~dtd doc) in
   let t_shared =
-    best_of_3 (fun () ->
-        let e = Engine.of_tree ~dtd doc in
+    best_of_3 fresh (fun e ->
         for i = 0 to n_tenants - 1 do
           match Engine.register_policy e ~group:(tenant i) (policy_of i) with
           | Ok () -> ()
@@ -1906,11 +1911,13 @@ let e18 () =
         done)
   in
   let t_rederive =
-    best_of_3 (fun () ->
+    best_of_3
+      (fun () -> Array.init n_tenants (fun _ -> fresh ()))
+      (fun engines ->
         (* the pre-sharing world: every tenant derives its own view and
            compiles every plan on its own engine *)
         for i = 0 to n_tenants - 1 do
-          let e = Engine.of_tree ~dtd doc in
+          let e = engines.(i) in
           (match Engine.register_policy e ~group:"tenant" (policy_of i) with
           | Ok () -> ()
           | Error msg -> failwith msg);

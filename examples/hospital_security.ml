@@ -30,7 +30,11 @@ let () =
 
   (* A hospital with patients, some treated for autism. *)
   let doc = Hospital.generate ~seed:2006 ~n_patients:8 ~recursion_depth:2 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine =
+    match Engine.of_tree ~dtd:Hospital.dtd doc with
+    | Ok e -> e
+    | Error e -> failwith (Error.to_string e)
+  in
   (match Engine.register_policy engine ~group:"researchers" Hospital.policy with
   | Ok () -> ()
   | Error msg -> failwith msg);

@@ -51,7 +51,11 @@ let () =
 
   banner "querying the flattened view";
   let doc = Bib.generate ~seed:41 ~n_books:3 ~section_depth:4 () in
-  let engine = Engine.of_tree ~dtd:Bib.dtd doc in
+  let engine =
+    match Engine.of_tree ~dtd:Bib.dtd doc with
+    | Ok e -> e
+    | Error e -> failwith (Error.to_string e)
+  in
   (match Engine.register_policy engine ~group:"readers" flatten_policy with
   | Ok () -> ()
   | Error msg -> failwith msg);
@@ -73,7 +77,11 @@ let () =
   | Error e -> failwith (Error.to_string e));
 
   banner "the embargo view (Bib.policy): conditional exposure";
-  let engine2 = Engine.of_tree ~dtd:Bib.dtd doc in
+  let engine2 =
+    match Engine.of_tree ~dtd:Bib.dtd doc with
+    | Ok e -> e
+    | Error e -> failwith (Error.to_string e)
+  in
   (match Engine.register_policy engine2 ~group:"public" Bib.policy with
   | Ok () -> ()
   | Error msg -> failwith msg);

@@ -27,22 +27,6 @@ module Shared = Smoqe_automata.Shared
 module Ast = Smoqe_rxpath.Ast
 module Update = Smoqe_update.Update
 
-(* Teach the taxonomy this stack's exception types: the guard at the
-   façade maps anything the libraries throw into one Error.t.  Runs once,
-   when this module is initialized. *)
-let () =
-  Error.register_classifier (function
-    | Pull.Error (line, col, msg) ->
-      Some (Error.Parse_error { loc = Some (Error.location ~line ~col ()); msg })
-    | Dtd_parser.Error (off, msg) ->
-      Some
-        (Error.Parse_error
-           { loc = None; msg = Printf.sprintf "DTD offset %d: %s" off msg })
-    | Derive.Unsupported msg -> Some (Error.Policy_error msg)
-    | Smoqe_hype.Engine.Driver_error msg ->
-      Some (Error.Internal ("evaluation driver: " ^ msg))
-    | _ -> None)
-
 type mode =
   | Dom
   | Stax
@@ -69,11 +53,11 @@ type plan = {
          the tree it was built for is the validity key
          ([Tables.built_for]): an incremental update that splices the
          tree without interning any new tag preserves the interning token,
-         and the table — pure tag-id arithmetic — stays valid; a swap to
-         an unrelated tree (or a splice that grew the tag table) changes
-         the token and forces respecialization.  Atomic: plans are shared
-         across domains; last-writer-wins is benign (both writers
-         hold tables valid for their own snapshot). *)
+         and the table — pure tag-id arithmetic — stays valid; a splice
+         that grew the tag table (a root replace with new tags, say)
+         changes the token and forces respecialization.  Atomic: plans
+         are shared across domains; last-writer-wins is benign (both
+         writers hold tables valid for their own snapshot). *)
 }
 
 (* Concurrency model (DESIGN.md §9).  One engine serves queries from many
@@ -94,11 +78,8 @@ type t = {
   mutable tree : Tree.t;
   mutable source : source option;
   dtd : Dtd.t option;
-  mutable valid : bool;
-      (* [tree] is known to satisfy [dtd]: set by the validating loaders,
-         [replace_document] and every published write, and unset only by
-         [of_tree], which trusts its tree.  A write on a known-valid
-         tree validates its candidate locally, at the edit. *)
+      (* [tree] satisfies [dtd]: every constructor validates, and every
+         published write checked its edit *)
   mutable tax : Tax.t option;
   plan_cache : plan Plan_cache.t;
   mutable saved_compile_ms : float;
@@ -107,14 +88,13 @@ type t = {
 }
 
 (* What one query evaluates against: an immutable view of the engine's
-   serving state, taken atomically at query start.  [replace_document] or
+   serving state, taken atomically at query start.  An update or
    [build_index] landing mid-query cannot tear it — the query answers
    entirely against the tree/index pair it started with. *)
 type snapshot = {
   snap_tree : Tree.t;
   snap_source : source option;
   snap_tax : Tax.t option;
-  snap_valid : bool;
 }
 
 type outcome = {
@@ -129,13 +109,12 @@ let log_src = Logs.Src.create "smoqe.engine" ~doc:"SMOQE engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-let make ?dtd ~valid tree source =
+let make ?dtd tree source =
   {
     lock = Mutex.create ();
     tree;
     source;
     dtd;
-    valid;
     tax = None;
     plan_cache = Plan_cache.create ();
     saved_compile_ms = 0.;
@@ -146,17 +125,32 @@ let locked t f = Mutex.protect t.lock f
 
 let snapshot t =
   locked t (fun () ->
-      { snap_tree = t.tree; snap_source = t.source; snap_tax = t.tax;
-        snap_valid = t.valid })
+      { snap_tree = t.tree; snap_source = t.source; snap_tax = t.tax })
 
+(* The guard at the façade: this stack's own exception types are
+   classified here, anything else by the taxonomy's fallback. *)
+let classify = function
+  | Pull.Error (line, col, msg) ->
+    Error.Parse_error { loc = Some (Error.location ~line ~col ()); msg }
+  | Dtd_parser.Error (off, msg) ->
+    Error.Parse_error
+      { loc = None; msg = Printf.sprintf "DTD offset %d: %s" off msg }
+  | Derive.Unsupported msg -> Error.Policy_error msg
+  | Smoqe_hype.Engine.Driver_error msg ->
+    Error.Internal ("evaluation driver: " ^ msg)
+  | e -> Error.classify e
+
+let guard f = match f () with v -> Ok v | exception e -> Error (classify e)
+
+(* A document that does not conform to the DTD is malformed input,
+   reported by its first violation in document order. *)
 let first_error = function
   | Ok () | Error [] -> Ok ()
   | Error (err :: _) ->
-    Error (Fmt.str "document invalid: %a" Validator.pp_error err)
-
-let validate_against dtd tree = first_error (Validator.validate dtd tree)
-
-let of_tree ?dtd tree = make ?dtd ~valid:false tree None
+    Error
+      (Error.Parse_error
+         { loc = None;
+           msg = Fmt.str "document invalid: %a" Validator.pp_error err })
 
 let with_file path f =
   let ic = open_in_bin path in
@@ -168,30 +162,29 @@ let stamp_of ic =
   let st = Unix.fstat (Unix.descr_of_in_channel ic) in
   (st.Unix.st_size, st.Unix.st_mtime)
 
-let with_dtd ?dtd tree source =
-  match dtd with
-  | None -> Ok (make ~valid:true tree source)
-  | Some d ->
-    (match validate_against d tree with
-    | Ok () -> Ok (make ~dtd:d ~valid:true tree source)
-    | Error msg -> Error msg)
-
-(* Typed-error constructors: malformed input — a syntax error or a
+(* Every constructor validates: malformed input — a syntax error or a
    document that does not conform to the given DTD — comes back as
    [Error.Parse_error] (CLI exit code 2), budget trips as
    [Budget_exceeded] (exit 3), the same taxonomy the query path already
    speaks. *)
+let with_dtd ?dtd tree source =
+  let checked =
+    match dtd with
+    | None -> Ok ()
+    | Some d -> first_error (Validator.validate d tree)
+  in
+  Result.map (fun () -> make ?dtd tree source) checked
+
+let of_tree ?dtd tree = with_dtd ?dtd tree None
+
 let of_string_robust ?budget ?dtd input =
-  match Error.guard (fun () -> Parser.tree_of_string ?budget input) with
-  | Error e -> Error e
-  | Ok tree ->
-    (match with_dtd ?dtd tree (Some (From_string input)) with
-    | Ok t -> Ok t
-    | Error msg -> Error (Error.Parse_error { loc = None; msg }))
+  Result.bind
+    (guard (fun () -> Parser.tree_of_string ?budget input))
+    (fun tree -> with_dtd ?dtd tree (Some (From_string input)))
 
 let of_file_robust ?budget ?dtd path =
   match
-    Error.guard (fun () ->
+    guard (fun () ->
         (* stamped before the parse, so a write that lands during it
            changes the stamp too *)
         let stamp = with_file path stamp_of in
@@ -201,10 +194,7 @@ let of_file_robust ?budget ?dtd path =
     Error
       (Error.Parse_error { loc = Some { l with Error.file = Some path }; msg })
   | Error e -> Error e
-  | Ok (stamp, tree) ->
-    (match with_dtd ?dtd tree (Some (From_file (path, stamp))) with
-    | Ok t -> Ok t
-    | Error msg -> Error (Error.Parse_error { loc = None; msg }))
+  | Ok (stamp, tree) -> with_dtd ?dtd tree (Some (From_file (path, stamp)))
 
 let document t = locked t (fun () -> t.tree)
 let dtd t = t.dtd
@@ -264,26 +254,6 @@ let principal t group =
     | None -> Error (unknown_group g)
     | Some route -> Ok (Some route))
 
-(* Swap the served document under the standing DTD, views and sessions —
-   the serving story: policies persist, data rolls over.  The new tree
-   must satisfy the same DTD (views are derived from it). *)
-let replace_document t tree =
-  let checked =
-    match t.dtd with None -> Ok () | Some d -> validate_against d tree
-  in
-  match checked with
-  | Error msg -> Error msg
-  | Ok () ->
-    locked t (fun () ->
-        t.tree <- tree;
-        t.source <- None;
-        t.valid <- true;
-        (* the index describes the old tree *)
-        t.tax <- None;
-        Plan_cache.invalidate_all t.plan_cache);
-    Log.info (fun m -> m "document replaced (%d nodes)" (Tree.n_nodes tree));
-    Ok ()
-
 let build_index t =
   (* Build outside the lock (it is O(document)); publish only if the
      document has not been swapped underneath the build. *)
@@ -305,7 +275,7 @@ let save_index t path =
 let load_index t path =
   let loaded =
     match
-      Error.guard (fun () ->
+      guard (fun () ->
           Failpoint.trigger "index.load";
           Codec.load path)
     with
@@ -326,7 +296,7 @@ let load_index t path =
 (* --- query compilation ---------------------------------------------------- *)
 
 let compile_ast ?view ?budget path =
-  Error.guard (fun () ->
+  guard (fun () ->
       Failpoint.trigger "plan.compile";
       let mfa =
         match view with
@@ -431,7 +401,7 @@ let plan_for t ~route ~mode ~use_index ?budget texts =
         locked t (fun () ->
             t.saved_compile_ms <- t.saved_compile_ms +. plan.plan_compile_ms);
         (plan, true))
-      (Error.guard (fun () ->
+      (guard (fun () ->
            Option.iter
              (fun b ->
                Budget.check_states b plan.plan_batch.Shared.merged_states)
@@ -484,11 +454,10 @@ let plan_for t ~route ~mode ~use_index ?budget texts =
       | None ->
         if cacheable then Plan_cache.record_miss cache;
         (* The compiles below run outside the engine lock, so a concurrent
-           policy retirement or [replace_document] can invalidate this key
-           mid-flight.  Capture the generation {e before} the compiles
-           read the view: if it moves, the conditional [add ~gen] refuses
-           the insert and the plan minted under the old view is served
-           once, never cached. *)
+           policy retirement can invalidate this key mid-flight.  Capture
+           the generation {e before} the compiles read the view: if it
+           moves, the conditional [add ~gen] refuses the insert and the
+           plan minted under the old view is served once, never cached. *)
         let gen = Plan_cache.generation cache (key pkey) in
         (* Elapsed time, not process CPU time, which would sum every
            domain's work. *)
@@ -516,7 +485,7 @@ let plan_for t ~route ~mode ~use_index ?budget texts =
             (* every member failed: any member's error stands in *)
             Error (Result.get_error slots.(0))
           | _ ->
-            Error.guard (fun () ->
+            guard (fun () ->
                 let sh = Shared.merge (Array.of_list survivors) in
                 Option.iter
                   (fun b -> Budget.check_states b sh.Shared.merged_states)
@@ -544,16 +513,6 @@ let rewrite_only t ~group text =
     (match view t ~group with
     | None -> Error (unknown_group group)
     | Some view -> compile_ast ~view path)
-
-let answer_xml_one snap n =
-  let tree = snap.snap_tree in
-  if Tree.is_text tree n then begin
-    let backing, off, len = Tree.content_slice tree n in
-    let buf = Buffer.create (len + 8) in
-    Serializer.add_escaped_text buf backing off len;
-    Buffer.contents buf
-  end
-  else Serializer.subtree_to_string ~indent:false tree n
 
 (* --- evaluation ------------------------------------------------------------ *)
 
@@ -584,11 +543,11 @@ let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
   (* Warm queries reuse the table riding the plan — for a merged
      plan it covers the whole combined automaton, so a warm batch skips
      both the merge and the specialization.  A cold plan (or one whose
-     snapshot tree left the cached table's tag lineage — a
-     replace_document raced the plan fetch, or an update interned new
-     tags) specializes and publishes.  The publish is a plain Atomic.set:
-     both sides of any race hold tables valid for their own snapshot, and
-     Eval_dom re-validates with [Tables.built_for] anyway. *)
+     snapshot tree left the cached table's tag lineage — an update
+     interned new tags) specializes and publishes.  The publish is a
+     plain Atomic.set: both sides of any race hold tables valid for their
+     own snapshot, and Eval_dom re-validates with [Tables.built_for]
+     anyway. *)
   let tables, spec_us =
     match Atomic.get plan.plan_tables with
     | Some tb when Tables.built_for tb snap.snap_tree -> (tb, 0)
@@ -598,7 +557,7 @@ let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
       (tb, Tables.spec_us tb)
   in
   let r =
-    Eval_dom.run_slots ?tax ?budget ?trace ~tables plan.plan_batch
+    Eval_dom.run_many ?tax ?budget ?trace ~tables plan.plan_batch
       snap.snap_tree
   in
   let stats = r.Eval_dom.m_stats in
@@ -625,7 +584,7 @@ let run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax () =
       match Hashtbl.find_opt frag_memo n with
       | Some s -> s
       | None ->
-        let s = answer_xml_one snap n in
+        let s = Serializer.subtree_to_string ~indent:false snap.snap_tree n in
         Hashtbl.add frag_memo n s;
         s
     in
@@ -665,7 +624,7 @@ let run_stax source plan ?budget ?trace () =
 let evaluate snap plan ~mode ?use_index ?budget ?trace () =
   let dom ~degraded_from_stax =
     Result.join
-      (Error.guard (fun () ->
+      (guard (fun () ->
            run_dom snap plan ?use_index ?budget ?trace ~degraded_from_stax ()))
   in
   if plan.plan_empty then begin
@@ -687,7 +646,7 @@ let evaluate snap plan ~mode ?use_index ?budget ?trace () =
     | Stax, Some source ->
       (match
          Result.join
-           (Error.guard (fun () -> run_stax source plan ?budget ?trace ()))
+           (guard (fun () -> run_stax source plan ?budget ?trace ()))
        with
       | Ok pass -> Ok pass
       | Error ((Error.Budget_exceeded _ | Error.Query_error _
@@ -712,7 +671,7 @@ let evaluate snap plan ~mode ?use_index ?budget ?trace () =
    every other slot.  [snap] pins the evaluation to a caller's snapshot;
    by default one atomic read of the serving state is taken after the
    plan, and the evaluation never looks at the live engine again, so a
-   concurrent replace_document or index (re)build cannot tear it. *)
+   concurrent update or index (re)build cannot tear it. *)
 let run_slots t ~route ?snap ~mode ?use_index ?budget ?trace texts =
   let slots, planned = plan_for t ~route ~mode ~use_index ?budget texts in
   let fail e =
@@ -805,16 +764,18 @@ let resolve_target t ~route snap = function
               (List.length answers))))
 
 (* One secure update, atomically: resolve, validate, policy-precheck,
-   apply functionally, DTD-validate the candidate, policy-postcheck, and
+   apply functionally, DTD-check the edit, policy-postcheck, and
    only then publish — the new tree, the incrementally spliced TAX index
    and the tag-scoped plan-cache invalidation land under one lock hold.
    Everything before the publish works on immutable values derived from
    one snapshot, so {e any} failure on the way (including the
    ["update.apply"]/["update.invalidate"] failpoints) is a clean full
    reject: the engine still serves exactly the state it served before.
-   If the document moved underneath (a concurrent update or
-   [replace_document] won the race), the whole staged pipeline is redone
-   from a fresh snapshot rather than patched up. *)
+   If the document moved underneath (a concurrent update won the race),
+   the whole staged pipeline is redone from a fresh snapshot rather than
+   patched up.  A wholesale swap is an admin [Replace] of the root: the
+   DTD check then covers every node of the new document, and the index
+   splice degenerates to a rebuild. *)
 let update_robust t ?group op =
   match principal t group with
   | Error e -> Error e
@@ -830,8 +791,8 @@ let update_robust t ?group op =
         let* () = Update.validate old_tree r in
         (* Every check below is local to the edit: the legality checks
            walk the view only along the edit's ancestors and inside its
-           range, and a known-valid base needs the DTD checked only where
-           the edit changed some element's children. *)
+           range, and the served document is valid, so the DTD needs
+           checking only where the edit changed some element's children. *)
         let* () =
           match member_view with
           | None -> Ok ()
@@ -842,15 +803,9 @@ let update_robust t ?group op =
           match t.dtd with
           | None -> Ok ()
           | Some d ->
-            let errors =
-              if snap.snap_valid then
-                Validator.validate_edit d new_tree ~parent:fp.Update.fp_parent
-                  ~lo:fp.Update.fp_lo ~hi:fp.Update.fp_new_hi
-              else Validator.validate d new_tree
-            in
-            (match first_error errors with
-            | Ok () -> Ok ()
-            | Error msg -> Error (Error.Parse_error { loc = None; msg }))
+            first_error
+              (Validator.validate_edit d new_tree ~parent:fp.Update.fp_parent
+                 ~lo:fp.Update.fp_lo ~hi:fp.Update.fp_new_hi)
         in
         let* () =
           match member_view with
@@ -861,7 +816,7 @@ let update_robust t ?group op =
            the edited range instead of rebuilding O(document).  Computed
            outside the lock — it only reads immutable values. *)
         let* new_tax =
-          Error.guard (fun () ->
+          guard (fun () ->
               Failpoint.trigger "update.apply";
               match snap.snap_tax with
               | None -> None
@@ -876,14 +831,13 @@ let update_robust t ?group op =
       | Error e -> Error e
       | Ok (target, new_tree, fp, new_tax) ->
         let publish =
-          Error.guard (fun () ->
+          guard (fun () ->
               Failpoint.trigger "update.invalidate";
               locked t (fun () ->
                   if t.tree != old_tree then None
                   else begin
                     t.tree <- new_tree;
                     t.source <- None;
-                    t.valid <- true;
                     t.tax <- new_tax;
                     Some
                       (Plan_cache.invalidate_tags t.plan_cache

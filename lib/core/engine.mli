@@ -22,8 +22,8 @@
 
     {b Concurrency.}  The query path is domain-safe: any number of
     domains — a caller's own domain pool, say — may call {!query_robust}
-    against one engine concurrently, interleaved with the administrative
-    operations ({!register_policy}, {!replace_document}, {!build_index},
+    against one engine concurrently, interleaved with updates and the
+    administrative operations ({!register_policy}, {!build_index},
     {!load_index}).  Each query atomically snapshots the served {tree,
     source, index} triple at start and evaluates wholly against that
     snapshot; the plan cache is internally locked; trees and indexes are
@@ -37,9 +37,9 @@ type mode =
   | Stax
       (** single sequential scan of the document's bytes — the string or
           file the engine was loaded from.  An engine built by {!of_tree},
-          or whose document changed through {!replace_document} or an
-          update, holds no bytes: it answers with the DOM driver, whose
-          answers and [answer_xml] are the same. *)
+          or whose document changed through an update, holds no bytes:
+          it answers with the DOM driver, whose answers and [answer_xml]
+          are the same. *)
 
 type outcome = {
   answers : int list;  (** answer node ids (document pre-order) *)
@@ -50,7 +50,10 @@ type outcome = {
   cans_size : int;
 }
 
-(** {1 Construction} *)
+(** {1 Construction}
+
+    Every constructor validates: an engine with a DTD always serves a
+    document that conforms to it, and every write keeps it so. *)
 
 val of_string_robust :
   ?budget:Smoqe_robust.Budget.t ->
@@ -72,21 +75,14 @@ val of_file_robust :
   (t, Smoqe_robust.Error.t) result
 (** Like {!of_string_robust}; parse-error locations carry the file name. *)
 
-val of_tree : ?dtd:Smoqe_xml.Dtd.t -> Smoqe_xml.Tree.t -> t
-(** Serve a tree as given.  The tree is trusted: with [dtd] it is {e not}
-    validated, so the engine does not know it to be valid, and its first
-    update validates the whole candidate document (see
-    {!update_robust}). *)
+val of_tree :
+  ?dtd:Smoqe_xml.Dtd.t -> Smoqe_xml.Tree.t -> (t, Smoqe_robust.Error.t) result
+(** Serve an already-built tree.  With [dtd], the tree is validated as
+    {!of_string_robust} validates: a tree that does not conform is
+    [Error.Parse_error] carrying the validator's first error. *)
 
 val document : t -> Smoqe_xml.Tree.t
 val dtd : t -> Smoqe_xml.Dtd.t option
-
-val replace_document : t -> Smoqe_xml.Tree.t -> (unit, string) result
-(** Swap the served document while keeping the DTD, the registered views
-    and any logged-in sessions.  The new tree is validated against the
-    engine's DTD; the TAX index is dropped (it described the old tree) and
-    the plan cache is invalidated wholesale (generation bump, see
-    {!section-plan_cache}). *)
 
 (** {1 Security views}
 
@@ -148,7 +144,8 @@ val load_index : t -> string -> (unit, string) result
     for a member query); resource budgets are still enforced
     ([max_states] is re-checked against the cached plan).  Groups with
     equal policies share plans; retiring a policy key invalidates its
-    plans; {!replace_document} invalidates everything.  A failed compile
+    plans; an update drops the plans that name a tag it touched.  A
+    failed compile
     — error, tripped budget or injected ["plan.compile"] fault — never
     populates the cache. *)
 
@@ -212,11 +209,17 @@ val rewrite_only :
     discipline — the edit may only touch exposed nodes and must not flip
     the visibility of anything else; violations return
     [Error.Update_denied] (CLI exit code 4) carrying the offending node.
-    Updates never leave partial state: every check, the DTD validation
-    of the candidate and both ["update.apply"]/["update.invalidate"]
-    failpoints sit strictly before the locked publish, so any failure is
-    a clean full reject.  Wholesale {!replace_document} remains the
-    bulk-load path. *)
+    Updates never leave partial state: every check, the DTD check of the
+    edit and both ["update.apply"]/["update.invalidate"] failpoints sit
+    strictly before the locked publish, so any failure is a clean full
+    reject.
+
+    This is the one write path.  A wholesale document swap is an admin
+    [Replace (By_id Tree.root, Tree.to_source t Tree.root)]: the DTD check
+    then covers every node of [t], the live index is rebuilt, views and
+    sessions are kept, and the plans naming a tag of either document are
+    dropped (a surviving plan names neither, and plans depend only on
+    the view and the DTD). *)
 
 type update_report = {
   up_target : int;  (** the resolved target node (pre-update ids) *)
@@ -238,13 +241,11 @@ val update_robust :
     the view and must select exactly one node ([Query_error] otherwise).
     A candidate that violates the engine's DTD is [Parse_error] (the
     input, not the system, is at fault), reporting the first violation in
-    document order.  Every check is local to the edit when the served
-    document is known valid — loaded with a DTD, swapped in by
-    {!replace_document} or published by an update: the legality checks
-    walk the view only along the edit's ancestors and inside its range,
-    and the DTD check reads only the edit parent and the new subtree.
-    On an {!of_tree} document no update has yet replaced, the candidate
-    is validated in full.  Concurrent updates are safe:
+    document order.  Every check is local to the edit, because the served
+    document is always valid: the legality checks walk the view only
+    along the edit's ancestors and inside its range, and the DTD check
+    reads only the edit parent and the new subtree.  Concurrent updates
+    are safe:
     the staged pipeline redoes itself from a fresh snapshot when it
     loses the publish race. *)
 

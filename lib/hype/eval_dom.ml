@@ -56,7 +56,7 @@ let state_useful info idx n has_text s =
   | Prune_always -> false
   | Check (ids, text) -> ((not text) || has_text) && tags_present idx n ids 0
 
-let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
+let run_many ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
     ?(use_tables = true) ?memo_cap (sh : Shared.t) tree =
   let mfa = sh.Shared.mfa in
   (* A table built for exactly this tree can be reused (the plan
@@ -141,7 +141,7 @@ let run_slots ?tax ?(prune_threshold = 48) ?budget ?trace ?tables
 let run ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap mfa
     tree =
   let m =
-    run_slots ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
+    run_many ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap
       (Shared.merge [| mfa |]) tree
   in
   {
@@ -150,8 +150,6 @@ let run ?tax ?prune_threshold ?budget ?trace ?tables ?use_tables ?memo_cap mfa
     cans_size = m.m_cans_size;
     budget_hit = m.m_budget_hit;
   }
-
-let run_many = run_slots
 
 let eval ?tax tree path =
   let mfa = Smoqe_automata.Compile.compile path in

@@ -25,7 +25,7 @@ val run :
   Smoqe_automata.Mfa.t ->
   Smoqe_xml.Tree.t ->
   result
-(** [run_slots] on the batch of one [Shared.merge [| mfa |]], whose
+(** [run_many] on the batch of one [Shared.merge [| mfa |]], whose
     automaton is [mfa] itself.
 
     [prune_threshold] (default 48): subtrees smaller than this many nodes
@@ -50,7 +50,7 @@ type many_result = Engine.pass = {
   m_budget_hit : (string * string) option;
 }
 
-val run_slots :
+val run_many :
   ?tax:Smoqe_tax.Tax.t ->
   ?prune_threshold:int ->
   ?budget:Smoqe_robust.Budget.t ->
@@ -69,19 +69,6 @@ val run_slots :
     specialize the {e merged} automaton.  A
     tripped budget empties every query's answers (the pass is
     all-or-nothing).  {!run} is its single-query form. *)
-
-val run_many :
-  ?tax:Smoqe_tax.Tax.t ->
-  ?prune_threshold:int ->
-  ?budget:Smoqe_robust.Budget.t ->
-  ?trace:Trace.t ->
-  ?tables:Smoqe_automata.Tables.t ->
-  ?use_tables:bool ->
-  ?memo_cap:int ->
-  Smoqe_automata.Shared.t ->
-  Smoqe_xml.Tree.t ->
-  many_result
-(** {!run_slots} under its batch name. *)
 
 val eval :
   ?tax:Smoqe_tax.Tax.t ->

@@ -1,6 +1,5 @@
 module Ast = Smoqe_rxpath.Ast
 module Pretty = Smoqe_rxpath.Pretty
-module Parser = Smoqe_rxpath.Parser
 
 (* The parser already builds through the smart constructors, so parsed
    trees are in normal form; this pass makes [to_key] total over ASTs
@@ -21,6 +20,3 @@ and normalize_qual = function
   | Ast.Or (a, b) -> Ast.q_or (normalize_qual a) (normalize_qual b)
 
 let to_key p = Pretty.path_to_string (normalize p)
-
-let of_string text =
-  Result.map to_key (Parser.path_of_string text)

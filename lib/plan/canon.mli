@@ -21,7 +21,3 @@ val normalize : Smoqe_rxpath.Ast.path -> Smoqe_rxpath.Ast.path
 
 val to_key : Smoqe_rxpath.Ast.path -> string
 (** The canonical rendering of [normalize p]. *)
-
-val of_string : string -> (string, string) result
-(** Parse query text and render its key.  [Error] is the parser's message
-    for unusable text. *)

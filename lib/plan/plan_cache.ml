@@ -18,7 +18,6 @@ type scope = All_tags | Tags of string list
 type 'plan entry = {
   plan : 'plan;
   scope : scope;
-  g_global : int;  (* global generation at insertion *)
   g_pkey : int;  (* the policy key's generation at insertion; 0 for [None] *)
   mutable stamp : int;  (* recency; larger = more recently used *)
 }
@@ -35,7 +34,6 @@ type 'plan t = {
   mutable capacity : int;
   table : (key, 'plan entry) Hashtbl.t;
   mutable tick : int;
-  mutable gen_global : int;
   gen_pkeys : (string, int) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
@@ -52,7 +50,6 @@ let create ?(capacity = 128) () =
     capacity;
     table = Hashtbl.create 64;
     tick = 0;
-    gen_global = 0;
     gen_pkeys = Hashtbl.create 4;
     hits = 0;
     misses = 0;
@@ -63,14 +60,11 @@ let create ?(capacity = 128) () =
 
 let locked t f = Mutex.protect t.lock f
 
-(* A generation token: the (global, policy key) generation pair a caller
-   captured before starting a compile.  [add ~gen] refuses to insert when
-   either component has moved — the plan was minted against state
-   (a view, a document) that is no longer the one being served. *)
-type gen = {
-  snap_global : int;
-  snap_pkey : int;
-}
+(* A generation token: the policy key's generation a caller captured
+   before starting a compile.  [add ~gen] refuses to insert when it has
+   moved — the plan was minted against a view that is no longer the one
+   being served. *)
+type gen = int
 
 let capacity t = locked t (fun () -> t.capacity)
 let length t = locked t (fun () -> Hashtbl.length t.table)
@@ -81,9 +75,7 @@ let pkey_gen t = function
   | None -> 0
   | Some k -> Option.value (Hashtbl.find_opt t.gen_pkeys k) ~default:0
 
-let current t key entry =
-  entry.g_global = t.gen_global
-  && entry.g_pkey = pkey_gen t key.policy_key
+let current t key entry = entry.g_pkey = pkey_gen t key.policy_key
 
 let touch t entry =
   t.tick <- t.tick + 1;
@@ -131,9 +123,7 @@ let record_miss t =
   if Atomic.get t.enabled then
     locked t (fun () -> if t.capacity > 0 then t.misses <- t.misses + 1)
 
-let generation t key =
-  locked t (fun () ->
-      { snap_global = t.gen_global; snap_pkey = pkey_gen t key.policy_key })
+let generation t key = locked t (fun () -> pkey_gen t key.policy_key)
 
 let add t ?gen ?(scope = All_tags) key plan =
   if Atomic.get t.enabled then
@@ -142,9 +132,7 @@ let add t ?gen ?(scope = All_tags) key plan =
           let fresh =
             match gen with
             | None -> true
-            | Some g ->
-              g.snap_global = t.gen_global
-              && g.snap_pkey = pkey_gen t key.policy_key
+            | Some g -> g = pkey_gen t key.policy_key
           in
           if not fresh then
             (* An invalidation landed while the plan was being compiled:
@@ -156,8 +144,7 @@ let add t ?gen ?(scope = All_tags) key plan =
                 evict_one t
               done;
             let entry =
-              { plan; scope; g_global = t.gen_global;
-                g_pkey = pkey_gen t key.policy_key; stamp = 0 }
+              { plan; scope; g_pkey = pkey_gen t key.policy_key; stamp = 0 }
             in
             touch t entry;
             Hashtbl.replace t.table key entry
@@ -178,8 +165,6 @@ let set_capacity t n =
 let invalidate_policy_key t pkey =
   locked t (fun () ->
       Hashtbl.replace t.gen_pkeys pkey (1 + pkey_gen t (Some pkey)))
-
-let invalidate_all t = locked t (fun () -> t.gen_global <- t.gen_global + 1)
 
 (* Subtree-scoped invalidation, for functional updates: eagerly remove
    the entries whose scope intersects the mutated subtree's element
@@ -206,15 +191,6 @@ let invalidate_tags t names =
         let n = List.length doomed in
         t.tag_drops <- t.tag_drops + n;
         n)
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.table;
-      t.hits <- 0;
-      t.misses <- 0;
-      t.evictions <- 0;
-      t.stale_drops <- 0;
-      t.tag_drops <- 0)
 
 let hits t = locked t (fun () -> t.hits)
 let misses t = locked t (fun () -> t.misses)

@@ -8,12 +8,13 @@
     query text ({!Canon.to_key}), the evaluation mode and the index flag,
     and evicted in least-recently-used order under a capacity knob.
 
-    {b Invalidation is generational}, not eager: retiring a policy key
-    bumps that key's generation, replacing the document bumps the global
-    one, and entries minted under an older generation are dropped lazily
-    on lookup.  Invalidation therefore costs O(1) no matter how many plans
-    a hot policy has accumulated — the stale entries age out of the LRU
-    like any other cold plan.
+    {b Retiring a policy key is generational}, not eager: it bumps that
+    key's generation, and entries minted under an older generation are
+    dropped lazily on lookup.  It therefore costs O(1) no matter how many
+    plans a hot policy has accumulated — the stale entries age out of the
+    LRU like any other cold plan.  A document write drops plans eagerly,
+    by tag scope ({!invalidate_tags}).  Plans depend only on the view and
+    the DTD, so nothing else invalidates them.
 
     A capacity of [0] disables the cache entirely: probes miss without
     recording traffic and insertion is a no-op.
@@ -39,7 +40,7 @@
     view change could otherwise be inserted after it and be stamped with
     the {e new} generation, serving the old view as current.  The caller
     therefore captures a {!generation} token before compiling and passes
-    it to {!add}, which refuses (counting a [stale_drop]) when either
+    it to {!add}, which refuses (counting a [stale_drop]) when the
     generation has moved.  Counters ([hits], [misses], …) are exact, each
     being bumped under the lock. *)
 
@@ -96,18 +97,18 @@ val record_miss : _ t -> unit
 (** Count one compile forced by a cache miss.  No-op when disabled. *)
 
 type gen
-(** A generation token: the key's (global, policy-key) generation pair at
-    the moment {!generation} was called. *)
+(** A generation token: the key's policy-key generation at the moment
+    {!generation} was called. *)
 
 val generation : _ t -> key -> gen
-(** Capture the key's current generations.  Call {e before} reading the
+(** Capture the key's current generation.  Call {e before} reading the
     view (or any other invalidatable state) the plan will be compiled
     from, and hand the token to {!add}. *)
 
 val add : 'plan t -> ?gen:gen -> ?scope:scope -> key -> 'plan -> unit
-(** Insert (or replace) under the current generations, evicting the
+(** Insert (or replace) under the current generation, evicting the
     least-recently-used entry when full.  With [~gen], the insert is a
-    no-op (counted under [stale_drops]) if either generation has moved
+    no-op (counted under [stale_drops]) if the generation has moved
     since the token was captured — the plan was compiled against state
     that has been invalidated mid-flight and must not be served as
     current.  [~scope] (default [All_tags]) declares the entry's tag
@@ -118,11 +119,6 @@ val invalidate_policy_key : _ t -> string -> unit
     (its last group moved away or was removed): every plan cached under
     the key is stale. *)
 
-val invalidate_all : _ t -> unit
-(** The document (or everything) changed: all plans are stale.  Direct
-    (view-less) plans are only invalidated here — they do not depend on
-    any view. *)
-
 val invalidate_tags : _ t -> string list -> int
 (** Subtree-scoped invalidation after a functional update: eagerly
     remove every entry whose scope intersects the given element names
@@ -130,9 +126,6 @@ val invalidate_tags : _ t -> string list -> int
     return how many died.  Warm entries with disjoint scopes survive —
     this is the point: a localized edit must not cool the whole cache.
     Eager rather than generational because only a subset dies. *)
-
-val clear : _ t -> unit
-(** Drop all entries and reset counters; generations survive. *)
 
 (** {1 Counters} *)
 

@@ -2,7 +2,6 @@ type t = {
   deadline : int; (* absolute, monotonic-clock ns; max_int = none *)
   timeout_ms : int option;
   nodes_limit : int; (* max_int = unlimited: the hot compare never fires *)
-  max_nodes : int option;
   max_cans : int option;
   max_states : int option;
   max_depth : int option;
@@ -28,21 +27,12 @@ let create ?timeout_ms ?max_nodes ?max_cans ?max_states ?max_depth () =
   in
   { deadline; timeout_ms;
     nodes_limit = Option.value max_nodes ~default:max_int;
-    max_nodes; max_cans; max_states; max_depth; nodes = 0 }
+    max_cans; max_states; max_depth; nodes = 0 }
 
 let check_deadline t =
   if now_ns () > t.deadline then
     exceeded ~what:"timeout_ms"
       ~limit:(string_of_int (Option.value t.timeout_ms ~default:0) ^ "ms")
-
-(* The hot-path check: one increment and two int compares per node; the
-   clock is read only every 256 ticks. *)
-let tick_node t =
-  let n = t.nodes + 1 in
-  t.nodes <- n;
-  if n > t.nodes_limit then
-    exceeded ~what:"max_nodes" ~limit:(string_of_int t.nodes_limit);
-  if n land 255 = 0 then check_deadline t
 
 (* Batched form for the evaluators: the caller counts locally and settles
    every [k] units, so the per-node cost is a single local increment. *)
@@ -70,17 +60,3 @@ let check_states t n =
 
 let max_depth_limit t = Option.value t.max_depth ~default:max_int
 let nodes_scanned t = t.nodes
-
-let describe t =
-  let dims =
-    List.filter_map
-      (fun (name, v) -> Option.map (fun v -> Printf.sprintf "%s=%d" name v) v)
-      [
-        ("timeout_ms", t.timeout_ms);
-        ("max_nodes", t.max_nodes);
-        ("max_cans", t.max_cans);
-        ("max_states", t.max_states);
-        ("max_depth", t.max_depth);
-      ]
-  in
-  match dims with [] -> "unlimited" | _ -> String.concat ", " dims

@@ -50,10 +50,6 @@ val create :
 (** Omitted dimensions are unlimited.  The wall-clock deadline is armed at
     creation time: create the budget when the query arrives. *)
 
-val tick_node : t -> unit
-(** Count one node/event of work; checks [max_nodes] always and the
-    deadline every 256 ticks. *)
-
 val tick_nodes : t -> int -> unit
 (** [tick_nodes t k] counts [k] units at once.  The evaluators batch their
     ticks (counting locally, settling every 32 nodes and once at the end)
@@ -71,6 +67,3 @@ val max_depth_limit : t -> int
 
 val nodes_scanned : t -> int
 (** Work consumed so far (parser events plus evaluator node entries). *)
-
-val describe : t -> string
-(** Human-readable summary of the configured limits. *)

@@ -45,34 +45,19 @@ let exit_code = function
   | Update_denied _ -> 4
   | _ -> 1
 
-let classifiers : (exn -> t option) list ref = ref []
-
-let register_classifier f = classifiers := f :: !classifiers
-
-let classify exn =
-  let rec try_registered = function
-    | [] -> None
-    | f :: rest ->
-      (match (try f exn with _ -> None) with
-      | Some e -> Some e
-      | None -> try_registered rest)
-  in
-  match try_registered !classifiers with
-  | Some e -> e
-  | None ->
-    (match exn with
-    | Budget.Exceeded { what; limit } ->
-      Budget_exceeded { what; limit; partial_stats = [] }
-    | Failpoint.Injected site -> Io_error ("injected fault at " ^ site)
-    | Sys_error msg -> Io_error msg
-    | End_of_file -> Io_error "unexpected end of file"
-    | Stack_overflow -> Internal "stack overflow"
-    | Out_of_memory -> Internal "out of memory"
-    | Invalid_argument msg -> Internal ("invalid argument: " ^ msg)
-    | Failure msg -> Internal msg
-    | Not_found -> Internal "not found"
-    | Assert_failure (f, l, c) ->
-      Internal (Printf.sprintf "assertion failed at %s:%d:%d" f l c)
-    | e -> Internal (Printexc.to_string e))
+let classify = function
+  | Budget.Exceeded { what; limit } ->
+    Budget_exceeded { what; limit; partial_stats = [] }
+  | Failpoint.Injected site -> Io_error ("injected fault at " ^ site)
+  | Sys_error msg -> Io_error msg
+  | End_of_file -> Io_error "unexpected end of file"
+  | Stack_overflow -> Internal "stack overflow"
+  | Out_of_memory -> Internal "out of memory"
+  | Invalid_argument msg -> Internal ("invalid argument: " ^ msg)
+  | Failure msg -> Internal msg
+  | Not_found -> Internal "not found"
+  | Assert_failure (f, l, c) ->
+    Internal (Printf.sprintf "assertion failed at %s:%d:%d" f l c)
+  | e -> Internal (Printexc.to_string e)
 
 let guard f = match f () with v -> Ok v | exception e -> Error (classify e)

@@ -8,10 +8,12 @@
     is a value of {!t}, and {!guard} is the boundary combinator that turns
     any escaped exception into one.
 
-    Layering: this module knows nothing about the rest of SMOQE.  Upper
-    layers teach it their exceptions with {!register_classifier}; the
-    built-in fallback covers the standard library, {!Budget.Exceeded} and
-    {!Failpoint.Injected}. *)
+    Layering: this module knows nothing about the rest of SMOQE and keeps
+    no state.  {!classify} covers the standard library,
+    {!Budget.Exceeded} and {!Failpoint.Injected}; an upper layer that
+    raises exceptions of its own classifies them in its own guard and
+    falls back to {!classify} for the rest ([Smoqe.Engine] does so for
+    the parser, derivation and HyPE driver exceptions). *)
 
 type location = {
   file : string option;
@@ -50,15 +52,9 @@ val exit_code : t -> int
     view rejected a write), 1 for everything else (0 is success and never
     returned here). *)
 
-val register_classifier : (exn -> t option) -> unit
-(** Add a classifier consulted (most recent first) by {!classify} before
-    the built-in fallback.  Idempotent registration is the caller's
-    business; SMOQE's core registers its library exceptions once at
-    initialization. *)
-
 val classify : exn -> t
 (** Map any exception to the taxonomy.  Never raises. *)
 
 val guard : (unit -> 'a) -> ('a, t) result
 (** [guard f] runs [f] and converts {e any} exception into [Error] via
-    {!classify} — the combinator that makes the façade total. *)
+    {!classify}. *)

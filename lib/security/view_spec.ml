@@ -159,5 +159,3 @@ let of_string ~doc_dtd ~view_dtd input =
       (Ok []) lines
   in
   of_annotations ~doc_dtd ~view_dtd (List.rev annotations)
-
-let to_string view = Fmt.str "%a" Derive.pp_spec view

@@ -33,7 +33,3 @@ val of_string :
   string ->
   (Derive.view, string) result
 (** Parse the concrete [sigma(parent, child) = path] syntax. *)
-
-val to_string : Derive.view -> string
-(** Render a view's specification in the same syntax ({!of_string} inverse
-    for manually specified views). *)

@@ -29,7 +29,6 @@ let build tree =
   done;
   { tree; post; by_tag }
 
-let pre _ node = node
 let post t node = t.post.(node)
 let level t node = Tree.depth t.tree node
 

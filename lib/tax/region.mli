@@ -12,7 +12,6 @@ type t
 val build : Smoqe_xml.Tree.t -> t
 (** One pass over the document. *)
 
-val pre : t -> Smoqe_xml.Tree.node -> int
 val post : t -> Smoqe_xml.Tree.node -> int
 val level : t -> Smoqe_xml.Tree.node -> int
 

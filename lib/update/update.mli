@@ -7,11 +7,10 @@
     {!Smoqe_xml.Tree.t} values and never holds engine state.  The engine
     resolves [By_path] targets (a Regular XPath that must select exactly
     one node, evaluated through the member's view), drives
-    [validate] → [precheck] → [apply] → [postcheck], DTD-validates the
-    candidate (locally, at the edit, when the base document is known
-    valid) and atomically publishes it together with the
-    incrementally maintained TAX index and the subtree-scoped plan-cache
-    invalidation ({!Smoqe_plan.Plan_cache.invalidate_tags}).  A rejected
+    [validate] → [precheck] → [apply] → [postcheck], DTD-checks the
+    candidate locally, at the edit, and atomically publishes it together
+    with the incrementally maintained TAX index and the subtree-scoped
+    plan-cache invalidation ({!Smoqe_plan.Plan_cache.invalidate_tags}).  A rejected
     update returns [Error.Update_denied] with the offending node and
     leaves no partial state anywhere. *)
 

@@ -88,7 +88,7 @@ let test_engine_view_query () =
    plan. *)
 let test_stax_on_tree_is_dom () =
   let doc = Hospital.generate ~seed:5 ~n_patients:40 ~recursion_depth:2 () in
-  let e = Engine.of_tree doc in
+  let e = okr (Engine.of_tree doc) in
   let warm mode =
     let run () = okr (Engine.query_robust e ~mode "//medication") in
     ignore (run ());
@@ -110,7 +110,7 @@ let test_stax_on_tree_is_dom () =
 let test_stax_reads_bytes_only () =
   let doc = Hospital.generate ~seed:5 ~n_patients:4 ~recursion_depth:1 () in
   let bytes = okr (Engine.of_string_robust (Serializer.to_string doc)) in
-  let tree = Engine.of_tree doc in
+  let tree = okr (Engine.of_tree doc) in
   let hits e =
     Smoqe_robust.Failpoint.with_failpoints "pull.read=always" (fun () ->
         ignore (okr (Engine.query_robust e ~mode:Engine.Stax "//pname"));

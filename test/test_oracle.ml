@@ -55,7 +55,7 @@ let modes = [ (Engine.Dom, "dom"); (Engine.Stax, "stax") ]
    of the two legs would name different nodes. *)
 let engine_for ~dtd mode doc =
   match mode with
-  | Engine.Dom -> Engine.of_tree ~dtd doc
+  | Engine.Dom -> okr (Engine.of_tree ~dtd doc)
   | Engine.Stax ->
     let bytes = Serializer.to_string ~indent:false doc in
     let e = okr (Engine.of_string_robust ~dtd bytes) in
@@ -208,7 +208,7 @@ let test_bib () =
    V1–V5 rewritten for a member group, Q1–Q8 as the administrator. *)
 let test_paths_agree_hospital () =
   let doc = Hospital.generate ~seed:5 ~n_patients:200 ~recursion_depth:3 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   let agree ?group (qname, text) =
     let served = okr (Engine.query_robust engine ?group text) in
@@ -222,7 +222,7 @@ let test_paths_agree_hospital () =
    oracle holds through the login path too. *)
 let test_session_oracle () =
   let doc = Hospital.generate ~seed:13 ~n_patients:3 ~recursion_depth:1 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   let view = Option.get (Engine.view engine ~group:"members") in
   let session = ok (Session.login engine (Session.Member "members")) in
@@ -276,7 +276,7 @@ let property_case seed =
   match doc with
   | None -> ()
   | Some doc ->
-    let engine = Engine.of_tree ~dtd doc in
+    let engine = okr (Engine.of_tree ~dtd doc) in
     (match Engine.register_policy engine ~group:"members" policy with
     | Error _ -> () (* derivation unsupported for this draw: skip *)
     | Ok () ->
@@ -326,7 +326,7 @@ let property_case seed =
             (fun w -> Printf.sprintf "seed %d %s: %s" seed mname w)
             twin ~mode text)
         [
-          ( Engine.Dom, "dom", Engine.of_tree ~dtd doc,
+          ( Engine.Dom, "dom", okr (Engine.of_tree ~dtd doc),
             [ ("cold", dom); ("warm", warm) ] );
           ( Engine.Stax, "stax", engine_for ~dtd Engine.Stax parsed,
             [ ("cold", stax); ("warm", warm_stax) ] );
@@ -371,7 +371,7 @@ let pooled_batch ~shards engine ~group texts =
    contention) and warm (every run a cache hit).  Both must be
    byte-identical to the reference — answer ids and serialized XML. *)
 let parallel_battery ~name ~dtd ~policy ~doc queries =
-  let ref_engine = Engine.of_tree ~dtd doc in
+  let ref_engine = okr (Engine.of_tree ~dtd doc) in
   ok (Engine.register_policy ref_engine ~group:"members" policy);
   let reference =
     List.map
@@ -380,7 +380,7 @@ let parallel_battery ~name ~dtd ~policy ~doc queries =
           .Engine.answer_xml)
       queries
   in
-  let engine = Engine.of_tree ~dtd doc in
+  let engine = okr (Engine.of_tree ~dtd doc) in
   ok (Engine.register_policy engine ~group:"members" policy);
   let texts = List.map snd queries in
   let serve label ~expect_hits =
@@ -436,7 +436,7 @@ let test_parallel_property () =
     match Docgen.generate ~seed:(seed * 5 + 2) ~max_depth:8 ~fanout:2 dtd with
     | exception Docgen.No_finite_expansion _ -> ()
     | doc ->
-      let engine = Engine.of_tree ~dtd doc in
+      let engine = okr (Engine.of_tree ~dtd doc) in
       (match Engine.register_policy engine ~group:"members" policy with
       | Error _ -> () (* derivation unsupported for this draw: skip *)
       | Ok () ->
@@ -541,7 +541,7 @@ let test_batch_bib () =
    re-concatenated in input order. *)
 let batch_pooled ~name ~dtd ~policy ~doc queries =
   let texts = List.map snd queries @ [ snd (List.hd queries) ] in
-  let ref_engine = Engine.of_tree ~dtd doc in
+  let ref_engine = okr (Engine.of_tree ~dtd doc) in
   ok (Engine.register_policy ref_engine ~group:"members" policy);
   let reference =
     List.map
@@ -550,7 +550,7 @@ let batch_pooled ~name ~dtd ~policy ~doc queries =
           .Engine.answer_xml)
       texts
   in
-  let engine = Engine.of_tree ~dtd doc in
+  let engine = okr (Engine.of_tree ~dtd doc) in
   ok (Engine.register_policy engine ~group:"members" policy);
   let results =
     pooled_batch ~shards:4 engine ~group:"members" texts
@@ -579,7 +579,7 @@ let test_batch_pooled_bib () =
 (* A malformed member fails alone: every other slot is still served. *)
 let test_batch_bad_member () =
   let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   let good = List.map snd Queries.view_suite in
   let texts =
@@ -614,11 +614,11 @@ let test_batch_bad_member () =
    outcome with its own counters. *)
 let test_batch_one_key () =
   let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   let q = snd (List.hd Queries.view_suite) in
   let reference = okr (Engine.query_robust engine ~group:"members" q) in
-  let fresh = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let fresh = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy fresh ~group:"members" Hospital.policy);
   let texts = [ q; "  " ^ q ^ " "; "(" ^ q ^ ")"; q ] in
   let results, agg = Engine.run_many_robust fresh ~group:"members" texts in
@@ -652,7 +652,7 @@ let test_batch_one_key () =
    own parse error, the good slots are served as a single query. *)
 let test_batch_one_key_bad_member () =
   let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   let q = snd (List.hd Queries.view_suite) in
   let reference = okr (Engine.query_robust engine ~group:"members" q) in
@@ -684,7 +684,7 @@ let test_batch_property () =
     match Docgen.generate ~seed:(seed * 5 + 2) ~max_depth:8 ~fanout:2 dtd with
     | exception Docgen.No_finite_expansion _ -> ()
     | doc ->
-      let engine = Engine.of_tree ~dtd doc in
+      let engine = okr (Engine.of_tree ~dtd doc) in
       (match Engine.register_policy engine ~group:"members" policy with
       | Error _ -> () (* derivation unsupported for this draw: skip *)
       | Ok () ->
@@ -735,7 +735,7 @@ let test_batch_property () =
    member's own sequential runs. *)
 let test_batch_session () =
   let doc = Hospital.generate ~seed:13 ~n_patients:3 ~recursion_depth:1 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   let session = ok (Session.login engine (Session.Member "members")) in
   let texts = List.map snd Queries.view_suite in
@@ -833,7 +833,7 @@ let check_scan_of_updated label ~dtd ~policy updated texts =
     texts
 
 let write_battery ~name ~dtd ~policy ~doc ~seed queries =
-  let engine = Engine.of_tree ~dtd doc in
+  let engine = okr (Engine.of_tree ~dtd doc) in
   ok (Engine.register_policy engine ~group:"members" policy);
   Engine.build_index engine;
   (* warm the cache first so the update sequence exercises scoped
@@ -846,7 +846,7 @@ let write_battery ~name ~dtd ~policy ~doc ~seed queries =
   Alcotest.(check bool) (name ^ ": updates applied") true (applied > 0);
   let updated = Engine.document engine in
   (* reference: re-materialize everything from scratch *)
-  let fresh = Engine.of_tree ~dtd updated in
+  let fresh = okr (Engine.of_tree ~dtd updated) in
   ok (Engine.register_policy fresh ~group:"members" policy);
   Engine.build_index fresh;
   Alcotest.(check bool) (name ^ ": spliced index = rebuilt index") true
@@ -879,17 +879,30 @@ let write_battery ~name ~dtd ~policy ~doc ~seed queries =
   check_scan_of_updated
     (Printf.sprintf "%s scan of the updated bytes: %s" name)
     ~dtd ~policy updated (List.map snd queries);
-  (* wholesale replace_document remains byte-identical to both *)
-  let whole = Engine.of_tree ~dtd doc in
+  (* a wholesale swap — an admin replace of the root, over a live
+     index — is byte-identical to both, and its rebuilt index to the
+     fresh one *)
+  let whole = okr (Engine.of_tree ~dtd doc) in
   ok (Engine.register_policy whole ~group:"members" policy);
-  ok (Engine.replace_document whole updated);
   Engine.build_index whole;
+  let report =
+    okr
+      (Engine.update_robust whole
+         (Update.Replace
+            (Update.By_id Tree.root, Tree.to_source updated Tree.root)))
+  in
+  Alcotest.(check bool) (name ^ ": swap maintains the live index") true
+    report.Engine.up_index_maintained;
+  Alcotest.(check bool) (name ^ ": swapped index = rebuilt index") true
+    (Tax.equal
+       (Option.get (Engine.index whole))
+       (Option.get (Engine.index fresh)));
   List.iter
     (fun (qname, text) ->
       let reference = okr (Engine.query_robust fresh ~group:"members" text) in
       let o = okr (Engine.query_robust whole ~group:"members" text) in
       Alcotest.(check (list string))
-        (Printf.sprintf "%s %s: replace_document agrees" name qname)
+        (Printf.sprintf "%s %s: document swap agrees" name qname)
         reference.Engine.answer_xml o.Engine.answer_xml)
     queries;
   (* pooled at 4 domains: the updated engine serves the whole suite
@@ -939,7 +952,7 @@ let test_write_property () =
     match Docgen.generate ~seed:(seed * 5 + 2) ~max_depth:8 ~fanout:2 dtd with
     | exception Docgen.No_finite_expansion _ -> ()
     | doc ->
-      let engine = Engine.of_tree ~dtd doc in
+      let engine = okr (Engine.of_tree ~dtd doc) in
       (match Engine.register_policy engine ~group:"members" policy with
       | Error _ -> ()  (* derivation unsupported for this draw: skip *)
       | Ok () ->
@@ -962,7 +975,7 @@ let test_write_property () =
         Alcotest.(check bool)
           (Printf.sprintf "seed %d: updates applied" seed)
           true (applied > 0);
-        let fresh = Engine.of_tree ~dtd (Engine.document engine) in
+        let fresh = okr (Engine.of_tree ~dtd (Engine.document engine)) in
         ok (Engine.register_policy fresh ~group:"members" policy);
         Engine.build_index fresh;
         Alcotest.(check bool)
@@ -1007,7 +1020,7 @@ let policy_of_text dtd text = ok (Smoqe_security.Policy.of_string dtd text)
 let open_policy dtd = policy_of_text dtd ""
 
 let tenant_reference ~dtd ~policy ~doc =
-  let cold = Engine.of_tree ~dtd doc in
+  let cold = okr (Engine.of_tree ~dtd doc) in
   ok (Engine.register_policy cold ~group:"members" policy);
   let view = Option.get (Engine.view cold ~group:"members") in
   (cold, visible_set view doc)
@@ -1127,7 +1140,7 @@ let test_tenant_isolation () =
 let test_tenant_churn_and_update () =
   let doc = Hospital.generate ~seed:9 ~n_patients:3 ~recursion_depth:1 () in
   let dtd = Hospital.dtd in
-  let engine = Engine.of_tree ~dtd doc in
+  let engine = okr (Engine.of_tree ~dtd doc) in
   List.iter
     (fun t ->
       ok (Engine.register_policy engine ~group:t Hospital.policy))
@@ -1219,12 +1232,12 @@ let test_tenant_property () =
     match Docgen.generate ~seed:(seed * 5 + 2) ~max_depth:8 ~fanout:2 dtd with
     | exception Docgen.No_finite_expansion _ -> ()
     | doc ->
-      let engine = Engine.of_tree ~dtd doc in
+      let engine = okr (Engine.of_tree ~dtd doc) in
       (match Engine.register_policy engine ~group:"a" policy with
       | Error _ -> ()  (* derivation unsupported for this draw: skip *)
       | Ok () ->
         ok (Engine.register_policy engine ~group:"b" policy);
-        let cold = Engine.of_tree ~dtd doc in
+        let cold = okr (Engine.of_tree ~dtd doc) in
         ok (Engine.register_policy cold ~group:"members" policy);
         let view = Option.get (Engine.view cold ~group:"members") in
         let visible = visible_set view doc in

@@ -7,8 +7,8 @@
      the plan cache is probed and populated concurrently;
    - administrative churn as tasks of the same run, racing the queries:
      the group's policy re-registered (a no-op that must keep its plans)
-     and the document replaced with an equal tree (invalidating
-     everything);
+     and the document replaced with an equal tree (an admin replace of
+     the root, dropping every plan that names one of its tags);
    - group traffic from many principals at once: 8 more groups sharing
      one canonical policy key, half the batch routed through them, with
      policy churn mid-flight — idempotent re-registration (a key hit) on
@@ -49,9 +49,14 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+let engine_of doc =
+  match Engine.of_tree ~dtd:Hospital.dtd doc with
+  | Ok e -> e
+  | Error e -> die "of_tree: %s" (Err.to_string e)
+
 let () =
   let doc = Hospital.generate ~seed:42 ~n_patients:24 ~recursion_depth:2 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = engine_of doc in
   (match Engine.register_policy engine ~group:"members" Hospital.policy with
   | Ok () -> ()
   | Error msg -> die "register_policy: %s" msg);
@@ -73,12 +78,12 @@ let () =
   done;
 
   (* Sequential reference for the hot suite, on an engine the pool never
-     touches.  replace_document below swaps in an equal tree and
+     touches.  The root replace below swaps in an equal tree and
      re-registration reuses the same policy, so these stay the truth for
      the whole run. *)
   let hot = Queries.suite @ Queries.view_suite in
   let reference = Hashtbl.create 16 in
-  let ref_engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let ref_engine = engine_of doc in
   (match Engine.register_policy ref_engine ~group:"members" Hospital.policy with
   | Ok () -> ()
   | Error msg -> die "reference register_policy: %s" msg);
@@ -114,9 +119,12 @@ let () =
         on (i mod 37 = 17)
           (churn "re-register" (fun () ->
                Engine.register_policy engine ~group:"members" Hospital.policy));
-        on (i mod 97 = 53)
-          (churn "replace_document" (fun () ->
-               Engine.replace_document engine doc));
+        (* a wholesale swap is an admin replace of the root *)
+        on (i mod 97 = 53) (fun () ->
+            Wrote
+              (Engine.update_robust engine
+                 (Update.Replace
+                    (Update.By_id Tree.root, Tree.to_source doc Tree.root))));
         (* group policy churn mid-flight: an idempotent re-registration on
            a served group (a policy-key hit, semantics unchanged)... *)
         on (i mod 41 = 11)
@@ -133,8 +141,8 @@ let () =
         (* concurrent writes: identity replaces keep every answer
            byte-stable (so the hot-reference check below stays the truth)
            while the write path's snapshot/retry publish races the queries
-           and the admin churn.  Identity edits and the equal-tree
-           replace_document keep the node count constant, so a By_id
+           and the admin churn.  Identity edits and the equal-tree root
+           replace keep the node count constant, so a By_id
            picked from the live document stays in range whatever
            interleaving wins. *)
         on (i mod 29 = 13) (fun () ->

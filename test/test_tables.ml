@@ -1,6 +1,6 @@
 (* The table layer in isolation: tree and stream specialization,
    wildcard/text columns, unseen-tag behavior, memo eviction under a tiny
-   cap, plan-riding invalidation through replace_document, and the
+   cap, plan-riding invalidation through a document swap, and the
    allocation bound of a warm table-path run. *)
 
 module Tree = Smoqe_xml.Tree
@@ -213,11 +213,12 @@ let test_memo_eviction () =
     (roomy.Eval_dom.stats.Stats.memo_evictions)
 
 (* Plan-riding specialization: the second Dom query is a plan hit and must
-   reuse the frozen table (no new specialization); replace_document drops
-   the plan and its table, and answers track the new tree. *)
-let test_replace_document_invalidation () =
+   reuse the frozen table (no new specialization); a document swap (an
+   admin replace of the root) drops the plan and its table, and answers
+   track the new tree. *)
+let test_swap_invalidation () =
   let doc_a = tree_of "<r><a><b>one</b></a><a><b>two</b></a></r>" in
-  let engine = Engine.of_tree doc_a in
+  let engine = okr (Engine.of_tree doc_a) in
   let q = "//a/b" in
   let cold = okr (Engine.query_robust engine q) in
   Alcotest.(check int) "cold: 2 answers on A" 2 (List.length cold.Engine.answers);
@@ -235,7 +236,11 @@ let test_replace_document_invalidation () =
       "<r><z0/><z1/><z2/><z3/><z4/><a><b>three</b></a><z5><a><b>four</b></a>\
        </z5></r>"
   in
-  ok (Engine.replace_document engine doc_b);
+  let swap =
+    Smoqe_update.Update.(
+      Replace (By_id Tree.root, Tree.to_source doc_b Tree.root))
+  in
+  ignore (okr (Engine.update_robust engine swap));
   let after = okr (Engine.query_robust engine q) in
   Alcotest.(check int) "after replace: plans dropped" 0
     after.Engine.stats.Stats.plan_cache_hit;
@@ -280,7 +285,7 @@ let test_disabled_counters_quiet () =
    collection depends on where the collections fall). *)
 let test_warm_run_alloc () =
   let doc = Hospital.generate ~seed:1 ~n_patients:200 ~recursion_depth:3 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy engine ~group:"staff" Hospital.policy);
   let per_node ?group text =
     let mfa = (okr (Engine.query_robust engine ?group text)).Engine.mfa in
@@ -329,8 +334,8 @@ let () =
             test_stax_unseen_tags;
           Alcotest.test_case "memo eviction under tiny cap" `Quick
             test_memo_eviction;
-          Alcotest.test_case "replace_document invalidates tables" `Quick
-            test_replace_document_invalidation;
+          Alcotest.test_case "document swap invalidates tables" `Quick
+            test_swap_invalidation;
           Alcotest.test_case "disabled: quiet counters" `Quick
             test_disabled_counters_quiet;
           Alcotest.test_case "warm run allocation per node" `Quick

@@ -183,7 +183,7 @@ let hidden_node view doc =
 
 let test_denied_is_noop () =
   let doc = Hospital.generate ~seed:7 ~n_patients:4 ~recursion_depth:2 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   Engine.build_index engine;
   let view = Option.get (Engine.view engine ~group:"members") in
@@ -367,7 +367,7 @@ let member_edit rng view doc =
    the reference on the engine's current document, and an allowed edit
    must leave the reference's new tree.  Returns (allowed, denied). *)
 let differential_legality label ~dtd ~policy ~seed ~steps doc =
-  let engine = Engine.of_tree ~dtd doc in
+  let engine = okr (Engine.of_tree ~dtd doc) in
   match Engine.register_policy engine ~group:"members" policy with
   | Error _ -> (0, 0) (* derivation unsupported for this draw *)
   | Ok () ->
@@ -473,7 +473,7 @@ let test_qualifier_flip_denied () =
   postcheck "replace" replace ~want:(Printf.sprintf "denied at %d" med);
   postcheck "delete" (Update.R_delete med)
     ~want:(Printf.sprintf "denied at %d" patient);
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   Alcotest.(check string) "the engine denies the replace"
     (Printf.sprintf "denied at %d" med)
@@ -606,62 +606,46 @@ let test_local_validation () =
   Alcotest.(check bool) "valid candidates seen" true (!valid > 200);
   Alcotest.(check bool) "invalid candidates seen" true (!invalid > 200)
 
-(* [of_tree] trusts its tree, so the engine's first write on it
-   validates the whole candidate: an error far from the edit is still
-   the one reported.  Once a write is published, the tree is known valid
-   and later writes are checked at the edit — with the same verdicts. *)
-let test_unvalidated_base () =
+(* [of_tree] validates as the byte loaders do: a tree that breaks the
+   DTD anywhere — off-schema material well away from any later edit — is
+   refused with the validator's first error, and a conforming tree is
+   served.  Without a DTD there is nothing to check. *)
+let test_of_tree_validates () =
   let rng = Random.State.make [| 0xba5e |] in
-  let checked = ref 0 and far = ref 0 in
+  let refused = ref 0 and served = ref 0 in
   for seed = 1 to 40 do
     let doc = Hospital.generate ~seed ~n_patients:4 ~recursion_depth:1 () in
-    (* break the base with off-schema material about half the time *)
-    let base =
-      if seed mod 2 = 0 then doc
-      else
-        let r = schema_edit rng doc in
-        match Update.validate doc r with
-        | Error _ -> doc
-        | Ok () -> fst (okr (Update.apply doc r))
+    let tree =
+      let r = schema_edit rng doc in
+      match Update.validate doc r with
+      | Error _ -> doc
+      | Ok () -> fst (okr (Update.apply doc r))
     in
-    let engine = Engine.of_tree ~dtd:Hospital.dtd base in
-    let tree = ref base in
-    for step = 1 to 4 do
-      let r = schema_edit rng !tree in
-      match Update.validate !tree r with
-      | Error _ -> ()
-      | Ok () ->
-        let nt, fp = okr (Update.apply !tree r) in
-        let want =
-          match Validator.validate Hospital.dtd nt with
-          | Ok () | Error [] -> "valid"
-          | Error (e :: _) -> Fmt.str "document invalid: %a" Validator.pp_error e
-        in
-        if want <> "valid"
-           && Validator.validate_edit Hospital.dtd nt ~parent:fp.Update.fp_parent
-                ~lo:fp.Update.fp_lo ~hi:fp.Update.fp_new_hi = Ok ()
-        then incr far;
-        let got =
-          match Engine.update_robust engine (op_of r) with
-          | Ok _ -> "valid"
-          | Error (Err.Parse_error { msg; _ }) -> msg
-          | Error e -> Err.to_string e
-        in
-        incr checked;
-        Alcotest.(check string)
-          (Printf.sprintf "seed %d step %d: first error" seed step)
-          want got;
-        tree := Engine.document engine
-    done
+    let label = Printf.sprintf "seed %d" seed in
+    (match
+       ( Validator.validate Hospital.dtd tree,
+         Engine.of_tree ~dtd:Hospital.dtd tree )
+     with
+    | (Ok () | Error []), Ok _ -> incr served
+    | Error (e :: _), Error (Err.Parse_error { loc = None; msg }) ->
+      incr refused;
+      Alcotest.(check string) (label ^ ": first error")
+        (Fmt.str "document invalid: %a" Validator.pp_error e)
+        msg
+    | Error (_ :: _), Ok _ -> Alcotest.failf "%s: invalid tree served" label
+    | _, Error e -> Alcotest.failf "%s: %s" label (Err.to_string e));
+    match Engine.of_tree tree with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s without a DTD: %s" label (Err.to_string e)
   done;
-  Alcotest.(check bool) "writes checked" true (!checked > 60);
-  Alcotest.(check bool) "errors only a full check finds" true (!far > 5)
+  Alcotest.(check bool) "invalid trees refused" true (!refused > 5);
+  Alcotest.(check bool) "valid trees served" true (!served > 5)
 
 (* --- legal delete-then-reinsert round-trips -------------------------------- *)
 
 let test_delete_reinsert_roundtrip () =
   let doc = Hospital.generate ~seed:11 ~n_patients:4 ~recursion_depth:2 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   Engine.build_index engine;
   let original = Serializer.to_string doc in
   (* find a node whose removal still satisfies the DTD (a patient in a
@@ -715,7 +699,7 @@ let test_scoped_invalidation () =
              Tree.E ("b", [], [ Tree.E ("y", [], [ Tree.T "2" ]) ]);
            ] ))
   in
-  let engine = Engine.of_tree doc in
+  let engine = okr (Engine.of_tree doc) in
   let q_x = "//x" and q_y = "//y" in
   ignore (okr (Engine.query_robust engine q_x));
   ignore (okr (Engine.query_robust engine q_y));
@@ -751,7 +735,7 @@ let test_scoped_invalidation () =
    exactly one node, and resolution happens through the view. *)
 let test_by_path_target () =
   let doc = Hospital.generate ~seed:13 ~n_patients:3 ~recursion_depth:1 () in
-  let engine = Engine.of_tree ~dtd:Hospital.dtd doc in
+  let engine = okr (Engine.of_tree ~dtd:Hospital.dtd doc) in
   ok (Engine.register_policy engine ~group:"members" Hospital.policy);
   (* ambiguous: several pnames *)
   (match
@@ -800,8 +784,8 @@ let () =
         [
           Alcotest.test_case "local DTD check = full validation" `Quick
             test_local_validation;
-          Alcotest.test_case "unvalidated base validates in full" `Quick
-            test_unvalidated_base;
+          Alcotest.test_case "of_tree rejects an invalid tree" `Quick
+            test_of_tree_validates;
         ] );
       ( "invalidation",
         [
