@@ -3,7 +3,6 @@ module Parser = Smoqe_xml.Parser
 module Pull = Smoqe_xml.Pull
 module Serializer = Smoqe_xml.Serializer
 module Dtd = Smoqe_xml.Dtd
-module Dtd_parser = Smoqe_xml.Dtd_parser
 module Validator = Smoqe_xml.Validator
 module Rx_parser = Smoqe_rxpath.Parser
 module Compile = Smoqe_automata.Compile
@@ -70,9 +69,9 @@ type plan = {
      lock only long enough to read a consistent {tree, source, tax}
      snapshot; compile and evaluation run outside it, on the snapshot.
    - [principals] and [plan_cache] each have their own internal mutex.
-     Lock order is engine [lock] → cache lock (invalidation under [lock]
-     probes the cache); neither the cache nor the registry calls back
-     into the engine, so the order cannot invert. *)
+     Lock order is engine [lock] → cache lock (a write drops plans by
+     tag scope under [lock]); neither the cache nor the registry calls
+     back into the engine, so the order cannot invert. *)
 type t = {
   lock : Mutex.t;
   mutable tree : Tree.t;
@@ -132,9 +131,6 @@ let snapshot t =
 let classify = function
   | Pull.Error (line, col, msg) ->
     Error.Parse_error { loc = Some (Error.location ~line ~col ()); msg }
-  | Dtd_parser.Error (off, msg) ->
-    Error.Parse_error
-      { loc = None; msg = Printf.sprintf "DTD offset %d: %s" off msg }
   | Derive.Unsupported msg -> Error.Policy_error msg
   | Smoqe_hype.Engine.Driver_error msg ->
     Error.Internal ("evaluation driver: " ^ msg)
@@ -206,12 +202,10 @@ let dtd t = t.dtd
    The registry keys every group by its canonical policy key and derives
    the view at most once per key — groups whose annotations agree after
    normalization share the derivation, the rewrite and (via the plan
-   cache's policy-key dimension) every compiled plan.  Re-registering the
-   same policy is a no-op that keeps plans warm; moving a group to a new
-   policy, or removing it, retires a key whose last group left: the
-   plans cached under it are generationally invalidated. *)
-let retire t = Option.iter (Plan_cache.invalidate_policy_key t.plan_cache)
-
+   cache's policy-key dimension) every compiled plan.  The key is a
+   content hash of the policy, so a plan cached under it stays correct
+   through any churn: re-registering, moving or removing a group never
+   touches the plan cache. *)
 let register_policy t ~group policy =
   match t.dtd with
   | None -> Error "engine has no DTD: policies need a schema"
@@ -223,14 +217,12 @@ let register_policy t ~group policy =
     (match Group_registry.register t.principals ~group policy with
     | exception Derive.Unsupported msg -> Error msg
     | reg ->
-      retire t reg.Group_registry.reg_retired;
       Log.info (fun m ->
           m "group %s -> policy key %s%s" group reg.Group_registry.reg_key
             (if reg.Group_registry.reg_shared then " (shared)" else ""));
       Ok ())
 
-let remove_policy t ~group =
-  retire t (Group_registry.remove t.principals ~group)
+let remove_policy t ~group = Group_registry.remove t.principals ~group
 
 let view t ~group =
   Option.map snd (Group_registry.lookup t.principals ~group)
@@ -453,12 +445,6 @@ let plan_for t ~route ~mode ~use_index ?budget texts =
         (slots (), hit plan)
       | None ->
         if cacheable then Plan_cache.record_miss cache;
-        (* The compiles below run outside the engine lock, so a concurrent
-           policy retirement can invalidate this key mid-flight.  Capture
-           the generation {e before} the compiles read the view: if it
-           moves, the conditional [add ~gen] refuses the insert and the
-           plan minted under the old view is served once, never cached. *)
-        let gen = Plan_cache.generation cache (key pkey) in
         (* Elapsed time, not process CPU time, which would sum every
            domain's work. *)
         let t0 = Budget.now_ns () in
@@ -500,7 +486,7 @@ let plan_for t ~route ~mode ~use_index ?budget texts =
         in
         (match plan with
         | Ok plan when cacheable && List.compare_lengths survivors keys = 0 ->
-          Plan_cache.add cache ~gen
+          Plan_cache.add cache
             ~scope:(plan_scope (List.map (Hashtbl.find by_key) keys))
             (key pkey) plan
         | Ok _ | Error _ -> ());

@@ -98,14 +98,17 @@ val register_policy :
     when the canonical policy key is new; re-registering an identical
     policy changes nothing and keeps the group's plans warm.  A group that
     moves to a different policy serves through the new key at once; a key
-    whose last group moved away is retired and the plans cached under it
-    are invalidated.  Fails if the engine has no DTD, the policy is over a
-    different DTD, or derivation is unsupported. *)
+    whose last group moved away frees its view.  No registration touches
+    the plan cache: the key is a content hash of the policy, so a plan
+    cached under it serves again, warm, if the policy returns.  Fails if
+    the engine has no DTD, the policy is over a different DTD, or
+    derivation is unsupported. *)
 
 val remove_policy : t -> group:string -> unit
 (** Forget a group: its members' queries and updates fail with
-    [Policy_error] from now on, and its policy key's artifacts are
-    retired if it was the last holder. *)
+    [Policy_error] from now on, and its policy key's view is freed if it
+    was the last holder.  Cached plans are kept, as in
+    {!register_policy}. *)
 
 val view : t -> group:string -> Smoqe_security.Derive.view option
 
@@ -113,8 +116,8 @@ val view_dtd : t -> group:string -> Smoqe_xml.Dtd.t option
 (** The schema exposed to the group's users. *)
 
 val group_counters : t -> (string * int) list
-(** Registry counters: [groups] (registered groups)/[policy_keys]/
-    [policy_key_hits]/[derivations]/[generation]. *)
+(** Registry counters: [groups] (registered groups)/[policy_keys] (keys
+    holding a view)/[policy_key_hits]/[derivations]. *)
 
 (** {1 Indexing} *)
 
@@ -143,18 +146,17 @@ val load_index : t -> string -> (unit, string) result
     [plan_cache_hit = 1] in the outcome's stats (and [policy_key_hits = 1]
     for a member query); resource budgets are still enforced
     ([max_states] is re-checked against the cached plan).  Groups with
-    equal policies share plans; retiring a policy key invalidates its
-    plans; an update drops the plans that name a tag it touched.  A
-    failed compile
-    — error, tripped budget or injected ["plan.compile"] fault — never
-    populates the cache. *)
+    equal policies share plans, and policy churn keeps them (a plan is a
+    function of its key); an update drops the plans that name a tag it
+    touched.  A failed compile — error, tripped budget or injected
+    ["plan.compile"] fault — never populates the cache. *)
 
 val set_plan_cache_capacity : t -> int -> unit
 (** Bound the number of cached plans (default 128).  Shrinking evicts in
     LRU order; [0] disables caching entirely. *)
 
 val plan_cache_counters : t -> (string * int) list
-(** [hits], [misses], [evictions], [stale_drops], [entries], [capacity]
+(** [hits], [misses], [evictions], [tag_drops], [entries], [capacity]
     and [saved_compile_ms] (total compile time hits avoided). *)
 
 (** {1 Querying} *)

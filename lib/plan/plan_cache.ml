@@ -18,7 +18,6 @@ type scope = All_tags | Tags of string list
 type 'plan entry = {
   plan : 'plan;
   scope : scope;
-  g_pkey : int;  (* the policy key's generation at insertion; 0 for [None] *)
   mutable stamp : int;  (* recency; larger = more recently used *)
 }
 
@@ -34,11 +33,9 @@ type 'plan t = {
   mutable capacity : int;
   table : (key, 'plan entry) Hashtbl.t;
   mutable tick : int;
-  gen_pkeys : (string, int) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable stale_drops : int;
   mutable tag_drops : int;
 }
 
@@ -50,32 +47,17 @@ let create ?(capacity = 128) () =
     capacity;
     table = Hashtbl.create 64;
     tick = 0;
-    gen_pkeys = Hashtbl.create 4;
     hits = 0;
     misses = 0;
     evictions = 0;
-    stale_drops = 0;
     tag_drops = 0;
   }
 
 let locked t f = Mutex.protect t.lock f
 
-(* A generation token: the policy key's generation a caller captured
-   before starting a compile.  [add ~gen] refuses to insert when it has
-   moved — the plan was minted against a view that is no longer the one
-   being served. *)
-type gen = int
-
 let capacity t = locked t (fun () -> t.capacity)
-let length t = locked t (fun () -> Hashtbl.length t.table)
 
 (* --- internals; caller holds [lock] -------------------------------------- *)
-
-let pkey_gen t = function
-  | None -> 0
-  | Some k -> Option.value (Hashtbl.find_opt t.gen_pkeys k) ~default:0
-
-let current t key entry = entry.g_pkey = pkey_gen t key.policy_key
 
 let touch t entry =
   t.tick <- t.tick + 1;
@@ -110,45 +92,26 @@ let find t key =
         else
           match Hashtbl.find_opt t.table key with
           | None -> None
-          | Some entry when current t key entry ->
+          | Some entry ->
             t.hits <- t.hits + 1;
             touch t entry;
-            Some entry.plan
-          | Some _ ->
-            Hashtbl.remove t.table key;
-            t.stale_drops <- t.stale_drops + 1;
-            None)
+            Some entry.plan)
 
 let record_miss t =
   if Atomic.get t.enabled then
     locked t (fun () -> if t.capacity > 0 then t.misses <- t.misses + 1)
 
-let generation t key = locked t (fun () -> pkey_gen t key.policy_key)
-
-let add t ?gen ?(scope = All_tags) key plan =
+let add t ?(scope = All_tags) key plan =
   if Atomic.get t.enabled then
     locked t (fun () ->
         if t.capacity > 0 then begin
-          let fresh =
-            match gen with
-            | None -> true
-            | Some g -> g = pkey_gen t key.policy_key
-          in
-          if not fresh then
-            (* An invalidation landed while the plan was being compiled:
-               inserting it would serve the old view as current. *)
-            t.stale_drops <- t.stale_drops + 1
-          else begin
-            if not (Hashtbl.mem t.table key) then
-              while Hashtbl.length t.table >= t.capacity do
-                evict_one t
-              done;
-            let entry =
-              { plan; scope; g_pkey = pkey_gen t key.policy_key; stamp = 0 }
-            in
-            touch t entry;
-            Hashtbl.replace t.table key entry
-          end
+          if not (Hashtbl.mem t.table key) then
+            while Hashtbl.length t.table >= t.capacity do
+              evict_one t
+            done;
+          let entry = { plan; scope; stamp = 0 } in
+          touch t entry;
+          Hashtbl.replace t.table key entry
         end)
 
 let set_capacity t n =
@@ -162,15 +125,10 @@ let set_capacity t n =
           evict_one t
         done)
 
-let invalidate_policy_key t pkey =
-  locked t (fun () ->
-      Hashtbl.replace t.gen_pkeys pkey (1 + pkey_gen t (Some pkey)))
-
 (* Subtree-scoped invalidation, for functional updates: eagerly remove
    the entries whose scope intersects the mutated subtree's element
-   names (plus every [All_tags] entry).  Eager rather than generational
-   because only a subset dies — bumping a generation would kill the warm
-   entries this mechanism exists to preserve. *)
+   names (plus every [All_tags] entry); warm entries with disjoint
+   scopes survive. *)
 let invalidate_tags t names =
   if names = [] then 0
   else if not (Atomic.get t.enabled) then 0
@@ -192,19 +150,12 @@ let invalidate_tags t names =
         t.tag_drops <- t.tag_drops + n;
         n)
 
-let hits t = locked t (fun () -> t.hits)
-let misses t = locked t (fun () -> t.misses)
-let evictions t = locked t (fun () -> t.evictions)
-let stale_drops t = locked t (fun () -> t.stale_drops)
-let tag_drops t = locked t (fun () -> t.tag_drops)
-
 let to_assoc t =
   locked t (fun () ->
       [
         ("hits", t.hits);
         ("misses", t.misses);
         ("evictions", t.evictions);
-        ("stale_drops", t.stale_drops);
         ("tag_drops", t.tag_drops);
         ("entries", Hashtbl.length t.table);
         ("capacity", t.capacity);

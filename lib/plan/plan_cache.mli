@@ -8,13 +8,13 @@
     query text ({!Canon.to_key}), the evaluation mode and the index flag,
     and evicted in least-recently-used order under a capacity knob.
 
-    {b Retiring a policy key is generational}, not eager: it bumps that
-    key's generation, and entries minted under an older generation are
-    dropped lazily on lookup.  It therefore costs O(1) no matter how many
-    plans a hot policy has accumulated — the stale entries age out of the
-    LRU like any other cold plan.  A document write drops plans eagerly,
-    by tag scope ({!invalidate_tags}).  Plans depend only on the view and
-    the DTD, so nothing else invalidates them.
+    A plan is a function of its key: the policy key is a content hash of
+    the normalized policy, and a plan depends only on that view and the
+    DTD.  So policy churn never invalidates a plan — a key whose groups
+    all left and later come back finds its plans still correct.  Only a
+    document write drops plans, eagerly and by tag scope
+    ({!invalidate_tags}), and that is a freshness policy, not a
+    correctness device.
 
     A capacity of [0] disables the cache entirely: probes miss without
     recording traffic and insertion is a no-op.
@@ -31,18 +31,11 @@
     warm hits stay lock-cheap and the compile work a miss triggers always
     happens {e outside} the lock.
 
-    What is {e not} atomic is the caller's probe-then-insert sequence:
-    two domains may miss on the same key concurrently, both compile, and
-    both insert.  Among plans compiled under the {e same} generation that
-    is benign — they are interchangeable, [add] is last-writer-wins, and
-    the only cost is one duplicated compile on a cold race.  Across an
-    invalidation it is {e not} benign: a compile that started before a
-    view change could otherwise be inserted after it and be stamped with
-    the {e new} generation, serving the old view as current.  The caller
-    therefore captures a {!generation} token before compiling and passes
-    it to {!add}, which refuses (counting a [stale_drop]) when the
-    generation has moved.  Counters ([hits], [misses], …) are exact, each
-    being bumped under the lock. *)
+    The caller's probe-then-insert sequence is not atomic: two domains
+    may miss on the same key concurrently, both compile, and both insert.
+    That is always benign — both plans are correct for the key, [add] is
+    last-writer-wins, and the only cost is one duplicated compile on a
+    cold race.  Counters are exact, each being bumped under the lock. *)
 
 type key = {
   group : string option;
@@ -82,62 +75,28 @@ val set_capacity : _ t -> int -> unit
     [0] clears the cache and disables it.  Negative capacities are
     clamped to [0]. *)
 
-val length : _ t -> int
-(** Live entries, stale ones included until a probe or eviction drops
-    them. *)
-
 val find : 'plan t -> key -> 'plan option
-(** Probe the cache.  A current entry is refreshed to most-recently-used
-    and counted as a hit.  A stale entry (older generation) is removed
-    and counted under [stale_drops] — {e not} as a miss, because the
-    caller may re-probe under another key before conceding the miss;
-    concede with {!record_miss}. *)
+(** Probe the cache.  A hit is refreshed to most-recently-used and
+    counted.  A miss is {e not} counted, because the caller may re-probe
+    under another key before conceding it; concede with
+    {!record_miss}. *)
 
 val record_miss : _ t -> unit
 (** Count one compile forced by a cache miss.  No-op when disabled. *)
 
-type gen
-(** A generation token: the key's policy-key generation at the moment
-    {!generation} was called. *)
-
-val generation : _ t -> key -> gen
-(** Capture the key's current generation.  Call {e before} reading the
-    view (or any other invalidatable state) the plan will be compiled
-    from, and hand the token to {!add}. *)
-
-val add : 'plan t -> ?gen:gen -> ?scope:scope -> key -> 'plan -> unit
-(** Insert (or replace) under the current generation, evicting the
-    least-recently-used entry when full.  With [~gen], the insert is a
-    no-op (counted under [stale_drops]) if the generation has moved
-    since the token was captured — the plan was compiled against state
-    that has been invalidated mid-flight and must not be served as
-    current.  [~scope] (default [All_tags]) declares the entry's tag
-    scope for {!invalidate_tags}.  No-op when disabled. *)
-
-val invalidate_policy_key : _ t -> string -> unit
-(** The shared artifacts under this canonical policy key were retired
-    (its last group moved away or was removed): every plan cached under
-    the key is stale. *)
+val add : 'plan t -> ?scope:scope -> key -> 'plan -> unit
+(** Insert (or replace), evicting the least-recently-used entry when
+    full.  [~scope] (default [All_tags]) declares the entry's tag scope
+    for {!invalidate_tags}.  No-op when disabled. *)
 
 val invalidate_tags : _ t -> string list -> int
 (** Subtree-scoped invalidation after a functional update: eagerly
     remove every entry whose scope intersects the given element names
     (plus every [All_tags] entry), counting them under [tag_drops], and
     return how many died.  Warm entries with disjoint scopes survive —
-    this is the point: a localized edit must not cool the whole cache.
-    Eager rather than generational because only a subset dies. *)
-
-(** {1 Counters} *)
-
-val hits : _ t -> int
-val misses : _ t -> int
-val evictions : _ t -> int
-val stale_drops : _ t -> int
-
-val tag_drops : _ t -> int
-(** Entries removed by {!invalidate_tags}. *)
+    this is the point: a localized edit must not cool the whole cache. *)
 
 val to_assoc : _ t -> (string * int) list
-(** [hits]/[misses]/[evictions]/[stale_drops]/[tag_drops]/[entries]/
+(** The counters [hits]/[misses]/[evictions]/[tag_drops]/[entries]/
     [capacity], in the [Smoqe_hype.Stats.to_assoc] style for stats
     surfaces. *)

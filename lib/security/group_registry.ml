@@ -5,9 +5,9 @@
    and derives the security view once per key, refcounted across the
    groups that share it.  Policy churn (a group re-registering under a
    different policy) moves the group to the new key; when a key's last
-   group leaves, its artifacts are dropped, the registry generation
-   bumps, and the retired key is reported so callers can invalidate any
-   compiled plans cached under it.
+   group leaves, its artifacts are dropped.  Nothing downstream needs to
+   hear of it: the key is a content hash of the policy, so anything
+   cached under it stays correct should the policy come back.
 
    Derivation runs under the registry lock: it happens once per distinct
    policy, so serializing it is cheaper than the double-derivation races
@@ -23,7 +23,6 @@ type t = {
   lock : Mutex.t;
   groups : (string, string) Hashtbl.t; (* group -> policy key *)
   artifacts : (string, shared) Hashtbl.t; (* policy key -> shared *)
-  mutable generation : int;
   mutable key_hits : int;
   mutable derivations : int;
 }
@@ -32,7 +31,6 @@ type registration = {
   reg_key : string;
   reg_view : Derive.view;
   reg_shared : bool;
-  reg_retired : string option;
 }
 
 let create () =
@@ -40,24 +38,18 @@ let create () =
     lock = Mutex.create ();
     groups = Hashtbl.create 64;
     artifacts = Hashtbl.create 16;
-    generation = 0;
     key_hits = 0;
     derivations = 0;
   }
 
-(* Drop one reference to [key]; returns [Some key] if that was the last
-   group and the artifacts were retired. *)
+(* Drop one reference to [key]; the last group to leave frees the
+   derived view. *)
 let release t key =
   match Hashtbl.find_opt t.artifacts key with
-  | None -> None
+  | None -> ()
   | Some sh ->
     sh.sh_refs <- sh.sh_refs - 1;
-    if sh.sh_refs <= 0 then begin
-      Hashtbl.remove t.artifacts key;
-      t.generation <- t.generation + 1;
-      Some key
-    end
-    else None
+    if sh.sh_refs <= 0 then Hashtbl.remove t.artifacts key
 
 let register t ~group policy =
   let key = Policy_key.of_policy policy in
@@ -68,8 +60,7 @@ let register t ~group policy =
         (* idempotent re-registration under the same policy content *)
         let sh = Hashtbl.find t.artifacts key in
         t.key_hits <- t.key_hits + 1;
-        { reg_key = key; reg_view = sh.sh_view; reg_shared = true;
-          reg_retired = None }
+        { reg_key = key; reg_view = sh.sh_view; reg_shared = true }
       | _ ->
         let shared, view =
           match Hashtbl.find_opt t.artifacts key with
@@ -81,20 +72,16 @@ let register t ~group policy =
             let view = Derive.derive policy in
             Hashtbl.replace t.artifacts key { sh_view = view; sh_refs = 1 };
             t.derivations <- t.derivations + 1;
-            t.generation <- t.generation + 1;
             (false, view)
         in
         Hashtbl.replace t.groups group key;
-        let retired =
-          match previous with Some old -> release t old | None -> None
-        in
-        { reg_key = key; reg_view = view; reg_shared = shared;
-          reg_retired = retired })
+        Option.iter (release t) previous;
+        { reg_key = key; reg_view = view; reg_shared = shared })
 
 let remove t ~group =
   Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.groups group with
-      | None -> None
+      | None -> ()
       | Some key ->
         Hashtbl.remove t.groups group;
         release t key)
@@ -115,5 +102,4 @@ let counters t =
         ("policy_keys", Hashtbl.length t.artifacts);
         ("policy_key_hits", t.key_hits);
         ("derivations", t.derivations);
-        ("generation", t.generation);
       ])

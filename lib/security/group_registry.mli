@@ -4,9 +4,10 @@
     Groups whose policies agree after {!Policy_key} normalization share
     one {!Derive.view} (and, downstream, one rewrite and one compiled
     plan).  Artifacts are refcounted per key; policy churn moves a group
-    between keys, and a key whose last group leaves is retired — the
-    caller learns which key died so plans cached under it can be
-    invalidated.  All operations are thread-safe. *)
+    between keys, and the last group to leave a key frees its derived
+    view.  A key is a content hash of the policy, so whatever a caller
+    cached under it stays valid if the policy returns.  All operations
+    are thread-safe. *)
 
 type t
 
@@ -16,9 +17,6 @@ type registration = {
   reg_shared : bool;
       (** [true] when the view was reused from an earlier derivation
           (a policy-key hit); [false] when this registration derived it *)
-  reg_retired : string option;
-      (** a previously-held key whose artifacts were dropped because this
-          group was its last holder — invalidate cached plans under it *)
 }
 
 val create : unit -> t
@@ -29,11 +27,12 @@ val register : t -> group:string -> Policy.t -> registration
     is unchanged.  [Derive.Unsupported] propagates with the registry
     unchanged. *)
 
-val remove : t -> group:string -> string option
-(** Forget a group.  Returns the retired policy key if the group was
-    the last holder of its artifacts. *)
+val remove : t -> group:string -> unit
+(** Forget a group, freeing its key's view if it was the last holder. *)
 
 val lookup : t -> group:string -> (string * Derive.view) option
 (** The group's (policy key, shared view), if registered. *)
 
 val counters : t -> (string * int) list
+(** [groups]/[policy_keys] (keys holding a view)/[policy_key_hits]/
+    [derivations]. *)

@@ -2,6 +2,7 @@ module Dtd = Smoqe_xml.Dtd
 module Dtd_parser = Smoqe_xml.Dtd_parser
 module Serializer = Smoqe_xml.Serializer
 module Policy = Smoqe_security.Policy
+module Derive = Smoqe_security.Derive
 module Engine = Smoqe.Engine
 module Session = Smoqe.Session
 module Failpoint = Smoqe_robust.Failpoint
@@ -73,9 +74,9 @@ let render_manifest ~has_dtd groups =
     groups;
   Buffer.contents buf
 
-let save_manifest t =
+let save_manifest t groups =
   write_file (t.dir / manifest_name)
-    (render_manifest ~has_dtd:(t.dtd <> None) t.groups)
+    (render_manifest ~has_dtd:(t.dtd <> None) groups)
 
 let prepare_engine dir engine policies =
   let* () =
@@ -197,18 +198,32 @@ let dir t = t.dir
 let engine t = t.engine
 let groups t = t.groups
 
+(* The engine is asked first, so a policy it refuses writes nothing.  A
+   failed write then puts the group's previous policy back, or removes a
+   group that had none: an [Error] leaves the live engine serving what a
+   reopen of the store serves. *)
 let add_policy t ~group policy =
   if not (valid_group group) then
     Error (Printf.sprintf "invalid group name %S" group)
   else begin
+    let previous = Option.bind (Engine.view t.engine ~group) Derive.policy in
     let* () = Engine.register_policy t.engine ~group policy in
-    let* () =
-      write_file
-        (t.dir / policies_dir / (group ^ ".policy"))
-        (Policy.to_string policy)
+    let file = t.dir / policies_dir / (group ^ ".policy") in
+    let listed = List.mem group t.groups in
+    let groups = if listed then t.groups else t.groups @ [ group ] in
+    let written =
+      let* () = write_file file (Policy.to_string policy) in
+      if listed then Ok () else save_manifest t groups
     in
-    t.groups <- List.filter (( <> ) group) t.groups @ [ group ];
-    save_manifest t
+    (match written with
+    | Ok () -> t.groups <- groups
+    | Error _ ->
+      (* a file the manifest does not list is read by no open *)
+      if not listed then (try Sys.remove file with Sys_error _ -> ());
+      (match previous with
+      | Some p -> ignore (Engine.register_policy t.engine ~group p)
+      | None -> Engine.remove_policy t.engine ~group));
+    written
   end
 
 let remove_policy t ~group =
@@ -221,7 +236,7 @@ let remove_policy t ~group =
     (* Revoke on the live engine: committed updates stay, and sessions of
        the removed group fail from their next request on. *)
     Engine.remove_policy t.engine ~group;
-    save_manifest t
+    save_manifest t t.groups
   end
 
 let login t role = Session.login t.engine role

@@ -47,7 +47,9 @@ val engine : t -> Smoqe.Engine.t
 val add_policy :
   t -> group:string -> Smoqe_security.Policy.t -> (unit, string) result
 (** Persist a policy and register its derived view with the engine.
-    Requires the store to have a DTD. *)
+    Requires the store to have a DTD.  An [Error] applies nothing: the
+    live engine keeps the group's previous policy, or does not know a
+    new group, just as a reopen of the store would. *)
 
 val remove_policy : t -> group:string -> (unit, string) result
 (** Delete a group's stored policy and revoke it on the live engine

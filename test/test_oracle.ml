@@ -1196,15 +1196,9 @@ let test_tenant_churn_and_update () =
         (qname ^ ": churned t1 = open cold")
         ref_open.Engine.answer_xml o1.Engine.answer_xml)
     queries;
-  (* churn t0 away too: the old key's last holder leaves, its artifacts
-     retire (generation bump) and no stale plan may serve either tenant *)
-  let gen_before =
-    List.assoc "generation" (Engine.group_counters engine)
-  in
+  (* churn t0 away too: the old key's last holder leaves and its view is
+     freed; both tenants now answer through the open view *)
   ok (Engine.register_policy engine ~group:"t0" (open_policy dtd));
-  let gen_after = List.assoc "generation" (Engine.group_counters engine) in
-  Alcotest.(check bool) "retirement bumps the generation" true
-    (gen_after > gen_before);
   List.iter
     (fun (qname, text) ->
       let ref_open =

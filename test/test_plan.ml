@@ -1,6 +1,6 @@
-(* The compiled-plan cache: canonical keys, LRU semantics, generation
-   invalidation, and the rule that makes caching safe to trust — nothing
-   that failed to compile is ever served from the cache. *)
+(* The compiled-plan cache: canonical keys, LRU semantics, plans that
+   outlive policy churn, and the rule that makes caching safe to trust —
+   nothing that failed to compile is ever served from the cache. *)
 
 module Canon = Smoqe_plan.Canon
 module Plan_cache = Smoqe_plan.Plan_cache
@@ -90,6 +90,8 @@ let test_canon_normalize_hand_built () =
 let key ?policy_key ?(mode = "dom") ?(use_index = false) query =
   { Plan_cache.group = None; policy_key; query; mode; use_index }
 
+let counter c name = List.assoc name (Plan_cache.to_assoc c)
+
 let test_lru_eviction_order () =
   let c = Plan_cache.create ~capacity:2 () in
   Plan_cache.add c (key "a") 1;
@@ -100,57 +102,25 @@ let test_lru_eviction_order () =
   Alcotest.(check (option int)) "b evicted" None (Plan_cache.find c (key "b"));
   Alcotest.(check (option int)) "a survives" (Some 1) (Plan_cache.find c (key "a"));
   Alcotest.(check (option int)) "c present" (Some 3) (Plan_cache.find c (key "c"));
-  Alcotest.(check int) "one eviction" 1 (Plan_cache.evictions c);
-  Alcotest.(check int) "two entries" 2 (Plan_cache.length c)
+  Alcotest.(check int) "one eviction" 1 (counter c "evictions");
+  Alcotest.(check int) "two entries" 2 (counter c "entries")
 
 let test_capacity_zero_disables () =
   let c = Plan_cache.create ~capacity:0 () in
   Plan_cache.add c (key "a") 1;
   Alcotest.(check (option int)) "no entry" None (Plan_cache.find c (key "a"));
-  Alcotest.(check int) "nothing stored" 0 (Plan_cache.length c);
+  Alcotest.(check int) "nothing stored" 0 (counter c "entries");
   Plan_cache.record_miss c;
-  Alcotest.(check int) "no traffic recorded" 0 (Plan_cache.misses c)
+  Alcotest.(check int) "no traffic recorded" 0 (counter c "misses")
 
 let test_shrink_evicts () =
   let c = Plan_cache.create ~capacity:4 () in
   List.iter (fun q -> Plan_cache.add c (key q) 0) [ "a"; "b"; "c"; "d" ];
   ignore (Plan_cache.find c (key "a"));
   Plan_cache.set_capacity c 1;
-  Alcotest.(check int) "down to one" 1 (Plan_cache.length c);
+  Alcotest.(check int) "down to one" 1 (counter c "entries");
   Alcotest.(check (option int)) "the MRU one" (Some 0)
     (Plan_cache.find c (key "a"))
-
-let test_policy_key_generations () =
-  let c = Plan_cache.create () in
-  Plan_cache.add c (key ~policy_key:"k1" "q") 1;
-  Plan_cache.add c (key ~policy_key:"k2" "q") 2;
-  Plan_cache.add c (key "q") 3;
-  Plan_cache.invalidate_policy_key c "k1";
-  Alcotest.(check (option int)) "k1 stale" None
-    (Plan_cache.find c (key ~policy_key:"k1" "q"));
-  Alcotest.(check (option int)) "k2 current" (Some 2)
-    (Plan_cache.find c (key ~policy_key:"k2" "q"));
-  Alcotest.(check (option int)) "direct current" (Some 3)
-    (Plan_cache.find c (key "q"));
-  Alcotest.(check int) "stale drop counted" 1 (Plan_cache.stale_drops c)
-
-let test_gen_fenced_add () =
-  (* The mid-compile invalidation fence: an insert carrying a generation
-     token captured before the invalidation must be refused — otherwise a
-     plan compiled through the old view would be stamped current. *)
-  let c = Plan_cache.create () in
-  let k = key ~policy_key:"k" "q" in
-  let gen = Plan_cache.generation c k in
-  Plan_cache.invalidate_policy_key c "k";
-  Plan_cache.add c ~gen k 1;
-  Alcotest.(check (option int)) "stale insert refused" None
-    (Plan_cache.find c k);
-  Alcotest.(check int) "refusal counted" 1 (Plan_cache.stale_drops c);
-  (* a token captured after the invalidation admits the insert *)
-  let gen = Plan_cache.generation c k in
-  Plan_cache.add c ~gen k 3;
-  Alcotest.(check (option int)) "fresh insert lands" (Some 3)
-    (Plan_cache.find c k)
 
 (* --- through the engine ---------------------------------------------------- *)
 
@@ -215,6 +185,34 @@ let test_engine_group_isolation () =
     reference.Engine.answer_xml after.Engine.answer_xml;
   Alcotest.(check bool) "the view really changed" false
     (before.Engine.answers = after.Engine.answers)
+
+(* A plan is a function of its policy key: when a key's last group
+   leaves, the plans cached under it stay correct, and the policy's
+   return serves them again — warm, and answering as a cold engine
+   does. *)
+let test_engine_retired_key_serves_again () =
+  let e = hospital_engine () in
+  let run () =
+    okr (Engine.query_robust e ~group:"researchers" "//medication")
+  in
+  ignore (run ());
+  let open_policy = ok (Smoqe_security.Policy.of_string Hospital.dtd "") in
+  ok (Engine.register_policy e ~group:"researchers" open_policy);
+  ignore (run ());
+  Alcotest.(check int) "the first key's view is freed" 1
+    (List.assoc "policy_keys" (Engine.group_counters e));
+  ok (Engine.register_policy e ~group:"researchers" Hospital.policy);
+  let back = run () in
+  Alcotest.(check int) "warm again" 1 (hit_of back);
+  let reference =
+    okr
+      (Engine.query_robust (hospital_engine ()) ~group:"researchers"
+         "//medication")
+  in
+  Alcotest.(check (list int)) "answers equal a cold engine"
+    reference.Engine.answers back.Engine.answers;
+  Alcotest.(check (list string)) "byte-identical xml"
+    reference.Engine.answer_xml back.Engine.answer_xml
 
 let test_engine_reregister_keeps_warm () =
   let e = hospital_engine () in
@@ -412,9 +410,6 @@ let () =
           Alcotest.test_case "capacity 0 disables" `Quick
             test_capacity_zero_disables;
           Alcotest.test_case "shrink evicts" `Quick test_shrink_evicts;
-          Alcotest.test_case "policy-key generations" `Quick
-            test_policy_key_generations;
-          Alcotest.test_case "generation-fenced add" `Quick test_gen_fenced_add;
         ] );
       ( "engine",
         [
@@ -424,6 +419,8 @@ let () =
             test_engine_group_isolation;
           Alcotest.test_case "identical re-registration keeps warm" `Quick
             test_engine_reregister_keeps_warm;
+          Alcotest.test_case "retired key serves again" `Quick
+            test_engine_retired_key_serves_again;
           Alcotest.test_case "equal policies share one plan" `Quick
             test_engine_equal_policies_share;
           Alcotest.test_case "mapped group logs in" `Quick

@@ -259,6 +259,11 @@ let test_store_write_fault_is_not_torn () =
       @ Array.to_list (Sys.readdir (Filename.concat dir "policies")))
   in
   let before = (read policy_file, read manifest, listing ()) in
+  let patients store group =
+    let s = ok (Smoqe_store.Store.login store (Session.Member group)) in
+    (okr (Session.run_robust s "//patient")).Engine.answer_xml
+  in
+  let live_before = patients store "staff" in
   let stricter =
     ok (Smoqe_security.Policy.of_string Hospital.dtd "ann(hospital, patient) = N\n")
   in
@@ -273,6 +278,32 @@ let test_store_write_fault_is_not_torn () =
   Alcotest.(check string) "old policy file byte-identical" p (read policy_file);
   Alcotest.(check string) "manifest byte-identical" m (read manifest);
   Alcotest.(check (list string)) "no temporary file left" l (listing ());
+  (* the failed add applied nothing: the live engine answers as before,
+     and as a reopen of the store does *)
+  let live_after = patients store "staff" in
+  Alcotest.(check (list string)) "live answers unchanged" live_before
+    live_after;
+  Alcotest.(check (list string)) "live = reopened" live_after
+    (patients (ok (Smoqe_store.Store.open_dir dir)) "staff");
+  (* a new group whose policy file or manifest write fails is not
+     registered at all *)
+  List.iter
+    (fun spec ->
+      Failpoint.with_failpoints spec (fun () ->
+          match Smoqe_store.Store.add_policy store ~group:"nurses" stricter with
+          | Error _ -> ()
+          | Ok () -> Alcotest.failf "%s: added through a failing disk" spec);
+      (match Smoqe_store.Store.login store (Session.Member "nurses") with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: half-added group logs in" spec);
+      Alcotest.(check string) (spec ^ ": manifest byte-identical") m
+        (read manifest);
+      Alcotest.(check (list string)) (spec ^ ": groups") [ "staff" ]
+        (Smoqe_store.Store.groups
+           (ok (Smoqe_store.Store.open_dir dir))))
+    [ "store.write=once"; "store.write=2" ];
+  Alcotest.(check (list string)) "staff still as before" live_before
+    (patients store "staff");
   (* the same write, unfaulted, replaces the file *)
   ok (Smoqe_store.Store.add_policy store ~group:"staff" stricter);
   Alcotest.(check bool) "policy file replaced" true (read policy_file <> p);

@@ -12,8 +12,8 @@
    - group traffic from many principals at once: 8 more groups sharing
      one canonical policy key, half the batch routed through them, with
      policy churn mid-flight — idempotent re-registration (a key hit) on
-     the served groups and full key retirement/re-derivation (plans
-     invalidated mid-query) on a churn-only group;
+     the served groups and a full key flip on a churn-only group (its
+     old key's view freed, the new one derived mid-query);
    - the ["plan.compile"] failpoint firing every few compiles.
 
    The assertions are deliberately coarse — this harness exists to let
@@ -131,9 +131,9 @@ let () =
           (churn "group re-register" (fun () ->
                Engine.register_policy engine ~group:(tname (i mod 7))
                  Hospital.policy));
-        (* ...and a full key flip on the never-queried t7 — retirement,
-           generational plan invalidation and a fresh derivation racing
-           the live queries *)
+        (* ...and a full key flip on the never-queried t7 — the old key's
+           view freed and a fresh derivation racing the live queries; the
+           plans cached under either key stay valid *)
         on (i mod 53 = 23)
           (churn "group flip" (fun () ->
                Engine.register_policy engine ~group:"t7"
