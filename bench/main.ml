@@ -1959,6 +1959,102 @@ let e18 () =
          ("qps_gate", J.Str (if qps_pass then "PASS" else "FAIL"));
          ("pass", J.Bool pass) ])
 
+(* --- E19: ingest stages ------------------------------------------------------ *)
+
+let e19 () =
+  banner "E19"
+    "ingest stages: throughput and words allocated per input byte (report \
+     only)";
+  let module Pull = Smoqe_xml.Pull in
+  let smoke = Sys.getenv_opt "SMOQE_BENCH_SMOKE" <> None in
+  if smoke then Printf.printf "smoke mode: reduced document and repetitions\n";
+  (* The perfbench document, written as perfbench writes it. *)
+  let n_patients = if smoke then 200 else 1600 in
+  let doc = Hospital.generate ~seed:1 ~n_patients ~recursion_depth:3 () in
+  let path = Filename.temp_file "smoqe_e19" ".xml" in
+  Serializer.to_file ~indent:false ~decl:true path doc;
+  let xml = In_channel.with_open_bin path In_channel.input_all in
+  let n_bytes = String.length xml in
+  Printf.printf "document: %d nodes, %d KiB (hospital, %d patients, depth 3)\n"
+    (Tree.n_nodes doc) (n_bytes / 1024) n_patients;
+  let tree = Parser.tree_of_file path in
+  let mfa = Compile.compile (parse "patient[visit/treatment/medication]/pname") in
+  let drain p =
+    let rec loop n =
+      match Pull.cursor_next p with Pull.Cursor_eof -> n | _ -> loop (n + 1)
+    in
+    ignore (Sys.opaque_identity (loop 0))
+  in
+  let on_file f = In_channel.with_open_bin path f in
+  let stages =
+    [ ("cursor drain, of_string", fun () -> drain (Pull.of_string xml));
+      ( "cursor drain, of_channel 64 KiB",
+        fun () -> on_file (fun ic -> drain (Pull.of_channel ~chunk_size:65536 ic))
+      );
+      ( "Parser.tree_of_file",
+        fun () -> ignore (Sys.opaque_identity (Parser.tree_of_file path)) );
+      ( "Validator.validate",
+        fun () ->
+          ignore
+            (Sys.opaque_identity (Smoqe_xml.Validator.validate Hospital.dtd tree))
+      );
+      ( "StAX pass (capture)",
+        fun () ->
+          on_file (fun ic ->
+              ignore
+                (Sys.opaque_identity
+                   (Eval_stax.run ~capture:true mfa (Pull.of_channel ic)))) ) ]
+  in
+  (* Rounds interleave the stages, so host drift spreads over all of
+     them.  Each stage keeps its best time and its least words allocated
+     (minor + major - promoted): the runtime's counters read up to a
+     third higher on some runs of the same parse. *)
+  let runs = if smoke then 5 else 30 in
+  let n = List.length stages in
+  let best = Array.make n infinity and words = Array.make n infinity in
+  List.iter (fun (_, f) -> f ()) stages;
+  for _ = 1 to runs do
+    List.iteri
+      (fun i (_, f) ->
+        let minor0, promoted0, major0 = Gc.counters () in
+        let t0 = Unix.gettimeofday () in
+        f ();
+        let dt = Unix.gettimeofday () -. t0 in
+        let minor1, promoted1, major1 = Gc.counters () in
+        best.(i) <- min best.(i) dt;
+        words.(i) <-
+          min words.(i)
+            (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)))
+      stages
+  done;
+  Sys.remove path;
+  let mb_s i = float_of_int n_bytes /. (best.(i) *. 1024. *. 1024.) in
+  let per_byte i = words.(i) /. float_of_int n_bytes in
+  Printf.printf "%-34s %10s %9s %12s\n" "stage" "best" "MB/s" "words/byte";
+  List.iteri
+    (fun i (label, _) ->
+      Printf.printf "%-34s %s %9.1f %12.3f\n" label
+        (pp_time (best.(i) *. 1e9))
+        (mb_s i) (per_byte i))
+    stages;
+  J.write ~id:"e19"
+    (J.Obj
+       [ ("experiment", J.Str "ingest stages");
+         ("smoke", J.Bool smoke);
+         ("input_bytes", J.Int n_bytes);
+         ("nodes", J.Int (Tree.n_nodes doc));
+         ("runs", J.Int runs);
+         ( "stages",
+           J.List
+             (List.mapi
+                (fun i (label, _) ->
+                  J.Obj
+                    [ ("stage", J.Str label);
+                      ("best_ns", J.Float (best.(i) *. 1e9));
+                      ("mb_s", J.Float (mb_s i));
+                      ("words_per_input_byte", J.Float (per_byte i)) ])
+                stages) ) ])
+
 (* --- Figures ----------------------------------------------------------------- *)
 
 let figures () =
@@ -1991,7 +2087,7 @@ let figures () =
 let all = [ "e1", e1; "e2", e2; "e3", e3; "e4", e4; "e5", e5; "e6", e6;
             "e7", e7; "e8", e8; "e9", e9; "e10", e10; "e11", e11;
             "e12", e12; "e13", e13; "e14", e14; "e15", e15; "e16", e16;
-            "e17", e17; "e18", e18; "figures", figures ]
+            "e17", e17; "e18", e18; "e19", e19; "figures", figures ]
 
 let () =
   let requested =

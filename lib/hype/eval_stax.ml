@@ -2,6 +2,7 @@ module Pull = Smoqe_xml.Pull
 module Serializer = Smoqe_xml.Serializer
 module Failpoint = Smoqe_robust.Failpoint
 module Shared = Smoqe_automata.Shared
+module Tables = Smoqe_automata.Tables
 
 type result = {
   answers : int list;
@@ -21,21 +22,14 @@ type many_result = {
   m_budget_hit : (string * string) option;
 }
 
-(* An in-flight capture of a candidate subtree: everything scanned while
-   it is open is appended (including regions the engine skipped — they
-   are part of the fragment even if no run is alive there). *)
-type capture = {
-  cap_node : int;
-  buf : Buffer.t;
-  mutable open_elements : int;
-}
-
 (* The one driver: a single loop over the parser cursor.  Names arrive
-   interned, text as a borrowed [Tx_sub] span consumed inside the event
-   (enter -> capture -> leave) before the next [cursor_next] invalidates
-   it, so on the fast path (no capture in progress) nothing is copied.
-   Attributes and text are materialized only while a capture is
-   actually recording. *)
+   as parser ids, mapped to a table column and an element kind once per
+   distinct name; text arrives as a borrowed [Tx_sub] span consumed inside
+   the event (enter -> capture -> leave) before the next [cursor_next]
+   invalidates it.  Captures share one buffer per pass: while any is open,
+   every event is written to it once (skipped regions included: they are
+   part of the fragment), a finished capture is a span of it, and only
+   answers become strings, after the pass. *)
 let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
     (sh : Shared.t) pull =
   (* Streaming has no tag universe up front: the table covers the
@@ -43,16 +37,14 @@ let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
      wildcard column. *)
   let tables =
     if use_tables then
-      Some (Smoqe_automata.Tables.of_nfa sh.Shared.mfa.Smoqe_automata.Mfa.nfa)
+      Some (Tables.of_nfa sh.Shared.mfa.Smoqe_automata.Mfa.nfa)
     else None
   in
-  let spec_us =
-    match tables with Some tb -> Smoqe_automata.Tables.spec_us tb | None -> 0
-  in
+  let spec_us = match tables with Some tb -> Tables.spec_us tb | None -> 0 in
   let next_id = ref 0 in
-  (* Node ids are query-agnostic, so every slot reads its fragments from
-     one per-node capture store. *)
-  let finished_captures : (int, string) Hashtbl.t = Hashtbl.create 16 in
+  (* Node ids are query-agnostic: every slot reads its fragments here. *)
+  let out = Buffer.create 256 in
+  let spans : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
   let scan engine ~settle =
     let stats = Engine.stats engine in
     (* Budgets tick per event: the pass settles every 32. *)
@@ -63,86 +55,87 @@ let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
       ticks := k;
       if k land 31 = 0 then settle k
     in
-    (* Per open element: was the engine entered for it, and did it stay
-       alive?  Children of any other are skipped without engine calls, but
-       still take pre-order ids so that answers align with DOM ids. *)
-    let stack = ref [] in
+    (* Per parser name id: table column ([-2] until first seen), kind. *)
+    let cols = ref [||] and kinds = ref [||] in
+    let element n =
+      if n >= Array.length !cols then begin
+        cols := Array.append !cols (Array.make (n + 16) (-2));
+        kinds := Array.append !kinds (Array.make (n + 16) (Engine.El ""))
+      end;
+      if !cols.(n) = -2 then begin
+        let name = Pull.cur_name pull in
+        !kinds.(n) <- Engine.El name;
+        !cols.(n) <-
+          (match tables with
+          | Some tb -> Tables.intern tb name
+          | None -> Tables.unknown_tag)
+      end
+    in
+    (* Open elements are [depth]; the engine was entered, and stayed
+       alive, for the outermost [alive] of them.  The children of any
+       other are skipped without engine calls, but still take pre-order
+       ids so that answers align with DOM ids. *)
+    let depth = ref 0 and alive = ref 0 in
     let mark id m =
       match trace with None -> () | Some tr -> Trace.mark tr id m
     in
-    let parent_alive () = match !stack with [] -> true | alive :: _ -> alive in
     let skip_dead id =
       stats.Stats.nodes_skipped_dead <- stats.Stats.nodes_skipped_dead + 1;
       mark id Trace.Skipped_dead
     in
-    (* capturing *)
-    let open_captures = ref [] in
+    (* Open captures, innermost first: (node, start in [out], depth). *)
+    let open_caps = ref [] in
     (* A start tag stays unterminated ([<tag attrs]) until the element's
        first child or its end, so a childless element is written
        [<tag attrs/>] — byte for byte what the DOM serializer writes. *)
     let tag_open = ref false in
     let terminate_tag () =
       if !tag_open then begin
-        List.iter (fun c -> Buffer.add_char c.buf '>') !open_captures;
+        Buffer.add_char out '>';
         tag_open := false
       end
     in
-    let cap_start ~candidate id tag attrs =
+    let cap_start ~candidate id =
       terminate_tag ();
       if capture && candidate then
-        open_captures :=
-          { cap_node = id; buf = Buffer.create 64; open_elements = 0 }
-          :: !open_captures;
-      List.iter
-        (fun c ->
-          Buffer.add_char c.buf '<';
-          Buffer.add_string c.buf tag;
-          List.iter
-            (fun (k, v) ->
-              Buffer.add_char c.buf ' ';
-              Buffer.add_string c.buf k;
-              Buffer.add_string c.buf "=\"";
-              Serializer.add_escaped_attr c.buf v 0 (String.length v);
-              Buffer.add_char c.buf '"')
-            attrs;
-          c.open_elements <- c.open_elements + 1)
-        !open_captures;
-      tag_open := !open_captures <> []
+        open_caps := (id, Buffer.length out, !depth - 1) :: !open_caps;
+      Buffer.add_char out '<';
+      Buffer.add_string out (Pull.cur_name pull);
+      for i = 0 to Pull.cur_attr_count pull - 1 do
+        Buffer.add_char out ' ';
+        Buffer.add_string out (Pull.cur_attr_name pull i);
+        Buffer.add_string out "=\"";
+        let s, off, len = Pull.cur_attr_span pull i in
+        Serializer.add_escaped_attr out s off len;
+        Buffer.add_char out '"'
+      done;
+      tag_open := true
     in
-    let cap_end tag =
-      List.iter
-        (fun c ->
-          if !tag_open then Buffer.add_string c.buf "/>"
-          else begin
-            Buffer.add_string c.buf "</";
-            Buffer.add_string c.buf tag;
-            Buffer.add_char c.buf '>'
-          end;
-          c.open_elements <- c.open_elements - 1)
-        !open_captures;
+    let cap_end () =
+      if !tag_open then Buffer.add_string out "/>"
+      else begin
+        Buffer.add_string out "</";
+        Buffer.add_string out (Pull.cur_name pull);
+        Buffer.add_char out '>'
+      end;
       tag_open := false;
-      open_captures :=
-        List.filter
-          (fun c ->
-            if c.open_elements = 0 then begin
-              Hashtbl.replace finished_captures c.cap_node
-                (Buffer.contents c.buf);
-              false
-            end
-            else true)
-          !open_captures
+      match !open_caps with
+      | (node, start, d) :: rest when d = !depth ->
+        Hashtbl.replace spans node (start, Buffer.length out - start);
+        open_caps := rest
+      | _ -> ()
     in
-    let cap_text id content is_candidate =
+    let cap_text id is_candidate =
       terminate_tag ();
-      List.iter
-        (fun c -> Buffer.add_string c.buf (Serializer.escape_text content))
-        !open_captures;
+      let start = Buffer.length out in
+      let s, off, len = Pull.cur_text_span pull in
+      Serializer.add_escaped_text out s off len;
       if capture && is_candidate then
-        Hashtbl.replace finished_captures id (Serializer.escape_text content)
+        Hashtbl.replace spans id (start, Buffer.length out - start)
     in
     (* Every event is one checkpoint; start and text events take the next
        pre-order id.  The guards on [cap_start]/[cap_text] are exactly the
-       conditions under which some capture buffer consumes the event. *)
+       conditions under which the capture buffer consumes the event. *)
     let rec loop () =
       match Pull.cursor_next pull with
       | Pull.Cursor_eof -> ()
@@ -150,54 +143,56 @@ let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
         checkpoint ();
         let id = !next_id in
         next_id := id + 1;
-        let name = Pull.cur_name pull in
+        let parent_alive = !alive = !depth in
+        incr depth;
         let candidate =
-          if parent_alive () then begin
-            (match Engine.enter engine ~id ~kind:(Engine.El name) with
-            | Engine.Alive -> stack := true :: !stack
-            | Engine.Dead ->
-              mark id Trace.Skipped_dead;
-              stack := false :: !stack);
+          if parent_alive then begin
+            let n = Pull.cur_name_id pull in
+            element n;
+            (match
+               Engine.enter_tagged engine ~id ~tag:!cols.(n) ~kind:!kinds.(n)
+             with
+            | Engine.Alive -> incr alive
+            | Engine.Dead -> mark id Trace.Skipped_dead);
             Engine.entered_candidate engine
           end
           else begin
             skip_dead id;
-            stack := false :: !stack;
             false
           end
         in
-        if !open_captures <> [] || (capture && candidate) then
-          cap_start ~candidate id name (Pull.cur_attrs pull);
+        if !open_caps <> [] || (capture && candidate) then
+          cap_start ~candidate id;
         loop ()
       | Pull.Cursor_end ->
         checkpoint ();
-        (match !stack with
-        | [] -> raise (Engine.Driver_error "unbalanced end event")
-        | alive :: rest ->
-          if alive then Engine.leave engine;
-          stack := rest);
-        if !open_captures <> [] then cap_end (Pull.cur_name pull);
+        if !depth = 0 then raise (Engine.Driver_error "unbalanced end event");
+        if !alive = !depth then begin
+          Engine.leave engine;
+          decr alive
+        end;
+        decr depth;
+        if !open_caps <> [] then cap_end ();
         loop ()
       | Pull.Cursor_text ->
         checkpoint ();
         let id = !next_id in
         next_id := id + 1;
-        if parent_alive () then begin
+        if !alive = !depth then begin
           let backing, off, len = Pull.cur_text_span pull in
           match
             Engine.enter engine ~id ~kind:(Engine.Tx_sub (backing, off, len))
           with
           | Engine.Alive ->
             let candidate = Engine.entered_candidate engine in
-            if !open_captures <> [] || (capture && candidate) then
-              cap_text id (Pull.cur_text pull) candidate;
+            if !open_caps <> [] || (capture && candidate) then
+              cap_text id candidate;
             Engine.leave engine
-          | Engine.Dead ->
-            if !open_captures <> [] then cap_text id (Pull.cur_text pull) false
+          | Engine.Dead -> if !open_caps <> [] then cap_text id false
         end
         else begin
           skip_dead id;
-          if !open_captures <> [] then cap_text id (Pull.cur_text pull) false
+          if !open_caps <> [] then cap_text id false
         end;
         loop ()
     in
@@ -210,7 +205,9 @@ let run_slots ?(capture = false) ?budget ?trace ?(use_tables = true) ?memo_cap
     else
       List.filter_map
         (fun n ->
-          Option.map (fun s -> (n, s)) (Hashtbl.find_opt finished_captures n))
+          Option.map
+            (fun (start, len) -> (n, Buffer.sub out start len))
+            (Hashtbl.find_opt spans n))
         answers
   in
   {

@@ -230,13 +230,17 @@ let remove_policy t ~group =
   if not (List.mem group t.groups) then
     Error (Printf.sprintf "no policy for group %s" group)
   else begin
-    t.groups <- List.filter (( <> ) group) t.groups;
+    (* The manifest write is the commit: a failed one leaves the group
+       listed, its file in place and its policy live. *)
+    let groups = List.filter (( <> ) group) t.groups in
+    let* () = save_manifest t groups in
+    t.groups <- groups;
     (try Sys.remove (t.dir / policies_dir / (group ^ ".policy"))
      with Sys_error _ -> ());
     (* Revoke on the live engine: committed updates stay, and sessions of
        the removed group fail from their next request on. *)
     Engine.remove_policy t.engine ~group;
-    save_manifest t t.groups
+    Ok ()
   end
 
 let login t role = Session.login t.engine role

@@ -55,7 +55,9 @@ val remove_policy : t -> group:string -> (unit, string) result
 (** Delete a group's stored policy and revoke it on the live engine
     ({!Smoqe.Engine.remove_policy}): the served document, updates
     included, is untouched, and sessions of the removed group get
-    [Policy_error] from their next request on. *)
+    [Policy_error] from their next request on.  The manifest write is
+    the commit point: an [Error] applies nothing, and the group stays
+    listed, on disk and live. *)
 
 val groups : t -> string list
 

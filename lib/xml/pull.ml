@@ -191,27 +191,32 @@ let is_name_char c = String.unsafe_get name_chars (Char.code c) <> '\000'
 
 (* ------------------------------------------------------------------ *)
 (* Name interning: an open-addressing table of the distinct names seen,
-   keyed by an FNV-1a hash computed directly over the byte range — a
-   repeated name costs a hash and a byte compare, zero allocations.
-   Names are few (tags and attribute keys), so the table stays tiny. *)
+   keyed by an FNV-1a hash of the byte range — a repeated name costs a
+   hash and a byte compare, zero allocations.  Each name is numbered in
+   order of first sight: [slots] maps a table slot to that id ([-1] when
+   empty) and [names] an id back to the name.  Names are few (tags and
+   attribute keys), so the table stays tiny. *)
 module Pool = struct
-  type t = { mutable keys : string array; mutable count : int }
+  type t = {
+    mutable slots : int array;
+    mutable names : string array;
+    mutable count : int;
+  }
 
-  let create () = { keys = Array.make 64 ""; count = 0 }
+  let create () =
+    { slots = Array.make 64 (-1); names = Array.make 32 ""; count = 0 }
+
+  let fnv_basis = 0x811c9dc5
+  let fnv h c = (h lxor Char.code c) * 0x01000193 land max_int
 
   let hash_range b off len =
-    let h = ref 0x811c9dc5 in
+    let h = ref fnv_basis in
     for i = off to off + len - 1 do
-      h := (!h lxor Char.code (Bytes.unsafe_get b i)) * 0x01000193 land max_int
+      h := fnv !h (Bytes.unsafe_get b i)
     done;
     !h
 
-  let hash_str s =
-    let h = ref 0x811c9dc5 in
-    String.iter
-      (fun c -> h := (!h lxor Char.code c) * 0x01000193 land max_int)
-      s;
-    !h
+  let hash_str s = String.fold_left fnv fnv_basis s
 
   let matches k b off len =
     String.length k = len
@@ -225,44 +230,45 @@ module Pool = struct
     !i = len
 
   let grow p =
-    let old = p.keys in
-    let nkeys = Array.make (2 * Array.length old) "" in
-    let mask = Array.length nkeys - 1 in
-    Array.iter
-      (fun k ->
-        if k <> "" then begin
-          let i = ref (hash_str k land mask) in
-          while nkeys.(!i) <> "" do
-            i := (!i + 1) land mask
-          done;
-          nkeys.(!i) <- k
-        end)
-      old;
-    p.keys <- nkeys
-
-  let intern p b off len =
-    let keys = p.keys in
-    let mask = Array.length keys - 1 in
-    let i = ref (hash_range b off len land mask) in
-    let found = ref "" in
-    let probing = ref true in
-    while !probing do
-      let k = Array.unsafe_get keys !i in
-      if k = "" then probing := false
-      else if matches k b off len then begin
-        found := k;
-        probing := false
-      end
-      else i := (!i + 1) land mask
+    let nslots = Array.make (2 * Array.length p.slots) (-1) in
+    let mask = Array.length nslots - 1 in
+    for id = 0 to p.count - 1 do
+      let i = ref (hash_str p.names.(id) land mask) in
+      while nslots.(!i) >= 0 do
+        i := (!i + 1) land mask
+      done;
+      nslots.(!i) <- id
     done;
-    if !found <> "" then !found
+    p.slots <- nslots
+
+  (* The id of the name [b[off, off+len)], whose FNV-1a hash is [h]. *)
+  let intern_hashed p b off len h =
+    let slots = p.slots in
+    let mask = Array.length slots - 1 in
+    let i = ref (h land mask) in
+    while
+      let id = Array.unsafe_get slots !i in
+      id >= 0 && not (matches (Array.unsafe_get p.names id) b off len)
+    do
+      i := (!i + 1) land mask
+    done;
+    let id = slots.(!i) in
+    if id >= 0 then id
     else begin
-      let s = Bytes.sub_string b off len in
-      keys.(!i) <- s;
-      p.count <- p.count + 1;
-      if 2 * p.count >= Array.length keys then grow p;
-      s
+      let id = p.count in
+      if id = Array.length p.names then begin
+        let names = Array.make (2 * id) "" in
+        Array.blit p.names 0 names 0 id;
+        p.names <- names
+      end;
+      p.names.(id) <- Bytes.sub_string b off len;
+      slots.(!i) <- id;
+      p.count <- id + 1;
+      if 2 * p.count >= Array.length slots then grow p;
+      id
     end
+
+  let name p id = Array.unsafe_get p.names id
 end
 
 (* ------------------------------------------------------------------ *)
@@ -313,7 +319,7 @@ type t = {
   pool : Pool.t;
   scratch : Scratch.t;
   orig : string option; (* [of_string] input, for zero-copy [retained] *)
-  mutable stack : string array; (* open elements, innermost last *)
+  mutable stack : int array; (* open elements' name ids, innermost last *)
   mutable depth : int; (* open elements in [stack] *)
   depth_limit : int; (* the budget's [max_depth], [max_int] without one *)
   mutable seen_root : bool;
@@ -321,7 +327,7 @@ type t = {
   mutable at_start : bool; (* before the first byte: BOM goes here *)
   mutable finished : bool;
   (* cursor state, valid between [cursor_next] calls *)
-  mutable name : string;
+  mutable name_id : int; (* pool id of the current element's name *)
   mutable a_cnt : int;
   mutable a_names : string array;
   mutable a_off : int array;
@@ -348,7 +354,7 @@ let mk rd keep_ws budget orig =
     pool = Pool.create ();
     scratch = Scratch.create 256;
     orig;
-    stack = Array.make 16 "";
+    stack = Array.make 16 0;
     depth = 0;
     depth_limit =
       (match budget with
@@ -358,7 +364,7 @@ let mk rd keep_ws budget orig =
     seen_doctype = false;
     at_start = true;
     finished = false;
-    name = "";
+    name_id = 0;
     a_cnt = 0;
     a_names = Array.make 8 "";
     a_off = Array.make 8 0;
@@ -401,10 +407,34 @@ let scan_name rd =
   done;
   start
 
+(* Consume a name and return its pool id.  A name that ends inside the
+   buffer is scanned and hashed in one loop; one that reaches the end of
+   the buffer, or an invalid one, takes {!scan_name}, which refills and
+   reports errors, and is hashed afterwards. *)
 let read_name t =
   let rd = t.rd in
-  let start = scan_name rd in
-  Pool.intern t.pool rd.buf (start - rd.base) (rd.base + rd.pos - start)
+  let b = rd.buf and len = rd.len and p0 = rd.pos in
+  let i = ref p0 and h = ref Pool.fnv_basis in
+  if p0 < len && is_name_start (Bytes.unsafe_get b p0) then begin
+    let scanning = ref true in
+    while !scanning do
+      let c = Bytes.unsafe_get b !i in
+      if is_name_char c then begin
+        h := Pool.fnv !h c;
+        incr i;
+        if !i = len then scanning := false
+      end
+      else scanning := false
+    done
+  end;
+  if !i > p0 && !i < len then begin
+    rd.pos <- !i;
+    Pool.intern_hashed t.pool b p0 (!i - p0) !h
+  end
+  else
+    let start = scan_name rd in
+    let off = start - rd.base and len = rd.base + rd.pos - start in
+    Pool.intern_hashed t.pool rd.buf off len (Pool.hash_range rd.buf off len)
 
 (* The XML 1.0 Char production: anything else is not expressible in a
    well-formed document, even via a character reference. *)
@@ -497,7 +527,7 @@ let read_reference t =
     not (code = 0x20 || code = 0x9 || code = 0xA || code = 0xD)
   end
   else begin
-    let name = read_name t in
+    let name = Pool.name t.pool (read_name t) in
     expect t.rd ';';
     let expansion =
       match name with
@@ -588,7 +618,7 @@ let read_attributes t =
       let c = cur rd in
       if c = '/' || c = '>' then continue := false
       else if is_name_start c then begin
-        let key = read_name t in
+        let key = Pool.name t.pool (read_name t) in
         skip_ws rd;
         expect rd '=';
         skip_ws rd;
@@ -742,6 +772,22 @@ let read_text t =
     t.text_len <- Scratch.length t.scratch - !smark
   end
 
+(* [</n>] with [n] the open element's name and both lying in the buffer:
+   consumed in place.  Anything else — a refill inside the tag, a space
+   before '>', a mismatch — leaves [pos] alone for the general path. *)
+let end_in_place t =
+  let rd = t.rd in
+  t.depth > 0
+  &&
+  let top = Pool.name t.pool t.stack.(t.depth - 1) and p = rd.pos in
+  let n = String.length top in
+  p + n < rd.len
+  && Bytes.unsafe_get rd.buf (p + n) = '>'
+  && Pool.matches top rd.buf p n
+  &&
+  (rd.pos <- p + n + 1;
+   true)
+
 (* ------------------------------------------------------------------ *)
 (* The event scanner.  All recursive calls are tail calls, so nesting of
    skipped constructs (comments, PIs) costs no stack.  [pin] is reset at
@@ -795,48 +841,57 @@ let rec scan t =
       (* The closing name is compared byte for byte with the open
          element's, never interned: the event reports the open name. *)
       advance rd;
-      let start = scan_name rd in
-      let len = rd.base + rd.pos - start in
-      skip_ws rd;
-      expect rd '>';
-      let off = start - rd.base in
-      if t.depth = 0 then
-        err rd
-          (Printf.sprintf "closing tag </%s> with no open element"
-             (Bytes.sub_string rd.buf off len));
-      let top = t.stack.(t.depth - 1) in
-      if not (Pool.matches top rd.buf off len) then
-        err rd
-          (Printf.sprintf "closing tag </%s> does not match <%s>"
-             (Bytes.sub_string rd.buf off len)
-             top);
+      if not (end_in_place t) then begin
+        let start = scan_name rd in
+        let len = rd.base + rd.pos - start in
+        skip_ws rd;
+        expect rd '>';
+        let off = start - rd.base in
+        if t.depth = 0 then
+          err rd
+            (Printf.sprintf "closing tag </%s> with no open element"
+               (Bytes.sub_string rd.buf off len));
+        let top = Pool.name t.pool t.stack.(t.depth - 1) in
+        if not (Pool.matches top rd.buf off len) then
+          err rd
+            (Printf.sprintf "closing tag </%s> does not match <%s>"
+               (Bytes.sub_string rd.buf off len)
+               top)
+      end;
       t.depth <- t.depth - 1;
-      t.name <- top;
+      t.name_id <- t.stack.(t.depth);
       Cursor_end
     | _ ->
-      let tag = read_name t in
-      read_attributes t;
+      let id = read_name t in
+      (* [<n>] and [<n/>]: no attributes when the name ends the tag. *)
+      if
+        rd.pos < rd.len
+        &&
+        let c = Bytes.unsafe_get rd.buf rd.pos in
+        c = '>' || c = '/'
+      then t.a_cnt <- 0
+      else read_attributes t;
       if t.depth = 0 && t.seen_root then
         err rd "document has more than one root element";
       t.seen_root <- true;
       (match read rd with
       | '>' ->
         if t.depth = Array.length t.stack then begin
-          let st = Array.make (2 * t.depth) "" in
+          let st = Array.make (2 * t.depth) 0 in
           Array.blit t.stack 0 st 0 t.depth;
           t.stack <- st
         end;
-        t.stack.(t.depth) <- tag;
+        t.stack.(t.depth) <- id;
         t.depth <- t.depth + 1;
         Failpoint.trigger "pull.depth";
         if t.depth > t.depth_limit then
           Option.iter (fun b -> Budget.check_depth b t.depth) t.budget;
-        t.name <- tag;
+        t.name_id <- id;
         Cursor_start
       | '/' ->
         expect rd '>';
         t.pending_end <- true;
-        t.name <- tag;
+        t.name_id <- id;
         Cursor_start
       | c -> err rd (Printf.sprintf "unexpected %C in start tag" c))
   end
@@ -893,7 +948,8 @@ let cursor_next t =
 (* ------------------------------------------------------------------ *)
 (* Cursor accessors. *)
 
-let cur_name t = t.name
+let cur_name t = Pool.name t.pool t.name_id
+let cur_name_id t = t.name_id
 let cur_attr_count t = t.a_cnt
 let cur_attr_name t i = t.a_names.(i)
 
@@ -905,10 +961,12 @@ let span_string t off len =
 let cur_attr_value t i = span_string t t.a_off.(i) t.a_len.(i)
 let cur_text t = span_string t t.text_off t.text_len
 
-let cur_text_span t =
-  let off = t.text_off and len = t.text_len in
+let borrowed t off len =
   if off >= 0 then (Bytes.unsafe_to_string t.rd.buf, off - t.rd.base, len)
   else (Bytes.unsafe_to_string t.scratch.Scratch.b, lnot off, len)
+
+let cur_text_span t = borrowed t t.text_off t.text_len
+let cur_attr_span t i = borrowed t t.a_off.(i) t.a_len.(i)
 
 let cur_attrs t =
   let rec go i acc =
@@ -936,8 +994,8 @@ let retained t =
 let next t =
   match cursor_next t with
   | Cursor_eof -> None
-  | Cursor_start -> Some (Start_element (t.name, cur_attrs t))
-  | Cursor_end -> Some (End_element t.name)
+  | Cursor_start -> Some (Start_element (cur_name t, cur_attrs t))
+  | Cursor_end -> Some (End_element (cur_name t))
   | Cursor_text -> Some (Text (cur_text t))
 
 let fold t ~init ~f =

@@ -100,9 +100,18 @@ val cursor_next : t -> signal
 val cur_name : t -> string
 (** Tag of the current start or end element (interned). *)
 
+val cur_name_id : t -> int
+(** The parser's number for {!cur_name}: names are numbered
+    [0, 1, ...] in order of first sight (tags, attribute keys and entity
+    names share one numbering), so a driver can keep per-name facts in
+    an array instead of hashing the name. *)
+
 val cur_attr_count : t -> int
 val cur_attr_name : t -> int -> string
 val cur_attr_value : t -> int -> string
+
+val cur_attr_span : t -> int -> string * int * int
+(** [cur_text_span] for the value of attribute [i]. *)
 
 val cur_attrs : t -> (string * string) list
 (** Materialized attribute list of the current start element. *)

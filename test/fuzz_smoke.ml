@@ -6,7 +6,11 @@
    test/corpus/regressions/ once fixed.  It then checks the exposure
    bitmap against materialization provenance, and the restricted
    exposure of id ranges ([Exposure.region]) against it, on 10,000
-   random draws. *)
+   random draws.  Every generated input must also give the same events,
+   or the same positioned error, in one piece and through
+   [Pull.of_channel] refills of 1, 2 and 7 bytes: the cursor reads a
+   token in place only when it lies wholly in the buffer, so each name
+   and end tag must read alike whole and cut by a refill. *)
 
 module Fuzz = Smoqe_workload.Fuzz
 module Tree = Smoqe_xml.Tree
@@ -15,6 +19,48 @@ module Exposure = Smoqe_security.Exposure
 module Materialize = Smoqe_security.Materialize
 module Random_dtd = Smoqe_workload.Random_dtd
 module Docgen = Smoqe_workload.Docgen
+module Pull = Smoqe_xml.Pull
+
+let pull_outcome pull =
+  match Pull.fold pull ~init:[] ~f:(fun acc e -> e :: acc) with
+  | evs -> Ok (List.rev evs)
+  | exception Pull.Error (l, c, m) -> Error (Printf.sprintf "%d:%d: %s" l c m)
+  | exception e -> Error ("raised " ^ Printexc.to_string e)
+
+let describe = function
+  | Ok evs -> Printf.sprintf "%d events" (List.length evs)
+  | Error e -> e
+
+(* The chunk-boundary battery of test/conformance.ml over the inputs of
+   [Fuzz.run ~seed ~count]: the same draws, in the same order.  Returns
+   the first input whose outcome depends on the chunk size. *)
+let chunk_check ~seed ~count =
+  let rng = Random.State.make [| seed |] in
+  let path = Filename.temp_file "smoqe_fuzz" ".xml" in
+  let bad = ref None in
+  for _ = 1 to count do
+    let input = Fuzz.generate rng in
+    let keep_ws = Random.State.bool rng in
+    ignore (Random.State.int rng 3 : int);
+    if !bad = None then begin
+      Out_channel.with_open_bin path (fun oc -> output_string oc input);
+      let whole = pull_outcome (Pull.of_string ~keep_ws input) in
+      List.iter
+        (fun chunk_size ->
+          let got =
+            In_channel.with_open_bin path (fun ic ->
+                pull_outcome (Pull.of_channel ~keep_ws ~chunk_size ic))
+          in
+          if !bad = None && got <> whole then
+            bad :=
+              Some
+                (Printf.sprintf "chunk_size %d (keep_ws:%b): %s, whole: %s"
+                   chunk_size keep_ws (describe got) (describe whole), input))
+        [ 1; 2; 7 ]
+    end
+  done;
+  Sys.remove path;
+  !bad
 
 (* The exposure bitmap must mark exactly the materialization provenance
    ids, and a region exactly those of its range: the soak version of
@@ -98,6 +144,15 @@ let () =
     prerr_endline "fuzz: degenerate verdict mix — generator drift?";
     exit 1
   end;
+  let t0 = Unix.gettimeofday () in
+  (match chunk_check ~seed ~count with
+  | Some (diagnosis, input) ->
+    Printf.eprintf "BUG: %s\n  input: %s\n%!" diagnosis (excerpt input);
+    exit 1
+  | None ->
+    Printf.printf "chunk sizes 1, 2, 7 = one piece, on %d inputs (%.1fs)\n"
+      count
+      (Unix.gettimeofday () -. t0));
   let compared = ref 0 in
   for seed = 2_001 to 12_000 do
     match exposure_check seed with

@@ -307,7 +307,42 @@ let test_store_write_fault_is_not_torn () =
   (* the same write, unfaulted, replaces the file *)
   ok (Smoqe_store.Store.add_policy store ~group:"staff" stricter);
   Alcotest.(check bool) "policy file replaced" true (read policy_file <> p);
-  Alcotest.(check (list string)) "still no temporary file" l (listing ())
+  Alcotest.(check (list string)) "still no temporary file" l (listing ());
+  (* A remove commits with its manifest write.  Under [=2] the fault
+     lands on the second write: a policy rewrite goes through first, then
+     the remove's manifest write fails. *)
+  ok (Smoqe_store.Store.add_policy store ~group:"staff" Hospital.policy);
+  let live_before = patients store "staff" in
+  Alcotest.(check bool) "staff sees patients" true (live_before <> []);
+  let m = read manifest in
+  List.iter
+    (fun spec ->
+      Failpoint.with_failpoints spec (fun () ->
+          if spec = "store.write=2" then
+            ok
+              (Smoqe_store.Store.add_policy store ~group:"staff"
+                 Hospital.policy);
+          match Smoqe_store.Store.remove_policy store ~group:"staff" with
+          | Error _ -> ()
+          | Ok () -> Alcotest.failf "%s: removed through a failing disk" spec);
+      Alcotest.(check (list string)) (spec ^ ": live staff answers unchanged")
+        live_before (patients store "staff");
+      Alcotest.(check string) (spec ^ ": manifest byte-identical") m
+        (read manifest);
+      Alcotest.(check (list string)) (spec ^ ": no temporary file") l
+        (listing ());
+      let reopened = ok (Smoqe_store.Store.open_dir dir) in
+      Alcotest.(check (list string)) (spec ^ ": reopen lists staff")
+        [ "staff" ] (Smoqe_store.Store.groups reopened);
+      Alcotest.(check (list string)) (spec ^ ": live = reopened") live_before
+        (patients reopened "staff"))
+    [ "store.write=once"; "store.write=2" ];
+  (* the same remove, unfaulted, commits *)
+  ok (Smoqe_store.Store.remove_policy store ~group:"staff");
+  Alcotest.(check (list string)) "removed from the store" []
+    (Smoqe_store.Store.groups store);
+  Alcotest.(check (list string)) "a reopen does not list staff" []
+    (Smoqe_store.Store.groups (ok (Smoqe_store.Store.open_dir dir)))
 
 let test_stax_fault_degrades_to_dom () =
   let e = hospital_engine () in

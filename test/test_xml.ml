@@ -215,6 +215,76 @@ let test_pull_channel () =
   Sys.remove path;
   Alcotest.(check int) "events via channel" 8 n
 
+(* Names and end tags are read in place when the whole token lies in the
+   buffer, and by the general path when it does not: each case must give
+   the same events, or the same positioned error, from one string and
+   through [of_channel] refills at every chunk size up to the input's
+   length, so that every token is both whole in the buffer and cut by a
+   refill. *)
+let test_pull_tag_fast_paths () =
+  let outcome pull =
+    match
+      List.rev (Pull.fold pull ~init:[] ~f:(fun acc e -> e :: acc))
+    with
+    | evs -> Ok evs
+    | exception Pull.Error (l, c, m) -> Error (l, c, m)
+  in
+  let show = function
+    | Ok evs -> Printf.sprintf "%d events" (List.length evs)
+    | Error (l, c, m) -> Printf.sprintf "%d:%d: %s" l c m
+  in
+  let path = Filename.temp_file "smoqe" ".xml" in
+  let same input =
+    Out_channel.with_open_bin path (fun oc -> output_string oc input);
+    let whole = outcome (Pull.of_string input) in
+    for chunk_size = 1 to String.length input + 1 do
+      let got =
+        In_channel.with_open_bin path (fun ic ->
+            outcome (Pull.of_channel ~chunk_size ic))
+      in
+      if got <> whole then
+        Alcotest.failf "%S at chunk %d: %s, whole: %s" input chunk_size
+          (show got) (show whole)
+    done;
+    whole
+  in
+  let accepted input expected =
+    match same input with
+    | Ok evs -> Alcotest.(check int) input expected (List.length evs)
+    | Error (l, c, m) -> Alcotest.failf "%S rejected at %d:%d: %s" input l c m
+  in
+  accepted "<a></a >" 2;
+  accepted "<a ></a>" 2;
+  accepted "<a/>" 2;
+  accepted "<a><bb/></a>" 4;
+  accepted "<patient><pname>x</pname></patient>" 5;
+  accepted "<patient\n  id='1'>\n<pname>x</pname  >\n</patient>" 5;
+  List.iter
+    (fun input ->
+      match same input with
+      | Error (l, c, _) when l >= 1 && c >= 1 -> ()
+      | r -> Alcotest.failf "%S: %s" input (show r))
+    [ "<ab></ac>"; "<ab></abc>"; "<ab></a>"; "<ab></ab"; "<ab></ab x>";
+      "<ab><"; "<ab/></ab>"; "<ab>x</ab><cd>" ];
+  Sys.remove path;
+  (* a name keeps one id; distinct names get distinct ids *)
+  let p = Pull.of_string "<a><bb/><a c='1'/><bb/></a>" in
+  let ids = ref [] in
+  let rec go () =
+    match Pull.cursor_next p with
+    | Pull.Cursor_eof -> ()
+    | Pull.Cursor_start ->
+      ids := (Pull.cur_name p, Pull.cur_name_id p) :: !ids;
+      go ()
+    | _ -> go ()
+  in
+  go ();
+  let id n = List.assoc n !ids in
+  List.iter
+    (fun (n, i) -> Alcotest.(check int) ("id of " ^ n) (id n) i)
+    !ids;
+  Alcotest.(check bool) "distinct names, distinct ids" true (id "a" <> id "bb")
+
 (* --- Parser / Serializer --------------------------------------------- *)
 
 let test_parser_roundtrip () =
@@ -1176,6 +1246,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_pull_errors;
           Alcotest.test_case "error location" `Quick test_pull_error_location;
           Alcotest.test_case "channel input" `Quick test_pull_channel;
+          Alcotest.test_case "tag fast paths" `Quick test_pull_tag_fast_paths;
         ] );
       ( "parser-serializer",
         [
